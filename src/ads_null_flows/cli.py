@@ -66,6 +66,13 @@ def _int_pair(text: str):
     return int(a), int(b)
 
 
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _float_list(text: str):
     return [float(x) for x in text.split(",")] if text else []
 
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     h = sub.add_parser("hierarchy", help="differential polynomials of the flows")
-    h.add_argument("--n-max", type=int, default=3)
+    h.add_argument("--n-max", type=_nonneg_int, default=3)
     h.add_argument("--lien", action="store_true")
     h.add_argument("--verify", action="store_true")
     h.add_argument("-o", "--outdir", default="out")
@@ -394,13 +401,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     overrides = {}
-    for item in args.set:
-        key, _, val = item.partition("=")
-        cur = getattr(DEFAULT, key, None)
-        if cur is None:
-            ap.error(f"unknown config key {key}")
-        overrides[key] = type(cur)(val)
     try:
+        for item in args.set:
+            key, _, val = item.partition("=")
+            cur = getattr(DEFAULT, key, None)
+            if cur is None:
+                ap.error(f"unknown config key {key}")
+            overrides[key] = type(cur)(val)
         config = load_config(args.config, overrides)
     except (ValueError, KeyError) as exc:
         ap.error(str(exc))

@@ -8,6 +8,7 @@ file plus flag overrides; the library default() is used everywhere else.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 
@@ -51,8 +52,10 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and not isinstance(v, bool) and v <= 0:
-                raise ValueError(f"config field {f.name} must be positive, got {v}")
+            if isinstance(v, (int, float)) and not isinstance(v, bool) \
+                    and not (math.isfinite(v) and v > 0):
+                raise ValueError(
+                    f"config field {f.name} must be positive and finite, got {v}")
         if self.min_points_per_period < 8:
             raise ValueError("grid density must be at least 8 points per period")
 

@@ -21,11 +21,15 @@ u = -2 d_s arctanh(phi) solves the defocusing mKdV
 u_t - 6 u^2 u_s + u_sss = 0, and kappa = u_s + u^2 solves the KdV.
 |phi| <= (mu tau)^{1/4} < 1, so arctanh stays finite everywhere.
 
-Derivatives are exact.  Each sn factor carries a derivative jet
-(sn' = cn dn, sn'' = -(1+mu) sn + 2 mu sn^3, ...); at a point the full
-solution is represented as a truncated Taylor series in ds whose
-coefficients are dual numbers c0 + c1 dt, so one pass of series arithmetic
-yields u, all wanted s-derivatives, and their first t-derivatives.
+Derivatives are exact, by two independent routes.  The s-jets are closed
+form: from one (sn, cn, dn) triple per wave, the ODE
+sn'' = -(1+mu) sn + 2 mu sn^3 gives each factor's Taylor series in ds, and
+plain series arithmetic gives phi, r = 1/(1 - phi^2), u = -2 phi_s r and
+kappa = u_s + u^2, for a scalar s or elementwise over an array.  Where a
+t-derivative is wanted (kappa_t, u_t and the residuals) the solution is
+instead a truncated Taylor series in ds whose coefficients are dual numbers
+c0 + c1 dt, built from sn_jet, so one pass of series arithmetic yields the
+s-derivatives and their first t-derivatives.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .specfun import complete_elliptic, sn_jet
+from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
 from .specfun.elliptic import _check_mu
 
 
@@ -82,6 +86,37 @@ def _dual_ds(a: np.ndarray) -> np.ndarray:
     k = np.arange(1, len(a))[:, None]
     out[:-1, :] = a[1:, :] * k
     return out
+
+
+# ------------------------------------- plain Taylor (in ds) series, closed form
+#
+# Coefficient lists whose entries are floats or equal-shape arrays, so one
+# routine serves a scalar s and, elementwise, an array of them.
+
+def _cauchy(a: list, b: list, k: int):
+    """k-th coefficient of the product of the series a and b."""
+    acc = a[0] * b[k]
+    for i in range(1, k + 1):
+        acc = acc + a[i] * b[k - i]
+    return acc
+
+
+def _sn_series(sn, cn, dn, mu: float, w: float, n: int) -> list:
+    """First n Taylor coefficients in ds of f = sn(theta + w ds | mu), from
+    (sn, cn, dn) at theta and f'' = w^2 (2 mu f^3 - (1 + mu) f)."""
+    f = [sn, w * cn * dn]
+    sq, cube = [], []
+    w2 = w * w
+    for k in range(n - 2):
+        sq.append(_cauchy(f, f, k))
+        cube.append(_cauchy(f, sq, k))
+        f.append(w2 * (2.0 * mu * cube[k] - (1.0 + mu) * f[k]) / ((k + 1) * (k + 2)))
+    return f[:n]
+
+
+def _derivatives(series: list) -> list:
+    """Taylor coefficients -> derivative values [c_0, 1! c_1, 2! c_2, ...]."""
+    return [c * math.factorial(k) for k, c in enumerate(series)]
 
 
 # ----------------------------------------------------------- stationary
@@ -281,37 +316,55 @@ class KkshSpec:
         u = -2.0 * _dual_mul(_dual_ds(phi), _dual_recip(den))
         return u[:n, :]
 
-    def u_jet(self, s, t: float = 0.0, order: int = 3):
-        """[u, u_s, ..., u^(order)] (derivative values)."""
-        d = self._u_dual(float(s), t, order + 1)
-        fact = 1.0
-        out = []
-        for k in range(order + 1):
-            if k > 1:
-                fact *= k
-            out.append(float(d[k, 0]) * (fact if k > 1 else 1.0))
-        return out
+    # -- closed-form s-jets ---------------------------------------------------
 
-    def u(self, s, t: float = 0.0) -> float:
+    @cached_property
+    def _jet_data(self):
+        """Phase rates, amplitude and one JacobiScalar per wave, so K and
+        the Landen chains are looked up once per spec."""
+        return (self.w_plus, self.w_minus, self.v_plus, self.v_minus, self.amp,
+                JacobiScalar(self.mu), JacobiScalar(self.tau))
+
+    def _u_series(self, s, t: float, n: int) -> list:
+        """First n Taylor coefficients in ds of u = -2 phi_s r at (s, t),
+        r = 1/(1 - phi^2); s a scalar or an array (elementwise)."""
+        wp, wm, vp, vm, amp, sn_plus, sn_minus = self._jet_data
+        if isinstance(s, (int, float)):
+            trip_p = sn_plus(wp * s + vp * t)
+            trip_m = sn_minus(wm * s + vm * t)
+        else:
+            s = np.asarray(s, dtype=float)
+            trip_p = jacobi_sncndn(wp * s + vp * t, self.mu)
+            trip_m = jacobi_sncndn(wm * s + vm * t, self.tau)
+        fp = _sn_series(*trip_p, self.mu, wp, n + 1)
+        fm = _sn_series(*trip_m, self.tau, wm, n + 1)
+        phi = [amp * _cauchy(fp, fm, k) for k in range(n + 1)]
+        # r (1 - phi^2) = 1, with sq1[j] the (j+1)-th coefficient of phi^2
+        sq1 = [_cauchy(phi, phi, k) for k in range(1, n)]
+        r = [1.0 / (1.0 - phi[0] * phi[0])]
+        for k in range(n - 1):
+            r.append(r[0] * _cauchy(sq1, r, k))
+        dphi = [(k + 1) * phi[k + 1] for k in range(n)]
+        return [-2.0 * _cauchy(dphi, r, k) for k in range(n)]
+
+    def u_jet(self, s, t: float = 0.0, order: int = 3):
+        """[u, u_s, ..., u^(order)] (derivative values), closed form."""
+        return _derivatives(self._u_series(s, t, order + 1))
+
+    def u(self, s, t: float = 0.0):
         return self.u_jet(s, t, order=0)[0]
 
     def u_t(self, s, t: float = 0.0) -> float:
         return float(self._u_dual(float(s), t, 1)[0, 1])
 
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
-        """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2;
-        order up to 4 (the sn jets stop at 7)."""
-        u = self._u_dual(float(s), t, order + 2)
-        kap = _dual_ds(u) + _dual_mul(u, u)
-        fact = 1.0
-        out = []
-        for k in range(order + 1):
-            if k > 1:
-                fact *= k
-            out.append(float(kap[k, 0]) * (fact if k > 1 else 1.0))
-        return out
+        """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
+        form; s a scalar (floats returned) or an array (arrays returned)."""
+        u = self._u_series(s, t, order + 2)
+        return _derivatives([(k + 1) * u[k + 1] + _cauchy(u, u, k)
+                             for k in range(order + 1)])
 
-    def kappa(self, s, t: float = 0.0) -> float:
+    def kappa(self, s, t: float = 0.0):
         return self.kappa_jet(s, t, order=0)[0]
 
     def kappa_t(self, s, t: float = 0.0) -> float:
@@ -340,14 +393,6 @@ class KkshSpec:
         kp1, kp2 = self.kappa(s, t + dt), self.kappa(s, t + 2 * dt)
         kt = (km2 - 8 * km1 + 8 * kp1 - kp2) / (12.0 * dt)
         return kt + k3 - 6.0 * k0 * k1
-
-
-def kksh_u(spec: KkshSpec, s, t: float = 0.0) -> float:
-    return spec.u(s, t)
-
-
-def kksh_kappa(spec: KkshSpec, s, t: float = 0.0) -> float:
-    return spec.kappa(s, t)
 
 
 # ------------------------------------------------------- double periodicity

@@ -33,9 +33,10 @@ class KdVResidualTooLarge(ValueError):
 
 
 class BendingSampler(Protocol):
-    """Bending with analytic s-jets and a t-derivative (for the input gate)."""
+    """Bending with analytic s-jets and a t-derivative (for the input gate).
+    kappa_jet takes a scalar s or, elementwise, an array of them."""
 
-    def kappa_jet(self, s: float, t: float = 0.0, order: int = 3) -> list: ...
+    def kappa_jet(self, s, t: float = 0.0, order: int = 3) -> list: ...
 
     def kappa_t(self, s: float, t: float = 0.0) -> float: ...
 
@@ -53,13 +54,6 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
         raise KdVResidualTooLarge(
             f"bending violates the KdV residual gate: {worst:.3e} > {tol:.1e}")
     return worst
-
-
-def _p_matrix(k0: float, k1: float, k2: float, lam: float) -> np.ndarray:
-    return np.array([
-        [-k1, -k2 + 2.0 * k0 * k0 - 2.0 * lam * k0 - 4.0 * lam * lam],
-        [2.0 * k0 - 4.0 * lam, k1],
-    ])
 
 
 @dataclass
@@ -108,16 +102,18 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     t_probe = np.linspace(t_grid[0], t_grid[-1], min(gate_probes, 6))
     gate = kdv_gate(sampler, s_probe, t_probe, config.kdv_residual_gate)
 
-    # step 1: A+-(t) along s = 0
+    # step 1: A+-(t) along s = 0; row (a, b) of F times P_{+-1}, where
+    # P_lam = [[-k1, q - 2 lam k0 - 4], [2 k0 - 4 lam, k1]], q = 2 k0^2 - k2
     def rhs_t(t, y):
         k0, k1, k2 = sampler.kappa_jet(0.0, t, order=2)
-        Pp = _p_matrix(k0, k1, k2, +1.0)
-        Pm = _p_matrix(k0, k1, k2, -1.0)
-        ap, bp, cp, dp, am, bm, cm, dm = y
-        return (ap * Pp[0, 0] + bp * Pp[1, 0], ap * Pp[0, 1] + bp * Pp[1, 1],
-                cp * Pp[0, 0] + dp * Pp[1, 0], cp * Pp[0, 1] + dp * Pp[1, 1],
-                am * Pm[0, 0] + bm * Pm[1, 0], am * Pm[0, 1] + bm * Pm[1, 1],
-                cm * Pm[0, 0] + dm * Pm[1, 0], cm * Pm[0, 1] + dm * Pm[1, 1])
+        q = -k2 + 2.0 * k0 * k0
+        p01, m01 = q - 2.0 * k0 - 4.0, q + 2.0 * k0 - 4.0
+        p10, m10 = 2.0 * k0 - 4.0, 2.0 * k0 + 4.0
+        ap, bp, cp, dp, am, bm, cm, dm = y.tolist()
+        return (bp * p10 - ap * k1, ap * p01 + bp * k1,
+                dp * p10 - cp * k1, cp * p01 + dp * k1,
+                bm * m10 - am * k1, am * m01 + bm * k1,
+                dm * m10 - cm * k1, cm * m01 + dm * k1)
 
     nt = len(t_grid)
     A_plus = np.empty((nt, 2, 2))
@@ -262,5 +258,5 @@ def _s_integration(sampler: BendingSampler, s_grid: np.ndarray, t: float,
     drift = float(max(np.abs(detp - 1.0).max(), np.abs(detm - 1.0).max()))
     Fp /= np.sqrt(np.abs(detp))[:, None, None]
     Fm /= np.sqrt(np.abs(detm))[:, None, None]
-    kap = np.array([sampler.kappa_jet(float(s), t, order=0)[0] for s in s_grid])
+    kap = np.asarray(sampler.kappa_jet(s_grid, t, order=0)[0], dtype=float)
     return SpinorFramePath(s_grid, Fp, Fm, kap, t_value=t, det_drift=drift)

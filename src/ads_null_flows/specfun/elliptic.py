@@ -106,6 +106,46 @@ def _sncndn_scalar(s: float, mu: float) -> Tuple[float, float, float]:
     return sign_sn * amp, sign_cn * c * amp, dn
 
 
+class JacobiScalar:
+    """Scalar (sn, cn, dn) at one fixed parameter, for hot loops: K(mu) and
+    the Landen chain are looked up once, at construction, instead of on
+    every call.  Same reduction and backward pass as _sncndn_scalar."""
+
+    __slots__ = ("_K", "_chain", "_cfac")
+
+    def __init__(self, mu: float):
+        mu = _check_mu(mu)
+        self._K, _ = complete_elliptic(mu)
+        em, en, self._cfac = _landen_chain(mu)
+        self._chain = tuple(zip(reversed(em), reversed(en)))
+
+    def __call__(self, s: float) -> Tuple[float, float, float]:
+        K = self._K
+        x = s % (4.0 * K)
+        sign_sn = 1.0
+        sign_cn = 1.0
+        if x > 2.0 * K:
+            x = 4.0 * K - x
+            sign_sn = -1.0
+        if x > K:
+            x = 2.0 * K - x
+            sign_cn = -1.0
+        u = self._cfac * x
+        sn = math.sin(u)
+        if sn == 0.0:
+            return 0.0, sign_cn, 1.0
+        a = math.cos(u) / sn
+        c = a * self._cfac
+        dn = 1.0
+        for b, e in self._chain:
+            a = c * a
+            c = dn * c
+            dn = (e + a) / (b + a)
+            a = c / b
+        amp = math.copysign(1.0, sn) / math.sqrt(c * c + 1.0)
+        return sign_sn * amp, sign_cn * c * amp, dn
+
+
 def jacobi_sncndn(s, mu: float):
     """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1).
 

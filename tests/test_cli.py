@@ -60,6 +60,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_set_value_conversion_error_exit_code():
+    with pytest.raises(SystemExit) as exc:
+        main(["--set", "integrator_rel_tol=abc", "check"])
+    assert exc.value.code == 2
+
+
+def test_set_non_finite_value_exit_code():
+    with pytest.raises(SystemExit) as exc:
+        main(["--set", "tol_h=nan", "check"])
+    assert exc.value.code == 2
+
+
+def test_hierarchy_negative_n_max_exit_code(tmp_path):
+    out = tmp_path / "hneg"
+    with pytest.raises(SystemExit) as exc:
+        main(["hierarchy", "--n-max", "-1", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_constant_command_files(tmp_path):
     out = tmp_path / "c"
     assert main(["constant", "--mn", "7,3", "-o", str(out)]) == 0

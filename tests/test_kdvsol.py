@@ -144,6 +144,44 @@ def test_kksh_phi_bound():
         assert abs(phi) <= bound + 1e-12
 
 
+def _dual_kappa_jet(spec, s, t, order):
+    """[kappa, ..., kappa^(order)] from the dual series of u (the reference
+    route the t-derivatives still take)."""
+    u = spec._u_dual(s, t, order + 2)[:, 0]
+    coef = [(k + 1) * u[k + 1] + sum(u[i] * u[k - i] for i in range(k + 1))
+            for k in range(order + 1)]
+    return np.array([c * math.factorial(k) for k, c in enumerate(coef)])
+
+
+@pytest.mark.parametrize("spec", [
+    KkshSpec.with_quantum_numbers(MU_STAR, 1, 6, 2.0),   # near mu*
+    KkshSpec(0.3, 0.7, 1.3),
+    KkshSpec(0.85, 0.2, 0.6),
+], ids=["mn16_h2", "mu03_tau07", "mu085_tau02"])
+def test_kksh_closed_form_jet_matches_dual_series(spec):
+    """Closed-form s-jets (orders 0-4) agree with the dual series to 1e-12
+    relative (per derivative order, against its largest value); array and
+    scalar s agree elementwise."""
+    rng = np.random.default_rng(17)
+    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 60)
+    t = rng.uniform(-1.0, 1.0, 60)
+    ref = np.array([_dual_kappa_jet(spec, a, b, 4) for a, b in zip(s, t)])
+    got = np.array([spec.kappa_jet(float(a), float(b), order=4)
+                    for a, b in zip(s, t)])
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref).max(axis=0) <= 1e-12 * scale)
+    for order in range(5):
+        for t0 in t[:3]:
+            arr = spec.kappa_jet(s, float(t0), order=order)
+            assert len(arr) == order + 1
+            scalar = np.array([spec.kappa_jet(float(a), float(t0), order=order)
+                               for a in s])
+            for k in range(order + 1):
+                assert arr[k].shape == s.shape
+                np.testing.assert_allclose(arr[k], scalar[:, k], rtol=1e-13,
+                                           atol=1e-13 * scale[k])
+
+
 def test_kksh_s_periodicity():
     spec = make_kksh()
     rho = spec.s_period()

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from ads_null_flows.specfun import (
     EllipticDomainError,
+    JacobiScalar,
     complete_elliptic,
     jacobi_sncndn,
     sn_jet,
@@ -42,6 +43,8 @@ def test_domain_errors():
             complete_elliptic(bad)
         with pytest.raises(EllipticDomainError):
             jacobi_sncndn(0.3, bad)
+        with pytest.raises(EllipticDomainError):
+            JacobiScalar(bad)
 
 
 def test_legendre_relation():
@@ -60,6 +63,17 @@ def test_special_values():
         assert sn == pytest.approx(1.0, abs=1e-14)
         assert cn == pytest.approx(0.0, abs=1e-14)
         assert dn == pytest.approx(math.sqrt(1.0 - mu), abs=1e-14)
+
+
+def test_jacobi_scalar_matches_jacobi_sncndn():
+    """The per-parameter scalar evaluator repeats jacobi_sncndn's scalar
+    path operation for operation, in every cell of the reduction."""
+    rng = np.random.default_rng(8)
+    for mu in (0.05, 0.4, 0.615, 0.97):
+        K, _ = complete_elliptic(mu)
+        sn_at = JacobiScalar(mu)
+        for s in [0.0, K, 2 * K, 3 * K, -K, *rng.uniform(-60.0, 60.0, 200)]:
+            assert sn_at(float(s)) == jacobi_sncndn(float(s), mu)
 
 
 def test_pythagorean_identities_bulk():
