@@ -52,8 +52,10 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and not isinstance(v, bool) \
-                    and not (math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                continue
+            # ints are exact, and math.isfinite overflows on a huge one
+            if v <= 0 or (isinstance(v, float) and not math.isfinite(v)):
                 raise ValueError(
                     f"config field {f.name} must be positive and finite, got {v}")
         if self.min_points_per_period < 8:

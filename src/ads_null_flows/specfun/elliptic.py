@@ -74,42 +74,11 @@ def _landen_chain(mu: float):
     return tuple(em), tuple(en), c
 
 
-def _sncndn_scalar(s: float, mu: float) -> Tuple[float, float, float]:
-    """Pure-float path; same reduction and Landen backward pass as the
-    array version."""
-    K, _ = complete_elliptic(mu)
-    em, en, cfac = _landen_chain(mu)
-    x = s % (4.0 * K)
-    sign_sn = 1.0
-    sign_cn = 1.0
-    if x > 2.0 * K:
-        x = 4.0 * K - x
-        sign_sn = -1.0
-    if x > K:
-        x = 2.0 * K - x
-        sign_cn = -1.0
-    u = cfac * x
-    sn = math.sin(u)
-    if sn == 0.0:
-        return 0.0, sign_cn, 1.0
-    cn = math.cos(u)
-    dn = 1.0
-    a = cn / sn
-    c = a * cfac
-    for i in range(len(em) - 1, -1, -1):
-        b = em[i]
-        a = c * a
-        c = dn * c
-        dn = (en[i] + a) / (b + a)
-        a = c / b
-    amp = math.copysign(1.0, sn) / math.sqrt(c * c + 1.0)
-    return sign_sn * amp, sign_cn * c * amp, dn
-
-
 class JacobiScalar:
-    """Scalar (sn, cn, dn) at one fixed parameter, for hot loops: K(mu) and
+    """Scalar (sn, cn, dn) at one fixed parameter, pure float: K(mu) and
     the Landen chain are looked up once, at construction, instead of on
-    every call.  Same reduction and backward pass as _sncndn_scalar."""
+    every call.  Same reduction and backward pass as the array path of
+    jacobi_sncndn."""
 
     __slots__ = ("_K", "_chain", "_cfac")
 
@@ -146,6 +115,9 @@ class JacobiScalar:
         return sign_sn * amp, sign_cn * c * amp, dn
 
 
+_jacobi_at = lru_cache(maxsize=512)(JacobiScalar)
+
+
 def jacobi_sncndn(s, mu: float):
     """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1).
 
@@ -156,7 +128,7 @@ def jacobi_sncndn(s, mu: float):
     """
     mu = _check_mu(mu)
     if isinstance(s, (int, float)):
-        return _sncndn_scalar(float(s), mu)
+        return _jacobi_at(mu)(float(s))
     K, _ = complete_elliptic(mu)
     em, en, cfac = _landen_chain(mu)
     em = np.array(em)
