@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jetalg
-from .config import DEFAULT, RunConfig, load_config
+from .config import DEFAULT, RunConfig, UsageError, load_config
 from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
 from .kdvsol import KkshSpec, StationaryBending
 from .lame import floquet_search
@@ -55,10 +55,6 @@ from .specfun import complete_elliptic
 
 class NumericFailure(RuntimeError):
     pass
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _int_pair(text: str):
@@ -156,8 +152,8 @@ def cmd_hierarchy(args, config: RunConfig) -> int:
 
 
 def cmd_floquet(args, config: RunConfig) -> int:
-    q = _fraction(args.q)
-    records = floquet_search(args.mu, q.numerator, q.denominator, args.count, config)
+    records = floquet_search(args.mu, args.q.numerator, args.q.denominator,
+                             args.count, config)
     outdir = Path(args.outdir)
     rows = [(r.index, r.h, r.tau, r.order if r.order is not None else -1)
             for r in records]
@@ -170,10 +166,10 @@ def cmd_floquet(args, config: RunConfig) -> int:
 
 
 def cmd_stationary(args, config: RunConfig) -> int:
-    q = _fraction(args.q)
     indices = [int(i) for i in args.indices.split(",")]
     count = max(indices) + 1
-    records = floquet_search(args.mu, q.numerator, q.denominator, count, config)
+    records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
+                             config)
     h_plus = records[indices[0]].h
     h_minus = records[indices[1]].h
     if h_minus < h_plus:
@@ -358,14 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("floquet", help="eigenvalue search")
     f.add_argument("--mu", type=float, required=True)
-    f.add_argument("--q", required=True, help="characteristic exponent, e.g. 2/5")
+    f.add_argument("--q", type=Fraction, required=True,
+                   help="characteristic exponent, e.g. 2/5")
     f.add_argument("--count", type=int, default=2)
     f.add_argument("-o", "--outdir", default="out")
     f.set_defaults(func=cmd_floquet)
 
     st = sub.add_parser("stationary", help="stationary curves and their evolution")
     st.add_argument("--mu", type=float, required=True)
-    st.add_argument("--q", required=True)
+    st.add_argument("--q", type=Fraction, required=True)
     st.add_argument("--indices", default="0,1")
     st.add_argument("--periods", type=float, default=1.0)
     st.add_argument("--t", default="", help="comma list of snapshot times")
@@ -413,6 +410,8 @@ def main(argv=None) -> int:
         ap.error(str(exc))
     try:
         return args.func(args, config)
+    except UsageError as exc:
+        ap.error(str(exc))
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 
+class UsageError(ValueError):
+    """Invalid input: a parameter outside its domain (CLI exit code 2)."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # adaptive integrator (embedded high-order Runge-Kutta)
@@ -19,13 +23,9 @@ class RunConfig:
     integrator_abs_tol: float = 1e-14
 
     # Floquet eigenvalue search
-    scan_h_ceiling: float = 500.0
-    scan_step_fine: float = 0.01     # below scan_step_switch
-    scan_step_coarse: float = 0.5    # above
-    scan_step_switch: float = 5.0
-    tol_h: float = 1e-10             # bisection tolerance on eigenvalues
+    scan_h_ceiling: float = 500.0    # eigenvalues are sought below this h
+    tol_h: float = 1e-10             # root tolerance on eigenvalues
     tol_floquet: float = 1e-8        # |tau - cos(q pi)| acceptance
-    band_edge_margin: float = 1e-6   # offset from mu, 1, 1+mu when scanning
 
     # monodromy order measurement and orbit classification
     order_max: int = 10_000
@@ -56,10 +56,10 @@ class RunConfig:
                 continue
             # ints are exact, and math.isfinite overflows on a huge one
             if v <= 0 or (isinstance(v, float) and not math.isfinite(v)):
-                raise ValueError(
+                raise UsageError(
                     f"config field {f.name} must be positive and finite, got {v}")
         if self.min_points_per_period < 8:
-            raise ValueError("grid density must be at least 8 points per period")
+            raise UsageError("grid density must be at least 8 points per period")
 
     def with_overrides(self, **kw) -> "RunConfig":
         return replace(self, **kw)

@@ -13,15 +13,20 @@ in the Floquet spectrum when M has finite order; its characteristic exponent
 q in [0,1] is the eigenvalue phase over pi, i.e. tau(h) := tr M / 2 =
 cos(q pi).
 
-Eigenvalue search:
-  * q in (0,1): tau - cos(q pi) changes sign at every crossing, so uniform
-    scan bracketing + bisection works directly.  Admissible domain
-    (mu, 1) u (1+mu, inf).
-  * q in {0,1}: tau only touches +-1 (the potential is one-gap: all
-    band-edge pairs above 1+mu collapse to double points M = +-Id), so the
-    bracketed function is the off-diagonal entry M21 = sl(2K), whose zeros
-    are simple (Dirichlet spectrum); roots are then filtered by
-    |tau -+ 1| <= tol.  Admissible domain (1+mu, inf).
+Eigenvalue search: the potential is one-gap, so Hermite's solution
+y = H(u + alpha)/Theta(u) exp(-u Z(alpha)) (Whittaker & Watson, ch. XXIII)
+gives the discriminant in closed form, tau = -cos(theta), on the two bands.
+With primes for Jacobi functions of Hermite's spectral parameter beta at
+parameter 1 - mu, beta in (0, K'):
+  * lower band [mu, 1]:   h = 1 + mu - mu / dn'^2(beta), theta from -pi to 0;
+  * upper band [1+mu, inf): h = 1 + mu + mu sc'^2(beta), theta from 0 to inf;
+and am(beta) is elementary in h, so theta(h) costs one incomplete F and E.
+theta increases strictly with h on each band, so the eigenvalues with
+exponent q are the roots of theta(h) = 2 pi j -+ (1 - q) pi, taken in
+increasing order below the search ceiling (q in {0, 1}: the upper-band
+coexistence points theta = (2j + 1 + q) pi, where M = +-Id).  Each root is
+bracketed by its band and found by brentq; only then is the monodromy
+integrated, once per eigenvalue, and the ODE route stays the oracle for tau.
 
 The fundamental solutions are produced two independent ways: direct ODE
 integration, and the closed form through the two local Heun functions
@@ -36,14 +41,16 @@ limits Q+- of the building-block matrix at +-K as M = Q+ Q-^{-1}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Literal, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import ellipeinc, ellipkinc
 
-from .config import DEFAULT, RunConfig
+from .config import DEFAULT, RunConfig, UsageError
 from .specfun import HeunEvaluator, complete_elliptic, jacobi_sncndn, lame_heun_params
 from .specfun.elliptic import _check_mu
 
@@ -155,92 +162,82 @@ def monodromy_order(M: np.ndarray, config: RunConfig = DEFAULT) -> Optional[int]
     return None
 
 
-def _scan_iter(lo: float, hi: float, config: RunConfig):
-    h = lo
-    while h < hi:
-        yield h
-        h += config.scan_step_fine if h < config.scan_step_switch else config.scan_step_coarse
-    yield hi
+def hermite_phase(mu: float, h: float) -> float:
+    """Hermite's Floquet phase theta(h), with tau(h) = -cos(theta), on the
+    closed bands [mu, 1] (theta from -pi to 0) and [1 + mu, inf) (theta from
+    0 to inf); strictly increasing on each.  phi = am(beta | 1 - mu), the
+    amplitude of Hermite's spectral parameter beta, is elementary in h."""
+    mu = _check_mu(mu)
+    K, E = complete_elliptic(mu)
+    m1 = 1.0 - mu
+    if mu <= h <= 1.0:           # h = 1 + mu - mu / dn'^2(beta)
+        phi = math.asin(min(1.0, math.sqrt((1.0 - h) / (m1 * (1.0 + mu - h)))))
+        s, c = math.sin(phi), math.cos(phi)
+        lead = m1 * s * c / math.sqrt(1.0 - m1 * s * s)
+    elif h >= 1.0 + mu:          # h = 1 + mu + mu sc'^2(beta)
+        phi = math.atan(math.sqrt(max(0.0, h - 1.0 - mu) / mu))
+        s = math.sin(phi)
+        lead = math.tan(phi) * math.sqrt(1.0 - m1 * s * s)
+    else:
+        raise UsageError(f"h = {h} lies outside the bands [mu, 1] and [1 + mu, inf)")
+    # 2K (lead - Z'(beta) - pi beta / (2 K K')), by Legendre's relation
+    return 2.0 * (K * lead - K * ellipeinc(phi, m1) + (K - E) * ellipkinc(phi, m1))
 
 
-def _refine(f, a, b, fa, fb, xtol):
-    from scipy.optimize import brentq
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    return float(brentq(f, a, b, xtol=xtol, rtol=8.9e-16))
+def hermite_tau(mu: float, h: float) -> float:
+    """The Floquet discriminant over 2 from Hermite's closed form."""
+    return -math.cos(hermite_phase(mu, h))
+
+
+def _phase_targets(q: float):
+    """Solutions of cos(theta) = -cos(q pi) in increasing order: for q in
+    (0, 1) the lower-band root -(1 - q) pi, then (2j +- (1 - q)) pi; for
+    q in {0, 1} the coexistence points (2j + 1 + q) pi of the upper band."""
+    a = (1.0 - q) * math.pi
+    for j in itertools.count():
+        if 0.0 < q < 1.0:
+            yield 2.0 * math.pi * j - a
+            yield 2.0 * math.pi * j + a
+        else:
+            yield (2 * j + 1 + q) * math.pi
 
 
 def floquet_search(mu: float, q_num: int, q_den: int, count: int,
                    config: RunConfig = DEFAULT) -> List[FloquetRecord]:
     """First `count` Floquet eigenvalues with characteristic exponent
-    q = q_num/q_den, in increasing order."""
+    q = q_num/q_den below config.scan_h_ceiling, in increasing order."""
+    from scipy.optimize import brentq
     mu = _check_mu(mu)
     if q_den <= 0 or q_num < 0 or q_num > q_den or math.gcd(q_num, q_den) != 1:
-        raise ValueError("q must be a reduced fraction in [0, 1]")
+        raise UsageError("q must be a reduced fraction in [0, 1]")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise UsageError("count must be >= 1")
     q = q_num / q_den
-    eps = config.band_edge_margin
+    top = config.scan_h_ceiling
+    if 1.0 < top < 1.0 + mu:
+        top = 1.0
+    theta_max = hermite_phase(mu, top) if top >= mu else -math.inf
     records: List[FloquetRecord] = []
-
-    def emit(h_root: float):
-        M = lame_monodromy(mu, h_root, config)
-        records.append(FloquetRecord(mu, q_num, q_den, len(records), h_root, M,
+    for target in _phase_targets(q):
+        if target > theta_max or len(records) >= count:
+            break
+        lo, hi = (mu, 1.0) if target < 0.0 else (1.0 + mu, top)
+        h = float(brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
+                         xtol=config.tol_h, rtol=8.9e-16))
+        # the ODE monodromy must confirm the closed-form root; at q in
+        # {0, 1} it must be the double point M = +-Id
+        M = lame_monodromy(mu, h, config)
+        miss = abs(0.5 * float(np.trace(M)) - math.cos(q * math.pi))
+        if miss > config.tol_floquet or (
+                q_num in (0, q_den) and abs(M[0, 1]) > math.sqrt(config.tol_floquet)):
+            raise RuntimeError(f"monodromy at h = {h!r} fails the Floquet gate: "
+                               f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
+        records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M,
                                      monodromy_order(M, config)))
-
-    if 0 < q_num < q_den:
-        target = math.cos(q * math.pi)
-        segments = [(mu + eps, 1.0 - eps), (1.0 + mu + eps, config.scan_h_ceiling)]
-        f = lambda h: tau(mu, h, config) - target
-        for lo, hi in segments:
-            prev_h = prev_v = None
-            for h in _scan_iter(lo, hi, config):
-                if len(records) >= count:
-                    return records
-                v = f(h)
-                if prev_h is not None and (prev_v * v < 0 or prev_v == 0.0):
-                    root = prev_h if prev_v == 0.0 else \
-                        _refine(f, prev_h, h, prev_v, v, config.tol_h)
-                    emit(root)
-                prev_h, prev_v = h, v
-            if len(records) >= count:
-                return records
+    if len(records) < count:
         raise SearchExhausted(
-            f"found {len(records)} < {count} eigenvalues below "
-            f"h = {config.scan_h_ceiling}")
-
-    # q in {0, 1}: bracket the Dirichlet entry M21, pre-filter by tau
-    sign = 1.0 if q_num == 0 else -1.0
-
-    def mono(h):
-        return lame_monodromy(mu, h, config)
-
-    prev_h = prev_M = None
-    for h in _scan_iter(1.0 + mu + eps, config.scan_h_ceiling, config):
-        if len(records) >= count:
-            return records
-        M = mono(h)
-        if prev_h is not None and prev_M[1, 0] * M[1, 0] < 0:
-            # coexistence points have tau = +-1; a gap Dirichlet point has
-            # |tau| > 1 and the wrong sign is filtered here before refining
-            t_mid = 0.5 * float(np.trace(mono(0.5 * (prev_h + h))))
-            if abs(t_mid - sign) < abs(t_mid + sign):
-                g = lambda x: float(mono(x)[1, 0])
-                h_root = _refine(g, prev_h, h, prev_M[1, 0], M[1, 0], config.tol_h)
-                Mr = mono(h_root)
-                t = 0.5 * float(np.trace(Mr))
-                if abs(t - sign) <= config.tol_floquet \
-                        and abs(Mr[0, 1]) <= math.sqrt(config.tol_floquet):
-                    records.append(FloquetRecord(mu, q_num, q_den, len(records),
-                                                 h_root, Mr,
-                                                 monodromy_order(Mr, config)))
-        prev_h, prev_M = h, M
-    if len(records) >= count:
-        return records
-    raise SearchExhausted(
-        f"found {len(records)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
+            f"found {len(records)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
+    return records
 
 
 # ----------------------------------------------------------------- solutions

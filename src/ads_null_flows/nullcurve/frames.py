@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..config import DEFAULT, RunConfig
+from ..config import DEFAULT, RunConfig, UsageError
 from .metric import P2, P3, P4, ads_inner
 
 
@@ -35,7 +35,7 @@ class GridTooCoarse(ValueError):
     pass
 
 
-class InvalidPair(ValueError):
+class InvalidPair(UsageError):
     pass
 
 

@@ -19,10 +19,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ..config import UsageError
+
 _EPS = 2.2e-16
 
 
-class EllipticDomainError(ValueError):
+class EllipticDomainError(UsageError):
     """Parameter outside the open interval (0,1)."""
 
 

@@ -72,6 +72,31 @@ def test_set_non_finite_value_exit_code():
     assert exc.value.code == 2
 
 
+def test_floquet_mu_outside_domain_exit_code(tmp_path):
+    out = tmp_path / "fmu"
+    with pytest.raises(SystemExit) as exc:
+        main(["floquet", "--mu", "1.5", "--q", "2/5", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["7/5", "abc"])
+def test_floquet_bad_exponent_exit_code(tmp_path, q):
+    out = tmp_path / "fq"
+    with pytest.raises(SystemExit) as exc:
+        main(["floquet", "--mu", "0.4", "--q", q, "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_constant_invalid_pair_exit_code(tmp_path):
+    out = tmp_path / "cpair"
+    with pytest.raises(SystemExit) as exc:
+        main(["constant", "--mn", "3,7", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_hierarchy_negative_n_max_exit_code(tmp_path):
     out = tmp_path / "hneg"
     with pytest.raises(SystemExit) as exc:

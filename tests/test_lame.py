@@ -6,7 +6,7 @@ Regression targets (frozen from converged runs; integrator tolerances
     tau_{0.4}: root of tau = cos(2 pi/5) at h = 0.520232,
                root of tau = cos(3 pi/5) at h = 0.667443 whose monodromy is
                [[-0.309017, -0.331386], [2.72947, -0.309017]], order 10
-    S_{0.9, 2/5} = {0.930029, 2.226518, ...}
+    S_{0.9, 2/5} = {0.930030, 2.225981, ...}
     S_{0.6, 0}   = {3.287222, 11.059393, 24.040319, 42.216401, 65.586374, ...}
     S_{0.6, 1}   = {6.519135, ...}
 """
@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from ads_null_flows import lame
 from ads_null_flows.config import DEFAULT
 from ads_null_flows.lame import (
     FloquetRecord,
@@ -24,6 +25,7 @@ from ads_null_flows.lame import (
     floquet_search,
     fundamental_heun,
     fundamental_ode,
+    hermite_tau,
     lame_monodromy,
     monodromy_order,
     tau,
@@ -99,6 +101,46 @@ def test_search_exhausted():
     cfg = DEFAULT.with_overrides(scan_h_ceiling=2.0)
     with pytest.raises(SearchExhausted):
         floquet_search(0.6, 0, 1, 2, cfg)
+
+
+def test_search_integrates_one_monodromy_per_eigenvalue(monkeypatch):
+    """The closed-form search integrates only the eigenvalues it returns."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lame_monodromy(*args, **kwargs)
+
+    monkeypatch.setattr(lame, "lame_monodromy", counted)
+    for args in ((0.6, 0, 1, 5), (0.9, 2, 5, 2)):
+        calls.clear()
+        recs = floquet_search(*args)
+        assert len(calls) == len(recs) == args[3]
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.6, 0.9])
+def test_discriminant_three_routes(mu):
+    """Hermite's closed form, the ODE monodromy and the Heun monodromy give
+    the same tau on both bands, including 5e-4 from the band edges."""
+    lower = [mu + 5e-4, 0.5 * (mu + 1.0), 1.0 - 5e-4]
+    upper = [1.0 + mu + 5e-4, 2.0 + mu, 5.0]
+    for h in lower + upper:
+        t_hermite = hermite_tau(mu, h)
+        t_heun = 0.5 * float(np.trace(HeunLameEvaluator(mu, h).monodromy))
+        assert abs(t_hermite - tau(mu, h)) <= 1e-10
+        assert abs(t_hermite - t_heun) <= 1e-10
+
+
+def test_hermite_tau_rejects_the_gaps():
+    for h in (0.1, 1.3):
+        with pytest.raises(ValueError):
+            hermite_tau(0.6, h)
+
+
+def test_search_gate_rejects_an_unconfirmed_root():
+    cfg = DEFAULT.with_overrides(tol_floquet=1e-20)
+    with pytest.raises(RuntimeError, match="Floquet gate"):
+        floquet_search(0.4, 3, 5, 1, cfg)
 
 
 def test_records_invariants():
