@@ -29,8 +29,10 @@ from . import jetalg
 from .config import DEFAULT, RunConfig, UsageError, load_config
 from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
 from .kdvsol import KkshSpec, StationaryBending
-from .lame import floquet_search
+from .lame import LimitUnstable, SearchExhausted, floquet_search
 from .nullcurve import (
+    KdVResidualTooLarge,
+    NoSignChange,
     SpinorFramePath,
     bending_oracle,
     classify_monodromies,
@@ -50,11 +52,17 @@ from .nullcurve import (
     winding_numbers,
 )
 from .nullcurve.classify import classify_constant_closed
-from .specfun import complete_elliptic
+from .specfun import HeunConvergenceError, complete_elliptic
+from .transport import IntegrationFailure
 
 
 class NumericFailure(RuntimeError):
     pass
+
+
+# exit code 1; any other exception is a programming error and propagates
+NUMERIC_FAILURES = (NumericFailure, IntegrationFailure, SearchExhausted, LimitUnstable,
+                    NoSignChange, KdVResidualTooLarge, HeunConvergenceError)
 
 
 def _int_pair(text: str):
@@ -70,7 +78,10 @@ def _nonneg_int(text: str) -> int:
 
 
 def _float_list(text: str):
-    return [float(x) for x in text.split(",")] if text else []
+    values = [float(x) for x in text.split(",")] if text else []
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
+    return values
 
 
 def _grid_for_period(period: float, config: RunConfig, periods: float = 1.0,
@@ -166,7 +177,7 @@ def cmd_floquet(args, config: RunConfig) -> int:
 
 
 def cmd_stationary(args, config: RunConfig) -> int:
-    indices = [int(i) for i in args.indices.split(",")]
+    indices = args.indices
     count = max(indices) + 1
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
                              config)
@@ -197,7 +208,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
             extra["spin"] = str(cls.spin)
             extra["windings"] = list(winding_numbers(closed_path.gamma()))
     _export_path(outdir, base, "stationary", config, "stationary_base", extra)
-    for t in _float_list(args.t):
+    for t in args.t:
         snap = evolve_stationary_path(spec, grid, t, config=config)
         _export_path(outdir, snap, "stationary", config,
                      f"stationary_t{fnum(t, 6)}", {"t": t})
@@ -263,7 +274,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     spec = KkshSpec.with_quantum_numbers(mu, m, n, args.h)
     rho = spec.s_period()
     meta.update({"mu": mu, "tau": spec.tau, "rho": rho})
-    t_list = _float_list(args.t) or [0.0]
+    t_list = args.t or [0.0]
     if t_list[0] != 0.0:
         t_list = [0.0] + t_list
     grid = np.linspace(-rho / 2 if args.wings else 0.0,
@@ -363,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stationary", help="stationary curves and their evolution")
     st.add_argument("--mu", type=float, required=True)
     st.add_argument("--q", type=Fraction, required=True)
-    st.add_argument("--indices", default="0,1")
+    st.add_argument("--indices", type=_int_pair, default=(0, 1))
     st.add_argument("--periods", type=float, default=1.0)
-    st.add_argument("--t", default="", help="comma list of snapshot times")
+    st.add_argument("--t", type=_float_list, default=[],
+                    help="comma list of snapshot times")
     st.add_argument("-o", "--outdir", default="out")
     st.set_defaults(func=cmd_stationary)
 
@@ -382,10 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--h", type=float, required=True)
     k.add_argument("--mu", type=float)
     k.add_argument("--find-mu-star", action="store_true")
-    k.add_argument("--t", default="", help="comma list of snapshot times")
+    k.add_argument("--t", type=_float_list, default=[],
+                   help="comma list of snapshot times")
     k.add_argument("--wings", action="store_true",
                    help="sample [-rho/2, 3 rho/2] instead of [0, 2 rho]")
-    k.add_argument("--invariant-grid", type=int, default=10)
+    k.add_argument("--invariant-grid", type=_nonneg_int, default=10)
     k.add_argument("-o", "--outdir", default="out")
     k.set_defaults(func=cmd_kksh)
 
@@ -412,11 +425,8 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except UsageError as exc:
         ap.error(str(exc))
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # integrator/search failures -> exit 1
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except NUMERIC_FAILURES as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -43,12 +43,13 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq
 
+from .config import UsageError
 from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
 from .specfun.elliptic import _check_mu
 
 
-class OutOfRange(ValueError):
-    pass
+class OutOfRange(UsageError):
+    """A parameter of the family outside its domain (CLI exit code 2)."""
 
 
 # ----------------------------------------- dual (in dt) Taylor (in ds) ring
@@ -130,7 +131,7 @@ class StationaryBending:
     def __post_init__(self):
         _check_mu(self.mu)
         if not self.h_minus > self.h_plus:
-            raise ValueError("h_minus must exceed h_plus")
+            raise OutOfRange("h_minus must exceed h_plus")
 
     @property
     def delta(self) -> float:
@@ -218,7 +219,7 @@ def tau_mn(mu: float, m: int, n: int) -> float:
     m mu^{1/4} K(mu) = n tau^{1/4} K(tau)."""
     _check_mu(mu)
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
-        raise ValueError("m, n must be coprime positive integers")
+        raise OutOfRange("m, n must be coprime positive integers")
     K, _ = complete_elliptic(mu)
     return g_inverse((m / n) * mu ** 0.25 * K)
 
@@ -235,19 +236,19 @@ class KkshSpec:
         _check_mu(self.mu)
         _check_mu(self.tau)
         if self.mu == self.tau:
-            raise ValueError("mu = tau degenerates to a traveling wave")
+            raise OutOfRange("mu = tau degenerates to a traveling wave")
         if self.h <= 0:
-            raise ValueError("homothetic parameter h must be positive")
+            raise OutOfRange("homothetic parameter h must be positive")
         if (self.m is None) != (self.n is None):
             raise ValueError("quantum numbers come as a pair")
         if self.m is not None:
             if math.gcd(self.m, self.n) != 1:
-                raise ValueError("quantum numbers must be coprime")
+                raise OutOfRange("quantum numbers must be coprime")
             Kmu, _ = complete_elliptic(self.mu)
             Ktau, _ = complete_elliptic(self.tau)
             gap = abs(self.mu ** 0.25 * self.m * Kmu - self.tau ** 0.25 * self.n * Ktau)
             if gap > 1e-8:
-                raise ValueError(f"(m, n) periodicity constraint violated by {gap:.2e}")
+                raise OutOfRange(f"(m, n) periodicity constraint violated by {gap:.2e}")
 
     @staticmethod
     def with_quantum_numbers(mu: float, m: int, n: int, h: float) -> "KkshSpec":
@@ -406,7 +407,7 @@ def time_period_residual(mu: float, tau: float, p: int, r: int) -> float:
     _check_mu(mu)
     _check_mu(tau)
     if p < 1 or r < 1 or math.gcd(p, r) != 1:
-        raise ValueError("p, r must be coprime positive integers")
+        raise OutOfRange("p, r must be coprime positive integers")
     Kmu, _ = complete_elliptic(mu)
     Ktau, _ = complete_elliptic(tau)
     sq = math.sqrt(mu / tau)

@@ -53,6 +53,7 @@ from scipy.special import ellipeinc, ellipkinc
 from .config import DEFAULT, RunConfig, UsageError
 from .specfun import HeunEvaluator, complete_elliptic, jacobi_sncndn, lame_heun_params
 from .specfun.elliptic import _check_mu
+from .transport import IntegrationFailure
 
 
 class SearchExhausted(RuntimeError):
@@ -129,7 +130,7 @@ def _lame_solve(mu: float, h: float, s_eval: np.ndarray, Y0: np.ndarray,
                     method="DOP853", rtol=config.integrator_rel_tol,
                     atol=config.integrator_abs_tol, t_eval=s_eval)
     if not sol.success:
-        raise RuntimeError(f"Lame integration failed: {sol.message}")
+        raise IntegrationFailure(f"Lame integration failed: {sol.message}")
     frames = np.empty((len(s_eval), 2, 2))
     frames[:, 0, 0], frames[:, 0, 1] = sol.y[0], sol.y[1]
     frames[:, 1, 0], frames[:, 1, 1] = sol.y[2], sol.y[3]
@@ -143,7 +144,7 @@ def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarr
     M = _lame_solve(mu, h, np.array([0.0, 2.0 * K]), np.eye(2), config)[-1]
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-10:
-        raise RuntimeError(f"monodromy determinant drift {det - 1.0:.2e}")
+        raise IntegrationFailure(f"monodromy determinant drift {det - 1.0:.2e}")
     return M
 
 
@@ -230,8 +231,8 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         miss = abs(0.5 * float(np.trace(M)) - math.cos(q * math.pi))
         if miss > config.tol_floquet or (
                 q_num in (0, q_den) and abs(M[0, 1]) > math.sqrt(config.tol_floquet)):
-            raise RuntimeError(f"monodromy at h = {h!r} fails the Floquet gate: "
-                               f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
+            raise IntegrationFailure(f"monodromy at h = {h!r} fails the Floquet gate: "
+                                     f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
         records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M,
                                      monodromy_order(M, config)))
     if len(records) < count:

@@ -9,10 +9,21 @@ extended frames at spectral parameters +-1 satisfy
     d_s F+- = F+- K_{+-1},   K_lam = [[0, kappa + lam], [1, 0]],
 
 and gamma = F+ F-^{-1} evolves by the lowest flow with bending kappa.  The
-construction integrates the t-systems along s = 0 first (A+-(t), from Id),
-then the s-systems from A+-(t) for each requested t.  Because the bending is
-s-periodic the monodromies F+-(s0 + rho, t) F+-(s0, t)^{-1} are conserved in
-t; the drift over the returned family is the standard integration diagnostic.
+construction transports the t-systems along s = 0 first (A+-(t), from Id),
+then the s-systems for each requested t, F+-(s, t) = A+-(t) Phi+-(s, t) with
+Phi+-(0, t) = Id.  Every transport is the Magnus kernel of
+ads_null_flows.transport: one array call of kappa_jet per block of steps
+feeds both factors (order 2 in t along s = 0, order 0 in s), each step is an
+exact sl2 exponential, so the frames are unimodular by construction and are
+never renormalized (det_drift is a diagnostic only), and the step count
+follows integrator_rel_tol.  The kernel is confirmed once per lien_evolve by
+DOP853: the t = 0 s-system from Id at s = 0 to the far end of the s-grid
+must match it within tol_metric, or within CONFIRM_SLACK times
+integrator_rel_tol when that is looser (DOP853's own global error), else
+IntegrationFailure.  Because the
+bending is s-periodic the monodromies F+-(s0 + rho, t) F+-(s0, t)^{-1} are
+conserved in t; the drift over the returned family is the standard
+integration diagnostic.
 """
 
 from __future__ import annotations
@@ -24,8 +35,13 @@ from typing import List, Protocol, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..config import DEFAULT, RunConfig
+from ..config import DEFAULT, RunConfig, UsageError
+from ..transport import IntegrationFailure, transport
 from .frames import SpinorFramePath
+
+LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
+# DOP853's global error over the s-span runs to several times its rtol
+CONFIRM_SLACK = 100.0
 
 
 class KdVResidualTooLarge(ValueError):
@@ -74,8 +90,8 @@ class LienEvolution:
             i1 = int(np.argmin(np.abs(s - (s[0] + rho))))
             if abs(s[i1] - (s[0] + rho)) > 1e-9 * max(1.0, rho):
                 raise ValueError("paths do not sample s0 + rho")
-            Mp = path.Fplus[i1] @ np.linalg.inv(path.Fplus[0])
-            Mm = path.Fminus[i1] @ np.linalg.inv(path.Fminus[0])
+            Mp = path.Fplus[i1] @ _sl2_inverse(path.Fplus[0])
+            Mm = path.Fminus[i1] @ _sl2_inverse(path.Fminus[0])
             if base is None:
                 base = (Mp, Mm)
             else:
@@ -91,57 +107,81 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     """Two-step integration of the extended frames over the (s, t) grid.
 
     t_grid must start at 0 (the normalization point F+-(0, 0) = Id) and be
-    increasing; s_grid is any strictly increasing grid containing 0's span.
+    increasing; s_grid is any grid, reached from s = 0 along
+    0 -> s_grid[0] -> s_grid[1] -> ...
     """
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0 or (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
-        raise ValueError("t_grid must start at 0 and increase")
+    if t_grid[0] != 0.0 or not np.all(np.isfinite(t_grid)) or \
+            (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
+        raise UsageError("t_grid must be finite, start at 0 and increase")
 
     s_probe = np.linspace(s_grid[0], s_grid[-1], gate_probes)
     t_probe = np.linspace(t_grid[0], t_grid[-1], min(gate_probes, 6))
     gate = kdv_gate(sampler, s_probe, t_probe, config.kdv_residual_gate)
 
-    # step 1: A+-(t) along s = 0; row (a, b) of F times P_{+-1}, where
-    # P_lam = [[-k1, q - 2 lam k0 - 4], [2 k0 - 4 lam, k1]], q = 2 k0^2 - k2
-    def rhs_t(t, y):
-        k0, k1, k2 = sampler.kappa_jet(0.0, t, order=2)
-        q = -k2 + 2.0 * k0 * k0
-        p01, m01 = q - 2.0 * k0 - 4.0, q + 2.0 * k0 - 4.0
-        p10, m10 = 2.0 * k0 - 4.0, 2.0 * k0 + 4.0
-        ap, bp, cp, dp, am, bm, cm, dm = y.tolist()
-        return (bp * p10 - ap * k1, ap * p01 + bp * k1,
-                dp * p10 - cp * k1, cp * p01 + dp * k1,
-                bm * m10 - am * k1, am * m01 + bm * k1,
-                dm * m10 - cm * k1, cm * m01 + dm * k1)
-
-    nt = len(t_grid)
-    A_plus = np.empty((nt, 2, 2))
-    A_minus = np.empty((nt, 2, 2))
-    if nt == 1:
-        A_plus[0] = np.eye(2)
-        A_minus[0] = np.eye(2)
-    else:
-        sol = solve_ivp(rhs_t, (0.0, float(t_grid[-1])),
-                        [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0],
-                        method="DOP853", rtol=config.integrator_rel_tol,
-                        atol=config.integrator_abs_tol, t_eval=t_grid)
-        if not sol.success:
-            raise RuntimeError(f"t-system integration failed: {sol.message}")
-        A_plus[:, 0, 0], A_plus[:, 0, 1] = sol.y[0], sol.y[1]
-        A_plus[:, 1, 0], A_plus[:, 1, 1] = sol.y[2], sol.y[3]
-        A_minus[:, 0, 0], A_minus[:, 0, 1] = sol.y[4], sol.y[5]
-        A_minus[:, 1, 0], A_minus[:, 1, 1] = sol.y[6], sol.y[7]
-        # unimodular renormalization of the initial frames
-        A_plus /= np.sqrt(np.abs(np.linalg.det(A_plus)))[:, None, None]
-        A_minus /= np.sqrt(np.abs(np.linalg.det(A_minus)))[:, None, None]
+    # step 1: A+-(t) along s = 0
+    A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,
+                                config.integrator_rel_tol)
 
     # step 2: s-systems for each t
-    paths = []
-    for j, t in enumerate(t_grid):
-        paths.append(_s_integration(sampler, s_grid, float(t),
-                                    A_plus[j], A_minus[j], config))
+    paths = [_s_integration(sampler, s_grid, float(t), A_plus[j], A_minus[j], config)
+             for j, t in enumerate(t_grid)]
+    _confirm(sampler, paths[0], config)
     return LienEvolution(t_grid, paths, A_plus, A_minus, gate)
+
+
+def _t_generator(sampler: BendingSampler):
+    """P_lam = [[-k1, q - 2 lam k0 - 4], [2 k0 - 4 lam, k1]], q = 2 k0^2 - k2,
+    of the t-system along s = 0 for lam = +-1, from one kappa jet."""
+    def generator(t):
+        k0, k1, k2 = sampler.kappa_jet(np.zeros_like(t), t, order=2)
+        return -k1, 2.0 * k0 * k0 - k2 - 4.0 - 2.0 * LAMBDA * k0, 2.0 * k0 - 4.0 * LAMBDA
+    return generator
+
+
+def _s_generator(sampler: BendingSampler, t: float):
+    """K_lam = [[0, kappa + lam], [1, 0]] of the s-system at time t."""
+    def generator(s):
+        return 0.0, sampler.kappa_jet(s, t, order=0)[0] + LAMBDA, 1.0
+    return generator
+
+
+def _confirm(sampler: BendingSampler, path: SpinorFramePath,
+             config: RunConfig) -> None:
+    """One DOP853 integration of the t = 0 s-system from Id at s = 0 to the
+    far end of the s-grid; its frames there must match the kernel's within
+    max(tol_metric, CONFIRM_SLACK integrator_rel_tol) (relative, max-norm)."""
+    s_grid = path.s_grid
+    end = 0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1
+    if s_grid[end] == 0.0:
+        return
+
+    def rhs(s, y):
+        k = sampler.kappa_jet(s, 0.0, order=0)[0]
+        ap, bp, cp, dp, am, bm, cm, dm = y
+        kp, km = k + 1.0, k - 1.0
+        return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
+
+    sol = solve_ivp(rhs, (0.0, float(s_grid[end])), [1.0, 0.0, 0.0, 1.0] * 2,
+                    method="DOP853", rtol=config.integrator_rel_tol,
+                    atol=config.integrator_abs_tol)
+    if not sol.success:
+        raise IntegrationFailure(f"s-system confirmation failed: {sol.message}")
+    bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
+    for F, y in ((path.Fplus[end], sol.y[:4, -1]), (path.Fminus[end], sol.y[4:, -1])):
+        miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
+        if miss > bound:
+            raise IntegrationFailure(
+                f"Magnus and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
+                f"at s = {s_grid[end]!r}")
+
+
+def _sl2_inverse(F: np.ndarray) -> np.ndarray:
+    """The inverse of a unimodular frame, its adjugate: defined however large
+    F grows, where an LU inverse loses det F = 1 to cancellation (at
+    |F| ~ 2e9 the float det of A+ is 0 and np.linalg.inv raises)."""
+    return np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
 
 
 class NoSignChange(RuntimeError):
@@ -213,50 +253,11 @@ def kksh_mu_star(m: int, n: int, h: float, target_num: int = 2,
 def _s_integration(sampler: BendingSampler, s_grid: np.ndarray, t: float,
                    Ap: np.ndarray, Am: np.ndarray,
                    config: RunConfig) -> SpinorFramePath:
-    def rhs(s, y):
-        k = sampler.kappa_jet(s, t, order=0)[0]
-        ap, bp, cp, dp, am, bm, cm, dm = y
-        kp, km = k + 1.0, k - 1.0
-        return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
-
-    def run(grid):
-        if len(grid) == 0:
-            return np.empty((0, 2, 2)), np.empty((0, 2, 2))
-        y0 = [Ap[0, 0], Ap[0, 1], Ap[1, 0], Ap[1, 1],
-              Am[0, 0], Am[0, 1], Am[1, 0], Am[1, 1]]
-        sol = solve_ivp(rhs, (0.0, float(grid[-1])), y0, method="DOP853",
-                        rtol=config.integrator_rel_tol,
-                        atol=config.integrator_abs_tol,
-                        t_eval=np.concatenate([[0.0], grid]))
-        if not sol.success:
-            raise RuntimeError(f"s-system integration failed: {sol.message}")
-        Fp = np.empty((len(grid) + 1, 2, 2))
-        Fm = np.empty((len(grid) + 1, 2, 2))
-        Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1] = sol.y[0:4]
-        Fm[:, 0, 0], Fm[:, 0, 1], Fm[:, 1, 0], Fm[:, 1, 1] = sol.y[4:8]
-        return Fp[1:], Fm[1:]
-
-    neg = s_grid[s_grid < 0.0]
-    pos = s_grid[s_grid > 0.0]
-    nz = int(np.sum(s_grid == 0.0))
-    Fp_parts, Fm_parts = [], []
-    if len(neg):
-        p, m = run(neg[::-1])
-        Fp_parts.append(p[::-1])
-        Fm_parts.append(m[::-1])
-    if nz:
-        Fp_parts.append(np.tile(Ap, (nz, 1, 1)))
-        Fm_parts.append(np.tile(Am, (nz, 1, 1)))
-    if len(pos):
-        p, m = run(pos)
-        Fp_parts.append(p)
-        Fm_parts.append(m)
-    Fp = np.concatenate(Fp_parts, axis=0)
-    Fm = np.concatenate(Fm_parts, axis=0)
-    detp = np.linalg.det(Fp)
-    detm = np.linalg.det(Fm)
-    drift = float(max(np.abs(detp - 1.0).max(), np.abs(detm - 1.0).max()))
-    Fp /= np.sqrt(np.abs(detp))[:, None, None]
-    Fm /= np.sqrt(np.abs(detm))[:, None, None]
+    """Frames F+-(s, t) = A+- Phi+-(s) with Phi+-(0) = Id, for s on the grid."""
+    Phi_p, Phi_m = transport(_s_generator(sampler, t), 0.0, s_grid,
+                             config.integrator_rel_tol)
+    Fp, Fm = Ap @ Phi_p, Am @ Phi_m
+    drift = float(max(np.abs(np.linalg.det(Fp) - 1.0).max(),
+                      np.abs(np.linalg.det(Fm) - 1.0).max()))
     kap = np.asarray(sampler.kappa_jet(s_grid, t, order=0)[0], dtype=float)
     return SpinorFramePath(s_grid, Fp, Fm, kap, t_value=t, det_drift=drift)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
+from ..transport import IntegrationFailure
 from .metric import P2, P3, P4, ads_inner
 
 
@@ -93,7 +94,7 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
                     method="DOP853", rtol=config.integrator_rel_tol,
                     atol=config.integrator_abs_tol, t_eval=s_grid)
     if not sol.success:
-        raise RuntimeError(f"frame integration failed: {sol.message}")
+        raise IntegrationFailure(f"frame integration failed: {sol.message}")
     Fp = np.empty((len(s_grid), 2, 2))
     Fm = np.empty((len(s_grid), 2, 2))
     Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1] = sol.y[0:4]

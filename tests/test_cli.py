@@ -105,6 +105,64 @@ def test_hierarchy_negative_n_max_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mn, h", [("2,4", "2"), ("1,6", "-1"), ("40,1", "2")])
+def test_kksh_domain_error_exit_code(tmp_path, mn, h):
+    out = tmp_path / "kdom"
+    with pytest.raises(SystemExit) as exc:
+        main(["kksh", "--mn", mn, "--h", h, "--mu", "0.5", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("indices", ["0", "1,1"])
+def test_stationary_bad_indices_exit_code(tmp_path, indices):
+    out = tmp_path / "sidx"
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", indices,
+              "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
+    """A tolerance out of reach of the frame kernel's step cap: exit 1."""
+    import ads_null_flows.transport as kernel
+
+    monkeypatch.setattr(kernel, "MAX_STEPS", 256)
+    out = tmp_path / "kcap"
+    code = main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6",
+                 "--invariant-grid", "2", "-o", str(out)])
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "abc"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,nan"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.2,0.1"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--invariant-grid", "-1"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "abc"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "inf"],
+])
+def test_bad_grid_options_exit_code(tmp_path, argv):
+    out = tmp_path / "grid"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    """Only the listed numeric failures exit 1; a bug keeps its traceback."""
+    import ads_null_flows.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(cli, "floquet_search", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        main(["floquet", "--mu", "0.4", "--q", "3/5", "-o", str(tmp_path / "f")])
+
+
 def test_constant_command_files(tmp_path):
     out = tmp_path / "c"
     assert main(["constant", "--mn", "7,3", "-o", str(out)]) == 0
