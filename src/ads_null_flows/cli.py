@@ -77,17 +77,29 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _float_list(text: str):
-    values = [float(x) for x in text.split(",")] if text else []
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
-    return values
+    return [_finite_float(x) for x in text.split(",")] if text else []
 
 
 def _grid_for_period(period: float, config: RunConfig, periods: float = 1.0,
                      per_period: int = 256) -> np.ndarray:
     n = max(config.min_points_per_period, per_period)
-    return np.linspace(0.0, periods * period, int(n * periods) + 1)
+    intervals = max(int(n * periods), config.min_points_per_period)
+    return np.linspace(0.0, periods * period, intervals + 1)
 
 
 def _export_path(outdir: Path, path: SpinorFramePath, recipe: str,
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_hierarchy)
 
     f = sub.add_parser("floquet", help="eigenvalue search")
-    f.add_argument("--mu", type=float, required=True)
+    f.add_argument("--mu", type=_finite_float, required=True)
     f.add_argument("--q", type=Fraction, required=True,
                    help="characteristic exponent, e.g. 2/5")
     f.add_argument("--count", type=int, default=2)
@@ -372,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_floquet)
 
     st = sub.add_parser("stationary", help="stationary curves and their evolution")
-    st.add_argument("--mu", type=float, required=True)
+    st.add_argument("--mu", type=_finite_float, required=True)
     st.add_argument("--q", type=Fraction, required=True)
     st.add_argument("--indices", type=_int_pair, default=(0, 1))
-    st.add_argument("--periods", type=float, default=1.0)
+    st.add_argument("--periods", type=_positive_float, default=1.0)
     st.add_argument("--t", type=_float_list, default=[],
                     help="comma list of snapshot times")
     st.add_argument("-o", "--outdir", default="out")
@@ -384,15 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("constant", help="constant-bending curves")
     g = c.add_mutually_exclusive_group(required=True)
     g.add_argument("--mn", type=_int_pair, help="coprime pair m,n with m>n")
-    g.add_argument("--kappa", type=float)
-    c.add_argument("--s-span", type=float, default=12.0)
+    g.add_argument("--kappa", type=_finite_float)
+    c.add_argument("--s-span", type=_positive_float, default=12.0)
     c.add_argument("-o", "--outdir", default="out")
     c.set_defaults(func=cmd_constant)
 
     k = sub.add_parser("kksh", help="three-parameter family evolution")
     k.add_argument("--mn", type=_int_pair, required=True)
-    k.add_argument("--h", type=float, required=True)
-    k.add_argument("--mu", type=float)
+    k.add_argument("--h", type=_finite_float, required=True)
+    k.add_argument("--mu", type=_finite_float)
     k.add_argument("--find-mu-star", action="store_true")
     k.add_argument("--t", type=_float_list, default=[],
                    help="comma list of snapshot times")

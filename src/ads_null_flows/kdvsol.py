@@ -237,7 +237,7 @@ class KkshSpec:
         _check_mu(self.tau)
         if self.mu == self.tau:
             raise OutOfRange("mu = tau degenerates to a traveling wave")
-        if self.h <= 0:
+        if not self.h > 0:
             raise OutOfRange("homothetic parameter h must be positive")
         if (self.m is None) != (self.n is None):
             raise ValueError("quantum numbers come as a pair")

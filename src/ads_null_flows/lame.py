@@ -26,10 +26,13 @@ exponent q are the roots of theta(h) = 2 pi j -+ (1 - q) pi, taken in
 increasing order below the search ceiling (q in {0, 1}: the upper-band
 coexistence points theta = (2j + 1 + q) pi, where M = +-Id).  Each root is
 bracketed by its band and found by brentq; only then is the monodromy
-integrated, once per eigenvalue, and the ODE route stays the oracle for tau.
+integrated by DOP853, once per eigenvalue, and this ODE route stays the
+oracle for tau.  lame_monodromy is the module's only DOP853 integration.
 
-The fundamental solutions are produced two independent ways: direct ODE
-integration, and the closed form through the two local Heun functions
+The fundamental solutions are produced two independent ways: the order-6
+Magnus kernel of ads_null_flows.transport on the sl2 generator
+(0, 2 mu sn^2 - h, 1), one transport from delta(0) = Id through the whole
+grid, and the closed form through the two local Heun functions
 
     cl~(s) = Hl1(mu,h; sn^2) sqrt(1 - mu sn^2)
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
@@ -53,7 +56,7 @@ from scipy.special import ellipeinc, ellipkinc
 from .config import DEFAULT, RunConfig, UsageError
 from .specfun import HeunEvaluator, complete_elliptic, jacobi_sncndn, lame_heun_params
 from .specfun.elliptic import _check_mu
-from .transport import IntegrationFailure
+from .transport import EPS, IntegrationFailure, transport
 
 
 class SearchExhausted(RuntimeError):
@@ -118,30 +121,27 @@ def _lame_rhs_factory(mu: float, h: float):
     return rhs
 
 
-def _lame_solve(mu: float, h: float, s_eval: np.ndarray, Y0: np.ndarray,
-                config: RunConfig) -> np.ndarray:
-    """Frames (n,2,2) at s_eval (monotone, starting at the initial point)."""
-    s0 = float(s_eval[0])
-    sn0, cn0, dn0 = jacobi_sncndn(s0, mu)
-    y0 = [Y0[0, 0], Y0[0, 1], Y0[1, 0], Y0[1, 1], sn0, cn0, dn0]
-    if len(s_eval) == 1:
-        return np.asarray(Y0, dtype=float)[None, :, :]
-    sol = solve_ivp(_lame_rhs_factory(mu, h), (s0, float(s_eval[-1])), y0,
-                    method="DOP853", rtol=config.integrator_rel_tol,
-                    atol=config.integrator_abs_tol, t_eval=s_eval)
-    if not sol.success:
-        raise IntegrationFailure(f"Lame integration failed: {sol.message}")
-    frames = np.empty((len(s_eval), 2, 2))
-    frames[:, 0, 0], frames[:, 0, 1] = sol.y[0], sol.y[1]
-    frames[:, 1, 0], frames[:, 1, 1] = sol.y[2], sol.y[3]
-    return frames
+def _lame_generator(mu: float, h: float):
+    """The entries (0, 2 mu sn^2 - h, 1) of the sl2 generator of delta, at an
+    array of s, for the Magnus kernel."""
+    def generator(s):
+        sn, _, _ = jacobi_sncndn(s, mu)
+        return 0.0, 2.0 * mu * sn * sn - h, 1.0
+    return generator
 
 
 def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:
-    """delta(2K(mu)): frame transport over one potential period."""
+    """delta(2K(mu)): frame transport over one potential period, by DOP853
+    (the ODE oracle of floquet_search's gate)."""
     mu = _check_mu(mu)
     K, _ = complete_elliptic(mu)
-    M = _lame_solve(mu, h, np.array([0.0, 2.0 * K]), np.eye(2), config)[-1]
+    y0 = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0]     # Id, then (sn, cn, dn)(0)
+    sol = solve_ivp(_lame_rhs_factory(mu, h), (0.0, 2.0 * K), y0, method="DOP853",
+                    rtol=max(config.integrator_rel_tol, 100.0 * EPS),
+                    atol=config.integrator_abs_tol)
+    if not sol.success:
+        raise IntegrationFailure(f"Lame integration failed: {sol.message}")
+    M = sol.y[:4, -1].reshape(2, 2)
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-10:
         raise IntegrationFailure(f"monodromy determinant drift {det - 1.0:.2e}")
@@ -244,22 +244,12 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 # ----------------------------------------------------------------- solutions
 
 def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> LameSolutionPath:
-    """cl, sl and derivatives on the grid by direct adaptive integration."""
+    """cl, sl and derivatives on the grid by Magnus transport from delta(0) = Id."""
     mu = _check_mu(mu)
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(np.diff(s_grid) <= 0) and len(s_grid) > 1:
         raise ValueError("s_grid must be strictly increasing")
-
-    def run(grid):
-        if len(grid) == 0:
-            return np.empty((0, 2, 2))
-        frames = _lame_solve(mu, h, np.concatenate([[0.0], grid]), np.eye(2), config)
-        return frames[1:]
-
-    neg = s_grid[s_grid < 0.0]
-    pos = s_grid[s_grid > 0.0]
-    zero = np.tile(np.eye(2), (int(np.sum(s_grid == 0.0)), 1, 1))
-    frames = np.concatenate([run(neg[::-1])[::-1], zero, run(pos)], axis=0)
+    frames = transport(_lame_generator(mu, h), 0.0, s_grid, config.integrator_rel_tol)[0]
     return LameSolutionPath(mu, h, s_grid, frames[:, 0, 0], frames[:, 0, 1],
                             frames[:, 1, 0], frames[:, 1, 1], "ode")
 

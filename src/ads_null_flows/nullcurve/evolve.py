@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
-from ..transport import IntegrationFailure, transport
+from ..transport import EPS, IntegrationFailure, transport
 from .frames import SpinorFramePath
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
@@ -164,7 +164,7 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
         return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
 
     sol = solve_ivp(rhs, (0.0, float(s_grid[end])), [1.0, 0.0, 0.0, 1.0] * 2,
-                    method="DOP853", rtol=config.integrator_rel_tol,
+                    method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
         raise IntegrationFailure(f"s-system confirmation failed: {sol.message}")

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
-from ..transport import IntegrationFailure
+from ..transport import EPS, IntegrationFailure
 from .metric import P2, P3, P4, ads_inner
 
 
@@ -69,8 +69,8 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
                             init_plus: Optional[np.ndarray] = None,
                             init_minus: Optional[np.ndarray] = None,
                             config: RunConfig = DEFAULT) -> SpinorFramePath:
-    """Adaptive integration of both frame systems over the grid, with
-    unimodular renormalization of the samples."""
+    """Adaptive integration of both frame systems over the grid; det_drift
+    is the largest |det F - 1| over the samples."""
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) > 1 and np.any(np.diff(s_grid) <= 0):
         raise ValueError("s_grid must be strictly increasing")
@@ -91,7 +91,7 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
         return SpinorFramePath(s_grid, Fp, Fm,
                                np.array([kappa(float(s_grid[0]))]))
     sol = solve_ivp(rhs, (float(s_grid[0]), float(s_grid[-1])), y0,
-                    method="DOP853", rtol=config.integrator_rel_tol,
+                    method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol, t_eval=s_grid)
     if not sol.success:
         raise IntegrationFailure(f"frame integration failed: {sol.message}")
@@ -99,11 +99,8 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
     Fm = np.empty((len(s_grid), 2, 2))
     Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1] = sol.y[0:4]
     Fm[:, 0, 0], Fm[:, 0, 1], Fm[:, 1, 0], Fm[:, 1, 1] = sol.y[4:8]
-    detp = np.linalg.det(Fp)
-    detm = np.linalg.det(Fm)
-    drift = float(max(np.abs(detp - 1.0).max(), np.abs(detm - 1.0).max()))
-    Fp /= np.sqrt(np.abs(detp))[:, None, None]
-    Fm /= np.sqrt(np.abs(detm))[:, None, None]
+    drift = float(max(np.abs(np.linalg.det(Fp) - 1.0).max(),
+                      np.abs(np.linalg.det(Fm) - 1.0).max()))
     kap = np.array([kappa(float(s)) for s in s_grid])
     return SpinorFramePath(s_grid, Fp, Fm, kap, det_drift=drift)
 

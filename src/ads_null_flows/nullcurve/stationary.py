@@ -30,7 +30,7 @@ import numpy as np
 
 from ..config import DEFAULT, RunConfig
 from ..kdvsol import StationaryBending
-from ..lame import HeunLameEvaluator, _lame_solve
+from ..lame import HeunLameEvaluator, fundamental_ode
 from .frames import SpinorFramePath
 
 
@@ -82,23 +82,8 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
     def delta_path(h):
         x_grid = sigma * s_grid
         if method == "heun":
-            ev = HeunLameEvaluator(mu, h, config)
-            return np.array([ev(x) for x in x_grid])
-        frames = np.empty((len(x_grid), 2, 2))
-        neg = x_grid[x_grid < 0]
-        pos = x_grid[x_grid > 0]
-        nz = int(np.sum(x_grid == 0.0))
-        parts = []
-        if len(neg):
-            run = _lame_solve(mu, h, np.concatenate([[0.0], neg[::-1]]),
-                              np.eye(2), config)[1:][::-1]
-            parts.append(run)
-        if nz:
-            parts.append(np.tile(np.eye(2), (nz, 1, 1)))
-        if len(pos):
-            parts.append(_lame_solve(mu, h, np.concatenate([[0.0], pos]),
-                                     np.eye(2), config)[1:])
-        return np.concatenate(parts, axis=0)
+            return HeunLameEvaluator(mu, h, config).path(x_grid).matrices()
+        return fundamental_ode(mu, h, x_grid, config).matrices()
 
     Fp = delta_path(h_plus) @ S
     Fm = delta_path(h_minus) @ S

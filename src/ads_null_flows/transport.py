@@ -173,8 +173,8 @@ def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
     with F(x0) = Id, to the relative accuracy rel_tol (see the module
     docstring).  generator(x) returns (a, b, c) of A at the array x."""
     knots = np.concatenate([[float(x0)], np.asarray(grid, dtype=float)])
-    if not np.all(np.isfinite(knots)):
-        raise ValueError("transport grid must be finite")
+    if len(knots) < 2 or not np.all(np.isfinite(knots)):
+        raise ValueError("transport grid must be non-empty and finite")
     width = np.abs(np.diff(knots))
     length = float(width.sum())
     if length == 0.0:

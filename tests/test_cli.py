@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ads_null_flows.cli import main
+from ads_null_flows.config import DEFAULT
 
 
 def run(args, tmp_path):
@@ -142,6 +143,16 @@ def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
     ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--invariant-grid", "-1"],
     ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "abc"],
     ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "inf"],
+    ["constant", "--kappa", "nan"],
+    ["constant", "--kappa", "inf"],
+    ["constant", "--kappa", "-1.2", "--s-span", "nan"],
+    ["constant", "--kappa", "-1.2", "--s-span", "-1"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "nan"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "-1"],
+    ["stationary", "--mu", "nan", "--q", "2/5"],
+    ["floquet", "--mu", "inf", "--q", "2/5"],
+    ["kksh", "--mn", "1,6", "--h", "nan", "--mu", "0.6"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "nan"],
 ])
 def test_bad_grid_options_exit_code(tmp_path, argv):
     out = tmp_path / "grid"
@@ -149,6 +160,15 @@ def test_bad_grid_options_exit_code(tmp_path, argv):
         main([*argv, "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_stationary_shorter_than_a_period(tmp_path):
+    """--periods 0.001 still samples min_points_per_period intervals."""
+    out = tmp_path / "short"
+    assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "0.001",
+                 "-o", str(out)]) == 0
+    doc = json.loads((out / "stationary_base.json").read_text())
+    assert len(doc["samples"]) == DEFAULT.min_points_per_period + 1
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):

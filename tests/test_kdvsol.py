@@ -94,6 +94,12 @@ def test_g_inverse_monotone_and_domain():
         g_inverse(1e9)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+def test_kksh_spec_rejects_a_non_positive_h(h):
+    with pytest.raises(OutOfRange):
+        KkshSpec(0.6, 0.3, h)
+
+
 def test_g_inverse_matches_initial_value_route():
     """Cross-check against integrating dy/dx = 1/g'(y) from the reference
     point y(K(1/2)/2^{1/4}) = 1/2."""

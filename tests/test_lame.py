@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.special import ellipj
 
 from ads_null_flows import lame
 from ads_null_flows.config import DEFAULT
@@ -172,6 +174,46 @@ def test_fundamental_ode_20K_periodicity():
         b = fundamental_ode(mu, h, probes + 20 * K)
         for f in ("cl", "clp", "sl", "slp"):
             assert np.abs(getattr(a, f) - getattr(b, f)).max() <= 1e-6
+
+
+def _dop853_reference(mu, h, s_grid):
+    """delta on the grid by scalar DOP853 at rtol 1e-13, with sn from
+    scipy's ellipj: each row (f, f') solves f'' = (2 mu sn^2 - h) f, from
+    delta(0) = Id outwards to either end of the grid."""
+    def rhs(s, y):
+        w = 2.0 * mu * ellipj(s, mu)[0] ** 2 - h
+        return [y[1], w * y[0], y[3], w * y[2]]
+
+    out = np.empty((len(s_grid), 2, 2))
+    for side in (s_grid < 0.0, s_grid >= 0.0):
+        ts = s_grid[side]
+        if len(ts) == 0:
+            continue
+        order = np.argsort(np.abs(ts))
+        sol = solve_ivp(rhs, (0.0, ts[order[-1]]), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-15, t_eval=ts[order])
+        assert sol.success
+        rows = np.empty((len(ts), 2, 2))
+        rows[order] = sol.y.T.reshape(-1, 2, 2)
+        out[side] = rows
+    return out
+
+
+def _rel_miss(a, b):
+    """max over samples of |a - b|_max / |b|_max."""
+    return float((np.abs(a - b).max(axis=(1, 2)) / np.abs(b).max(axis=(1, 2))).max())
+
+
+@pytest.mark.parametrize("mu, h", [(0.9, 0.930), (0.9, 2.226), (0.4, 0.667), (0.6, 65.6)])
+def test_fundamental_ode_matches_dop853(mu, h):
+    """The Magnus path over [-2K, 8K], through s = 0, and its value at 2K
+    against the DOP853 monodromy."""
+    K, _ = complete_elliptic(mu)
+    grid = np.concatenate([np.linspace(-2.0 * K, 0.0, 41)[:-1], np.linspace(0.0, 8.0 * K, 161)])
+    path = fundamental_ode(mu, h, grid)
+    assert _rel_miss(path.matrices(), _dop853_reference(mu, h, grid)) <= 1e-10
+    M = fundamental_ode(mu, h, [2.0 * K]).matrices()
+    assert _rel_miss(M, lame_monodromy(mu, h)[None]) <= 1e-10
 
 
 def test_heun_route_matches_ode_route():

@@ -146,6 +146,12 @@ def test_non_finite_grid_is_rejected():
         transport(evolve._s_generator(kksh(), 0.0), 0.0, [0.5, math.nan], 1e-12)
 
 
+def test_empty_grid_is_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        transport(evolve._s_generator(kksh(), 0.0), 0.0, [], 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rel_tol", ["1e-4", "1e-8", "1e-14", "1e-30"])
 def test_kksh_runs_over_the_tolerance_range(tmp_path, rel_tol):
     """Loose tolerances widen the DOP853 confirmation bound with DOP853's own
