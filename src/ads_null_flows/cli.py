@@ -29,7 +29,7 @@ from . import jetalg
 from .config import DEFAULT, RunConfig, UsageError, load_config
 from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
 from .kdvsol import KkshSpec, StationaryBending
-from .lame import LimitUnstable, SearchExhausted, floquet_search
+from .lame import SearchExhausted, floquet_search
 from .nullcurve import (
     KdVResidualTooLarge,
     NoSignChange,
@@ -61,8 +61,8 @@ class NumericFailure(RuntimeError):
 
 
 # exit code 1; any other exception is a programming error and propagates
-NUMERIC_FAILURES = (NumericFailure, IntegrationFailure, SearchExhausted, LimitUnstable,
-                    NoSignChange, KdVResidualTooLarge, HeunConvergenceError)
+NUMERIC_FAILURES = (NumericFailure, IntegrationFailure, SearchExhausted, NoSignChange,
+                    KdVResidualTooLarge, HeunConvergenceError)
 
 
 def _int_pair(text: str):

@@ -37,13 +37,7 @@ class RunConfig:
 
     # geometry tolerances
     tol_metric: float = 1e-8
-    tol_det: float = 1e-9
-    tol_wronskian: float = 1e-9
     kdv_residual_gate: float = 1e-3  # lien_evolve input gate
-
-    # limits at the half-period (Heun building blocks)
-    limit_levels: int = 6
-    limit_tol: float = 1e-6
 
     # grids and output
     min_points_per_period: int = 8

@@ -37,9 +37,18 @@ grid, and the closed form through the two local Heun functions
     cl~(s) = Hl1(mu,h; sn^2) sqrt(1 - mu sn^2)
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
 
-which equal (cl, sl) on the base cell [-K, K] and extend to the line by
-delta(s) = M^p delta~(s - 2pK).  M itself is recovered from the one-sided
-limits Q+- of the building-block matrix at +-K as M = Q+ Q-^{-1}.
+which equal (cl, sl) on the closed base cell [-K, K] and extend to the line
+by delta(s) = M^p delta~(s - 2pK), with M = Q+ Q-^{-1} from the matrices
+Q+- = delta~(+-K).  These are exact: near z = sn^2 = 1 each Hl is the
+Frobenius pair at z = 1, Hl = A u0(cn^2) + B cn u1(cn^2) (specfun.heun), so
+Hl = A and d Hl/ds = -B dn at s = K, where dn = sqrt(1 - mu):
+
+    cl~(K) = A1 sqrt(1 - mu),  cl~'(K) = -B1 (1 - mu),
+    sl~(K) = A2 sqrt(1 - mu),  sl~'(K) = -B2 (1 - mu),
+
+and Q- = S Q+ S, S = diag(1, -1), by parity.  A path is one array
+evaluation: the Taylor panels for sn^2 <= z_match, the pair at z = 1 with
+cn itself beyond (so no derivative divides by cn), then M^p per period.
 """
 
 from __future__ import annotations
@@ -61,10 +70,6 @@ from .transport import EPS, IntegrationFailure, transport
 
 class SearchExhausted(RuntimeError):
     """The scan ceiling produced fewer eigenvalues than requested."""
-
-
-class LimitUnstable(RuntimeError):
-    """Richardson extrapolation of a half-period limit failed to settle."""
 
 
 @dataclass
@@ -257,38 +262,16 @@ def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) ->
 class HeunLameEvaluator:
     """delta(s) from the Heun closed form with monodromy extension."""
 
-    def __init__(self, mu: float, h: float, config: RunConfig = DEFAULT):
+    def __init__(self, mu: float, h: float):
         self.mu = _check_mu(mu)
         self.h = h
-        self.config = config
         self.K, _ = complete_elliptic(mu)
-        p1, p2 = lame_heun_params(mu, h)
-        self._hl1 = HeunEvaluator(p1)
-        self._hl2 = HeunEvaluator(p2)
-        self.Q_plus = self._one_sided_Q()
+        self._hl = [HeunEvaluator(p) for p in lame_heun_params(mu, h)]
+        # at s = K: Hl = A, d Hl/ds = -B dn, and dn = sqrt(1 - mu), dn' = 0
+        m1 = 1.0 - mu
+        self.Q_plus = np.array([[hl.A * math.sqrt(m1), -hl.B * m1] for hl in self._hl])
         self.Q_minus = self._reflect(self.Q_plus)
         self.monodromy = self.Q_plus @ np.linalg.inv(self.Q_minus)
-        # edge data for the short Taylor patch at |s -+ K| < edge_width
-        self._edge_width = 1e-3 * self.K
-        self._C_edge = np.array([[0.0, 2.0 * mu - h], [1.0, 0.0]])
-
-    # -- building blocks on the open base cell ------------------------------
-
-    def _tilde(self, s: float) -> np.ndarray:
-        """[[cl~, cl~'], [sl~, sl~']] for s strictly inside (-K, K)."""
-        mu = self.mu
-        sn, cn, dn = jacobi_sncndn(s, mu)
-        z = sn * sn
-        zp = 2.0 * sn * cn * dn
-        f1, d1 = self._hl1.value_and_derivative(z)
-        f2, d2 = self._hl2.value_and_derivative(z)
-        root = math.sqrt(1.0 - mu * z)
-        rootp = -0.5 * mu * zp / root
-        cl = f1 * root
-        clp = d1 * zp * root + f1 * rootp
-        sl = f2 * root * sn
-        slp = d2 * zp * root * sn + f2 * rootp * sn + f2 * root * cn * dn
-        return np.array([[cl, clp], [sl, slp]])
 
     @staticmethod
     def _reflect(Q: np.ndarray) -> np.ndarray:
@@ -296,65 +279,49 @@ class HeunLameEvaluator:
         S = np.diag([1.0, -1.0])
         return S @ Q @ S
 
-    def _one_sided_Q(self) -> np.ndarray:
-        """lim_{s -> K^-} of the building-block matrix, by Richardson
-        extrapolation along eps_k = eps0 / 2^k (one-sided real analyticity)."""
-        cfg = self.config
-        eps0 = 0.05 * self.K
-        xs, mats = [], []
-        for k in range(cfg.limit_levels):
-            eps = eps0 / 2.0 ** k
-            xs.append(eps)
-            mats.append(self._tilde(self.K - eps))
-        # Neville tableau on matrices
-        t = [m.copy() for m in mats]
-        last_diag = t[0]
-        n = len(t)
-        for j in range(1, n):
-            for i in range(n - j):
-                t[i] = ((0.0 - xs[i + j]) * t[i] + (xs[i] - 0.0) * t[i + 1]) \
-                    / (xs[i] - xs[i + j])
-            if j == n - 2:
-                last_diag = t[0].copy()
-        if np.abs(t[0] - last_diag).max() > cfg.limit_tol:
-            raise LimitUnstable(
-                f"half-period limit unstable: {np.abs(t[0] - last_diag).max():.2e}")
-        return t[0]
+    def _heun(self, hl: HeunEvaluator, sn, cn, dn):
+        """(Hl(sn^2), d Hl/ds) on the closed base cell.  Past z_match the
+        pair at z = 1 takes sqrt(1 - sn^2) = cn, with d cn/ds = -sn dn."""
+        f, fs = np.empty_like(sn), np.empty_like(sn)
+        near = sn * sn > hl.z_match
+        f[~near], fz = hl.value_and_derivative(sn[~near] ** 2)
+        fs[~near] = fz * 2.0 * (sn * cn * dn)[~near]
+        f[near], fr = hl.near_one(cn[near])
+        fs[near] = -fr * (sn * dn)[near]
+        return f, fs
 
-    # -- full-line evaluation ------------------------------------------------
-
-    def _base_cell(self, s: float) -> np.ndarray:
-        K = self.K
-        if abs(s - K) < self._edge_width or abs(s + K) < self._edge_width:
-            # second-order Taylor from the cell edge; C'(+-K) = 0
-            edge = K if s > 0 else -K
-            Q = self.Q_plus if s > 0 else self.Q_minus
-            e = s - edge
-            C = self._C_edge
-            V = np.eye(2) + e * C + 0.5 * e * e * (C @ C)
-            return Q @ V
-        return self._tilde(s)
-
-    def __call__(self, s: float) -> np.ndarray:
-        K = self.K
-        p = int(np.floor((s + K) / (2.0 * K)))
-        base = s - 2.0 * p * K
-        if base > K:
-            base, p = base - 2.0 * K, p + 1
-        Mp = np.linalg.matrix_power(self.monodromy, p) if p >= 0 \
-            else np.linalg.matrix_power(np.linalg.inv(self.monodromy), -p)
-        return Mp @ self._base_cell(base)
+    def __call__(self, s):
+        """delta(s): a 2x2 matrix at a scalar s, a stack of them at an array."""
+        shape = np.shape(s)
+        s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+        K, mu = self.K, self.mu
+        p = np.floor((s + K) / (2.0 * K))
+        x = s - 2.0 * K * p
+        p += x > K
+        x = np.where(x > K, x - 2.0 * K, x)
+        sn, cn, dn = jacobi_sncndn(x, mu)
+        (f1, f1s), (f2, f2s) = (self._heun(hl, sn, cn, dn) for hl in self._hl)
+        dnp = -mu * sn * cn
+        out = np.empty(s.shape + (2, 2))
+        out[:, 0, 0] = f1 * dn
+        out[:, 0, 1] = f1s * dn + f1 * dnp
+        out[:, 1, 0] = f2 * dn * sn
+        out[:, 1, 1] = (f2s * sn + f2 * cn * dn) * dn + f2 * dnp * sn
+        ps, cell = np.unique(p, return_inverse=True)
+        M_inv = np.linalg.inv(self.monodromy)
+        Mp = np.array([np.linalg.matrix_power(self.monodromy if k >= 0 else M_inv, abs(int(k)))
+                       for k in ps])
+        return (Mp[cell] @ out).reshape(shape + (2, 2))
 
     def path(self, s_grid) -> LameSolutionPath:
         s_grid = np.asarray(s_grid, dtype=float)
-        frames = np.array([self(s) for s in s_grid])
+        frames = self(s_grid)
         return LameSolutionPath(self.mu, self.h, s_grid, frames[:, 0, 0],
                                 frames[:, 0, 1], frames[:, 1, 0],
                                 frames[:, 1, 1], "heun")
 
 
-def fundamental_heun(mu: float, h: float, s, config: RunConfig = DEFAULT):
+def fundamental_heun(mu: float, h: float, s):
     """(cl, sl, cl', sl') at s via the Heun closed form."""
-    ev = HeunLameEvaluator(mu, h, config)
-    M = ev(float(s))
+    M = HeunLameEvaluator(mu, h)(float(s))
     return M[0, 0], M[1, 0], M[0, 1], M[1, 1]

@@ -82,7 +82,7 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
     def delta_path(h):
         x_grid = sigma * s_grid
         if method == "heun":
-            return HeunLameEvaluator(mu, h, config).path(x_grid).matrices()
+            return HeunLameEvaluator(mu, h).path(x_grid).matrices()
         return fundamental_ode(mu, h, x_grid, config).matrices()
 
     Fp = delta_path(h_plus) @ S

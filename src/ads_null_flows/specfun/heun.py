@@ -5,19 +5,26 @@ The equation, with e = alpha + beta - gamma - delta + 1,
     f'' + (gamma/z + delta/(z-1) + e/(z-a)) f'
         + (alpha beta z - q) / (z (z-1) (z-a)) f = 0,
 
-has regular singular points 0, 1, a, inf.  heun_local evaluates the solution
-normalized by f(0) = 1, f analytic at 0, by the Frobenius series
+has regular singular points 0, 1, a, inf.  HeunEvaluator evaluates the
+solution normalized by f(0) = 1, f analytic at 0, by the Frobenius series
 
     a (n+1)(n+gamma) c_{n+1}
         = ( n [ (n-1+gamma)(1+a) + a delta + e ] + q ) c_n
           - (n-1+alpha)(n-1+beta) c_{n-1},        c_{-1} = 0, c_0 = 1,
 
-followed by Taylor re-centering along [0, z]: each hop is capped at
-rad_factor times the distance to the nearest singularity, which keeps every
-series geometrically convergent.  The value at z = 1 (where the solution is
-continuous but generically not differentiable, the exponents there being
-{0, 1 - delta}) is defined as the limit from below, extrapolated in
-sqrt(1 - z).
+followed by Taylor re-centering along [0, z_m], z_m = 1 - RAD_FACTOR
+min(1, a - 1): each hop is capped at RAD_FACTOR times the distance to the
+nearest singularity, which keeps every series geometrically convergent.
+On [z_m, 1] the solution is the exact combination of the two Frobenius
+solutions at z = 1 (exponents {0, 1 - delta}; DLMF 31.3), in w = 1 - z,
+
+    f = A u0(w) + B w^(1-delta) u1(w),
+    u0 = Hl(1-a, alpha beta - q; alpha, beta, delta, gamma; w),
+    u1 = Hl(1-a, ((1-a) gamma + e)(1-delta) + alpha beta - q;
+            alpha+1-delta, beta+1-delta, 2-delta, gamma; w),
+
+both by the same recurrence, with (A, B) matched to the panel chain's value
+and slope at z_m.  So f(1) = A, with no limit to take.
 """
 
 from __future__ import annotations
@@ -74,29 +81,29 @@ def lame_heun_params(mu: float, h: float):
     return p1, p2
 
 
-_SERIES_TOL = 1e-16
-# panels are used within RAD_FACTOR of their convergence radius, so the
-# scaled Taylor tail decays like RAD_FACTOR^k: 80 terms reach ~1e-32
+# every series is used within RAD_FACTOR of its convergence radius, so the
+# scaled tail decays like RAD_FACTOR^k: 80 terms reach ~1e-32
 _MAX_TERMS = 80
 _RAD_FACTOR = 0.4
 
 
-def _frobenius_coeffs(p: HeunParams, n_terms: int) -> np.ndarray:
-    a, q = p.a, p.q
-    al, be, ga, de, ep = p.alpha, p.beta, p.gamma, p.delta, p.epsilon
-    c = np.zeros(n_terms)
+def _frobenius_coeffs(a, q, al, be, ga, de, scale: float) -> np.ndarray:
+    """c_n scale^n for the Frobenius series of Hl(a, q; al, be, ga, de; x) at
+    x = 0.  Raw parameters, not HeunParams: the expansions at z = 1 have
+    their singular point at 1 - a < 0."""
+    ep = al + be - ga - de + 1.0
+    c = np.zeros(_MAX_TERMS)
     c[0] = 1.0
-    if n_terms > 1:
-        c[1] = q / (a * ga)
-    for n in range(1, n_terms - 1):
+    c[1] = q * scale / (a * ga)
+    for n in range(1, _MAX_TERMS - 1):
         Q = n * ((n - 1 + ga) * (1 + a) + a * de + ep) + q
         P = (n - 1 + al) * (n - 1 + be)
-        c[n + 1] = (Q * c[n] - P * c[n - 1]) / (a * (n + 1) * (n + ga))
+        c[n + 1] = (Q * c[n] - P * scale * c[n - 1]) * scale / (a * (n + 1) * (n + ga))
     return c
 
 
-def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float, f1: float,
-                 n_terms: int) -> np.ndarray:
+def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
+                 f1: float) -> np.ndarray:
     """Scaled Taylor coefficients of the solution about the ordinary point z0.
 
     Returns c~_k with f(z0 + scale*x) = sum c~_k x^k, from initial data
@@ -128,9 +135,9 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float, f1: float,
     Bs = [B[j] * scale ** (j + 1) for j in range(3)]
     Cs = [C[j] * scale ** (j + 2) for j in range(2)]
 
-    d = np.zeros(n_terms)
+    d = np.zeros(_MAX_TERMS)
     d[0], d[1] = f0, f1 * scale
-    for n in range(n_terms - 2):
+    for n in range(_MAX_TERMS - 2):
         s = 0.0
         for j in (1, 2, 3):
             k = n + 2 - j
@@ -148,15 +155,14 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float, f1: float,
     return d
 
 
-def _eval_series(coeffs: np.ndarray, w: float):
-    """(value, derivative) of sum c_k w^k."""
-    v = 0.0
-    dv = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        v = v * w + coeffs[k]
-        dv = dv * w + k * coeffs[k]
-    v = v * w + coeffs[0]
-    return v, dv
+def _eval_series(coeffs: np.ndarray, x):
+    """(value, derivative) of sum c_k x^k by Horner, the terms on the last
+    axis of coeffs, elementwise over x."""
+    v = dv = np.zeros(np.shape(x))
+    for k in range(coeffs.shape[-1] - 1, 0, -1):
+        v = v * x + coeffs[..., k]
+        dv = dv * x + k * coeffs[..., k]
+    return v * x + coeffs[..., 0], dv
 
 
 def _nearest_singularity(p: HeunParams, z: float) -> float:
@@ -164,81 +170,88 @@ def _nearest_singularity(p: HeunParams, z: float) -> float:
 
 
 class HeunEvaluator:
-    """Evaluates the normalized local solution and its derivative on [0, 1).
+    """The normalized local solution and its derivative on [0, 1].
 
-    A list of (center, radius scale, scaled Taylor coefficients) panels is
-    grown lazily along the real segment toward 1; each panel is used inside
-    rad_factor times its convergence radius.
+    At construction: the chain of (center, radius scale, scaled Taylor
+    coefficients) panels from 0 to z_match, each used inside RAD_FACTOR
+    times its convergence radius, and the connection coefficients (A, B)
+    to the Frobenius pair at z = 1, which serves z > z_match.
     """
 
-    def __init__(self, params: HeunParams, series_tol: float = _SERIES_TOL,
-                 max_terms: int = _MAX_TERMS, rad_factor: float = _RAD_FACTOR):
-        self.params = params
-        self.series_tol = series_tol
-        self.max_terms = max_terms
-        self.rad_factor = rad_factor
-        c0 = _frobenius_coeffs(params, max_terms)
-        self._panels = [(0.0, min(1.0, params.a), c0)]
-
-    def _panel_radius(self, z0: float) -> float:
-        full = _nearest_singularity(self.params, z0) if z0 > 0 \
-            else min(1.0, self.params.a)
-        return self.rad_factor * full
-
-    def _extend_to(self, z: float):
-        z0, scale, coeffs = self._panels[-1]
-        while z - z0 > self._panel_radius(z0):
-            z1 = z0 + self._panel_radius(z0)
-            f0, f1 = _eval_series(coeffs, (z1 - z0) / scale)
-            f1 /= scale
+    def __init__(self, params: HeunParams):
+        p = self.params = params
+        if p.delta == round(p.delta):
+            raise HeunDomainError(f"delta = {p.delta} is an integer: the exponents "
+                                  "at z = 1 differ by an integer")
+        al, be, ga, de, ep = p.alpha, p.beta, p.gamma, p.delta, p.epsilon
+        self._rho = min(1.0, p.a - 1.0)      # convergence radius of the z = 1 pair
+        self.z_match = 1.0 - _RAD_FACTOR * self._rho
+        z0, scale = 0.0, min(1.0, p.a)
+        panels = [(z0, scale, _frobenius_coeffs(p.a, p.q, al, be, ga, de, scale))]
+        while z0 + _RAD_FACTOR * scale < self.z_match:
+            f0, f1 = _eval_series(panels[-1][2], _RAD_FACTOR)
             if not (math.isfinite(f0) and math.isfinite(f1)):
-                raise HeunConvergenceError(f"series blow-up recentering at z={z1}")
-            scale = _nearest_singularity(self.params, z1)
-            coeffs = _taylor_step(self.params, z1, scale, f0, f1, self.max_terms)
-            self._panels.append((z1, scale, coeffs))
-            z0 = z1
-            if len(self._panels) > 400:
-                raise HeunConvergenceError("continuation exceeded panel budget")
+                raise HeunConvergenceError(f"series blow-up recentering at "
+                                           f"z={z0 + _RAD_FACTOR * scale}")
+            z0, f1 = z0 + _RAD_FACTOR * scale, f1 / scale
+            scale = _nearest_singularity(p, z0)
+            panels.append((z0, scale, _taylor_step(p, z0, scale, f0, f1)))
+        self._centers, self._scales, self._coeffs = map(np.array, zip(*panels))
 
-    def value_and_derivative(self, z: float):
-        if z > 1.0:
-            raise HeunDomainError(f"evaluation restricted to z <= 1, got {z}")
-        if z == 1.0:
-            return self.value_at_one(), math.nan
-        if z < 0.0:
-            raise HeunDomainError(f"evaluation restricted to z >= 0, got {z}")
-        self._extend_to(z)
-        # the furthest panel whose center does not overshoot z (scan without
-        # assuming list order, so concurrent lazy growth stays harmless)
-        z0, scale, coeffs = self._panels[0]
-        for cand in self._panels[1:]:
-            if cand[0] - 1e-15 <= z and cand[0] > z0:
-                z0, scale, coeffs = cand
-        v, dv = _eval_series(coeffs, (z - z0) / scale)
-        return v, dv / scale
+        a1, pq = 1.0 - p.a, al * be - p.q
+        self._u0 = _frobenius_coeffs(a1, pq, al, be, de, ga, self._rho)
+        self._u1 = _frobenius_coeffs(a1, (a1 * ga + ep) * (1.0 - de) + pq,
+                                     al + 1.0 - de, be + 1.0 - de, 2.0 - de, ga, self._rho)
+        # match f and df/dr = -2 r df/dz at r = sqrt(1 - z_match)
+        r = math.sqrt(1.0 - self.z_match)
+        f, fz = self._panel_values(self.z_match)
+        (u, du), (v, dv) = self._pair(r)
+        self.A, self.B = np.linalg.solve([[u, v], [du, dv]], [f, -2.0 * r * fz])
 
-    def __call__(self, z: float) -> float:
+    def _panel_values(self, z):
+        i = np.searchsorted(self._centers, z, side="right") - 1
+        v, dv = _eval_series(self._coeffs[i], (z - self._centers[i]) / self._scales[i])
+        return v, dv / self._scales[i]
+
+    def _pair(self, r):
+        """The Frobenius pair u0(w), w^(1-delta) u1(w) at w = r^2, each with
+        its r-derivative."""
+        e2 = 2.0 * (1.0 - self.params.delta)
+        u0, du0 = _eval_series(self._u0, r * r / self._rho)
+        u1, du1 = _eval_series(self._u1, r * r / self._rho)
+        dw = 2.0 * r / self._rho
+        return (u0, dw * du0), (r ** e2 * u1, r ** e2 * dw * du1 + e2 * r ** (e2 - 1.0) * u1)
+
+    def near_one(self, r):
+        """(f, df/dr) at z = 1 - r^2 >= z_match, elementwise over r.  Taking
+        r itself (cn, for z = sn^2) avoids the cancellation in 1 - z; for
+        delta = 1/2, df/dr is analytic at r = 0 and has no division by r."""
+        (u, du), (v, dv) = self._pair(np.asarray(r, dtype=float))
+        return self.A * u + self.B * v, self.A * du + self.B * dv
+
+    def value_and_derivative(self, z):
+        """(f, df/dz) at z in [0, 1], scalar or array; df/dz is infinite at
+        z = 1 unless B = 0."""
+        shape = np.shape(z)
+        z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
+        if not np.all((z >= 0.0) & (z <= 1.0)):
+            raise HeunDomainError(f"evaluation restricted to 0 <= z <= 1, got {z.min()}"
+                                  f" .. {z.max()}")
+        near = z > self.z_match
+        v, dv = np.empty_like(z), np.empty_like(z)
+        v[~near], dv[~near] = self._panel_values(z[~near])
+        r = np.sqrt(1.0 - z[near])
+        v[near], dr = self.near_one(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dv[near] = -dr / (2.0 * r)
+        return v.reshape(shape)[()], dv.reshape(shape)[()]
+
+    def __call__(self, z):
         return self.value_and_derivative(z)[0]
 
-    def value_at_one(self, levels: int = 7) -> float:
-        """Limit from below at z = 1, extrapolated in x = sqrt(1-z):
-        f(1 - x^2) = f(1) + c1 x + c2 x^2 + ...  (exponents {0, 1-delta})."""
-        eps0 = 2.0 ** -6
-        xs, vs = [], []
-        for k in range(levels):
-            eps = eps0 * 2.0 ** -k
-            xs.append(math.sqrt(eps))
-            vs.append(self.value_and_derivative(1.0 - eps)[0])
-        return float(_neville(xs, vs, 0.0))
-
-
-def _neville(xs, ys, x):
-    n = len(xs)
-    t = list(ys)
-    for j in range(1, n):
-        for i in range(n - j):
-            t[i] = ((x - xs[i + j]) * t[i] + (xs[i] - x) * t[i + 1]) / (xs[i] - xs[i + j])
-    return t[0]
+    def value_at_one(self) -> float:
+        """f(1) = A: the u0 coefficient of the exact connection."""
+        return float(self.A)
 
 
 def heun_local(p: HeunParams, z: float) -> float:

@@ -73,6 +73,18 @@ def test_set_non_finite_value_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("key", ["tol_det", "tol_wronskian", "limit_levels", "limit_tol"])
+def test_removed_config_keys_exit_code(key, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--set", f"{key}=1e-6", "check"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1e-6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "check"])
+    assert exc.value.code == 2
+
+
 def test_floquet_mu_outside_domain_exit_code(tmp_path):
     out = tmp_path / "fmu"
     with pytest.raises(SystemExit) as exc:

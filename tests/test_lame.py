@@ -123,9 +123,10 @@ def test_search_integrates_one_monodromy_per_eigenvalue(monkeypatch):
 @pytest.mark.parametrize("mu", [0.25, 0.6, 0.9])
 def test_discriminant_three_routes(mu):
     """Hermite's closed form, the ODE monodromy and the Heun monodromy give
-    the same tau on both bands, including 5e-4 from the band edges."""
+    the same tau on both bands, including 5e-4 from the band edges and high
+    up the upper band."""
     lower = [mu + 5e-4, 0.5 * (mu + 1.0), 1.0 - 5e-4]
-    upper = [1.0 + mu + 5e-4, 2.0 + mu, 5.0]
+    upper = [1.0 + mu + 5e-4, 2.0 + mu, 5.0, 20.0, 80.0]
     for h in lower + upper:
         t_hermite = hermite_tau(mu, h)
         t_heun = 0.5 * float(np.trace(HeunLameEvaluator(mu, h).monodromy))
@@ -224,6 +225,20 @@ def test_heun_route_matches_ode_route():
     heun = HeunLameEvaluator(mu, h).path(grid)
     for f in ("cl", "clp", "sl", "slp"):
         assert np.abs(getattr(ode, f) - getattr(heun, f)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("mu, h", [(0.6, 65.59), (0.9, 0.930)])
+def test_heun_path_matches_magnus_path_through_the_cell_edges(mu, h):
+    """The Heun route on [-3K, 8K], with samples on s = -K, K, 3K, where
+    cn = 0, and 1e-9 K either side of K, against the Magnus path; and the
+    half-period matrix is unimodular."""
+    K, _ = complete_elliptic(mu)
+    edges = [-K, K, 3.0 * K, K * (1.0 - 1e-9), K * (1.0 + 1e-9)]
+    grid = np.unique(np.concatenate([np.linspace(-3.0 * K, 8.0 * K, 1025), edges]))
+    ev = HeunLameEvaluator(mu, h)
+    heun = ev.path(grid).matrices()
+    assert _rel_miss(heun, fundamental_ode(mu, h, grid).matrices()) <= 1e-10
+    assert abs(np.linalg.det(ev.Q_plus) - 1.0) <= 1e-12
 
 
 def test_heun_route_far_cells():

@@ -109,8 +109,7 @@ def test_classification_conjugation_invariance_random():
 
 
 def test_concurrent_evaluation_is_consistent():
-    """Shared evaluators give identical answers under concurrent use (the
-    Heun panel list grows lazily; lookups do not depend on growth order)."""
+    """Shared evaluators give identical answers under concurrent use."""
     from concurrent.futures import ThreadPoolExecutor
 
     from ads_null_flows.lame import HeunLameEvaluator
