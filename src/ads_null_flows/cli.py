@@ -135,7 +135,7 @@ def _diagnostics(path: SpinorFramePath) -> dict:
 
 def cmd_hierarchy(args, config: RunConfig) -> int:
     if args.n_max > 8:
-        raise NumericFailure("n-max capped at 8 (coefficient growth)")
+        raise UsageError("n-max capped at 8 (coefficient growth)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {"meta": meta_block("hierarchy", config, {"n_max": args.n_max}),
@@ -281,7 +281,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
         print(f"mu* = {fnum(mu, 10)}")
     else:
         if args.mu is None:
-            raise NumericFailure("pass --mu or --find-mu-star")
+            raise UsageError("pass --mu or --find-mu-star")
         mu = args.mu
     spec = KkshSpec.with_quantum_numbers(mu, m, n, args.h)
     rho = spec.s_period()

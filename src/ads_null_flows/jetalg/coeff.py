@@ -2,7 +2,9 @@
 
 The 4x4 frame matrices carry sqrt(2) factors, so the symbolic layer works over
 numbers a + b*sqrt(2) with exact rational a, b.  For everything produced by the
-Lenard recursion b stays 0 and the coefficients are plain rationals.
+Lenard recursion b stays 0 and the coefficients are plain rationals, so the
+arithmetic takes a rational fast path whenever both b parts vanish.  A rational
+Q2 hashes like its rational value, so Q2(1), 1 and Fraction(1) are one dict key.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from fractions import Fraction
 from math import sqrt
 
 _SQRT2 = sqrt(2.0)
+_F0 = Fraction(0)
 
 
 class Q2:
@@ -21,6 +24,14 @@ class Q2:
     def __init__(self, a=0, b=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
+
+    @staticmethod
+    def _make(a: Fraction, b: Fraction) -> "Q2":
+        """A Q2 from two Fractions, without converting them again."""
+        q = object.__new__(Q2)
+        q.a = a
+        q.b = b
+        return q
 
     @staticmethod
     def of(x) -> "Q2":
@@ -40,12 +51,13 @@ class Q2:
         other = Q2._try(other)
         if other is None:
             return NotImplemented
-        return Q2(self.a + other.a, self.b + other.b)
+        return Q2._make(self.a + other.a,
+                        self.b + other.b if self.b or other.b else _F0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Q2(-self.a, -self.b)
+        return Q2._make(-self.a, -self.b)
 
     def __sub__(self, other):
         other = Q2._try(other)
@@ -60,11 +72,15 @@ class Q2:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return Q2._make(self.a * other, self.b * other if self.b else _F0)
         other = Q2._try(other)
         if other is None:
             return NotImplemented
-        return Q2(self.a * other.a + 2 * self.b * other.b,
-                  self.a * other.b + self.b * other.a)
+        if self.b or other.b:
+            return Q2._make(self.a * other.a + 2 * self.b * other.b,
+                            self.a * other.b + self.b * other.a)
+        return Q2._make(self.a * other.a, _F0)
 
     __rmul__ = __mul__
 
@@ -88,10 +104,11 @@ class Q2:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal values hash equally: Q2(x) == x for rational x
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.a or self.b)
 
     def is_rational(self) -> bool:
         return self.b == 0

@@ -10,6 +10,12 @@ by the KdV machinery:
     DD  third-order operator      DD(p) = D^3 p - 4 u D(p) - 2 u1 p
     D^-1  primitive of a total divergence, normalized to vanish at the 0-jet
 
+D applies the monomial rule: D(prod u_i^e_i) has one monomial
+e_i u_i^(e_i - 1) u_(i+1) prod_(j != i) u_j^e_j per jet variable u_i present.
+E is evaluated by Horner's scheme, E(p) = q_0 - D(q_1 - D(q_2 - ...)) with
+q_i = dp/du_i, so it applies D order(p) times (P. J. Olver, Applications of
+Lie Groups to Differential Equations, 4.1 and 5.4).
+
 All arithmetic is exact; floating point enters only through evaluate().
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .coeff import ONE, Q2
+from .coeff import ONE, Q2, ZERO
 
 # monomial: tuple of (jet index, exponent >= 1) pairs, sorted by index
 Monomial = Tuple[Tuple[int, int], ...]
@@ -73,7 +79,7 @@ class JetPoly:
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Q2()) + c
+            out[m] = out.get(m, ZERO) + c
         return JetPoly(out)
 
     __radd__ = __add__
@@ -97,7 +103,7 @@ class JetPoly:
                     exps[i] = exps.get(i, 0) + e
                 m = _mono(exps)
                 c = c1 * c2
-                out[m] = out.get(m, Q2()) + c
+                out[m] = out.get(m, ZERO) + c
         return JetPoly(out)
 
     __rmul__ = __mul__
@@ -136,26 +142,36 @@ class JetPoly:
             exps[i] = e - 1
             mm = _mono(exps)
             cc = c * e
-            out[mm] = out.get(mm, Q2()) + cc
+            out[mm] = out.get(mm, ZERO) + cc
         return JetPoly(out)
 
     # -- differential operators ---------------------------------------------
 
     def total_derivative(self) -> "JetPoly":
-        out = JetPoly()
-        for i in range(self.order() + 1):
-            p = self.partial(i)
-            if p:
-                out = out + p * JetPoly.var(i + 1)
-        return out
+        """The total derivative D, by the monomial rule."""
+        out: Dict[Monomial, Q2] = {}
+        for m, c in self.terms.items():
+            last = len(m) - 1
+            for k, (i, e) in enumerate(m):
+                # m is sorted by index, so u_(i+1), if present, is m[k + 1]
+                lowered = m[:k] + ((i, e - 1),) if e > 1 else m[:k]
+                if k < last and m[k + 1][0] == i + 1:
+                    raised = ((i + 1, m[k + 1][1] + 1),) + m[k + 2:]
+                else:
+                    raised = ((i + 1, 1),) + m[k + 1:]
+                mm = lowered + raised
+                cc = c * e if e > 1 else c
+                out[mm] = out[mm] + cc if mm in out else cc
+        return JetPoly(out)
 
     def euler(self) -> "JetPoly":
-        out = JetPoly()
-        for i in range(self.order() + 1):
-            q = self.partial(i)
-            for _ in range(i):
-                q = q.total_derivative()
-            out = out + q if i % 2 == 0 else out - q
+        """The variational derivative E, by Horner's scheme in D."""
+        k = self.order()
+        if k < 0:
+            return JetPoly()
+        out = self.partial(k)
+        for i in range(k - 1, -1, -1):
+            out = self.partial(i) - out.total_derivative()
         return out
 
     def script_D(self) -> "JetPoly":
@@ -186,7 +202,7 @@ class JetPoly:
             acc = acc + q1
             p = p - q1.total_derivative()
         # normalization at the zero jet: drop any constant term
-        acc = acc - JetPoly.const(acc.terms.get((), Q2()))
+        acc = acc - JetPoly.const(acc.terms.get((), ZERO))
         if acc.total_derivative() != self:
             raise NotATotalDivergence("certification D(q) == p failed")
         return acc
@@ -210,7 +226,7 @@ class JetPoly:
             exps[0] = exps.get(0, 0) + 1
             mm = _mono(exps)
             cc = c / (d + 1)
-            out[mm] = out.get(mm, Q2()) + cc
+            out[mm] = out.get(mm, ZERO) + cc
         return JetPoly(out)
 
     # -- numerics and rendering ----------------------------------------------

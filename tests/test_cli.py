@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -34,6 +35,15 @@ def test_hierarchy_n0_trivial(tmp_path):
     assert main(["hierarchy", "--n-max", "0", "--lien", "-o", str(out)]) == 0
     text = (out / "hierarchy.txt").read_text()
     assert "p_0 = 1" in text and "a_0 = 4" in text
+
+
+def test_hierarchy_text_is_pinned(tmp_path):
+    """The exact n <= 8 hierarchy with its LIEN coefficients, byte for byte."""
+    out = tmp_path / "h8"
+    assert main(["hierarchy", "--n-max", "8", "--lien", "--verify",
+                 "-o", str(out)]) == 0
+    digest = hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest()
+    assert digest == "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a"
 
 
 def test_floquet_csv(tmp_path):
@@ -114,6 +124,22 @@ def test_hierarchy_negative_n_max_exit_code(tmp_path):
     out = tmp_path / "hneg"
     with pytest.raises(SystemExit) as exc:
         main(["hierarchy", "--n-max", "-1", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_hierarchy_n_max_above_cap_exit_code(tmp_path):
+    out = tmp_path / "h9"
+    with pytest.raises(SystemExit) as exc:
+        main(["hierarchy", "--n-max", "9", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_kksh_without_mu_exit_code(tmp_path):
+    out = tmp_path / "knomu"
+    with pytest.raises(SystemExit) as exc:
+        main(["kksh", "--mn", "1,6", "--h", "2", "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 
