@@ -35,7 +35,6 @@ from .nullcurve import (
     NoSignChange,
     SpinorFramePath,
     bending_oracle,
-    classify_monodromies,
     classify_orbit,
     closed_constant,
     constant_bending_path,
@@ -68,6 +67,13 @@ NUMERIC_FAILURES = (NumericFailure, IntegrationFailure, SearchExhausted, NoSignC
 def _int_pair(text: str):
     a, b = text.split(",")
     return int(a), int(b)
+
+
+def _index_pair(text: str):
+    pair = _int_pair(text)
+    if min(pair) < 0:
+        raise argparse.ArgumentTypeError(f"indices must be >= 0, got {text}")
+    return pair
 
 
 def _nonneg_int(text: str) -> int:
@@ -203,7 +209,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
     grid = _grid_for_period(rho, config, periods=args.periods)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
     diag = _diagnostics(base)
-    cls = classify_orbit(base, rho, config) if args.periods >= 1 else None
+    cls = classify_orbit(base, rho) if args.periods >= 1 else None
     extra = {
         "mu": args.mu, "h_plus": h_plus, "h_minus": h_minus, "ell": spec.ell,
         "rho": rho, "diagnostics": diag,
@@ -241,7 +247,7 @@ def cmd_constant(args, config: RunConfig) -> int:
         period = constant_curve_period(m, n)
         grid = np.linspace(0.0, period, 2049)
         path = constant_bending_path(float(kappa), grid)
-        cls, rho = classify_constant_closed(m, n, config)
+        cls, rho = classify_constant_closed(m, n)
         extra = {
             "kappa": str(kappa), "case": constant_case_tag(float(kappa)),
             "spin": str(spin), "torus_knot": list(knot),
@@ -299,11 +305,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     meta["monodromy_drift_raw"] = ev.monodromy_drift(rho)
     dp, dm = monodromy_trace_drift(spec, t_list, rho, config)
     meta["monodromy_trace_drift"] = [dp, dm]
-    Fp, Fm = ev.paths[0].Fplus, ev.paths[0].Fminus
-    i1 = int(np.argmin(np.abs(grid - (grid[0] + rho))))
-    Mp = Fp[i1] @ np.linalg.inv(Fp[0])
-    Mm = Fm[i1] @ np.linalg.inv(Fm[0])
-    cls = classify_monodromies(Mp, Mm, rho, config)
+    cls = classify_orbit(ev.paths[0], rho)
     meta["orbit_type"] = cls.type_pair
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
     for j, t in enumerate(t_list):
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stationary", help="stationary curves and their evolution")
     st.add_argument("--mu", type=_finite_float, required=True)
     st.add_argument("--q", type=Fraction, required=True)
-    st.add_argument("--indices", type=_int_pair, default=(0, 1))
+    st.add_argument("--indices", type=_index_pair, default=(0, 1))
     st.add_argument("--periods", type=_positive_float, default=1.0)
     st.add_argument("--t", type=_float_list, default=[],
                     help="comma list of snapshot times")

@@ -1,8 +1,9 @@
 """Run-wide numeric configuration.
 
-Every tolerance that a numeric routine consults lives here, so call sites
-never hard-code one.  The CLI builds a RunConfig from an optional key=value
-file plus flag overrides; the library default() is used everywhere else.
+RunConfig holds the tolerances and grid settings a run may override; fixed
+numerical choices are module constants next to their single reader.  The CLI
+builds a RunConfig from an optional key=value file plus --set overrides;
+DEFAULT is used everywhere else.
 """
 
 from __future__ import annotations
@@ -27,21 +28,14 @@ class RunConfig:
     tol_h: float = 1e-10             # root tolerance on eigenvalues
     tol_floquet: float = 1e-8        # |tau - cos(q pi)| acceptance
 
-    # monodromy order measurement and orbit classification
+    # monodromy order measurement
     order_max: int = 10_000
-    order_tol: float = 1e-6
-    tol_central: float = 1e-8        # ||M -+ Id|| for the central fixed points
-    orbit_type_tol: float = 1e-9     # |I| threshold for the parabolic tag
-    rationalize_cap: int = 64        # continued-fraction denominator cap
-    rationalize_tol: float = 1e-6
 
-    # geometry tolerances
+    # geometry tolerance
     tol_metric: float = 1e-8
-    kdv_residual_gate: float = 1e-3  # lien_evolve input gate
 
-    # grids and output
+    # grids
     min_points_per_period: int = 8
-    output_digits: int = 17
 
     def __post_init__(self):
         for f in fields(self):

@@ -1,8 +1,8 @@
 """File exporters: curve JSON, OBJ polylines, CSV tables.
 
 Every file carries a meta block (or comment header) with the recipe name and
-the config digest, and numbers are serialized with 17 significant digits so
-doubles round-trip.
+the config digest.  Doubles round-trip: json writes each float as its
+shortest repr, and the OBJ and CSV writers use 17 significant digits.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ def meta_block(recipe: str, config: RunConfig, extra: dict | None = None) -> dic
     return meta
 
 
-def _round17(obj, digits):
-    if isinstance(obj, float):
-        return float(fnum(obj, digits))
-    if isinstance(obj, dict):
-        return {k: _round17(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v, digits) for v in obj]
-    return obj
-
-
 def write_curve_json(path: Path, recipe: str, config: RunConfig,
                      s_grid: np.ndarray, matrices: np.ndarray,
                      points: np.ndarray, extra_meta: dict | None = None) -> None:
@@ -50,15 +40,14 @@ def write_curve_json(path: Path, recipe: str, config: RunConfig,
         })
     doc = {"meta": meta_block(recipe, config, extra_meta), "samples": samples}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_round17(doc, config.output_digits), indent=1) + "\n")
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def write_obj_polyline(path: Path, recipe: str, config: RunConfig,
                        points: np.ndarray, closed: bool = False) -> None:
-    digits = config.output_digits
     lines = [f"# recipe: {recipe}", f"# config: {config.digest()}", "o curve"]
     for p in points:
-        lines.append(f"v {fnum(p[0], digits)} {fnum(p[1], digits)} {fnum(p[2], digits)}")
+        lines.append(f"v {fnum(p[0])} {fnum(p[1])} {fnum(p[2])}")
     idx = list(range(1, len(points) + 1))
     if closed:
         idx.append(1)
@@ -69,11 +58,10 @@ def write_obj_polyline(path: Path, recipe: str, config: RunConfig,
 
 def write_csv(path: Path, recipe: str, config: RunConfig,
               header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    digits = config.output_digits
     lines = [f"# recipe: {recipe}", f"# config: {config.digest()}",
              ",".join(header)]
     for row in rows:
-        cells = [fnum(v, digits) if isinstance(v, (float, np.floating)) else str(v)
+        cells = [fnum(v) if isinstance(v, (float, np.floating)) else str(v)
                  for v in row]
         lines.append(",".join(cells))
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -41,7 +41,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         for j in range(m):
             s = JetPoly.zero()
             for t in range(k):
-                s = s + A[i][t] * B[t][j]
+                if A[i][t] and B[t][j]:
+                    s = s + A[i][t] * B[t][j]
             out[i][j] = s
     return out
 

@@ -48,13 +48,8 @@ class JetPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Q2] | None = None):
-        cleaned: Dict[Monomial, Q2] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Q2.of(c)
-                if c:
-                    cleaned[m] = cleaned[m] + c if m in cleaned else c
-        self.terms: Dict[Monomial, Q2] = {m: c for m, c in cleaned.items() if c}
+        self.terms: Dict[Monomial, Q2] = {
+            m: q for m, c in (terms or {}).items() if (q := Q2.of(c))}
 
     # -- constructors ------------------------------------------------------
 

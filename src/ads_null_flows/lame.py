@@ -67,6 +67,8 @@ from .specfun import HeunEvaluator, complete_elliptic, jacobi_sncndn, lame_heun_
 from .specfun.elliptic import _check_mu
 from .transport import EPS, IntegrationFailure, transport
 
+ORDER_TOL = 1e-6     # ||M^n - Id||_max at which monodromy_order stops
+
 
 class SearchExhausted(RuntimeError):
     """The scan ceiling produced fewer eigenvalues than requested."""
@@ -159,11 +161,11 @@ def tau(mu: float, h: float, config: RunConfig = DEFAULT) -> float:
 
 
 def monodromy_order(M: np.ndarray, config: RunConfig = DEFAULT) -> Optional[int]:
-    """Smallest n <= order_max with ||M^n - Id||_max <= order_tol, else None."""
+    """Smallest n <= order_max with ||M^n - Id||_max <= ORDER_TOL, else None."""
     P = np.eye(2)
     for n in range(1, config.order_max + 1):
         P = P @ M
-        if np.abs(P - np.eye(2)).max() <= config.order_tol:
+        if np.abs(P - np.eye(2)).max() <= ORDER_TOL:
             return n
     return None
 

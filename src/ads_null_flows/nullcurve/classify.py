@@ -32,10 +32,14 @@ from typing import Literal, Optional, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT, RunConfig
 from .frames import SpinorFramePath
 
 OrbitType = Literal["Elliptic", "Hyperbolic", "Parabolic", "CentralFixed"]
+
+TOL_CENTRAL = 1e-8       # ||M -+ Id||_max for the central fixed points
+ORBIT_TYPE_TOL = 1e-9    # |I| threshold for the parabolic tag
+RATIONALIZE_CAP = 64     # continued-fraction denominator cap for theta/pi
+RATIONALIZE_TOL = 1e-6
 
 
 class NotPeriodicBending(ValueError):
@@ -84,29 +88,27 @@ def rationalize(x: float, cap: int, tol: float) -> Optional[Fraction]:
     return None
 
 
-def _classify_factor(M: np.ndarray, config: RunConfig) -> FactorClassification:
+def _classify_factor(M: np.ndarray) -> FactorClassification:
     tr = float(np.trace(M))
     inv = tr * tr - 4.0
-    if np.abs(M - np.eye(2)).max() <= config.tol_central:
+    if np.abs(M - np.eye(2)).max() <= TOL_CENTRAL:
         return FactorClassification(M, inv, "CentralFixed", 0.0,
                                     Fraction(0, 1), Fraction(0, 1))
-    if np.abs(M + np.eye(2)).max() <= config.tol_central:
+    if np.abs(M + np.eye(2)).max() <= TOL_CENTRAL:
         return FactorClassification(M, inv, "CentralFixed", math.pi,
                                     Fraction(1, 1), Fraction(1, 2))
-    if inv < -config.orbit_type_tol:
+    if inv < -ORBIT_TYPE_TOL:
         theta = math.acos(max(-1.0, min(1.0, 0.5 * tr)))
-        q1 = rationalize(theta / math.pi, config.rationalize_cap,
-                         config.rationalize_tol)
-        q2 = rationalize(theta / (2.0 * math.pi), 2 * config.rationalize_cap,
-                         config.rationalize_tol)
+        q1 = rationalize(theta / math.pi, RATIONALIZE_CAP, RATIONALIZE_TOL)
+        q2 = rationalize(theta / (2.0 * math.pi), 2 * RATIONALIZE_CAP,
+                         RATIONALIZE_TOL)
         return FactorClassification(M, inv, "Elliptic", theta, q1, q2)
-    if inv > config.orbit_type_tol:
+    if inv > ORBIT_TYPE_TOL:
         return FactorClassification(M, inv, "Hyperbolic", None, None, None)
     return FactorClassification(M, inv, "Parabolic", None, None, None)
 
 
-def classify_orbit(path: SpinorFramePath, rho: float,
-                   config: RunConfig = DEFAULT) -> OrbitClassification:
+def classify_orbit(path: SpinorFramePath, rho: float) -> OrbitClassification:
     """Classification from a frame path whose grid contains s0 and s0 + rho."""
     s = path.s_grid
     i0 = 0
@@ -118,10 +120,10 @@ def classify_orbit(path: SpinorFramePath, rho: float,
             f"kappa(s0 + rho) - kappa(s0) = {path.kappa[i1] - path.kappa[i0]:.3e}")
     Mp = path.Fplus[i1] @ np.linalg.inv(path.Fplus[i0])
     Mm = path.Fminus[i1] @ np.linalg.inv(path.Fminus[i0])
-    return classify_monodromies(Mp, Mm, rho, config)
+    return classify_monodromies(Mp, Mm, rho)
 
 
-def classify_constant_closed(m: int, n: int, config: RunConfig = DEFAULT):
+def classify_constant_closed(m: int, n: int):
     """(classification, rho) for the closed constant-bending curve indexed by
     coprime m > n.
 
@@ -140,13 +142,13 @@ def classify_constant_closed(m: int, n: int, config: RunConfig = DEFAULT):
         w += 1
     rho = P / w
     Fp, Fm = constant_bending_frames(float(kappa), rho)
-    return classify_monodromies(Fp, Fm, rho, config), rho
+    return classify_monodromies(Fp, Fm, rho), rho
 
 
-def classify_monodromies(Mp: np.ndarray, Mm: np.ndarray, rho: float,
-                         config: RunConfig = DEFAULT) -> OrbitClassification:
-    plus = _classify_factor(Mp, config)
-    minus = _classify_factor(Mm, config)
+def classify_monodromies(Mp: np.ndarray, Mm: np.ndarray,
+                         rho: float) -> OrbitClassification:
+    plus = _classify_factor(Mp)
+    minus = _classify_factor(Mm)
     closed = (plus.orbit_type in ("Elliptic", "CentralFixed")
               and minus.orbit_type in ("Elliptic", "CentralFixed")
               and plus.q_pi is not None and minus.q_pi is not None)

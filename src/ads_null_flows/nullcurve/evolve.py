@@ -42,6 +42,7 @@ from .frames import SpinorFramePath
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
+KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
 
 
 class KdVResidualTooLarge(ValueError):
@@ -118,7 +119,7 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
 
     s_probe = np.linspace(s_grid[0], s_grid[-1], gate_probes)
     t_probe = np.linspace(t_grid[0], t_grid[-1], min(gate_probes, 6))
-    gate = kdv_gate(sampler, s_probe, t_probe, config.kdv_residual_gate)
+    gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
     A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,

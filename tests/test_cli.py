@@ -83,13 +83,17 @@ def test_set_non_finite_value_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["tol_det", "tol_wronskian", "limit_levels", "limit_tol"])
+@pytest.mark.parametrize("key", [
+    "tol_det", "tol_wronskian", "limit_levels", "limit_tol",
+    "order_tol", "tol_central", "orbit_type_tol", "rationalize_cap",
+    "rationalize_tol", "kdv_residual_gate", "output_digits"])
 def test_removed_config_keys_exit_code(key, tmp_path):
+    # 1 parses as an int and a float, so only the unknown key can exit 2
     with pytest.raises(SystemExit) as exc:
-        main(["--set", f"{key}=1e-6", "check"])
+        main(["--set", f"{key}=1", "check"])
     assert exc.value.code == 2
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 1e-6\n")
+    cfg.write_text(f"{key} = 1\n")
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "check"])
     assert exc.value.code == 2
@@ -153,11 +157,11 @@ def test_kksh_domain_error_exit_code(tmp_path, mn, h):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("indices", ["0", "1,1"])
+@pytest.mark.parametrize("indices", ["0", "1,1", "-2,3"])
 def test_stationary_bad_indices_exit_code(tmp_path, indices):
     out = tmp_path / "sidx"
     with pytest.raises(SystemExit) as exc:
-        main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", indices,
+        main(["stationary", "--mu", "0.9", "--q", "2/5", f"--indices={indices}",
               "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
@@ -239,6 +243,24 @@ def test_constant_command_files(tmp_path):
     assert obj[-1].startswith("l 1 2 ")
     cous = (out / "constant_7_3_cousin_plus.csv").read_text().splitlines()
     assert cous[2] == "s,x,y"
+
+
+def test_curve_json_floats_round_trip(tmp_path):
+    """json.loads returns every exported float of a curve JSON bit for bit."""
+    from ads_null_flows.nullcurve import (
+        closed_constant, constant_bending_path, constant_curve_period, torical_embed)
+
+    out = tmp_path / "rt"
+    assert main(["constant", "--mn", "7,3", "-o", str(out)]) == 0
+    kappa, _, _ = closed_constant(7, 3)
+    grid = np.linspace(0.0, constant_curve_period(7, 3), 2049)
+    gamma = constant_bending_path(float(kappa), grid).gamma()
+    points = torical_embed(gamma)
+    samples = json.loads((out / "constant_7_3.json").read_text())["samples"]
+    assert len(samples) == len(grid)
+    assert np.array_equal([d["s"] for d in samples], grid)
+    assert np.array_equal([[d["x"], d["y"], d["z"]] for d in samples], points)
+    assert np.array_equal([d["matrix"] for d in samples], gamma.reshape(-1, 4))
 
 
 def test_constant_case2_metadata(tmp_path):
