@@ -108,6 +108,16 @@ def _grid_for_period(period: float, config: RunConfig, periods: float = 1.0,
     return np.linspace(0.0, periods * period, intervals + 1)
 
 
+def _snapshot_tags(prefix: str, t_list) -> list:
+    """One file tag per snapshot time, t spelt to 6 significant digits; times
+    that share a tag would overwrite each other's files, so they are a usage
+    error."""
+    tags = [f"{prefix}{fnum(t, 6)}" for t in t_list]
+    if len(set(tags)) < len(tags):
+        raise UsageError(f"--t times {t_list} give repeated snapshot names {tags}")
+    return tags
+
+
 def _export_path(outdir: Path, path: SpinorFramePath, recipe: str,
                  config: RunConfig, tag: str, extra: dict | None = None):
     gamma = path.gamma()
@@ -117,9 +127,9 @@ def _export_path(outdir: Path, path: SpinorFramePath, recipe: str,
     write_obj_polyline(outdir / f"{tag}.obj", recipe, config, pts)
     eta_p, eta_m = path.cousins()
     write_csv(outdir / f"{tag}_cousin_plus.csv", recipe, config, ("s", "x", "y"),
-              zip(path.s_grid, eta_p[:, 0], eta_p[:, 1]))
+              np.column_stack((path.s_grid, eta_p[:, :2])))
     write_csv(outdir / f"{tag}_cousin_minus.csv", recipe, config, ("s", "x", "y"),
-              zip(path.s_grid, eta_m[:, 0], eta_m[:, 1]))
+              np.column_stack((path.s_grid, eta_m[:, :2])))
 
 
 def _diagnostics(path: SpinorFramePath) -> dict:
@@ -195,6 +205,7 @@ def cmd_floquet(args, config: RunConfig) -> int:
 
 
 def cmd_stationary(args, config: RunConfig) -> int:
+    tags = _snapshot_tags("stationary_t", args.t)
     indices = args.indices
     count = max(indices) + 1
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
@@ -226,10 +237,9 @@ def cmd_stationary(args, config: RunConfig) -> int:
             extra["spin"] = str(cls.spin)
             extra["windings"] = list(winding_numbers(closed_path.gamma()))
     _export_path(outdir, base, "stationary", config, "stationary_base", extra)
-    for t in args.t:
+    for t, tag in zip(args.t, tags):
         snap = evolve_stationary_path(spec, grid, t, config=config)
-        _export_path(outdir, snap, "stationary", config,
-                     f"stationary_t{fnum(t, 6)}", {"t": t})
+        _export_path(outdir, snap, "stationary", config, tag, {"t": t})
     if diag["metric_residual"] > config.tol_metric or \
             diag["bending_residual"] > 1e-3:
         raise NumericFailure(f"invariant violation: {diag}")
@@ -281,6 +291,10 @@ def cmd_kksh(args, config: RunConfig) -> int:
     m, n = args.mn
     outdir = Path(args.outdir)
     meta = {"m": m, "n": n, "h": args.h}
+    t_list = args.t or [0.0]
+    if t_list[0] != 0.0:
+        t_list = [0.0] + t_list
+    tags = _snapshot_tags("kksh_t", t_list)
     if args.find_mu_star:
         mu = kksh_mu_star(m, n, args.h, config=config)
         meta["mu_star"] = mu
@@ -292,9 +306,6 @@ def cmd_kksh(args, config: RunConfig) -> int:
     spec = KkshSpec.with_quantum_numbers(mu, m, n, args.h)
     rho = spec.s_period()
     meta.update({"mu": mu, "tau": spec.tau, "rho": rho})
-    t_list = args.t or [0.0]
-    if t_list[0] != 0.0:
-        t_list = [0.0] + t_list
     grid = np.linspace(-rho / 2 if args.wings else 0.0,
                        rho * (1.0 if not args.wings else 0.5) + rho,
                        257)
@@ -308,9 +319,8 @@ def cmd_kksh(args, config: RunConfig) -> int:
     cls = classify_orbit(ev.paths[0], rho)
     meta["orbit_type"] = cls.type_pair
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
-    for j, t in enumerate(t_list):
-        _export_path(outdir, ev.paths[j], "kksh", config,
-                     f"kksh_t{fnum(t, 6)}", {**meta, "t": t})
+    for path, t, tag in zip(ev.paths, t_list, tags):
+        _export_path(outdir, path, "kksh", config, tag, {**meta, "t": t})
     itable = []
     for mu_i in np.linspace(0.08, 0.92, args.invariant_grid):
         spec_i = KkshSpec.with_quantum_numbers(float(mu_i), m, n, args.h)

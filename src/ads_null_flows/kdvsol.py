@@ -25,7 +25,9 @@ Derivatives are exact, by two independent routes.  The s-jets are closed
 form: from one (sn, cn, dn) triple per wave, the ODE
 sn'' = -(1+mu) sn + 2 mu sn^3 gives each factor's Taylor series in ds, and
 plain series arithmetic gives phi, r = 1/(1 - phi^2), u = -2 phi_s r and
-kappa = u_s + u^2, for a scalar s or elementwise over an array.  Where a
+kappa = u_s + u^2, for a scalar s or elementwise over an array; kappa
+alone at a scalar s (an ODE solver's callback) skips the series and is one
+closed expression in phi, phi_s and phi_ss.  Where a
 t-derivative is wanted (kappa_t, u_t and the residuals) the solution is
 instead a truncated Taylor series in ds whose coefficients are dual numbers
 c0 + c1 dt, built from sn_jet, so one pass of series arithmetic yields the
@@ -361,9 +363,30 @@ class KkshSpec:
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
         """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
         form; s a scalar (floats returned) or an array (arrays returned)."""
+        if order == 0 and isinstance(s, (int, float)):
+            return [self._kappa_at(s, t)]
         u = self._u_series(s, t, order + 2)
         return _derivatives([(k + 1) * u[k + 1] + _cauchy(u, u, k)
                              for k in range(order + 1)])
+
+    def _kappa_at(self, s: float, t: float) -> float:
+        """kappa at one (s, t), for the scalar callbacks of an ODE solver.
+        With psi = artanh(phi) and r = 1/(1 - phi^2), kappa = -2 psi_ss
+        + 4 psi_s^2 = 4 phi_s^2 r^2 (1 - phi) - 2 phi_ss r, where phi = a P M
+        needs each factor's sn, sn' = w cn dn and sn'' = w^2 (2 mu sn^3 -
+        (1 + mu) sn) only."""
+        wp, wm, vp, vm, amp, sn_plus, sn_minus = self._jet_data
+        P, cp, dp = sn_plus(wp * s + vp * t)
+        M, cm, dm = sn_minus(wm * s + vm * t)
+        Ps = wp * cp * dp
+        Ms = wm * cm * dm
+        Pss = wp * wp * (2.0 * self.mu * P * P - (1.0 + self.mu)) * P
+        Mss = wm * wm * (2.0 * self.tau * M * M - (1.0 + self.tau)) * M
+        phi = amp * P * M
+        phi_s = amp * (Ps * M + P * Ms)
+        phi_ss = amp * (Pss * M + 2.0 * Ps * Ms + P * Mss)
+        r = 1.0 / (1.0 - phi * phi)
+        return 4.0 * phi_s * phi_s * r * r * (1.0 - phi) - 2.0 * phi_ss * r
 
     def kappa(self, s, t: float = 0.0):
         return self.kappa_jet(s, t, order=0)[0]

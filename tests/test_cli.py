@@ -195,6 +195,11 @@ def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
     ["floquet", "--mu", "inf", "--q", "2/5"],
     ["kksh", "--mn", "1,6", "--h", "nan", "--mu", "0.6"],
     ["kksh", "--mn", "1,6", "--h", "2", "--mu", "nan"],
+    # snapshot times whose 6-digit file tags collide
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "0.1234561,0.1234562"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--t", "0.1,0.1"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0.1234561,0.1234562"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--find-mu-star", "--t", "0.1,0"],
 ])
 def test_bad_grid_options_exit_code(tmp_path, argv):
     out = tmp_path / "grid"
@@ -289,8 +294,9 @@ def test_outputs_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["constant", "--mn", "8,3", "-o", str(out)]) == 0
-    assert (a / "constant_8_3.json").read_bytes() == (b / "constant_8_3.json").read_bytes()
-    assert (a / "constant_8_3.obj").read_bytes() == (b / "constant_8_3.obj").read_bytes()
+    for name in ("constant_8_3.json", "constant_8_3.obj",
+                 "constant_8_3_cousin_plus.csv", "constant_8_3_cousin_minus.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_check_command_passes():

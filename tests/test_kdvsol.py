@@ -188,6 +188,23 @@ def test_kksh_closed_form_jet_matches_dual_series(spec):
                                            atol=1e-13 * scale[k])
 
 
+@pytest.mark.parametrize("spec", [
+    KkshSpec.with_quantum_numbers(MU_STAR, 1, 6, 2.0),
+    KkshSpec(0.85, 0.2, 0.6),
+], ids=["mn16_h2", "mu085_tau02"])
+def test_kksh_scalar_kappa_matches_array_path(spec):
+    """The closed-form scalar kappa (order 0) agrees with the series of the
+    array path within 1e-13 at random (s, t)."""
+    rng = np.random.default_rng(29)
+    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 400)
+    t = rng.uniform(-1.0, 1.0, 400)
+    for a, b in zip(s, t):
+        (scalar,) = spec.kappa_jet(float(a), float(b), order=0)
+        (arr,) = spec.kappa_jet(np.array([a]), float(b), order=0)
+        assert isinstance(scalar, float)
+        assert abs(scalar - arr[0]) <= 1e-13
+
+
 def test_kksh_s_periodicity():
     spec = make_kksh()
     rho = spec.s_period()
