@@ -321,10 +321,11 @@ def cmd_kksh(args, config: RunConfig) -> int:
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
     for path, t, tag in zip(ev.paths, t_list, tags):
         _export_path(outdir, path, "kksh", config, tag, {**meta, "t": t})
+    mu_grid = np.linspace(0.08, 0.92, args.invariant_grid)
+    Fp, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(mu_i), m, n, args.h)
+                             for mu_i in mu_grid], config=config)
     itable = []
-    for mu_i in np.linspace(0.08, 0.92, args.invariant_grid):
-        spec_i = KkshSpec.with_quantum_numbers(float(mu_i), m, n, args.h)
-        Fp_i, Fm_i = kksh_frames_t0(spec_i, config=config)
+    for mu_i, Fp_i, Fm_i in zip(mu_grid, Fp, Fm):
         trp, trm = float(np.trace(Fp_i)), float(np.trace(Fm_i))
         itable.append((float(mu_i), trp * trp - 4.0, trm * trm - 4.0))
     write_csv(outdir / "kksh_invariants.csv", "kksh", config,

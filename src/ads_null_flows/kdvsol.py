@@ -22,12 +22,14 @@ u_t - 6 u^2 u_s + u_sss = 0, and kappa = u_s + u^2 solves the KdV.
 |phi| <= (mu tau)^{1/4} < 1, so arctanh stays finite everywhere.
 
 Derivatives are exact, by two independent routes.  The s-jets are closed
-form: from one (sn, cn, dn) triple per wave, the ODE
-sn'' = -(1+mu) sn + 2 mu sn^3 gives each factor's Taylor series in ds, and
-plain series arithmetic gives phi, r = 1/(1 - phi^2), u = -2 phi_s r and
-kappa = u_s + u^2, for a scalar s or elementwise over an array; kappa
-alone at a scalar s (an ODE solver's callback) skips the series and is one
-closed expression in phi, phi_s and phi_ss.  Where a
+form, from one (sn, cn, dn) triple per wave and the ODE
+sn'' = -(1+mu) sn + 2 mu sn^3, for a scalar s or elementwise over an array.
+Up to order 2 (the callbacks of the transport and of an ODE solver),
+kappa_jet differentiates: the Leibniz rule gives phi, ..., phi'''' from
+each factor's derivatives, the quotient rule gives psi = artanh(phi) from
+psi' (1 - phi^2) = phi', and kappa = -2 psi'' + 4 psi'^2.  From order 3
+on, each factor's Taylor series in ds and plain series arithmetic give
+phi, r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2.  Where a
 t-derivative is wanted (kappa_t, u_t and the residuals) the solution is
 instead a truncated Taylor series in ds whose coefficients are dual numbers
 c0 + c1 dt, built from sn_jet, so one pass of series arithmetic yields the
@@ -115,6 +117,23 @@ def _sn_series(sn, cn, dn, mu: float, w: float, n: int) -> list:
         cube.append(_cauchy(f, sq, k))
         f.append(w2 * (2.0 * mu * cube[k] - (1.0 + mu) * f[k]) / ((k + 1) * (k + 2)))
     return f[:n]
+
+
+def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
+    """(f, f', ..., f^(n)) for n in (2, 3, 4), of f = sn(theta + w ds | mu)
+    in ds at ds = 0, from trip = (sn, cn, dn) at theta and f'' = g f with
+    g = w^2 (2 mu f^2 - 1 - mu)."""
+    sn, cn, dn = trip
+    w2 = w * w
+    f1 = w * cn * dn
+    g = w2 * (2.0 * mu * sn * sn - (1.0 + mu))
+    if n == 2:
+        return sn, f1, g * sn
+    g3 = g + 4.0 * w2 * mu * sn * sn           # f''' = g' f + g f' = g3 f'
+    if n == 3:
+        return sn, f1, g * sn, g3 * f1
+    f2 = g * sn
+    return sn, f1, f2, g3 * f1, 12.0 * w2 * mu * sn * f1 * f1 + g3 * f2
 
 
 def _derivatives(series: list) -> list:
@@ -328,17 +347,21 @@ class KkshSpec:
         return (self.w_plus, self.w_minus, self.v_plus, self.v_minus, self.amp,
                 JacobiScalar(self.mu), JacobiScalar(self.tau))
 
+    def _triples(self, s, t: float):
+        """(sn, cn, dn) of each wave at (s, t): pure floats at a scalar s,
+        arrays (elementwise) otherwise."""
+        wp, wm, vp, vm, _, sn_plus, sn_minus = self._jet_data
+        if isinstance(s, (int, float)):
+            return sn_plus(wp * s + vp * t), sn_minus(wm * s + vm * t)
+        s = np.asarray(s, dtype=float)
+        return (jacobi_sncndn(wp * s + vp * t, self.mu),
+                jacobi_sncndn(wm * s + vm * t, self.tau))
+
     def _u_series(self, s, t: float, n: int) -> list:
         """First n Taylor coefficients in ds of u = -2 phi_s r at (s, t),
         r = 1/(1 - phi^2); s a scalar or an array (elementwise)."""
-        wp, wm, vp, vm, amp, sn_plus, sn_minus = self._jet_data
-        if isinstance(s, (int, float)):
-            trip_p = sn_plus(wp * s + vp * t)
-            trip_m = sn_minus(wm * s + vm * t)
-        else:
-            s = np.asarray(s, dtype=float)
-            trip_p = jacobi_sncndn(wp * s + vp * t, self.mu)
-            trip_m = jacobi_sncndn(wm * s + vm * t, self.tau)
+        wp, wm, _, _, amp, _, _ = self._jet_data
+        trip_p, trip_m = self._triples(s, t)
         fp = _sn_series(*trip_p, self.mu, wp, n + 1)
         fm = _sn_series(*trip_m, self.tau, wm, n + 1)
         phi = [amp * _cauchy(fp, fm, k) for k in range(n + 1)]
@@ -362,31 +385,42 @@ class KkshSpec:
 
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
         """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
-        form; s a scalar (floats returned) or an array (arrays returned)."""
-        if order == 0 and isinstance(s, (int, float)):
-            return [self._kappa_at(s, t)]
-        u = self._u_series(s, t, order + 2)
-        return _derivatives([(k + 1) * u[k + 1] + _cauchy(u, u, k)
-                             for k in range(order + 1)])
+        form; s a scalar (floats returned) or an array (arrays returned).
 
-    def _kappa_at(self, s: float, t: float) -> float:
-        """kappa at one (s, t), for the scalar callbacks of an ODE solver.
-        With psi = artanh(phi) and r = 1/(1 - phi^2), kappa = -2 psi_ss
-        + 4 psi_s^2 = 4 phi_s^2 r^2 (1 - phi) - 2 phi_ss r, where phi = a P M
-        needs each factor's sn, sn' = w cn dn and sn'' = w^2 (2 mu sn^3 -
-        (1 + mu) sn) only."""
-        wp, wm, vp, vm, amp, sn_plus, sn_minus = self._jet_data
-        P, cp, dp = sn_plus(wp * s + vp * t)
-        M, cm, dm = sn_minus(wm * s + vm * t)
-        Ps = wp * cp * dp
-        Ms = wm * cm * dm
-        Pss = wp * wp * (2.0 * self.mu * P * P - (1.0 + self.mu)) * P
-        Mss = wm * wm * (2.0 * self.tau * M * M - (1.0 + self.tau)) * M
-        phi = amp * P * M
-        phi_s = amp * (Ps * M + P * Ms)
-        phi_ss = amp * (Pss * M + 2.0 * Ps * Ms + P * Mss)
-        r = 1.0 / (1.0 - phi * phi)
-        return 4.0 * phi_s * phi_s * r * r * (1.0 - phi) - 2.0 * phi_ss * r
+        Up to order 2 the jet is differentiated directly: the Leibniz rule
+        gives phi, ..., phi^(order+2) of phi = a P M from the two sn jets;
+        psi = artanh(phi) has psi' D = phi' with D = 1 - phi^2, so by the
+        quotient rule psi^(n+1) = (phi^(n+1) - sum_{j>=1} C(n, j)
+        psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  Higher
+        orders take the Taylor series of u."""
+        if order > 2:
+            u = self._u_series(s, t, order + 2)
+            return _derivatives([(k + 1) * u[k + 1] + _cauchy(u, u, k)
+                                 for k in range(order + 1)])
+        wp, wm, _, _, amp, _, _ = self._jet_data
+        trip_p, trip_m = self._triples(s, t)
+        P = _sn_derivatives(trip_p, self.mu, wp, order + 2)
+        M = _sn_derivatives(trip_m, self.tau, wm, order + 2)
+        p0 = amp * P[0] * M[0]
+        p1 = amp * (P[1] * M[0] + P[0] * M[1])
+        p2 = amp * (P[2] * M[0] + 2.0 * P[1] * M[1] + P[0] * M[2])
+        r = 1.0 / (1.0 - p0 * p0)
+        d1 = -2.0 * p0 * p1                                 # D'
+        s1 = p1 * r                                         # psi'
+        s2 = (p2 - s1 * d1) * r
+        out = [4.0 * s1 * s1 - 2.0 * s2]
+        if order >= 1:
+            p3 = amp * (P[3] * M[0] + 3.0 * (P[2] * M[1] + P[1] * M[2]) + P[0] * M[3])
+            d2 = -2.0 * (p1 * p1 + p0 * p2)
+            s3 = (p3 - 2.0 * s2 * d1 - s1 * d2) * r
+            out.append(8.0 * s1 * s2 - 2.0 * s3)
+        if order >= 2:
+            p4 = amp * (P[4] * M[0] + 4.0 * (P[3] * M[1] + P[1] * M[3])
+                        + 6.0 * P[2] * M[2] + P[0] * M[4])
+            d3 = -2.0 * (3.0 * p1 * p2 + p0 * p3)
+            s4 = (p4 - 3.0 * (s3 * d1 + s2 * d2) - s1 * d3) * r
+            out.append(8.0 * (s2 * s2 + s1 * s3) - 2.0 * s4)
+        return out
 
     def kappa(self, s, t: float = 0.0):
         return self.kappa_jet(s, t, order=0)[0]

@@ -55,10 +55,6 @@ class FactorClassification:
     q_pi: Optional[Fraction]        # theta/pi rationalized (None if not found)
     q_2pi: Optional[Fraction]       # theta/(2 pi) rationalized
 
-    @property
-    def trace_half(self) -> float:
-        return 0.5 * float(np.trace(self.monodromy))
-
 
 @dataclass
 class OrbitClassification:

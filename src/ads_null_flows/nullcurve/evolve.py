@@ -43,6 +43,10 @@ LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
+# specs per transport in kksh_frames_t0: two (four factors of BLOCK steps)
+# keep a block's arrays near the size of the t-system's; more would share
+# one step count, the hardest spec's, and grow the block memory
+BATCH = 2
 
 
 class KdVResidualTooLarge(ValueError):
@@ -189,31 +193,60 @@ class NoSignChange(RuntimeError):
     pass
 
 
-def kksh_frames_t0(spec, rho: float | None = None, t: float = 0.0,
-                   config: RunConfig = DEFAULT):
+def kksh_frames_t0(specs, rho=None, t=0.0, config: RunConfig = DEFAULT):
     """(F+(rho, t), F-(rho, t)) integrated from the identity at s = 0.
 
     With identity initial frames these are the s-monodromies up to
     conjugation, so their traces are the conjugation-invariant monodromy
     data at any t; unlike the two-step route this stays well-conditioned
     however large the t-system solution grows.
+
+    specs is one spec, or a list of them for arrays (len(specs), 2, 2);
+    rho (default: each spec's s-period) and t are one value or one per
+    spec.  A list runs BATCH specs per transport: system i, rescaled by
+    s = rho_i sigma onto sigma in [0, 1], is a pair of factors of the
+    kernel call.
     """
-    rho = spec.s_period() if rho is None else rho
-    path = _s_integration(spec, np.array([0.0, rho]), t,
-                          np.eye(2), np.eye(2), config)
-    return path.Fplus[-1], path.Fminus[-1]
+    batch = isinstance(specs, (list, tuple))
+    specs = list(specs) if batch else [specs]
+    n = len(specs)
+    if rho is None:
+        rho = [spec.s_period() for spec in specs]
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    Fp, Fm = np.empty((n, 2, 2)), np.empty((n, 2, 2))
+    for j in range(0, n, BATCH):
+        part = slice(j, j + BATCH)
+        Fp[part], Fm[part] = _rescaled_monodromies(specs[part], rho[part], t[part],
+                                                   config)
+    return (Fp, Fm) if batch else (Fp[0], Fm[0])
+
+
+def _rescaled_monodromies(specs, rho, t, config: RunConfig):
+    """kksh_frames_t0 for a few specs in one transport over sigma in [0, 1],
+    the plus factors first."""
+    n = len(specs)
+    scale = np.concatenate([rho, rho])[:, None]
+
+    def generator(sigma):
+        b = np.empty((2 * n, sigma.size))
+        for i, (spec, r, tt) in enumerate(zip(specs, rho, t)):
+            k = spec.kappa_jet(r * sigma, tt, order=0)[0]
+            b[i] = r * (k + 1.0)
+            b[n + i] = r * (k - 1.0)
+        return 0.0, b, scale
+
+    F = transport(generator, 0.0, [1.0], config.integrator_rel_tol)[:, 0]
+    return F[:n], F[n:]
 
 
 def monodromy_trace_drift(spec, t_list, rho: float | None = None,
                           config: RunConfig = DEFAULT):
     """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over t_list,
-    from identity-normalized s-monodromies."""
-    rho = spec.s_period() if rho is None else rho
-    traces = [tuple(float(np.trace(F)) for F in kksh_frames_t0(spec, rho, float(t), config))
-              for t in t_list]
-    base_p, base_m = traces[0]
-    return (max(abs(tp - base_p) for tp, _ in traces),
-            max(abs(tm - base_m) for _, tm in traces))
+    from identity-normalized s-monodromies, the t-list as one batch."""
+    Fp, Fm = kksh_frames_t0([spec] * len(t_list), rho, t_list, config)
+    tr_p, tr_m = (np.trace(F, axis1=-2, axis2=-1) for F in (Fp, Fm))
+    return (float(np.abs(tr_p - tr_p[0]).max()), float(np.abs(tr_m - tr_m[0]).max()))
 
 
 def kksh_mu_star(m: int, n: int, h: float, target_num: int = 2,
@@ -224,8 +257,10 @@ def kksh_mu_star(m: int, n: int, h: float, target_num: int = 2,
 
     Root of p(mu) = Re(tr F-(rho) + sqrt((tr F-)^2 - 4))/2 - cos(2 pi q):
     for an elliptic factor the square root is imaginary and p reduces to
-    half the trace minus the target cosine.  Bisection to xtol after a scan
-    over the bracket; raises NoSignChange when the bracket misses the root.
+    half the trace minus the target cosine.  The scan points of the bracket
+    are one batch of kksh_frames_t0; brentq refines the first sign change
+    to xtol, one transport per evaluation.  Raises NoSignChange when the
+    bracket misses the root.
     """
     from scipy.optimize import brentq
 
@@ -233,16 +268,20 @@ def kksh_mu_star(m: int, n: int, h: float, target_num: int = 2,
 
     target = math.cos(2.0 * math.pi * target_num / target_den)
 
-    def p(mu: float) -> float:
-        spec = KkshSpec.with_quantum_numbers(mu, m, n, h)
-        _, Fm = kksh_frames_t0(spec, config=config)
+    def rotation(Fm) -> float:
         tr = float(np.trace(Fm))
         disc = tr * tr - 4.0
         root_real = math.sqrt(disc) if disc > 0.0 else 0.0
         return 0.5 * (tr + root_real) - target
 
+    def p(mu: float) -> float:
+        return rotation(kksh_frames_t0(KkshSpec.with_quantum_numbers(mu, m, n, h),
+                                       config=config)[1])
+
     grid = np.linspace(bracket[0], bracket[1], scan)
-    vals = [p(float(g)) for g in grid]
+    _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(g), m, n, h)
+                            for g in grid], config=config)
+    vals = [rotation(F) for F in Fm]
     for i in range(scan - 1):
         if vals[i] == 0.0:
             return float(grid[i])

@@ -85,6 +85,3 @@ def future_directed(X: np.ndarray, V: np.ndarray) -> bool:
     ])
     return float(np.linalg.det(pairing)) > 0.0
 
-
-def is_unimodular(X: np.ndarray, tol: float = 1e-9) -> bool:
-    return abs(float(np.linalg.det(np.asarray(X, dtype=float))) - 1.0) <= tol

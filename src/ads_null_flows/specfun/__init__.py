@@ -2,7 +2,6 @@ from .elliptic import (
     EllipticDomainError,
     JacobiScalar,
     complete_elliptic,
-    complete_elliptic_K,
     jacobi_sncndn,
     sn_jet,
 )
@@ -17,7 +16,7 @@ from .heun import (
 )
 
 __all__ = [
-    "EllipticDomainError", "JacobiScalar", "complete_elliptic", "complete_elliptic_K",
+    "EllipticDomainError", "JacobiScalar", "complete_elliptic",
     "jacobi_sncndn", "sn_jet",
     "HeunConvergenceError", "HeunDomainError", "HeunEvaluator", "HeunParams",
     "heun_local", "heun_pair", "lame_heun_params",

@@ -53,10 +53,6 @@ def complete_elliptic(mu: float) -> Tuple[float, float]:
     return K, K * (1.0 - csum)
 
 
-def complete_elliptic_K(mu: float) -> float:
-    return complete_elliptic(mu)[0]
-
-
 @lru_cache(maxsize=512)
 def _landen_chain(mu: float):
     """Precomputed descending-Landen data (em, en, c) for the sncndn core."""

@@ -17,14 +17,16 @@ r^2 < 0) has determinant 1 by construction.
 The generator is called once per block of BLOCK steps, on the array of all
 their nodes, and returns the entries (a, b, c) of A = [[a, b], [c, -a]],
 each broadcastable to (factors, nodes): several frame systems that share
-the expensive coefficient (the two spectral parameters +-1) ride along as
-a leading axis.  The step factors of a block are multiplied in order, by a
-prefix scan where the grid needs samples inside the block and by pairwise
-tree reduction otherwise (n - 1 products against the scan's n log2 n; on
-the kksh recipe, whose t-system and monodromies sample no block inside,
-it saves 9% of the wall time), and folded into the running frame before
-the next block, so memory stays flat in the step count.  A step may be negative:
-the path runs x0 -> grid[0] -> grid[1] -> ... in any order.
+the expensive coefficient (the two spectral parameters +-1, or a batch of
+KKSH monodromies) ride along as a leading axis.  An entry that is constant
+along an axis keeps that axis of length 1 (the s-systems' a = 0 costs no
+array).  A block's memory grows with factors x BLOCK, so a caller keeps
+its factor count small.  The step factors of a block are multiplied in
+order, by a prefix scan where the grid needs samples inside the block and
+by pairwise tree reduction otherwise (n - 1 products against the scan's
+n log2 n), and folded into the running frame before the next block, so
+memory stays flat in the step count.  A step may be negative: the path
+runs x0 -> grid[0] -> grid[1] -> ... in any order.
 
 Step count: two levels of n and m > n steps (spread over the grid
 intervals in proportion to their lengths) give the Richardson estimate
@@ -32,11 +34,12 @@ intervals in proportion to their lengths) give the Richardson estimate
 max-norm per sample.  F_m is accepted once the estimate is within rel_tol
 or within the rounding of m steps, sqrt(m) times the rounding unit: a
 tolerance below the rounding is met at the rounding, as DOP853 clamps its
-rtol.  The levels double from FIRST_STEPS until two agree to PREDICT_BELOW;
-from there the h^6 rate predicts the step count that meets the tolerance,
-which is computed and checked against the last level, and a miss doubles
-again.  More than MAX_STEPS, or a non-finite frame, raises
-IntegrationFailure.
+rtol.  The levels double from FIRST_STEPS until two agree to PREDICT_BELOW
+(1e-4: on the kksh t-system the rate already holds there, and predicting
+saves the last doubling); from there the h^6 rate predicts the step count
+that meets the tolerance, times MARGIN, which is computed and checked
+against the last level, and a miss doubles again.  More than MAX_STEPS,
+or a non-finite frame, raises IntegrationFailure.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ import numpy as np
 
 ORDER = 6
 NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
-BLOCK = 1024          # steps whose nodes are evaluated in one generator call
+BLOCK = 2048          # steps whose nodes are evaluated in one generator call
 FIRST_STEPS = 128     # steps of the coarse level of the first pair
 MAX_STEPS = 1 << 21   # refinement cap: 6.3M generator nodes per level
-MARGIN = 1.25         # on the predicted step count
-PREDICT_BELOW = 1e-6  # error estimate below which the h^6 rate is trusted
+MARGIN = 1.1          # on the predicted step count
+PREDICT_BELOW = 1e-4  # error estimate below which the h^6 rate is trusted
 EPS = float(np.finfo(float).eps)
 
 
@@ -67,23 +70,28 @@ def _bracket(x, y):
     return (b2 * c1 - b1 * c2, 2.0 * (a2 * b1 - a1 * b2), 2.0 * (a1 * c2 - a2 * c1))
 
 
-def _lin(*terms):
-    """sum of coefficient * triple."""
-    return tuple(sum(w * t[k] for w, t in terms) for k in range(3))
+def _exponent(a, b, c, h):
+    """The order-6 Magnus exponent W of each step, as an sl2 triple; a, b, c
+    have shape (factors, 3, steps).  A spent intermediate's name is reused,
+    so fewer block-sized arrays are alive at once."""
+    A1, A2, A3 = ((a[:, i], b[:, i], c[:, i]) for i in range(3))
+    a1 = tuple(h * y for y in A2)
+    f = math.sqrt(15.0) / 3.0 * h
+    a2 = tuple(f * (z - x) for x, z in zip(A1, A3))
+    f = 10.0 / 3.0 * h
+    a3 = tuple(f * (z - 2.0 * y + x) for x, y, z in zip(A1, A2, A3))
+    C1 = _bracket(a1, a2)
+    a2 = tuple(x + y / 60.0 for x, y in                    # a2 + C2
+               zip(a2, _bracket(tuple(2.0 * x + y for x, y in zip(a3, C1)), a1)))
+    C1 = tuple(z - 20.0 * x - y for x, y, z in zip(a1, a3, C1))    # -20 a1 - a3 + C1
+    return tuple(x + y / 12.0 + z / 240.0
+                 for x, y, z in zip(a1, a3, _bracket(C1, a2)))
 
 
 def _step_factors(a, b, c, h):
     """exp of the order-6 Magnus exponent of each step, as the entries
     (p, q, r, s) of [[p, q], [r, s]]; a, b, c have shape (factors, 3, steps)."""
-    A1, A2, A3 = ((a[:, i], b[:, i], c[:, i]) for i in range(3))
-    s15 = math.sqrt(15.0) / 3.0
-    a1 = _lin((h, A2))
-    a2 = _lin((s15 * h, A3), (-s15 * h, A1))
-    a3 = _lin((10.0 / 3.0 * h, A3), (-20.0 / 3.0 * h, A2), (10.0 / 3.0 * h, A1))
-    C1 = _bracket(a1, a2)
-    C2 = _lin((-1.0 / 60.0, _bracket(a1, _lin((2.0, a3), (1.0, C1)))))
-    outer = _bracket(_lin((-20.0, a1), (-1.0, a3), (1.0, C1)), _lin((1.0, a2), (1.0, C2)))
-    wa, wb, wc = _lin((1.0, a1), (1.0 / 12.0, a3), (1.0 / 240.0, outer))
+    wa, wb, wc = _exponent(a, b, c, h)
     r2 = wa * wa + wb * wc
     r = np.sqrt(np.abs(r2))
     grow = r2 > 0.0
@@ -143,12 +151,14 @@ def _sweep(generator, knots: np.ndarray, counts: np.ndarray) -> np.ndarray:
         h = h_seg[seg]
         x = knots[seg] + (k - (ends[seg] - counts[seg])) * h
         coeffs = generator((x[None, :] + NODES[:, None] * h).ravel())
-        shape = np.broadcast_shapes((1, 3 * len(k)), *(np.shape(v) for v in coeffs))
-        a, b, c = (np.broadcast_to(v, shape).reshape(shape[0], 3, len(k))
-                   for v in coeffs)
+        # each entry keeps its own factor extent (1 or all), so a constant
+        # entry costs no array of the full (factors, 3 steps) size
+        a, b, c = (np.broadcast_to(v, np.broadcast_shapes(np.shape(v), (1, 3 * len(k))))
+                   .reshape(-1, 3, len(k)) for v in coeffs)
         if out is None:
-            out = np.empty((shape[0], len(counts), 2, 2))
-            frame = np.broadcast_to(np.eye(2), (shape[0], 2, 2))
+            factors = max(len(a), len(b), len(c))
+            out = np.empty((factors, len(counts), 2, 2))
+            frame = np.broadcast_to(np.eye(2), (factors, 2, 2))
             out[:, ends == 0] = np.eye(2)
         E = _step_factors(a, b, c, h)
         inside = np.nonzero((ends > k0) & (ends < k0 + len(k)))[0]

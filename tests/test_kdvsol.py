@@ -17,7 +17,7 @@ from ads_null_flows.kdvsol import (
     tau_mn,
     time_period_residual,
 )
-from ads_null_flows.specfun import complete_elliptic
+from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn
 
 MU_STAR = 0.6150396634356605   # converged zero of the rotation condition
 
@@ -193,8 +193,8 @@ def test_kksh_closed_form_jet_matches_dual_series(spec):
     KkshSpec(0.85, 0.2, 0.6),
 ], ids=["mn16_h2", "mu085_tau02"])
 def test_kksh_scalar_kappa_matches_array_path(spec):
-    """The closed-form scalar kappa (order 0) agrees with the series of the
-    array path within 1e-13 at random (s, t)."""
+    """The scalar and the array branch of the closed-form kappa (order 0)
+    agree within 1e-13 at random (s, t)."""
     rng = np.random.default_rng(29)
     s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 400)
     t = rng.uniform(-1.0, 1.0, 400)
@@ -203,6 +203,50 @@ def test_kksh_scalar_kappa_matches_array_path(spec):
         (arr,) = spec.kappa_jet(np.array([a]), float(b), order=0)
         assert isinstance(scalar, float)
         assert abs(scalar - arr[0]) <= 1e-13
+
+
+CLOSED_FORM_SPECS = [KkshSpec.with_quantum_numbers(MU_STAR, 1, 6, 2.0)] + [
+    KkshSpec.with_quantum_numbers(mu, 1, 6, h) for mu in (0.3, 0.85) for h in (0.5, 2.0)]
+
+
+def _phi_derivatives(spec, s, t):
+    """phi, phi_s, phi_ss at (s, t), from sn' = w cn dn and
+    sn'' = w^2 (2 mu sn^2 - 1 - mu) sn of each factor."""
+    out = []
+    for w, v, m in ((spec.w_plus, spec.v_plus, spec.mu),
+                    (spec.w_minus, spec.v_minus, spec.tau)):
+        sn, cn, dn = jacobi_sncndn(w * s + v * t, m)
+        out.append((sn, w * cn * dn, w * w * (2.0 * m * sn * sn - 1.0 - m) * sn))
+    (P, Ps, Pss), (M, Ms, Mss) = out
+    return (spec.amp * P * M, spec.amp * (Ps * M + P * Ms),
+            spec.amp * (Pss * M + 2.0 * Ps * Ms + P * Mss))
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS,
+                         ids=["mustar", "mu03_h05", "mu03_h2", "mu085_h05", "mu085_h2"])
+def test_kksh_closed_form_matches_the_series(spec):
+    """kappa_jet up to order 2 (the quotient rule of psi = artanh phi)
+    agrees with the first entries of the order-3 jet (the series of u)
+    within 1e-13 relative to each order's largest value, for array and
+    scalar s; at order 0 it also matches kappa = 4 phi_s^2 r^2 (1 - phi)
+    - 2 phi_ss r, r = 1/(1 - phi^2)."""
+    rng = np.random.default_rng(41)
+    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 300)
+    t = rng.uniform(-1.0, 1.0, 300)
+    series = spec.kappa_jet(s, t, order=3)
+    scale = [np.abs(k).max() for k in series]
+    for order in range(3):
+        closed = spec.kappa_jet(s, t, order=order)
+        scalar = np.array([spec.kappa_jet(float(a), float(b), order=order)
+                           for a, b in zip(s[:100], t[:100])])
+        assert len(closed) == order + 1
+        for k in range(order + 1):
+            assert np.abs(closed[k] - series[k]).max() <= 1e-13 * scale[k]
+            assert np.abs(scalar[:, k] - series[k][:100]).max() <= 1e-13 * scale[k]
+    phi, phi_s, phi_ss = _phi_derivatives(spec, s, t)
+    r = 1.0 / (1.0 - phi * phi)
+    direct = 4.0 * phi_s * phi_s * r * r * (1.0 - phi) - 2.0 * phi_ss * r
+    assert np.abs(spec.kappa_jet(s, t, order=0)[0] - direct).max() <= 1e-14 * scale[0]
 
 
 def test_kksh_s_periodicity():

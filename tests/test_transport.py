@@ -1,8 +1,8 @@
 """The Magnus frame-transport kernel against DOP853 at rtol 1e-13: the KKSH
-t-system and s-monodromies, the two-step evolution of a stationary bending,
-the order of the scheme, unimodularity, the refinement cap, the DOP853
-confirmation gate of lien_evolve and the accepted range of
-integrator_rel_tol."""
+t-system and s-monodromies, single and batched, the two-step evolution of a
+stationary bending, the order of the scheme, the step ladder, unimodularity,
+the refinement cap, the DOP853 confirmation gate of lien_evolve and the
+accepted range of integrator_rel_tol."""
 
 import json
 import math
@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 from ads_null_flows import transport as kernel
 from ads_null_flows.cli import main
+from ads_null_flows.config import DEFAULT
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import evolve, lien_evolve
 from ads_null_flows.transport import IntegrationFailure, transport
@@ -82,6 +83,24 @@ def test_s_monodromy_matches_dop853(mu):
     assert rel_err(F, dop853(s_rhs(spec, 0.0), 0.0, [rho])) <= 1e-10
 
 
+def test_batched_monodromies_match_dop853():
+    """Specs stacked along the factor axis, each rescaled onto sigma in
+    [0, 1], with their own rho and t, against one DOP853 run per spec and
+    against separate transports."""
+    specs = [kksh(mu) for mu in (0.3, 0.6, MU_STAR)]
+    rho = [spec.s_period() for spec in specs]
+    rho[1] *= 0.5
+    t = [0.0, 0.2, 0.4]
+    Fp, Fm = evolve.kksh_frames_t0(specs, rho, t)
+    assert Fp.shape == Fm.shape == (3, 2, 2)
+    for i, spec in enumerate(specs):
+        F = np.stack([Fp[i], Fm[i]])[:, None]
+        assert rel_err(F, dop853(s_rhs(spec, t[i]), 0.0, [rho[i]])) <= 1e-10
+        single = np.stack(evolve.kksh_frames_t0(spec, rho[i], t[i]))[:, None]
+        assert rel_err(F, single) <= 1e-11
+    assert [F.shape for F in evolve.kksh_frames_t0([])] == [(0, 2, 2)] * 2
+
+
 def test_lien_evolve_matches_dop853_on_the_check_bending():
     """The stationary bending and the grids of the `check` command."""
     spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
@@ -103,6 +122,54 @@ def test_error_ratio_on_halving_the_step():
            for n in (64, 128, 256)]
     for coarse, fine in zip(err, err[1:]):
         assert coarse / fine == pytest.approx(2.0 ** kernel.ORDER, rel=0.25)
+
+
+def _ladders(monkeypatch):
+    """Record the step total of every sweep, one list per transport call (a
+    call starts where the total falls back to the first level)."""
+    ladders = []
+    sweep = kernel._sweep
+
+    def counting(generator, knots, counts, *args):
+        total = int(counts.sum())
+        if not ladders or total < ladders[-1][-1]:
+            ladders.append([])
+        ladders[-1].append(total)
+        return sweep(generator, knots, counts, *args)
+
+    monkeypatch.setattr(kernel, "_sweep", counting)
+    return ladders
+
+
+def _predictions(ladder):
+    """How many levels were predicted; every level before the last must be
+    a doubling, so a predicted level is accepted the first time."""
+    ratios = [fine / coarse for coarse, fine in zip(ladder, ladder[1:])]
+    assert ratios and all(r == 2.0 for r in ratios[:-1]), ladder
+    return int(ratios[-1] > 2.0)
+
+
+def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
+    ladders = _ladders(monkeypatch)
+    transport(evolve._t_generator(kksh()), 0.0, KKSH_T, DEFAULT.integrator_rel_tol)
+    assert len(ladders) == 1 and _predictions(ladders[0]) == 1
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.6, MU_STAR])
+def test_s_monodromy_accepts_the_predicted_level(monkeypatch, mu):
+    ladders = _ladders(monkeypatch)
+    evolve.kksh_frames_t0(kksh(mu))
+    assert len(ladders) == 1 and _predictions(ladders[0]) == 1
+
+
+def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
+    """The t-system and the five s-systems of the `check` evolution."""
+    ladders = _ladders(monkeypatch)
+    spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+    lien_evolve(spec, np.linspace(0.0, spec.s_period, 17), np.linspace(0.0, 0.2, 5))
+    assert len(ladders) == 6
+    for ladder in ladders:
+        _predictions(ladder)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1023])
