@@ -122,7 +122,7 @@ def _lame_rhs_factory(mu: float, h: float):
     dn' = -mu sn cn) are integrated at the same tolerance.
     """
     def rhs(_, y):
-        a, b, c, d, sn, cn, dn = y
+        a, b, c, d, sn, cn, dn = y.tolist()
         w = 2.0 * mu * sn * sn - h
         return (b, w * a, d, w * c, cn * dn, -sn * dn, -mu * sn * cn)
     return rhs

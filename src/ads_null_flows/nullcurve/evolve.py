@@ -163,8 +163,8 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
         return
 
     def rhs(s, y):
-        k = sampler.kappa_jet(s, 0.0, order=0)[0]
-        ap, bp, cp, dp, am, bm, cm, dm = y
+        k = sampler.kappa_jet(float(s), 0.0, order=0)[0]
+        ap, bp, cp, dp, am, bm, cm, dm = y.tolist()
         kp, km = k + 1.0, k - 1.0
         return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
 

@@ -128,8 +128,10 @@ _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 def bending_oracle(gamma: np.ndarray, ds: Optional[float] = None,
                    s_grid: Optional[np.ndarray] = None) -> np.ndarray:
     """kappa = -<gamma''', gamma'''>/16 by 7-point central differences on a
-    uniform grid; validation only, never feeds a construction.  The first
-    and last 3 samples come out NaN."""
+    uniform grid; validation only, never feeds a construction.  gamma''' at
+    every interior sample is one stencil contraction of the seven shifted
+    slices of gamma, and kappa one ads_inner call over all of them.  The
+    first and last 3 samples come out NaN."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[0] < 7:
         raise GridTooCoarse("need at least 7 samples of gamma")
@@ -141,10 +143,10 @@ def bending_oracle(gamma: np.ndarray, ds: Optional[float] = None,
             raise GridTooCoarse("bending oracle needs a uniform grid")
         ds = float(steps[0])
     n = gamma.shape[0]
+    shifted = np.stack([gamma[k: n - 6 + k] for k in range(7)])
+    g3 = np.tensordot(_D3, shifted, axes=1) / ds ** 3
     out = np.full(n, np.nan)
-    for i in range(3, n - 3):
-        g3 = np.tensordot(_D3, gamma[i - 3: i + 4], axes=(0, 0)) / ds ** 3
-        out[i] = -ads_inner(g3, g3) / 16.0
+    out[3:-3] = -ads_inner(g3, g3) / 16.0
     return out
 
 

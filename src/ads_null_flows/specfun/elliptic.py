@@ -5,10 +5,13 @@ from a Bulirsch-style descending Landen transformation.  The parameter
 convention is used throughout: mu in (0,1) is the square of the modulus,
 so sn(K(mu), mu) = 1 and dn^2 = 1 - mu sn^2.
 
-Accuracy is close to machine precision; large arguments are reduced modulo
-the period 4K(mu) before the Landen chain, so the periodicity identities
-hold to ~1e-14 even after many periods.  This matters downstream: monodromy
-integrations run over exact multiples of 2K(mu).
+Accuracy is close to machine precision.  An argument s is first reduced
+exactly by the period 4K(mu); oddness of sn and the half-period
+reflections then fold it into [0, K], where the backward Landen recursion
+starts from one cotangent.  Exactness matters downstream: monodromy
+integrations run over exact multiples of 2K(mu), and the Magnus transport
+resolves frames to about 1e-15, so the bending it samples should carry no
+rounding beyond that of its argument.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from ..config import UsageError
 
 _EPS = 2.2e-16
+_TINY = 1e-100    # below this, sn(x) = x and cn = dn = 1 in float64
 
 
 class EllipticDomainError(UsageError):
@@ -73,35 +77,45 @@ def _landen_chain(mu: float):
 
 
 class JacobiScalar:
-    """Scalar (sn, cn, dn) at one fixed parameter, pure float: K(mu) and
-    the Landen chain are looked up once, at construction, instead of on
-    every call.  Same reduction and backward pass as the array path of
-    jacobi_sncndn."""
+    """(sn, cn, dn) at one fixed parameter.  K(mu), the reversed Landen
+    chain, its final mean cfac and the split period of the array reduction
+    are looked up once, at construction.  Calling the object evaluates at a
+    float s in pure Python: |s| % 4K (Python's float %, exact), the sign of
+    sn from oddness, and the same folds and backward pass as the array
+    path of jacobi_sncndn."""
 
-    __slots__ = ("_K", "_chain", "_cfac")
+    __slots__ = ("_K", "_chain", "_cfac", "_split")
 
     def __init__(self, mu: float):
         mu = _check_mu(mu)
         self._K, _ = complete_elliptic(mu)
         em, en, self._cfac = _landen_chain(mu)
         self._chain = tuple(zip(reversed(em), reversed(en)))
+        # 4K = p1 + p2 exactly, p1 with 26 significant bits and p2 with at
+        # most 27, so m p1 and m p2 are exact for integers |m| < 2**26
+        period = 4.0 * self._K
+        frac, exp = math.frexp(period)
+        p1 = math.ldexp(math.floor(math.ldexp(frac, 26)), exp - 26)
+        self._split = (1.0 / period, p1, period - p1)
 
     def __call__(self, s: float) -> Tuple[float, float, float]:
         K = self._K
-        x = s % (4.0 * K)
         sign_sn = 1.0
-        sign_cn = 1.0
+        if s < 0.0:
+            s = -s
+            sign_sn = -1.0
+        x = s % (4.0 * K)
         if x > 2.0 * K:
             x = 4.0 * K - x
-            sign_sn = -1.0
+            sign_sn = -sign_sn
+        sign_cn = 1.0
         if x > K:
             x = 2.0 * K - x
             sign_cn = -1.0
+        if x < _TINY:
+            return sign_sn * x, sign_cn, 1.0
         u = self._cfac * x
-        sn = math.sin(u)
-        if sn == 0.0:
-            return 0.0, sign_cn, 1.0
-        a = math.cos(u) / sn
+        a = math.cos(u) / math.sin(u)
         c = a * self._cfac
         dn = 1.0
         for b, e in self._chain:
@@ -109,65 +123,87 @@ class JacobiScalar:
             c = dn * c
             dn = (e + a) / (b + a)
             a = c / b
-        amp = math.copysign(1.0, sn) / math.sqrt(c * c + 1.0)
+        amp = 1.0 / math.sqrt(c * c + 1.0)
         return sign_sn * amp, sign_cn * c * amp, dn
 
 
 _jacobi_at = lru_cache(maxsize=512)(JacobiScalar)
 
 
+def _remainder(s: np.ndarray, J: JacobiScalar) -> np.ndarray:
+    """s - 4K m elementwise, m the integer nearest s/4K: math.remainder(s,
+    4K) bit for bit for |s| < 2**26 4K, from the exact split 4K = p1 + p2
+    (a rounded m only moves the result a few ulps past +-2K)."""
+    inv, p1, p2 = J._split
+    m = np.rint(s * inv)
+    x4 = s - m * p1
+    m *= p2
+    x4 -= m
+    return x4
+
+
 def jacobi_sncndn(s, mu: float):
     """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1).
 
-    Argument reduction into [0, K] uses
-        sn(4K - x) = -sn(x),  cn(4K - x) = cn(x),
-        sn(2K - x) =  sn(x),  cn(2K - x) = -cn(x),  dn unchanged,
-    then the Bulirsch backward recursion evaluates on the reduced cell.
+    s is reduced exactly: a float as |s| % 4K, with sn odd and cn, dn
+    even; an array by _remainder to x4 = s - 4K m in [-2K, 2K] (m the
+    integer nearest s/4K), exact for |s| < 2**26 4K and within an ulp of s
+    beyond.  Then
+        sn(4K - x) = -sn(x),  sn(2K - x) = sn(x),  cn(2K - x) = -cn(x),
+    with cn(4K - x) = cn(x) and dn unchanged, fold x into [0, K]; for an
+    array, x = min(|x4|, |2K - |x4||), and sn and cn take the signs of
+    x4 (2K - |x4|) and K - |x4|, which also covers an x4 a few ulps past
+    +-2K from a rounded m.  On [0, K], u = cfac x lies in [0, pi/2],
+    sn >= 0, and the Bulirsch backward recursion starts from the cotangent
+    cos(u)/sin(u).  (np.tan is several times cheaper on long arrays, but no
+    other path of the program runs numpy's tan, and its code adds 128 kB to
+    the resident set.)  Points with x < _TINY, where the cotangent would
+    overflow in the recursion, are (x, +-1, 1) to every digit and are set
+    after it.
+
+    The reduction must stay exact (a floor-based s - 4K floor(s/4K) is off
+    by up to an ulp of s): then the error does not grow with |s| beyond the
+    rounding of s itself, sn(-s) = -sn(s) holds bit for bit, and the array
+    and float paths reduce every s to the same x.
     """
-    mu = _check_mu(mu)
+    J = _jacobi_at(float(mu))
     if isinstance(s, (int, float)):
-        return _jacobi_at(mu)(float(s))
-    K, _ = complete_elliptic(mu)
-    em, en, cfac = _landen_chain(mu)
-    em = np.array(em)
-    en = np.array(en)
-
-    s_arr = np.asarray(s, dtype=float)
-    x = np.mod(s_arr, 4.0 * K)
-    sign_sn = np.ones_like(x)
-    sign_cn = np.ones_like(x)
-
-    hi = x > 2.0 * K
-    x = np.where(hi, 4.0 * K - x, x)
-    sign_sn = np.where(hi, -sign_sn, sign_sn)
-    mid = x > K
-    x = np.where(mid, 2.0 * K - x, x)
-    sign_cn = np.where(mid, -sign_cn, sign_cn)
-
-    u = cfac * x
-    sn = np.sin(u)
-    cn = np.cos(u)
-    dn = np.ones_like(x)
-
-    nz = sn != 0.0
-    a = np.where(nz, np.divide(cn, sn, out=np.zeros_like(sn), where=nz), 0.0)
+        return J(float(s))
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        return J(float(s))
+    K, cfac = J._K, J._cfac
+    x4 = _remainder(s, J)
+    x = np.abs(x4)
+    y = 2.0 * K - x
+    sign_cn = K - x
+    sign_sn = np.multiply(x4, y, out=x4)
+    np.minimum(x, np.abs(y, out=y), out=x)
+    tiny = x < _TINY
+    any_tiny = tiny.any()
+    if any_tiny:
+        x_tiny = x[tiny]
+        x[tiny] = K
+    u = np.multiply(x, cfac, out=x)
+    a = np.cos(u)
+    a /= np.sin(u, out=u)
     c = a * cfac
-    for i in range(len(em) - 1, -1, -1):
-        b = em[i]
-        a = c * a
-        c = dn * c
-        dn = np.where(nz, (en[i] + a) / (b + a), dn)
-        a = c / b
-    amp = 1.0 / np.sqrt(c * c + 1.0)
-    sn_out = np.where(nz, np.sign(sn) * amp, 0.0)
-    cn_out = np.where(nz, c * sn_out, 1.0)
-    dn_out = np.where(nz, dn, 1.0)
-
-    sn_out *= sign_sn
-    cn_out *= sign_cn
-    if np.isscalar(s) or s_arr.ndim == 0:
-        return float(sn_out), float(cn_out), float(dn_out)
-    return sn_out, cn_out, dn_out
+    dn = 1.0
+    for b, e in J._chain:
+        a *= c
+        c *= dn
+        dn = (e + a) / (b + a)
+        np.divide(c, b, out=a)
+    amp = np.multiply(c, c, out=a)
+    amp += 1.0
+    np.sqrt(amp, out=amp)
+    np.divide(1.0, amp, out=amp)
+    cn = np.multiply(c, amp, out=c)
+    if any_tiny:
+        amp[tiny] = x_tiny
+        cn[tiny] = 1.0
+        dn[tiny] = 1.0
+    return np.copysign(amp, sign_sn, out=amp), np.copysign(cn, sign_cn, out=cn), dn
 
 
 def sn_jet(s, mu: float, order: int = 5):

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ads_null_flows.kdvsol import StationaryBending
 from ads_null_flows.nullcurve import (
     CARTAN_GRAM,
+    GridTooCoarse,
     InvalidPair,
     ads_inner,
     bending_oracle,
@@ -24,8 +26,9 @@ from ads_null_flows.nullcurve import (
     integrate_spinor_frames,
     proper_time_checks,
     q_form,
+    stationary_curve,
 )
-from ads_null_flows.nullcurve.frames import SpinorFramePath
+from ads_null_flows.nullcurve.frames import _D3, SpinorFramePath
 
 
 def test_constant_kappa_matches_closed_form():
@@ -114,9 +117,41 @@ def test_bending_oracle_constant():
 
 
 def test_bending_oracle_needs_enough_points():
-    from ads_null_flows.nullcurve import GridTooCoarse
     with pytest.raises(GridTooCoarse):
         bending_oracle(np.tile(np.eye(2), (5, 1, 1)), ds=0.1)
+    with pytest.raises(GridTooCoarse):
+        bending_oracle(np.tile(np.eye(2), (6, 1, 1)), ds=0.1)
+    grid = np.linspace(0.0, 1.0, 9) ** 2
+    with pytest.raises(GridTooCoarse):
+        bending_oracle(np.tile(np.eye(2), (9, 1, 1)), s_grid=grid)
+
+
+def _bending_oracle_loop(gamma, ds):
+    """The per-sample form of the oracle: one tensordot per interior sample."""
+    out = np.full(gamma.shape[0], np.nan)
+    for i in range(3, gamma.shape[0] - 3):
+        g3 = np.tensordot(_D3, gamma[i - 3: i + 4], axes=(0, 0)) / ds ** 3
+        out[i] = -ads_inner(g3, g3) / 16.0
+    return out
+
+
+def test_bending_oracle_matches_the_per_sample_loop():
+    """On the `check` stationary curve (1,601 samples) and on a random
+    gamma: the stencil contraction equals the loop within 1e-12 of its
+    largest value, with the same NaN ends.  Other summation orders of the
+    stencil differ from the loop by up to 6e-10 of kappa on the curve, so
+    this asks for the same products summed in the same order."""
+    spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+    grid = np.linspace(0.0, 2 * spec.s_period, 1601)
+    curve = stationary_curve(spec.mu, spec.h_plus, spec.h_minus, grid).gamma()
+    rng = np.random.default_rng(3)
+    for gamma, ds in ((curve, grid[1] - grid[0]), (rng.normal(size=(40, 2, 2)), 0.37)):
+        got = bending_oracle(gamma, ds=ds)
+        ref = _bending_oracle_loop(gamma, ds)
+        assert np.isnan(got[:3]).all() and np.isnan(got[-3:]).all()
+        assert not np.isnan(got[3:-3]).any()
+        inner = ref[3:-3]
+        assert np.abs(got[3:-3] - inner).max() <= 1e-12 * np.abs(inner).max()
 
 
 # ------------------------------------------------------------ constant case

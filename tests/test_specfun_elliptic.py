@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import ellipj
 
 from ads_null_flows.specfun import (
     EllipticDomainError,
@@ -13,6 +14,9 @@ from ads_null_flows.specfun import (
     jacobi_sncndn,
     sn_jet,
 )
+from ads_null_flows.specfun.elliptic import _jacobi_at, _remainder
+
+MUS = (0.05, 0.4, 0.615, 0.97)
 
 
 def quad_K_oracle(mu, n=4000):
@@ -78,6 +82,83 @@ def test_scalar_path_matches_array_path():
             got = sn_at(float(si))
             assert got == jacobi_sncndn(float(si), mu)
             assert np.allclose(got, row, rtol=0.0, atol=1e-15)
+
+
+def test_zero_branch_is_exact():
+    """Every reduced argument 0 (s = 0 or a multiple of 2K that is a
+    double) gives exactly (0, +-1, 1), on the array and the scalar path."""
+    six_k_seen = False
+    for mu in MUS:
+        K, _ = complete_elliptic(mu)
+        s = [0.0, 2 * K, -2 * K, 4 * K, -4 * K, 8 * K]
+        if 6.0 * K - 4.0 * K == 2.0 * K:      # 6K is a double only for some mu
+            s.append(6.0 * K)
+            six_k_seen = True
+        s = np.array(s)
+        sn, cn, dn = jacobi_sncndn(s, mu)
+        assert (sn == 0.0).all() and (dn == 1.0).all()
+        assert (cn == np.where(np.round(s / (2 * K)) % 2 == 0, 1.0, -1.0)).all()
+        for si, row in zip(s, zip(sn, cn, dn)):
+            assert jacobi_sncndn(float(si), mu) == row
+    assert six_k_seen
+
+
+def test_parity_bit_for_bit():
+    """sn is odd, cn and dn even, exactly, on arrays and on scalars."""
+    rng = np.random.default_rng(17)
+    for mu in MUS:
+        K, _ = complete_elliptic(mu)
+        s = np.concatenate([rng.uniform(-300.0, 300.0, 2000),
+                            np.arange(-9, 10) * K, [1e-200, 5e-324, 1e7 + 0.1]])
+        plus = jacobi_sncndn(s, mu)
+        minus = jacobi_sncndn(-s, mu)
+        assert (minus[0] == -plus[0]).all()
+        assert (minus[1] == plus[1]).all() and (minus[2] == plus[2]).all()
+        for si in s[::50]:
+            sn, cn, dn = jacobi_sncndn(float(si), mu)
+            assert jacobi_sncndn(-float(si), mu) == (-sn, cn, dn)
+
+
+def test_against_scipy_ellipj():
+    rng = np.random.default_rng(23)
+    s = rng.uniform(-300.0, 300.0, 20_000)
+    for mu in MUS:
+        ours = np.array(jacobi_sncndn(s, mu))
+        ref = np.array(ellipj(s, mu)[:3])
+        assert np.abs(ours - ref).max() <= 1e-12
+
+
+def test_array_reduction_is_exact():
+    """The array reduction is s - 4K m exactly: math.remainder(s, 4K) bit
+    for bit, or, next to a half period where s/4K rounds to the other
+    integer, that remainder -+ 4K, a few ulps past +-2K.  The kernel reads
+    both the same way: the array path agrees with the float one, which
+    reduces |s| % 4K."""
+    rng = np.random.default_rng(29)
+    for mu in MUS:
+        K, _ = complete_elliptic(mu)
+        half = (2 * rng.integers(-2000, 2000, 200) + 1) * (2.0 * K)
+        s = np.concatenate([rng.uniform(-1e6, 1e6, 2000), half,
+                            np.nextafter(half, -np.inf), np.nextafter(half, np.inf)])
+        got = _remainder(s, _jacobi_at(mu))
+        rem = np.array([math.remainder(si, 4.0 * K) for si in s])
+        shift = rem - got
+        assert set(np.unique(shift)) <= {-4.0 * K, 0.0, 4.0 * K}
+        assert (shift[:2000] == 0.0).all()
+        assert np.abs(got).max() <= 2.0 * K * (1.0 + 1e-12)
+        ours = np.array(jacobi_sncndn(s, mu))
+        scalar = np.array([jacobi_sncndn(float(si), mu) for si in s]).T
+        assert np.abs(ours - scalar).max() <= 1e-15
+
+
+def test_tiny_arguments():
+    """Below 1e-100 sn(s) = s and cn = dn = 1 to every digit; the backward
+    recursion would overflow there."""
+    s = np.array([1e-120, -1e-200, 1e-310, -5e-324])
+    for mu in MUS:
+        sn, cn, dn = jacobi_sncndn(s, mu)
+        assert (sn == s).all() and (cn == 1.0).all() and (dn == 1.0).all()
+        assert [jacobi_sncndn(float(si), mu) for si in s] == [(si, 1.0, 1.0) for si in s]
 
 
 def test_pythagorean_identities_bulk():

@@ -172,6 +172,17 @@ def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
         _predictions(ladder)
 
 
+def test_mu_star_ladders_end_at_most_one_prediction(monkeypatch):
+    """Every transport of the mu* search (the batched scan pairs and each
+    brentq refinement) doubles, then accepts at most one predicted level:
+    none misses its prediction and refines again."""
+    ladders = _ladders(monkeypatch)
+    evolve.kksh_mu_star(1, 6, 2.0)
+    assert len(ladders) > 12 // evolve.BATCH       # the scan, then brentq
+    for ladder in ladders:
+        _predictions(ladder)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1023])
 def test_tree_product_matches_the_prefix_scan(n):
     """The monodromy-only product of a block, odd lengths included, is the
