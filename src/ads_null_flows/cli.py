@@ -311,9 +311,8 @@ def cmd_kksh(args, config: RunConfig) -> int:
                        257)
     ev = lien_evolve(spec, grid, np.array(t_list), config)
     meta["kdv_gate_residual"] = ev.gate_residual
-    # the raw matrix drift degrades once the plus-factor t-system grows
-    # (conjugation conditioning); the trace drift is invariant and stable
-    meta["monodromy_drift_raw"] = ev.monodromy_drift(rho)
+    # the trace drift is conjugation-invariant and stable; the raw matrix
+    # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
     dp, dm = monodromy_trace_drift(spec, t_list, rho, config)
     meta["monodromy_trace_drift"] = [dp, dm]
     cls = classify_orbit(ev.paths[0], rho)

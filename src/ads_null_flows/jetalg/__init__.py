@@ -1,4 +1,3 @@
-from .coeff import Q2, SQRT2, INV_SQRT2
 from .poly import (
     JetPoly,
     NotATotalDivergence,
@@ -19,14 +18,13 @@ from .matrices import (
     zero_curvature_check,
     g_membership_defect,
     mat_is_zero,
-    CARTAN_GRAM,
+    FRAME_GRAM,
 )
 
 __all__ = [
-    "Q2", "SQRT2", "INV_SQRT2",
     "JetPoly", "NotATotalDivergence", "InsufficientJet",
     "total_derivative", "euler", "script_D", "primitive", "U", "U1",
     "lenard_p", "kdv_rhs", "hamiltonian_density", "lien_coefficients",
     "frenet_K", "lien_matrix_polys", "lax_pair_2x2", "lax_zero_curvature_2x2",
-    "zero_curvature_check", "g_membership_defect", "mat_is_zero", "CARTAN_GRAM",
+    "zero_curvature_check", "g_membership_defect", "mat_is_zero", "FRAME_GRAM",
 ]

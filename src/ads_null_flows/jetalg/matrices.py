@@ -1,21 +1,34 @@
 """Matrix differential polynomials: the 4x4 Lax data of the LIEN hierarchy
 and the 2x2 spectral-parameter Lax pair of the KdV equation.
 
-The 4x4 matrices take values in the Lie algebra g = {X : X^t g + g X = 0}
-of the Cartan Gram matrix
+In the paper's frame (gamma, T, N, B), with T = gamma'/sqrt(2), sqrt(2)
+occurs in 6 entries of K and 8 of P_n.  Here both are written in the
+constant rescaling of that frame by D = diag(1, sqrt(2), 1, sqrt(2)), the
+frame (gamma, gamma', N, sqrt(2) B):
 
-        g = [[-1,0,0,0],[0,0,0,1],[0,0,1,0],[0,1,0,0]].
+        K^ = D^-1 K D,   P^_n = D^-1 P_n D,   i.e.  X^_ij = X_ij d_j / d_i,
 
-zero_curvature_check(n) verifies  d_t K - D_s P_n - [K, P_n] = 0  exactly,
-with d_t u substituted by -kdv_rhs(n); it must vanish identically.
+and every entry is rational.  The matrices take values in the Lie algebra
+{X : X^t g^ + g^ X = 0} of the frame's Gram matrix
+
+        g^ = D g D = [[-1,0,0,0],[0,0,0,2],[0,0,1,0],[0,2,0,0]],
+
+where g = [[-1,0,0,0],[0,0,0,1],[0,0,1,0],[0,1,0,0]] is the Cartan Gram
+matrix of the paper's frame.
+
+zero_curvature_check(n) verifies  d_t K^ - D_s P^_n - [K^, P^_n] = 0
+exactly, with d_t u substituted by the induced bending flow; it must vanish
+identically.  Both checks decide what they decide in the paper's frame: D is
+constant, so the zero-curvature defect of (K^, P^_n) is D^-1 (defect of
+(K, P_n)) D, and X^ = D^-1 X D has X^^t g^ + g^ X^ = D (X^t g + g X) D.
+Each vanishes exactly when its paper-frame counterpart does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .coeff import INV_SQRT2, Q2, SQRT2
 from .hierarchy import kdv_rhs, lien_coefficients
 from .poly import JetPoly, U, U1
 
@@ -59,18 +72,19 @@ def mat_is_zero(A: Matrix) -> bool:
     return all(p.is_zero() for row in A for p in row)
 
 
-CARTAN_GRAM: Tuple[Tuple[int, ...], ...] = (
+# g^ = D g D, the Gram matrix of the frame (gamma, gamma', N, sqrt(2) B)
+FRAME_GRAM: Tuple[Tuple[int, ...], ...] = (
     (-1, 0, 0, 0),
-    (0, 0, 0, 1),
+    (0, 0, 0, 2),
     (0, 0, 1, 0),
-    (0, 1, 0, 0),
+    (0, 2, 0, 0),
 )
 
 
 def g_membership_defect(A: Matrix) -> Matrix:
-    """X^t g + g X as a JetPoly matrix (zero iff A is g-valued)."""
+    """X^t g^ + g^ X as a JetPoly matrix (zero iff A is g-valued)."""
     n = len(A)
-    g = CARTAN_GRAM
+    g = FRAME_GRAM
     out = _zeros(n, n)
     for i in range(n):
         for j in range(n):
@@ -82,41 +96,46 @@ def g_membership_defect(A: Matrix) -> Matrix:
 
 
 def frenet_K() -> Matrix:
-    """The s-part of the 4x4 Lax connection (bending as the jet variable u)."""
+    """K^, the s-part of the 4x4 Lax connection in the frame (gamma, gamma',
+    N, sqrt(2) B), with the bending as the jet variable u."""
     K = _zeros(4, 4)
-    K[0][3] = JetPoly.const(SQRT2)
-    K[1][0] = JetPoly.const(SQRT2)
-    K[1][2] = SQRT2 * U
-    K[2][1] = JetPoly.const(SQRT2)
-    K[2][3] = -(SQRT2 * U)
-    K[3][2] = -JetPoly.const(SQRT2)
+    K[0][3] = JetPoly.const(2)
+    K[1][0] = JetPoly.const(1)
+    K[1][2] = U
+    K[2][1] = JetPoly.const(2)
+    K[2][3] = -2 * U
+    K[3][2] = JetPoly.const(-1)
     return K
 
 
 def lien_matrix_polys(n: int) -> Tuple[Matrix, Matrix]:
-    """(K, P_n): the 4x4 zero-curvature pair of the n-th LIEN flow.
+    """(K^, P^_n): the 4x4 zero-curvature pair of the n-th LIEN flow in the
+    frame (gamma, gamma', N, sqrt(2) B).
 
-    The entries x^j_i are built from a_n, b_n; the signs of x^3_2 and x^2_3
-    and the (4,4) entry are fixed by g-membership together with the n=1
-    compatibility values p22 = -2 u1, p32 = (4/sqrt2) u,
-    p23 = (1/sqrt2)(-2 u2 + 4 u^2 - 8).
+    The entries are built from a_n, b_n.  x21, x41, x32 and x23 below are
+    sqrt(2) times the paper's x^j_i, so by P^_ij = P_ij d_j / d_i they enter
+    whole where d_j / d_i = sqrt(2) and halved where it is 1/sqrt(2).  The
+    signs of x^3_2 and x^2_3 and the (4,4) entry are fixed by g-membership
+    together with the n=1 compatibility values P^_22 = -2 u1, P^_32 = 4 u,
+    P^_23 = -u2 + 2 u^2 - 4 (paper's frame: -2 u1, (4/sqrt2) u,
+    (1/sqrt2)(-2 u2 + 4 u^2 - 8)).
     """
     _, _, a, b = lien_coefficients(n)
     half = Fraction(1, 2)
     d2b = b.total_derivative().total_derivative()
     d2a = a.total_derivative().total_derivative()
-    x21 = INV_SQRT2 * (a + U * b - half * d2b)
+    x21 = a + U * b - half * d2b
     x31 = half * b.total_derivative()
-    x41 = INV_SQRT2 * b
+    x41 = b
     x22 = -(half * a.total_derivative())
-    x32 = INV_SQRT2 * a
-    x23 = INV_SQRT2 * (b + U * a - half * d2a)
+    x32 = a
+    x23 = b + U * a - half * d2a
 
     P = _zeros(4, 4)
     P[0][1], P[0][2], P[0][3] = x41, x31, x21
-    P[1][0], P[1][1], P[1][2] = x21, x22, x23
+    P[1][0], P[1][1], P[1][2] = half * x21, x22, half * x23
     P[2][0], P[2][1], P[2][3] = x31, x32, -x23
-    P[3][0], P[3][2], P[3][3] = x41, -x32, -x22
+    P[3][0], P[3][2], P[3][3] = half * x41, -(half * x32), -x22
     return frenet_K(), P
 
 
@@ -156,14 +175,14 @@ def induced_bending_flow(n: int) -> JetPoly:
 
 
 def zero_curvature_check(n: int, n_max: int = 3) -> Matrix:
-    """d_t K - D_s P_n - [K, P_n] with d_t u -> induced_bending_flow(n);
+    """d_t K^ - D_s P^_n - [K^, P^_n] with d_t u -> induced_bending_flow(n);
     expected identically zero."""
     if n > n_max:
         raise ValueError(f"n={n} exceeds configured max {n_max}")
     K, P = lien_matrix_polys(n)
     ut = induced_bending_flow(n)
-    # d_t K: only the two u-entries of K move
+    # d_t K^: only the two u-entries of K^ move
     dtK = _zeros(4, 4)
-    dtK[1][2] = SQRT2 * ut
-    dtK[2][3] = -(SQRT2 * ut)
+    dtK[1][2] = ut
+    dtK[2][3] = -2 * ut
     return mat_sub(mat_sub(dtK, mat_total_derivative(P)), mat_commutator(K, P))

@@ -2,8 +2,12 @@
 
 A JetPoly is a finite sum of monomials in the jet variables u, u1, u2, ...
 (u = u0 is the dependent variable, uk its k-th virtual s-derivative) with
-exact coefficients in Q[sqrt(2)].  The module implements the operators used
-by the KdV machinery:
+exact rational coefficients (Fractions).  Rationals suffice for the whole
+layer: the Lenard polynomials, densities and LIEN coefficients are rational,
+and the 4x4 Lax matrices are written in the frame (gamma, gamma', N,
+sqrt(2) B), the paper's frame rescaled by diag(1, sqrt(2), 1, sqrt(2)), in
+which their entries are rational too (see matrices).  The module implements
+the operators used by the KdV machinery:
 
     D   total derivative          D(p)  = sum_i dp/du_i * u_{i+1}
     E   variational derivative    E(p)  = sum_i (-D)^i (dp/du_i)
@@ -23,8 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
-
-from .coeff import ONE, Q2, ZERO
 
 # monomial: tuple of (jet index, exponent >= 1) pairs, sorted by index
 Monomial = Tuple[Tuple[int, int], ...]
@@ -47,9 +49,10 @@ class JetPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Q2] | None = None):
-        self.terms: Dict[Monomial, Q2] = {
-            m: q for m, c in (terms or {}).items() if (q := Q2.of(c))}
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+        self.terms: Dict[Monomial, Fraction] = {
+            m: c if type(c) is Fraction else Fraction(c)
+            for m, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -59,14 +62,13 @@ class JetPoly:
 
     @staticmethod
     def const(c) -> "JetPoly":
-        c = Q2.of(c)
-        return JetPoly({(): c}) if c else JetPoly()
+        return JetPoly({(): c})
 
     @staticmethod
     def var(i: int, exp: int = 1) -> "JetPoly":
         if i < 0 or exp < 1:
             raise ValueError("jet index must be >= 0 and exponent >= 1")
-        return JetPoly({((i, exp),): ONE})
+        return JetPoly({((i, exp),): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -74,7 +76,7 @@ class JetPoly:
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+            out[m] = out[m] + c if m in out else c
         return JetPoly(out)
 
     __radd__ = __add__
@@ -90,7 +92,7 @@ class JetPoly:
 
     def __mul__(self, other) -> "JetPoly":
         other = _coerce(other)
-        out: Dict[Monomial, Q2] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 exps = dict(m1)
@@ -98,7 +100,7 @@ class JetPoly:
                     exps[i] = exps.get(i, 0) + e
                 m = _mono(exps)
                 c = c1 * c2
-                out[m] = out.get(m, ZERO) + c
+                out[m] = out[m] + c if m in out else c
         return JetPoly(out)
 
     __rmul__ = __mul__
@@ -128,7 +130,7 @@ class JetPoly:
 
     def partial(self, i: int) -> "JetPoly":
         """Partial derivative with respect to the single jet variable u_i."""
-        out: Dict[Monomial, Q2] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(i, 0)
@@ -137,14 +139,14 @@ class JetPoly:
             exps[i] = e - 1
             mm = _mono(exps)
             cc = c * e
-            out[mm] = out.get(mm, ZERO) + cc
+            out[mm] = out[mm] + cc if mm in out else cc
         return JetPoly(out)
 
     # -- differential operators ---------------------------------------------
 
     def total_derivative(self) -> "JetPoly":
         """The total derivative D, by the monomial rule."""
-        out: Dict[Monomial, Q2] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             last = len(m) - 1
             for k, (i, e) in enumerate(m):
@@ -197,13 +199,13 @@ class JetPoly:
             acc = acc + q1
             p = p - q1.total_derivative()
         # normalization at the zero jet: drop any constant term
-        acc = acc - JetPoly.const(acc.terms.get((), ZERO))
+        acc = acc - JetPoly.const(acc.terms.get((), 0))
         if acc.total_derivative() != self:
             raise NotATotalDivergence("certification D(q) == p failed")
         return acc
 
     def _antiderivative_in(self, i: int) -> "JetPoly":
-        out: Dict[Monomial, Q2] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(i, 0)
@@ -214,14 +216,14 @@ class JetPoly:
     def eps_integral_times_u(self) -> "JetPoly":
         """int_0^1 p|_{eps u} u d(eps): each monomial of jet degree d maps to
         monomial*u/(d+1)."""
-        out: Dict[Monomial, Q2] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             d = sum(e for _, e in m)
             exps = dict(m)
             exps[0] = exps.get(0, 0) + 1
             mm = _mono(exps)
             cc = c / (d + 1)
-            out[mm] = out.get(mm, ZERO) + cc
+            out[mm] = out[mm] + cc if mm in out else cc
         return JetPoly(out)
 
     # -- numerics and rendering ----------------------------------------------
@@ -260,17 +262,14 @@ class JetPoly:
                 name = "u" if i == 0 else f"u{i}"
                 factors.append(name if e == 1 else f"{name}^{e}")
             body = "*".join(factors)
-            cs = repr(c)
-            if body:
-                if c == Q2(1):
-                    term = body
-                elif c == Q2(-1):
-                    term = f"-{body}"
-                else:
-                    term = f"{cs}*{body}" if ("+" not in cs[1:] and "-" not in cs[1:]) \
-                        else f"({cs})*{body}"
+            if not body:
+                term = str(c)
+            elif c == 1:
+                term = body
+            elif c == -1:
+                term = f"-{body}"
             else:
-                term = cs
+                term = f"{c}*{body}"
             parts.append(term)
         out = parts[0]
         for t in parts[1:]:
@@ -278,20 +277,14 @@ class JetPoly:
         return out
 
     def to_json(self) -> dict:
-        terms = []
-        for m, c in self._sorted_terms():
-            if c.is_rational():
-                coeff = str(c.a)
-            else:
-                coeff = repr(c)
-            terms.append({"coeff": coeff, "monomial": {str(i): e for i, e in m}})
-        return {"terms": terms}
+        return {"terms": [{"coeff": str(c), "monomial": {str(i): e for i, e in m}}
+                          for m, c in self._sorted_terms()]}
 
 
 def _coerce(x) -> JetPoly:
     if isinstance(x, JetPoly):
         return x
-    if isinstance(x, (int, Fraction, Q2)):
+    if isinstance(x, (int, Fraction)):
         return JetPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to JetPoly")
 

@@ -210,10 +210,6 @@ class StationaryBending:
         return lo, lo + 4.0 * self.mu / self.delta
 
 
-def stationary_bending(spec: StationaryBending, s, t: float = 0.0):
-    return spec.kappa(s, t)
-
-
 # ------------------------------------------------------------------ KKSH
 
 def g_of(tau: float) -> float:

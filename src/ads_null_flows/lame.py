@@ -63,8 +63,9 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipeinc, ellipkinc
 
 from .config import DEFAULT, RunConfig, UsageError
-from .specfun import HeunEvaluator, complete_elliptic, jacobi_sncndn, lame_heun_params
-from .specfun.elliptic import _check_mu
+from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
+                      lame_heun_params)
+from .specfun.elliptic import _check_mu, period_remainder
 from .transport import EPS, IntegrationFailure, transport
 
 ORDER_TOL = 1e-6     # ||M^n - Id||_max at which monodromy_order stops
@@ -155,11 +156,6 @@ def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarr
     return M
 
 
-def tau(mu: float, h: float, config: RunConfig = DEFAULT) -> float:
-    """Half the monodromy trace; the Floquet discriminant over 2."""
-    return 0.5 * float(np.trace(lame_monodromy(mu, h, config)))
-
-
 def monodromy_order(M: np.ndarray, config: RunConfig = DEFAULT) -> Optional[int]:
     """Smallest n <= order_max with ||M^n - Id||_max <= ORDER_TOL, else None."""
     P = np.eye(2)
@@ -190,11 +186,6 @@ def hermite_phase(mu: float, h: float) -> float:
         raise UsageError(f"h = {h} lies outside the bands [mu, 1] and [1 + mu, inf)")
     # 2K (lead - Z'(beta) - pi beta / (2 K K')), by Legendre's relation
     return 2.0 * (K * lead - K * ellipeinc(phi, m1) + (K - E) * ellipkinc(phi, m1))
-
-
-def hermite_tau(mu: float, h: float) -> float:
-    """The Floquet discriminant over 2 from Hermite's closed form."""
-    return -math.cos(hermite_phase(mu, h))
 
 
 def _phase_targets(q: float):
@@ -268,6 +259,7 @@ class HeunLameEvaluator:
         self.mu = _check_mu(mu)
         self.h = h
         self.K, _ = complete_elliptic(mu)
+        self._jacobi = JacobiScalar(mu)
         self._hl = [HeunEvaluator(p) for p in lame_heun_params(mu, h)]
         # at s = K: Hl = A, d Hl/ds = -B dn, and dn = sqrt(1 - mu), dn' = 0
         m1 = 1.0 - mu
@@ -296,11 +288,8 @@ class HeunLameEvaluator:
         """delta(s): a 2x2 matrix at a scalar s, a stack of them at an array."""
         shape = np.shape(s)
         s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
-        K, mu = self.K, self.mu
-        p = np.floor((s + K) / (2.0 * K))
-        x = s - 2.0 * K * p
-        p += x > K
-        x = np.where(x > K, x - 2.0 * K, x)
+        mu = self.mu
+        x, p = period_remainder(s, self._jacobi, half=True)   # x in [-K, K]
         sn, cn, dn = jacobi_sncndn(x, mu)
         (f1, f1s), (f2, f2s) = (self._heun(hl, sn, cn, dn) for hl in self._hl)
         dnp = -mu * sn * cn
@@ -321,9 +310,3 @@ class HeunLameEvaluator:
         return LameSolutionPath(self.mu, self.h, s_grid, frames[:, 0, 0],
                                 frames[:, 0, 1], frames[:, 1, 0],
                                 frames[:, 1, 1], "heun")
-
-
-def fundamental_heun(mu: float, h: float, s):
-    """(cl, sl, cl', sl') at s via the Heun closed form."""
-    M = HeunLameEvaluator(mu, h)(float(s))
-    return M[0, 0], M[1, 0], M[0, 1], M[1, 1]

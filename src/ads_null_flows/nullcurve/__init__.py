@@ -23,7 +23,6 @@ from .frames import (
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
-    curve_and_cousins,
     integrate_spinor_frames,
     proper_time_checks,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "CartanFramePath", "GridTooCoarse", "InvalidPair", "SpinorFramePath",
     "bending_oracle", "cartan_frame", "closed_constant",
     "constant_bending_frames", "constant_bending_path", "constant_case_tag",
-    "constant_curve_period", "curve_and_cousins", "integrate_spinor_frames",
+    "constant_curve_period", "integrate_spinor_frames",
     "proper_time_checks",
     "NotPeriodicBending", "OrbitClassification", "classify_monodromies",
     "classify_orbit", "rationalize",

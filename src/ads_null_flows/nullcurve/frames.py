@@ -105,11 +105,6 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
     return SpinorFramePath(s_grid, Fp, Fm, kap, det_drift=drift)
 
 
-def curve_and_cousins(path: SpinorFramePath):
-    """(gamma samples, eta+, eta-)."""
-    return path.gamma(), *path.cousins()
-
-
 def cartan_frame(path: SpinorFramePath) -> CartanFramePath:
     Fm_inv = np.linalg.inv(path.Fminus)
     Fp = path.Fplus

@@ -10,8 +10,6 @@ from .heun import (
     HeunDomainError,
     HeunEvaluator,
     HeunParams,
-    heun_local,
-    heun_pair,
     lame_heun_params,
 )
 
@@ -19,5 +17,5 @@ __all__ = [
     "EllipticDomainError", "JacobiScalar", "complete_elliptic",
     "jacobi_sncndn", "sn_jet",
     "HeunConvergenceError", "HeunDomainError", "HeunEvaluator", "HeunParams",
-    "heun_local", "heun_pair", "lame_heun_params",
+    "lame_heun_params",
 ]

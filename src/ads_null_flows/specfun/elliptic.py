@@ -130,23 +130,27 @@ class JacobiScalar:
 _jacobi_at = lru_cache(maxsize=512)(JacobiScalar)
 
 
-def _remainder(s: np.ndarray, J: JacobiScalar) -> np.ndarray:
-    """s - 4K m elementwise, m the integer nearest s/4K: math.remainder(s,
-    4K) bit for bit for |s| < 2**26 4K, from the exact split 4K = p1 + p2
-    (a rounded m only moves the result a few ulps past +-2K)."""
+def period_remainder(s: np.ndarray, J: JacobiScalar, half: bool = False):
+    """(x, m) with x = s - m P elementwise, P = 4K (2K if half) and m the
+    integer nearest s/P: math.remainder(s, P) bit for bit for |s| < 2**26 P,
+    from the exact split P = p1 + p2 (2K = p1/2 + p2/2; a rounded m only
+    moves x a few ulps past +-P/2).  The one argument reduction of the
+    Jacobi kernel and of the Heun paths of lame."""
     inv, p1, p2 = J._split
-    m = np.rint(s * inv)
-    x4 = s - m * p1
-    m *= p2
-    x4 -= m
-    return x4
+    if half:
+        inv, p1, p2 = 2.0 * inv, 0.5 * p1, 0.5 * p2
+    m = np.multiply(s, inv)
+    np.rint(m, out=m)
+    x = s - m * p1
+    x -= m * p2
+    return x, m
 
 
 def jacobi_sncndn(s, mu: float):
     """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1).
 
     s is reduced exactly: a float as |s| % 4K, with sn odd and cn, dn
-    even; an array by _remainder to x4 = s - 4K m in [-2K, 2K] (m the
+    even; an array by period_remainder to x4 = s - 4K m in [-2K, 2K] (m the
     integer nearest s/4K), exact for |s| < 2**26 4K and within an ulp of s
     beyond.  Then
         sn(4K - x) = -sn(x),  sn(2K - x) = sn(x),  cn(2K - x) = -cn(x),
@@ -173,7 +177,7 @@ def jacobi_sncndn(s, mu: float):
     if s.ndim == 0:
         return J(float(s))
     K, cfac = J._K, J._cfac
-    x4 = _remainder(s, J)
+    x4, _ = period_remainder(s, J)
     x = np.abs(x4)
     y = 2.0 * K - x
     sign_cn = K - x

@@ -248,19 +248,3 @@ class HeunEvaluator:
 
     def __call__(self, z):
         return self.value_and_derivative(z)[0]
-
-    def value_at_one(self) -> float:
-        """f(1) = A: the u0 coefficient of the exact connection."""
-        return float(self.A)
-
-
-def heun_local(p: HeunParams, z: float) -> float:
-    """One-shot evaluation of the normalized local solution at z in [0, 1]."""
-    return HeunEvaluator(p)(z)
-
-
-def heun_pair(mu: float, h: float, z: float):
-    """(Hl1(mu,h;z), Hl2(mu,h;z)): the two local solutions entering the
-    periodic Lame fundamental system."""
-    p1, p2 = lame_heun_params(mu, h)
-    return heun_local(p1, z), heun_local(p2, z)

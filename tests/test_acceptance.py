@@ -89,14 +89,15 @@ def test_criterion_02_lien_coefficients_and_zero_curvature():
         assert a1 == 4 * U and b1 == jetalg.JetPoly.const(-8)
         _, _, a2, b2 = jetalg.lien_coefficients(2)
         assert a2 == 4 * V(2) - 12 * U * U - 32 and b2 == 16 * U
+        # frame (gamma, gamma', N, sqrt2 B): P^_ij = P_ij d_j / d_i with
+        # D = diag(1, sqrt2, 1, sqrt2); the paper's values in the comments
         _, P1 = jetalg.lien_matrix_polys(1)
-        from ads_null_flows.jetalg.coeff import Q2
-        assert P1[0][3] == Q2(0, -2) * U          # -2 sqrt2 u on T
-        assert P1[0][1] == jetalg.JetPoly.const(Q2(0, -4))
+        assert P1[0][3] == -4 * U                 # -2 sqrt2 u on T
+        assert P1[0][1] == jetalg.JetPoly.const(-8)   # -4 sqrt2 on B
         _, P2 = jetalg.lien_matrix_polys(2)
-        assert P2[0][3] == Q2(0, -2) * (V(2) - U * U + 8)
+        assert P2[0][3] == -4 * (V(2) - U * U + 8)    # -2 sqrt2 (u2 - u^2 + 8)
         assert P2[0][2] == 8 * U1
-        assert P2[0][1] == Q2(0, 8) * U
+        assert P2[0][1] == 16 * U                 # 8 sqrt2 u
         for n in range(4):
             assert jetalg.mat_is_zero(jetalg.zero_curvature_check(n))
 

@@ -38,12 +38,15 @@ def test_hierarchy_n0_trivial(tmp_path):
 
 
 def test_hierarchy_text_is_pinned(tmp_path):
-    """The exact n <= 8 hierarchy with its LIEN coefficients, byte for byte."""
+    """The exact n <= 8 hierarchy with its LIEN coefficients, byte for byte:
+    the text and the JSON coefficient strings (at the default config)."""
     out = tmp_path / "h8"
     assert main(["hierarchy", "--n-max", "8", "--lien", "--verify",
                  "-o", str(out)]) == 0
-    digest = hashlib.sha256((out / "hierarchy.txt").read_bytes()).hexdigest()
-    assert digest == "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a"
+    pins = {"hierarchy.txt": "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a",
+            "hierarchy.json": "a471043a481f7b20390790869717ac108beaeadeda233a76743a9849b7b7d85d"}
+    for name, pin in pins.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
 
 
 def test_floquet_csv(tmp_path):

@@ -13,7 +13,6 @@ from ads_null_flows.kdvsol import (
     find_doubly_periodic,
     g_inverse,
     g_of,
-    stationary_bending,
     tau_mn,
     time_period_residual,
 )
@@ -65,11 +64,6 @@ def test_stationary_traveling_kdv_residual():
         k0, k1, _, k3 = spec.kappa_jet(s, t, order=3)
         worst = max(worst, abs(spec.kappa_t(s, t) + k3 - 6 * k0 * k1))
     assert worst <= 1e-6
-
-
-def test_stationary_bending_wrapper():
-    spec = make_spec()
-    assert stationary_bending(spec, 0.3) == spec.kappa(0.3)
 
 
 # ------------------------------------------------------------------ g map

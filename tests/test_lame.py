@@ -25,14 +25,13 @@ from ads_null_flows.lame import (
     HeunLameEvaluator,
     SearchExhausted,
     floquet_search,
-    fundamental_heun,
     fundamental_ode,
-    hermite_tau,
+    hermite_phase,
     lame_monodromy,
     monodromy_order,
-    tau,
 )
-from ads_null_flows.specfun import complete_elliptic
+from ads_null_flows.specfun import JacobiScalar, complete_elliptic
+from ads_null_flows.specfun.elliptic import period_remainder
 
 PRINTED_M = np.array([[-0.309017, -0.331386], [2.72947, -0.309017]])
 H_STAR = 0.6674427700743268   # first element of S_{0.4, 3/5}
@@ -54,7 +53,8 @@ def test_printed_monodromy_regression():
 def test_tau_continuity():
     mu = 0.4
     for h in (0.5, 0.67, 0.9):
-        assert abs(tau(mu, h) - tau(mu, h + 1e-6)) <= 1e-3
+        t0, t1 = (0.5 * np.trace(lame_monodromy(mu, x)) for x in (h, h + 1e-6))
+        assert abs(t0 - t1) <= 1e-3
 
 
 def test_floquet_search_q_three_fifths_gives_067():
@@ -128,16 +128,17 @@ def test_discriminant_three_routes(mu):
     lower = [mu + 5e-4, 0.5 * (mu + 1.0), 1.0 - 5e-4]
     upper = [1.0 + mu + 5e-4, 2.0 + mu, 5.0, 20.0, 80.0]
     for h in lower + upper:
-        t_hermite = hermite_tau(mu, h)
+        t_hermite = -math.cos(hermite_phase(mu, h))
         t_heun = 0.5 * float(np.trace(HeunLameEvaluator(mu, h).monodromy))
-        assert abs(t_hermite - tau(mu, h)) <= 1e-10
+        t_ode = 0.5 * float(np.trace(lame_monodromy(mu, h)))
+        assert abs(t_hermite - t_ode) <= 1e-10
         assert abs(t_hermite - t_heun) <= 1e-10
 
 
 def test_hermite_tau_rejects_the_gaps():
     for h in (0.1, 1.3):
         with pytest.raises(ValueError):
-            hermite_tau(0.6, h)
+            hermite_phase(0.6, h)
 
 
 def test_search_gate_rejects_an_unconfirmed_root():
@@ -241,6 +242,19 @@ def test_heun_path_matches_magnus_path_through_the_cell_edges(mu, h):
     assert abs(np.linalg.det(ev.Q_plus) - 1.0) <= 1e-12
 
 
+def test_heun_reduction_is_exact():
+    """The Heun route reduces s by the exact split half period: 10,000
+    random s with |s| <= 20K reduce to math.remainder(s, 2K) exactly, with
+    the integer count of half periods alongside (a floor-based reduction
+    missed it by up to 1.8e-15 for about half of them at mu = 0.9)."""
+    for mu in (0.4, 0.9):
+        K, _ = complete_elliptic(mu)
+        s = np.random.default_rng(13).uniform(-20.0 * K, 20.0 * K, 10_000)
+        x, p = period_remainder(s, JacobiScalar(mu), half=True)
+        assert (x == [math.remainder(si, 2.0 * K) for si in s]).all()
+        assert (p == np.rint(s / (2.0 * K))).all()
+
+
 def test_heun_route_far_cells():
     mu, h = 0.4, H_STAR
     K, _ = complete_elliptic(mu)
@@ -252,7 +266,7 @@ def test_heun_route_far_cells():
 
 
 def test_fundamental_heun_tuple_and_normalization():
-    cl, sl, clp, slp = fundamental_heun(0.4, H_STAR, 0.0)
+    (cl, clp), (sl, slp) = HeunLameEvaluator(0.4, H_STAR)(0.0)
     assert cl == pytest.approx(1.0, abs=1e-12)
     assert sl == pytest.approx(0.0, abs=1e-12)
     assert clp == pytest.approx(0.0, abs=1e-12)
@@ -278,9 +292,13 @@ def test_band_edge_above_one_plus_mu():
     """The spectral gap sits between 1 and 1 + mu: the discriminant crosses
     back through -1 just above h = 1 + mu, so the edge is sign-detectable."""
     mu = 0.6
-    assert tau(mu, 1.58) < -1.0          # inside the gap
-    assert tau(mu, 1.62) > -1.0          # first band, just above 1 + mu
-    assert tau(mu, 1.02) < -1.0
+
+    def tau(h):
+        return 0.5 * np.trace(lame_monodromy(mu, h))
+
+    assert tau(1.58) < -1.0          # inside the gap
+    assert tau(1.62) > -1.0          # first band, just above 1 + mu
+    assert tau(1.02) < -1.0
 
 
 def test_fundamental_parity():

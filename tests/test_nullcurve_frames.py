@@ -20,7 +20,6 @@ from ads_null_flows.nullcurve import (
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
-    curve_and_cousins,
     future_directed,
     gram_matrix,
     integrate_spinor_frames,
@@ -55,7 +54,8 @@ def test_curve_and_cousins_basics():
     kappa0 = -1.45
     grid = np.linspace(0.0, 6.0, 400)
     path = constant_bending_path(kappa0, grid)
-    gamma, eta_p, eta_m = curve_and_cousins(path)
+    gamma = path.gamma()
+    eta_p, eta_m = path.cousins()
     assert np.abs(gamma[0] - np.eye(2)).max() <= 1e-14
     assert np.abs(q_form(gamma) + 1.0).max() <= 1e-10
     # central affine normalization and the cousin curvature defect k+ - k- = 2

@@ -14,7 +14,7 @@ from ads_null_flows.specfun import (
     jacobi_sncndn,
     sn_jet,
 )
-from ads_null_flows.specfun.elliptic import _jacobi_at, _remainder
+from ads_null_flows.specfun.elliptic import _jacobi_at, period_remainder
 
 MUS = (0.05, 0.4, 0.615, 0.97)
 
@@ -140,7 +140,7 @@ def test_array_reduction_is_exact():
         half = (2 * rng.integers(-2000, 2000, 200) + 1) * (2.0 * K)
         s = np.concatenate([rng.uniform(-1e6, 1e6, 2000), half,
                             np.nextafter(half, -np.inf), np.nextafter(half, np.inf)])
-        got = _remainder(s, _jacobi_at(mu))
+        got, _ = period_remainder(s, _jacobi_at(mu))
         rem = np.array([math.remainder(si, 4.0 * K) for si in s])
         shift = rem - got
         assert set(np.unique(shift)) <= {-4.0 * K, 0.0, 4.0 * K}

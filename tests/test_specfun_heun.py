@@ -10,8 +10,6 @@ from ads_null_flows.specfun import (
     HeunDomainError,
     HeunEvaluator,
     HeunParams,
-    heun_local,
-    heun_pair,
     lame_heun_params,
 )
 
@@ -42,18 +40,18 @@ def ode_oracle(p: HeunParams, z_targets, z0=1e-9):
 def test_normalization_at_zero():
     for p in (HeunParams(2.5, 0.3, 0.0, 1.5, 0.5, 0.5),
               HeunParams(1.0 / 0.4, -0.2, 0.5, 2.0, 1.5, 0.5)):
-        assert heun_local(p, 0.0) == 1.0
+        assert HeunEvaluator(p)(0.0) == 1.0
 
 
 def test_alpha_zero_q_zero_is_constant():
     p = HeunParams(3.0, 0.0, 0.0, 1.5, 0.5, 0.5)
     for z in (0.0, 0.2, 0.5, 0.9, 0.999):
-        assert heun_local(p, z) == pytest.approx(1.0, abs=1e-15)
+        assert HeunEvaluator(p)(z) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hl1_at_half_vs_ode():
     p1, _ = lame_heun_params(0.4, 0.67)
-    val = heun_local(p1, 0.5)
+    val = HeunEvaluator(p1)(0.5)
     oracle = ode_oracle(p1, [0.5])[0]
     assert val == pytest.approx(oracle, abs=1e-8)
 
@@ -70,11 +68,11 @@ def test_pair_on_grid_vs_ode():
 
 
 def test_pair_normalization_and_reality():
-    v1, v2 = heun_pair(0.4, 0.67, 0.0)
-    assert (v1, v2) == (1.0, 1.0)
+    pair = [HeunEvaluator(p) for p in lame_heun_params(0.4, 0.67)]
+    assert [ev(0.0) for ev in pair] == [1.0, 1.0]
+    pair = [HeunEvaluator(p) for p in lame_heun_params(0.73, 1.1)]
     for z in (0.3, 0.7, 0.95):
-        v1, v2 = heun_pair(0.73, 1.1, z)
-        assert math.isfinite(v1) and math.isfinite(v2)
+        assert all(math.isfinite(ev(z)) for ev in pair)
 
 
 def test_ode_residual_of_values():
@@ -109,7 +107,7 @@ def test_value_at_one_is_one_sided_limit():
     p1, p2 = lame_heun_params(0.4, 0.6674427700743268)
     for p in (p1, p2):
         ev = HeunEvaluator(p)
-        lim = ev.value_at_one()
+        lim = float(ev.A)          # f(1) = A, the u0 coefficient at z = 1
         near = ev(1.0 - 1e-10)
         assert lim == pytest.approx(near, abs=1e-4)
         assert math.isfinite(lim)
@@ -118,7 +116,7 @@ def test_value_at_one_is_one_sided_limit():
 def test_domain_guards():
     p = HeunParams(2.0, 0.1, 0.0, 1.5, 0.5, 0.5)
     with pytest.raises(HeunDomainError):
-        heun_local(p, 1.2)
+        HeunEvaluator(p)(1.2)
     with pytest.raises(HeunDomainError):
         HeunParams(0.9, 0.1, 0.0, 1.5, 0.5, 0.5)
     with pytest.raises(HeunDomainError):
