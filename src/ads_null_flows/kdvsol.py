@@ -439,15 +439,6 @@ class KkshSpec:
         kap = _dual_ds(u) + _dual_mul(u, u)
         return float(kap[0, 1] - 6.0 * kap[0, 0] * kap[1, 0] + 6.0 * kap[3, 0])
 
-    def kdv_residual_fd(self, s, t: float = 0.0, dt: float = 1e-6) -> float:
-        """Same residual with the t-derivative by central differences of the
-        closed form (cross-check of the analytic route)."""
-        k0, k1, _, k3 = self.kappa_jet(s, t, order=3)
-        km2, km1 = self.kappa(s, t - 2 * dt), self.kappa(s, t - dt)
-        kp1, kp2 = self.kappa(s, t + dt), self.kappa(s, t + 2 * dt)
-        kt = (km2 - 8 * km1 + 8 * kp1 - kp2) / (12.0 * dt)
-        return kt + k3 - 6.0 * k0 * k1
-
 
 # ------------------------------------------------------- double periodicity
 

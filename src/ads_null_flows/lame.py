@@ -8,10 +8,12 @@ The fundamental matrix, arranged as
     delta'   = delta [[0, 2 mu sn^2 - h], [1, 0]],
 
 transports by left multiplication over the potential period:
-delta(s + 2K) = M delta(s) with monodromy M = delta(2K).  An eigenvalue h is
-in the Floquet spectrum when M has finite order; its characteristic exponent
-q in [0,1] is the eigenvalue phase over pi, i.e. tau(h) := tr M / 2 =
-cos(q pi).
+delta(s + 2K) = M delta(s) with monodromy M = delta(2K).  The potential is
+even, so delta(-s) = S delta(s) S with S = diag(1, -1), and the half period
+fixes M = Q S Q^{-1} S with Q = delta(K) (Hill's-equation parity; Magnus &
+Winkler, Hill's Equation, 1966).  An eigenvalue h is in the Floquet spectrum
+when M has finite order; its characteristic exponent q in [0,1] is the
+eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).
 
 Eigenvalue search: the potential is one-gap, so Hermite's solution
 y = H(u + alpha)/Theta(u) exp(-u Z(alpha)) (Whittaker & Watson, ch. XXIII)
@@ -25,9 +27,10 @@ theta increases strictly with h on each band, so the eigenvalues with
 exponent q are the roots of theta(h) = 2 pi j -+ (1 - q) pi, taken in
 increasing order below the search ceiling (q in {0, 1}: the upper-band
 coexistence points theta = (2j + 1 + q) pi, where M = +-Id).  Each root is
-bracketed by its band and found by brentq; only then is the monodromy
-integrated by DOP853, once per eigenvalue, and this ODE route stays the
-oracle for tau.  lame_monodromy is the module's only DOP853 integration.
+bracketed by its band and found by brentq; only then is the half-period
+frame Q integrated by DOP853 over [0, K], once per eigenvalue, and M follows
+from Q by parity; this ODE route stays the oracle for tau.  lame_monodromy is
+the module's only DOP853 integration.
 
 The fundamental solutions are produced two independent ways: the order-6
 Magnus kernel of ads_null_flows.transport on the sl2 generator
@@ -138,18 +141,33 @@ def _lame_generator(mu: float, h: float):
     return generator
 
 
+def _check_h(h: float) -> float:
+    h = float(h)
+    if not math.isfinite(h):
+        raise UsageError(f"h must be finite, got {h}")
+    return h
+
+
 def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:
-    """delta(2K(mu)): frame transport over one potential period, by DOP853
-    (the ODE oracle of floquet_search's gate)."""
+    """delta(2K(mu)), the ODE oracle of floquet_search's gate, from the
+    half-period frame Q = delta(K) = [[a, b], [c, d]] by DOP853 on [0, K].
+
+    The potential is even, so delta(-s) = S delta(s) S with S = diag(1, -1),
+    and M = delta(K) delta(-K)^{-1} = Q S Q^{-1} S.  With the adjugate for
+    Q^{-1} this is [[ad + bc, 2ab], [2cd, ad + bc]], whose determinant
+    (ad - bc)^2 keeps the integration's drift for the check below."""
     mu = _check_mu(mu)
+    h = _check_h(h)
     K, _ = complete_elliptic(mu)
     y0 = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0]     # Id, then (sn, cn, dn)(0)
-    sol = solve_ivp(_lame_rhs_factory(mu, h), (0.0, 2.0 * K), y0, method="DOP853",
+    sol = solve_ivp(_lame_rhs_factory(mu, h), (0.0, K), y0, method="DOP853",
                     rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
         raise IntegrationFailure(f"Lame integration failed: {sol.message}")
-    M = sol.y[:4, -1].reshape(2, 2)
+    a, b, c, d = sol.y[:4, -1].tolist()
+    tau = a * d + b * c
+    M = np.array([[tau, 2.0 * a * b], [2.0 * c * d, tau]])
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-10:
         raise IntegrationFailure(f"monodromy determinant drift {det - 1.0:.2e}")
@@ -244,6 +262,7 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> LameSolutionPath:
     """cl, sl and derivatives on the grid by Magnus transport from delta(0) = Id."""
     mu = _check_mu(mu)
+    h = _check_h(h)
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(np.diff(s_grid) <= 0) and len(s_grid) > 1:
         raise ValueError("s_grid must be strictly increasing")
@@ -257,7 +276,7 @@ class HeunLameEvaluator:
 
     def __init__(self, mu: float, h: float):
         self.mu = _check_mu(mu)
-        self.h = h
+        self.h = h = _check_h(h)
         self.K, _ = complete_elliptic(mu)
         self._jacobi = JacobiScalar(mu)
         self._hl = [HeunEvaluator(p) for p in lame_heun_params(mu, h)]

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
 from ads_null_flows import lame
-from ads_null_flows.config import DEFAULT
+from ads_null_flows.config import DEFAULT, UsageError
 from ads_null_flows.lame import (
     FloquetRecord,
     HeunLameEvaluator,
@@ -41,6 +41,50 @@ def test_monodromy_is_unimodular():
     for mu, h in ((0.4, 0.67), (0.9, 2.0), (0.6, 30.0)):
         M = lame_monodromy(mu, h)
         assert abs(np.linalg.det(M) - 1.0) <= 1e-10
+
+
+def _full_period_monodromy(mu, h):
+    """delta(2K) by DOP853 over the whole period [0, 2K], on the same 7-state
+    system (frame plus the Jacobi triple) and tolerances as lame_monodromy,
+    without the parity step."""
+    K, _ = complete_elliptic(mu)
+
+    def rhs(_, y):
+        a, b, c, d, sn, cn, dn = y.tolist()
+        w = 2.0 * mu * sn * sn - h
+        return (b, w * a, d, w * c, cn * dn, -sn * dn, -mu * sn * cn)
+
+    sol = solve_ivp(rhs, (0.0, 2.0 * K), [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+                    method="DOP853", rtol=DEFAULT.integrator_rel_tol,
+                    atol=DEFAULT.integrator_abs_tol)
+    assert sol.success
+    return sol.y[:4, -1].reshape(2, 2)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.4, 0.6, 0.9, 0.97])
+def test_half_period_monodromy_matches_full_period(mu):
+    """M from delta(K) by parity against the full-period integration: at the
+    band edges mu, 1 and 1 + mu, inside both bands, in the gap and up the
+    upper band to h = 500; and tau = M[0, 0] = M[1, 1] exactly."""
+    for h in (mu, 0.5 * (mu + 1.0), 1.0, 1.0 + 0.5 * mu, 1.0 + mu, 2.0 + mu,
+              20.0, 80.0, 500.0):
+        M, ref = lame_monodromy(mu, h), _full_period_monodromy(mu, h)
+        assert np.abs(M - ref).max() <= 1e-11 * np.abs(ref).max()
+        assert abs(0.5 * np.trace(M) - 0.5 * np.trace(ref)) <= 1e-11
+        assert M[0, 0] == M[1, 1]
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_non_finite_h_is_a_usage_error(h):
+    """A non-finite h fails fast as invalid input, before DOP853 (which would
+    not return), the Heun series or the Magnus transport (which would fail
+    as if numerically)."""
+    with pytest.raises(UsageError, match="finite"):
+        lame_monodromy(0.6, h)
+    with pytest.raises(UsageError, match="finite"):
+        HeunLameEvaluator(0.6, h)
+    with pytest.raises(UsageError, match="finite"):
+        fundamental_ode(0.6, h, [0.5, 1.0])
 
 
 def test_printed_monodromy_regression():
