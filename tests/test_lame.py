@@ -48,13 +48,8 @@ def _full_period_monodromy(mu, h):
     system (frame plus the Jacobi triple) and tolerances as lame_monodromy,
     without the parity step."""
     K, _ = complete_elliptic(mu)
-
-    def rhs(_, y):
-        a, b, c, d, sn, cn, dn = y.tolist()
-        w = 2.0 * mu * sn * sn - h
-        return (b, w * a, d, w * c, cn * dn, -sn * dn, -mu * sn * cn)
-
-    sol = solve_ivp(rhs, (0.0, 2.0 * K), [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+    sol = solve_ivp(lame._lame_rhs_factory(mu, h), (0.0, 2.0 * K),
+                    [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
                     method="DOP853", rtol=DEFAULT.integrator_rel_tol,
                     atol=DEFAULT.integrator_abs_tol)
     assert sol.success
