@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jetalg
-from .config import DEFAULT, RunConfig, UsageError, load_config
+from .config import RunConfig, UsageError, load_config
 from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
 from .kdvsol import KkshSpec, StationaryBending
 from .lame import SearchExhausted, floquet_search
@@ -51,6 +51,7 @@ from .nullcurve import (
     winding_numbers,
 )
 from .nullcurve.classify import classify_constant_closed
+from .nullcurve.evolve import KDV_GATE
 from .specfun import HeunConvergenceError, complete_elliptic
 from .transport import IntegrationFailure
 
@@ -95,6 +96,13 @@ def _positive_float(text: str) -> float:
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text}") from None
 
 
 def _float_list(text: str):
@@ -310,7 +318,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
                        rho * (1.0 if not args.wings else 0.5) + rho,
                        257)
     ev = lien_evolve(spec, grid, np.array(t_list), config)
-    meta["kdv_gate_residual"] = ev.gate_residual
+    print(f"KdV gate residual {fnum(ev.gate_residual, 3)} (tolerance {KDV_GATE:.0e})")
     # the trace drift is conjugation-invariant and stable; the raw matrix
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
     dp, dm = monodromy_trace_drift(spec, t_list, rho, config)
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("floquet", help="eigenvalue search")
     f.add_argument("--mu", type=_finite_float, required=True)
-    f.add_argument("--q", type=Fraction, required=True,
+    f.add_argument("--q", type=_fraction, required=True,
                    help="characteristic exponent, e.g. 2/5")
     f.add_argument("--count", type=int, default=2)
     f.add_argument("-o", "--outdir", default="out")
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("stationary", help="stationary curves and their evolution")
     st.add_argument("--mu", type=_finite_float, required=True)
-    st.add_argument("--q", type=Fraction, required=True)
+    st.add_argument("--q", type=_fraction, required=True)
     st.add_argument("--indices", type=_index_pair, default=(0, 1))
     st.add_argument("--periods", type=_positive_float, default=1.0)
     st.add_argument("--t", type=_float_list, default=[],
@@ -434,16 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    overrides = {}
     try:
-        for item in args.set:
-            key, _, val = item.partition("=")
-            cur = getattr(DEFAULT, key, None)
-            if cur is None:
-                ap.error(f"unknown config key {key}")
-            overrides[key] = type(cur)(val)
-        config = load_config(args.config, overrides)
-    except (ValueError, KeyError) as exc:
+        config = load_config(args.config, args.set)
+    except ValueError as exc:
         ap.error(str(exc))
     try:
         return args.func(args, config)

@@ -2,8 +2,9 @@
 
 RunConfig holds the tolerances and grid settings a run may override; fixed
 numerical choices are module constants next to their single reader.  The CLI
-builds a RunConfig from an optional key=value file plus --set overrides;
-DEFAULT is used everywhere else.
+builds a RunConfig from an optional key=value file plus --set overrides,
+both read by one parser keyed on the fields; DEFAULT is used everywhere
+else.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class RunConfig:
 
     # Floquet eigenvalue search
     scan_h_ceiling: float = 500.0    # eigenvalues are sought below this h
-    tol_h: float = 1e-10             # root tolerance on eigenvalues
     tol_floquet: float = 1e-8        # |tau - cos(q pi)| acceptance
 
     # monodromy order measurement
@@ -60,22 +60,25 @@ class RunConfig:
 DEFAULT = RunConfig()
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """key=value file (one per line, # comments) plus explicit overrides."""
-    kw = {}
+def _parse_setting(item: str) -> tuple:
+    """One key=value setting: the key of a RunConfig field and the value
+    converted to that field's type (UsageError for any other key)."""
+    key, _, val = item.partition("=")
+    key = key.strip()
+    kind = {f.name: type(f.default) for f in fields(RunConfig)}.get(key)
+    if kind is None:
+        raise UsageError(f"unknown config key {key!r}")
+    return key, kind(val.strip())
+
+
+def load_config(path: str | None = None, items=()) -> RunConfig:
+    """A key=value file (one per line, # comments), then key=value items
+    that override it, each read by _parse_setting."""
+    lines = []
     if path:
-        valid = {f.name: f.type for f in fields(RunConfig)}
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in valid:
-                    raise KeyError(f"unknown config key {key!r}")
-                cur = getattr(DEFAULT, key)
-                kw[key] = type(cur)(val.strip())
-    if overrides:
-        kw.update(overrides)
-    return RunConfig(**kw)
+        try:
+            with open(path) as fh:
+                lines = [ln for ln in (line.split("#", 1)[0] for line in fh) if ln.strip()]
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    return RunConfig(**dict(_parse_setting(item) for item in [*lines, *items]))

@@ -21,19 +21,18 @@ u = -2 d_s arctanh(phi) solves the defocusing mKdV
 u_t - 6 u^2 u_s + u_sss = 0, and kappa = u_s + u^2 solves the KdV.
 |phi| <= (mu tau)^{1/4} < 1, so arctanh stays finite everywhere.
 
-Derivatives are exact, by two independent routes.  The s-jets are closed
-form, from one (sn, cn, dn) triple per wave and the ODE
-sn'' = -(1+mu) sn + 2 mu sn^3, for a scalar s or elementwise over an array.
-Up to order 2 (the callbacks of the transport and of an ODE solver),
-kappa_jet differentiates: the Leibniz rule gives phi, ..., phi'''' from
-each factor's derivatives, the quotient rule gives psi = artanh(phi) from
-psi' (1 - phi^2) = phi', and kappa = -2 psi'' + 4 psi'^2.  From order 3
-on, each factor's Taylor series in ds and plain series arithmetic give
-phi, r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2.  Where a
-t-derivative is wanted (kappa_t, u_t and the residuals) the solution is
-instead a truncated Taylor series in ds whose coefficients are dual numbers
-c0 + c1 dt, built from sn_jet, so one pass of series arithmetic yields the
-s-derivatives and their first t-derivatives.
+Derivatives are exact and closed form, from one (sn, cn, dn) triple per
+wave and the ODE sn'' = -(1+mu) sn + 2 mu sn^3, at scalar (s, t) or
+elementwise over arrays of them.  Up to order 2 (the callbacks of the
+transport and of an ODE solver), kappa_jet differentiates: the Leibniz
+rule gives phi, ..., phi'''' from each factor's derivatives, the quotient
+rule gives psi = artanh(phi) from psi' (1 - phi^2) = phi', and
+kappa = -2 psi'' + 4 psi'^2.  From order 3 on, and for every t-derivative
+(kappa_t, u_t and the residuals), each factor's Taylor series in ds and
+plain series arithmetic give phi, r = 1/(1 - phi^2), u = -2 phi_s r and
+kappa = u_s + u^2.  The phases are linear in (s, t), so the same series
+carries the t-derivatives: d/dt of the k-th coefficient of
+sn(w s + v t + w ds) is (v/w) (k+1) times the (k+1)-th.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,43 +52,6 @@ from .specfun.elliptic import _check_mu
 
 class OutOfRange(UsageError):
     """A parameter of the family outside its domain (CLI exit code 2)."""
-
-
-# ----------------------------------------- dual (in dt) Taylor (in ds) ring
-
-def _ts_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[: len(a)]
-
-
-def _ts_recip(a: np.ndarray) -> np.ndarray:
-    n = len(a)
-    out = np.zeros(n)
-    out[0] = 1.0 / a[0]
-    for k in range(1, n):
-        out[k] = -np.dot(a[1: k + 1], out[k - 1:: -1]) / a[0]
-    return out
-
-
-def _dual_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 0] = _ts_mul(a[:, 0], b[:, 0])
-    out[:, 1] = _ts_mul(a[:, 0], b[:, 1]) + _ts_mul(a[:, 1], b[:, 0])
-    return out
-
-
-def _dual_recip(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    r0 = _ts_recip(a[:, 0])
-    out[:, 0] = r0
-    out[:, 1] = -_ts_mul(_ts_mul(r0, r0), a[:, 1])
-    return out
-
-
-def _dual_ds(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    k = np.arange(1, len(a))[:, None]
-    out[:-1, :] = a[1:, :] * k
-    return out
 
 
 # ------------------------------------- plain Taylor (in ds) series, closed form
@@ -134,6 +95,11 @@ def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
         return sn, f1, g * sn, g3 * f1
     f2 = g * sn
     return sn, f1, f2, g3 * f1, 12.0 * w2 * mu * sn * f1 * f1 + g3 * f2
+
+
+def _kappa_series(u: list, n: int) -> list:
+    """First n Taylor coefficients of kappa = u_s + u^2, from n + 1 of u."""
+    return [(k + 1) * u[k + 1] + _cauchy(u, u, k) for k in range(n)]
 
 
 def _derivatives(series: list) -> list:
@@ -300,41 +266,7 @@ class KkshSpec:
         K, _ = complete_elliptic(self.mu)
         return 4.0 * m * K / self.h
 
-    # -- dual-series evaluation ----------------------------------------------
-
-    def _phi_dual(self, s: float, t: float, n: int) -> np.ndarray:
-        """(n, 2) array: column 0 the ds-Taylor coefficients of phi, column 1
-        their first t-derivatives.  Product rule over the two sn factors with
-        phase chain factors w^a (s) and one v (t)."""
-        fp = sn_jet(self.w_plus * s + self.v_plus * t, self.mu, order=n)
-        fm = sn_jet(self.w_minus * s + self.v_minus * t, self.tau, order=n)
-        wp, wm, vp, vm = self.w_plus, self.w_minus, self.v_plus, self.v_minus
-        out = np.zeros((n, 2))
-        fact = 1.0
-        for a in range(n):
-            if a > 1:
-                fact *= a
-            s0 = 0.0
-            s1 = 0.0
-            for al in range(a + 1):
-                cab = comb(a, al) * wp ** al * wm ** (a - al)
-                s0 += cab * fp[al] * fm[a - al]
-                s1 += cab * (vp * fp[al + 1] * fm[a - al]
-                             + vm * fp[al] * fm[a - al + 1])
-            out[a, 0] = self.amp * s0 / (fact if a > 1 else 1.0)
-            out[a, 1] = self.amp * s1 / (fact if a > 1 else 1.0)
-        return out
-
-    def _u_dual(self, s: float, t: float, n: int) -> np.ndarray:
-        """Dual series of u = -2 phi_s / (1 - phi^2), length n."""
-        phi = self._phi_dual(s, t, n + 1)
-        one = np.zeros((n + 1, 2))
-        one[0, 0] = 1.0
-        den = one - _dual_mul(phi, phi)
-        u = -2.0 * _dual_mul(_dual_ds(phi), _dual_recip(den))
-        return u[:n, :]
-
-    # -- closed-form s-jets ---------------------------------------------------
+    # -- closed-form jets -----------------------------------------------------
 
     @cached_property
     def _jet_data(self):
@@ -343,45 +275,57 @@ class KkshSpec:
         return (self.w_plus, self.w_minus, self.v_plus, self.v_minus, self.amp,
                 JacobiScalar(self.mu), JacobiScalar(self.tau))
 
-    def _triples(self, s, t: float):
-        """(sn, cn, dn) of each wave at (s, t): pure floats at a scalar s,
-        arrays (elementwise) otherwise."""
+    def _triples(self, s, t):
+        """(sn, cn, dn) of each wave at (s, t): pure floats at a scalar s and
+        t, arrays (elementwise) otherwise."""
         wp, wm, vp, vm, _, sn_plus, sn_minus = self._jet_data
-        if isinstance(s, (int, float)):
+        if isinstance(s, (int, float)) and isinstance(t, (int, float)):
             return sn_plus(wp * s + vp * t), sn_minus(wm * s + vm * t)
         s = np.asarray(s, dtype=float)
         return (jacobi_sncndn(wp * s + vp * t, self.mu),
                 jacobi_sncndn(wm * s + vm * t, self.tau))
 
-    def _u_series(self, s, t: float, n: int) -> list:
-        """First n Taylor coefficients in ds of u = -2 phi_s r at (s, t),
-        r = 1/(1 - phi^2); s a scalar or an array (elementwise)."""
-        wp, wm, _, _, amp, _, _ = self._jet_data
+    def _u_series(self, s, t, n: int) -> tuple:
+        """First n Taylor coefficients in ds of u and of u_t at (s, t); s and
+        t scalars or arrays (elementwise).
+
+        With psi = artanh(phi) and r = 1/(1 - phi^2), u = -2 psi_s and
+        u_t = -2 (psi_t)_s, where psi_s = phi_s r and psi_t = phi_t r.  The
+        phases are linear in (s, t), so the t-derivative of the k-th
+        coefficient of a wave with phase rates (w, v) is (v/w) (k+1) times
+        its (k+1)-th."""
+        wp, wm, vp, vm, amp, _, _ = self._jet_data
         trip_p, trip_m = self._triples(s, t)
-        fp = _sn_series(*trip_p, self.mu, wp, n + 1)
-        fm = _sn_series(*trip_m, self.tau, wm, n + 1)
+        fp = _sn_series(*trip_p, self.mu, wp, n + 2)
+        fm = _sn_series(*trip_m, self.tau, wm, n + 2)
+        fp_t = [vp / wp * (k + 1) * fp[k + 1] for k in range(n + 1)]
+        fm_t = [vm / wm * (k + 1) * fm[k + 1] for k in range(n + 1)]
         phi = [amp * _cauchy(fp, fm, k) for k in range(n + 1)]
+        phi_t = [amp * (_cauchy(fp_t, fm, k) + _cauchy(fp, fm_t, k)) for k in range(n + 1)]
         # r (1 - phi^2) = 1, with sq1[j] the (j+1)-th coefficient of phi^2
-        sq1 = [_cauchy(phi, phi, k) for k in range(1, n)]
+        sq1 = [_cauchy(phi, phi, k) for k in range(1, n + 1)]
         r = [1.0 / (1.0 - phi[0] * phi[0])]
-        for k in range(n - 1):
+        for k in range(n):
             r.append(r[0] * _cauchy(sq1, r, k))
         dphi = [(k + 1) * phi[k + 1] for k in range(n)]
-        return [-2.0 * _cauchy(dphi, r, k) for k in range(n)]
+        psi_t = [_cauchy(phi_t, r, k) for k in range(n + 1)]
+        return ([-2.0 * _cauchy(dphi, r, k) for k in range(n)],
+                [-2.0 * (k + 1) * psi_t[k + 1] for k in range(n)])
 
-    def u_jet(self, s, t: float = 0.0, order: int = 3):
+    def u_jet(self, s, t=0.0, order: int = 3):
         """[u, u_s, ..., u^(order)] (derivative values), closed form."""
-        return _derivatives(self._u_series(s, t, order + 1))
+        return _derivatives(self._u_series(s, t, order + 1)[0])
 
-    def u(self, s, t: float = 0.0):
+    def u(self, s, t=0.0):
         return self.u_jet(s, t, order=0)[0]
 
-    def u_t(self, s, t: float = 0.0) -> float:
-        return float(self._u_dual(float(s), t, 1)[0, 1])
+    def u_t(self, s, t=0.0):
+        return self._u_series(s, t, 1)[1][0]
 
-    def kappa_jet(self, s, t: float = 0.0, order: int = 3):
+    def kappa_jet(self, s, t=0.0, order: int = 3):
         """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
-        form; s a scalar (floats returned) or an array (arrays returned).
+        form; s and t scalars (floats returned) or arrays (arrays returned,
+        elementwise).
 
         Up to order 2 the jet is differentiated directly: the Leibniz rule
         gives phi, ..., phi^(order+2) of phi = a P M from the two sn jets;
@@ -390,9 +334,8 @@ class KkshSpec:
         psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  Higher
         orders take the Taylor series of u."""
         if order > 2:
-            u = self._u_series(s, t, order + 2)
-            return _derivatives([(k + 1) * u[k + 1] + _cauchy(u, u, k)
-                                 for k in range(order + 1)])
+            u, _ = self._u_series(s, t, order + 2)
+            return _derivatives(_kappa_series(u, order + 1))
         wp, wm, _, _, amp, _, _ = self._jet_data
         trip_p, trip_m = self._triples(s, t)
         P = _sn_derivatives(trip_p, self.mu, wp, order + 2)
@@ -418,26 +361,26 @@ class KkshSpec:
             out.append(8.0 * (s2 * s2 + s1 * s3) - 2.0 * s4)
         return out
 
-    def kappa(self, s, t: float = 0.0):
+    def kappa(self, s, t=0.0):
         return self.kappa_jet(s, t, order=0)[0]
 
-    def kappa_t(self, s, t: float = 0.0) -> float:
-        u = self._u_dual(float(s), t, 2)
-        kap = _dual_ds(u) + _dual_mul(u, u)
-        return float(kap[0, 1])
+    def kappa_t(self, s, t=0.0):
+        """kappa_t = (u_t)_s + 2 u u_t."""
+        u, u_t = self._u_series(s, t, 2)
+        return u_t[1] + 2.0 * u[0] * u_t[0]
 
     # -- residuals ------------------------------------------------------------
 
-    def mkdv_residual(self, s, t: float = 0.0) -> float:
+    def mkdv_residual(self, s, t=0.0):
         """u_t - 6 u^2 u_s + u_sss, everything analytic."""
-        u = self._u_dual(float(s), t, 4)
-        return float(u[0, 1] - 6.0 * u[0, 0] ** 2 * u[1, 0] + 6.0 * u[3, 0])
+        u, u_t = self._u_series(s, t, 4)
+        return u_t[0] - 6.0 * u[0] ** 2 * u[1] + 6.0 * u[3]
 
-    def kdv_residual(self, s, t: float = 0.0) -> float:
+    def kdv_residual(self, s, t=0.0):
         """kappa_t - 6 kappa kappa_s + kappa_sss, everything analytic."""
-        u = self._u_dual(float(s), t, 5)
-        kap = _dual_ds(u) + _dual_mul(u, u)
-        return float(kap[0, 1] - 6.0 * kap[0, 0] * kap[1, 0] + 6.0 * kap[3, 0])
+        u, u_t = self._u_series(s, t, 5)
+        k = _kappa_series(u, 4)
+        return u_t[1] + 2.0 * u[0] * u_t[0] - 6.0 * k[0] * k[1] + 6.0 * k[3]
 
 
 # ------------------------------------------------------- double periodicity

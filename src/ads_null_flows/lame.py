@@ -239,8 +239,9 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         if target > theta_max or len(records) >= count:
             break
         lo, hi = (mu, 1.0) if target < 0.0 else (1.0 + mu, top)
+        # xtol at its floor: the root to the rounding of h (brentq's least rtol)
         h = float(brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
-                         xtol=config.tol_h, rtol=8.9e-16))
+                         xtol=math.ulp(0.0), rtol=8.9e-16))
         # the ODE monodromy must confirm the closed-form root; at q in
         # {0, 1} it must be the double point M = +-Id
         M = lame_monodromy(mu, h, config)

@@ -9,7 +9,9 @@ extended frames at spectral parameters +-1 satisfy
     d_s F+- = F+- K_{+-1},   K_lam = [[0, kappa + lam], [1, 0]],
 
 and gamma = F+ F-^{-1} evolves by the lowest flow with bending kappa.  The
-construction transports the t-systems along s = 0 first (A+-(t), from Id),
+bending is a BendingSampler, whose kappa_jet and kappa_t take scalar or
+array (s, t); lien_evolve first gates it on the KdV residual over a grid of
+probes, one array call of each.  The construction transports the t-systems along s = 0 first (A+-(t), from Id),
 then the s-systems for each requested t, F+-(s, t) = A+-(t) Phi+-(s, t) with
 Phi+-(0, t) = Id.  Every transport is the Magnus kernel of
 ads_null_flows.transport: one array call of kappa_jet per block of steps
@@ -55,23 +57,22 @@ class KdVResidualTooLarge(ValueError):
 
 class BendingSampler(Protocol):
     """Bending with analytic s-jets and a t-derivative (for the input gate).
-    kappa_jet takes a scalar s or, elementwise, an array of them."""
+    Both take scalar s and t or, elementwise, arrays of them."""
 
-    def kappa_jet(self, s, t: float = 0.0, order: int = 3) -> list: ...
+    def kappa_jet(self, s, t=0.0, order: int = 3) -> list: ...
 
-    def kappa_t(self, s: float, t: float = 0.0) -> float: ...
+    def kappa_t(self, s, t=0.0): ...
 
 
 def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
              tol: float) -> float:
-    """Max |kappa_t - 6 kappa kappa_s + kappa_sss| over the probe grid."""
-    worst = 0.0
-    for t in t_probes:
-        for s in s_probes:
-            k0, k1, _, k3 = sampler.kappa_jet(float(s), float(t), order=3)
-            r = sampler.kappa_t(float(s), float(t)) - 6.0 * k0 * k1 + k3
-            worst = max(worst, abs(r))
-    if worst > tol:
+    """Max |kappa_t - 6 kappa kappa_s + kappa_sss| over the probe grid, from
+    one array call of each; a NaN residual fails the gate."""
+    s, t = np.meshgrid(np.asarray(s_probes, dtype=float),
+                       np.asarray(t_probes, dtype=float))
+    k0, k1, _, k3 = sampler.kappa_jet(s, t, order=3)
+    worst = float(np.abs(sampler.kappa_t(s, t) - 6.0 * k0 * k1 + k3).max())
+    if not worst <= tol:
         raise KdVResidualTooLarge(
             f"bending violates the KdV residual gate: {worst:.3e} > {tol:.1e}")
     return worst

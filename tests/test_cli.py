@@ -44,7 +44,7 @@ def test_hierarchy_text_is_pinned(tmp_path):
     assert main(["hierarchy", "--n-max", "8", "--lien", "--verify",
                  "-o", str(out)]) == 0
     pins = {"hierarchy.txt": "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a",
-            "hierarchy.json": "a471043a481f7b20390790869717ac108beaeadeda233a76743a9849b7b7d85d"}
+            "hierarchy.json": "a7aa0f4c2ebb48575eb3c361dfc32b6064a422c8886d6319e0f8c66a76b04168"}
     for name, pin in pins.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
 
@@ -82,14 +82,42 @@ def test_set_value_conversion_error_exit_code():
 
 def test_set_non_finite_value_exit_code():
     with pytest.raises(SystemExit) as exc:
-        main(["--set", "tol_h=nan", "check"])
+        main(["--set", "tol_floquet=nan", "check"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("item", ["digest=1", "__post_init__=x", "__doc__=x",
+                                  "with_overrides=1", "=1", "tol_metric"])
+def test_set_non_field_exit_code(item):
+    """Only RunConfig fields are keys, so a method or a dunder is unknown."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--set", item, "check"])
+    assert exc.value.code == 2
+
+
+def test_unreadable_config_file_exit_code(tmp_path):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "check"])
+        assert exc.value.code == 2
+
+
+def test_config_file_and_set_share_one_parser(tmp_path, capsys):
+    """A file line and a --set item are read alike; --set wins."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# tolerances\n tol_metric = 1e-18  # too tight\n\n")
+    assert main(["--config", str(cfg), "check"]) == 1
+    assert main(["--config", str(cfg), "--set", "tol_metric=1e-8", "check"]) == 0
+    cfg.write_text("digest = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "check"])
     assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("key", [
     "tol_det", "tol_wronskian", "limit_levels", "limit_tol",
     "order_tol", "tol_central", "orbit_type_tol", "rationalize_cap",
-    "rationalize_tol", "kdv_residual_gate", "output_digits"])
+    "rationalize_tol", "kdv_residual_gate", "output_digits", "tol_h"])
 def test_removed_config_keys_exit_code(key, tmp_path):
     # 1 parses as an int and a float, so only the unknown key can exit 2
     with pytest.raises(SystemExit) as exc:
@@ -110,13 +138,42 @@ def test_floquet_mu_outside_domain_exit_code(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("q", ["7/5", "abc"])
+@pytest.mark.parametrize("q", ["7/5", "abc", "1/0"])
 def test_floquet_bad_exponent_exit_code(tmp_path, q):
     out = tmp_path / "fq"
     with pytest.raises(SystemExit) as exc:
         main(["floquet", "--mu", "0.4", "--q", q, "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_stationary_zero_denominator_exit_code(tmp_path):
+    out = tmp_path / "sq"
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--mu", "0.9", "--q", "1/0", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_floquet_orders_in_a_narrow_lower_band(tmp_path):
+    """The eigenvalues are found to the rounding of h: in the lower band
+    [0.97, 1], where theta rises by about 70 per unit h, a root 1e-10 off
+    in h missed ORDER_TOL and exported order -1 for index 0."""
+    out = tmp_path / "fn"
+    assert main(["floquet", "--mu", "0.97", "--q", "3/7", "--count", "6",
+                 "-o", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "floquet.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [int(r[3]) for r in rows] == [14] * 6
+
+
+@pytest.mark.parametrize("q", ["1/97", "96/97"])
+def test_floquet_gate_at_a_band_edge(tmp_path, q):
+    """At mu = 0.999 the lower band is 1e-3 wide; a root 1e-10 off in h
+    missed the Floquet gate by 2.6e-8 > tol_floquet and exited 1."""
+    out = tmp_path / "fe"
+    assert main(["floquet", "--mu", "0.999", "--q", q, "--count", "2",
+                 "-o", str(out)]) == 0
 
 
 def test_constant_invalid_pair_exit_code(tmp_path):
@@ -318,12 +375,15 @@ def test_console_entry_point_help():
     assert "hierarchy" in proc.stdout and "kksh" in proc.stdout
 
 
-def test_kksh_find_mu_star(tmp_path):
+def test_kksh_find_mu_star(tmp_path, capsys):
     out = tmp_path / "k"
     code = main(["kksh", "--mn", "1,6", "--h", "2", "--find-mu-star",
                  "--invariant-grid", "2", "-o", str(out)])
     assert code == 0
+    # the gate's rounding-level residual is reported, not exported
+    assert "KdV gate residual" in capsys.readouterr().out
     doc = json.loads((out / "kksh_t0.json").read_text())
+    assert "kdv_gate_residual" not in doc["meta"]
     assert doc["meta"]["mu_star"] == pytest.approx(0.61503966, abs=1e-6)
     assert doc["meta"]["orbit_type"] == "(H,E)"
     assert doc["meta"]["rho"] == pytest.approx(3.93231, abs=1e-3)

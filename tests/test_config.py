@@ -10,7 +10,7 @@ from ads_null_flows.config import DEFAULT, RunConfig
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_rejects_non_finite_and_non_positive(value):
     with pytest.raises(ValueError):
-        RunConfig(tol_h=value)
+        RunConfig(tol_floquet=value)
     with pytest.raises(ValueError):
         DEFAULT.with_overrides(integrator_rel_tol=value)
 

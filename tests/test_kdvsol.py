@@ -16,9 +16,79 @@ from ads_null_flows.kdvsol import (
     tau_mn,
     time_period_residual,
 )
-from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn
+from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn, sn_jet
 
 MU_STAR = 0.6150396634356605   # converged zero of the rotation condition
+
+
+# ------------------------------------------------- dual-number reference
+#
+# The reference route for the KKSH jets: a truncated Taylor series in ds
+# whose coefficients are dual numbers c0 + c1 dt, as (n, 2) arrays.  phi
+# comes from sn_jet by the Leibniz rule over the two sn factors, with chain
+# factors w^a for s and one v for t, so one pass of series arithmetic gives
+# the s-derivatives and their first t-derivatives.
+
+def _ts_mul(a, b):
+    return np.convolve(a, b)[: len(a)]
+
+
+def _ts_recip(a):
+    out = np.zeros(len(a))
+    out[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        out[k] = -np.dot(a[1: k + 1], out[k - 1:: -1]) / a[0]
+    return out
+
+
+def _dual_mul(a, b):
+    out = np.empty_like(a)
+    out[:, 0] = _ts_mul(a[:, 0], b[:, 0])
+    out[:, 1] = _ts_mul(a[:, 0], b[:, 1]) + _ts_mul(a[:, 1], b[:, 0])
+    return out
+
+
+def _dual_recip(a):
+    out = np.empty_like(a)
+    r0 = _ts_recip(a[:, 0])
+    out[:, 0] = r0
+    out[:, 1] = -_ts_mul(_ts_mul(r0, r0), a[:, 1])
+    return out
+
+
+def _dual_ds(a):
+    out = np.zeros_like(a)
+    out[:-1, :] = a[1:, :] * np.arange(1, len(a))[:, None]
+    return out
+
+
+def _phi_dual(spec, s, t, n):
+    """Dual series of phi at (s, t), length n."""
+    wp, wm, vp, vm = spec.w_plus, spec.w_minus, spec.v_plus, spec.v_minus
+    fp = sn_jet(wp * s + vp * t, spec.mu, order=n)
+    fm = sn_jet(wm * s + vm * t, spec.tau, order=n)
+    out = np.zeros((n, 2))
+    for a in range(n):
+        for al in range(a + 1):
+            cab = math.comb(a, al) * wp ** al * wm ** (a - al)
+            out[a, 0] += cab * fp[al] * fm[a - al]
+            out[a, 1] += cab * (vp * fp[al + 1] * fm[a - al]
+                                + vm * fp[al] * fm[a - al + 1])
+    return spec.amp * out / np.array([math.factorial(a) for a in range(n)])[:, None]
+
+
+def _u_dual(spec, s, t, n):
+    """Dual series of u = -2 phi_s / (1 - phi^2), length n."""
+    phi = _phi_dual(spec, s, t, n + 1)
+    one = np.zeros((n + 1, 2))
+    one[0, 0] = 1.0
+    u = -2.0 * _dual_mul(_dual_ds(phi), _dual_recip(one - _dual_mul(phi, phi)))
+    return u[:n]
+
+
+def _dual_kappa_t(spec, s, t):
+    u = _u_dual(spec, s, t, 2)
+    return (_dual_ds(u) + _dual_mul(u, u))[0, 1]
 
 
 # ------------------------------------------------------------- stationary
@@ -140,14 +210,13 @@ def test_kksh_phi_bound():
     assert bound < 1.0
     for _ in range(300):
         s, t = rng.uniform(-5, 5), rng.uniform(-1, 1)
-        phi = spec._phi_dual(s, t, 1)[0, 0]
+        phi = _phi_dual(spec, s, t, 1)[0, 0]
         assert abs(phi) <= bound + 1e-12
 
 
 def _dual_kappa_jet(spec, s, t, order):
-    """[kappa, ..., kappa^(order)] from the dual series of u (the reference
-    route the t-derivatives still take)."""
-    u = spec._u_dual(s, t, order + 2)[:, 0]
+    """[kappa, ..., kappa^(order)] from the dual series of u."""
+    u = _u_dual(spec, s, t, order + 2)[:, 0]
     coef = [(k + 1) * u[k + 1] + sum(u[i] * u[k - i] for i in range(k + 1))
             for k in range(order + 1)]
     return np.array([c * math.factorial(k) for k, c in enumerate(coef)])
@@ -180,6 +249,35 @@ def test_kksh_closed_form_jet_matches_dual_series(spec):
                 assert arr[k].shape == s.shape
                 np.testing.assert_allclose(arr[k], scalar[:, k], rtol=1e-13,
                                            atol=1e-13 * scale[k])
+
+
+@pytest.mark.parametrize("spec", [
+    KkshSpec.with_quantum_numbers(MU_STAR, 1, 6, 2.0),
+    KkshSpec(0.3, 0.7, 1.3),
+    KkshSpec(0.85, 0.2, 0.6),
+], ids=["mn16_h2", "mu03_tau07", "mu085_tau02"])
+def test_kksh_t_derivatives_match_dual_series(spec):
+    """kappa_t and u_t from the s-series (each coefficient's t-rate read off
+    the next one) agree with the dual series within 1e-13 of their largest
+    value, at scalar (s, t), at arrays of both, and at an array s with a
+    scalar t."""
+    rng = np.random.default_rng(23)
+    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 200)
+    t = rng.uniform(-1.0, 1.0, 200)
+    ref_k = np.array([_dual_kappa_t(spec, a, b) for a, b in zip(s, t)])
+    ref_u = np.array([_u_dual(spec, a, b, 1)[0, 1] for a, b in zip(s, t)])
+    for got_of, ref in ((spec.kappa_t, ref_k), (spec.u_t, ref_u)):
+        bound = 1e-13 * np.abs(ref).max()
+        scalar = [got_of(float(a), float(b)) for a, b in zip(s, t)]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.abs(np.array(scalar) - ref).max() <= bound
+        assert np.abs(got_of(s, t) - ref).max() <= bound
+        grid = got_of(s.reshape(10, 20), t.reshape(10, 20))
+        assert grid.shape == (10, 20)
+        assert np.abs(grid.ravel() - ref).max() <= bound
+        t0 = float(t[0])
+        ref0 = np.array([got_of(float(a), t0) for a in s])
+        assert np.abs(got_of(s, t0) - ref0).max() <= bound
 
 
 @pytest.mark.parametrize("spec", [

@@ -11,6 +11,7 @@ from ads_null_flows.nullcurve import (
     bending_oracle,
     classify_monodromies,
     evolve_stationary_path,
+    kdv_gate,
     lien_evolve,
 )
 
@@ -33,6 +34,38 @@ class BrokenSampler:
 def test_gate_rejects_non_solutions():
     with pytest.raises(KdVResidualTooLarge):
         lien_evolve(BrokenSampler(), np.linspace(0, 1, 5), np.array([0.0, 0.1]))
+
+
+class ScaledKappaT:
+    """A bending whose kappa_t is off by the factor 1 + rel."""
+
+    def __init__(self, sampler, rel):
+        self.sampler, self.rel = sampler, rel
+
+    def kappa_jet(self, s, t=0.0, order=3):
+        return self.sampler.kappa_jet(s, t, order=order)
+
+    def kappa_t(self, s, t=0.0):
+        return (1.0 + self.rel) * self.sampler.kappa_t(s, t)
+
+
+@pytest.mark.parametrize("recipe", ["check", "kksh"])
+def test_gate_on_probe_arrays(recipe):
+    """On the probes of the check and kksh recipes, one array call of
+    kappa_jet and of kappa_t: the exact bendings pass at the rounding, and
+    a kappa_t scaled by 1 + 1e-3 (max |kappa_t| is 7.9 and 4e4) fails."""
+    if recipe == "check":
+        sampler = StationaryBending(MU, H_PLUS, H_MINUS)
+        s_end, t_end = sampler.s_period, 0.2
+    else:
+        sampler = kksh()
+        s_end, t_end = 2.0 * sampler.s_period(), 1.611855
+    s_probe, t_probe = np.linspace(0.0, s_end, 12), np.linspace(0.0, t_end, 6)
+    assert kdv_gate(sampler, s_probe, t_probe, 1e-3) <= 1e-9
+    with pytest.raises(KdVResidualTooLarge):
+        kdv_gate(ScaledKappaT(sampler, 1e-3), s_probe, t_probe, 1e-3)
+    with pytest.raises(KdVResidualTooLarge):
+        kdv_gate(ScaledKappaT(sampler, np.nan), s_probe, t_probe, 1e-3)
 
 
 def test_cross_validation_with_rigid_evolution():
