@@ -202,8 +202,7 @@ def cmd_floquet(args, config: RunConfig) -> int:
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator,
                              args.count, config)
     outdir = Path(args.outdir)
-    rows = [(r.index, r.h, r.tau, r.order if r.order is not None else -1)
-            for r in records]
+    rows = [(r.index, r.h, r.tau, r.order) for r in records]
     write_csv(outdir / "floquet.csv", "floquet", config,
               ("index", "h", "tau", "order"), rows)
     for r in records:

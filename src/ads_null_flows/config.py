@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 
 class UsageError(ValueError):
@@ -27,9 +27,6 @@ class RunConfig:
     # Floquet eigenvalue search
     scan_h_ceiling: float = 500.0    # eigenvalues are sought below this h
     tol_floquet: float = 1e-8        # |tau - cos(q pi)| acceptance
-
-    # monodromy order measurement
-    order_max: int = 10_000
 
     # geometry tolerance
     tol_metric: float = 1e-8
@@ -48,9 +45,6 @@ class RunConfig:
                     f"config field {f.name} must be positive and finite, got {v}")
         if self.min_points_per_period < 8:
             raise UsageError("grid density must be at least 8 points per period")
-
-    def with_overrides(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
     def digest(self) -> str:
         body = ";".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))

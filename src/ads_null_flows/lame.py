@@ -13,7 +13,10 @@ even, so delta(-s) = S delta(s) S with S = diag(1, -1), and the half period
 fixes M = Q S Q^{-1} S with Q = delta(K) (Hill's-equation parity; Magnus &
 Winkler, Hill's Equation, 1966).  An eigenvalue h is in the Floquet spectrum
 when M has finite order; its characteristic exponent q in [0,1] is the
-eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).
+eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).  For a
+reduced q = p/d the order follows from q alone: M has eigenvalues
+exp(+-i pi q), so M^n = Id first at n = d for even p and n = 2d for odd p
+(1 and 2 at the coexistence points q = 0, 1, where M = +-Id).
 
 Eigenvalue search: the potential is one-gap, so Hermite's solution
 y = H(u + alpha)/Theta(u) exp(-u Z(alpha)) (Whittaker & Watson, ch. XXIII)
@@ -29,10 +32,12 @@ increasing order below the search ceiling (q in {0, 1}: the upper-band
 coexistence points theta = (2j + 1 + q) pi, where M = +-Id).  Each root is
 bracketed by its band and found by brentq; only then is the half-period
 frame Q integrated by DOP853 over [0, K], once per eigenvalue, and M follows
-from Q by parity; this ODE route stays the oracle for tau.  lame_monodromy is
-the module's only DOP853 integration.
+from Q by parity; this ODE route stays the oracle for tau, and so for the
+order (at q in {0, 1} the gate also checks that M is diagonal).
+lame_monodromy is the module's only DOP853 integration.
 
-The fundamental solutions are produced two independent ways: the order-6
+The fundamental matrix on a grid, an (n, 2, 2) stack of delta(s), is
+produced two independent ways: the order-6
 Magnus kernel of ads_null_flows.transport on the sl2 generator
 (0, 2 mu sn^2 - h, 1), one transport from delta(0) = Id through the whole
 grid, and the closed form through the two local Heun functions
@@ -59,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Literal, Optional
+from typing import List
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -70,8 +75,6 @@ from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_snc
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
 from .transport import EPS, IntegrationFailure, transport
-
-ORDER_TOL = 1e-6     # ||M^n - Id||_max at which monodromy_order stops
 
 
 class SearchExhausted(RuntimeError):
@@ -86,36 +89,19 @@ class FloquetRecord:
     index: int
     h: float
     monodromy: np.ndarray
-    order: Optional[int]          # None = no n <= order_max with M^n = Id
 
     @property
     def q(self) -> float:
         return self.q_num / self.q_den
 
     @property
+    def order(self) -> int:
+        """The least n with M^n = Id, from q = p/d: d for even p, 2d for odd p."""
+        return self.q_den if self.q_num % 2 == 0 else 2 * self.q_den
+
+    @property
     def tau(self) -> float:
         return 0.5 * float(np.trace(self.monodromy))
-
-
-@dataclass
-class LameSolutionPath:
-    mu: float
-    h: float
-    s_grid: np.ndarray
-    cl: np.ndarray
-    clp: np.ndarray
-    sl: np.ndarray
-    slp: np.ndarray
-    method: Literal["ode", "heun"]
-
-    def wronskian(self) -> np.ndarray:
-        return self.cl * self.slp - self.clp * self.sl
-
-    def matrices(self) -> np.ndarray:
-        out = np.empty((len(self.s_grid), 2, 2))
-        out[:, 0, 0], out[:, 0, 1] = self.cl, self.clp
-        out[:, 1, 0], out[:, 1, 1] = self.sl, self.slp
-        return out
 
 
 def _lame_rhs_factory(mu: float, h: float):
@@ -172,16 +158,6 @@ def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarr
     if abs(det - 1.0) > 1e-10:
         raise IntegrationFailure(f"monodromy determinant drift {det - 1.0:.2e}")
     return M
-
-
-def monodromy_order(M: np.ndarray, config: RunConfig = DEFAULT) -> Optional[int]:
-    """Smallest n <= order_max with ||M^n - Id||_max <= ORDER_TOL, else None."""
-    P = np.eye(2)
-    for n in range(1, config.order_max + 1):
-        P = P @ M
-        if np.abs(P - np.eye(2)).max() <= ORDER_TOL:
-            return n
-    return None
 
 
 def hermite_phase(mu: float, h: float) -> float:
@@ -242,16 +218,16 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         # xtol at its floor: the root to the rounding of h (brentq's least rtol)
         h = float(brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
                          xtol=math.ulp(0.0), rtol=8.9e-16))
-        # the ODE monodromy must confirm the closed-form root; at q in
-        # {0, 1} it must be the double point M = +-Id
+        # the ODE monodromy must confirm the closed-form root, and so the
+        # record's order; at q in {0, 1} it must be the double point M = +-Id
         M = lame_monodromy(mu, h, config)
         miss = abs(0.5 * float(np.trace(M)) - math.cos(q * math.pi))
         if miss > config.tol_floquet or (
-                q_num in (0, q_den) and abs(M[0, 1]) > math.sqrt(config.tol_floquet)):
+                q_num in (0, q_den)
+                and max(abs(M[0, 1]), abs(M[1, 0])) > math.sqrt(config.tol_floquet)):
             raise IntegrationFailure(f"monodromy at h = {h!r} fails the Floquet gate: "
                                      f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
-        records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M,
-                                     monodromy_order(M, config)))
+        records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M))
     if len(records) < count:
         raise SearchExhausted(
             f"found {len(records)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
@@ -260,16 +236,15 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 
 # ----------------------------------------------------------------- solutions
 
-def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> LameSolutionPath:
-    """cl, sl and derivatives on the grid by Magnus transport from delta(0) = Id."""
+def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> np.ndarray:
+    """The (n, 2, 2) stack of delta(s) on the grid, by Magnus transport from
+    delta(0) = Id."""
     mu = _check_mu(mu)
     h = _check_h(h)
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(np.diff(s_grid) <= 0) and len(s_grid) > 1:
         raise ValueError("s_grid must be strictly increasing")
-    frames = transport(_lame_generator(mu, h), 0.0, s_grid, config.integrator_rel_tol)[0]
-    return LameSolutionPath(mu, h, s_grid, frames[:, 0, 0], frames[:, 0, 1],
-                            frames[:, 1, 0], frames[:, 1, 1], "ode")
+    return transport(_lame_generator(mu, h), 0.0, s_grid, config.integrator_rel_tol)[0]
 
 
 class HeunLameEvaluator:
@@ -323,10 +298,3 @@ class HeunLameEvaluator:
         Mp = np.array([np.linalg.matrix_power(self.monodromy if k >= 0 else M_inv, abs(int(k)))
                        for k in ps])
         return (Mp[cell] @ out).reshape(shape + (2, 2))
-
-    def path(self, s_grid) -> LameSolutionPath:
-        s_grid = np.asarray(s_grid, dtype=float)
-        frames = self(s_grid)
-        return LameSolutionPath(self.mu, self.h, s_grid, frames[:, 0, 0],
-                                frames[:, 0, 1], frames[:, 1, 0],
-                                frames[:, 1, 1], "heun")

@@ -8,7 +8,6 @@ from .metric import (
     P4,
     ads_inner,
     future_directed,
-    gram_matrix,
     q_form,
 )
 from .frames import (
@@ -54,7 +53,7 @@ from .torical import inside_solid_torus, split_coordinates, torical_embed, windi
 
 __all__ = [
     "CARTAN_GRAM", "DegenerateBivector", "J", "P1", "P2", "P3", "P4",
-    "ads_inner", "future_directed", "gram_matrix", "q_form",
+    "ads_inner", "future_directed", "q_form",
     "CartanFramePath", "GridTooCoarse", "InvalidPair", "SpinorFramePath",
     "bending_oracle", "cartan_frame", "closed_constant",
     "constant_bending_frames", "constant_bending_path", "constant_case_tag",

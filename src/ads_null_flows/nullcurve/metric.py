@@ -62,15 +62,6 @@ def ads_inner(X: np.ndarray, Y: np.ndarray):
                   - X[..., 0, 0] * Y[..., 1, 1] - X[..., 1, 1] * Y[..., 0, 0])
 
 
-def gram_matrix(frame) -> np.ndarray:
-    """4x4 Gram matrix of four 2x2 vectors."""
-    out = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = ads_inner(frame[i], frame[j])
-    return out
-
-
 def future_directed(X: np.ndarray, V: np.ndarray) -> bool:
     """Positivity of the type-(-,0) bivector X ^ V (null tangent case)."""
     X = np.asarray(X, dtype=float)

@@ -82,8 +82,8 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
     def delta_path(h):
         x_grid = sigma * s_grid
         if method == "heun":
-            return HeunLameEvaluator(mu, h).path(x_grid).matrices()
-        return fundamental_ode(mu, h, x_grid, config).matrices()
+            return HeunLameEvaluator(mu, h)(x_grid)
+        return fundamental_ode(mu, h, x_grid, config)
 
     Fp = delta_path(h_plus) @ S
     Fm = delta_path(h_minus) @ S

@@ -13,6 +13,7 @@ tolerances 1e-9..1e-13; see the test modules for the per-module versions):
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -128,14 +129,12 @@ def test_criterion_04_heun_vs_ode_oracle():
         K, _ = complete_elliptic(mu)
         grid = np.linspace(-K, 3 * K, 401)
         ode = fundamental_ode(mu, h, grid)
-        heun = HeunLameEvaluator(mu, h).path(grid)
-        for f in ("cl", "clp", "sl", "slp"):
-            assert np.abs(getattr(ode, f) - getattr(heun, f)).max() <= 1e-5
+        heun = HeunLameEvaluator(mu, h)(grid)
+        assert np.abs(ode - heun).max() <= 1e-5
         probes = np.array([0.4, 1.9, 3.1])
         a = fundamental_ode(mu, h, probes)
         b = fundamental_ode(mu, h, probes + 20 * K)
-        for f in ("cl", "clp", "sl", "slp"):
-            assert np.abs(getattr(a, f) - getattr(b, f)).max() <= 1e-5
+        assert np.abs(a - b).max() <= 1e-5
 
 
 def test_criterion_05_stationary_geometry():
@@ -232,8 +231,7 @@ def test_criterion_09_monodromy_preservation():
         # matrix drift on the conditioning window [0, t1] (see build notes:
         # the plus-factor t-system grows hyperbolically, so the conjugated
         # comparison is meaningful only while cond(A)^2 stays moderate)
-        cfg = DEFAULT.with_overrides(integrator_rel_tol=1e-13,
-                                     integrator_abs_tol=1e-15)
+        cfg = replace(DEFAULT, integrator_rel_tol=1e-13, integrator_abs_tol=1e-15)
         t_grid = np.linspace(0.0, t1, 10)
         ev = lien_evolve(spec, np.array([0.0, rho]), t_grid, cfg)
         assert ev.monodromy_drift(rho) <= 1e-4

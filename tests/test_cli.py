@@ -44,7 +44,7 @@ def test_hierarchy_text_is_pinned(tmp_path):
     assert main(["hierarchy", "--n-max", "8", "--lien", "--verify",
                  "-o", str(out)]) == 0
     pins = {"hierarchy.txt": "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a",
-            "hierarchy.json": "a7aa0f4c2ebb48575eb3c361dfc32b6064a422c8886d6319e0f8c66a76b04168"}
+            "hierarchy.json": "aecb40eebeeeb60777919e910ccae395c345f153cc0316192b6fdf1363cb9865"}
     for name, pin in pins.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
 
@@ -117,7 +117,7 @@ def test_config_file_and_set_share_one_parser(tmp_path, capsys):
 @pytest.mark.parametrize("key", [
     "tol_det", "tol_wronskian", "limit_levels", "limit_tol",
     "order_tol", "tol_central", "orbit_type_tol", "rationalize_cap",
-    "rationalize_tol", "kdv_residual_gate", "output_digits", "tol_h"])
+    "rationalize_tol", "kdv_residual_gate", "output_digits", "tol_h", "order_max"])
 def test_removed_config_keys_exit_code(key, tmp_path):
     # 1 parses as an int and a float, so only the unknown key can exit 2
     with pytest.raises(SystemExit) as exc:
@@ -156,9 +156,9 @@ def test_stationary_zero_denominator_exit_code(tmp_path):
 
 
 def test_floquet_orders_in_a_narrow_lower_band(tmp_path):
-    """The eigenvalues are found to the rounding of h: in the lower band
-    [0.97, 1], where theta rises by about 70 per unit h, a root 1e-10 off
-    in h missed ORDER_TOL and exported order -1 for index 0."""
+    """In the lower band [0.97, 1], where theta rises by about 70 per unit h,
+    every eigenvalue passes the Floquet gate and exports the order 14 of
+    q = 3/7."""
     out = tmp_path / "fn"
     assert main(["floquet", "--mu", "0.97", "--q", "3/7", "--count", "6",
                  "-o", str(out)]) == 0
@@ -167,13 +167,24 @@ def test_floquet_orders_in_a_narrow_lower_band(tmp_path):
     assert [int(r[3]) for r in rows] == [14] * 6
 
 
-@pytest.mark.parametrize("q", ["1/97", "96/97"])
-def test_floquet_gate_at_a_band_edge(tmp_path, q):
+BAND_EDGE_ORDERS = {"1/97": 194, "96/97": 97, "1/3": 6}
+
+
+@pytest.mark.parametrize("q", list(BAND_EDGE_ORDERS))
+def test_floquet_gate_at_a_band_edge(tmp_path, capsys, q):
     """At mu = 0.999 the lower band is 1e-3 wide; a root 1e-10 off in h
-    missed the Floquet gate by 2.6e-8 > tol_floquet and exited 1."""
+    missed the Floquet gate by 2.6e-8 > tol_floquet and exited 1.  M is
+    ill-conditioned there (||M^6 - Id|| = 1.3e-6 at index 0 of q = 1/3), and
+    both the CSV and stdout carry the exact order of q on every row."""
     out = tmp_path / "fe"
     assert main(["floquet", "--mu", "0.999", "--q", q, "--count", "2",
                  "-o", str(out)]) == 0
+    order = BAND_EDGE_ORDERS[q]
+    rows = [l.split(",") for l in (out / "floquet.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [int(r[3]) for r in rows] == [order] * 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split("order = ")[1] for l in lines] == [str(order)] * 2
 
 
 def test_constant_invalid_pair_exit_code(tmp_path):

@@ -12,6 +12,7 @@ Regression targets (frozen from converged runs; integrator tolerances
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scipy.special import ellipj
 
 from ads_null_flows import lame
 from ads_null_flows.config import DEFAULT, UsageError
+from ads_null_flows.transport import IntegrationFailure
 from ads_null_flows.lame import (
     FloquetRecord,
     HeunLameEvaluator,
@@ -28,7 +30,6 @@ from ads_null_flows.lame import (
     fundamental_ode,
     hermite_phase,
     lame_monodromy,
-    monodromy_order,
 )
 from ads_null_flows.specfun import JacobiScalar, complete_elliptic
 from ads_null_flows.specfun.elliptic import period_remainder
@@ -83,10 +84,12 @@ def test_non_finite_h_is_a_usage_error(h):
 
 
 def test_printed_monodromy_regression():
+    """The printed matrix, of order 10: M^5 = -Id (eigenvalues exp(+-3 i pi/5))
+    and M^10 = Id."""
     M = lame_monodromy(0.4, H_STAR)
     assert np.abs((M - PRINTED_M) / PRINTED_M).max() <= 1e-3
+    assert np.abs(np.linalg.matrix_power(M, 5) + np.eye(2)).max() <= 1e-6
     assert np.abs(np.linalg.matrix_power(M, 10) - np.eye(2)).max() <= 1e-6
-    assert monodromy_order(M) == 10
 
 
 def test_tau_continuity():
@@ -139,7 +142,7 @@ def test_interlacing_even_before_odd():
 
 
 def test_search_exhausted():
-    cfg = DEFAULT.with_overrides(scan_h_ceiling=2.0)
+    cfg = replace(DEFAULT, scan_h_ceiling=2.0)
     with pytest.raises(SearchExhausted):
         floquet_search(0.6, 0, 1, 2, cfg)
 
@@ -181,9 +184,18 @@ def test_hermite_tau_rejects_the_gaps():
 
 
 def test_search_gate_rejects_an_unconfirmed_root():
-    cfg = DEFAULT.with_overrides(tol_floquet=1e-20)
+    cfg = replace(DEFAULT, tol_floquet=1e-20)
     with pytest.raises(RuntimeError, match="Floquet gate"):
         floquet_search(0.4, 3, 5, 1, cfg)
+
+
+def test_search_gate_rejects_a_parabolic_coexistence_monodromy(monkeypatch):
+    """At q = 0 the record's order 1 claims M = Id: a monodromy with the right
+    trace but M[1, 0] != 0 (a Jordan block) fails the gate."""
+    monkeypatch.setattr(lame, "lame_monodromy",
+                        lambda mu, h, config=DEFAULT: np.array([[1.0, 0.0], [1e-3, 1.0]]))
+    with pytest.raises(IntegrationFailure, match="Floquet gate"):
+        floquet_search(0.6, 0, 1, 1)
 
 
 def test_records_invariants():
@@ -199,11 +211,8 @@ def test_fundamental_ode_normalization_and_wronskian():
     K, _ = complete_elliptic(mu)
     grid = np.linspace(-K, 3 * K, 257)
     path = fundamental_ode(mu, h, grid)
-    i0 = np.argmin(np.abs(grid))
-    # grid contains 0 only if aligned; evaluate directly instead
-    p0 = fundamental_ode(mu, h, np.array([0.0]))
-    assert (p0.cl[0], p0.clp[0], p0.sl[0], p0.slp[0]) == (1.0, 0.0, 0.0, 1.0)
-    assert np.abs(path.wronskian() - 1.0).max() <= 1e-9
+    assert (fundamental_ode(mu, h, np.array([0.0]))[0] == np.eye(2)).all()
+    assert np.abs(np.linalg.det(path) - 1.0).max() <= 1e-9
 
 
 def test_fundamental_ode_20K_periodicity():
@@ -213,8 +222,7 @@ def test_fundamental_ode_20K_periodicity():
     for h in (H_STAR, 0.5202318683183447):
         a = fundamental_ode(mu, h, probes)
         b = fundamental_ode(mu, h, probes + 20 * K)
-        for f in ("cl", "clp", "sl", "slp"):
-            assert np.abs(getattr(a, f) - getattr(b, f)).max() <= 1e-6
+        assert np.abs(a - b).max() <= 1e-6
 
 
 def _dop853_reference(mu, h, s_grid):
@@ -252,8 +260,8 @@ def test_fundamental_ode_matches_dop853(mu, h):
     K, _ = complete_elliptic(mu)
     grid = np.concatenate([np.linspace(-2.0 * K, 0.0, 41)[:-1], np.linspace(0.0, 8.0 * K, 161)])
     path = fundamental_ode(mu, h, grid)
-    assert _rel_miss(path.matrices(), _dop853_reference(mu, h, grid)) <= 1e-10
-    M = fundamental_ode(mu, h, [2.0 * K]).matrices()
+    assert _rel_miss(path, _dop853_reference(mu, h, grid)) <= 1e-10
+    M = fundamental_ode(mu, h, [2.0 * K])
     assert _rel_miss(M, lame_monodromy(mu, h)[None]) <= 1e-10
 
 
@@ -262,9 +270,8 @@ def test_heun_route_matches_ode_route():
     K, _ = complete_elliptic(mu)
     grid = np.linspace(-K, 3 * K, 401)
     ode = fundamental_ode(mu, h, grid)
-    heun = HeunLameEvaluator(mu, h).path(grid)
-    for f in ("cl", "clp", "sl", "slp"):
-        assert np.abs(getattr(ode, f) - getattr(heun, f)).max() <= 1e-5
+    heun = HeunLameEvaluator(mu, h)(grid)
+    assert np.abs(ode - heun).max() <= 1e-5
 
 
 @pytest.mark.parametrize("mu, h", [(0.6, 65.59), (0.9, 0.930)])
@@ -276,8 +283,7 @@ def test_heun_path_matches_magnus_path_through_the_cell_edges(mu, h):
     edges = [-K, K, 3.0 * K, K * (1.0 - 1e-9), K * (1.0 + 1e-9)]
     grid = np.unique(np.concatenate([np.linspace(-3.0 * K, 8.0 * K, 1025), edges]))
     ev = HeunLameEvaluator(mu, h)
-    heun = ev.path(grid).matrices()
-    assert _rel_miss(heun, fundamental_ode(mu, h, grid).matrices()) <= 1e-10
+    assert _rel_miss(ev(grid), fundamental_ode(mu, h, grid)) <= 1e-10
     assert abs(np.linalg.det(ev.Q_plus) - 1.0) <= 1e-12
 
 
@@ -299,9 +305,8 @@ def test_heun_route_far_cells():
     K, _ = complete_elliptic(mu)
     grid = np.array([7.3 * K, 12.9 * K, -4.4 * K])
     ode = fundamental_ode(mu, h, np.sort(grid))
-    heun = HeunLameEvaluator(mu, h).path(np.sort(grid))
-    for f in ("cl", "clp", "sl", "slp"):
-        assert np.abs(getattr(ode, f) - getattr(heun, f)).max() <= 1e-4
+    heun = HeunLameEvaluator(mu, h)(np.sort(grid))
+    assert np.abs(ode - heun).max() <= 1e-4
 
 
 def test_fundamental_heun_tuple_and_normalization():
@@ -322,9 +327,9 @@ def test_building_blocks_have_derivative_jump_at_K():
     # jump of cl~' across K is 2 |Q+[0,1]|, nonzero here
     assert abs(Q[0, 1]) > 1e-2
     # the extended solution is continuous: compare against the ODE route at K
-    ode = fundamental_ode(mu, h, np.array([K]))
-    assert Q[0, 1] == pytest.approx(ode.clp[0], abs=1e-6)
-    assert Q[1, 1] == pytest.approx(ode.slp[0], abs=1e-6)
+    (_, clp), (_, slp) = fundamental_ode(mu, h, np.array([K]))[0]
+    assert Q[0, 1] == pytest.approx(clp, abs=1e-6)
+    assert Q[1, 1] == pytest.approx(slp, abs=1e-6)
 
 
 def test_band_edge_above_one_plus_mu():
@@ -345,26 +350,28 @@ def test_fundamental_parity():
     mu, h = 0.4, H_STAR
     s = np.linspace(0.1, 2.3, 12)
     right = fundamental_ode(mu, h, s)
-    left = fundamental_ode(mu, h, -s[::-1])
-    assert np.abs(right.cl - left.cl[::-1]).max() <= 1e-10
-    assert np.abs(right.sl + left.sl[::-1]).max() <= 1e-10
-    assert np.abs(right.clp + left.clp[::-1]).max() <= 1e-10
-    assert np.abs(right.slp - left.slp[::-1]).max() <= 1e-10
+    left = fundamental_ode(mu, h, -s[::-1])[::-1]
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])    # S delta(-s) S
+    assert np.abs(right - parity * left).max() <= 1e-10
 
 
 def test_monodromy_order_matches_phase():
-    """Measured matrix order equals the order implied by the eigenvalue
-    phase as a root of unity: theta = pi m/n gives 2n for odd m, n for even."""
-    for q_num, q_den, expect in ((3, 5, 10), (2, 5, 5)):
+    """The record's order is the order implied by the eigenvalue phase as a
+    root of unity (theta = pi m/n gives 2n for odd m, n for even), and the
+    monodromy has exactly that order: M^n = Id and no lower power is."""
+    for q_num, q_den, expect in ((3, 5, 10), (2, 5, 5), (0, 1, 1), (1, 1, 2)):
         rec = floquet_search(0.4, q_num, q_den, 1)[0]
         theta = math.acos(max(-1.0, min(1.0, rec.tau)))
         assert abs(theta - math.pi * q_num / q_den) <= 1e-8
         assert rec.order == expect
+        powers = [np.linalg.matrix_power(rec.monodromy, n) for n in range(1, expect + 1)]
+        assert np.abs(powers[-1] - np.eye(2)).max() <= 1e-6
+        assert all(np.abs(P - np.eye(2)).max() > 0.1 for P in powers[:-1])
 
 
 def test_heun_route_wronskian():
     mu, h = 0.4, H_STAR
     K, _ = complete_elliptic(mu)
     grid = np.linspace(-K, 7 * K, 301)
-    path = HeunLameEvaluator(mu, h).path(grid)
-    assert np.abs(path.wronskian() - 1.0).max() <= 1e-9
+    path = HeunLameEvaluator(mu, h)(grid)
+    assert np.abs(np.linalg.det(path) - 1.0).max() <= 1e-9

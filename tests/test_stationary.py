@@ -14,7 +14,6 @@ from ads_null_flows.nullcurve import (
     classify_orbit,
     evolve_stationary_path,
     expm_offdiag,
-    gram_matrix,
     proper_time_checks,
     q_form,
     stationary_curve,
@@ -62,7 +61,8 @@ def test_stationary_geometry_invariants():
     assert q2 <= 1e-4
     fr = cartan_frame(path)
     for i in range(0, len(grid), 200):
-        G = gram_matrix([fr.gamma[i], fr.T[i], fr.N[i], fr.B[i]])
+        F = np.array([fr.gamma[i], fr.T[i], fr.N[i], fr.B[i]])
+        G = ads_inner(F[:, None], F[None, :])
         assert np.abs(G - CARTAN_GRAM).max() <= 1e-6
 
 
