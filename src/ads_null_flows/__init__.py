@@ -6,7 +6,7 @@ Subpackages:
     jetalg    -- exact differential-polynomial algebra of the hierarchy
     lame      -- Floquet spectra and fundamental solutions
     kdvsol    -- stationary and three-parameter KdV solution families
-    nullcurve -- metric machinery, frames, curves, classification, export chart
+    nullcurve -- frames, curves, classification, export chart
     cli       -- the ads-null-flows command-line tool
 """
 

@@ -56,6 +56,13 @@ from .specfun import HeunConvergenceError, complete_elliptic
 from .transport import IntegrationFailure
 
 
+# stationary grids: POINTS_PER_PERIOD intervals per bending period, and never
+# fewer than MIN_POINTS_PER_PERIOD in all, since the 7-point bending oracle
+# needs at least 7 samples
+POINTS_PER_PERIOD = 256
+MIN_POINTS_PER_PERIOD = 8
+
+
 class NumericFailure(RuntimeError):
     pass
 
@@ -109,10 +116,8 @@ def _float_list(text: str):
     return [_finite_float(x) for x in text.split(",")] if text else []
 
 
-def _grid_for_period(period: float, config: RunConfig, periods: float = 1.0,
-                     per_period: int = 256) -> np.ndarray:
-    n = max(config.min_points_per_period, per_period)
-    intervals = max(int(n * periods), config.min_points_per_period)
+def _grid_for_period(period: float, periods: float) -> np.ndarray:
+    intervals = max(int(POINTS_PER_PERIOD * periods), MIN_POINTS_PER_PERIOD)
     return np.linspace(0.0, periods * period, intervals + 1)
 
 
@@ -224,7 +229,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
     spec = StationaryBending(args.mu, h_plus, h_minus)
     outdir = Path(args.outdir)
     rho = spec.s_period
-    grid = _grid_for_period(rho, config, periods=args.periods)
+    grid = _grid_for_period(rho, args.periods)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
     diag = _diagnostics(base)
     cls = classify_orbit(base, rho) if args.periods >= 1 else None

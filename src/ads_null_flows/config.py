@@ -1,10 +1,10 @@
 """Run-wide numeric configuration.
 
-RunConfig holds the tolerances and grid settings a run may override; fixed
-numerical choices are module constants next to their single reader.  The CLI
-builds a RunConfig from an optional key=value file plus --set overrides,
-both read by one parser keyed on the fields; DEFAULT is used everywhere
-else.
+RunConfig holds the tolerances and the search ceiling a run may override;
+fixed numerical choices are module constants next to their single reader.
+The CLI builds a RunConfig from an optional key=value file plus --set
+overrides, both read by one parser keyed on the fields; DEFAULT is used
+everywhere else.
 """
 
 from __future__ import annotations
@@ -31,20 +31,12 @@ class RunConfig:
     # geometry tolerance
     tol_metric: float = 1e-8
 
-    # grids
-    min_points_per_period: int = 8
-
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                continue
-            # ints are exact, and math.isfinite overflows on a huge one
-            if v <= 0 or (isinstance(v, float) and not math.isfinite(v)):
+            if not (v > 0 and math.isfinite(v)):
                 raise UsageError(
                     f"config field {f.name} must be positive and finite, got {v}")
-        if self.min_points_per_period < 8:
-            raise UsageError("grid density must be at least 8 points per period")
 
     def digest(self) -> str:
         body = ";".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))

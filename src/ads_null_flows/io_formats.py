@@ -66,16 +66,13 @@ def write_curve_json(path: Path, recipe: str, config: RunConfig,
 
 
 def write_obj_polyline(path: Path, recipe: str, config: RunConfig,
-                       points: np.ndarray, closed: bool = False) -> None:
+                       points: np.ndarray) -> None:
     n = len(points)
     lines = [f"# recipe: {recipe}", f"# config: {config.digest()}", "o curve"]
     if n:
         lines.append("\n".join(["v %.17g %.17g %.17g"] * n)
                      % tuple(np.ravel(points).tolist()))
-    idx = list(range(1, n + 1))
-    if closed:
-        idx.append(1)
-    lines.append("l " + " ".join(map(str, idx)))
+    lines.append("l " + " ".join(map(str, range(1, n + 1))))
     _write(path, "\n".join(lines) + "\n")
 
 

@@ -34,6 +34,8 @@ from .poly import JetPoly, U, U1
 
 Matrix = List[List[JetPoly]]
 
+ZERO_CURVATURE_N_MAX = 3    # the flows the commands and tests check
+
 
 def _zeros(r: int, c: int) -> Matrix:
     return [[JetPoly.zero() for _ in range(c)] for _ in range(r)]
@@ -174,11 +176,11 @@ def induced_bending_flow(n: int) -> JetPoly:
     return -kdv_rhs(n)
 
 
-def zero_curvature_check(n: int, n_max: int = 3) -> Matrix:
-    """d_t K^ - D_s P^_n - [K^, P^_n] with d_t u -> induced_bending_flow(n);
-    expected identically zero."""
-    if n > n_max:
-        raise ValueError(f"n={n} exceeds configured max {n_max}")
+def zero_curvature_check(n: int) -> Matrix:
+    """d_t K^ - D_s P^_n - [K^, P^_n] with d_t u -> induced_bending_flow(n),
+    for n <= ZERO_CURVATURE_N_MAX; expected identically zero."""
+    if n > ZERO_CURVATURE_N_MAX:
+        raise ValueError(f"n={n} exceeds the cap {ZERO_CURVATURE_N_MAX}")
     K, P = lien_matrix_polys(n)
     ut = induced_bending_flow(n)
     # d_t K^: only the two u-entries of K^ move

@@ -27,12 +27,13 @@ elementwise over arrays of them.  Up to order 2 (the callbacks of the
 transport and of an ODE solver), kappa_jet differentiates: the Leibniz
 rule gives phi, ..., phi'''' from each factor's derivatives, the quotient
 rule gives psi = artanh(phi) from psi' (1 - phi^2) = phi', and
-kappa = -2 psi'' + 4 psi'^2.  From order 3 on, and for every t-derivative
-(kappa_t, u_t and the residuals), each factor's Taylor series in ds and
-plain series arithmetic give phi, r = 1/(1 - phi^2), u = -2 phi_s r and
-kappa = u_s + u^2.  The phases are linear in (s, t), so the same series
-carries the t-derivatives: d/dt of the k-th coefficient of
-sn(w s + v t + w ds) is (v/w) (k+1) times the (k+1)-th.
+kappa = -2 psi'' + 4 psi'^2.  From order 3 on, and for kappa_t, each
+factor's Taylor series in ds (the series engine of specfun.elliptic, which
+also serves sn_jet) and plain series arithmetic give phi,
+r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2.  The phases are
+linear in (s, t), so the same series carries the t-derivatives: d/dt of
+the k-th coefficient of sn(w s + v t + w ds) is (v/w) (k+1) times the
+(k+1)-th.
 """
 
 from __future__ import annotations
@@ -40,45 +41,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .config import UsageError
 from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
-from .specfun.elliptic import _check_mu
+from .specfun.elliptic import _cauchy, _check_mu, _derivatives, _sn_series
 
 
 class OutOfRange(UsageError):
     """A parameter of the family outside its domain (CLI exit code 2)."""
 
 
-# ------------------------------------- plain Taylor (in ds) series, closed form
+# ------------------------------------------------------------- jet helpers
 #
-# Coefficient lists whose entries are floats or equal-shape arrays, so one
-# routine serves a scalar s and, elementwise, an array of them.
-
-def _cauchy(a: list, b: list, k: int):
-    """k-th coefficient of the product of the series a and b."""
-    acc = a[0] * b[k]
-    for i in range(1, k + 1):
-        acc = acc + a[i] * b[k - i]
-    return acc
-
-
-def _sn_series(sn, cn, dn, mu: float, w: float, n: int) -> list:
-    """First n Taylor coefficients in ds of f = sn(theta + w ds | mu), from
-    (sn, cn, dn) at theta and f'' = w^2 (2 mu f^3 - (1 + mu) f)."""
-    f = [sn, w * cn * dn]
-    sq, cube = [], []
-    w2 = w * w
-    for k in range(n - 2):
-        sq.append(_cauchy(f, f, k))
-        cube.append(_cauchy(f, sq, k))
-        f.append(w2 * (2.0 * mu * cube[k] - (1.0 + mu) * f[k]) / ((k + 1) * (k + 2)))
-    return f[:n]
-
+# The low orders of kappa_jet stay closed form: the series engine costs
+# about twice as much on arrays and ten times as much on a scalar.
 
 def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
     """(f, f', ..., f^(n)) for n in (2, 3, 4), of f = sn(theta + w ds | mu)
@@ -100,11 +80,6 @@ def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
 def _kappa_series(u: list, n: int) -> list:
     """First n Taylor coefficients of kappa = u_s + u^2, from n + 1 of u."""
     return [(k + 1) * u[k + 1] + _cauchy(u, u, k) for k in range(n)]
-
-
-def _derivatives(series: list) -> list:
-    """Taylor coefficients -> derivative values [c_0, 1! c_1, 2! c_2, ...]."""
-    return [c * math.factorial(k) for k, c in enumerate(series)]
 
 
 # ----------------------------------------------------------- stationary
@@ -166,14 +141,6 @@ class StationaryBending:
     def kappa_t(self, s, t: float = 0.0):
         """Traveling wave: d kappa/dt = 2 ell kappa'."""
         return 2.0 * self.ell * self.kappa_jet(s, t, order=1)[1]
-
-    def stationary_ode_residual(self, s, t: float = 0.0):
-        k0, k1, _, k3 = self.kappa_jet(s, t, order=3)
-        return k3 + 2.0 * self.ell * k1 - 6.0 * k0 * k1
-
-    def kappa_bounds(self) -> Tuple[float, float]:
-        lo = -(self.h_minus + self.h_plus) / self.delta
-        return lo, lo + 4.0 * self.mu / self.delta
 
 
 # ------------------------------------------------------------------ KKSH
@@ -312,16 +279,6 @@ class KkshSpec:
         return ([-2.0 * _cauchy(dphi, r, k) for k in range(n)],
                 [-2.0 * (k + 1) * psi_t[k + 1] for k in range(n)])
 
-    def u_jet(self, s, t=0.0, order: int = 3):
-        """[u, u_s, ..., u^(order)] (derivative values), closed form."""
-        return _derivatives(self._u_series(s, t, order + 1)[0])
-
-    def u(self, s, t=0.0):
-        return self.u_jet(s, t, order=0)[0]
-
-    def u_t(self, s, t=0.0):
-        return self._u_series(s, t, 1)[1][0]
-
     def kappa_jet(self, s, t=0.0, order: int = 3):
         """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
         form; s and t scalars (floats returned) or arrays (arrays returned,
@@ -368,59 +325,3 @@ class KkshSpec:
         """kappa_t = (u_t)_s + 2 u u_t."""
         u, u_t = self._u_series(s, t, 2)
         return u_t[1] + 2.0 * u[0] * u_t[0]
-
-    # -- residuals ------------------------------------------------------------
-
-    def mkdv_residual(self, s, t=0.0):
-        """u_t - 6 u^2 u_s + u_sss, everything analytic."""
-        u, u_t = self._u_series(s, t, 4)
-        return u_t[0] - 6.0 * u[0] ** 2 * u[1] + 6.0 * u[3]
-
-    def kdv_residual(self, s, t=0.0):
-        """kappa_t - 6 kappa kappa_s + kappa_sss, everything analytic."""
-        u, u_t = self._u_series(s, t, 5)
-        k = _kappa_series(u, 4)
-        return u_t[1] + 2.0 * u[0] * u_t[0] - 6.0 * k[0] * k[1] + 6.0 * k[3]
-
-
-# ------------------------------------------------------- double periodicity
-
-def time_period_residual(mu: float, tau: float, p: int, r: int) -> float:
-    """LHS - RHS of the t-periodicity condition
-
-        (mu/tau)^{1/4} ((1+tau) sqrt(mu/tau) + 3 (1+mu)) p K(mu)
-            = (1 + mu + 3 (1+tau) sqrt(mu/tau)) r K(tau).
-    """
-    _check_mu(mu)
-    _check_mu(tau)
-    if p < 1 or r < 1 or math.gcd(p, r) != 1:
-        raise OutOfRange("p, r must be coprime positive integers")
-    Kmu, _ = complete_elliptic(mu)
-    Ktau, _ = complete_elliptic(tau)
-    sq = math.sqrt(mu / tau)
-    lhs = (mu / tau) ** 0.25 * ((1.0 + tau) * sq + 3.0 * (1.0 + mu)) * p * Kmu
-    rhs = (1.0 + mu + 3.0 * (1.0 + tau) * sq) * r * Ktau
-    return lhs - rhs
-
-
-def find_doubly_periodic(m: int, n: int, p: int, r: int,
-                         mu_bracket: Tuple[float, float],
-                         samples: int = 64) -> Optional[Tuple[float, float]]:
-    """Intersection of the s-periodicity curve (fixed m, n) with the
-    t-periodicity curve (fixed p, r), as a root along mu; None when the
-    residual does not change sign over the bracket."""
-    lo, hi = mu_bracket
-    grid = np.linspace(lo, hi, samples)
-
-    def f(mu):
-        return time_period_residual(mu, tau_mn(mu, m, n), p, r)
-
-    vals = [f(g) for g in grid]
-    for i in range(samples - 1):
-        if vals[i] == 0.0:
-            mu0 = float(grid[i])
-            return mu0, tau_mn(mu0, m, n)
-        if vals[i] * vals[i + 1] < 0:
-            mu0 = float(brentq(f, grid[i], grid[i + 1], xtol=1e-12))
-            return mu0, tau_mn(mu0, m, n)
-    return None

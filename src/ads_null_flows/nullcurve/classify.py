@@ -18,9 +18,6 @@ theta/pi = m/n reduced, the factor reaches +-Id first at n periods with sign
     eps+ = eps- = +1:  curve period L rho, spin 1
     eps+ = eps- = -1:  curve period L rho, spin 1/2 (frames need 2 L rho)
     eps+ != eps-:      curve period 2 L rho, spin 1
-
-Both exponent normalizations (theta/pi and theta/2 pi) are reported, since
-either convention appears in practice.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Tuple
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -48,12 +45,9 @@ class NotPeriodicBending(ValueError):
 
 @dataclass
 class FactorClassification:
-    monodromy: np.ndarray
     invariant: float                 # (tr M)^2 - 4
     orbit_type: OrbitType
-    phase: Optional[float]          # theta in [0, pi] when elliptic/central
     q_pi: Optional[Fraction]        # theta/pi rationalized (None if not found)
-    q_2pi: Optional[Fraction]       # theta/(2 pi) rationalized
 
 
 @dataclass
@@ -70,10 +64,6 @@ class OrbitClassification:
                  "CentralFixed": "C"}
         return f"({short[self.plus.orbit_type]},{short[self.minus.orbit_type]})"
 
-    @property
-    def invariants(self) -> Tuple[float, float]:
-        return self.plus.invariant, self.minus.invariant
-
 
 def rationalize(x: float, cap: int, tol: float) -> Optional[Fraction]:
     """Best continued-fraction convergent p/q of x with q <= cap and
@@ -88,20 +78,16 @@ def _classify_factor(M: np.ndarray) -> FactorClassification:
     tr = float(np.trace(M))
     inv = tr * tr - 4.0
     if np.abs(M - np.eye(2)).max() <= TOL_CENTRAL:
-        return FactorClassification(M, inv, "CentralFixed", 0.0,
-                                    Fraction(0, 1), Fraction(0, 1))
+        return FactorClassification(inv, "CentralFixed", Fraction(0, 1))
     if np.abs(M + np.eye(2)).max() <= TOL_CENTRAL:
-        return FactorClassification(M, inv, "CentralFixed", math.pi,
-                                    Fraction(1, 1), Fraction(1, 2))
+        return FactorClassification(inv, "CentralFixed", Fraction(1, 1))
     if inv < -ORBIT_TYPE_TOL:
         theta = math.acos(max(-1.0, min(1.0, 0.5 * tr)))
-        q1 = rationalize(theta / math.pi, RATIONALIZE_CAP, RATIONALIZE_TOL)
-        q2 = rationalize(theta / (2.0 * math.pi), 2 * RATIONALIZE_CAP,
-                         RATIONALIZE_TOL)
-        return FactorClassification(M, inv, "Elliptic", theta, q1, q2)
+        q = rationalize(theta / math.pi, RATIONALIZE_CAP, RATIONALIZE_TOL)
+        return FactorClassification(inv, "Elliptic", q)
     if inv > ORBIT_TYPE_TOL:
-        return FactorClassification(M, inv, "Hyperbolic", None, None, None)
-    return FactorClassification(M, inv, "Parabolic", None, None, None)
+        return FactorClassification(inv, "Hyperbolic", None)
+    return FactorClassification(inv, "Parabolic", None)
 
 
 def classify_orbit(path: SpinorFramePath, rho: float) -> OrbitClassification:

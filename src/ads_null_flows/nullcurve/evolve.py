@@ -45,10 +45,17 @@ LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
+GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
 # specs per transport in kksh_frames_t0: two (four factors of BLOCK steps)
 # keep a block's arrays near the size of the t-system's; more would share
 # one step count, the hardest spec's, and grow the block memory
 BATCH = 2
+# kksh_mu_star: the target cos(2 pi 2/3) of half the minus trace, the mu
+# bracket scanned at MU_STAR_SCAN points, and brentq's tolerance
+MU_STAR_TARGET = math.cos(2.0 * math.pi * 2 / 3)
+MU_STAR_BRACKET = (0.3, 0.85)
+MU_STAR_SCAN = 12
+MU_STAR_XTOL = 1e-8
 
 
 class KdVResidualTooLarge(ValueError):
@@ -82,8 +89,6 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
 class LienEvolution:
     t_grid: np.ndarray
     paths: List[SpinorFramePath]
-    A_plus: np.ndarray      # (nt, 2, 2) initial frames along s = 0
-    A_minus: np.ndarray
     gate_residual: float
 
     def monodromy_drift(self, rho: float) -> float:
@@ -108,8 +113,7 @@ class LienEvolution:
 
 
 def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
-                t_grid: Sequence[float], config: RunConfig = DEFAULT,
-                gate_probes: int = 12) -> LienEvolution:
+                t_grid: Sequence[float], config: RunConfig = DEFAULT) -> LienEvolution:
     """Two-step integration of the extended frames over the (s, t) grid.
 
     t_grid must start at 0 (the normalization point F+-(0, 0) = Id) and be
@@ -122,8 +126,8 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
             (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
         raise UsageError("t_grid must be finite, start at 0 and increase")
 
-    s_probe = np.linspace(s_grid[0], s_grid[-1], gate_probes)
-    t_probe = np.linspace(t_grid[0], t_grid[-1], min(gate_probes, 6))
+    s_probe = np.linspace(s_grid[0], s_grid[-1], GATE_PROBES)
+    t_probe = np.linspace(t_grid[0], t_grid[-1], min(GATE_PROBES, 6))
     gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
@@ -134,7 +138,7 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     paths = [_s_integration(sampler, s_grid, float(t), A_plus[j], A_minus[j], config)
              for j, t in enumerate(t_grid)]
     _confirm(sampler, paths[0], config)
-    return LienEvolution(t_grid, paths, A_plus, A_minus, gate)
+    return LienEvolution(t_grid, paths, gate)
 
 
 def _t_generator(sampler: BendingSampler):
@@ -250,45 +254,41 @@ def monodromy_trace_drift(spec, t_list, rho: float | None = None,
     return (float(np.abs(tr_p - tr_p[0]).max()), float(np.abs(tr_m - tr_m[0]).max()))
 
 
-def kksh_mu_star(m: int, n: int, h: float, target_num: int = 2,
-                 target_den: int = 3, bracket=(0.3, 0.85), scan: int = 12,
-                 config: RunConfig = DEFAULT, xtol: float = 1e-8) -> float:
+def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float:
     """The elliptic parameter at which the minus-factor monodromy becomes the
-    rotation by 2 pi target_num/target_den.
+    rotation by 2 pi 2/3.
 
-    Root of p(mu) = Re(tr F-(rho) + sqrt((tr F-)^2 - 4))/2 - cos(2 pi q):
+    Root of p(mu) = Re(tr F-(rho) + sqrt((tr F-)^2 - 4))/2 - cos(4 pi/3):
     for an elliptic factor the square root is imaginary and p reduces to
-    half the trace minus the target cosine.  The scan points of the bracket
-    are one batch of kksh_frames_t0; brentq refines the first sign change
-    to xtol, one transport per evaluation.  Raises NoSignChange when the
-    bracket misses the root.
+    half the trace minus the target cosine.  The MU_STAR_SCAN points of
+    MU_STAR_BRACKET are one batch of kksh_frames_t0; brentq refines the
+    first sign change to MU_STAR_XTOL, one transport per evaluation.  Raises
+    NoSignChange when the bracket misses the root.
     """
     from scipy.optimize import brentq
 
     from ..kdvsol import KkshSpec
 
-    target = math.cos(2.0 * math.pi * target_num / target_den)
-
     def rotation(Fm) -> float:
         tr = float(np.trace(Fm))
         disc = tr * tr - 4.0
         root_real = math.sqrt(disc) if disc > 0.0 else 0.0
-        return 0.5 * (tr + root_real) - target
+        return 0.5 * (tr + root_real) - MU_STAR_TARGET
 
     def p(mu: float) -> float:
         return rotation(kksh_frames_t0(KkshSpec.with_quantum_numbers(mu, m, n, h),
                                        config=config)[1])
 
-    grid = np.linspace(bracket[0], bracket[1], scan)
+    grid = np.linspace(*MU_STAR_BRACKET, MU_STAR_SCAN)
     _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(g), m, n, h)
                             for g in grid], config=config)
     vals = [rotation(F) for F in Fm]
-    for i in range(scan - 1):
+    for i in range(MU_STAR_SCAN - 1):
         if vals[i] == 0.0:
             return float(grid[i])
         if vals[i] * vals[i + 1] < 0:
-            return float(brentq(p, grid[i], grid[i + 1], xtol=xtol))
-    raise NoSignChange(f"no sign change of the rotation condition on {bracket}")
+            return float(brentq(p, grid[i], grid[i + 1], xtol=MU_STAR_XTOL))
+    raise NoSignChange(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
 
 
 def _s_integration(sampler: BendingSampler, s_grid: np.ndarray, t: float,

@@ -1,6 +1,14 @@
 """Spinor frames, the curve construction, and the finite-difference bending
 oracle.
 
+A real 2x2 matrix X doubles as a vector of the split-signature space with
+quadratic form q(X) = -det X; the unimodular quadric q = -1 is the curved
+ambient space of all curves here.  The inner product is the polarization
+
+    <X, Y> = (x12 y21 + x21 y12 - x11 y22 - x22 y11) / 2,
+
+invariant under X -> A X B^{-1} for unimodular A, B (the 2:1 spin action).
+
 A bending function kappa determines two central-affine frames through
 
     F+' = F+ [[0, kappa + 1], [1, 0]],    F-' = F- [[0, kappa - 1], [1, 0]],
@@ -8,12 +16,7 @@ A bending function kappa determines two central-affine frames through
 and the curve gamma = F+ F-^{-1} on the unimodular quadric, parameterized by
 its proper time (<gamma'', gamma''> = 4).  The first columns eta+- of F+- are
 the associated pair of star-shaped cousins, with central affine curvatures
-kappa +- 1 (difference exactly 2).  The Cartan frame along gamma is
-
-    gamma = F+ P1 F-^{-1}, T = F+ P2 F-^{-1}, N = F+ P3 F-^{-1},
-    B = F+ P4 F-^{-1},
-
-with T = gamma'/sqrt2, N = gamma''/2, and the bending recovered by
+kappa +- 1 (difference exactly 2).  The bending is recovered by
 kappa = -<gamma''', gamma'''>/16 (the oracle below, used for validation).
 """
 
@@ -29,7 +32,14 @@ from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
 from ..transport import EPS, IntegrationFailure
-from .metric import P2, P3, P4, ads_inner
+
+
+def ads_inner(X: np.ndarray, Y: np.ndarray):
+    """<X, Y>: polarization of q, stack-aware."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return 0.5 * (X[..., 0, 1] * Y[..., 1, 0] + X[..., 1, 0] * Y[..., 0, 1]
+                  - X[..., 0, 0] * Y[..., 1, 1] - X[..., 1, 1] * Y[..., 0, 0])
 
 
 class GridTooCoarse(ValueError):
@@ -54,15 +64,6 @@ class SpinorFramePath:
 
     def cousins(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.Fplus[:, :, 0].copy(), self.Fminus[:, :, 0].copy()
-
-
-@dataclass
-class CartanFramePath:
-    s_grid: np.ndarray
-    gamma: np.ndarray
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
 
 
 def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
@@ -105,23 +106,10 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
     return SpinorFramePath(s_grid, Fp, Fm, kap, det_drift=drift)
 
 
-def cartan_frame(path: SpinorFramePath) -> CartanFramePath:
-    Fm_inv = np.linalg.inv(path.Fminus)
-    Fp = path.Fplus
-    return CartanFramePath(
-        path.s_grid,
-        Fp @ Fm_inv,
-        Fp @ P2 @ Fm_inv,
-        Fp @ P3 @ Fm_inv,
-        Fp @ P4 @ Fm_inv,
-    )
-
-
 _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 
-def bending_oracle(gamma: np.ndarray, ds: Optional[float] = None,
-                   s_grid: Optional[np.ndarray] = None) -> np.ndarray:
+def bending_oracle(gamma: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     """kappa = -<gamma''', gamma'''>/16 by 7-point central differences on a
     uniform grid; validation only, never feeds a construction.  gamma''' at
     every interior sample is one stencil contraction of the seven shifted
@@ -130,13 +118,10 @@ def bending_oracle(gamma: np.ndarray, ds: Optional[float] = None,
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[0] < 7:
         raise GridTooCoarse("need at least 7 samples of gamma")
-    if ds is None:
-        if s_grid is None:
-            raise ValueError("pass ds or s_grid")
-        steps = np.diff(s_grid)
-        if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
-            raise GridTooCoarse("bending oracle needs a uniform grid")
-        ds = float(steps[0])
+    steps = np.diff(s_grid)
+    if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
+        raise GridTooCoarse("bending oracle needs a uniform grid")
+    ds = float(steps[0])
     n = gamma.shape[0]
     shifted = np.stack([gamma[k: n - 6 + k] for k in range(7)])
     g3 = np.tensordot(_D3, shifted, axes=1) / ds ** 3

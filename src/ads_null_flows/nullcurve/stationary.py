@@ -17,8 +17,6 @@ where the momenta
            [8 sqrt2 (h+- - 1 - mu) / D^{3/2}, 0]],      D = h- - h+,
 
 are the conserved values of F (P_lam - 2 ell K_lam) F^{-1} at lam = +-1.
-Conjugating m+- by the initial frames transports the formula to any other
-frame normalization.
 """
 
 from __future__ import annotations
@@ -47,13 +45,6 @@ def stationary_momenta(spec: StationaryBending) -> Tuple[np.ndarray, np.ndarray,
         ])
 
     return mk(spec.h_plus), mk(spec.h_minus), spec.ell
-
-
-def stationary_evolution(mu: float, h_plus: float, h_minus: float, t: float):
-    """(Exp(t m+), Exp(t m-), ell): the two evolution factors at time t."""
-    spec = StationaryBending(mu, h_plus, h_minus)
-    m_plus, m_minus, ell = stationary_momenta(spec)
-    return expm_offdiag(t * m_plus), expm_offdiag(t * m_minus), ell
 
 
 def expm_offdiag(X: np.ndarray) -> np.ndarray:
@@ -91,30 +82,13 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
 
 
 def evolve_stationary_path(spec: StationaryBending, s_grid, t: float,
-                           method: Literal["ode", "heun"] = "ode",
-                           config: RunConfig = DEFAULT,
-                           init_plus: np.ndarray | None = None,
-                           init_minus: np.ndarray | None = None) -> SpinorFramePath:
-    """Closed-form evolved frames at time t.
-
-    With the sigma normalization the evolved frames are
-    Exp(t m+-) F+-(s + 2 ell t).  Re-normalizing the initial frame to
-    init = C S (constant left factor C) just prepends C:
-    C Exp(t m+-) F+-(s + 2 ell t), which starts at C S = init for t = 0, s = 0.
-    """
+                           config: RunConfig = DEFAULT) -> SpinorFramePath:
+    """Closed-form evolved frames at time t: Exp(t m+-) F+-(s + 2 ell t), with
+    F+-(0) = diag(1/sqrt sigma, sqrt sigma) at t = 0."""
     s_grid = np.asarray(s_grid, dtype=float)
     base = stationary_curve(spec.mu, spec.h_plus, spec.h_minus,
-                            s_grid + 2.0 * spec.ell * t, method, config)
+                            s_grid + 2.0 * spec.ell * t, config=config)
     m_plus, m_minus, _ = stationary_momenta(spec)
-    sigma = spec.sigma
-    S_inv = np.diag([math.sqrt(sigma), 1.0 / math.sqrt(sigma)])
-
-    def prefactor(init, m):
-        E = expm_offdiag(t * m)
-        if init is None:
-            return E
-        return np.asarray(init, float) @ S_inv @ E
-
-    Fp = prefactor(init_plus, m_plus)[None] @ base.Fplus
-    Fm = prefactor(init_minus, m_minus)[None] @ base.Fminus
+    Fp = expm_offdiag(t * m_plus)[None] @ base.Fplus
+    Fm = expm_offdiag(t * m_minus)[None] @ base.Fminus
     return SpinorFramePath(s_grid, Fp, Fm, spec.kappa(s_grid, t), t_value=t)

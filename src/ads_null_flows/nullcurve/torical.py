@@ -40,12 +40,6 @@ def torical_embed(p: np.ndarray) -> np.ndarray:
                      rho * np.sin(phi)], axis=-1)
 
 
-def inside_solid_torus(xyz: np.ndarray) -> np.ndarray:
-    """(sqrt(x^2+y^2) - 2)^2 + z^2 < 1 for chart-image points."""
-    xyz = np.asarray(xyz, dtype=float)
-    return (np.hypot(xyz[..., 0], xyz[..., 1]) - 2.0) ** 2 + xyz[..., 2] ** 2 < 1.0
-
-
 def winding_numbers(p_stack: np.ndarray) -> tuple:
     """(theta turns, phi turns) of a closed sampled curve: unwrapped angle
     increments over the closed polyline, rounded to integers."""

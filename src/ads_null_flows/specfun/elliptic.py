@@ -210,28 +210,39 @@ def jacobi_sncndn(s, mu: float):
     return np.copysign(amp, sign_sn, out=amp), np.copysign(cn, sign_cn, out=cn), dn
 
 
+# ------------------------------------- plain Taylor (in ds) series, closed form
+#
+# Coefficient lists whose entries are floats or equal-shape arrays, so one
+# routine serves a scalar s and, elementwise, an array of them.
+
+def _cauchy(a: list, b: list, k: int):
+    """k-th coefficient of the product of the series a and b."""
+    acc = a[0] * b[k]
+    for i in range(1, k + 1):
+        acc = acc + a[i] * b[k - i]
+    return acc
+
+
+def _sn_series(sn, cn, dn, mu: float, w: float, n: int) -> list:
+    """First n Taylor coefficients in ds of f = sn(theta + w ds | mu), from
+    (sn, cn, dn) at theta and f'' = w^2 (2 mu f^3 - (1 + mu) f)."""
+    f = [sn, w * cn * dn]
+    sq, cube = [], []
+    w2 = w * w
+    for k in range(n - 2):
+        sq.append(_cauchy(f, f, k))
+        cube.append(_cauchy(f, sq, k))
+        f.append(w2 * (2.0 * mu * cube[k] - (1.0 + mu) * f[k]) / ((k + 1) * (k + 2)))
+    return f[:n]
+
+
+def _derivatives(series: list) -> list:
+    """Taylor coefficients -> derivative values [c_0, 1! c_1, 2! c_2, ...]."""
+    return [c * math.factorial(k) for k, c in enumerate(series)]
+
+
 def sn_jet(s, mu: float, order: int = 5):
-    """Derivatives of sn at s up to the given order, from the closed ODE
-    sn'' = -(1+mu) sn + 2 mu sn^3.  Returns [sn, sn', ..., sn^(order)],
-    entries scalars or arrays matching s."""
-    sn, cn, dn = jacobi_sncndn(s, mu)
-    f = [sn, cn * dn]
-    w = -(1.0 + mu) + 6.0 * mu * sn * sn
-    if order >= 2:
-        f.append(-(1.0 + mu) * sn + 2.0 * mu * sn ** 3)
-    if order >= 3:
-        f.append(f[1] * w)
-    if order >= 4:
-        f.append(f[2] * w + 12.0 * mu * sn * f[1] ** 2)
-    if order >= 5:
-        f.append(f[3] * w + 36.0 * mu * sn * f[1] * f[2] + 12.0 * mu * f[1] ** 3)
-    if order >= 6:
-        f.append(f[4] * w + 48.0 * mu * sn * f[1] * f[3]
-                 + 72.0 * mu * f[1] ** 2 * f[2] + 36.0 * mu * sn * f[2] ** 2)
-    if order >= 7:
-        f.append(f[5] * w + 60.0 * mu * sn * f[1] * f[4]
-                 + 120.0 * mu * f[1] ** 2 * f[3] + 120.0 * mu * sn * f[2] * f[3]
-                 + 180.0 * mu * f[1] * f[2] ** 2)
-    if order >= 8:
-        raise ValueError("sn_jet implemented up to order 7")
-    return f[: order + 1]
+    """[sn, sn', ..., sn^(order)] at s (scalars or arrays matching s): the
+    Taylor series of sn(s + ds) from the closed ODE
+    sn'' = -(1+mu) sn + 2 mu sn^3, as derivative values."""
+    return _derivatives(_sn_series(*jacobi_sncndn(s, mu), mu, 1.0, order + 1))

@@ -1,32 +1,28 @@
-"""The flat metric machinery of the 2x2 matrix space.
-
-A real 2x2 matrix X doubles as a vector of the split-signature space with
-quadratic form q(X) = -det X = x12 x21 - x11 x22; the unimodular quadric
-q = -1 is the curved ambient space of all curves here (constant sectional
-curvature -1).  The inner product is the polarization
-
-    <X, Y> = (x12 y21 + x21 y12 - x11 y22 - x22 y11) / 2,
-
-invariant under X -> A X B^{-1} for unimodular A, B (the 2:1 spin action).
+"""Reference geometry of the 2x2 matrix model, for the tests.
 
 The distinguished frame at the identity,
 
     P1 = Id, P2 = [[0, r2],[0, 0]], P3 = diag(-1, 1), P4 = [[0, 0],[r2, 0]],
 
-has Gram matrix g = [[-1,0,0,0],[0,0,0,1],[0,0,1,0],[0,1,0,0]]; frames with
-this Gram matrix are the Cartan frames.  Time orientation: a null tangent V
-at X points to the future when the bivector pairing
+has Gram matrix CARTAN_GRAM under ads_inner; frames with this Gram matrix
+are the Cartan frames.  Along a curve gamma = F+ F-^{-1} the Cartan frame is
+
+    gamma = F+ P1 F-^{-1}, T = F+ P2 F-^{-1}, N = F+ P3 F-^{-1},
+    B = F+ P4 F-^{-1},
+
+with T = gamma'/sqrt2 and N = gamma''/2.  Time orientation: a null tangent
+V at X points to the future when the bivector pairing
 
     << Id ^ J , X ^ V >> = det [[<Id,X>, <Id,V>], [<J,X>, <J,V>]] > 0,
 
 with J = [[0,1],[-1,0]].
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
+
+from ads_null_flows.nullcurve import ads_inner
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,20 +44,6 @@ class DegenerateBivector(ValueError):
     pass
 
 
-def q_form(X: np.ndarray):
-    """q(X) = -det X, elementwise over a trailing (2,2) stack."""
-    X = np.asarray(X, dtype=float)
-    return X[..., 0, 1] * X[..., 1, 0] - X[..., 0, 0] * X[..., 1, 1]
-
-
-def ads_inner(X: np.ndarray, Y: np.ndarray):
-    """<X, Y>: polarization of q, stack-aware."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return 0.5 * (X[..., 0, 1] * Y[..., 1, 0] + X[..., 1, 0] * Y[..., 0, 1]
-                  - X[..., 0, 0] * Y[..., 1, 1] - X[..., 1, 1] * Y[..., 0, 0])
-
-
 def future_directed(X: np.ndarray, V: np.ndarray) -> bool:
     """Positivity of the type-(-,0) bivector X ^ V (null tangent case)."""
     X = np.asarray(X, dtype=float)
@@ -76,3 +58,9 @@ def future_directed(X: np.ndarray, V: np.ndarray) -> bool:
     ])
     return float(np.linalg.det(pairing)) > 0.0
 
+
+def cartan_frame(path):
+    """(gamma, T, N, B) along a SpinorFramePath, each an (n, 2, 2) stack."""
+    Fm_inv = np.linalg.inv(path.Fminus)
+    Fp = path.Fplus
+    return Fp @ Fm_inv, Fp @ P2 @ Fm_inv, Fp @ P3 @ Fm_inv, Fp @ P4 @ Fm_inv

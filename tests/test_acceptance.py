@@ -23,12 +23,11 @@ from ads_null_flows import jetalg
 from ads_null_flows.config import DEFAULT
 from ads_null_flows.jetalg.poly import U, U1
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
-from ads_null_flows.lame import HeunLameEvaluator, floquet_search, fundamental_ode, lame_monodromy
+from ads_null_flows.lame import HeunLameEvaluator, floquet_search, fundamental_ode
 from ads_null_flows.nullcurve import (
     bending_oracle,
     classify_monodromies,
     constant_bending_frames,
-    constant_bending_path,
     evolve_stationary_path,
     integrate_spinor_frames,
     kksh_frames_t0,
@@ -149,8 +148,8 @@ def test_criterion_05_stationary_geometry():
         kap = bending_oracle(path.gamma(), s_grid=grid)
         sel = ~np.isnan(kap)
         assert np.abs(kap[sel] - spec.kappa(grid[sel])).max() <= 1e-3
-        res = spec.stationary_ode_residual(np.linspace(0, spec.s_period, 97))
-        assert np.abs(res).max() <= 1e-8
+        k0, k1, _, k3 = spec.kappa_jet(np.linspace(0, spec.s_period, 97), order=3)
+        assert np.abs(k3 + 2.0 * spec.ell * k1 - 6.0 * k0 * k1).max() <= 1e-8
 
 
 def test_criterion_06_stationary_evolution_cross_check():
@@ -159,11 +158,12 @@ def test_criterion_06_stationary_evolution_cross_check():
         s_grid = np.linspace(0.0, spec.s_period, 33)
         t_grid = np.linspace(0.0, 0.25, 10)
         ev = lien_evolve(spec, s_grid, t_grid)
+        # the closed form starts at diag(1/sqrt sigma, sqrt sigma), lien_evolve at Id
+        to_id = np.diag([math.sqrt(spec.sigma), 1.0 / math.sqrt(spec.sigma)])
         for j, t in enumerate(t_grid):
-            closed = evolve_stationary_path(spec, s_grid, float(t),
-                                            init_plus=np.eye(2),
-                                            init_minus=np.eye(2))
-            assert np.abs(ev.paths[j].gamma() - closed.gamma()).max() <= 1e-4
+            closed = evolve_stationary_path(spec, s_grid, float(t))
+            gamma = (to_id @ closed.Fplus) @ np.linalg.inv(to_id @ closed.Fminus)
+            assert np.abs(ev.paths[j].gamma() - gamma).max() <= 1e-4
 
 
 def test_criterion_07_constant_bending():
@@ -197,12 +197,12 @@ def test_criterion_08_kksh_regression():
             Fp_i, Fm_i = kksh_frames_t0(spec_i)
             cls = classify_monodromies(Fp_i, Fm_i, spec_i.s_period())
             assert cls.type_pair == "(H,E)"
-        s_grid = np.linspace(0.0, spec.s_period(), 100)
-        t_grid = np.linspace(-0.4, 0.4, 20)
-        worst_m = max(abs(spec.mkdv_residual(float(s), float(t)))
-                      for s in s_grid for t in t_grid)
-        worst_k = max(abs(spec.kdv_residual(float(s), float(t)))
-                      for s in s_grid for t in t_grid)
+        s, t = np.meshgrid(np.linspace(0.0, spec.s_period(), 100),
+                           np.linspace(-0.4, 0.4, 20))
+        u, u_t = spec._u_series(s, t, 4)              # mKdV from the series of u
+        worst_m = np.abs(u_t[0] - 6.0 * u[0] ** 2 * u[1] + 6.0 * u[3]).max()
+        k0, k1, _, k3 = spec.kappa_jet(s, t, order=3)  # KdV as the gate forms it
+        worst_k = np.abs(spec.kappa_t(s, t) - 6.0 * k0 * k1 + k3).max()
         assert worst_m <= 1e-5
         assert worst_k <= 1e-4
 

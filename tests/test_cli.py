@@ -8,8 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ads_null_flows.cli import main
-from ads_null_flows.config import DEFAULT
+from ads_null_flows.cli import MIN_POINTS_PER_PERIOD, main
 
 
 def run(args, tmp_path):
@@ -44,7 +43,7 @@ def test_hierarchy_text_is_pinned(tmp_path):
     assert main(["hierarchy", "--n-max", "8", "--lien", "--verify",
                  "-o", str(out)]) == 0
     pins = {"hierarchy.txt": "b0d9ecf35694c4c5649e8daa834c2fd44fe0fc5d629212fb95037fb1bfe42f1a",
-            "hierarchy.json": "aecb40eebeeeb60777919e910ccae395c345f153cc0316192b6fdf1363cb9865"}
+            "hierarchy.json": "a94b6608e064d23d08ff7260f0b80d6f70e4ed8849bd932278a8a700a265441d"}
     for name, pin in pins.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pin, name
 
@@ -117,7 +116,8 @@ def test_config_file_and_set_share_one_parser(tmp_path, capsys):
 @pytest.mark.parametrize("key", [
     "tol_det", "tol_wronskian", "limit_levels", "limit_tol",
     "order_tol", "tol_central", "orbit_type_tol", "rationalize_cap",
-    "rationalize_tol", "kdv_residual_gate", "output_digits", "tol_h", "order_max"])
+    "rationalize_tol", "kdv_residual_gate", "output_digits", "tol_h", "order_max",
+    "min_points_per_period"])
 def test_removed_config_keys_exit_code(key, tmp_path):
     # 1 parses as an int and a float, so only the unknown key can exit 2
     with pytest.raises(SystemExit) as exc:
@@ -281,12 +281,12 @@ def test_bad_grid_options_exit_code(tmp_path, argv):
 
 
 def test_stationary_shorter_than_a_period(tmp_path):
-    """--periods 0.001 still samples min_points_per_period intervals."""
+    """--periods 0.001 still samples MIN_POINTS_PER_PERIOD intervals."""
     out = tmp_path / "short"
     assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "0.001",
                  "-o", str(out)]) == 0
     doc = json.loads((out / "stationary_base.json").read_text())
-    assert len(doc["samples"]) == DEFAULT.min_points_per_period + 1
+    assert len(doc["samples"]) == MIN_POINTS_PER_PERIOD + 1
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):

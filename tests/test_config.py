@@ -20,13 +20,6 @@ def test_rejects_non_finite_and_non_positive(value):
         replace(DEFAULT, integrator_rel_tol=value)
 
 
-def test_accepts_int_too_large_for_a_float():
-    # math.isfinite(10**400) raises OverflowError; an int is always finite
-    assert RunConfig(min_points_per_period=10**400).min_points_per_period == 10**400
-    with pytest.raises(ValueError):
-        RunConfig(min_points_per_period=0)
-
-
 def test_readme_config_paragraph_names_every_field():
     """README's configuration paragraph states the field count and names
     exactly the fields of RunConfig, each in backticks."""

@@ -27,13 +27,11 @@ def ref_curve_json(recipe, config, s_grid, matrices, points, extra_meta=None):
     return json.dumps(doc, indent=1) + "\n"
 
 
-def ref_obj_polyline(recipe, config, points, closed=False):
+def ref_obj_polyline(recipe, config, points):
     lines = [f"# recipe: {recipe}", f"# config: {config.digest()}", "o curve"]
     for p in points:
         lines.append(f"v {fnum(p[0])} {fnum(p[1])} {fnum(p[2])}")
     idx = list(range(1, len(points) + 1))
-    if closed:
-        idx.append(1)
     lines.append("l " + " ".join(str(i) for i in idx))
     return "\n".join(lines) + "\n"
 
@@ -99,12 +97,11 @@ def test_curve_json_each_special_value(tmp_path):
 
 
 @pytest.mark.parametrize("n", [0, 1, 300])
-@pytest.mark.parametrize("closed", [False, True])
-def test_obj_polyline_bytes(tmp_path, n, closed):
+def test_obj_polyline_bytes(tmp_path, n):
     _, _, p = curve_data(n, seed=7 + n)
     out = tmp_path / "o.obj"
-    write_obj_polyline(out, "kksh", DEFAULT, p, closed=closed)
-    assert out.read_text() == ref_obj_polyline("kksh", DEFAULT, p, closed)
+    write_obj_polyline(out, "kksh", DEFAULT, p)
+    assert out.read_text() == ref_obj_polyline("kksh", DEFAULT, p)
 
 
 def test_csv_bytes_float_columns(tmp_path):

@@ -7,15 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ads_null_flows.kdvsol import (
-    KkshSpec,
-    OutOfRange,
-    StationaryBending,
-    find_doubly_periodic,
-    g_inverse,
-    g_of,
-    tau_mn,
-    time_period_residual,
-)
+    KkshSpec, OutOfRange, StationaryBending, g_inverse, g_of, tau_mn)
 from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn, sn_jet
 
 MU_STAR = 0.6150396634356605   # converged zero of the rotation condition
@@ -109,7 +101,8 @@ def test_stationary_constraint_and_bounds():
         == pytest.approx(4 * (1 + spec.mu), rel=1e-14)
     s = np.linspace(0.0, spec.s_period, 400)
     k = spec.kappa(s)
-    lo, hi = spec.kappa_bounds()
+    lo = -(spec.h_minus + spec.h_plus) / spec.delta      # sn^2 = 0
+    hi = lo + 4.0 * spec.mu / spec.delta                 # sn^2 = 1
     assert k.min() == pytest.approx(lo, abs=1e-10)       # sn = 0 at s = 0
     assert spec.kappa(spec.s_period / 2) == pytest.approx(hi, abs=1e-12)
     assert k.max() <= hi + 1e-12
@@ -121,7 +114,8 @@ def test_stationary_constraint_and_bounds():
 def test_stationary_ode_residual():
     spec = make_spec()
     s = np.linspace(0.0, spec.s_period, 97)
-    res = spec.stationary_ode_residual(s)
+    k0, k1, _, k3 = spec.kappa_jet(s, order=3)
+    res = k3 + 2.0 * spec.ell * k1 - 6.0 * k0 * k1
     assert np.abs(res).max() <= 1e-8
 
 
@@ -266,7 +260,7 @@ def test_kksh_t_derivatives_match_dual_series(spec):
     t = rng.uniform(-1.0, 1.0, 200)
     ref_k = np.array([_dual_kappa_t(spec, a, b) for a, b in zip(s, t)])
     ref_u = np.array([_u_dual(spec, a, b, 1)[0, 1] for a, b in zip(s, t)])
-    for got_of, ref in ((spec.kappa_t, ref_k), (spec.u_t, ref_u)):
+    for got_of, ref in ((spec.kappa_t, ref_k), (lambda a, b: _u_t(spec, a, b), ref_u)):
         bound = 1e-13 * np.abs(ref).max()
         scalar = [got_of(float(a), float(b)) for a, b in zip(s, t)]
         assert all(isinstance(x, float) for x in scalar)
@@ -353,13 +347,34 @@ def test_kksh_s_periodicity():
         assert np.abs(k1 - k0).max() <= 1e-9
 
 
+def _u(spec, s, t, n=1):
+    """[u, u_s, ..., u^(n-1)] at (s, t) from the series of u."""
+    return [c * math.factorial(k) for k, c in enumerate(spec._u_series(s, t, n)[0])]
+
+
+def _u_t(spec, s, t):
+    return spec._u_series(s, t, 1)[1][0]
+
+
+def _mkdv_residual(spec, s, t):
+    """u_t - 6 u^2 u_s + u_sss from the series of u and of u_t."""
+    u, u_t = spec._u_series(s, t, 4)
+    return u_t[0] - 6.0 * u[0] ** 2 * u[1] + 6.0 * u[3]
+
+
+def _kdv_residual(spec, s, t):
+    """kappa_t - 6 kappa kappa_s + kappa_sss from the KdV gate's two calls."""
+    k0, k1, _, k3 = spec.kappa_jet(s, t, order=3)
+    return spec.kappa_t(s, t) - 6.0 * k0 * k1 + k3
+
+
 def test_kksh_mkdv_residual():
     spec = make_kksh()
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(120):
         s, t = rng.uniform(0, 4), rng.uniform(-0.5, 0.5)
-        worst = max(worst, abs(spec.mkdv_residual(s, t)))
+        worst = max(worst, abs(_mkdv_residual(spec, s, t)))
     assert worst <= 1e-5
 
 
@@ -381,7 +396,7 @@ def test_kksh_kdv_residual():
     worst_fd = 0.0
     for _ in range(60):
         s, t = rng.uniform(0, 4), rng.uniform(-0.5, 0.5)
-        worst_analytic = max(worst_analytic, abs(spec.kdv_residual(s, t)))
+        worst_analytic = max(worst_analytic, abs(_kdv_residual(spec, s, t)))
         worst_fd = max(worst_fd, abs(_kdv_residual_fd(spec, s, t)))
     assert worst_analytic <= 1e-4
     assert worst_fd <= 1e-3
@@ -392,16 +407,16 @@ def test_kksh_derivative_consistency():
     spec = make_kksh()
     e = 1e-4
     for s, t in ((0.37, 0.0), (1.9, 0.21), (3.3, -0.4)):
-        u = [spec.u(s + k * e, t) for k in range(-2, 3)]
+        u = [_u(spec, s + k * e, t)[0] for k in range(-2, 3)]
         fd_us = (u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * e)
-        assert spec.u_jet(s, t, 1)[1] == pytest.approx(fd_us, abs=1e-6)
+        assert _u(spec, s, t, 2)[1] == pytest.approx(fd_us, abs=1e-6)
         k = [spec.kappa(s + j * e, t) for j in range(-2, 3)]
         fd_ks = (k[0] - 8 * k[1] + 8 * k[3] - k[4]) / (12 * e)
         assert spec.kappa_jet(s, t, 1)[1] == pytest.approx(fd_ks, abs=5e-5)
         et = 1e-6
-        fd_ut = (spec.u(s, t - 2 * et) - 8 * spec.u(s, t - et)
-                 + 8 * spec.u(s, t + et) - spec.u(s, t + 2 * et)) / (12 * et)
-        assert spec.u_t(s, t) == pytest.approx(fd_ut, rel=1e-6, abs=1e-6)
+        u = [_u(spec, s, t + k * et)[0] for k in range(-2, 3)]
+        fd_ut = (u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * et)
+        assert _u_t(spec, s, t) == pytest.approx(fd_ut, rel=1e-6, abs=1e-6)
 
 
 def test_kksh_traveling_limit_when_parameters_merge():
@@ -416,38 +431,6 @@ def test_kksh_traveling_limit_when_parameters_merge():
     c = 4.0 * spec.h ** 2 * (1.0 + spec.mu)
     for s, t in ((0.3, 0.2), (1.1, -0.35), (2.6, 0.07)):
         assert spec.kappa(s, t) == pytest.approx(spec.kappa(s + c * t, 0.0), abs=1e-8)
-
-
-# ------------------------------------------------- doubly periodic search
-
-def test_time_period_residual_smooth():
-    mus = np.linspace(0.2, 0.8, 13)
-    vals = [time_period_residual(m, tau_mn(m, 1, 6), 1, 2) for m in mus]
-    assert all(math.isfinite(v) for v in vals)
-
-
-def test_time_period_residual_validates():
-    with pytest.raises(ValueError):
-        time_period_residual(0.4, 0.1, 2, 4)
-
-
-def test_find_doubly_periodic_none_and_consistency():
-    res = find_doubly_periodic(1, 6, 1, 2, (0.3, 0.5), samples=8)
-    if res is not None:
-        mu0, tau0 = res
-        assert mu0 != tau0
-        assert abs(time_period_residual(mu0, tau0, 1, 2)) <= 1e-8
-        Kmu, _ = complete_elliptic(mu0)
-        Kt, _ = complete_elliptic(tau0)
-        assert mu0 ** 0.25 * Kmu == pytest.approx(tau0 ** 0.25 * 6 * Kt, abs=1e-8)
-
-
-def test_time_period_residual_swap_relation():
-    """Swapping the two wave roles flips the residual by -(tau/mu)^{3/4}."""
-    for (mu, tau, p, r) in ((0.3, 0.7, 1, 2), (0.2, 0.5, 3, 4), (0.6, 0.25, 2, 5)):
-        r1 = time_period_residual(mu, tau, p, r)
-        r2 = time_period_residual(tau, mu, r, p)
-        assert r2 == pytest.approx(-(tau / mu) ** 0.75 * r1, rel=1e-12)
 
 
 def test_kdv_rhs_on_stationary_jet():

@@ -23,7 +23,6 @@ from ads_null_flows import lame
 from ads_null_flows.config import DEFAULT, UsageError
 from ads_null_flows.transport import IntegrationFailure
 from ads_null_flows.lame import (
-    FloquetRecord,
     HeunLameEvaluator,
     SearchExhausted,
     floquet_search,

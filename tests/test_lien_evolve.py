@@ -4,7 +4,6 @@ evolution, monodromy preservation, and the three-parameter family pipeline."""
 import numpy as np
 import pytest
 
-from ads_null_flows.config import DEFAULT
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
     KdVResidualTooLarge,
@@ -70,18 +69,21 @@ def test_gate_on_probe_arrays(recipe):
 
 def test_cross_validation_with_rigid_evolution():
     """Integrated extended frames equal the closed-form evolution of the
-    same initial data (Id at the origin), pointwise to 1e-4."""
+    same initial data (Id at the origin), pointwise to 1e-4: the closed form
+    starts at diag(1/sqrt sigma, sqrt sigma), so its frames are multiplied
+    on the left by the inverse."""
     sp = StationaryBending(MU, H_PLUS, H_MINUS)
     s_grid = np.linspace(0.0, sp.s_period, 33)
     t_grid = np.linspace(0.0, 0.25, 10)
     ev = lien_evolve(sp, s_grid, t_grid)
+    to_id = np.diag([np.sqrt(sp.sigma), 1.0 / np.sqrt(sp.sigma)])
     for j, t in enumerate(t_grid):
-        closed = evolve_stationary_path(sp, s_grid, float(t),
-                                        init_plus=np.eye(2), init_minus=np.eye(2))
+        closed = evolve_stationary_path(sp, s_grid, float(t))
+        Fp, Fm = to_id @ closed.Fplus, to_id @ closed.Fminus
         path = ev.paths[j]
-        assert np.abs(path.Fplus - closed.Fplus).max() <= 1e-4
-        assert np.abs(path.Fminus - closed.Fminus).max() <= 1e-4
-        assert np.abs(path.gamma() - closed.gamma()).max() <= 1e-4
+        assert np.abs(path.Fplus - Fp).max() <= 1e-4
+        assert np.abs(path.Fminus - Fm).max() <= 1e-4
+        assert np.abs(path.gamma() - Fp @ np.linalg.inv(Fm)).max() <= 1e-4
 
 
 def test_monodromy_preserved_stationary():
@@ -143,7 +145,7 @@ def test_kksh_evolution_satisfies_flow_equation():
     d_t gamma = -2 sqrt2 (kappa T + 2 B) along the whole s-window."""
     import math
 
-    from ads_null_flows.nullcurve import cartan_frame
+    from geometry_ref import cartan_frame
 
     spec = kksh()
     rho = spec.s_period()
@@ -152,7 +154,7 @@ def test_kksh_evolution_satisfies_flow_equation():
     ev = lien_evolve(spec, s_grid, np.array([0.0, e, 2 * e, 3 * e, 4 * e]))
     g = [p.gamma() for p in ev.paths]
     dgdt = (g[0] - 8 * g[1] + 8 * g[3] - g[4]) / (12 * e)
-    fr = cartan_frame(ev.paths[2])
+    _, T, _, B = cartan_frame(ev.paths[2])
     kap = ev.paths[2].kappa
-    target = -2 * math.sqrt(2.0) * (kap[:, None, None] * fr.T + 2.0 * fr.B)
+    target = -2 * math.sqrt(2.0) * (kap[:, None, None] * T + 2.0 * B)
     assert np.abs(dgdt - target).max() <= 1e-4

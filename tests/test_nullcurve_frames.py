@@ -6,27 +6,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from geometry_ref import CARTAN_GRAM, cartan_frame, future_directed
 
 from ads_null_flows.kdvsol import StationaryBending
 from ads_null_flows.nullcurve import (
-    CARTAN_GRAM,
     GridTooCoarse,
     InvalidPair,
     ads_inner,
     bending_oracle,
-    cartan_frame,
     closed_constant,
     constant_bending_frames,
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
-    future_directed,
     integrate_spinor_frames,
     proper_time_checks,
-    q_form,
     stationary_curve,
 )
-from ads_null_flows.nullcurve.frames import _D3, SpinorFramePath
+from ads_null_flows.nullcurve.frames import _D3
 
 
 def test_constant_kappa_matches_closed_form():
@@ -56,7 +53,7 @@ def test_curve_and_cousins_basics():
     gamma = path.gamma()
     eta_p, eta_m = path.cousins()
     assert np.abs(gamma[0] - np.eye(2)).max() <= 1e-14
-    assert np.abs(q_form(gamma) + 1.0).max() <= 1e-10
+    assert np.abs(1.0 - np.linalg.det(gamma)).max() <= 1e-10    # q = -det = -1
     # central affine normalization and the cousin curvature defect k+ - k- = 2
     ds = grid[1] - grid[0]
     for eta, shift in ((eta_p, kappa0 + 1.0), (eta_m, kappa0 - 1.0)):
@@ -84,16 +81,15 @@ def test_cartan_frame_gram_and_derivatives():
     grid = np.linspace(0.0, 4.0, 801)
     ds = grid[1] - grid[0]
     path = integrate_spinor_frames(lambda s: 0.3 * math.cos(s) - 1.0, grid)
-    fr = cartan_frame(path)
+    g, T, N, B = cartan_frame(path)
     for i in (0, 200, 400, 799):
-        F = np.array([fr.gamma[i], fr.T[i], fr.N[i], fr.B[i]])
+        F = np.array([g[i], T[i], N[i], B[i]])
         G = ads_inner(F[:, None], F[None, :])
         assert np.abs(G - CARTAN_GRAM).max() <= 1e-6
-    g = fr.gamma
     d1 = (g[:-4] - 8 * g[1:-3] + 8 * g[3:-1] - g[4:]) / (12 * ds)
-    assert np.abs(fr.T[2:-2] - d1 / math.sqrt(2.0)).max() <= 1e-6
+    assert np.abs(T[2:-2] - d1 / math.sqrt(2.0)).max() <= 1e-6
     d2 = (-g[:-4] + 16 * g[1:-3] - 30 * g[2:-2] + 16 * g[3:-1] - g[4:]) / (12 * ds ** 2)
-    assert np.abs(fr.N[2:-2] - d2 / 2.0).max() <= 1e-6
+    assert np.abs(N[2:-2] - d2 / 2.0).max() <= 1e-6
 
 
 def test_curve_is_null_and_future_directed():
@@ -117,10 +113,9 @@ def test_bending_oracle_constant():
 
 
 def test_bending_oracle_needs_enough_points():
-    with pytest.raises(GridTooCoarse):
-        bending_oracle(np.tile(np.eye(2), (5, 1, 1)), ds=0.1)
-    with pytest.raises(GridTooCoarse):
-        bending_oracle(np.tile(np.eye(2), (6, 1, 1)), ds=0.1)
+    for n in (5, 6):
+        with pytest.raises(GridTooCoarse):
+            bending_oracle(np.tile(np.eye(2), (n, 1, 1)), s_grid=0.1 * np.arange(n))
     grid = np.linspace(0.0, 1.0, 9) ** 2
     with pytest.raises(GridTooCoarse):
         bending_oracle(np.tile(np.eye(2), (9, 1, 1)), s_grid=grid)
@@ -146,7 +141,7 @@ def test_bending_oracle_matches_the_per_sample_loop():
     curve = stationary_curve(spec.mu, spec.h_plus, spec.h_minus, grid).gamma()
     rng = np.random.default_rng(3)
     for gamma, ds in ((curve, grid[1] - grid[0]), (rng.normal(size=(40, 2, 2)), 0.37)):
-        got = bending_oracle(gamma, ds=ds)
+        got = bending_oracle(gamma, s_grid=ds * np.arange(len(gamma)))
         ref = _bending_oracle_loop(gamma, ds)
         assert np.isnan(got[:3]).all() and np.isnan(got[-3:]).all()
         assert not np.isnan(got[3:-3]).any()

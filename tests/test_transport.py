@@ -70,7 +70,8 @@ def test_t_system_on_the_kksh_grid():
     """lien_evolve's A+-(t) along s = 0 on the README t-grid; |A+| reaches
     2.4e9."""
     ev = lien_evolve(kksh(), [0.0], KKSH_T)
-    A = np.stack([ev.A_plus, ev.A_minus])
+    # at s = 0 the frames are A+-(t) Phi+-(0, t) = A+-(t) exactly
+    A = np.stack([[p.Fplus[0] for p in ev.paths], [p.Fminus[0] for p in ev.paths]])
     assert np.abs(A[0, -1]).max() > 1e9
     assert rel_err(A, dop853(t_rhs(kksh()), 0.0, KKSH_T)) <= 1e-9
 
@@ -255,7 +256,7 @@ def test_monodromy_drift_at_the_largest_kksh_time():
     spec = kksh()
     rho = spec.s_period()
     ev = lien_evolve(spec, np.linspace(0.0, rho, 9), KKSH_T)
-    assert np.abs(ev.A_plus[-1]).max() > 1e9
+    assert np.abs(ev.paths[-1].Fplus[0]).max() > 1e9
     assert math.isfinite(ev.monodromy_drift(rho))
 
 
