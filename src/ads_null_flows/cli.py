@@ -134,6 +134,8 @@ def _snapshot_tags(prefix: str, t_list) -> list:
 def _export_path(outdir: Path, path: SpinorFramePath, recipe: str,
                  config: RunConfig, tag: str, extra: dict | None = None):
     gamma = path.gamma()
+    if not np.isfinite(gamma).all():
+        raise NumericFailure(f"{tag}: the curve leaves the float64 range")
     pts = torical_embed(gamma)
     write_curve_json(outdir / f"{tag}.json", recipe, config, path.s_grid, gamma, pts,
                      extra)

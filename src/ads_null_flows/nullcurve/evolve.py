@@ -11,14 +11,17 @@ extended frames at spectral parameters +-1 satisfy
 and gamma = F+ F-^{-1} evolves by the lowest flow with bending kappa.  The
 bending is a BendingSampler, whose kappa_jet and kappa_t take scalar or
 array (s, t); lien_evolve first gates it on the KdV residual over a grid of
-probes, one array call of each.  The construction transports the t-systems along s = 0 first (A+-(t), from Id),
-then the s-systems for each requested t, F+-(s, t) = A+-(t) Phi+-(s, t) with
-Phi+-(0, t) = Id.  Every transport is the Magnus kernel of
-ads_null_flows.transport: one array call of kappa_jet per block of steps
-feeds both factors (order 2 in t along s = 0, order 0 in s), each step is an
-exact sl2 exponential, so the frames are unimodular by construction and are
-never renormalized (det_drift is a diagnostic only), and the step count
-follows integrator_rel_tol.  The kernel is confirmed once per lien_evolve by
+probes, one array call of each.  The construction transports the t-systems
+along s = 0 first (A+-(t), from Id), then the s-systems for each requested
+t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id.  The kernels are
+those of ads_null_flows.transport, and one array call of kappa_jet per
+block feeds both factors.  The t-system takes Taylor panels: kappa_jet of
+order 2 runs at s = 0 on a Series in dt and yields the Taylor coefficients
+of P_lam about the panel centres.  The s-systems take the Magnus kernel
+(order 0 in s).  Every step or panel factor has det 1, so the frames are
+unimodular to rounding and are never renormalized (det_drift is a
+diagnostic only), and the step and panel counts follow
+integrator_rel_tol.  The s-kernel is confirmed once per lien_evolve by
 DOP853: the t = 0 s-system from Id at s = 0 to the far end of the s-grid
 must match it within tol_metric, or within CONFIRM_SLACK times
 integrator_rel_tol when that is looser (DOP853's own global error), else
@@ -38,8 +41,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
-from ..transport import EPS, IntegrationFailure, transport
-from .frames import SpinorFramePath
+from ..transport import EPS, IntegrationFailure, taylor_transport, transport
+from .frames import SpinorFramePath, _sl2_inverse
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 # DOP853's global error over the s-span runs to several times its rtol
@@ -131,8 +134,8 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
-    A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,
-                                config.integrator_rel_tol)
+    A_plus, A_minus = taylor_transport(_t_generator(sampler), 0.0, t_grid,
+                                       config.integrator_rel_tol)
 
     # step 2: s-systems for each t
     paths = [_s_integration(sampler, s_grid, float(t), A_plus[j], A_minus[j], config)
@@ -143,9 +146,10 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
 
 def _t_generator(sampler: BendingSampler):
     """P_lam = [[-k1, q - 2 lam k0 - 4], [2 k0 - 4 lam, k1]], q = 2 k0^2 - k2,
-    of the t-system along s = 0 for lam = +-1, from one kappa jet."""
+    of the t-system along s = 0 for lam = +-1, from one kappa jet; t is an
+    array or a Series (the Taylor panels)."""
     def generator(t):
-        k0, k1, k2 = sampler.kappa_jet(np.zeros_like(t), t, order=2)
+        k0, k1, k2 = sampler.kappa_jet(0.0, t, order=2)
         return -k1, 2.0 * k0 * k0 - k2 - 4.0 - 2.0 * LAMBDA * k0, 2.0 * k0 - 4.0 * LAMBDA
     return generator
 
@@ -185,13 +189,6 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
             raise IntegrationFailure(
                 f"Magnus and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
                 f"at s = {s_grid[end]!r}")
-
-
-def _sl2_inverse(F: np.ndarray) -> np.ndarray:
-    """The inverse of a unimodular frame, its adjugate: defined however large
-    F grows, where an LU inverse loses det F = 1 to cancellation (at
-    |F| ~ 2e9 the float det of A+ is 0 and np.linalg.inv raises)."""
-    return np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
 
 
 class NoSignChange(RuntimeError):

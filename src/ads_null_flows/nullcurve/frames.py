@@ -50,6 +50,15 @@ class InvalidPair(UsageError):
     pass
 
 
+def _sl2_inverse(F: np.ndarray) -> np.ndarray:
+    """The inverse of unimodular frames (..., 2, 2), their adjugate: defined
+    however large F grows, where an LU inverse loses det F = 1 to
+    cancellation (at |F| ~ 1e10 the float det is 0 and np.linalg.inv
+    raises)."""
+    return np.stack([np.stack([F[..., 1, 1], -F[..., 0, 1]], -1),
+                     np.stack([-F[..., 1, 0], F[..., 0, 0]], -1)], -2)
+
+
 @dataclass
 class SpinorFramePath:
     s_grid: np.ndarray
@@ -60,7 +69,10 @@ class SpinorFramePath:
     det_drift: float = 0.0
 
     def gamma(self) -> np.ndarray:
-        return self.Fplus @ np.linalg.inv(self.Fminus)
+        """F+ F-^{-1} at every sample.  Entries beyond the float range come
+        out inf or nan, without a warning; a caller that exports checks."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.Fplus @ _sl2_inverse(self.Fminus)
 
     def cousins(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.Fplus[:, :, 0].copy(), self.Fminus[:, :, 0].copy()
@@ -163,8 +175,10 @@ def constant_frame_factor(k: float, s):
         out[..., 1, 0] = s
         out[..., 1, 1] = 1.0
     else:
+        # beyond w s ~ 710 the factor is inf; the curve's export rejects it
         w = math.sqrt(k)
-        c, sh = np.cosh(w * s), np.sinh(w * s)
+        with np.errstate(over="ignore"):
+            c, sh = np.cosh(w * s), np.sinh(w * s)
         out[..., 0, 0] = c
         out[..., 0, 1] = w * sh
         out[..., 1, 0] = sh / w

@@ -23,6 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from ..config import UsageError
+from .series import Series, cauchy
 
 _EPS = 2.2e-16
 _TINY = 1e-100    # below this, sn(x) = x and cn = dn = 1 in float64
@@ -147,7 +148,8 @@ def period_remainder(s: np.ndarray, J: JacobiScalar, half: bool = False):
 
 
 def jacobi_sncndn(s, mu: float):
-    """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1).
+    """(sn, cn, dn) at real s (scalar or array) for parameter mu in (0,1);
+    at a Series s = x0 + w dx, the three Taylor series in dx.
 
     s is reduced exactly: a float as |s| % 4K, with sn odd and cn, dn
     even; an array by period_remainder to x4 = s - 4K m in [-2K, 2K] (m the
@@ -171,17 +173,25 @@ def jacobi_sncndn(s, mu: float):
     and float paths reduce every s to the same x.
     """
     J = _jacobi_at(float(mu))
+    if isinstance(s, Series):
+        return _sncndn_series(s, J, float(mu))
     if isinstance(s, (int, float)):
         return J(float(s))
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         return J(float(s))
+    return _sncndn_array(s, J)
+
+
+def _sncndn_array(s: np.ndarray, J: JacobiScalar):
+    """The array path of jacobi_sncndn."""
     K, cfac = J._K, J._cfac
     x4, _ = period_remainder(s, J)
     x = np.abs(x4)
     y = 2.0 * K - x
     sign_cn = K - x
-    sign_sn = np.multiply(x4, y, out=x4)
+    # the sign of x4 (2K - |x4|), which cannot overflow for a huge x4
+    sign_sn = np.multiply(x4, np.sign(y), out=x4)
     np.minimum(x, np.abs(y, out=y), out=x)
     tiny = x < _TINY
     any_tiny = tiny.any()
@@ -208,6 +218,24 @@ def jacobi_sncndn(s, mu: float):
         cn[tiny] = 1.0
         dn[tiny] = 1.0
     return np.copysign(amp, sign_sn, out=amp), np.copysign(cn, sign_cn, out=cn), dn
+
+
+def _sncndn_series(x: Series, J: JacobiScalar, mu: float):
+    """(sn, cn, dn) of a linear series argument x0 + w dx, as Series: the
+    triple at x0, then sn' = w cn dn, cn' = -w sn dn and dn' = -mu w sn cn
+    give one coefficient of each per order."""
+    c = x.c
+    if np.any(c[2:]):
+        raise ValueError("jacobi_sncndn takes a series argument x0 + w dx only")
+    x0, w = c[0], c[1]
+    S, C, D = (np.empty(c.shape) for _ in range(3))
+    S[0], C[0], D[0] = J(float(x0)) if x0.ndim == 0 else _sncndn_array(x0, J)
+    for k in range(len(c) - 1):
+        f = w / (k + 1)
+        S[k + 1] = f * cauchy(C, D, k)
+        C[k + 1] = -f * cauchy(S, D, k)
+        D[k + 1] = -mu * f * cauchy(S, C, k)
+    return Series(S), Series(C), Series(D)
 
 
 # ------------------------------------- plain Taylor (in ds) series, closed form

@@ -1,6 +1,10 @@
-"""Magnus transport of unimodular 2x2 frames, F' = F A(x) with A(x) in sl2.
+"""Transport of unimodular 2x2 frames, F' = F A(x) with A(x) in sl2, by two
+kernels with one interface: transport (order-6 Magnus steps) and
+taylor_transport (Taylor panels).  Both return the frames at the grid
+points from F(x0) = Id to a relative accuracy, and multiply their step or
+panel factors the same way (_sweep).
 
-One step of length h from x uses the order-6 Magnus scheme of Blanes,
+Magnus.  One step of length h from x uses the order-6 Magnus scheme of Blanes,
 Casas, Oteo & Ros (Phys. Rep. 470 (2009) 151; after Iserles & Norsett,
 Phil. Trans. R. Soc. A 357 (1999) 983) on the three Gauss-Legendre nodes
 x + c_i h, c = 1/2 + (-1, 0, 1) sqrt(15)/10:
@@ -40,13 +44,44 @@ saves the last doubling); from there the h^6 rate predicts the step count
 that meets the tolerance, times MARGIN, which is computed and checked
 against the last level, and a miss doubles again.  More than MAX_STEPS,
 or a non-finite frame, raises IntegrationFailure.
+
+Taylor panels (for an analytic A: a linear ODE with analytic coefficients
+is solved by its Taylor series; Jorba & Zou, Exp. Math. 14 (2005) 99).
+Each grid interval is split into equal panels.  The generator is called
+once per block of PANEL_BLOCK panels, on a specfun.series.Series x = c + dx
+over the panel centres c, and returns (a, b, c) as Series: the first
+TERMS - 1 Taylor coefficients A_k of A(c + dx), of each panel and factor.
+From Phi_0 = Id the frame series about c follows by
+
+    (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i},
+
+and the propagator of a panel of half-width w is adj(Phi(-w)) Phi(w),
+divided by the square root of its determinant (1 up to the truncation),
+so every panel factor has det 1.  Each level is swept twice, from all
+TERMS terms and without the last one, along the factor axis of one sweep;
+the effect of the last term on the frames, times q / (1 - q) for the
+largest ratio q of a panel's half-width to its radius, estimates the
+tail of the series (relative, max-norm per sample).  A level is accepted
+once that estimate is within rel_tol or within the rounding floor
+sqrt(panels) times the rounding unit.  The radius of a panel comes from a
+root test, 1 / max |Phi_k|^(1/k) over the last ROOT_TERMS coefficients.
+The first level has FIRST_PANELS panels; if it misses, each interval takes
+the panel count at which (w / rho)^TERMS meets the target (rel_tol or the
+floor) for the smallest radius rho of its panels, times PANEL_MARGIN (at
+least a doubling), and every later miss doubles.  A level whose panels
+outrun the radius overflows without a warning and counts as a miss.  A
+level of more than MAX_PANELS panels raises IntegrationFailure before it
+is swept, and so does a non-finite generator coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+from .specfun.series import Series
 
 ORDER = 6
 NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
@@ -56,6 +91,14 @@ MAX_STEPS = 1 << 21   # refinement cap: 6.3M generator nodes per level
 MARGIN = 1.1          # on the predicted step count
 PREDICT_BELOW = 1e-4  # error estimate below which the h^6 rate is trusted
 EPS = float(np.finfo(float).eps)
+TERMS = 24            # Taylor terms per panel (even: the last term is odd)
+ROOT_TERMS = 4        # last frame coefficients read by the root test
+# panels per generator call: 23 x 256 coefficients per array, about the
+# 3 x 2048 nodes of a Magnus block, so the block memory stays the same
+PANEL_BLOCK = 256
+FIRST_PANELS = 128    # panels of the first level, whose root test predicts
+MAX_PANELS = 1 << 16  # refinement cap
+PANEL_MARGIN = 1.25   # on the predicted panel count
 
 
 class IntegrationFailure(RuntimeError):
@@ -136,31 +179,39 @@ def _as_matrices(E, index):
     return np.stack([np.stack([p, q], -1), np.stack([r, s], -1)], -2)
 
 
-def _sweep(generator, knots: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _magnus_factors(generator, x: np.ndarray, h: np.ndarray):
+    """The step factors of the steps [x, x + h], from one generator call on
+    their 3 len(x) nodes."""
+    coeffs = generator((x[None, :] + NODES[:, None] * h).ravel())
+    # each entry keeps its own factor extent (1 or all), so a constant
+    # entry costs no array of the full (factors, 3 steps) size
+    a, b, c = (np.broadcast_to(v, np.broadcast_shapes(np.shape(v), (1, 3 * len(x))))
+               .reshape(-1, 3, len(x)) for v in coeffs)
+    return _step_factors(a, b, c, h)
+
+
+def _sweep(generator, knots: np.ndarray, counts: np.ndarray,
+           factors=_magnus_factors, block: int = BLOCK) -> np.ndarray:
     """Frames (factors, len(knots) - 1, 2, 2) at knots[1:], from Id at
-    knots[0], with counts[i] equal steps from knots[i] to knots[i + 1]."""
+    knots[0], with counts[i] equal steps from knots[i] to knots[i + 1].
+    factors(generator, x, h) returns the entries (p, q, r, s), each of shape
+    (factors, steps), of the matrices that carry the frame across the steps
+    [x, x + h]; it is called on block steps at a time."""
     ends = np.cumsum(counts)
     total = int(ends[-1])
     width = np.diff(knots)
     h_seg = np.divide(width, counts, out=np.zeros_like(width), where=counts > 0)
     out = None
     frame = None
-    for k0 in range(0, total, BLOCK):
-        k = np.arange(k0, min(k0 + BLOCK, total))
+    for k0 in range(0, total, block):
+        k = np.arange(k0, min(k0 + block, total))
         seg = np.searchsorted(ends, k, side="right")
         h = h_seg[seg]
-        x = knots[seg] + (k - (ends[seg] - counts[seg])) * h
-        coeffs = generator((x[None, :] + NODES[:, None] * h).ravel())
-        # each entry keeps its own factor extent (1 or all), so a constant
-        # entry costs no array of the full (factors, 3 steps) size
-        a, b, c = (np.broadcast_to(v, np.broadcast_shapes(np.shape(v), (1, 3 * len(k))))
-                   .reshape(-1, 3, len(k)) for v in coeffs)
+        E = factors(generator, knots[seg] + (k - (ends[seg] - counts[seg])) * h, h)
         if out is None:
-            factors = max(len(a), len(b), len(c))
-            out = np.empty((factors, len(counts), 2, 2))
-            frame = np.broadcast_to(np.eye(2), (factors, 2, 2))
+            out = np.empty((len(E[0]), len(counts), 2, 2))
+            frame = np.broadcast_to(np.eye(2), (len(E[0]), 2, 2))
             out[:, ends == 0] = np.eye(2)
-        E = _step_factors(a, b, c, h)
         inside = np.nonzero((ends > k0) & (ends < k0 + len(k)))[0]
         if len(inside):
             E = _prefix(E)
@@ -178,20 +229,24 @@ def _rel_diff(coarse: np.ndarray, fine: np.ndarray) -> float:
     return float((num / np.abs(fine).max(axis=(-2, -1))).max())
 
 
-def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
-    """Frames (factors, len(grid), 2, 2) of F' = F A(x) at the grid points,
-    with F(x0) = Id, to the relative accuracy rel_tol (see the module
-    docstring).  generator(x) returns (a, b, c) of A at the array x."""
+def _knots(x0: float, grid):
+    """x0 and the grid as one array, and the length of each interval (all 1
+    for a path of length 0)."""
     knots = np.concatenate([[float(x0)], np.asarray(grid, dtype=float)])
     if len(knots) < 2 or not np.all(np.isfinite(knots)):
         raise ValueError("transport grid must be non-empty and finite")
     width = np.abs(np.diff(knots))
-    length = float(width.sum())
-    if length == 0.0:
+    if width.sum() == 0.0:
         width = np.ones_like(width)
-        length = float(width.sum())
+    return knots, width
 
-    counts = np.ceil(FIRST_STEPS * width / length).astype(np.int64)
+
+def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
+    """Frames (factors, len(grid), 2, 2) of F' = F A(x) at the grid points,
+    with F(x0) = Id, to the relative accuracy rel_tol (see the module
+    docstring).  generator(x) returns (a, b, c) of A at the array x."""
+    knots, width = _knots(x0, grid)
+    counts = np.ceil(FIRST_STEPS * width / float(width.sum())).astype(np.int64)
     frames = _sweep(generator, knots, counts)
     ratio = 2.0
     while True:
@@ -217,3 +272,94 @@ def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
                         (err / floor) ** (1.0 / (ORDER + 0.5)))
             ratio = min(max(ratio, MARGIN * reach), MAX_STEPS)
         counts, frames = finer, fine
+
+
+# ------------------------------------------------------------ Taylor panels
+
+def _coefficients(v, n: int) -> np.ndarray:
+    """A generator entry (a Series, or a constant) as Taylor coefficients
+    (TERMS - 1, factors or 1, n)."""
+    if not isinstance(v, Series):
+        v = Series(np.zeros((TERMS - 1, 1))) + v
+    c = v.c.reshape(v.c.shape[:1] + (1,) * (3 - v.c.ndim) + v.c.shape[1:])
+    return np.broadcast_to(c, c.shape[:2] + (n,))
+
+
+def _frame_series(a, b, c) -> np.ndarray:
+    """Taylor coefficients Phi_k (TERMS, 2, 2, factors, n) of the frame about
+    a panel centre, Phi_0 = Id: (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i}."""
+    shape = (max(len(a[0]), len(b[0]), len(c[0])), a.shape[-1])
+    A = np.empty((TERMS - 1, 2, 2) + shape)
+    A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, b, c, -a
+    Phi = np.zeros((TERMS, 2, 2) + shape)
+    Phi[0, 0, 0] = Phi[0, 1, 1] = 1.0
+    for k in range(TERMS - 1):
+        np.einsum("iabfn,ibcfn->acfn", Phi[:k + 1], A[k::-1], out=Phi[k + 1])
+        Phi[k + 1] /= k + 1
+    return Phi
+
+
+def _taylor_factors(generator, x: np.ndarray, h: np.ndarray, radii: list):
+    """Propagators of the panels [x, x + h], twice along the factor axis:
+    from all TERMS terms, then without the last one.  Appends each panel's
+    root-test radius (in x) to radii."""
+    half = 0.5 * h
+    a, b, c = (_coefficients(v, len(x))
+               for v in generator(Series.variable(x + half, TERMS - 1)))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise IntegrationFailure("Taylor transport met a non-finite coefficient")
+    Phi = _frame_series(a, b, c)
+    size = np.abs(Phi[-ROOT_TERMS:]).max(axis=(1, 2, 3))
+    k = np.arange(TERMS - ROOT_TERMS, TERMS)[:, None]
+    radii.append(1.0 / (size ** (1.0 / k)).max(axis=0))
+    Phi *= (half ** np.arange(TERMS)[:, None])[:, None, None, None]
+    # Phi(+-half) = even +- odd; the last term is odd (TERMS is even)
+    even, odd = Phi[0::2].sum(axis=0), Phi[1::2].sum(axis=0)
+    out = []
+    for o in (odd, odd - Phi[-1]):
+        (p1, q1), (r1, s1) = even + o
+        (p2, q2), (r2, s2) = even - o
+        # adj(Phi(-half)) Phi(half), scaled to det 1
+        P = (s2 * p1 - q2 * r1, s2 * q1 - q2 * s1, p2 * r1 - r2 * p1, p2 * s1 - r2 * q1)
+        scale = 1.0 / np.sqrt(P[0] * P[3] - P[1] * P[2])
+        out.append(tuple(e * scale for e in P))
+    return tuple(np.concatenate(pair) for pair in zip(*out))
+
+
+def taylor_transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
+    """The frames of transport, (factors, len(grid), 2, 2) with F(x0) = Id,
+    by Taylor panels (see the module docstring).  generator(x) is called on
+    a Series x, the panel centres + dx, and returns (a, b, c) of A as
+    Series (or constants)."""
+    knots, width = _knots(x0, grid)
+    span = np.abs(np.diff(knots))
+    need = np.ceil(FIRST_PANELS * width / float(width.sum()))
+    predicted = False
+    while True:
+        if not need.sum() <= MAX_PANELS:
+            raise IntegrationFailure(
+                f"Taylor transport needs more than {MAX_PANELS} panels for relative "
+                f"tolerance {rel_tol:.1e}")
+        counts = need.astype(np.int64)
+        radii = []
+        # a level whose panels outrun the radius overflows; it is a miss
+        with np.errstate(all="ignore"):
+            both = _sweep(generator, knots, counts,
+                          functools.partial(_taylor_factors, radii=radii), PANEL_BLOCK)
+            frames = both[:len(both) // 2]
+            half = np.divide(span, 2 * counts, out=np.zeros_like(span), where=counts > 0)
+            q = float((np.repeat(half, counts) / np.concatenate(radii)).max())
+            err = (_rel_diff(both[len(both) // 2:], frames) * q / (1.0 - q)
+                   if q < 1.0 else math.inf)
+        floor = EPS * math.sqrt(counts.sum())
+        if err <= max(rel_tol, floor):
+            return frames
+        need = 2.0 * counts
+        if not predicted:
+            used = counts > 0
+            starts = (np.cumsum(counts) - counts)[used]
+            rho = np.minimum.reduceat(np.concatenate(radii), starts)
+            reach = max(rel_tol, floor) ** (1.0 / TERMS)
+            need[used] = np.maximum(need[used], np.ceil(
+                PANEL_MARGIN * span[used] / (2.0 * reach * rho)))
+            predicted = True

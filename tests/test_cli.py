@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -319,6 +320,28 @@ def test_constant_command_files(tmp_path):
     assert obj[-1].startswith("l 1 2 ")
     cous = (out / "constant_7_3_cousin_plus.csv").read_text().splitlines()
     assert cous[2] == "s,x,y"
+
+
+@pytest.mark.parametrize("kappa", ["5", "600"])
+def test_constant_growing_curves_export(tmp_path, kappa):
+    """|F-| reaches 1e10 at kappa = 5 over the default --s-span 12, where an
+    LU inverse of F- was singular; the exported floats are finite."""
+    out = tmp_path / "c"
+    assert main(["constant", "--kappa", kappa, "-o", str(out)]) == 0
+    doc = json.loads((out / f"constant_k{kappa}.json").read_text())
+    assert all(math.isfinite(v) for sample in doc["samples"]
+               for v in [sample["x"], sample["y"], sample["z"], *sample["matrix"]])
+
+
+@pytest.mark.parametrize("kappa", ["1e3", "1e150"])
+def test_constant_overflowing_curve_exit_code(tmp_path, capsys, kappa):
+    """gamma overflows float64 (at 1e150 the frames already do): a numeric
+    failure before any file is written, with no numpy warning (an error
+    here)."""
+    out = tmp_path / "c"
+    assert main(["constant", "--kappa", kappa, "-o", str(out)]) == 1
+    assert "float64 range" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_curve_json_floats_round_trip(tmp_path):

@@ -66,6 +66,33 @@ def test_curve_and_cousins_basics():
         assert np.abs(curv - shift).max() <= 1e-5
 
 
+def _hyperbolic_gamma(kappa0, s):
+    """exp(s K+) exp(-s K-) for kappa0 > 1 by the product-to-sum formulas:
+    each entry is a combination of cosh or sinh of (w+ +- w-) s, so no float
+    frame is inverted and no large terms cancel."""
+    wp, wm = math.sqrt(kappa0 + 1.0), math.sqrt(kappa0 - 1.0)
+    add, sub = (wp + wm) * s, (wp - wm) * s
+    out = np.empty(s.shape + (2, 2))
+    out[:, 0, 0] = 0.5 * ((1.0 - wp / wm) * np.cosh(add) + (1.0 + wp / wm) * np.cosh(sub))
+    out[:, 0, 1] = 0.5 * ((wp - wm) * np.sinh(add) + (wp + wm) * np.sinh(sub))
+    out[:, 1, 0] = 0.5 * ((1.0 / wp - 1.0 / wm) * np.sinh(add)
+                          + (1.0 / wp + 1.0 / wm) * np.sinh(sub))
+    out[:, 1, 1] = 0.5 * ((1.0 - wm / wp) * np.cosh(add) + (1.0 + wm / wp) * np.cosh(sub))
+    return out
+
+
+@pytest.mark.parametrize("kappa0", [5.0, 40.0, 500.0])
+def test_gamma_of_growing_frames(kappa0):
+    """gamma = F+ F-^{-1} over the default --s-span 12, where |F-| reaches
+    1e10 (kappa0 = 5) to 1e116 and an LU inverse of F- is singular in
+    float64, against the closed form."""
+    grid = np.linspace(0.0, 12.0, 1025)
+    gamma = constant_bending_path(kappa0, grid).gamma()
+    ref = _hyperbolic_gamma(kappa0, grid)
+    rel = np.abs(gamma - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-12
+
+
 def test_cousin_roundtrip_rebuilds_curve():
     grid = np.linspace(0.0, 4.0, 120)
     path = integrate_spinor_frames(lambda s: 0.4 * math.sin(s) - 1.2, grid)

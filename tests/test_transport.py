@@ -1,8 +1,9 @@
-"""The Magnus frame-transport kernel against DOP853 at rtol 1e-13: the KKSH
-t-system and s-monodromies, single and batched, the two-step evolution of a
-stationary bending, the order of the scheme, the step ladder, unimodularity,
-the refinement cap, the DOP853 confirmation gate of lien_evolve and the
-accepted range of integrator_rel_tol."""
+"""The frame-transport kernels against DOP853 at rtol 1e-13 and against
+each other: the KKSH t-system (Taylor panels in lien_evolve, Magnus as a
+kernel test) and s-monodromies, single and batched, the two-step evolution
+of a stationary bending, the order of the Magnus scheme, the step and panel
+ladders, unimodularity, the refinement caps, the DOP853 confirmation gate
+of lien_evolve and the accepted range of integrator_rel_tol."""
 
 import json
 import math
@@ -66,14 +67,45 @@ def rel_err(F, ref):
                   / np.abs(ref).max(axis=(-2, -1))).max())
 
 
-def test_t_system_on_the_kksh_grid():
+@pytest.fixture(scope="module")
+def kksh_t_reference():
+    """DOP853 frames of the KKSH t-system on the README t-grid, once per
+    module (the slowest reference of the suite)."""
+    return dop853(t_rhs(kksh()), 0.0, KKSH_T)
+
+
+def test_t_system_on_the_kksh_grid(kksh_t_reference):
     """lien_evolve's A+-(t) along s = 0 on the README t-grid; |A+| reaches
     2.4e9."""
     ev = lien_evolve(kksh(), [0.0], KKSH_T)
     # at s = 0 the frames are A+-(t) Phi+-(0, t) = A+-(t) exactly
     A = np.stack([[p.Fplus[0] for p in ev.paths], [p.Fminus[0] for p in ev.paths]])
     assert np.abs(A[0, -1]).max() > 1e9
-    assert rel_err(A, dop853(t_rhs(kksh()), 0.0, KKSH_T)) <= 1e-9
+    assert rel_err(A, kksh_t_reference) <= 1e-9
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-30])
+def test_taylor_t_system_matches_magnus_and_dop853(kksh_t_reference, rel_tol):
+    """The two kernels share no discretisation; a tolerance below the
+    rounding is met at the rounding floor."""
+    generator = evolve._t_generator(kksh())
+    A = kernel.taylor_transport(generator, 0.0, KKSH_T, rel_tol)
+    assert rel_err(A, kernel.transport(generator, 0.0, KKSH_T, 1e-12)) <= 1e-11
+    assert rel_err(A, kksh_t_reference) <= 1e-10
+
+
+def test_taylor_panel_propagators_are_unimodular():
+    """Each panel factor, from all terms and without the last one, has det
+    1 to rounding."""
+    x = np.linspace(0.0, 1.6, 300)
+    h = np.full_like(x, 8e-4)
+    radii = []
+    P = kernel._taylor_factors(evolve._t_generator(kksh()), x, h, radii)
+    assert P[0].shape == (4, 300)
+    det = P[0] * P[3] - P[1] * P[2]
+    assert np.abs(det - 1.0).max() <= 1e-13
+    assert np.abs(P[0][:2] - P[0][2:]).max() > 0.0      # the two truncations differ
+    assert radii[0].shape == (300,) and np.all(h / 2 < radii[0])
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.6, MU_STAR])
@@ -125,21 +157,26 @@ def test_error_ratio_on_halving_the_step():
         assert coarse / fine == pytest.approx(2.0 ** kernel.ORDER, rel=0.25)
 
 
-def _ladders(monkeypatch):
-    """Record the step total of every sweep, one list per transport call (a
-    call starts where the total falls back to the first level)."""
+def _ladders(monkeypatch, kernels=("magnus",)):
+    """Record the step or panel total of every sweep of the given kernels,
+    one list per transport call (a call starts where the kernel changes or
+    the total falls back to a first level), and the kernel of each list."""
     ladders = []
+    ladders_kernels = []
     sweep = kernel._sweep
 
     def counting(generator, knots, counts, *args):
-        total = int(counts.sum())
-        if not ladders or total < ladders[-1][-1]:
-            ladders.append([])
-        ladders[-1].append(total)
+        name = "taylor" if args else "magnus"
+        if name in kernels:
+            total = int(counts.sum())
+            if not ladders or ladders_kernels[-1] != name or total < ladders[-1][-1]:
+                ladders.append([])
+                ladders_kernels.append(name)
+            ladders[-1].append(total)
         return sweep(generator, knots, counts, *args)
 
     monkeypatch.setattr(kernel, "_sweep", counting)
-    return ladders
+    return ladders, ladders_kernels
 
 
 def _predictions(ladder):
@@ -151,25 +188,38 @@ def _predictions(ladder):
 
 
 def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
-    ladders = _ladders(monkeypatch)
+    ladders, _ = _ladders(monkeypatch)
     transport(evolve._t_generator(kksh()), 0.0, KKSH_T, DEFAULT.integrator_rel_tol)
     assert len(ladders) == 1 and _predictions(ladders[0]) == 1
 
 
+@pytest.mark.parametrize("mu", [0.3, MU_STAR, 0.8])
+def test_kksh_t_system_accepts_the_predicted_panels(monkeypatch, mu):
+    """The Taylor ladder of lien_evolve: the first level, then the level its
+    root test predicts, accepted without a doubling."""
+    ladders, _ = _ladders(monkeypatch, ("taylor",))
+    kernel.taylor_transport(evolve._t_generator(kksh(mu)), 0.0, KKSH_T,
+                            DEFAULT.integrator_rel_tol)
+    assert len(ladders) == 1 and len(ladders[0]) == 2, ladders
+    assert ladders[0][1] > 2 * ladders[0][0]
+
+
 @pytest.mark.parametrize("mu", [0.3, 0.6, MU_STAR])
 def test_s_monodromy_accepts_the_predicted_level(monkeypatch, mu):
-    ladders = _ladders(monkeypatch)
+    ladders, _ = _ladders(monkeypatch)
     evolve.kksh_frames_t0(kksh(mu))
     assert len(ladders) == 1 and _predictions(ladders[0]) == 1
 
 
 def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
-    """The t-system and the five s-systems of the `check` evolution."""
-    ladders = _ladders(monkeypatch)
+    """The t-system (Taylor panels, accepted at its first level on this
+    short grid) and the five s-systems (Magnus) of the `check` evolution."""
+    ladders, kernels = _ladders(monkeypatch, ("magnus", "taylor"))
     spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
     lien_evolve(spec, np.linspace(0.0, spec.s_period, 17), np.linspace(0.0, 0.2, 5))
-    assert len(ladders) == 6
-    for ladder in ladders:
+    assert kernels == ["taylor"] + ["magnus"] * 5
+    assert len(ladders[0]) == 1
+    for ladder in ladders[1:]:
         _predictions(ladder)
 
 
@@ -177,7 +227,7 @@ def test_mu_star_ladders_end_at_most_one_prediction(monkeypatch):
     """Every transport of the mu* search (the batched scan pairs and each
     brentq refinement) doubles, then accepts at most one predicted level:
     none misses its prediction and refines again."""
-    ladders = _ladders(monkeypatch)
+    ladders, _ = _ladders(monkeypatch)
     evolve.kksh_mu_star(1, 6, 2.0)
     assert len(ladders) > 12 // evolve.BATCH       # the scan, then brentq
     for ladder in ladders:
@@ -210,6 +260,36 @@ def test_refinement_cap_raises(monkeypatch):
     monkeypatch.setattr(kernel, "MAX_STEPS", 4096)
     with pytest.raises(IntegrationFailure, match="steps"):
         transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
+
+
+def test_taylor_panel_cap_raises(monkeypatch):
+    """A panel count beyond the cap fails before that level is swept."""
+    ladders, _ = _ladders(monkeypatch, ("taylor",))
+    monkeypatch.setattr(kernel, "MAX_PANELS", 1000)
+    with pytest.raises(IntegrationFailure, match="panels"):
+        kernel.taylor_transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
+    assert len(ladders) == 1 and len(ladders[0]) == 1     # the first level only
+
+
+def test_taylor_huge_span_raises_without_warnings():
+    """t up to 1e300: the first level's panels are 1e297 wide, overflow
+    (a miss, silently) and predict far more panels than the cap."""
+    with pytest.raises(IntegrationFailure, match="panels"):
+        kernel.taylor_transport(evolve._t_generator(kksh()), 0.0, [1e300], 1e-12)
+
+
+def test_kksh_at_a_huge_time_exits_1(tmp_path, capsys):
+    assert main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "1e300",
+                 "--invariant-grid", "2", "-o", str(tmp_path / "k")]) == 1
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_taylor_non_finite_coefficient_raises():
+    def blow_up(x):
+        return 0.0, x * np.nan, 1.0
+
+    with pytest.raises(IntegrationFailure, match="non-finite"):
+        kernel.taylor_transport(blow_up, 0.0, [1.0], 1e-12)
 
 
 def test_non_finite_frames_raise():
