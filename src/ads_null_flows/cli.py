@@ -61,6 +61,9 @@ from .transport import IntegrationFailure
 # needs at least 7 samples
 POINTS_PER_PERIOD = 256
 MIN_POINTS_PER_PERIOD = 8
+# the most samples a stationary grid, or kksh's invariant grid, may ask
+# for: each sample costs memory, and each invariant-grid point a transport
+MAX_SAMPLES = 1 << 16
 
 
 class NumericFailure(RuntimeError):
@@ -116,9 +119,10 @@ def _float_list(text: str):
     return [_finite_float(x) for x in text.split(",")] if text else []
 
 
-def _grid_for_period(period: float, periods: float) -> np.ndarray:
-    intervals = max(int(POINTS_PER_PERIOD * periods), MIN_POINTS_PER_PERIOD)
-    return np.linspace(0.0, periods * period, intervals + 1)
+def _check_samples(option: str, samples: float) -> None:
+    if samples > MAX_SAMPLES:
+        raise UsageError(f"{option} asks for {samples:.3g} samples, "
+                         f"more than {MAX_SAMPLES}")
 
 
 def _snapshot_tags(prefix: str, t_list) -> list:
@@ -220,6 +224,8 @@ def cmd_floquet(args, config: RunConfig) -> int:
 
 def cmd_stationary(args, config: RunConfig) -> int:
     tags = _snapshot_tags("stationary_t", args.t)
+    _check_samples("--periods", POINTS_PER_PERIOD * args.periods + 1)
+    intervals = max(int(POINTS_PER_PERIOD * args.periods), MIN_POINTS_PER_PERIOD)
     indices = args.indices
     count = max(indices) + 1
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
@@ -231,7 +237,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
     spec = StationaryBending(args.mu, h_plus, h_minus)
     outdir = Path(args.outdir)
     rho = spec.s_period
-    grid = _grid_for_period(rho, args.periods)
+    grid = np.linspace(0.0, args.periods * rho, intervals + 1)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
     diag = _diagnostics(base)
     cls = classify_orbit(base, rho) if args.periods >= 1 else None
@@ -309,6 +315,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     if t_list[0] != 0.0:
         t_list = [0.0] + t_list
     tags = _snapshot_tags("kksh_t", t_list)
+    _check_samples("--invariant-grid", args.invariant_grid)
     if args.find_mu_star:
         mu = kksh_mu_star(m, n, args.h, config=config)
         meta["mu_star"] = mu

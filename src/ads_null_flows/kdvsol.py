@@ -117,7 +117,7 @@ class StationaryBending:
 
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
         """[kappa, kappa', ..., kappa^(order)] at s + 2 ell t."""
-        x = np.asarray(s, dtype=float) + 2.0 * self.ell * t
+        x = s + 2.0 * self.ell * t
         jet = sn_jet(self.sigma * x, self.mu, order=max(order, 1))
         mu, d, sg = self.mu, self.delta, self.sigma
         sn = jet[0]
@@ -244,11 +244,10 @@ class KkshSpec:
 
     def _triples(self, s, t):
         """(sn, cn, dn) of each wave at (s, t): pure floats at a scalar s and
-        t, arrays (elementwise) otherwise."""
+        t, arrays (elementwise) at arrays, Series at a Series s or t."""
         wp, wm, vp, vm, _, sn_plus, sn_minus = self._jet_data
         if isinstance(s, (int, float)) and isinstance(t, (int, float)):
             return sn_plus(wp * s + vp * t), sn_minus(wm * s + vm * t)
-        s = np.asarray(s, dtype=float)
         return (jacobi_sncndn(wp * s + vp * t, self.mu),
                 jacobi_sncndn(wm * s + vm * t, self.tau))
 

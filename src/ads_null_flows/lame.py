@@ -10,8 +10,9 @@ The fundamental matrix, arranged as
 transports by left multiplication over the potential period:
 delta(s + 2K) = M delta(s) with monodromy M = delta(2K).  The potential is
 even, so delta(-s) = S delta(s) S with S = diag(1, -1), and the half period
-fixes M = Q S Q^{-1} S with Q = delta(K) (Hill's-equation parity; Magnus &
-Winkler, Hill's Equation, 1966).  An eigenvalue h is in the Floquet spectrum
+fixes M = Q S Q^{-1} S with Q = delta(K) (the parity of Hill's equation
+with an even potential; Eastham, The Spectral Theory of Periodic
+Differential Equations, 1973).  An eigenvalue h is in the Floquet spectrum
 when M has finite order; its characteristic exponent q in [0,1] is the
 eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).  For a
 reduced q = p/d the order follows from q alone: M has eigenvalues
@@ -37,10 +38,11 @@ order (at q in {0, 1} the gate also checks that M is diagonal).
 lame_monodromy is the module's only DOP853 integration.
 
 The fundamental matrix on a grid, an (n, 2, 2) stack of delta(s), is
-produced two independent ways: the order-6
-Magnus kernel of ads_null_flows.transport on the sl2 generator
-(0, 2 mu sn^2 - h, 1), one transport from delta(0) = Id through the whole
-grid, and the closed form through the two local Heun functions
+produced two independent ways: the Taylor-panel kernel of
+ads_null_flows.transport on the sl2 generator (0, 2 mu sn^2 - h, 1), one
+transport from delta(0) = Id through the whole grid, each grid point read
+off its panel's series, and the closed form through the two local Heun
+functions
 
     cl~(s) = Hl1(mu,h; sn^2) sqrt(1 - mu sn^2)
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
@@ -119,8 +121,8 @@ def _lame_rhs_factory(mu: float, h: float):
 
 
 def _lame_generator(mu: float, h: float):
-    """The entries (0, 2 mu sn^2 - h, 1) of the sl2 generator of delta, at an
-    array of s, for the Magnus kernel."""
+    """The entries (0, 2 mu sn^2 - h, 1) of the sl2 generator of delta, at a
+    Series s (the transport's panels)."""
     def generator(s):
         sn, _, _ = jacobi_sncndn(s, mu)
         return 0.0, 2.0 * mu * sn * sn - h, 1.0
@@ -237,8 +239,8 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 # ----------------------------------------------------------------- solutions
 
 def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> np.ndarray:
-    """The (n, 2, 2) stack of delta(s) on the grid, by Magnus transport from
-    delta(0) = Id."""
+    """The (n, 2, 2) stack of delta(s) on the grid, by Taylor-panel transport
+    from delta(0) = Id."""
     mu = _check_mu(mu)
     h = _check_h(h)
     s_grid = np.asarray(s_grid, dtype=float)

@@ -13,22 +13,20 @@ bending is a BendingSampler, whose kappa_jet and kappa_t take scalar or
 array (s, t); lien_evolve first gates it on the KdV residual over a grid of
 probes, one array call of each.  The construction transports the t-systems
 along s = 0 first (A+-(t), from Id), then the s-systems for each requested
-t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id.  The kernels are
-those of ads_null_flows.transport, and one array call of kappa_jet per
-block feeds both factors.  The t-system takes Taylor panels: kappa_jet of
-order 2 runs at s = 0 on a Series in dt and yields the Taylor coefficients
-of P_lam about the panel centres.  The s-systems take the Magnus kernel
-(order 0 in s).  Every step or panel factor has det 1, so the frames are
-unimodular to rounding and are never renormalized (det_drift is a
-diagnostic only), and the step and panel counts follow
-integrator_rel_tol.  The s-kernel is confirmed once per lien_evolve by
+t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id, all by the
+Taylor panels of ads_null_flows.transport.  kappa_jet runs on a Series (of
+order 2 in dt at s = 0 for the t-system, of order 0 in ds for the
+s-systems) and yields the Taylor coefficients of P_lam or K_lam about the
+panel centres, one call per block for both factors.  Every panel factor
+has det 1, so the frames are unimodular to rounding and are never
+renormalized (det_drift is a diagnostic only), and the panel counts follow
+integrator_rel_tol.  The s-frames are confirmed once per lien_evolve by
 DOP853: the t = 0 s-system from Id at s = 0 to the far end of the s-grid
-must match it within tol_metric, or within CONFIRM_SLACK times
+must match them within tol_metric, or within CONFIRM_SLACK times
 integrator_rel_tol when that is looser (DOP853's own global error), else
-IntegrationFailure.  Because the
-bending is s-periodic the monodromies F+-(s0 + rho, t) F+-(s0, t)^{-1} are
-conserved in t; the drift over the returned family is the standard
-integration diagnostic.
+IntegrationFailure.  Because the bending is s-periodic the monodromies
+F+-(s0 + rho, t) F+-(s0, t)^{-1} are conserved in t; the drift over the
+returned family is the standard integration diagnostic.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, RunConfig, UsageError
-from ..transport import EPS, IntegrationFailure, taylor_transport, transport
+from ..specfun.series import Series
+from ..transport import EPS, IntegrationFailure, transport
 from .frames import SpinorFramePath, _sl2_inverse
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
@@ -49,9 +48,10 @@ LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
 GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
-# specs per transport in kksh_frames_t0: two (four factors of BLOCK steps)
-# keep a block's arrays near the size of the t-system's; more would share
-# one step count, the hardest spec's, and grow the block memory
+# specs per transport in kksh_frames_t0: two (four factors of PANEL_BLOCK
+# panels) keep a block's arrays within twice the t-system's (two factors);
+# more would share one panel count, the hardest spec's, and grow the block
+# memory
 BATCH = 2
 # kksh_mu_star: the target cos(2 pi 2/3) of half the minus trace, the mu
 # bracket scanned at MU_STAR_SCAN points, and brentq's tolerance
@@ -67,7 +67,8 @@ class KdVResidualTooLarge(ValueError):
 
 class BendingSampler(Protocol):
     """Bending with analytic s-jets and a t-derivative (for the input gate).
-    Both take scalar s and t or, elementwise, arrays of them."""
+    Both take scalar s and t or, elementwise, arrays of them; kappa_jet also
+    takes a Series s or t (the transport's panels)."""
 
     def kappa_jet(self, s, t=0.0, order: int = 3) -> list: ...
 
@@ -134,8 +135,8 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
-    A_plus, A_minus = taylor_transport(_t_generator(sampler), 0.0, t_grid,
-                                       config.integrator_rel_tol)
+    A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,
+                                config.integrator_rel_tol)
 
     # step 2: s-systems for each t
     paths = [_s_integration(sampler, s_grid, float(t), A_plus[j], A_minus[j], config)
@@ -146,8 +147,8 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
 
 def _t_generator(sampler: BendingSampler):
     """P_lam = [[-k1, q - 2 lam k0 - 4], [2 k0 - 4 lam, k1]], q = 2 k0^2 - k2,
-    of the t-system along s = 0 for lam = +-1, from one kappa jet; t is an
-    array or a Series (the Taylor panels)."""
+    of the t-system along s = 0 for lam = +-1, from one kappa jet; t is a
+    Series (the transport's panels)."""
     def generator(t):
         k0, k1, k2 = sampler.kappa_jet(0.0, t, order=2)
         return -k1, 2.0 * k0 * k0 - k2 - 4.0 - 2.0 * LAMBDA * k0, 2.0 * k0 - 4.0 * LAMBDA
@@ -187,7 +188,7 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
         miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
         if miss > bound:
             raise IntegrationFailure(
-                f"Magnus and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
+                f"Taylor and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
                 f"at s = {s_grid[end]!r}")
 
 
@@ -227,19 +228,16 @@ def kksh_frames_t0(specs, rho=None, t=0.0, config: RunConfig = DEFAULT):
 def _rescaled_monodromies(specs, rho, t, config: RunConfig):
     """kksh_frames_t0 for a few specs in one transport over sigma in [0, 1],
     the plus factors first."""
-    n = len(specs)
     scale = np.concatenate([rho, rho])[:, None]
+    lam_rho = np.concatenate([rho, -rho])[:, None]
 
     def generator(sigma):
-        b = np.empty((2 * n, sigma.size))
-        for i, (spec, r, tt) in enumerate(zip(specs, rho, t)):
-            k = spec.kappa_jet(r * sigma, tt, order=0)[0]
-            b[i] = r * (k + 1.0)
-            b[n + i] = r * (k - 1.0)
-        return 0.0, b, scale
+        rk = np.stack([(r * spec.kappa_jet(r * sigma, tt, order=0)[0]).c
+                       for spec, r, tt in zip(specs, rho, t)], axis=1)
+        return 0.0, Series(np.concatenate([rk, rk], axis=1)) + lam_rho, scale
 
     F = transport(generator, 0.0, [1.0], config.integrator_rel_tol)[:, 0]
-    return F[:n], F[n:]
+    return F[:len(specs)], F[len(specs):]
 
 
 def monodromy_trace_drift(spec, t_list, rho: float | None = None,

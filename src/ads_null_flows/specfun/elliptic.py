@@ -9,7 +9,7 @@ Accuracy is close to machine precision.  An argument s is first reduced
 exactly by the period 4K(mu); oddness of sn and the half-period
 reflections then fold it into [0, K], where the backward Landen recursion
 starts from one cotangent.  Exactness matters downstream: monodromy
-integrations run over exact multiples of 2K(mu), and the Magnus transport
+integrations run over exact multiples of 2K(mu), and the frame transport
 resolves frames to about 1e-15, so the bending it samples should carry no
 rounding beyond that of its argument.
 """

@@ -240,10 +240,10 @@ def test_stationary_bad_indices_exit_code(tmp_path, indices):
 
 
 def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
-    """A tolerance out of reach of the frame kernel's step cap: exit 1."""
+    """A transport that needs more panels than the frame kernel's cap: exit 1."""
     import ads_null_flows.transport as kernel
 
-    monkeypatch.setattr(kernel, "MAX_STEPS", 256)
+    monkeypatch.setattr(kernel, "MAX_PANELS", 64)
     out = tmp_path / "kcap"
     code = main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6",
                  "--invariant-grid", "2", "-o", str(out)])
@@ -279,6 +279,45 @@ def test_bad_grid_options_exit_code(tmp_path, argv):
         main([*argv, "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "1e6"],
+    ["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "1e307"],
+    ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--invariant-grid", "1000000000"],
+])
+def test_huge_grids_exit_2_before_any_work(tmp_path, monkeypatch, argv):
+    """A grid of more than MAX_SAMPLES samples is a usage error, raised
+    before the eigenvalue search, the mu* search or any grid is made."""
+    import tracemalloc
+
+    import ads_null_flows.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "floquet_search", never)
+    monkeypatch.setattr(cli, "kksh_mu_star", never)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(tmp_path / "big")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 1 << 20
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_kksh_tiny_h_exits_1_without_warnings(tmp_path, capsys):
+    """h = 1e-9 stretches the s-period to about 9e9: the s-system overflows
+    at the first level and predicts more panels than the cap, which fails
+    before that level is swept."""
+    assert main(["kksh", "--mn", "1,6", "--h", "1e-9", "--mu", "0.6",
+                 "-o", str(tmp_path / "tiny")]) == 1
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_stationary_shorter_than_a_period(tmp_path):

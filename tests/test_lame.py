@@ -72,8 +72,8 @@ def test_half_period_monodromy_matches_full_period(mu):
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
 def test_non_finite_h_is_a_usage_error(h):
     """A non-finite h fails fast as invalid input, before DOP853 (which would
-    not return), the Heun series or the Magnus transport (which would fail
-    as if numerically)."""
+    not return), the Heun series or the Taylor-panel transport (which would
+    fail as if numerically)."""
     with pytest.raises(UsageError, match="finite"):
         lame_monodromy(0.6, h)
     with pytest.raises(UsageError, match="finite"):
@@ -254,8 +254,8 @@ def _rel_miss(a, b):
 
 @pytest.mark.parametrize("mu, h", [(0.9, 0.930), (0.9, 2.226), (0.4, 0.667), (0.6, 65.6)])
 def test_fundamental_ode_matches_dop853(mu, h):
-    """The Magnus path over [-2K, 8K], through s = 0, and its value at 2K
-    against the DOP853 monodromy."""
+    """The Taylor-panel path over [-2K, 8K], through s = 0, and its value at
+    2K against the DOP853 monodromy."""
     K, _ = complete_elliptic(mu)
     grid = np.concatenate([np.linspace(-2.0 * K, 0.0, 41)[:-1], np.linspace(0.0, 8.0 * K, 161)])
     path = fundamental_ode(mu, h, grid)
@@ -276,8 +276,8 @@ def test_heun_route_matches_ode_route():
 @pytest.mark.parametrize("mu, h", [(0.6, 65.59), (0.9, 0.930)])
 def test_heun_path_matches_magnus_path_through_the_cell_edges(mu, h):
     """The Heun route on [-3K, 8K], with samples on s = -K, K, 3K, where
-    cn = 0, and 1e-9 K either side of K, against the Magnus path; and the
-    half-period matrix is unimodular."""
+    cn = 0, and 1e-9 K either side of K, against the ODE (Taylor-panel) path;
+    and the half-period matrix is unimodular."""
     K, _ = complete_elliptic(mu)
     edges = [-K, K, 3.0 * K, K * (1.0 - 1e-9), K * (1.0 + 1e-9)]
     grid = np.unique(np.concatenate([np.linspace(-3.0 * K, 8.0 * K, 1025), edges]))

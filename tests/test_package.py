@@ -21,6 +21,17 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+# the src/ modules that import scipy, and what each imports (at module level
+# or inside a function): the start-up path should lose these, never gain one;
+# the frame kernel, transport, imports none
+SCIPY_IMPORTS = {
+    "ads_null_flows.kdvsol": {"scipy.optimize"},
+    "ads_null_flows.lame": {"scipy.integrate", "scipy.optimize", "scipy.special"},
+    "ads_null_flows.nullcurve.evolve": {"scipy.integrate", "scipy.optimize"},
+    "ads_null_flows.nullcurve.frames": {"scipy.integrate"},
+}
+
+
 def _modules():
     yield ads_null_flows
     for info in pkgutil.walk_packages(ads_null_flows.__path__, "ads_null_flows."):
@@ -77,3 +88,22 @@ def test_src_defines_nothing_unreferenced():
         refs |= _references(ast.parse(path.read_text()), strings=path.name == "tracer.py")
     unreferenced = {qual for qual, bare in defined if bare not in refs}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_scipy_imports_are_pinned():
+    """Every scipy import of src/ is in SCIPY_IMPORTS, and every entry there
+    is still imported."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "scipy":
+                    found.setdefault(module, set()).add(name)
+    assert found == SCIPY_IMPORTS
