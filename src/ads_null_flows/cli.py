@@ -225,7 +225,7 @@ def cmd_floquet(args, config: RunConfig) -> int:
 def cmd_stationary(args, config: RunConfig) -> int:
     tags = _snapshot_tags("stationary_t", args.t)
     _check_samples("--periods", POINTS_PER_PERIOD * args.periods + 1)
-    intervals = max(int(POINTS_PER_PERIOD * args.periods), MIN_POINTS_PER_PERIOD)
+    intervals = int(POINTS_PER_PERIOD * args.periods)
     indices = args.indices
     count = max(indices) + 1
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
@@ -237,7 +237,12 @@ def cmd_stationary(args, config: RunConfig) -> int:
     spec = StationaryBending(args.mu, h_plus, h_minus)
     outdir = Path(args.outdir)
     rho = spec.s_period
-    grid = np.linspace(0.0, args.periods * rho, intervals + 1)
+    if intervals >= MIN_POINTS_PER_PERIOD:
+        # spacing rho / POINTS_PER_PERIOD (exact), so every whole period is
+        # a sample; the grid ends at the last sample within the periods
+        grid = np.linspace(0.0, intervals * (rho / POINTS_PER_PERIOD), intervals + 1)
+    else:
+        grid = np.linspace(0.0, args.periods * rho, MIN_POINTS_PER_PERIOD + 1)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
     diag = _diagnostics(base)
     cls = classify_orbit(base, rho) if args.periods >= 1 else None

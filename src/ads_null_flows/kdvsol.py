@@ -22,18 +22,28 @@ u_t - 6 u^2 u_s + u_sss = 0, and kappa = u_s + u^2 solves the KdV.
 |phi| <= (mu tau)^{1/4} < 1, so arctanh stays finite everywhere.
 
 Derivatives are exact and closed form, from one (sn, cn, dn) triple per
-wave and the ODE sn'' = -(1+mu) sn + 2 mu sn^3, at scalar (s, t) or
-elementwise over arrays of them.  Up to order 2 (the callbacks of the
-transport and of an ODE solver), kappa_jet differentiates: the Leibniz
-rule gives phi, ..., phi'''' from each factor's derivatives, the quotient
-rule gives psi = artanh(phi) from psi' (1 - phi^2) = phi', and
-kappa = -2 psi'' + 4 psi'^2.  From order 3 on, and for kappa_t, each
-factor's Taylor series in ds (the series engine of specfun.elliptic, which
-also serves sn_jet) and plain series arithmetic give phi,
-r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2.  The phases are
-linear in (s, t), so the same series carries the t-derivatives: d/dt of
-the k-th coefficient of sn(w s + v t + w ds) is (v/w) (k+1) times the
-(k+1)-th.
+wave, at scalar (s, t), elementwise over arrays of them, or as Taylor
+series about the panel centres of the frame transport.  At points, up to
+order 2 (the callbacks of an ODE solver, the frames sampled on a grid),
+kappa_jet differentiates: each wave's derivatives follow from
+sn'' = -(1+mu) sn + 2 mu sn^3, the Leibniz rule gives phi, ...,
+phi'''' of their product, the quotient rule gives psi = artanh(phi) from
+psi' (1 - phi^2) = phi', and kappa = -2 psi'' + 4 psi'^2.  Every other jet
+starts from the Taylor series of both waves, from one call of the fused
+sn/cn/dn recurrence of specfun.elliptic (the engine of sn_jet and of
+jacobi_sncndn on a Series too):
+
+* from order 3 on, and for kappa_t, series arithmetic in ds gives
+  phi = amp P M, r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2;
+* at order 0 on a Series s = s0 + rate dx (the s-systems), the same
+  series of u about s0 gives kappa's coefficients in ds, and coefficient
+  k is scaled by rate^k: four products and one reciprocal;
+* up to order 2 on a Series s or t (the t-system along s = 0), the s-jets
+  of a wave are index shifts of its series in dx, scaled by (w/rate)^j,
+  and the Leibniz and quotient rules run on Series.
+
+The phases are linear in (s, t), so the same series carries the
+t-derivatives: d/dt of a wave with phase rates (w, v) is v/w times d/ds.
 """
 
 from __future__ import annotations
@@ -48,7 +58,8 @@ from scipy.optimize import brentq
 
 from .config import UsageError
 from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
-from .specfun.elliptic import _cauchy, _check_mu, _derivatives, _sn_series
+from .specfun.elliptic import _check_mu, _linear, _sncndn_series
+from .specfun.series import Series, derivative_shift
 
 
 class OutOfRange(UsageError):
@@ -57,8 +68,9 @@ class OutOfRange(UsageError):
 
 # ------------------------------------------------------------- jet helpers
 #
-# The low orders of kappa_jet stay closed form: the series engine costs
-# about twice as much on arrays and ten times as much on a scalar.
+# At points the low orders of kappa_jet stay closed form: the series of u
+# costs 1.5 to 2.5 times as much on an array of 257 points, and 20 to 30
+# times as much on a scalar.
 
 def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
     """(f, f', ..., f^(n)) for n in (2, 3, 4), of f = sn(theta + w ds | mu)
@@ -77,9 +89,16 @@ def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
     return sn, f1, f2, g3 * f1, 12.0 * w2 * mu * sn * f1 * f1 + g3 * f2
 
 
-def _kappa_series(u: list, n: int) -> list:
-    """First n Taylor coefficients of kappa = u_s + u^2, from n + 1 of u."""
-    return [(k + 1) * u[k + 1] + _cauchy(u, u, k) for k in range(n)]
+def _kappa_of_u(u: np.ndarray) -> Series:
+    """kappa = u_s + u^2 from the Taylor coefficients u in ds, one term
+    shorter."""
+    head = Series(u[:-1])
+    return Series(u).derivative() + head * head
+
+
+def _point(x):
+    """(x0, rate) of a series argument x0 + rate dx, or (x, 0) of a point."""
+    return _linear(x) if isinstance(x, Series) else (x, 0.0)
 
 
 # ----------------------------------------------------------- stationary
@@ -118,7 +137,7 @@ class StationaryBending:
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
         """[kappa, kappa', ..., kappa^(order)] at s + 2 ell t."""
         x = s + 2.0 * self.ell * t
-        jet = sn_jet(self.sigma * x, self.mu, order=max(order, 1))
+        jet = sn_jet(self.sigma * x, self.mu, order=order)
         mu, d, sg = self.mu, self.delta, self.sigma
         sn = jet[0]
         out = [(4.0 * mu * sn * sn - self.h_minus - self.h_plus) / d]
@@ -237,65 +256,107 @@ class KkshSpec:
 
     @cached_property
     def _jet_data(self):
-        """Phase rates, amplitude and one JacobiScalar per wave, so K and
-        the Landen chains are looked up once per spec."""
+        """Phase rates, amplitude and one JacobiScalar per wave (so K and
+        the Landen chains are looked up once per spec), and the s-rates and
+        parameters of the two waves as arrays along a wave axis."""
         return (self.w_plus, self.w_minus, self.v_plus, self.v_minus, self.amp,
-                JacobiScalar(self.mu), JacobiScalar(self.tau))
+                JacobiScalar(self.mu), JacobiScalar(self.tau),
+                np.array([self.w_plus, self.w_minus]), np.array([self.mu, self.tau]))
 
     def _triples(self, s, t):
         """(sn, cn, dn) of each wave at (s, t): pure floats at a scalar s and
-        t, arrays (elementwise) at arrays, Series at a Series s or t."""
-        wp, wm, vp, vm, _, sn_plus, sn_minus = self._jet_data
+        t, arrays (elementwise) at arrays."""
+        wp, wm, vp, vm, _, sn_plus, sn_minus, _, _ = self._jet_data
         if isinstance(s, (int, float)) and isinstance(t, (int, float)):
             return sn_plus(wp * s + vp * t), sn_minus(wm * s + vm * t)
         return (jacobi_sncndn(wp * s + vp * t, self.mu),
                 jacobi_sncndn(wm * s + vm * t, self.tau))
 
-    def _u_series(self, s, t, n: int) -> tuple:
-        """First n Taylor coefficients in ds of u and of u_t at (s, t); s and
-        t scalars or arrays (elementwise).
+    def _sn_series(self, s, t, rates: np.ndarray, terms: int) -> np.ndarray:
+        """Taylor coefficients (terms, 2, ...) in dx of sn(theta + rate dx)
+        of both waves, theta the phases at the point (s, t) (scalars or
+        arrays) and rates (2, ...) the two rates: one call of the fused
+        recurrence, the waves on the second axis."""
+        trip = np.moveaxis(np.array(self._triples(s, t), dtype=float), 0, 1)
+        lift = (1,) * (trip.ndim - 1 - rates.ndim)
+        mus = self._jet_data[8].reshape((2,) + (1,) * (trip.ndim - 2))
+        S, _, _ = _sncndn_series(trip, rates.reshape(rates.shape + lift), mus, terms)
+        return S
 
-        With psi = artanh(phi) and r = 1/(1 - phi^2), u = -2 psi_s and
-        u_t = -2 (psi_t)_s, where psi_s = phi_s r and psi_t = phi_t r.  The
-        phases are linear in (s, t), so the t-derivative of the k-th
-        coefficient of a wave with phase rates (w, v) is (v/w) (k+1) times
-        its (k+1)-th."""
-        wp, wm, vp, vm, amp, _, _ = self._jet_data
-        trip_p, trip_m = self._triples(s, t)
-        fp = _sn_series(*trip_p, self.mu, wp, n + 2)
-        fm = _sn_series(*trip_m, self.tau, wm, n + 2)
-        fp_t = [vp / wp * (k + 1) * fp[k + 1] for k in range(n + 1)]
-        fm_t = [vm / wm * (k + 1) * fm[k + 1] for k in range(n + 1)]
-        phi = [amp * _cauchy(fp, fm, k) for k in range(n + 1)]
-        phi_t = [amp * (_cauchy(fp_t, fm, k) + _cauchy(fp, fm_t, k)) for k in range(n + 1)]
-        # r (1 - phi^2) = 1, with sq1[j] the (j+1)-th coefficient of phi^2
-        sq1 = [_cauchy(phi, phi, k) for k in range(1, n + 1)]
-        r = [1.0 / (1.0 - phi[0] * phi[0])]
-        for k in range(n):
-            r.append(r[0] * _cauchy(sq1, r, k))
-        dphi = [(k + 1) * phi[k + 1] for k in range(n)]
-        psi_t = [_cauchy(phi_t, r, k) for k in range(n + 1)]
-        return ([-2.0 * _cauchy(dphi, r, k) for k in range(n)],
-                [-2.0 * (k + 1) * psi_t[k + 1] for k in range(n)])
+    def _u_series(self, s, t, n: int, time: bool = True):
+        """First n Taylor coefficients in ds, as arrays (n, ...), of u and
+        (with time) of u_t at (s, t), scalars or arrays (elementwise); u_t
+        is None without time.
+
+        phi = amp P M from the two waves' series, r = 1/(1 - phi^2),
+        u = -2 phi_s r and u_t = -2 (phi_t r)_s.  The phases are linear in
+        (s, t), so the t-derivative of a wave with phase rates (w, v) is
+        v/w times its s-derivative."""
+        wp, wm, vp, vm, amp, _, _, w, _ = self._jet_data
+        m = n + 1 if time else n                     # terms of phi_t and r
+        F = self._sn_series(s, t, w, m + 1)
+        fp, fm = Series(F[:, 0]), Series(F[:, 1])
+        phi = amp * fp * fm
+        head = Series(phi.c[:m])
+        r = (1.0 - head * head).reciprocal()
+        u = -2.0 * Series(phi.derivative().c[:n]) * Series(r.c[:n])
+        if not time:
+            return u.c, None
+        phi_t = amp * ((vp / wp) * fp.derivative() * Series(fm.c[:m])
+                       + (vm / wm) * Series(fp.c[:m]) * fm.derivative())
+        return u.c, -2.0 * (phi_t * r).derivative().c
+
+    def _kappa_series(self, s: Series, t) -> Series:
+        """kappa at a series argument s = s0 + rate dx and a scalar t: its
+        Taylor coefficients in ds about s0 from the series of u, coefficient
+        k then scaled by rate^k."""
+        s0, rate = _linear(s)
+        n = len(s.c)
+        kappa = _kappa_of_u(self._u_series(s0, t, n + 1, time=False)[0])
+        k = np.arange(n).reshape((n,) + (1,) * (kappa.c.ndim - 1))
+        return Series(kappa.c * rate ** k)
+
+    def _shifted_jets(self, s, t, n: int):
+        """The s-jets (f, f', ..., f^(n)) of both waves as Series at a Series
+        s or t: f^(j) = w^j sn^(j)(theta + R dx), with R the phase's rate
+        in dx, is the index shift by j of the series of sn taken with n
+        extra terms, scaled by (w/R)^j."""
+        wp, wm, vp, vm, _, _, _, w, _ = self._jet_data
+        (s0, rs), (t0, rt) = _point(s), _point(t)
+        terms = len((s if isinstance(s, Series) else t).c)
+        rates = np.array([wp * rs + vp * rt, wm * rs + vm * rt])
+        F = self._sn_series(s0, t0, rates, terms + n)
+        scale = w.reshape((2,) + (1,) * (rates.ndim - 1)) / rates
+        jets = [derivative_shift(F, j, terms, scale) for j in range(n + 1)]
+        return [Series(c[:, 0]) for c in jets], [Series(c[:, 1]) for c in jets]
 
     def kappa_jet(self, s, t=0.0, order: int = 3):
         """[kappa, kappa_s, ..., kappa^(order)] with kappa = u_s + u^2, closed
         form; s and t scalars (floats returned) or arrays (arrays returned,
-        elementwise).
+        elementwise), or up to order 2 one of them a Series (Series of the
+        Taylor coefficients returned).
 
         Up to order 2 the jet is differentiated directly: the Leibniz rule
         gives phi, ..., phi^(order+2) of phi = a P M from the two sn jets;
         psi = artanh(phi) has psi' D = phi' with D = 1 - phi^2, so by the
         quotient rule psi^(n+1) = (phi^(n+1) - sum_{j>=1} C(n, j)
-        psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  Higher
-        orders take the Taylor series of u."""
+        psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  The sn
+        jets are closed form at points (_sn_derivatives) and index shifts
+        of each wave's series on a Series (_shifted_jets).  Order 0 on a
+        Series s, and the orders from 3 on at points, take the series of u
+        instead (_kappa_series, _kappa_of_u)."""
         if order > 2:
-            u, _ = self._u_series(s, t, order + 2)
-            return _derivatives(_kappa_series(u, order + 1))
-        wp, wm, _, _, amp, _, _ = self._jet_data
-        trip_p, trip_m = self._triples(s, t)
-        P = _sn_derivatives(trip_p, self.mu, wp, order + 2)
-        M = _sn_derivatives(trip_m, self.tau, wm, order + 2)
+            kappa = _kappa_of_u(self._u_series(s, t, order + 2, time=False)[0])
+            return [c * math.factorial(k) for k, c in enumerate(kappa.c)]
+        wp, wm, _, _, amp, _, _, _, _ = self._jet_data
+        if isinstance(s, Series) or isinstance(t, Series):
+            if order == 0 and not isinstance(t, Series):
+                return [self._kappa_series(s, t)]
+            P, M = self._shifted_jets(s, t, order + 2)
+        else:
+            trip_p, trip_m = self._triples(s, t)
+            P = _sn_derivatives(trip_p, self.mu, wp, order + 2)
+            M = _sn_derivatives(trip_m, self.tau, wm, order + 2)
         p0 = amp * P[0] * M[0]
         p1 = amp * (P[1] * M[0] + P[0] * M[1])
         p2 = amp * (P[2] * M[0] + 2.0 * P[1] * M[1] + P[0] * M[2])

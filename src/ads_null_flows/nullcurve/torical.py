@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# the chart radius r, relative to the largest matrix entry, at or below
+# which a curve meets the core axis to the rounding of its entries
+AXIS_ROUNDING = 64.0 * np.finfo(float).eps
+
 
 def split_coordinates(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -42,10 +46,15 @@ def torical_embed(p: np.ndarray) -> np.ndarray:
 
 def winding_numbers(p_stack: np.ndarray) -> tuple:
     """(theta turns, phi turns) of a closed sampled curve: unwrapped angle
-    increments over the closed polyline, rounded to integers."""
+    increments over the closed polyline, rounded to integers.  phi is
+    undefined on the chart's core axis r = 0, so the phi turns are None
+    when the curve meets it: when its least r is within AXIS_ROUNDING of
+    its largest entry (every curve through gamma = Id does)."""
+    p_stack = np.asarray(p_stack, dtype=float)
     x = split_coordinates(p_stack)
     theta = np.unwrap(np.arctan2(x[:, 1], x[:, 0]))
+    w_theta = int(np.rint((theta[-1] - theta[0]) / (2.0 * np.pi)))
+    if np.hypot(x[:, 2], x[:, 3]).min() <= AXIS_ROUNDING * np.abs(p_stack).max():
+        return w_theta, None
     phi = np.unwrap(np.arctan2(x[:, 3], x[:, 2]))
-    w_theta = (theta[-1] - theta[0]) / (2.0 * np.pi)
-    w_phi = (phi[-1] - phi[0]) / (2.0 * np.pi)
-    return int(np.rint(w_theta)), int(np.rint(w_phi))
+    return w_theta, int(np.rint((phi[-1] - phi[0]) / (2.0 * np.pi)))

@@ -12,6 +12,12 @@ starts from one cotangent.  Exactness matters downstream: monodromy
 integrations run over exact multiples of 2K(mu), and the frame transport
 resolves frames to about 1e-15, so the bending it samples should carry no
 rounding beyond that of its argument.
+
+Taylor series come from one engine, _sncndn_series: from the triple at
+the expansion points, the ODEs sn' = cn dn, cn' = -sn dn, dn' = -mu sn cn
+give one coefficient of all three per order, as one einsum, for any
+number of waves at once.  jacobi_sncndn on a Series and sn_jet use it, and
+so do the KKSH jets of kdvsol.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from ..config import UsageError
-from .series import Series, cauchy
+from .series import Series, derivative_shift
 
 _EPS = 2.2e-16
 _TINY = 1e-100    # below this, sn(x) = x and cn = dn = 1 in float64
@@ -172,9 +178,11 @@ def jacobi_sncndn(s, mu: float):
     rounding of s itself, sn(-s) = -sn(s) holds bit for bit, and the array
     and float paths reduce every s to the same x.
     """
-    J = _jacobi_at(float(mu))
     if isinstance(s, Series):
-        return _sncndn_series(s, J, float(mu))
+        x0, w = _linear(s)
+        return tuple(Series(c) for c in
+                     _sncndn_series(jacobi_sncndn(x0, mu), w, float(mu), len(s.c)))
+    J = _jacobi_at(float(mu))
     if isinstance(s, (int, float)):
         return J(float(s))
     s = np.asarray(s, dtype=float)
@@ -220,57 +228,54 @@ def _sncndn_array(s: np.ndarray, J: JacobiScalar):
     return np.copysign(amp, sign_sn, out=amp), np.copysign(cn, sign_cn, out=cn), dn
 
 
-def _sncndn_series(x: Series, J: JacobiScalar, mu: float):
-    """(sn, cn, dn) of a linear series argument x0 + w dx, as Series: the
-    triple at x0, then sn' = w cn dn, cn' = -w sn dn and dn' = -mu w sn cn
-    give one coefficient of each per order."""
+def _sncndn_series(trip, w, mu, terms: int):
+    """Taylor coefficients (S, C, D), each (terms, ...), in dx of
+    (sn, cn, dn)(x0 + w dx | mu), from trip = (sn, cn, dn) at x0 stacked on
+    its first axis; w and mu broadcast against trip[0], so a leading axis
+    of the points may stack waves with their own rates and parameters.
+
+    sn' = w cn dn, cn' = -w sn dn and dn' = -mu w sn cn give one
+    coefficient of each per order: the three Cauchy sums of an order are
+    one einsum over the stacked pairs (cn, sn, sn) (dn, dn, cn)."""
+    trip = np.asarray(trip, dtype=float)
+    shape = np.broadcast_shapes(trip.shape[1:], np.shape(w), np.shape(mu))
+    A = np.empty((terms, 3) + shape)          # (cn, sn, sn) per order
+    B = np.empty((terms, 3) + shape)          # (dn, dn, cn)
+    A[0] = trip[1], trip[0], trip[0]
+    B[0] = trip[2], trip[2], trip[1]
+    # the factors (1, -1, -mu) of the three sums, lifted against shape
+    one = np.ones(np.broadcast_shapes(np.shape(w), np.shape(mu)))
+    signs = np.stack([one, -one, -mu * one])
+    signs = signs.reshape((3,) + (1,) * (len(shape) - one.ndim) + one.shape)
+    for k in range(terms - 1):
+        acc = np.einsum("i...,i...->...", A[:k + 1], B[k::-1])
+        acc *= signs * (w / (k + 1))
+        A[k + 1, 0] = B[k + 1, 2] = acc[1]
+        A[k + 1, 1] = A[k + 1, 2] = acc[0]
+        B[k + 1, 0] = B[k + 1, 1] = acc[2]
+    return A[:, 1], A[:, 0], B[:, 0]
+
+
+def _linear(x: Series):
+    """(x0, w) of a series argument x0 + w dx."""
     c = x.c
     if np.any(c[2:]):
         raise ValueError("jacobi_sncndn takes a series argument x0 + w dx only")
-    x0, w = c[0], c[1]
-    S, C, D = (np.empty(c.shape) for _ in range(3))
-    S[0], C[0], D[0] = J(float(x0)) if x0.ndim == 0 else _sncndn_array(x0, J)
-    for k in range(len(c) - 1):
-        f = w / (k + 1)
-        S[k + 1] = f * cauchy(C, D, k)
-        C[k + 1] = -f * cauchy(S, D, k)
-        D[k + 1] = -mu * f * cauchy(S, C, k)
-    return Series(S), Series(C), Series(D)
-
-
-# ------------------------------------- plain Taylor (in ds) series, closed form
-#
-# Coefficient lists whose entries are floats or equal-shape arrays, so one
-# routine serves a scalar s and, elementwise, an array of them.
-
-def _cauchy(a: list, b: list, k: int):
-    """k-th coefficient of the product of the series a and b."""
-    acc = a[0] * b[k]
-    for i in range(1, k + 1):
-        acc = acc + a[i] * b[k - i]
-    return acc
-
-
-def _sn_series(sn, cn, dn, mu: float, w: float, n: int) -> list:
-    """First n Taylor coefficients in ds of f = sn(theta + w ds | mu), from
-    (sn, cn, dn) at theta and f'' = w^2 (2 mu f^3 - (1 + mu) f)."""
-    f = [sn, w * cn * dn]
-    sq, cube = [], []
-    w2 = w * w
-    for k in range(n - 2):
-        sq.append(_cauchy(f, f, k))
-        cube.append(_cauchy(f, sq, k))
-        f.append(w2 * (2.0 * mu * cube[k] - (1.0 + mu) * f[k]) / ((k + 1) * (k + 2)))
-    return f[:n]
-
-
-def _derivatives(series: list) -> list:
-    """Taylor coefficients -> derivative values [c_0, 1! c_1, 2! c_2, ...]."""
-    return [c * math.factorial(k) for k, c in enumerate(series)]
+    return c[0], c[1]
 
 
 def sn_jet(s, mu: float, order: int = 5):
-    """[sn, sn', ..., sn^(order)] at s (scalars or arrays matching s): the
-    Taylor series of sn(s + ds) from the closed ODE
-    sn'' = -(1+mu) sn + 2 mu sn^3, as derivative values."""
-    return _derivatives(_sn_series(*jacobi_sncndn(s, mu), mu, 1.0, order + 1))
+    """[sn, sn', ..., sn^(order)] at s, from the Taylor series of sn about
+    s (_sncndn_series): scalars or arrays like s, as derivative values;
+    at a Series s = x0 + w dx, Series in dx, index shifts of the series
+    of sn(x0 + w dx) taken with order extra terms.  Order 0 is sn alone,
+    with no series at a point (a scalar series costs some 40 us)."""
+    if order == 0:
+        return [jacobi_sncndn(s, mu)[0]]
+    if isinstance(s, Series):
+        x0, w = _linear(s)
+        n = len(s.c)
+        S, _, _ = _sncndn_series(jacobi_sncndn(x0, mu), w, mu, n + order)
+        return [Series(derivative_shift(S, j, n, 1.0 / w)) for j in range(order + 1)]
+    S, _, _ = _sncndn_series(jacobi_sncndn(s, mu), 1.0, mu, order + 1)
+    return [S[k] * math.factorial(k) for k in range(order + 1)]

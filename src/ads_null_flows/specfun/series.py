@@ -3,16 +3,19 @@
 Series(c) stands for sum_k c[k] dx^k over k < len(c), where c[k] are arrays
 of one shape: one series per element, so a whole set of expansion points
 is one object.  The arithmetic is what the closed-form jets of kdvsol use
-on floats and arrays: + - * /, integer powers and the reciprocal, with a
-float or an ndarray broadcast against the coefficient shape as a constant
-series.  So a formula written for floats runs unchanged on a Series and
-yields the Taylor coefficients of its value; jacobi_sncndn accepts a
-linear Series argument x0 + w dx.
+on floats and arrays: + - * /, integer powers, the reciprocal and d/dx,
+with a float or an ndarray broadcast against the coefficient shape as a
+constant series.  So a formula written for floats runs unchanged on a
+Series and yields the Taylor coefficients of its value; jacobi_sncndn
+accepts a linear Series argument x0 + w dx.
 
 A product is the Cauchy product truncated at len(c) terms, one einsum over
-a Toeplitz view of one factor; the reciprocal and jacobi_sncndn's
-recurrences take one coefficient at a time (cauchy).  numpy defers every
-mixed operation to the reflected method here (__array_ufunc__ = None).
+a Toeplitz view of one factor; the reciprocal takes one coefficient at a
+time (cauchy).  The hot path of the KKSH transport keeps the products few:
+the waves' series come from the fused sn/cn/dn recurrence of
+specfun.elliptic, their derivatives by index shifts, and kappa at order 0
+costs four products and one reciprocal.  numpy defers every mixed
+operation to the reflected method here (__array_ufunc__ = None).
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ def _toeplitz(b: np.ndarray) -> np.ndarray:
 def cauchy(a: np.ndarray, b: np.ndarray, k: int):
     """The k-th coefficient of the product of the coefficient arrays a, b."""
     return np.einsum("i...,i...->...", a[:k + 1], b[k::-1])
+
+
+def derivative_shift(c: np.ndarray, j: int, n: int, scale) -> np.ndarray:
+    """The first n coefficients in dx of a^j f^(j)(y0 + R dx), with
+    scale = a/R, from the coefficients c (n + j of them) of f(y0 + R dx):
+    by Taylor's theorem, the index shift c[k + j] (k + j)!/k! times
+    scale^j."""
+    k = np.arange(1.0, n + 1.0)
+    fall = np.ones(n)
+    for i in range(j):
+        fall *= k + i
+    fall = fall.reshape((n,) + (1,) * (c.ndim - 1))
+    return c[j:j + n] * (fall * scale ** j)
 
 
 class Series:
@@ -96,6 +112,10 @@ class Series:
         return Series(a * b)
 
     __rmul__ = __mul__
+
+    def derivative(self) -> "Series":
+        """d/dx, one term shorter: the coefficients (k + 1) c[k + 1]."""
+        return Series(derivative_shift(self.c, 1, len(self.c) - 1, 1.0))
 
     def reciprocal(self) -> "Series":
         """1/self, from r * self = 1 term by term."""

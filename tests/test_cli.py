@@ -320,6 +320,24 @@ def test_kksh_tiny_h_exits_1_without_warnings(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_stationary_periods_off_the_sample_spacing(tmp_path):
+    """The grid spacing is rho / POINTS_PER_PERIOD whatever --periods is: at
+    1.001 periods (256 p not an integer) rho is a sample and the curve is
+    classified, the grid ending at the last sample within the periods; at
+    2 periods the grid is linspace(0, 2 rho, 513) bit for bit."""
+    for periods, count in (("1.001", 257), ("2", 513)):
+        out = tmp_path / periods
+        assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--periods", periods,
+                     "-o", str(out)]) == 0
+        doc = json.loads((out / "stationary_base.json").read_text())
+        s = np.array([x["s"] for x in doc["samples"]])
+        rho = doc["meta"]["rho"]
+        assert len(s) == count and s[256] == rho
+        assert doc["meta"]["orbit_type"] == "(E,E)"
+        assert doc["meta"]["windings"][1] is None
+    assert np.array_equal(s, np.linspace(0.0, 2.0 * rho, 513))
+
+
 def test_stationary_shorter_than_a_period(tmp_path):
     """--periods 0.001 still samples MIN_POINTS_PER_PERIOD intervals."""
     out = tmp_path / "short"

@@ -118,8 +118,35 @@ def test_torical_closed_constant_curve():
     assert np.abs(pts[-1] - pts[0]).max() <= 1e-9
     # the axial winding is the homology class in the solid torus and matches
     # the first knot integer; the disc-angle count is chart data only
-    w_theta, _ = winding_numbers(gamma)
+    w_theta, w_phi = winding_numbers(gamma)
     assert abs(w_theta) == abs(knot[0])
+    # gamma(0) = Id lies on the chart's core axis, where phi is undefined
+    assert w_phi is None
+
+
+def _torus_loop(core: float, turns: tuple, n: int = 801) -> np.ndarray:
+    """Unimodular matrices with split coordinates (cosh a cos theta,
+    cosh a sin theta, sinh a cos phi, sinh a sin phi), a = core + sin^2(pi u)
+    and (theta, phi) = 2 pi u turns, u in [0, 1]: a closed curve that meets
+    the core axis r = sinh a = 0 exactly when core = 0."""
+    u = np.linspace(0.0, 1.0, n)
+    a = core + np.sin(np.pi * u) ** 2
+    theta, phi = 2.0 * np.pi * turns[0] * u, 2.0 * np.pi * turns[1] * u
+    x1, x2 = np.cosh(a) * np.cos(theta), np.cosh(a) * np.sin(theta)
+    x3, x4 = np.sinh(a) * np.cos(phi), np.sinh(a) * np.sin(phi)
+    return np.stack([np.stack([x1 + x4, x2 + x3], -1),
+                     np.stack([x3 - x2, x1 - x4], -1)], -2)
+
+
+def test_winding_numbers_off_and_on_the_core_axis():
+    """Both turns of a loop that keeps off the core axis, and no phi turns
+    for one through it (its least r is 0 to rounding), nor for one whose
+    least r is at the rounding of its entries."""
+    for turns in ((2, -3), (-1, 4), (0, 1)):
+        assert winding_numbers(_torus_loop(0.5, turns)) == turns
+        assert winding_numbers(_torus_loop(0.0, turns)) == (turns[0], None)
+        assert winding_numbers(_torus_loop(1e-15, turns)) == (turns[0], None)
+        assert winding_numbers(_torus_loop(1e-9, turns)) == turns
 
 
 def test_open_constant_curve_approaches_ideal_boundary():
