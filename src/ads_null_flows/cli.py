@@ -339,7 +339,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     print(f"KdV gate residual {fnum(ev.gate_residual, 3)} (tolerance {KDV_GATE:.0e})")
     # the trace drift is conjugation-invariant and stable; the raw matrix
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
-    dp, dm = monodromy_trace_drift(spec, t_list, rho, config)
+    dp, dm = monodromy_trace_drift(spec, t_list, config)
     meta["monodromy_trace_drift"] = [dp, dm]
     cls = classify_orbit(ev.paths[0], rho)
     meta["orbit_type"] = cls.type_pair

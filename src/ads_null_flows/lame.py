@@ -41,8 +41,9 @@ The fundamental matrix on a grid, an (n, 2, 2) stack of delta(s), is
 produced two independent ways: the Taylor-panel kernel of
 ads_null_flows.transport on the sl2 generator (0, 2 mu sn^2 - h, 1), one
 transport from delta(0) = Id through the whole grid, each grid point read
-off its panel's series, and the closed form through the two local Heun
-functions
+off its panel's series (several h, such as the pair of a stationary curve,
+ride on the kernel's factor axis of one transport), and the closed form
+through the two local Heun functions
 
     cl~(s) = Hl1(mu,h; sn^2) sqrt(1 - mu sn^2)
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
@@ -80,7 +81,8 @@ from .transport import EPS, IntegrationFailure, transport
 
 
 class SearchExhausted(RuntimeError):
-    """The scan ceiling produced fewer eigenvalues than requested."""
+    """The scan ceiling produced fewer eigenvalues than requested, or a root
+    find of the search did not converge."""
 
 
 @dataclass
@@ -120,9 +122,10 @@ def _lame_rhs_factory(mu: float, h: float):
     return rhs
 
 
-def _lame_generator(mu: float, h: float):
+def _lame_generator(mu: float, h):
     """The entries (0, 2 mu sn^2 - h, 1) of the sl2 generator of delta, at a
-    Series s (the transport's panels)."""
+    Series s (the transport's panels); an array h (factors, 1) puts one
+    system per h on the factor axis."""
     def generator(s):
         sn, _, _ = jacobi_sncndn(s, mu)
         return 0.0, 2.0 * mu * sn * sn - h, 1.0
@@ -207,6 +210,8 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         raise UsageError("q must be a reduced fraction in [0, 1]")
     if count < 1:
         raise UsageError("count must be >= 1")
+    if 1.0 + mu == 1.0:
+        raise UsageError(f"mu = {mu!r} closes the gap (1, 1 + mu) in float64")
     q = q_num / q_den
     top = config.scan_h_ceiling
     if 1.0 < top < 1.0 + mu:
@@ -218,8 +223,12 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
             break
         lo, hi = (mu, 1.0) if target < 0.0 else (1.0 + mu, top)
         # xtol at its floor: the root to the rounding of h (brentq's least rtol)
-        h = float(brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
-                         xtol=math.ulp(0.0), rtol=8.9e-16))
+        h, root = brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
+                         xtol=math.ulp(0.0), rtol=8.9e-16, full_output=True, disp=False)
+        if not root.converged:
+            raise SearchExhausted(f"the root of theta(h) = {target!r} on [{lo!r}, {hi!r}] "
+                                  f"did not converge: {root.flag}")
+        h = float(h)
         # the ODE monodromy must confirm the closed-form root, and so the
         # record's order; at q in {0, 1} it must be the double point M = +-Id
         M = lame_monodromy(mu, h, config)
@@ -238,15 +247,15 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 
 # ----------------------------------------------------------------- solutions
 
-def fundamental_ode(mu: float, h: float, s_grid, config: RunConfig = DEFAULT) -> np.ndarray:
+def fundamental_ode(mu: float, h, s_grid, config: RunConfig = DEFAULT) -> np.ndarray:
     """The (n, 2, 2) stack of delta(s) on the grid, by Taylor-panel transport
-    from delta(0) = Id."""
+    from delta(0) = Id along 0 -> s_grid[0] -> s_grid[1] -> ...; for a
+    sequence of h, the stacks (len(h), n, 2, 2) of one transport with the h
+    on its factor axis."""
     mu = _check_mu(mu)
-    h = _check_h(h)
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(np.diff(s_grid) <= 0) and len(s_grid) > 1:
-        raise ValueError("s_grid must be strictly increasing")
-    return transport(_lame_generator(mu, h), 0.0, s_grid, config.integrator_rel_tol)[0]
+    hs = np.array([_check_h(x) for x in np.atleast_1d(h)])[:, None]
+    F = transport(_lame_generator(mu, hs), 0.0, s_grid, config.integrator_rel_tol)
+    return F if np.ndim(h) else F[0]
 
 
 class HeunLameEvaluator:

@@ -14,13 +14,16 @@ array (s, t); lien_evolve first gates it on the KdV residual over a grid of
 probes, one array call of each.  The construction transports the t-systems
 along s = 0 first (A+-(t), from Id), then the s-systems for each requested
 t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id, all by the
-Taylor panels of ads_null_flows.transport.  kappa_jet runs on a Series (of
-order 2 in dt at s = 0 for the t-system, of order 0 in ds for the
-s-systems) and yields the Taylor coefficients of P_lam or K_lam about the
-panel centres, one call per block for both factors.  Every panel factor
-has det 1, so the frames are unimodular to rounding and are never
-renormalized (det_drift is a diagnostic only), and the panel counts follow
-integrator_rel_tol.  The s-frames are confirmed once per lien_evolve by
+Taylor panels of ads_null_flows.transport.  The s-systems of all the
+t-slices go through _s_frames, the one s-transport of the module (the KKSH
+monodromies use it too): BATCH systems per transport, each a pair of
+factors.  kappa_jet runs on a Series (of order 2 in dt at s = 0 for the
+t-system, of order 0 in ds for the s-systems) and yields the Taylor
+coefficients of P_lam or K_lam about the panel centres, one call per block
+and system for both factors; kappa of the paths is one array call.  Every
+panel factor has det 1, so the frames are unimodular to rounding and are
+never renormalized (det_drift is a diagnostic only), and the panel counts
+follow integrator_rel_tol.  The s-frames are confirmed once per lien_evolve by
 DOP853: the t = 0 s-system from Id at s = 0 to the far end of the s-grid
 must match them within tol_metric, or within CONFIRM_SLACK times
 integrator_rel_tol when that is looser (DOP853's own global error), else
@@ -48,10 +51,10 @@ LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
 GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
-# specs per transport in kksh_frames_t0: two (four factors of PANEL_BLOCK
+# s-systems per transport in _s_frames: two (four factors of PANEL_BLOCK
 # panels) keep a block's arrays within twice the t-system's (two factors);
-# more would share one panel count, the hardest spec's, and grow the block
-# memory
+# more would share one panel count, the hardest system's, and grow the
+# block memory
 BATCH = 2
 # kksh_mu_star: the target cos(2 pi 2/3) of half the minus trace, the mu
 # bracket scanned at MU_STAR_SCAN points, and brentq's tolerance
@@ -138,9 +141,15 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,
                                 config.integrator_rel_tol)
 
-    # step 2: s-systems for each t
-    paths = [_s_integration(sampler, s_grid, float(t), A_plus[j], A_minus[j], config)
-             for j, t in enumerate(t_grid)]
+    # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
+    Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, s_grid, config)
+    kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
+    paths = []
+    for j, t in enumerate(t_grid):
+        Fp, Fm = A_plus[j] @ Phi[0, j], A_minus[j] @ Phi[1, j]
+        drift = max(float(np.abs(np.linalg.det(F) - 1.0).max()) for F in (Fp, Fm))
+        paths.append(SpinorFramePath(s_grid, Fp, Fm, kappa[j], t_value=float(t),
+                                     det_drift=drift))
     _confirm(sampler, paths[0], config)
     return LienEvolution(t_grid, paths, gate)
 
@@ -155,11 +164,32 @@ def _t_generator(sampler: BendingSampler):
     return generator
 
 
-def _s_generator(sampler: BendingSampler, t: float):
-    """K_lam = [[0, kappa + lam], [1, 0]] of the s-system at time t."""
-    def generator(s):
-        return 0.0, sampler.kappa_jet(s, t, order=0)[0] + LAMBDA, 1.0
-    return generator
+def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
+    """Frames (2, len(samplers), len(grid), 2, 2), the plus factor first:
+    system i is the s-system K_lam = [[0, kappa + lam], [1, 0]] of
+    samplers[i] at time t[i], rescaled by s = scale[i] x (generator
+    scale[i] K_lam(scale[i] x)) and transported from Id at x = 0 through
+    the grid.  scale and t are one value or one per system.  BATCH systems
+    share a transport, each a pair of factors, and kappa_jet runs once per
+    block and system."""
+    n = len(samplers)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (n,))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    F = np.empty((2, n, len(grid), 2, 2))
+    for j in range(0, n, BATCH):
+        part = slice(j, j + BATCH)
+        systems = list(zip(samplers[part], scale[part], t[part]))
+        r = np.concatenate([scale[part], scale[part]])[:, None]
+        lam_r = np.repeat(LAMBDA, len(systems), axis=0) * r
+
+        def generator(x, systems=systems, r=r, lam_r=lam_r):
+            rk = np.stack([(ri * sampler.kappa_jet(ri * x, ti, order=0)[0]).c
+                           for sampler, ri, ti in systems], axis=1)
+            return 0.0, Series(np.concatenate([rk, rk], axis=1)) + lam_r, r
+
+        Fj = transport(generator, 0.0, grid, config.integrator_rel_tol)
+        F[0, part], F[1, part] = Fj[:len(systems)], Fj[len(systems):]
+    return F
 
 
 def _confirm(sampler: BendingSampler, path: SpinorFramePath,
@@ -196,55 +226,25 @@ class NoSignChange(RuntimeError):
     pass
 
 
-def kksh_frames_t0(specs, rho=None, t=0.0, config: RunConfig = DEFAULT):
-    """(F+(rho, t), F-(rho, t)) integrated from the identity at s = 0.
+def kksh_frames_t0(specs, t=0.0, config: RunConfig = DEFAULT):
+    """Arrays (len(specs), 2, 2) of F+(rho, t) and F-(rho, t), each spec's
+    frames at its s-period rho, integrated from the identity at s = 0; t is
+    one value or one per spec.
 
     With identity initial frames these are the s-monodromies up to
     conjugation, so their traces are the conjugation-invariant monodromy
     data at any t; unlike the two-step route this stays well-conditioned
-    however large the t-system solution grows.
-
-    specs is one spec, or a list of them for arrays (len(specs), 2, 2);
-    rho (default: each spec's s-period) and t are one value or one per
-    spec.  A list runs BATCH specs per transport: system i, rescaled by
-    s = rho_i sigma onto sigma in [0, 1], is a pair of factors of the
-    kernel call.
+    however large the t-system solution grows.  System i is rescaled by
+    s = rho_i sigma onto sigma in [0, 1] (_s_frames), BATCH per transport.
     """
-    batch = isinstance(specs, (list, tuple))
-    specs = list(specs) if batch else [specs]
-    n = len(specs)
-    if rho is None:
-        rho = [spec.s_period() for spec in specs]
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,))
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    Fp, Fm = np.empty((n, 2, 2)), np.empty((n, 2, 2))
-    for j in range(0, n, BATCH):
-        part = slice(j, j + BATCH)
-        Fp[part], Fm[part] = _rescaled_monodromies(specs[part], rho[part], t[part],
-                                                   config)
-    return (Fp, Fm) if batch else (Fp[0], Fm[0])
+    F = _s_frames(specs, [spec.s_period() for spec in specs], t, [1.0], config)
+    return F[0, :, 0], F[1, :, 0]
 
 
-def _rescaled_monodromies(specs, rho, t, config: RunConfig):
-    """kksh_frames_t0 for a few specs in one transport over sigma in [0, 1],
-    the plus factors first."""
-    scale = np.concatenate([rho, rho])[:, None]
-    lam_rho = np.concatenate([rho, -rho])[:, None]
-
-    def generator(sigma):
-        rk = np.stack([(r * spec.kappa_jet(r * sigma, tt, order=0)[0]).c
-                       for spec, r, tt in zip(specs, rho, t)], axis=1)
-        return 0.0, Series(np.concatenate([rk, rk], axis=1)) + lam_rho, scale
-
-    F = transport(generator, 0.0, [1.0], config.integrator_rel_tol)[:, 0]
-    return F[:len(specs)], F[len(specs):]
-
-
-def monodromy_trace_drift(spec, t_list, rho: float | None = None,
-                          config: RunConfig = DEFAULT):
+def monodromy_trace_drift(spec, t_list, config: RunConfig = DEFAULT):
     """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over t_list,
     from identity-normalized s-monodromies, the t-list as one batch."""
-    Fp, Fm = kksh_frames_t0([spec] * len(t_list), rho, t_list, config)
+    Fp, Fm = kksh_frames_t0([spec] * len(t_list), t_list, config)
     tr_p, tr_m = (np.trace(F, axis1=-2, axis2=-1) for F in (Fp, Fm))
     return (float(np.abs(tr_p - tr_p[0]).max()), float(np.abs(tr_m - tr_m[0]).max()))
 
@@ -271,8 +271,8 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
         return 0.5 * (tr + root_real) - MU_STAR_TARGET
 
     def p(mu: float) -> float:
-        return rotation(kksh_frames_t0(KkshSpec.with_quantum_numbers(mu, m, n, h),
-                                       config=config)[1])
+        return rotation(kksh_frames_t0([KkshSpec.with_quantum_numbers(mu, m, n, h)],
+                                       config=config)[1][0])
 
     grid = np.linspace(*MU_STAR_BRACKET, MU_STAR_SCAN)
     _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(g), m, n, h)
@@ -285,15 +285,3 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
             return float(brentq(p, grid[i], grid[i + 1], xtol=MU_STAR_XTOL))
     raise NoSignChange(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
 
-
-def _s_integration(sampler: BendingSampler, s_grid: np.ndarray, t: float,
-                   Ap: np.ndarray, Am: np.ndarray,
-                   config: RunConfig) -> SpinorFramePath:
-    """Frames F+-(s, t) = A+- Phi+-(s) with Phi+-(0) = Id, for s on the grid."""
-    Phi_p, Phi_m = transport(_s_generator(sampler, t), 0.0, s_grid,
-                             config.integrator_rel_tol)
-    Fp, Fm = Ap @ Phi_p, Am @ Phi_m
-    drift = float(max(np.abs(np.linalg.det(Fp) - 1.0).max(),
-                      np.abs(np.linalg.det(Fm) - 1.0).max()))
-    kap = np.asarray(sampler.kappa_jet(s_grid, t, order=0)[0], dtype=float)
-    return SpinorFramePath(s_grid, Fp, Fm, kap, t_value=t, det_drift=drift)

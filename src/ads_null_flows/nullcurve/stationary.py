@@ -7,7 +7,9 @@ the first-order Lame equation, the frames
 
 satisfy the spinorial Frenet systems for the stationary bending (the
 diagonal factor converts central-affine to proper-time normalization, and
-cancels in gamma = F+ F-^{-1}).  The evolution is rigid:
+cancels in gamma = F+ F-^{-1}).  Both delta paths come from one transport,
+h+ and h- on the kernel's factor axis (lame.fundamental_ode), or from the
+Heun closed form one h at a time.  The evolution is rigid:
 
     gamma(s, t) = Exp(t m+) gamma(s + 2 ell t) Exp(-t m-),
 
@@ -69,16 +71,12 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     sigma = spec.sigma
     S = np.diag([1.0 / math.sqrt(sigma), math.sqrt(sigma)])
-
-    def delta_path(h):
-        x_grid = sigma * s_grid
-        if method == "heun":
-            return HeunLameEvaluator(mu, h)(x_grid)
-        return fundamental_ode(mu, h, x_grid, config)
-
-    Fp = delta_path(h_plus) @ S
-    Fm = delta_path(h_minus) @ S
-    return SpinorFramePath(s_grid, Fp, Fm, spec.kappa(s_grid))
+    x_grid = sigma * s_grid
+    if method == "heun":
+        delta_p, delta_m = (HeunLameEvaluator(mu, h)(x_grid) for h in (h_plus, h_minus))
+    else:
+        delta_p, delta_m = fundamental_ode(mu, [h_plus, h_minus], x_grid, config)
+    return SpinorFramePath(s_grid, delta_p @ S, delta_m @ S, spec.kappa(s_grid))
 
 
 def evolve_stationary_path(spec: StationaryBending, s_grid, t: float,

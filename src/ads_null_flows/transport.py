@@ -10,11 +10,12 @@ The generator is called once per block of PANEL_BLOCK panels, on a
 specfun.series.Series x = c + dx over the panel centres c, and returns the
 entries (a, b, c) of A = [[a, b], [c, -a]] as Series (or constants): the
 first TERMS - 1 Taylor coefficients A_k of A(c + dx), each broadcastable
-to (factors, panels).  Several frame systems that share the expensive
-coefficient (the two spectral parameters +-1, or a batch of KKSH
-monodromies) ride along as a leading factor axis, and an entry that is
-constant along an axis keeps that axis of length 1.  From Phi_0 = Id the
-frame series about c follows by
+to (factors, panels).  Several frame systems integrated over one grid
+ride along as a leading factor axis: the two spectral parameters +-1, the
+s-systems of several t-slices or KKSH specs, the Lame systems of h+ and
+h-.  They share one panel ladder, and an entry that is constant along an
+axis keeps that axis of length 1.  From Phi_0 = Id the frame series about
+c follows by
 
     (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i}.
 
@@ -22,10 +23,10 @@ The propagator of a panel of half-width w is adj(Phi(-w)) Phi(w), and a
 grid point x inside it reads adj(Phi(-w)) Phi(x - c) off the same series
 (dense output); each is divided by the square root of its determinant (1
 up to the truncation), so every factor has det 1.  The propagators of a
-block are multiplied in order, by a prefix scan where grid points lie in
-the block and by pairwise tree reduction otherwise (n - 1 products
-against the scan's n log2 n), and folded into the running frame before
-the next block, so memory stays flat in the panel count.
+block are multiplied in order by one prefix scan, whose entries are the
+frames at the panel starts that dense output reads and whose last entry
+is the block's product; that product is folded into the running frame
+before the next block, so memory stays flat in the panel count.
 
 Accuracy.  Each level is swept twice, from all TERMS terms and without the
 last one, along the factor axis of one sweep; the effect of the last term
@@ -84,16 +85,6 @@ def _prefix(E):
         tail = _mul(tuple(e[..., :-k] for e in E), tuple(e[..., k:] for e in E))
         E = tuple(np.concatenate([h, t], axis=-1) for h, t in zip(head, tail))
         k *= 2
-    return E
-
-
-def _tree(E):
-    """The ordered product E_0 E_1 ... by pairwise reduction."""
-    while E[0].shape[-1] > 1:
-        if E[0].shape[-1] % 2:
-            last = _mul(tuple(e[..., -2:-1] for e in E), tuple(e[..., -1:] for e in E))
-            E = tuple(np.concatenate([e[..., :-2], t], axis=-1) for e, t in zip(E, last))
-        E = _mul(tuple(e[..., 0::2] for e in E), tuple(e[..., 1::2] for e in E))
     return E
 
 
@@ -187,9 +178,6 @@ def _sweep(generator, knots: np.ndarray, bounds: np.ndarray, counts: np.ndarray,
             out = np.empty((len(P[0]), len(x), 2, 2))
             frame = np.broadcast_to(np.eye(2), (len(P[0]), 2, 2))
         lo, hi = np.searchsorted(panel, [k0, k0 + len(k)])
-        if hi == lo:
-            frame = frame @ _as_matrices(_tree(P))[:, -1]
-            continue
         j = panel[lo:hi] - k0
         u = np.divide(x[lo:hi] - centre[j], half[j], out=np.zeros(hi - lo),
                       where=half[j] != 0.0)

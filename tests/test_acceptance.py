@@ -187,14 +187,14 @@ def test_criterion_08_kksh_regression():
         K, _ = complete_elliptic(mu_star)
         assert 2 * K == pytest.approx(3.93225, abs=1e-3)
         spec = KkshSpec.with_quantum_numbers(mu_star, 1, 6, 2.0)
-        Fp, Fm = kksh_frames_t0(spec)
+        (Fp,), (Fm,) = kksh_frames_t0([spec])
         assert np.abs((Fp - PRINTED_FPLUS) / PRINTED_FPLUS).max() <= 1e-3
         tr = float(np.trace(Fp))
         zeta1 = 0.5 * (tr + math.sqrt(tr * tr - 4.0))
         assert zeta1 == pytest.approx(64.26, abs=0.1)
         for mu in np.linspace(0.08, 0.92, 10):
             spec_i = KkshSpec.with_quantum_numbers(float(mu), 1, 6, 2.0)
-            Fp_i, Fm_i = kksh_frames_t0(spec_i)
+            (Fp_i,), (Fm_i,) = kksh_frames_t0([spec_i])
             cls = classify_monodromies(Fp_i, Fm_i, spec_i.s_period())
             assert cls.type_pair == "(H,E)"
         s, t = np.meshgrid(np.linspace(0.0, spec.s_period(), 100),

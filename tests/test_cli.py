@@ -148,6 +148,37 @@ def test_floquet_bad_exponent_exit_code(tmp_path, q):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mu", ["1e-300", "1e-16"])
+def test_floquet_mu_that_closes_the_gap_exit_code(tmp_path, mu):
+    """1 + mu == 1 in float64: the gap (1, 1 + mu) is empty, so the bands
+    are not separated; a usage error before any search."""
+    out = tmp_path / "ftiny"
+    with pytest.raises(SystemExit) as exc:
+        main(["floquet", "--mu", mu, "--q", "2/5", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu, message", [("1e-15", "did not converge"),
+                                         ("2e-16", "Floquet gate"),
+                                         ("1e-10", "Floquet gate")])
+def test_floquet_tiny_mu_exits_1(tmp_path, capsys, mu, message):
+    """Just above the rounding of 1 + mu a root find that does not converge,
+    or a root the ODE monodromy does not confirm, is a numeric failure."""
+    assert main(["floquet", "--mu", mu, "--q", "2/5", "-o", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and message in err
+
+
+def test_stationary_at_a_huge_time_exits_1(tmp_path, capsys):
+    """At t = 1e14 the shifted grid s + 2 ell t repeats samples in float64;
+    the transport takes the path in any order and stops at its panel cap."""
+    assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--t", "1e14",
+                 "-o", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: IntegrationFailure" in err and "panels" in err
+
+
 def test_stationary_zero_denominator_exit_code(tmp_path):
     out = tmp_path / "sq"
     with pytest.raises(SystemExit) as exc:

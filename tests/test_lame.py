@@ -214,6 +214,23 @@ def test_fundamental_ode_normalization_and_wronskian():
     assert np.abs(np.linalg.det(path) - 1.0).max() <= 1e-9
 
 
+def test_fundamental_ode_takes_h_on_the_factor_axis():
+    """A sequence of h is one transport with one system per h: the stacks
+    (2, n, 2, 2) match the two scalar calls, and a path in any order (here
+    the grid reversed) reads the same frames."""
+    mu = 0.9
+    K, _ = complete_elliptic(mu)
+    grid = np.linspace(-K, 3.0 * K, 129)
+    hs = [0.9300299176777007, 2.225980871712621]
+    both = fundamental_ode(mu, hs, grid)
+    assert both.shape == (2, len(grid), 2, 2)
+    for F, h in zip(both, hs):
+        single = fundamental_ode(mu, h, grid)
+        assert single.shape == (len(grid), 2, 2)
+        assert _rel_miss(F, single) <= 1e-12
+        assert _rel_miss(fundamental_ode(mu, h, grid[::-1])[::-1], single) <= 1e-12
+
+
 def test_fundamental_ode_20K_periodicity():
     mu = 0.4
     K, _ = complete_elliptic(mu)

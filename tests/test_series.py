@@ -87,9 +87,10 @@ def kksh_at(mu):
 
 @pytest.mark.parametrize("mu", KKSH_MUS, ids=["mu03", "mustar", "mu085"])
 def test_kksh_kappa_on_a_series_in_s(mu):
-    """Order 0 on a Series, as the s-systems call it (s0 + ds, rate 1) and
-    as _rescaled_monodromies does (s = rho sigma, rate rho), summed at
-    small offsets, equals the array jet at the shifted points."""
+    """Order 0 on a Series, as the s-systems of lien_evolve call it
+    (s0 + ds, rate 1) and as the KKSH monodromies do (s = rho sigma, rate
+    rho), summed at small offsets, equals the array jet at the shifted
+    points."""
     spec = kksh_at(mu)
     rho = spec.s_period()
     s0 = np.linspace(-0.3 * rho, 1.7 * rho, 9)
@@ -174,18 +175,21 @@ def _einsums_per_call(monkeypatch, generator, x) -> int:
 def test_generator_work_budget(monkeypatch):
     """np.einsum calls of one generator block of each KKSH transport: the
     Series products of kappa stay off the hot path (they were 172 per
-    s-block and 206 per t-block)."""
+    s-block and 206 per t-block).  The one s-generator of _s_frames costs
+    51 per system, for a t-slice of lien_evolve (scale 1) as for a
+    rescaled monodromy."""
     spec = kksh_at(MU_STAR)
     x = Series.variable(np.linspace(0.0, 1.0, 64), kernel.TERMS - 1)
     captured = []
 
     def capture(generator, x0, grid, rel_tol):
         captured.append(generator)
-        return np.zeros((4, len(grid), 2, 2))
+        factors = generator(x)[1].c.shape[1]
+        return np.zeros((factors, len(grid), 2, 2))
 
     monkeypatch.setattr(evolve, "transport", capture)
-    evolve.kksh_frames_t0([spec, kksh_at(0.5)])
+    evolve.lien_evolve(spec, [0.0], [0.0, 0.3])
+    evolve.kksh_frames_t0([spec, kksh_at(0.5), kksh_at(0.4)])
     monkeypatch.undo()
-    assert _einsums_per_call(monkeypatch, evolve._s_generator(spec, 0.3), x) == 51
-    assert _einsums_per_call(monkeypatch, evolve._t_generator(spec), x) == 84
-    assert _einsums_per_call(monkeypatch, captured[0], x) == 2 * 51
+    budgets = [_einsums_per_call(monkeypatch, g, x) for g in captured]
+    assert budgets == [84, 2 * 51, 2 * 51, 51]

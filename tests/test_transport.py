@@ -1,8 +1,9 @@
 """The frame-transport kernel (Taylor panels) against DOP853 at rtol 1e-13:
 the KKSH t-system and s-monodromies, single and batched, and the two-step
-evolution of a stationary bending; dense output, the panel ladders,
-unimodularity, the panel cap, the DOP853 confirmation gate of lien_evolve
-and the accepted range of integrator_rel_tol."""
+evolution of a stationary bending; batched t-slices and h+- pairs against
+separate transports, dense output, the panel ladders and transport counts,
+the block products, unimodularity, the panel cap, the DOP853 confirmation
+gate of lien_evolve and the accepted range of integrator_rel_tol."""
 
 import json
 import math
@@ -16,12 +17,18 @@ from ads_null_flows import transport as kernel
 from ads_null_flows.cli import main
 from ads_null_flows.config import DEFAULT
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
-from ads_null_flows.nullcurve import evolve, lien_evolve
+from ads_null_flows.nullcurve import (
+    evolve,
+    evolve_stationary_path,
+    lien_evolve,
+    stationary_curve,
+)
 from ads_null_flows.specfun import complete_elliptic
 from ads_null_flows.transport import IntegrationFailure, transport
 
 MU_STAR = 0.6150396634356605
 KKSH_T = [0.0, 0.537285, 1.07457, 1.611855]
+CHECK_SPEC = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
 
 
 def kksh(mu=MU_STAR):
@@ -110,31 +117,34 @@ def test_taylor_panel_propagators_are_unimodular():
 def test_s_monodromy_matches_dop853(mu):
     spec = kksh(mu)
     rho = spec.s_period()
-    F = np.stack(evolve.kksh_frames_t0(spec, rho))[:, None]
+    F = np.stack(evolve.kksh_frames_t0([spec]))
     assert rel_err(F, dop853(s_rhs(spec, 0.0), 0.0, [rho])) <= 1e-10
 
 
 def test_batched_monodromies_match_dop853():
     """Specs stacked along the factor axis, each rescaled onto sigma in
-    [0, 1], with their own rho and t, against one DOP853 run per spec and
-    against separate transports."""
+    [0, 1], with their own scale and t, against one DOP853 run per spec
+    and against separate transports."""
     specs = [kksh(mu) for mu in (0.3, 0.6, MU_STAR)]
     rho = [spec.s_period() for spec in specs]
     rho[1] *= 0.5
     t = [0.0, 0.2, 0.4]
-    Fp, Fm = evolve.kksh_frames_t0(specs, rho, t)
-    assert Fp.shape == Fm.shape == (3, 2, 2)
+    F = evolve._s_frames(specs, rho, t, [1.0], DEFAULT)
+    assert F.shape == (2, 3, 1, 2, 2)
     for i, spec in enumerate(specs):
-        F = np.stack([Fp[i], Fm[i]])[:, None]
-        assert rel_err(F, dop853(s_rhs(spec, t[i]), 0.0, [rho[i]])) <= 1e-10
-        single = np.stack(evolve.kksh_frames_t0(spec, rho[i], t[i]))[:, None]
-        assert rel_err(F, single) <= 1e-11
+        assert rel_err(F[:, i], dop853(s_rhs(spec, t[i]), 0.0, [rho[i]])) <= 1e-10
+        single = evolve._s_frames([spec], rho[i], t[i], [1.0], DEFAULT)[:, 0]
+        assert rel_err(F[:, i], single) <= 1e-11
+    Fp, Fm = evolve.kksh_frames_t0(specs, t)
+    Fp_single, Fm_single = evolve.kksh_frames_t0(specs[2:], t[2])
+    assert Fp.shape == Fm.shape == (3, 2, 2)
+    assert rel_err(np.stack([Fp[2:], Fm[2:]]), np.stack([Fp_single, Fm_single])) <= 1e-11
     assert [F.shape for F in evolve.kksh_frames_t0([])] == [(0, 2, 2)] * 2
 
 
 def test_lien_evolve_matches_dop853_on_the_check_bending():
     """The stationary bending and the grids of the `check` command."""
-    spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+    spec = CHECK_SPEC
     s_grid = np.linspace(0.0, spec.s_period, 17)
     t_grid = np.linspace(0.0, 0.2, 5)
     ev = lien_evolve(spec, s_grid, t_grid)
@@ -176,11 +186,12 @@ def _predictions(ladder):
 
 def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
     """lien_evolve on the README grids: the t-system takes one predicted
-    level, and each of the four s-systems at most one."""
+    level, and each of the two transports of the four s-systems (BATCH = 2
+    t-slices each) at most one."""
     ladders = _ladders(monkeypatch)
     spec = kksh()
     lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period(), 257), KKSH_T)
-    assert len(ladders) == 5 and _predictions(ladders[0]) == 1
+    assert len(ladders) == 3 and _predictions(ladders[0]) == 1
     for ladder in ladders[1:]:
         _predictions(ladder)
 
@@ -199,18 +210,18 @@ def test_kksh_t_system_accepts_the_predicted_panels(monkeypatch, mu):
 @pytest.mark.parametrize("mu", [0.3, 0.6, MU_STAR])
 def test_s_monodromy_accepts_the_predicted_level(monkeypatch, mu):
     ladders = _ladders(monkeypatch)
-    evolve.kksh_frames_t0(kksh(mu))
+    evolve.kksh_frames_t0([kksh(mu)])
     assert len(ladders) == 1
     _predictions(ladders[0])
 
 
 def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
     """The t-system (accepted at its first level on this short grid) and the
-    five s-systems of the `check` evolution."""
+    three transports of the five s-systems of the `check` evolution."""
     ladders = _ladders(monkeypatch)
-    spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+    spec = CHECK_SPEC
     lien_evolve(spec, np.linspace(0.0, spec.s_period, 17), np.linspace(0.0, 0.2, 5))
-    assert len(ladders) == 6 and len(ladders[0]) == 1
+    assert len(ladders) == 4 and len(ladders[0]) == 1
     for ladder in ladders[1:]:
         _predictions(ladder)
 
@@ -237,25 +248,67 @@ def test_dense_output_panels_do_not_follow_the_grid(monkeypatch):
     assert rel_err(coarse, fine[::16]) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1023])
-def test_tree_product_matches_the_prefix_scan(n):
-    """The monodromy-only product of a block, odd lengths included, is the
-    last entry of the prefix scan that dense output uses; the factors are
-    random with det 1."""
+@pytest.mark.parametrize("n", [1, 2, 7, 257])
+def test_prefix_scan_ends_at_the_sequential_product(n):
+    """The last prefix entry, the product that each block folds into the
+    running frame, is E_0 E_1 ... E_{n-1}, odd lengths and one past a
+    power of two included; the factors are random with det 1."""
     rng = np.random.default_rng(n)
     p = rng.uniform(0.5, 2.0, size=(2, n))
     q, r = rng.normal(scale=0.5, size=(2, 2, n))
     E = (p, q, r, (1.0 + q * r) / p)
-    tree = kernel._as_matrices(kernel._tree(E))[:, -1]
-    prefix = kernel._as_matrices(kernel._prefix(E))[:, -1]
-    assert rel_err(tree, prefix) <= 1e-12
+    prefix = kernel._as_matrices(kernel._prefix(E))
+    assert prefix.shape == (2, n, 2, 2)
+    matrices = kernel._as_matrices(E)
+    product = np.broadcast_to(np.eye(2), (2, 2, 2))
+    for i in range(n):
+        product = product @ matrices[:, i]
+    assert rel_err(prefix[:, -1], product) <= 1e-12
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 5])
+def test_lien_evolve_t_slices_match_separate_transports(monkeypatch, slices):
+    """The s-systems of all t-slices, BATCH per transport, against one
+    transport per slice: one t-system transport, then ceil(slices / BATCH)
+    s-transports."""
+    spec = CHECK_SPEC
+    s_grid = np.linspace(-0.5 * spec.s_period, spec.s_period, 17)
+    t_grid = np.linspace(0.0, 0.2, slices)
+    ladders = _ladders(monkeypatch)
+    ev = lien_evolve(spec, s_grid, t_grid)
+    assert len(ladders) == 1 + -(-slices // evolve.BATCH)
+    monkeypatch.undo()
+    A = transport(evolve._t_generator(spec), 0.0, t_grid, DEFAULT.integrator_rel_tol)
+    for j, t in enumerate(t_grid):
+        Phi = evolve._s_frames([spec], 1.0, t, s_grid, DEFAULT)[:, 0]
+        single = A[:, j, None] @ Phi
+        batched = np.stack([ev.paths[j].Fplus, ev.paths[j].Fminus])
+        assert rel_err(batched, single) <= 1e-12
+        assert ev.paths[j].t_value == t
+        assert (ev.paths[j].kappa == spec.kappa_jet(s_grid, float(t), order=0)[0]).all()
+
+
+def test_one_transport_per_stationary_curve(monkeypatch):
+    """h+ and h- share one transport, in stationary_curve and in the
+    evolved snapshot built on it, and match one transport each."""
+    spec = CHECK_SPEC
+    grid = np.linspace(0.0, 2.0 * spec.s_period, 257)
+    ladders = _ladders(monkeypatch)
+    path = stationary_curve(spec.mu, spec.h_plus, spec.h_minus, grid)
+    evolve_stationary_path(spec, grid, 0.1)
+    assert len(ladders) == 2
+    monkeypatch.undo()
+    x_grid = spec.sigma * grid
+    S = np.diag([1.0 / math.sqrt(spec.sigma), math.sqrt(spec.sigma)])
+    for F, h in ((path.Fplus, spec.h_plus), (path.Fminus, spec.h_minus)):
+        assert rel_err(F, lame.fundamental_ode(spec.mu, h, x_grid) @ S) <= 1e-12
 
 
 def test_unimodular_by_construction():
     """Every sample of a dense, moderate-norm path has det 1 to rounding."""
-    spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+    spec = CHECK_SPEC
     grid = np.linspace(-spec.s_period, spec.s_period, 513)
-    F = transport(evolve._s_generator(spec, 0.0), 0.0, grid, 1e-12)
+    F = evolve._s_frames([spec], 1.0, 0.0, grid, DEFAULT)[:, 0]
     assert np.abs(F).max() < 20.0
     assert np.abs(np.linalg.det(F) - 1.0).max() <= 1e-13
 
@@ -310,12 +363,12 @@ def test_non_finite_frames_raise():
 
 def test_non_finite_grid_is_rejected():
     with pytest.raises(ValueError, match="finite"):
-        transport(evolve._s_generator(kksh(), 0.0), 0.0, [0.5, math.nan], 1e-12)
+        transport(evolve._t_generator(kksh()), 0.0, [0.5, math.nan], 1e-12)
 
 
 def test_empty_grid_is_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        transport(evolve._s_generator(kksh(), 0.0), 0.0, [], 1e-12)
+        transport(evolve._t_generator(kksh()), 0.0, [], 1e-12)
 
 
 @pytest.mark.filterwarnings("error")
