@@ -8,7 +8,9 @@
                               [--t 0,0.537285,...] -o DIR
     ads-null-flows check
 
-Exit codes: 0 success, 1 numeric failure, 2 usage error.  Outputs are JSON
+Exit codes: 0 success, 1 numeric failure (config.NumericFailure), 2 usage
+error (config.UsageError, or an option argparse rejects); any other
+exception is a programming error and keeps its traceback.  Outputs are JSON
 (curve samples with the torical embedding and the frame matrix), OBJ
 polylines, and CSV tables; every file embeds the recipe name and the config
 digest.
@@ -26,13 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import jetalg
-from .config import RunConfig, UsageError, load_config
+from .config import NumericFailure, RunConfig, UsageError, load_config
 from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
 from .kdvsol import KkshSpec, StationaryBending
-from .lame import SearchExhausted, floquet_search
+from .lame import floquet_search
 from .nullcurve import (
-    KdVResidualTooLarge,
-    NoSignChange,
     SpinorFramePath,
     bending_oracle,
     classify_orbit,
@@ -50,10 +50,8 @@ from .nullcurve import (
     torical_embed,
     winding_numbers,
 )
-from .nullcurve.classify import classify_constant_closed
 from .nullcurve.evolve import KDV_GATE
-from .specfun import HeunConvergenceError, complete_elliptic
-from .transport import IntegrationFailure
+from .specfun import complete_elliptic
 
 
 # stationary grids: POINTS_PER_PERIOD intervals per bending period, and never
@@ -64,15 +62,6 @@ MIN_POINTS_PER_PERIOD = 8
 # the most samples a stationary grid, or kksh's invariant grid, may ask
 # for: each sample costs memory, and each invariant-grid point a transport
 MAX_SAMPLES = 1 << 16
-
-
-class NumericFailure(RuntimeError):
-    pass
-
-
-# exit code 1; any other exception is a programming error and propagates
-NUMERIC_FAILURES = (NumericFailure, IntegrationFailure, SearchExhausted, NoSignChange,
-                    KdVResidualTooLarge, HeunConvergenceError)
 
 
 def _int_pair(text: str):
@@ -162,7 +151,8 @@ def _diagnostics(path: SpinorFramePath) -> dict:
         "null_residual": q1,
         "proper_time_residual": q2,
         "bending_residual": float(np.abs(kap[sel] - path.kappa[sel]).max()),
-        "det_drift": path.det_drift,
+        "det_drift": float(np.abs(np.linalg.det(np.stack((path.Fplus, path.Fminus)))
+                                  - 1.0).max()),
     }
 
 
@@ -282,11 +272,12 @@ def cmd_constant(args, config: RunConfig) -> int:
         period = constant_curve_period(m, n)
         grid = np.linspace(0.0, period, 2049)
         path = constant_bending_path(float(kappa), grid)
-        cls, rho = classify_constant_closed(m, n)
+        # kappa_{m,n} < -1 makes both factors elliptic: "(E,E)", and closed
+        case = constant_case_tag(float(kappa))
         extra = {
-            "kappa": str(kappa), "case": constant_case_tag(float(kappa)),
+            "kappa": str(kappa), "case": case,
             "spin": str(spin), "torus_knot": list(knot),
-            "orbit_type": cls.type_pair, "closed": cls.closed,
+            "orbit_type": case, "closed": True,
             "least_period": period,
             "windings": list(winding_numbers(path.gamma())),
         }
@@ -321,6 +312,10 @@ def cmd_kksh(args, config: RunConfig) -> int:
         t_list = [0.0] + t_list
     tags = _snapshot_tags("kksh_t", t_list)
     _check_samples("--invariant-grid", args.invariant_grid)
+    # every spec before any transport, so a usage error leaves no files
+    mu_grid = np.linspace(0.08, 0.92, args.invariant_grid)
+    grid_specs = [KkshSpec.with_quantum_numbers(float(mu_i), m, n, args.h)
+                  for mu_i in mu_grid]
     if args.find_mu_star:
         mu = kksh_mu_star(m, n, args.h, config=config)
         meta["mu_star"] = mu
@@ -346,9 +341,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
     for path, t, tag in zip(ev.paths, t_list, tags):
         _export_path(outdir, path, "kksh", config, tag, {**meta, "t": t})
-    mu_grid = np.linspace(0.08, 0.92, args.invariant_grid)
-    Fp, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(mu_i), m, n, args.h)
-                             for mu_i in mu_grid], config=config)
+    Fp, Fm = kksh_frames_t0(grid_specs, config=config)
     itable = []
     for mu_i, Fp_i, Fm_i in zip(mu_grid, Fp, Fm):
         trp, trm = float(np.trace(Fp_i)), float(np.trace(Fm_i))
@@ -461,15 +454,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        config = load_config(args.config, args.set)
-    except ValueError as exc:
-        ap.error(str(exc))
-    try:
-        return args.func(args, config)
+        return args.func(args, load_config(args.config, args.set))
     except UsageError as exc:
         ap.error(str(exc))
-    except NUMERIC_FAILURES as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except NumericFailure as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
 

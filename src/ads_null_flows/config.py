@@ -2,6 +2,9 @@
 
 RunConfig holds the tolerances and the search ceiling a run may override;
 fixed numerical choices are module constants next to their single reader.
+The two exception classes of the package are here too: UsageError for
+input outside its domain and NumericFailure for a computation that failed;
+any other exception is a programming error.
 The CLI builds a RunConfig from an optional key=value file plus --set
 overrides, both read by one parser keyed on the fields; DEFAULT is used
 everywhere else.
@@ -16,6 +19,11 @@ from dataclasses import dataclass, fields
 
 class UsageError(ValueError):
     """Invalid input: a parameter outside its domain (CLI exit code 2)."""
+
+
+class NumericFailure(RuntimeError):
+    """A computation that missed its tolerance, its work cap or its
+    independent confirmation (CLI exit code 1)."""
 
 
 @dataclass(frozen=True)
@@ -48,13 +56,17 @@ DEFAULT = RunConfig()
 
 def _parse_setting(item: str) -> tuple:
     """One key=value setting: the key of a RunConfig field and the value
-    converted to that field's type (UsageError for any other key)."""
+    converted to that field's type (UsageError for any other key, or a
+    value that does not convert)."""
     key, _, val = item.partition("=")
     key = key.strip()
     kind = {f.name: type(f.default) for f in fields(RunConfig)}.get(key)
     if kind is None:
         raise UsageError(f"unknown config key {key!r}")
-    return key, kind(val.strip())
+    try:
+        return key, kind(val.strip())
+    except ValueError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
 
 
 def load_config(path: str | None = None, items=()) -> RunConfig:

@@ -1,14 +1,4 @@
-from .poly import (
-    JetPoly,
-    NotATotalDivergence,
-    InsufficientJet,
-    total_derivative,
-    euler,
-    script_D,
-    primitive,
-    U,
-    U1,
-)
+from .poly import JetPoly, U, U1
 from .hierarchy import lenard_p, kdv_rhs, hamiltonian_density, lien_coefficients
 from .matrices import (
     frenet_K,
@@ -22,8 +12,7 @@ from .matrices import (
 )
 
 __all__ = [
-    "JetPoly", "NotATotalDivergence", "InsufficientJet",
-    "total_derivative", "euler", "script_D", "primitive", "U", "U1",
+    "JetPoly", "U", "U1",
     "lenard_p", "kdv_rhs", "hamiltonian_density", "lien_coefficients",
     "frenet_K", "lien_matrix_polys", "lax_pair_2x2", "lax_zero_curvature_2x2",
     "zero_curvature_check", "g_membership_defect", "mat_is_zero", "FRAME_GRAM",

@@ -32,14 +32,6 @@ from typing import Dict, Iterable, Mapping, Tuple
 Monomial = Tuple[Tuple[int, int], ...]
 
 
-class NotATotalDivergence(ValueError):
-    """Raised when D^-1 is applied to something outside the image of D."""
-
-
-class InsufficientJet(ValueError):
-    """Raised when evaluate() is given fewer jet values than order(p)+1."""
-
-
 def _mono(exps: Mapping[int, int]) -> Monomial:
     return tuple(sorted((i, e) for i, e in exps.items() if e != 0))
 
@@ -182,7 +174,8 @@ class JetPoly:
         Reduction on the leading jet variable: in a total divergence the top
         index k occurs linearly, with x_k-coefficient A free of x_k; then
         q1 = int A dx_{k-1} strips the top order from p - D(q1).  Correctness
-        is certified at the end by applying D, so the strategy is free.
+        is certified at the end by applying D, so the strategy is free.  A p
+        outside the image of D raises ValueError.
         """
         p = self
         acc = JetPoly()
@@ -191,17 +184,17 @@ class JetPoly:
             if k <= 0:
                 if p.is_zero():
                     break
-                raise NotATotalDivergence(f"residue of order <= 0 left: {p}")
+                raise ValueError(f"residue of order <= 0 left: {p}")
             a = p.partial(k)
             if a.partial(k):
-                raise NotATotalDivergence(f"u{k} does not occur linearly")
+                raise ValueError(f"u{k} does not occur linearly")
             q1 = a._antiderivative_in(k - 1)
             acc = acc + q1
             p = p - q1.total_derivative()
         # normalization at the zero jet: drop any constant term
         acc = acc - JetPoly.const(acc.terms.get((), 0))
         if acc.total_derivative() != self:
-            raise NotATotalDivergence("certification D(q) == p failed")
+            raise ValueError("certification D(q) == p failed")
         return acc
 
     def _antiderivative_in(self, i: int) -> "JetPoly":
@@ -231,7 +224,7 @@ class JetPoly:
     def evaluate(self, jet: Iterable[float]) -> float:
         jet = list(jet)
         if self.order() >= len(jet):
-            raise InsufficientJet(
+            raise ValueError(
                 f"need jet values up to index {self.order()}, got {len(jet)}")
         total = 0.0
         for m, c in self.terms.items():
@@ -287,24 +280,6 @@ def _coerce(x) -> JetPoly:
     if isinstance(x, (int, Fraction)):
         return JetPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to JetPoly")
-
-
-# public operator-style aliases
-
-def total_derivative(p: JetPoly) -> JetPoly:
-    return p.total_derivative()
-
-
-def euler(p: JetPoly) -> JetPoly:
-    return p.euler()
-
-
-def script_D(p: JetPoly) -> JetPoly:
-    return p.script_D()
-
-
-def primitive(p: JetPoly) -> JetPoly:
-    return p.primitive()
 
 
 U = JetPoly.var(0)

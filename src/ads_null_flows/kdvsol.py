@@ -62,10 +62,6 @@ from .specfun.elliptic import _check_mu, _linear, _sncndn_series
 from .specfun.series import Series, derivative_shift
 
 
-class OutOfRange(UsageError):
-    """A parameter of the family outside its domain (CLI exit code 2)."""
-
-
 # ------------------------------------------------------------- jet helpers
 #
 # At points the low orders of kappa_jet stay closed form: the series of u
@@ -112,7 +108,7 @@ class StationaryBending:
     def __post_init__(self):
         _check_mu(self.mu)
         if not self.h_minus > self.h_plus:
-            raise OutOfRange("h_minus must exceed h_plus")
+            raise UsageError("h_minus must exceed h_plus")
 
     @property
     def delta(self) -> float:
@@ -174,12 +170,12 @@ def g_inverse(y: float) -> float:
     """The unique tau in (0,1) with tau^{1/4} K(tau) = y, by bracketed root
     finding (chosen over initial-value integration of 1/g': no drift)."""
     if not y > 0.0:
-        raise OutOfRange(f"g_inverse needs y > 0, got {y}")
+        raise UsageError(f"g_inverse needs y > 0, got {y}")
     lo, hi = 1e-12, 1.0 - 1e-12
     if y >= g_of(hi):
-        raise OutOfRange(f"y = {y} exceeds the range limit g(1 - 1e-12) = {g_of(hi):.6g}")
+        raise UsageError(f"y = {y} exceeds the range limit g(1 - 1e-12) = {g_of(hi):.6g}")
     if y <= g_of(lo):
-        raise OutOfRange(f"y = {y} below the resolvable range g(1e-12)")
+        raise UsageError(f"y = {y} below the resolvable range g(1e-12)")
     return float(brentq(lambda t: g_of(t) - y, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
@@ -188,7 +184,7 @@ def tau_mn(mu: float, m: int, n: int) -> float:
     m mu^{1/4} K(mu) = n tau^{1/4} K(tau)."""
     _check_mu(mu)
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
-        raise OutOfRange("m, n must be coprime positive integers")
+        raise UsageError("m, n must be coprime positive integers")
     K, _ = complete_elliptic(mu)
     return g_inverse((m / n) * mu ** 0.25 * K)
 
@@ -205,19 +201,30 @@ class KkshSpec:
         _check_mu(self.mu)
         _check_mu(self.tau)
         if self.mu == self.tau:
-            raise OutOfRange("mu = tau degenerates to a traveling wave")
+            raise UsageError("mu = tau degenerates to a traveling wave")
         if not self.h > 0:
-            raise OutOfRange("homothetic parameter h must be positive")
+            raise UsageError("homothetic parameter h must be positive")
+        try:
+            rates = (self.w_plus, self.w_minus, self.v_plus, self.v_minus)
+        except OverflowError:                 # h ** 3 past the float range
+            rates = (math.inf,)
+        if not all(map(math.isfinite, rates)):
+            raise UsageError(f"homothetic parameter h = {self.h!r} gives non-finite "
+                             "phase rates")
         if (self.m is None) != (self.n is None):
             raise ValueError("quantum numbers come as a pair")
         if self.m is not None:
             if math.gcd(self.m, self.n) != 1:
-                raise OutOfRange("quantum numbers must be coprime")
+                raise UsageError("quantum numbers must be coprime")
             Kmu, _ = complete_elliptic(self.mu)
             Ktau, _ = complete_elliptic(self.tau)
             gap = abs(self.mu ** 0.25 * self.m * Kmu - self.tau ** 0.25 * self.n * Ktau)
-            if gap > 1e-8:
-                raise OutOfRange(f"(m, n) periodicity constraint violated by {gap:.2e}")
+            # tau is known to its rounding: near tau = 1 one ulp of tau moves
+            # n g(tau) by more than 1e-8 (by 9e-7 at 1 - tau = 6e-11)
+            g_tau = self.tau ** 0.25 * Ktau
+            ulp_step = self.n * abs(g_of(math.nextafter(self.tau, 0.0)) - g_tau)
+            if gap > max(1e-8, 4.0 * ulp_step):
+                raise UsageError(f"(m, n) periodicity constraint violated by {gap:.2e}")
 
     @staticmethod
     def with_quantum_numbers(mu: float, m: int, n: int, h: float) -> "KkshSpec":

@@ -35,7 +35,10 @@ bracketed by its band and found by brentq; only then is the half-period
 frame Q integrated by DOP853 over [0, K], once per eigenvalue, and M follows
 from Q by parity; this ODE route stays the oracle for tau, and so for the
 order (at q in {0, 1} the gate also checks that M is diagonal).
-lame_monodromy is the module's only DOP853 integration.
+lame_monodromy is the module's only DOP853 integration.  A root find
+that does not converge, a monodromy that misses the gate or drifts from
+det 1, and fewer than the requested eigenvalues below the search ceiling
+are each a NumericFailure; mu, h or q outside its domain is a UsageError.
 
 The fundamental matrix on a grid, an (n, 2, 2) stack of delta(s), is
 produced two independent ways: the Taylor-panel kernel of
@@ -73,16 +76,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import ellipeinc, ellipkinc
 
-from .config import DEFAULT, RunConfig, UsageError
+from .config import DEFAULT, NumericFailure, RunConfig, UsageError
 from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
-from .transport import EPS, IntegrationFailure, transport
-
-
-class SearchExhausted(RuntimeError):
-    """The scan ceiling produced fewer eigenvalues than requested, or a root
-    find of the search did not converge."""
+from .transport import EPS, transport
 
 
 @dataclass
@@ -155,13 +153,13 @@ def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarr
                     rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
-        raise IntegrationFailure(f"Lame integration failed: {sol.message}")
+        raise NumericFailure(f"Lame integration failed: {sol.message}")
     a, b, c, d = sol.y[:4, -1].tolist()
     tau = a * d + b * c
     M = np.array([[tau, 2.0 * a * b], [2.0 * c * d, tau]])
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-10:
-        raise IntegrationFailure(f"monodromy determinant drift {det - 1.0:.2e}")
+        raise NumericFailure(f"monodromy determinant drift {det - 1.0:.2e}")
     return M
 
 
@@ -226,8 +224,8 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         h, root = brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
                          xtol=math.ulp(0.0), rtol=8.9e-16, full_output=True, disp=False)
         if not root.converged:
-            raise SearchExhausted(f"the root of theta(h) = {target!r} on [{lo!r}, {hi!r}] "
-                                  f"did not converge: {root.flag}")
+            raise NumericFailure(f"the root of theta(h) = {target!r} on [{lo!r}, {hi!r}] "
+                                 f"did not converge: {root.flag}")
         h = float(h)
         # the ODE monodromy must confirm the closed-form root, and so the
         # record's order; at q in {0, 1} it must be the double point M = +-Id
@@ -236,11 +234,11 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
         if miss > config.tol_floquet or (
                 q_num in (0, q_den)
                 and max(abs(M[0, 1]), abs(M[1, 0])) > math.sqrt(config.tol_floquet)):
-            raise IntegrationFailure(f"monodromy at h = {h!r} fails the Floquet gate: "
-                                     f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
+            raise NumericFailure(f"monodromy at h = {h!r} fails the Floquet gate: "
+                                 f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
         records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M))
     if len(records) < count:
-        raise SearchExhausted(
+        raise NumericFailure(
             f"found {len(records)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
     return records
 

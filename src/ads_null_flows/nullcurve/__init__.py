@@ -1,6 +1,4 @@
 from .frames import (
-    GridTooCoarse,
-    InvalidPair,
     SpinorFramePath,
     ads_inner,
     bending_oracle,
@@ -13,7 +11,6 @@ from .frames import (
     proper_time_checks,
 )
 from .classify import (
-    NotPeriodicBending,
     OrbitClassification,
     classify_monodromies,
     classify_orbit,
@@ -26,9 +23,7 @@ from .stationary import (
     stationary_momenta,
 )
 from .evolve import (
-    KdVResidualTooLarge,
     LienEvolution,
-    NoSignChange,
     kdv_gate,
     kksh_frames_t0,
     kksh_mu_star,
@@ -38,16 +33,13 @@ from .evolve import (
 from .torical import split_coordinates, torical_embed, winding_numbers
 
 __all__ = [
-    "GridTooCoarse", "InvalidPair", "SpinorFramePath", "ads_inner",
-    "bending_oracle", "closed_constant",
+    "SpinorFramePath", "ads_inner", "bending_oracle", "closed_constant",
     "constant_bending_frames", "constant_bending_path", "constant_case_tag",
-    "constant_curve_period", "integrate_spinor_frames",
-    "proper_time_checks",
-    "NotPeriodicBending", "OrbitClassification", "classify_monodromies",
-    "classify_orbit", "rationalize",
+    "constant_curve_period", "integrate_spinor_frames", "proper_time_checks",
+    "OrbitClassification", "classify_monodromies", "classify_orbit", "rationalize",
     "evolve_stationary_path", "expm_offdiag", "stationary_curve",
     "stationary_momenta",
-    "KdVResidualTooLarge", "LienEvolution", "NoSignChange", "kdv_gate",
-    "kksh_frames_t0", "kksh_mu_star", "lien_evolve", "monodromy_trace_drift",
+    "LienEvolution", "kdv_gate", "kksh_frames_t0", "kksh_mu_star", "lien_evolve",
+    "monodromy_trace_drift",
     "split_coordinates", "torical_embed", "winding_numbers",
 ]

@@ -39,10 +39,6 @@ RATIONALIZE_CAP = 64     # continued-fraction denominator cap for theta/pi
 RATIONALIZE_TOL = 1e-6
 
 
-class NotPeriodicBending(ValueError):
-    pass
-
-
 @dataclass
 class FactorClassification:
     invariant: float                 # (tr M)^2 - 4
@@ -98,33 +94,11 @@ def classify_orbit(path: SpinorFramePath, rho: float) -> OrbitClassification:
     if abs(s[i1] - (s[0] + rho)) > 1e-9 * max(1.0, abs(rho)):
         raise ValueError("s_grid must contain s0 + rho (within 1e-9)")
     if abs(path.kappa[i1] - path.kappa[i0]) > 1e-6 * max(1.0, abs(path.kappa[i0])):
-        raise NotPeriodicBending(
+        raise ValueError(
             f"kappa(s0 + rho) - kappa(s0) = {path.kappa[i1] - path.kappa[i0]:.3e}")
     Mp = path.Fplus[i1] @ np.linalg.inv(path.Fplus[i0])
     Mm = path.Fminus[i1] @ np.linalg.inv(path.Fminus[i0])
     return classify_monodromies(Mp, Mm, rho)
-
-
-def classify_constant_closed(m: int, n: int):
-    """(classification, rho) for the closed constant-bending curve indexed by
-    coprime m > n.
-
-    Constant bending has no least period, so the reference window rho is a
-    free choice; taking rho = P/w with P the closed-form curve period and w
-    the smallest integer >= 3 coprime to 2 m n makes both monodromies
-    elliptic and non-central, and the rational-phase algebra reproduces the
-    closed-form period and spin.
-    """
-    from .frames import closed_constant, constant_bending_frames, constant_curve_period
-
-    kappa, _, _ = closed_constant(m, n)
-    P = constant_curve_period(m, n)
-    w = 3
-    while math.gcd(w, 2 * m * n) != 1:
-        w += 1
-    rho = P / w
-    Fp, Fm = constant_bending_frames(float(kappa), rho)
-    return classify_monodromies(Fp, Fm, rho), rho
 
 
 def classify_monodromies(Mp: np.ndarray, Mm: np.ndarray,

@@ -22,12 +22,13 @@ t-system, of order 0 in ds for the s-systems) and yields the Taylor
 coefficients of P_lam or K_lam about the panel centres, one call per block
 and system for both factors; kappa of the paths is one array call.  Every
 panel factor has det 1, so the frames are unimodular to rounding and are
-never renormalized (det_drift is a diagnostic only), and the panel counts
-follow integrator_rel_tol.  The s-frames are confirmed once per lien_evolve by
-DOP853: the t = 0 s-system from Id at s = 0 to the far end of the s-grid
-must match them within tol_metric, or within CONFIRM_SLACK times
-integrator_rel_tol when that is looser (DOP853's own global error), else
-IntegrationFailure.  Because the bending is s-periodic the monodromies
+never renormalized, and the panel counts follow integrator_rel_tol.  The
+s-frames are confirmed once per lien_evolve by DOP853: the t = 0 s-system
+from Id at s = 0 to the far end of the s-grid must match them within
+tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when that is
+looser (DOP853's own global error).  A bending that fails the KdV gate, a
+transport past its panel cap and a missed confirmation each raise
+NumericFailure.  Because the bending is s-periodic the monodromies
 F+-(s0 + rho, t) F+-(s0, t)^{-1} are conserved in t; the drift over the
 returned family is the standard integration diagnostic.
 """
@@ -41,9 +42,9 @@ from typing import List, Protocol, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..config import DEFAULT, RunConfig, UsageError
+from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..specfun.series import Series
-from ..transport import EPS, IntegrationFailure, transport
+from ..transport import EPS, transport
 from .frames import SpinorFramePath, _sl2_inverse
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
@@ -62,10 +63,6 @@ MU_STAR_TARGET = math.cos(2.0 * math.pi * 2 / 3)
 MU_STAR_BRACKET = (0.3, 0.85)
 MU_STAR_SCAN = 12
 MU_STAR_XTOL = 1e-8
-
-
-class KdVResidualTooLarge(ValueError):
-    pass
 
 
 class BendingSampler(Protocol):
@@ -87,7 +84,7 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
     k0, k1, _, k3 = sampler.kappa_jet(s, t, order=3)
     worst = float(np.abs(sampler.kappa_t(s, t) - 6.0 * k0 * k1 + k3).max())
     if not worst <= tol:
-        raise KdVResidualTooLarge(
+        raise NumericFailure(
             f"bending violates the KdV residual gate: {worst:.3e} > {tol:.1e}")
     return worst
 
@@ -144,12 +141,8 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
     Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, s_grid, config)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
-    paths = []
-    for j, t in enumerate(t_grid):
-        Fp, Fm = A_plus[j] @ Phi[0, j], A_minus[j] @ Phi[1, j]
-        drift = max(float(np.abs(np.linalg.det(F) - 1.0).max()) for F in (Fp, Fm))
-        paths.append(SpinorFramePath(s_grid, Fp, Fm, kappa[j], t_value=float(t),
-                                     det_drift=drift))
+    paths = [SpinorFramePath(s_grid, A_plus[j] @ Phi[0, j], A_minus[j] @ Phi[1, j],
+                             kappa[j]) for j in range(len(t_grid))]
     _confirm(sampler, paths[0], config)
     return LienEvolution(t_grid, paths, gate)
 
@@ -212,18 +205,14 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
                     method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
-        raise IntegrationFailure(f"s-system confirmation failed: {sol.message}")
+        raise NumericFailure(f"s-system confirmation failed: {sol.message}")
     bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
     for F, y in ((path.Fplus[end], sol.y[:4, -1]), (path.Fminus[end], sol.y[4:, -1])):
         miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
         if miss > bound:
-            raise IntegrationFailure(
+            raise NumericFailure(
                 f"Taylor and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
                 f"at s = {s_grid[end]!r}")
-
-
-class NoSignChange(RuntimeError):
-    pass
 
 
 def kksh_frames_t0(specs, t=0.0, config: RunConfig = DEFAULT):
@@ -258,7 +247,7 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
     half the trace minus the target cosine.  The MU_STAR_SCAN points of
     MU_STAR_BRACKET are one batch of kksh_frames_t0; brentq refines the
     first sign change to MU_STAR_XTOL, one transport per evaluation.  Raises
-    NoSignChange when the bracket misses the root.
+    NumericFailure when the bracket misses the root.
     """
     from scipy.optimize import brentq
 
@@ -283,5 +272,5 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
             return float(grid[i])
         if vals[i] * vals[i + 1] < 0:
             return float(brentq(p, grid[i], grid[i + 1], xtol=MU_STAR_XTOL))
-    raise NoSignChange(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
+    raise NumericFailure(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
 

@@ -30,8 +30,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..config import DEFAULT, RunConfig, UsageError
-from ..transport import EPS, IntegrationFailure
+from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
+from ..transport import EPS
 
 
 def ads_inner(X: np.ndarray, Y: np.ndarray):
@@ -40,14 +40,6 @@ def ads_inner(X: np.ndarray, Y: np.ndarray):
     Y = np.asarray(Y, dtype=float)
     return 0.5 * (X[..., 0, 1] * Y[..., 1, 0] + X[..., 1, 0] * Y[..., 0, 1]
                   - X[..., 0, 0] * Y[..., 1, 1] - X[..., 1, 1] * Y[..., 0, 0])
-
-
-class GridTooCoarse(ValueError):
-    pass
-
-
-class InvalidPair(UsageError):
-    pass
 
 
 def _sl2_inverse(F: np.ndarray) -> np.ndarray:
@@ -65,8 +57,6 @@ class SpinorFramePath:
     Fplus: np.ndarray      # (n, 2, 2)
     Fminus: np.ndarray     # (n, 2, 2)
     kappa: np.ndarray      # (n,)
-    t_value: float = 0.0
-    det_drift: float = 0.0
 
     def gamma(self) -> np.ndarray:
         """F+ F-^{-1} at every sample.  Entries beyond the float range come
@@ -82,8 +72,7 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
                             init_plus: Optional[np.ndarray] = None,
                             init_minus: Optional[np.ndarray] = None,
                             config: RunConfig = DEFAULT) -> SpinorFramePath:
-    """Adaptive integration of both frame systems over the grid; det_drift
-    is the largest |det F - 1| over the samples."""
+    """Adaptive integration of both frame systems over the grid."""
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) > 1 and np.any(np.diff(s_grid) <= 0):
         raise ValueError("s_grid must be strictly increasing")
@@ -107,15 +96,13 @@ def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
                     method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol, t_eval=s_grid)
     if not sol.success:
-        raise IntegrationFailure(f"frame integration failed: {sol.message}")
+        raise NumericFailure(f"frame integration failed: {sol.message}")
     Fp = np.empty((len(s_grid), 2, 2))
     Fm = np.empty((len(s_grid), 2, 2))
     Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1] = sol.y[0:4]
     Fm[:, 0, 0], Fm[:, 0, 1], Fm[:, 1, 0], Fm[:, 1, 1] = sol.y[4:8]
-    drift = float(max(np.abs(np.linalg.det(Fp) - 1.0).max(),
-                      np.abs(np.linalg.det(Fm) - 1.0).max()))
     kap = np.array([kappa(float(s)) for s in s_grid])
-    return SpinorFramePath(s_grid, Fp, Fm, kap, det_drift=drift)
+    return SpinorFramePath(s_grid, Fp, Fm, kap)
 
 
 _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
@@ -129,10 +116,10 @@ def bending_oracle(gamma: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     first and last 3 samples come out NaN."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[0] < 7:
-        raise GridTooCoarse("need at least 7 samples of gamma")
+        raise ValueError("need at least 7 samples of gamma")
     steps = np.diff(s_grid)
     if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
-        raise GridTooCoarse("bending oracle needs a uniform grid")
+        raise ValueError("bending oracle needs a uniform grid")
     ds = float(steps[0])
     n = gamma.shape[0]
     shifted = np.stack([gamma[k: n - 6 + k] for k in range(7)])
@@ -215,7 +202,7 @@ def closed_constant(m: int, n: int):
     Returns (kappa as Fraction, spin as Fraction, knot pair).
     """
     if m <= n or n < 1 or math.gcd(m, n) != 1:
-        raise InvalidPair("need coprime integers m > n >= 1")
+        raise UsageError("need coprime integers m > n >= 1")
     kappa = Fraction(-(m * m + n * n), m * m - n * n)
     if (m + n) % 2 == 0:
         return kappa, Fraction(1, 2), ((n - m) // 2, (n + m) // 2)
@@ -227,6 +214,6 @@ def constant_curve_period(m: int, n: int) -> float:
     pi sqrt((m^2 - n^2)/2) at which both factors reach +-Id, doubled when
     the two signs disagree (m + n odd)."""
     if m <= n or n < 1 or math.gcd(m, n) != 1:
-        raise InvalidPair("need coprime integers m > n >= 1")
+        raise UsageError("need coprime integers m > n >= 1")
     s_star = math.pi * math.sqrt((m * m - n * n) / 2.0)
     return s_star if (m + n) % 2 == 0 else 2.0 * s_star

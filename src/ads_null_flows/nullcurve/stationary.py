@@ -89,4 +89,4 @@ def evolve_stationary_path(spec: StationaryBending, s_grid, t: float,
     m_plus, m_minus, _ = stationary_momenta(spec)
     Fp = expm_offdiag(t * m_plus)[None] @ base.Fplus
     Fm = expm_offdiag(t * m_minus)[None] @ base.Fminus
-    return SpinorFramePath(s_grid, Fp, Fm, spec.kappa(s_grid, t), t_value=t)
+    return SpinorFramePath(s_grid, Fp, Fm, spec.kappa(s_grid, t))

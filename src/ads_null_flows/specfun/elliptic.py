@@ -35,14 +35,10 @@ _EPS = 2.2e-16
 _TINY = 1e-100    # below this, sn(x) = x and cn = dn = 1 in float64
 
 
-class EllipticDomainError(UsageError):
-    """Parameter outside the open interval (0,1)."""
-
-
 def _check_mu(mu: float) -> float:
     mu = float(mu)
     if not 0.0 < mu < 1.0:
-        raise EllipticDomainError(f"elliptic parameter must be in (0,1), got {mu}")
+        raise UsageError(f"elliptic parameter must be in (0,1), got {mu}")
     return mu
 
 

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class HeunDomainError(ValueError):
-    pass
-
-
-class HeunConvergenceError(RuntimeError):
-    pass
+from ..config import NumericFailure
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,10 @@ class HeunParams:
 
     def __post_init__(self):
         if self.a <= 1.0:
-            raise HeunDomainError(f"singularity parameter a must exceed 1, got {self.a}")
+            raise ValueError(f"singularity parameter a must exceed 1, got {self.a}")
         g = self.gamma
         if g <= 0.0 and abs(g - round(g)) < 1e-12:
-            raise HeunDomainError(f"gamma = {g} is a non-positive integer")
+            raise ValueError(f"gamma = {g} is a non-positive integer")
 
     @property
     def epsilon(self) -> float:
@@ -74,7 +68,7 @@ def lame_heun_params(mu: float, h: float):
              gamma = 3/2, delta = 1/2
     """
     if not 0.0 < mu < 1.0:
-        raise HeunDomainError(f"mu must be in (0,1), got {mu}")
+        raise ValueError(f"mu must be in (0,1), got {mu}")
     a = 1.0 / mu
     p1 = HeunParams(a, (mu - h) / (4.0 * mu), 0.0, 1.5, 0.5, 0.5)
     p2 = HeunParams(a, (1.0 - h + 4.0 * mu) / (4.0 * mu), 0.5, 2.0, 1.5, 0.5)
@@ -181,8 +175,8 @@ class HeunEvaluator:
     def __init__(self, params: HeunParams):
         p = self.params = params
         if p.delta == round(p.delta):
-            raise HeunDomainError(f"delta = {p.delta} is an integer: the exponents "
-                                  "at z = 1 differ by an integer")
+            raise ValueError(f"delta = {p.delta} is an integer: the exponents "
+                             "at z = 1 differ by an integer")
         al, be, ga, de, ep = p.alpha, p.beta, p.gamma, p.delta, p.epsilon
         self._rho = min(1.0, p.a - 1.0)      # convergence radius of the z = 1 pair
         self.z_match = 1.0 - _RAD_FACTOR * self._rho
@@ -191,8 +185,8 @@ class HeunEvaluator:
         while z0 + _RAD_FACTOR * scale < self.z_match:
             f0, f1 = _eval_series(panels[-1][2], _RAD_FACTOR)
             if not (math.isfinite(f0) and math.isfinite(f1)):
-                raise HeunConvergenceError(f"series blow-up recentering at "
-                                           f"z={z0 + _RAD_FACTOR * scale}")
+                raise NumericFailure(f"series blow-up recentering at "
+                                     f"z={z0 + _RAD_FACTOR * scale}")
             z0, f1 = z0 + _RAD_FACTOR * scale, f1 / scale
             scale = _nearest_singularity(p, z0)
             panels.append((z0, scale, _taylor_step(p, z0, scale, f0, f1)))
@@ -235,8 +229,8 @@ class HeunEvaluator:
         shape = np.shape(z)
         z = np.atleast_1d(np.asarray(z, dtype=float)).ravel()
         if not np.all((z >= 0.0) & (z <= 1.0)):
-            raise HeunDomainError(f"evaluation restricted to 0 <= z <= 1, got {z.min()}"
-                                  f" .. {z.max()}")
+            raise ValueError(f"evaluation restricted to 0 <= z <= 1, got {z.min()}"
+                             f" .. {z.max()}")
         near = z > self.z_match
         v, dv = np.empty_like(z), np.empty_like(z)
         v[~near], dv[~near] = self._panel_values(z[~near])

@@ -42,7 +42,7 @@ takes the panel count at which (w / rho)^TERMS meets the target (rel_tol
 or the floor) for the smallest radius rho of its panels, times
 PANEL_MARGIN (at least a doubling), and every later miss doubles.  A level
 whose panels outrun the radius overflows without a warning and counts as
-a miss.  A level of more than MAX_PANELS panels raises IntegrationFailure
+a miss.  A level of more than MAX_PANELS panels raises NumericFailure
 before it is swept, and so does a non-finite generator coefficient.
 """
 
@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from .config import NumericFailure
 from .specfun.series import Series
 
 EPS = float(np.finfo(float).eps)
@@ -63,11 +64,6 @@ PANEL_BLOCK = 256
 FIRST_PANELS = 64     # panels of the first level, whose root test predicts
 MAX_PANELS = 1 << 16  # refinement cap
 PANEL_MARGIN = 1.25   # on the predicted panel count
-
-
-class IntegrationFailure(RuntimeError):
-    """An integration missed its tolerance within its work cap, or disagreed
-    with the independent integration that confirms it."""
 
 
 def _mul(x, y):
@@ -135,7 +131,7 @@ def _panels(generator, centre: np.ndarray, half: np.ndarray, radii: list):
     a, b, c = (_coefficients(v, len(centre))
                for v in generator(Series.variable(centre, TERMS - 1)))
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise IntegrationFailure("Taylor transport met a non-finite coefficient")
+        raise NumericFailure("Taylor transport met a non-finite coefficient")
     Phi = _frame_series(a, b, c)
     size = np.abs(Phi[-ROOT_TERMS:]).max(axis=(1, 2, 3))
     k = np.arange(TERMS - ROOT_TERMS, TERMS)[:, None]
@@ -230,7 +226,7 @@ def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         while True:
             if not need.sum() <= MAX_PANELS:
-                raise IntegrationFailure(
+                raise NumericFailure(
                     f"Taylor transport needs more than {MAX_PANELS} panels for "
                     f"relative tolerance {rel_tol:.1e}")
             counts = need.astype(np.int64)

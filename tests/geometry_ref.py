@@ -22,7 +22,13 @@ import math
 
 import numpy as np
 
-from ads_null_flows.nullcurve import ads_inner
+from ads_null_flows.nullcurve import (
+    ads_inner,
+    classify_monodromies,
+    closed_constant,
+    constant_bending_frames,
+    constant_curve_period,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,3 +70,24 @@ def cartan_frame(path):
     Fm_inv = np.linalg.inv(path.Fminus)
     Fp = path.Fplus
     return Fp @ Fm_inv, Fp @ P2 @ Fm_inv, Fp @ P3 @ Fm_inv, Fp @ P4 @ Fm_inv
+
+
+def classify_constant_closed(m: int, n: int):
+    """(classification, rho) for the closed constant-bending curve indexed by
+    coprime m > n, from the rational-phase algebra of the monodromies: a
+    check of that algebra against the closed form of closed_constant.
+
+    Constant bending has no least period, so the reference window rho is a
+    free choice; taking rho = P/w with P the closed-form curve period and w
+    the smallest integer >= 3 coprime to 2 m n makes both monodromies
+    elliptic and non-central, and the rational-phase algebra reproduces the
+    closed-form period and spin.
+    """
+    kappa, _, _ = closed_constant(m, n)
+    P = constant_curve_period(m, n)
+    w = 3
+    while math.gcd(w, 2 * m * n) != 1:
+        w += 1
+    rho = P / w
+    Fp, Fm = constant_bending_frames(float(kappa), rho)
+    return classify_monodromies(Fp, Fm, rho), rho

@@ -17,6 +17,21 @@ def run(args, tmp_path):
                  "--set", "integrator_abs_tol=1e-12", *args])
 
 
+def stderr(capsys) -> str:
+    """What main wrote to stderr so far, which holds no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.fixture(autouse=True)
+def no_traceback_on_stderr(capsys):
+    """Every exit of this module's cases, 0, 1 or 2, leaves stderr free of a
+    traceback: a numeric failure and a usage error each print one line."""
+    yield
+    stderr(capsys)
+
+
 def test_hierarchy_writes_polynomials(tmp_path):
     out = tmp_path / "h"
     assert main(["hierarchy", "--n-max", "2", "--lien", "--verify",
@@ -166,7 +181,7 @@ def test_floquet_tiny_mu_exits_1(tmp_path, capsys, mu, message):
     """Just above the rounding of 1 + mu a root find that does not converge,
     or a root the ODE monodromy does not confirm, is a numeric failure."""
     assert main(["floquet", "--mu", mu, "--q", "2/5", "-o", str(tmp_path / "f")]) == 1
-    err = capsys.readouterr().err
+    err = stderr(capsys)
     assert "numeric failure" in err and message in err
 
 
@@ -175,8 +190,8 @@ def test_stationary_at_a_huge_time_exits_1(tmp_path, capsys):
     the transport takes the path in any order and stops at its panel cap."""
     assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--t", "1e14",
                  "-o", str(tmp_path / "s")]) == 1
-    err = capsys.readouterr().err
-    assert "numeric failure: IntegrationFailure" in err and "panels" in err
+    assert stderr(capsys) == ("numeric failure: Taylor transport needs more than 65536 "
+                              "panels for relative tolerance 1.0e-12\n")
 
 
 def test_stationary_zero_denominator_exit_code(tmp_path):
@@ -251,13 +266,54 @@ def test_kksh_without_mu_exit_code(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mn, h", [("2,4", "2"), ("1,6", "-1"), ("40,1", "2")])
+# h = 1e103 and 1e300: h^3 past the float range, no OverflowError traceback
+@pytest.mark.parametrize("mn, h", [("2,4", "2"), ("1,6", "-1"), ("40,1", "2"),
+                                   ("1,6", "1e103"), ("1,6", "1e300")])
 def test_kksh_domain_error_exit_code(tmp_path, mn, h):
     out = tmp_path / "kdom"
     with pytest.raises(SystemExit) as exc:
         main(["kksh", "--mn", mn, "--h", h, "--mu", "0.5", "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_kksh_invariant_grid_near_tau_one(tmp_path):
+    """At mu = 0.92 the (5, 1) family has 1 - tau = 6.2e-11, where one ulp
+    of tau moves n g(tau) by 9e-7: the periodicity check allows for the
+    rounding of tau, and the invariant table has its two rows."""
+    out = tmp_path / "k51"
+    assert main(["kksh", "--mn", "5,1", "--h", "2", "--mu", "0.6",
+                 "--invariant-grid", "2", "-o", str(out)]) == 0
+    rows = [l for l in (out / "kksh_invariants.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert rows[0] == "mu,I_plus,I_minus" and len(rows) == 3
+
+
+def test_kksh_invariant_grid_usage_error_writes_nothing(tmp_path, capsys):
+    """mu = 0.5 has a (6, 1) partner tau, but mu = 0.92 of the invariant grid
+    does not: the usage error comes before any transport or file."""
+    out = tmp_path / "k61"
+    with pytest.raises(SystemExit) as exc:
+        main(["kksh", "--mn", "6,1", "--h", "2", "--mu", "0.5",
+              "--invariant-grid", "2", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "exceeds the range limit" in stderr(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["kksh", "--mn", "1,6", "--h", "1e300", "--mu", "0.6", "--invariant-grid", "0"],
+     2, "error: homothetic parameter h = 1e+300 gives non-finite phase rates"),
+    (["constant", "--kappa", "1e3"], 1, "numeric failure: constant_k1000: the curve"),
+])
+def test_console_exit_codes_print_one_line(tmp_path, argv, code, message):
+    """Run as a program, a usage error and a numeric failure end with their
+    exit code and one message line on stderr, with no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "ads_null_flows.cli", *argv,
+                           "-o", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr.splitlines()[-1]
 
 
 @pytest.mark.parametrize("indices", ["0", "1,1", "-2,3"])
@@ -348,7 +404,7 @@ def test_kksh_tiny_h_exits_1_without_warnings(tmp_path, capsys):
     before that level is swept."""
     assert main(["kksh", "--mn", "1,6", "--h", "1e-9", "--mu", "0.6",
                  "-o", str(tmp_path / "tiny")]) == 1
-    assert "numeric failure" in capsys.readouterr().err
+    assert "numeric failure" in stderr(capsys)
 
 
 def test_stationary_periods_off_the_sample_spacing(tmp_path):
@@ -428,7 +484,7 @@ def test_constant_overflowing_curve_exit_code(tmp_path, capsys, kappa):
     here)."""
     out = tmp_path / "c"
     assert main(["constant", "--kappa", kappa, "-o", str(out)]) == 1
-    assert "float64 range" in capsys.readouterr().err
+    assert "float64 range" in stderr(capsys)
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ads_null_flows.jetalg import (
     JetPoly,
-    NotATotalDivergence,
-    InsufficientJet,
     hamiltonian_density,
     kdv_rhs,
     lenard_p,
@@ -55,9 +53,9 @@ def test_primitive_values():
 
 
 def test_primitive_rejects_non_divergence():
-    with pytest.raises(NotATotalDivergence):
+    with pytest.raises(ValueError, match=r"residue of order <= 0 left: JetPoly\(u\)"):
         U.primitive()
-    with pytest.raises(NotATotalDivergence):
+    with pytest.raises(ValueError, match="u1 does not occur linearly"):
         (U * V(2)).primitive()
 
 
@@ -217,7 +215,7 @@ def test_evaluate():
     p = V(2) - 3 * U * U
     assert p.evaluate([1.0, 0.0, 2.0]) == pytest.approx(-1.0)
     assert JetPoly.const(1).evaluate([]) == pytest.approx(1.0)
-    with pytest.raises(InsufficientJet):
+    with pytest.raises(ValueError, match="need jet values up to index 2, got 2"):
         p.evaluate([1.0, 0.0])
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ads_null_flows.config import UsageError
 from ads_null_flows.kdvsol import (
-    KkshSpec, OutOfRange, StationaryBending, g_inverse, g_of, tau_mn)
+    KkshSpec, StationaryBending, g_inverse, g_of, tau_mn)
 from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn, sn_jet
 
 MU_STAR = 0.6150396634356605   # converged zero of the rotation condition
@@ -144,18 +145,36 @@ def test_g_inverse_reference_point():
 
 def test_g_inverse_monotone_and_domain():
     assert g_inverse(0.5) < g_inverse(1.0) < g_inverse(1.8)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(UsageError, match="g_inverse needs y > 0"):
         g_inverse(0.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(UsageError, match="g_inverse needs y > 0"):
         g_inverse(-1.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(UsageError, match="exceeds the range limit"):
         g_inverse(1e9)
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
 def test_kksh_spec_rejects_a_non_positive_h(h):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(UsageError, match="h must be positive"):
         KkshSpec(0.6, 0.3, h)
+
+
+@pytest.mark.parametrize("h", [1e103, 1e300])
+def test_kksh_spec_rejects_an_h_with_overflowing_phase_rates(h):
+    """h^3 past the float range raised OverflowError from v_plus."""
+    with pytest.raises(UsageError, match="gives non-finite phase rates"):
+        KkshSpec.with_quantum_numbers(0.6, 1, 6, h)
+
+
+def test_kksh_periodicity_check_allows_for_the_rounding_of_tau():
+    """At mu = 0.92 the (5, 1) partner has 1 - tau = 6.2e-11: the root is
+    accepted within four ulps' worth of n g(tau), 3.6e-6 there, while tau
+    moved off the constraint, even by 1e-7 relative, is still rejected."""
+    spec = KkshSpec.with_quantum_numbers(0.92, 5, 1, 2.0)
+    assert 1.0 - spec.tau < 1e-10
+    for mu, m, n, factor in ((0.6, 5, 1, 1.0 - 1e-7), (0.6, 1, 6, 1.0 + 1e-6)):
+        with pytest.raises(UsageError, match="periodicity constraint violated"):
+            KkshSpec(mu, tau_mn(mu, m, n) * factor, 2.0, m, n)
 
 
 def test_g_inverse_matches_initial_value_route():

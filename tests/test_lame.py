@@ -20,11 +20,9 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
 from ads_null_flows import lame
-from ads_null_flows.config import DEFAULT, UsageError
-from ads_null_flows.transport import IntegrationFailure
+from ads_null_flows.config import DEFAULT, NumericFailure, UsageError
 from ads_null_flows.lame import (
     HeunLameEvaluator,
-    SearchExhausted,
     floquet_search,
     fundamental_ode,
     hermite_phase,
@@ -142,7 +140,7 @@ def test_interlacing_even_before_odd():
 
 def test_search_exhausted():
     cfg = replace(DEFAULT, scan_h_ceiling=2.0)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(NumericFailure, match="found 0 < 2 eigenvalues below h = 2.0"):
         floquet_search(0.6, 0, 1, 2, cfg)
 
 
@@ -193,7 +191,7 @@ def test_search_gate_rejects_a_parabolic_coexistence_monodromy(monkeypatch):
     trace but M[1, 0] != 0 (a Jordan block) fails the gate."""
     monkeypatch.setattr(lame, "lame_monodromy",
                         lambda mu, h, config=DEFAULT: np.array([[1.0, 0.0], [1e-3, 1.0]]))
-    with pytest.raises(IntegrationFailure, match="Floquet gate"):
+    with pytest.raises(NumericFailure, match="Floquet gate"):
         floquet_search(0.6, 0, 1, 1)
 
 

@@ -4,9 +4,9 @@ evolution, monodromy preservation, and the three-parameter family pipeline."""
 import numpy as np
 import pytest
 
+from ads_null_flows.config import NumericFailure
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
-    KdVResidualTooLarge,
     bending_oracle,
     classify_monodromies,
     evolve_stationary_path,
@@ -31,7 +31,7 @@ class BrokenSampler:
 
 
 def test_gate_rejects_non_solutions():
-    with pytest.raises(KdVResidualTooLarge):
+    with pytest.raises(NumericFailure, match="violates the KdV residual gate"):
         lien_evolve(BrokenSampler(), np.linspace(0, 1, 5), np.array([0.0, 0.1]))
 
 
@@ -61,9 +61,9 @@ def test_gate_on_probe_arrays(recipe):
         s_end, t_end = 2.0 * sampler.s_period(), 1.611855
     s_probe, t_probe = np.linspace(0.0, s_end, 12), np.linspace(0.0, t_end, 6)
     assert kdv_gate(sampler, s_probe, t_probe, 1e-3) <= 1e-9
-    with pytest.raises(KdVResidualTooLarge):
+    with pytest.raises(NumericFailure, match="violates the KdV residual gate"):
         kdv_gate(ScaledKappaT(sampler, 1e-3), s_probe, t_probe, 1e-3)
-    with pytest.raises(KdVResidualTooLarge):
+    with pytest.raises(NumericFailure, match="gate: nan > 1.0e-03"):
         kdv_gate(ScaledKappaT(sampler, np.nan), s_probe, t_probe, 1e-3)
 
 

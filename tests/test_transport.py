@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from ads_null_flows import lame
 from ads_null_flows import transport as kernel
 from ads_null_flows.cli import main
-from ads_null_flows.config import DEFAULT
+from ads_null_flows.config import DEFAULT, NumericFailure
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
     evolve,
@@ -24,7 +24,7 @@ from ads_null_flows.nullcurve import (
     stationary_curve,
 )
 from ads_null_flows.specfun import complete_elliptic
-from ads_null_flows.transport import IntegrationFailure, transport
+from ads_null_flows.transport import transport
 
 MU_STAR = 0.6150396634356605
 KKSH_T = [0.0, 0.537285, 1.07457, 1.611855]
@@ -284,7 +284,7 @@ def test_lien_evolve_t_slices_match_separate_transports(monkeypatch, slices):
         single = A[:, j, None] @ Phi
         batched = np.stack([ev.paths[j].Fplus, ev.paths[j].Fminus])
         assert rel_err(batched, single) <= 1e-12
-        assert ev.paths[j].t_value == t
+        assert ev.t_grid[j] == t
         assert (ev.paths[j].kappa == spec.kappa_jet(s_grid, float(t), order=0)[0]).all()
 
 
@@ -317,7 +317,7 @@ def test_refinement_cap_raises(monkeypatch):
     """A Lamé path out of reach of the panel cap fails instead of hanging."""
     monkeypatch.setattr(kernel, "MAX_PANELS", 256)
     K, _ = complete_elliptic(0.9)
-    with pytest.raises(IntegrationFailure, match="panels"):
+    with pytest.raises(NumericFailure, match="panels"):
         lame.fundamental_ode(0.9, 500.0, np.linspace(0.0, 40.0 * K, 101))
 
 
@@ -325,7 +325,7 @@ def test_taylor_panel_cap_raises(monkeypatch):
     """A panel count beyond the cap fails before that level is swept."""
     ladders = _ladders(monkeypatch)
     monkeypatch.setattr(kernel, "MAX_PANELS", 1000)
-    with pytest.raises(IntegrationFailure, match="panels"):
+    with pytest.raises(NumericFailure, match="panels"):
         kernel.transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
     assert len(ladders) == 1 and len(ladders[0]) == 1     # the first level only
 
@@ -333,7 +333,7 @@ def test_taylor_panel_cap_raises(monkeypatch):
 def test_taylor_huge_span_raises_without_warnings():
     """t up to 1e300: the first level's panels are 1e297 wide, overflow
     (a miss, silently) and predict far more panels than the cap."""
-    with pytest.raises(IntegrationFailure, match="panels"):
+    with pytest.raises(NumericFailure, match="panels"):
         transport(evolve._t_generator(kksh()), 0.0, [1e300], 1e-12)
 
 
@@ -347,7 +347,7 @@ def test_taylor_non_finite_coefficient_raises():
     def blow_up(x):
         return 0.0, x * np.nan, 1.0
 
-    with pytest.raises(IntegrationFailure, match="non-finite"):
+    with pytest.raises(NumericFailure, match="non-finite"):
         transport(blow_up, 0.0, [1.0], 1e-12)
 
 
@@ -357,7 +357,7 @@ def test_non_finite_frames_raise():
     def blow_up(x):
         return 0.0, 1e300 + 0.0 * x, 1.0
 
-    with pytest.raises(IntegrationFailure, match="panels"):
+    with pytest.raises(NumericFailure, match="panels"):
         transport(blow_up, 0.0, [1.0], 1e-12)
 
 
@@ -387,7 +387,7 @@ def test_confirmation_gate_rejects_a_wrong_kernel(monkeypatch):
 
     monkeypatch.setattr(evolve, "transport", off_by_1e6)
     spec = kksh()
-    with pytest.raises(IntegrationFailure, match="DOP853"):
+    with pytest.raises(NumericFailure, match="DOP853"):
         lien_evolve(spec, np.linspace(0.0, spec.s_period(), 9), [0.0, 0.1])
 
 
