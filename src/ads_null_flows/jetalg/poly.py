@@ -14,8 +14,10 @@ the operators used by the KdV machinery:
     DD  third-order operator      DD(p) = D^3 p - 4 u D(p) - 2 u1 p
     D^-1  primitive of a total divergence, normalized to vanish at the 0-jet
 
-D applies the monomial rule: D(prod u_i^e_i) has one monomial
-e_i u_i^(e_i - 1) u_(i+1) prod_(j != i) u_j^e_j per jet variable u_i present.
+A monomial u^e0 u1^e1 ... uk^ek is its exponent vector (e0, ..., ek), ek >= 1,
+and the constant is ().  A product adds two vectors, and D applies the
+monomial rule: each u_i present gives e_i times the vector with one unit
+moved from e_i to e_(i+1).
 E is evaluated by Horner's scheme, E(p) = q_0 - D(q_1 - D(q_2 - ...)) with
 q_i = dp/du_i, so it applies D order(p) times (P. J. Olver, Applications of
 Lie Groups to Differential Equations, 4.1 and 5.4).
@@ -26,14 +28,10 @@ All arithmetic is exact; floating point enters only through evaluate().
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, Iterable, Mapping, Tuple
 
-# monomial: tuple of (jet index, exponent >= 1) pairs, sorted by index
-Monomial = Tuple[Tuple[int, int], ...]
-
-
-def _mono(exps: Mapping[int, int]) -> Monomial:
-    return tuple(sorted((i, e) for i, e in exps.items() if e != 0))
+Monomial = Tuple[int, ...]
 
 
 class JetPoly:
@@ -60,7 +58,7 @@ class JetPoly:
     def var(i: int, exp: int = 1) -> "JetPoly":
         if i < 0 or exp < 1:
             raise ValueError("jet index must be >= 0 and exponent >= 1")
-        return JetPoly({((i, exp),): 1})
+        return JetPoly({(0,) * i + (exp,): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -87,10 +85,7 @@ class JetPoly:
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                exps = dict(m1)
-                for i, e in m2:
-                    exps[i] = exps.get(i, 0) + e
-                m = _mono(exps)
+                m = tuple(a + b for a, b in zip_longest(m1, m2, fillvalue=0))
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
         return JetPoly(out)
@@ -113,25 +108,19 @@ class JetPoly:
 
     def order(self) -> int:
         """Largest jet index present (-1 for constants and 0)."""
-        mx = -1
-        for m in self.terms:
-            for i, _ in m:
-                if i > mx:
-                    mx = i
-        return mx
+        return max(map(len, self.terms), default=0) - 1
 
     def partial(self, i: int) -> "JetPoly":
         """Partial derivative with respect to the single jet variable u_i."""
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(i, 0)
+            e = m[i] if i < len(m) else 0
             if e == 0:
                 continue
-            exps[i] = e - 1
-            mm = _mono(exps)
-            cc = c * e
-            out[mm] = out[mm] + cc if mm in out else cc
+            mm = m[:i] + (e - 1,) + m[i + 1:]
+            while mm and mm[-1] == 0:
+                mm = mm[:-1]
+            out[mm] = c * e
         return JetPoly(out)
 
     # -- differential operators ---------------------------------------------
@@ -140,15 +129,11 @@ class JetPoly:
         """The total derivative D, by the monomial rule."""
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            last = len(m) - 1
-            for k, (i, e) in enumerate(m):
-                # m is sorted by index, so u_(i+1), if present, is m[k + 1]
-                lowered = m[:k] + ((i, e - 1),) if e > 1 else m[:k]
-                if k < last and m[k + 1][0] == i + 1:
-                    raised = ((i + 1, m[k + 1][1] + 1),) + m[k + 2:]
-                else:
-                    raised = ((i + 1, 1),) + m[k + 1:]
-                mm = lowered + raised
+            padded = m + (0,)
+            for i, e in enumerate(m):
+                if e == 0:
+                    continue
+                mm = m[:i] + (e - 1, padded[i + 1] + 1) + m[i + 2:]
                 cc = c * e if e > 1 else c
                 out[mm] = out[mm] + cc if mm in out else cc
         return JetPoly(out)
@@ -200,10 +185,9 @@ class JetPoly:
     def _antiderivative_in(self, i: int) -> "JetPoly":
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(i, 0)
-            exps[i] = e + 1
-            out[_mono(exps)] = c / (e + 1)
+            m = m + (0,) * (i + 1 - len(m))
+            e = m[i]
+            out[m[:i] + (e + 1,) + m[i + 1:]] = c / (e + 1)
         return JetPoly(out)
 
     def eps_integral_times_u(self) -> "JetPoly":
@@ -211,12 +195,8 @@ class JetPoly:
         monomial*u/(d+1)."""
         out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            d = sum(e for _, e in m)
-            exps = dict(m)
-            exps[0] = exps.get(0, 0) + 1
-            mm = _mono(exps)
-            cc = c / (d + 1)
-            out[mm] = out[mm] + cc if mm in out else cc
+            mm = (m[0] + 1,) + m[1:] if m else (1,)
+            out[mm] = c / (sum(m) + 1)
         return JetPoly(out)
 
     # -- numerics and rendering ----------------------------------------------
@@ -229,18 +209,20 @@ class JetPoly:
         total = 0.0
         for m, c in self.terms.items():
             v = float(c)
-            for i, e in m:
+            for i, e in enumerate(m):
                 v *= jet[i] ** e
             total += v
         return total
 
     def _sorted_terms(self):
-        def key(item):
-            m, _ = item
-            top = max((i for i, _ in m), default=-1)
-            deg = sum(e for _, e in m)
-            return (-top, deg, m)
-        return sorted(self.terms.items(), key=key)
+        """(pairs, coefficient) per term, with the monomial as its sparse
+        (index, exponent) pairs, sorted by top index descending, then by
+        degree, then by the pairs.  The pairs, not the exponent vectors,
+        keep the printed order: u^2*u2 is ((0, 2), (2, 1)) and comes before
+        u1^2*u2, ((1, 2), (2, 1)), though (2, 0, 1) > (0, 2, 1)."""
+        rows = sorted((-len(m), sum(m), [(i, e) for i, e in enumerate(m) if e], c)
+                      for m, c in self.terms.items())
+        return [(pairs, c) for _, _, pairs, c in rows]
 
     def __repr__(self):
         return f"JetPoly({self.text()})"
@@ -249,9 +231,9 @@ class JetPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self._sorted_terms():
+        for pairs, c in self._sorted_terms():
             factors = []
-            for i, e in m:
+            for i, e in pairs:
                 name = "u" if i == 0 else f"u{i}"
                 factors.append(name if e == 1 else f"{name}^{e}")
             body = "*".join(factors)
@@ -270,8 +252,8 @@ class JetPoly:
         return out
 
     def to_json(self) -> dict:
-        return {"terms": [{"coeff": str(c), "monomial": {str(i): e for i, e in m}}
-                          for m, c in self._sorted_terms()]}
+        return {"terms": [{"coeff": str(c), "monomial": {str(i): e for i, e in pairs}}
+                          for pairs, c in self._sorted_terms()]}
 
 
 def _coerce(x) -> JetPoly:

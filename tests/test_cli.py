@@ -407,6 +407,59 @@ def test_kksh_tiny_h_exits_1_without_warnings(tmp_path, capsys):
     assert "numeric failure" in stderr(capsys)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", ["1e61", "1e102"])
+def test_kksh_huge_h_exits_1_without_warnings(tmp_path, capsys, h):
+    """From h about 1e61 the KKSH jets overflow float64 on the gate's
+    probes: the residual is nan and fails the KdV gate, with no overflow
+    warning from the series engine."""
+    assert main(["kksh", "--mn", "1,6", "--h", h, "--mu", "0.6",
+                 "--invariant-grid", "0", "-o", str(tmp_path / "huge")]) == 1
+    assert "numeric failure: bending violates the KdV residual gate" in stderr(capsys)
+
+
+@pytest.mark.parametrize("q, spin", [("0", "1"), ("1", "1/2")])
+def test_stationary_central_monodromies(tmp_path, q, spin):
+    """At q = 0 both monodromies are +1 and at q = 1 both are -1: the curve
+    is (C,C) and closes after one period, with spin 1 and 1/2."""
+    out = tmp_path / q
+    assert main(["stationary", "--mu", "0.6", "--q", q, "-o", str(out)]) == 0
+    meta = json.loads((out / "stationary_base.json").read_text())["meta"]
+    assert meta["orbit_type"] == "(C,C)" and meta["closed"] is True
+    assert meta["spin"] == spin
+    assert meta["least_period"] == meta["rho"]
+
+
+def test_stationary_indices_in_either_order(tmp_path):
+    """--indices 1,0 swaps h+ and h- back: the files are those of 0,1."""
+    a, b = tmp_path / "01", tmp_path / "10"
+    for out, indices in ((a, "0,1"), (b, "1,0")):
+        assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", indices,
+                     "-o", str(out)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir()) and len(names) == 4
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_kksh_wings(tmp_path):
+    """--wings samples [-rho/2, 3 rho/2] instead of [0, 2 rho]; the
+    classification and the invariants do not depend on the window."""
+    docs = {}
+    for wings in ([], ["--wings"]):
+        out = tmp_path / ("w" if wings else "nw")
+        assert main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.05",
+                     "--invariant-grid", "2", *wings, "-o", str(out)]) == 0
+        docs[bool(wings)] = json.loads((out / "kksh_t0.json").read_text())
+    wide, plain = docs[True]["meta"], docs[False]["meta"]
+    s = [x["s"] for x in docs[True]["samples"]]
+    assert len(s) == 257
+    assert s[0] == pytest.approx(-wide["rho"] / 2, rel=1e-15)
+    assert s[-1] == pytest.approx(1.5 * wide["rho"], rel=1e-15)
+    assert wide["orbit_type"] == plain["orbit_type"] == "(H,E)"
+    assert wide["invariants"] == pytest.approx(plain["invariants"], rel=1e-9)
+
+
 def test_stationary_periods_off_the_sample_spacing(tmp_path):
     """The grid spacing is rho / POINTS_PER_PERIOD whatever --periods is: at
     1.001 periods (256 p not an integer) rho is a sample and the curve is

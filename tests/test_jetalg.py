@@ -1,6 +1,7 @@
 """Exact algebra on differential polynomials: operators, Lenard recursion,
 conservation densities, LIEN coefficients."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,63 @@ def test_euler_matches_its_definition(p):
 @given(rational_jet_polys())
 def test_euler_of_total_derivative_vanishes_over_q(p):
     assert p.total_derivative().euler().is_zero()
+
+
+# Exact reference for the ring operations: each JetPoly is drawn as a list of
+# terms (coefficient, {index: exponent}), and evaluated at a rational jet from
+# that list and from its exported terms.
+
+@st.composite
+def described_jet_polys(draw):
+    terms = draw(st.lists(st.tuples(
+        _rational_coeff,
+        st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3)),
+        max_size=5))
+    p = JetPoly.zero()
+    for c, monomial in terms:
+        m = JetPoly.const(c)
+        for i, e in monomial.items():
+            m = m * JetPoly.var(i, e)
+        p = p + m
+    return p, terms
+
+
+def _described_value(terms, jet):
+    total = Fraction(0)
+    for c, monomial in terms:
+        total += c * math.prod(jet[i] ** e for i, e in monomial.items())
+    return total
+
+
+def _exact_value(p, jet):
+    total = Fraction(0)
+    for term in p.to_json()["terms"]:
+        v = Fraction(term["coeff"])
+        for i, e in term["monomial"].items():
+            v *= jet[int(i)] ** e
+        total += v
+    return total
+
+
+def _exact_order(p):
+    return max((int(i) for term in p.to_json()["terms"] for i in term["monomial"]),
+               default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(described_jet_polys(), described_jet_polys(),
+       st.lists(_rational_coeff, min_size=5, max_size=5))
+def test_ring_operations_match_exact_evaluation(pd, qd, jet):
+    (p, p_terms), (q, q_terms) = pd, qd
+    vp, vq = _described_value(p_terms, jet), _described_value(q_terms, jet)
+    assert (_exact_value(p, jet), _exact_value(q, jet)) == (vp, vq)
+    assert _exact_value(p * q, jet) == vp * vq
+    assert _exact_value(p + q, jet) == vp + vq
+    for r in (p, q, p * q, p + q):
+        assert r.order() == _exact_order(r)
+    # the ring has no zero divisors, so the top variable of a factor survives
+    assert (p * q).order() == (max(p.order(), q.order()) if p and q else -1)
+    assert (p + q).order() <= max(p.order(), q.order())
 
 
 # ------------------------------------------------------------ the hierarchy

@@ -64,6 +64,23 @@ def test_classify_kappa_one_is_HP():
     assert abs(cls.minus.invariant) <= 1e-9
 
 
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+def test_classify_mixed_signs():
+    """Rotations by pi/2 and pi/3: after L = 6 windows the plus factor is -1
+    and the minus factor +1, so the curve closes only after 2 L = 12
+    windows, with spin 1."""
+    rho = 1.3
+    cls = classify_monodromies(_rotation(math.pi / 2), _rotation(math.pi / 3), rho)
+    assert cls.type_pair == "(E,E)" and cls.closed
+    assert (cls.plus.q_pi, cls.minus.q_pi) == (Fraction(1, 2), Fraction(1, 3))
+    assert cls.least_period == pytest.approx(12 * rho, rel=1e-15)
+    assert cls.spin == Fraction(1)
+
+
 def test_classify_from_path():
     kappa0 = -1.45
     _, rho = classify_constant_closed(7, 3)
