@@ -133,11 +133,10 @@ def _export_path(outdir: Path, path: SpinorFramePath, recipe: str,
     write_curve_json(outdir / f"{tag}.json", recipe, config, path.s_grid, gamma, pts,
                      extra)
     write_obj_polyline(outdir / f"{tag}.obj", recipe, config, pts)
-    eta_p, eta_m = path.cousins()
-    write_csv(outdir / f"{tag}_cousin_plus.csv", recipe, config, ("s", "x", "y"),
-              np.column_stack((path.s_grid, eta_p[:, :2])))
-    write_csv(outdir / f"{tag}_cousin_minus.csv", recipe, config, ("s", "x", "y"),
-              np.column_stack((path.s_grid, eta_m[:, :2])))
+    # the cousins eta+- are the first columns of the factors
+    for sign, F in zip(("plus", "minus"), path.F):
+        write_csv(outdir / f"{tag}_cousin_{sign}.csv", recipe, config, ("s", "x", "y"),
+                  np.column_stack((path.s_grid, F[:, :, 0])))
 
 
 def _diagnostics(path: SpinorFramePath) -> dict:
@@ -151,8 +150,7 @@ def _diagnostics(path: SpinorFramePath) -> dict:
         "null_residual": q1,
         "proper_time_residual": q2,
         "bending_residual": float(np.abs(kap[sel] - path.kappa[sel]).max()),
-        "det_drift": float(np.abs(np.linalg.det(np.stack((path.Fplus, path.Fminus)))
-                                  - 1.0).max()),
+        "det_drift": float(np.abs(np.linalg.det(path.F) - 1.0).max()),
     }
 
 
@@ -325,7 +323,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
             raise UsageError("pass --mu or --find-mu-star")
         mu = args.mu
     spec = KkshSpec.with_quantum_numbers(mu, m, n, args.h)
-    rho = spec.s_period()
+    rho = spec.s_period
     meta.update({"mu": mu, "tau": spec.tau, "rho": rho})
     grid = np.linspace(-rho / 2 if args.wings else 0.0,
                        rho * (1.0 if not args.wings else 0.5) + rho,
@@ -341,11 +339,9 @@ def cmd_kksh(args, config: RunConfig) -> int:
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
     for path, t, tag in zip(ev.paths, t_list, tags):
         _export_path(outdir, path, "kksh", config, tag, {**meta, "t": t})
-    Fp, Fm = kksh_frames_t0(grid_specs, config=config)
-    itable = []
-    for mu_i, Fp_i, Fm_i in zip(mu_grid, Fp, Fm):
-        trp, trm = float(np.trace(Fp_i)), float(np.trace(Fm_i))
-        itable.append((float(mu_i), trp * trp - 4.0, trm * trm - 4.0))
+    tr = np.trace(kksh_frames_t0(grid_specs, config=config), axis1=-2, axis2=-1)
+    itable = [(float(mu_i), trp * trp - 4.0, trm * trm - 4.0)
+              for mu_i, trp, trm in zip(mu_grid, *tr.tolist())]
     write_csv(outdir / "kksh_invariants.csv", "kksh", config,
               ("mu", "I_plus", "I_minus"), itable)
     print(f"orbit type {cls.type_pair}; monodromy trace drift "

@@ -200,7 +200,8 @@ class KkshSpec:
     def __post_init__(self):
         _check_mu(self.mu)
         _check_mu(self.tau)
-        if self.mu == self.tau:
+        # m = n forces tau = mu, which tau_mn meets only to rounding
+        if self.mu == self.tau or (self.m is not None and self.m == self.n):
             raise UsageError("mu = tau degenerates to a traveling wave")
         if not self.h > 0:
             raise UsageError("homothetic parameter h must be positive")
@@ -253,6 +254,7 @@ class KkshSpec:
     def amp(self) -> float:
         return (self.mu * self.tau) ** 0.25
 
+    @cached_property
     def s_period(self) -> float:
         """Least s-period of kappa: 4 m K(mu) / h."""
         m = self.m if self.m is not None else 1

@@ -88,17 +88,11 @@ def _classify_factor(M: np.ndarray) -> FactorClassification:
 
 def classify_orbit(path: SpinorFramePath, rho: float) -> OrbitClassification:
     """Classification from a frame path whose grid contains s0 and s0 + rho."""
-    s = path.s_grid
-    i0 = 0
-    i1 = int(np.argmin(np.abs(s - (s[0] + rho))))
-    if abs(s[i1] - (s[0] + rho)) > 1e-9 * max(1.0, abs(rho)):
-        raise ValueError("s_grid must contain s0 + rho (within 1e-9)")
-    if abs(path.kappa[i1] - path.kappa[i0]) > 1e-6 * max(1.0, abs(path.kappa[i0])):
+    i1 = path.period_index(rho)
+    if abs(path.kappa[i1] - path.kappa[0]) > 1e-6 * max(1.0, abs(path.kappa[0])):
         raise ValueError(
-            f"kappa(s0 + rho) - kappa(s0) = {path.kappa[i1] - path.kappa[i0]:.3e}")
-    Mp = path.Fplus[i1] @ np.linalg.inv(path.Fplus[i0])
-    Mm = path.Fminus[i1] @ np.linalg.inv(path.Fminus[i0])
-    return classify_monodromies(Mp, Mm, rho)
+            f"kappa(s0 + rho) - kappa(s0) = {path.kappa[i1] - path.kappa[0]:.3e}")
+    return classify_monodromies(*(path.F[:, i1] @ np.linalg.inv(path.F[:, 0])), rho)
 
 
 def classify_monodromies(Mp: np.ndarray, Mm: np.ndarray,

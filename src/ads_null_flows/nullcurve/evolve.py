@@ -20,7 +20,10 @@ monodromies use it too): BATCH systems per transport, each a pair of
 factors.  kappa_jet runs on a Series (of order 2 in dt at s = 0 for the
 t-system, of order 0 in ds for the s-systems) and yields the Taylor
 coefficients of P_lam or K_lam about the panel centres, one call per block
-and system for both factors; kappa of the paths is one array call.  Every
+and system for both factors; kappa of the paths is one array call.  The
+two factors never part: A, Phi, every path's F (frames.SpinorFramePath)
+and the KKSH monodromies are stacks with the factor axis first, F+ (lam =
++1) then F- (lam = -1), the order of frames.LAMBDA.  Every
 panel factor has det 1, so the frames are unimodular to rounding and are
 never renormalized, and the panel counts follow integrator_rel_tol.  The
 s-frames are confirmed once per lien_evolve by DOP853: the t = 0 s-system
@@ -45,9 +48,8 @@ from scipy.integrate import solve_ivp
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..specfun.series import Series
 from ..transport import EPS, transport
-from .frames import SpinorFramePath, _sl2_inverse
+from .frames import LAMBDA, SpinorFramePath, _frames_rhs, _sl2_inverse
 
-LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as a factor axis
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
@@ -100,22 +102,9 @@ class LienEvolution:
     def monodromy_drift(self, rho: float) -> float:
         """max_t ||M(t) - M(0)||_max over both factors, with
         M(t) = F(s0 + rho, t) F(s0, t)^{-1}."""
-        drift = 0.0
-        base = None
-        for path in self.paths:
-            s = path.s_grid
-            i1 = int(np.argmin(np.abs(s - (s[0] + rho))))
-            if abs(s[i1] - (s[0] + rho)) > 1e-9 * max(1.0, rho):
-                raise ValueError("paths do not sample s0 + rho")
-            Mp = path.Fplus[i1] @ _sl2_inverse(path.Fplus[0])
-            Mm = path.Fminus[i1] @ _sl2_inverse(path.Fminus[0])
-            if base is None:
-                base = (Mp, Mm)
-            else:
-                drift = max(drift,
-                            float(np.abs(Mp - base[0]).max()),
-                            float(np.abs(Mm - base[1]).max()))
-        return drift
+        M = np.stack([path.F[:, path.period_index(rho)] @ _sl2_inverse(path.F[:, 0])
+                      for path in self.paths])
+        return float(np.abs(M - M[0]).max())
 
 
 def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
@@ -137,14 +126,13 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
-    A_plus, A_minus = transport(_t_generator(sampler), 0.0, t_grid,
-                                config.integrator_rel_tol)
+    A = transport(_t_generator(sampler), 0.0, t_grid, config.integrator_rel_tol)
 
     # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
     Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, s_grid, config)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
-    paths = [SpinorFramePath(s_grid, A_plus[j] @ Phi[0, j], A_minus[j] @ Phi[1, j],
-                             kappa[j]) for j in range(len(t_grid))]
+    paths = [SpinorFramePath(s_grid, A[:, j, None] @ Phi[:, j], kappa[j])
+             for j in range(len(t_grid))]
     _confirm(sampler, paths[0], config)
     return LienEvolution(t_grid, paths, gate)
 
@@ -198,10 +186,7 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
         return
 
     def rhs(s, y):
-        k = sampler.kappa_jet(float(s), 0.0, order=0)[0]
-        ap, bp, cp, dp, am, bm, cm, dm = y.tolist()
-        kp, km = k + 1.0, k - 1.0
-        return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
+        return _frames_rhs(sampler.kappa_jet(float(s), 0.0, order=0)[0], y.tolist())
 
     sol = solve_ivp(rhs, (0.0, float(s_grid[end])), [1.0, 0.0, 0.0, 1.0] * 2,
                     method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
@@ -209,7 +194,7 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
     if not sol.success:
         raise NumericFailure(f"s-system confirmation failed: {sol.message}")
     bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
-    for F, y in ((path.Fplus[end], sol.y[:4, -1]), (path.Fminus[end], sol.y[4:, -1])):
+    for F, y in zip(path.F[:, end], sol.y[:, -1].reshape(2, 4)):
         miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
         if miss > bound:
             raise NumericFailure(
@@ -218,9 +203,9 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
 
 
 def kksh_frames_t0(specs, t=0.0, config: RunConfig = DEFAULT):
-    """Arrays (len(specs), 2, 2) of F+(rho, t) and F-(rho, t), each spec's
-    frames at its s-period rho, integrated from the identity at s = 0; t is
-    one value or one per spec.
+    """The stack (2, len(specs), 2, 2) of F+(rho, t) and F-(rho, t), each
+    spec's frames at its s-period rho, integrated from the identity at s = 0;
+    t is one value or one per spec.
 
     With identity initial frames these are the s-monodromies up to
     conjugation, so their traces are the conjugation-invariant monodromy
@@ -228,16 +213,16 @@ def kksh_frames_t0(specs, t=0.0, config: RunConfig = DEFAULT):
     however large the t-system solution grows.  System i is rescaled by
     s = rho_i sigma onto sigma in [0, 1] (_s_frames), BATCH per transport.
     """
-    F = _s_frames(specs, [spec.s_period() for spec in specs], t, [1.0], config)
-    return F[0, :, 0], F[1, :, 0]
+    F = _s_frames(specs, [spec.s_period for spec in specs], t, [1.0], config)
+    return F[:, :, 0]
 
 
 def monodromy_trace_drift(spec, t_list, config: RunConfig = DEFAULT):
     """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over t_list,
     from identity-normalized s-monodromies, the t-list as one batch."""
-    Fp, Fm = kksh_frames_t0([spec] * len(t_list), t_list, config)
-    tr_p, tr_m = (np.trace(F, axis1=-2, axis2=-1) for F in (Fp, Fm))
-    return (float(np.abs(tr_p - tr_p[0]).max()), float(np.abs(tr_m - tr_m[0]).max()))
+    tr = np.trace(kksh_frames_t0([spec] * len(t_list), t_list, config), axis1=-2, axis2=-1)
+    drift_p, drift_m = np.abs(tr - tr[:, :1]).max(axis=1)
+    return float(drift_p), float(drift_m)
 
 
 def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float:

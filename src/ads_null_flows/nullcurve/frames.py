@@ -18,6 +18,10 @@ its proper time (<gamma'', gamma''> = 4).  The first columns eta+- of F+- are
 the associated pair of star-shaped cousins, with central affine curvatures
 kappa +- 1 (difference exactly 2).  The bending is recovered by
 kappa = -<gamma''', gamma'''>/16 (the oracle below, used for validation).
+
+Every frame path holds both factors as one stack F of shape (2, n, 2, 2):
+F[0] = F+ and F[1] = F-, the factors at the spectral parameters LAMBDA =
+(+1, -1) in that order, the order of the transport kernel's factor axis.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..transport import EPS
+
+LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as the factor axis
 
 
 def ads_inner(X: np.ndarray, Y: np.ndarray):
@@ -54,55 +60,50 @@ def _sl2_inverse(F: np.ndarray) -> np.ndarray:
 @dataclass
 class SpinorFramePath:
     s_grid: np.ndarray
-    Fplus: np.ndarray      # (n, 2, 2)
-    Fminus: np.ndarray     # (n, 2, 2)
+    F: np.ndarray          # (2, n, 2, 2): F+ then F-
     kappa: np.ndarray      # (n,)
 
     def gamma(self) -> np.ndarray:
         """F+ F-^{-1} at every sample.  Entries beyond the float range come
         out inf or nan, without a warning; a caller that exports checks."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.Fplus @ _sl2_inverse(self.Fminus)
+            return self.F[0] @ _sl2_inverse(self.F[1])
 
-    def cousins(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.Fplus[:, :, 0].copy(), self.Fminus[:, :, 0].copy()
+    def period_index(self, rho: float) -> int:
+        """The index of the sample at s0 + rho, s0 = s_grid[0]; ValueError
+        when no sample lies within 1e-9 max(1, |rho|) of it."""
+        s = self.s_grid
+        i = int(np.argmin(np.abs(s - (s[0] + rho))))
+        if abs(s[i] - (s[0] + rho)) > 1e-9 * max(1.0, abs(rho)):
+            raise ValueError(f"s_grid does not sample s0 + rho = {s[0] + rho!r}")
+        return i
+
+
+def _frames_rhs(k, y):
+    """d/ds of both frames, each flattened row-major and F+ first, at the
+    bending k: F' = F [[0, k + lam], [1, 0]]."""
+    ap, bp, cp, dp, am, bm, cm, dm = y
+    kp, km = k + 1.0, k - 1.0
+    return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
 
 
 def integrate_spinor_frames(kappa: Callable[[float], float], s_grid,
-                            init_plus: Optional[np.ndarray] = None,
-                            init_minus: Optional[np.ndarray] = None,
                             config: RunConfig = DEFAULT) -> SpinorFramePath:
-    """Adaptive integration of both frame systems over the grid."""
+    """Adaptive integration of both frame systems from Id at s_grid[0] over
+    the grid."""
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) > 1 and np.any(np.diff(s_grid) <= 0):
         raise ValueError("s_grid must be strictly increasing")
-    init_plus = np.eye(2) if init_plus is None else np.asarray(init_plus, float)
-    init_minus = np.eye(2) if init_minus is None else np.asarray(init_minus, float)
-
-    def rhs(s, y):
-        k = kappa(s)
-        ap, bp, cp, dp, am, bm, cm, dm = y
-        kp, km = k + 1.0, k - 1.0
-        return (bp, kp * ap, dp, kp * cp, bm, km * am, dm, km * cm)
-
-    y0 = [init_plus[0, 0], init_plus[0, 1], init_plus[1, 0], init_plus[1, 1],
-          init_minus[0, 0], init_minus[0, 1], init_minus[1, 0], init_minus[1, 1]]
+    kap = np.array([kappa(float(s)) for s in s_grid])
     if len(s_grid) == 1:
-        Fp = init_plus[None, :, :].copy()
-        Fm = init_minus[None, :, :].copy()
-        return SpinorFramePath(s_grid, Fp, Fm,
-                               np.array([kappa(float(s_grid[0]))]))
-    sol = solve_ivp(rhs, (float(s_grid[0]), float(s_grid[-1])), y0,
+        return SpinorFramePath(s_grid, np.stack([np.eye(2)[None]] * 2), kap)
+    sol = solve_ivp(lambda s, y: _frames_rhs(kappa(s), y),
+                    (float(s_grid[0]), float(s_grid[-1])), [1.0, 0.0, 0.0, 1.0] * 2,
                     method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol, t_eval=s_grid)
     if not sol.success:
         raise NumericFailure(f"frame integration failed: {sol.message}")
-    Fp = np.empty((len(s_grid), 2, 2))
-    Fm = np.empty((len(s_grid), 2, 2))
-    Fp[:, 0, 0], Fp[:, 0, 1], Fp[:, 1, 0], Fp[:, 1, 1] = sol.y[0:4]
-    Fm[:, 0, 0], Fm[:, 0, 1], Fm[:, 1, 0], Fm[:, 1, 1] = sol.y[4:8]
-    kap = np.array([kappa(float(s)) for s in s_grid])
-    return SpinorFramePath(s_grid, Fp, Fm, kap)
+    return SpinorFramePath(s_grid, np.moveaxis(sol.y.reshape(2, 2, 2, -1), -1, 1), kap)
 
 
 _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
@@ -174,15 +175,15 @@ def constant_frame_factor(k: float, s):
 
 
 def constant_bending_frames(kappa0: float, s):
-    """(F+, F-) closed forms for constant bending; case boundaries at
-    kappa0 = -1 (F+ unipotent) and kappa0 = +1 (F- unipotent)."""
-    return constant_frame_factor(kappa0 + 1.0, s), constant_frame_factor(kappa0 - 1.0, s)
+    """The stack (F+, F-) of closed forms for constant bending; case
+    boundaries at kappa0 = -1 (F+ unipotent) and kappa0 = +1 (F- unipotent)."""
+    return np.stack([constant_frame_factor(kappa0 + lam, s) for lam in LAMBDA[:, 0]])
 
 
 def constant_bending_path(kappa0: float, s_grid) -> SpinorFramePath:
     s_grid = np.asarray(s_grid, dtype=float)
-    Fp, Fm = constant_bending_frames(kappa0, s_grid)
-    return SpinorFramePath(s_grid, Fp, Fm, np.full(len(s_grid), kappa0))
+    return SpinorFramePath(s_grid, constant_bending_frames(kappa0, s_grid),
+                           np.full(len(s_grid), kappa0))
 
 
 def constant_case_tag(kappa0: float) -> str:

@@ -73,10 +73,10 @@ def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
     S = np.diag([1.0 / math.sqrt(sigma), math.sqrt(sigma)])
     x_grid = sigma * s_grid
     if method == "heun":
-        delta_p, delta_m = (HeunLameEvaluator(mu, h)(x_grid) for h in (h_plus, h_minus))
+        delta = np.stack([HeunLameEvaluator(mu, h)(x_grid) for h in (h_plus, h_minus)])
     else:
-        delta_p, delta_m = fundamental_ode(mu, [h_plus, h_minus], x_grid, config)
-    return SpinorFramePath(s_grid, delta_p @ S, delta_m @ S, spec.kappa(s_grid))
+        delta = fundamental_ode(mu, [h_plus, h_minus], x_grid, config)
+    return SpinorFramePath(s_grid, delta @ S, spec.kappa(s_grid))
 
 
 def evolve_stationary_path(spec: StationaryBending, s_grid, t: float,
@@ -86,7 +86,5 @@ def evolve_stationary_path(spec: StationaryBending, s_grid, t: float,
     s_grid = np.asarray(s_grid, dtype=float)
     base = stationary_curve(spec.mu, spec.h_plus, spec.h_minus,
                             s_grid + 2.0 * spec.ell * t, config=config)
-    m_plus, m_minus, _ = stationary_momenta(spec)
-    Fp = expm_offdiag(t * m_plus)[None] @ base.Fplus
-    Fm = expm_offdiag(t * m_minus)[None] @ base.Fminus
-    return SpinorFramePath(s_grid, Fp, Fm, spec.kappa(s_grid, t))
+    motion = np.stack([expm_offdiag(t * m) for m in stationary_momenta(spec)[:2]])
+    return SpinorFramePath(s_grid, motion[:, None] @ base.F, spec.kappa(s_grid, t))

@@ -67,8 +67,8 @@ def future_directed(X: np.ndarray, V: np.ndarray) -> bool:
 
 def cartan_frame(path):
     """(gamma, T, N, B) along a SpinorFramePath, each an (n, 2, 2) stack."""
-    Fm_inv = np.linalg.inv(path.Fminus)
-    Fp = path.Fplus
+    Fp, Fm = path.F
+    Fm_inv = np.linalg.inv(Fm)
     return Fp @ Fm_inv, Fp @ P2 @ Fm_inv, Fp @ P3 @ Fm_inv, Fp @ P4 @ Fm_inv
 
 

@@ -277,6 +277,19 @@ def test_kksh_domain_error_exit_code(tmp_path, mn, h):
     assert not out.exists()
 
 
+# tau_mn(0.6, 1, 1) is 0.6000000000000001, so only the quantum numbers,
+# not an exact mu == tau, can reject 0.6; tau_mn(0.2, 1, 1) is exactly 0.2
+@pytest.mark.parametrize("mu", ["0.6", "0.2"])
+def test_kksh_equal_quantum_numbers_exit_code(tmp_path, capsys, mu):
+    out = tmp_path / "k11"
+    with pytest.raises(SystemExit) as exc:
+        main(["kksh", "--mn", "1,1", "--h", "2", "--mu", mu,
+              "--invariant-grid", "0", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "mu = tau degenerates" in stderr(capsys)
+    assert not out.exists()
+
+
 def test_kksh_invariant_grid_near_tau_one(tmp_path):
     """At mu = 0.92 the (5, 1) family has 1 - tau = 6.2e-11, where one ulp
     of tau moves n g(tau) by 9e-7: the periodicity check allows for the

@@ -245,7 +245,7 @@ def test_kksh_closed_form_jet_matches_dual_series(spec):
     relative (per derivative order, against its largest value); array and
     scalar s agree elementwise."""
     rng = np.random.default_rng(17)
-    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 60)
+    s = rng.uniform(-2 * spec.s_period, 2 * spec.s_period, 60)
     t = rng.uniform(-1.0, 1.0, 60)
     ref = np.array([_dual_kappa_jet(spec, a, b, 4) for a, b in zip(s, t)])
     got = np.array([spec.kappa_jet(float(a), float(b), order=4)
@@ -275,7 +275,7 @@ def test_kksh_t_derivatives_match_dual_series(spec):
     value, at scalar (s, t), at arrays of both, and at an array s with a
     scalar t."""
     rng = np.random.default_rng(23)
-    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 200)
+    s = rng.uniform(-2 * spec.s_period, 2 * spec.s_period, 200)
     t = rng.uniform(-1.0, 1.0, 200)
     ref_k = np.array([_dual_kappa_t(spec, a, b) for a, b in zip(s, t)])
     ref_u = np.array([_u_dual(spec, a, b, 1)[0, 1] for a, b in zip(s, t)])
@@ -301,7 +301,7 @@ def test_kksh_scalar_kappa_matches_array_path(spec):
     """The scalar and the array branch of the closed-form kappa (order 0)
     agree within 1e-13 at random (s, t)."""
     rng = np.random.default_rng(29)
-    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 400)
+    s = rng.uniform(-2 * spec.s_period, 2 * spec.s_period, 400)
     t = rng.uniform(-1.0, 1.0, 400)
     for a, b in zip(s, t):
         (scalar,) = spec.kappa_jet(float(a), float(b), order=0)
@@ -336,7 +336,7 @@ def test_kksh_closed_form_matches_the_series(spec):
     scalar s; at order 0 it also matches kappa = 4 phi_s^2 r^2 (1 - phi)
     - 2 phi_ss r, r = 1/(1 - phi^2)."""
     rng = np.random.default_rng(41)
-    s = rng.uniform(-2 * spec.s_period(), 2 * spec.s_period(), 300)
+    s = rng.uniform(-2 * spec.s_period, 2 * spec.s_period, 300)
     t = rng.uniform(-1.0, 1.0, 300)
     series = spec.kappa_jet(s, t, order=3)
     scale = [np.abs(k).max() for k in series]
@@ -356,7 +356,7 @@ def test_kksh_closed_form_matches_the_series(spec):
 
 def test_kksh_s_periodicity():
     spec = make_kksh()
-    rho = spec.s_period()
+    rho = spec.s_period
     K, _ = complete_elliptic(spec.mu)
     assert rho == pytest.approx(2 * K, rel=1e-14)
     s = np.linspace(0.0, rho, 60)

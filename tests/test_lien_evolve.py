@@ -53,13 +53,10 @@ def test_gate_on_probe_arrays(recipe):
     """On the probes of the check and kksh recipes, one array call of
     kappa_jet and of kappa_t: the exact bendings pass at the rounding, and
     a kappa_t scaled by 1 + 1e-3 (max |kappa_t| is 7.9 and 4e4) fails."""
-    if recipe == "check":
-        sampler = StationaryBending(MU, H_PLUS, H_MINUS)
-        s_end, t_end = sampler.s_period, 0.2
-    else:
-        sampler = kksh()
-        s_end, t_end = 2.0 * sampler.s_period(), 1.611855
-    s_probe, t_probe = np.linspace(0.0, s_end, 12), np.linspace(0.0, t_end, 6)
+    sampler, periods, t_end = {"check": (StationaryBending(MU, H_PLUS, H_MINUS), 1, 0.2),
+                               "kksh": (kksh(), 2, 1.611855)}[recipe]
+    s_probe = np.linspace(0.0, periods * sampler.s_period, 12)
+    t_probe = np.linspace(0.0, t_end, 6)
     assert kdv_gate(sampler, s_probe, t_probe, 1e-3) <= 1e-9
     with pytest.raises(NumericFailure, match="violates the KdV residual gate"):
         kdv_gate(ScaledKappaT(sampler, 1e-3), s_probe, t_probe, 1e-3)
@@ -79,11 +76,10 @@ def test_cross_validation_with_rigid_evolution():
     to_id = np.diag([np.sqrt(sp.sigma), 1.0 / np.sqrt(sp.sigma)])
     for j, t in enumerate(t_grid):
         closed = evolve_stationary_path(sp, s_grid, float(t))
-        Fp, Fm = to_id @ closed.Fplus, to_id @ closed.Fminus
+        F = to_id @ closed.F
         path = ev.paths[j]
-        assert np.abs(path.Fplus - Fp).max() <= 1e-4
-        assert np.abs(path.Fminus - Fm).max() <= 1e-4
-        assert np.abs(path.gamma() - Fp @ np.linalg.inv(Fm)).max() <= 1e-4
+        assert np.abs(path.F - F).max() <= 1e-4
+        assert np.abs(path.gamma() - F[0] @ np.linalg.inv(F[1])).max() <= 1e-4
 
 
 def test_monodromy_preserved_stationary():
@@ -116,10 +112,9 @@ def test_kksh_t0_frames_match_printed_monodromy():
     """The t = 0 frames from Id over one period: the + factor is the printed
     hyperbolic element, the - factor a 2 pi/3 rotation conjugate."""
     spec = kksh()
-    rho = spec.s_period()
+    rho = spec.s_period
     ev = lien_evolve(spec, np.array([0.0, rho]), np.array([0.0]))
-    Fp = ev.paths[0].Fplus[-1]
-    Fm = ev.paths[0].Fminus[-1]
+    Fp, Fm = ev.paths[0].F[:, -1]
     printed = np.array([[32.13972944617541, 31.723219516279162],
                         [32.5231, 32.1327]])
     assert np.abs((Fp - printed) / printed).max() <= 1e-3
@@ -133,7 +128,7 @@ def test_kksh_t0_frames_match_printed_monodromy():
 
 def test_kksh_monodromy_preserved_in_t():
     spec = kksh()
-    rho = spec.s_period()
+    rho = spec.s_period
     s_grid = np.linspace(0.0, rho, 9)
     t_grid = np.linspace(0.0, 0.3, 5)
     ev = lien_evolve(spec, s_grid, t_grid)
@@ -148,7 +143,7 @@ def test_kksh_evolution_satisfies_flow_equation():
     from geometry_ref import cartan_frame
 
     spec = kksh()
-    rho = spec.s_period()
+    rho = spec.s_period
     s_grid = np.linspace(0.0, rho, 41)
     e = 2e-6
     ev = lien_evolve(spec, s_grid, np.array([0.0, e, 2 * e, 3 * e, 4 * e]))

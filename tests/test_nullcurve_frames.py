@@ -13,26 +13,27 @@ from ads_null_flows.kdvsol import StationaryBending
 from ads_null_flows.nullcurve import (
     ads_inner,
     bending_oracle,
+    classify_orbit,
     closed_constant,
     constant_bending_frames,
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
+    evolve_stationary_path,
     integrate_spinor_frames,
+    lien_evolve,
     proper_time_checks,
     stationary_curve,
 )
-from ads_null_flows.nullcurve.frames import _D3
+from ads_null_flows.nullcurve.frames import _D3, LAMBDA, constant_frame_factor
 
 
 def test_constant_kappa_matches_closed_form():
     kappa0 = -1.45
     grid = np.linspace(0.0, 5.0, 101)
     path = integrate_spinor_frames(lambda s: kappa0, grid)
-    Fp, Fm = constant_bending_frames(kappa0, grid)
-    assert np.abs(path.Fplus - Fp).max() <= 1e-9
-    assert np.abs(path.Fminus - Fm).max() <= 1e-9
-    assert np.abs(np.linalg.det(np.stack((path.Fplus, path.Fminus))) - 1.0).max() <= 1e-9
+    assert np.abs(path.F - constant_bending_frames(kappa0, grid)).max() <= 1e-9
+    assert np.abs(np.linalg.det(path.F) - 1.0).max() <= 1e-9
 
 
 def test_zero_kappa_rotation_block():
@@ -42,7 +43,7 @@ def test_zero_kappa_rotation_block():
     rot = np.empty((len(grid), 2, 2))
     rot[:, 0, 0], rot[:, 0, 1] = c, -s
     rot[:, 1, 0], rot[:, 1, 1] = s, c
-    assert np.abs(path.Fminus - rot).max() <= 1e-10
+    assert np.abs(path.F[1] - rot).max() <= 1e-10
 
 
 def test_curve_and_cousins_basics():
@@ -50,7 +51,7 @@ def test_curve_and_cousins_basics():
     grid = np.linspace(0.0, 6.0, 400)
     path = constant_bending_path(kappa0, grid)
     gamma = path.gamma()
-    eta_p, eta_m = path.cousins()
+    eta_p, eta_m = path.F[..., 0]
     assert np.abs(gamma[0] - np.eye(2)).max() <= 1e-14
     assert np.abs(1.0 - np.linalg.det(gamma)).max() <= 1e-10    # q = -det = -1
     # central affine normalization and the cousin curvature defect k+ - k- = 2
@@ -96,10 +97,8 @@ def test_cousin_roundtrip_rebuilds_curve():
     grid = np.linspace(0.0, 4.0, 120)
     path = integrate_spinor_frames(lambda s: 0.4 * math.sin(s) - 1.2, grid)
     gamma = path.gamma()
-    # rebuild the frames from the cousin curves and their derivative columns
-    Fp = np.stack([path.Fplus[:, :, 0], path.Fplus[:, :, 1]], axis=-1)
-    Fm = np.stack([path.Fminus[:, :, 0], path.Fminus[:, :, 1]], axis=-1)
-    rebuilt = Fp @ np.linalg.inv(Fm)
+    # the frames are the cousin curves and their derivative columns
+    rebuilt = path.F[0] @ np.linalg.inv(path.F[1])
     assert np.abs(rebuilt - gamma).max() <= 1e-8
 
 
@@ -234,3 +233,58 @@ def test_constant_period_commensurability():
         # at the curve period both factors are at +Id (odd sum) or -Id (even)
         assert np.abs(Fp - sign * np.eye(2)).max() <= 1e-9
         assert np.abs(Fm - sign * np.eye(2)).max() <= 1e-9
+
+
+# ------------------------------------------------------- frame stack layout
+
+CHECK_BENDING = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
+LAYOUT_GRID = np.linspace(0.0, 1.0, 101)
+PRODUCERS = {
+    "constant_bending_path": lambda s: constant_bending_path(-1.45, s),
+    "stationary_curve_ode": lambda s: stationary_curve(
+        CHECK_BENDING.mu, CHECK_BENDING.h_plus, CHECK_BENDING.h_minus, s, method="ode"),
+    "stationary_curve_heun": lambda s: stationary_curve(
+        CHECK_BENDING.mu, CHECK_BENDING.h_plus, CHECK_BENDING.h_minus, s, method="heun"),
+    "evolve_stationary_path": lambda s: evolve_stationary_path(CHECK_BENDING, s, 0.1),
+    "lien_evolve": lambda s: lien_evolve(CHECK_BENDING, s, [0.0, 0.1]).paths[-1],
+    "integrate_spinor_frames": lambda s: integrate_spinor_frames(
+        lambda x: 0.3 * math.cos(x) - 1.0, s),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_frame_stack_layout(producer):
+    """Every producer holds both factors as one stack F of shape (2, n, 2, 2),
+    F+ (lam = +1) first: gamma is F[0] F[1]^{-1} (to the det 1 of DOP853's
+    frames, as gamma inverts F- by its adjugate), and each F[i] solves
+    F' = F [[0, kappa + LAMBDA[i]], [1, 0]] (4th-order differences)."""
+    path = PRODUCERS[producer](LAYOUT_GRID)
+    F, n = path.F, len(LAYOUT_GRID)
+    assert F.shape == (2, n, 2, 2)
+    assert np.abs(path.gamma() - F[0] @ np.linalg.inv(F[1])).max() <= 1e-10
+    ds = LAYOUT_GRID[1] - LAYOUT_GRID[0]
+    d1 = (F[:, :-4] - 8 * F[:, 1:-3] + 8 * F[:, 3:-1] - F[:, 4:]) / (12 * ds)
+    K = np.zeros((2, n - 4, 2, 2))
+    K[..., 0, 1] = path.kappa[2:-2] + LAMBDA
+    K[..., 1, 0] = 1.0
+    assert np.abs(d1 - F[:, 2:-2] @ K).max() <= 1e-6
+    if producer == "constant_bending_path":
+        assert (F[0] == constant_frame_factor(-1.45 + 1.0, LAYOUT_GRID)).all()
+        assert (F[1] == constant_frame_factor(-1.45 - 1.0, LAYOUT_GRID)).all()
+
+
+def test_monodromies_need_a_sample_at_s0_plus_rho():
+    """classify_orbit and LienEvolution.monodromy_drift find s0 + rho by one
+    lookup, SpinorFramePath.period_index, and both raise without it."""
+    rho = CHECK_BENDING.s_period
+    grid = np.linspace(0.0, rho, 9)
+    assert stationary_curve(CHECK_BENDING.mu, CHECK_BENDING.h_plus,
+                            CHECK_BENDING.h_minus, grid).period_index(rho) == 8
+    short = 0.9 * grid
+    path = stationary_curve(CHECK_BENDING.mu, CHECK_BENDING.h_plus,
+                            CHECK_BENDING.h_minus, short)
+    with pytest.raises(ValueError, match="does not sample s0 \\+ rho"):
+        classify_orbit(path, rho)
+    ev = lien_evolve(CHECK_BENDING, short, [0.0, 0.1])
+    with pytest.raises(ValueError, match="does not sample s0 \\+ rho"):
+        ev.monodromy_drift(rho)

@@ -76,12 +76,9 @@ def test_frame_round_trip_random_bendings():
     for _ in range(20):
         a, b, w = rng.uniform(-1.5, 1.5), rng.uniform(-2, 0.5), rng.uniform(0.5, 2)
         path = integrate_spinor_frames(lambda s: a * math.sin(w * s) + b, grid)
-        Fp = np.stack([path.Fplus[:, :, 0], path.Fplus[:, :, 1]], axis=-1)
-        Fm = np.stack([path.Fminus[:, :, 0], path.Fminus[:, :, 1]], axis=-1)
-        assert np.abs(Fp @ np.linalg.inv(Fm) - path.gamma()).max() <= 1e-8
+        assert np.abs(path.F[0] @ np.linalg.inv(path.F[1]) - path.gamma()).max() <= 1e-8
         # unimodularity of the frames and the cousin normalization
-        assert np.abs(np.linalg.det(path.Fplus) - 1.0).max() <= 1e-9
-        assert np.abs(np.linalg.det(path.Fminus) - 1.0).max() <= 1e-9
+        assert np.abs(np.linalg.det(path.F) - 1.0).max() <= 1e-9
 
 
 def test_classification_conjugation_invariance_random():

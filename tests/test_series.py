@@ -92,7 +92,7 @@ def test_kksh_kappa_on_a_series_in_s(mu):
     rho), summed at small offsets, equals the array jet at the shifted
     points."""
     spec = kksh_at(mu)
-    rho = spec.s_period()
+    rho = spec.s_period
     s0 = np.linspace(-0.3 * rho, 1.7 * rho, 9)
     for t in (0.0, 0.41):
         (kappa,) = spec.kappa_jet(Series.variable(s0, TERMS), t, order=0)
@@ -112,7 +112,7 @@ def test_kksh_series_coefficients_match_the_dual_reference(mu):
     rate^k / k!, against the dual-number reference of test_kdvsol, for
     k <= 4 and for the order-2 jets on a Series in t at s = 0."""
     spec = kksh_at(mu)
-    rho = spec.s_period()
+    rho = spec.s_period
     s0 = np.array([0.0, 0.37 * rho, 1.21 * rho])
     t = 0.29
     for rate in (1.0, rho):

@@ -37,7 +37,7 @@ def test_frames_satisfy_frenet_systems():
     grid = np.linspace(0.0, sp.s_period, 1201)
     ds = grid[1] - grid[0]
     path = stationary_curve(MU, H_PLUS, H_MINUS, grid)
-    for F, shift in ((path.Fplus, 1.0), (path.Fminus, -1.0)):
+    for F, shift in zip(path.F, (1.0, -1.0)):
         d1 = (F[:-4] - 8 * F[1:-3] + 8 * F[3:-1] - F[4:]) / (12 * ds)
         k = sp.kappa(grid[2:-2]) + shift
         target = np.einsum("nij,njk->nik", F[2:-2],
@@ -91,8 +91,7 @@ def test_heun_method_agrees_with_ode_method():
     grid = np.linspace(0.0, spec().s_period, 41)
     a = stationary_curve(MU, H_PLUS, H_MINUS, grid, method="ode")
     b = stationary_curve(MU, H_PLUS, H_MINUS, grid, method="heun")
-    assert np.abs(a.Fplus - b.Fplus).max() <= 1e-5
-    assert np.abs(a.Fminus - b.Fminus).max() <= 1e-5
+    assert np.abs(a.F - b.F).max() <= 1e-5
 
 
 def test_momenta_conservation_along_s():
@@ -102,7 +101,7 @@ def test_momenta_conservation_along_s():
     m_plus, m_minus, ell = stationary_momenta(sp)
     grid = np.linspace(0.0, sp.s_period, 33)
     path = stationary_curve(MU, H_PLUS, H_MINUS, grid)
-    for F, m, lam in ((path.Fplus, m_plus, 1.0), (path.Fminus, m_minus, -1.0)):
+    for F, m, lam in zip(path.F, (m_plus, m_minus), (1.0, -1.0)):
         for i in range(0, len(grid), 4):
             s = grid[i]
             k0, k1, k2 = sp.kappa_jet(s, order=2)

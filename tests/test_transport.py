@@ -87,7 +87,7 @@ def test_t_system_on_the_kksh_grid(kksh_t_reference):
     2.4e9."""
     ev = lien_evolve(kksh(), [0.0], KKSH_T)
     # at s = 0 the frames are A+-(t) Phi+-(0, t) = A+-(t) exactly
-    A = np.stack([[p.Fplus[0] for p in ev.paths], [p.Fminus[0] for p in ev.paths]])
+    A = np.stack([p.F[:, 0] for p in ev.paths], axis=1)
     assert np.abs(A[0, -1]).max() > 1e9
     assert rel_err(A, kksh_t_reference) <= 1e-9
 
@@ -116,8 +116,8 @@ def test_taylor_panel_propagators_are_unimodular():
 @pytest.mark.parametrize("mu", [0.3, 0.6, MU_STAR])
 def test_s_monodromy_matches_dop853(mu):
     spec = kksh(mu)
-    rho = spec.s_period()
-    F = np.stack(evolve.kksh_frames_t0([spec]))
+    rho = spec.s_period
+    F = evolve.kksh_frames_t0([spec])
     assert rel_err(F, dop853(s_rhs(spec, 0.0), 0.0, [rho])) <= 1e-10
 
 
@@ -126,7 +126,7 @@ def test_batched_monodromies_match_dop853():
     [0, 1], with their own scale and t, against one DOP853 run per spec
     and against separate transports."""
     specs = [kksh(mu) for mu in (0.3, 0.6, MU_STAR)]
-    rho = [spec.s_period() for spec in specs]
+    rho = [spec.s_period for spec in specs]
     rho[1] *= 0.5
     t = [0.0, 0.2, 0.4]
     F = evolve._s_frames(specs, rho, t, [1.0], DEFAULT)
@@ -135,11 +135,10 @@ def test_batched_monodromies_match_dop853():
         assert rel_err(F[:, i], dop853(s_rhs(spec, t[i]), 0.0, [rho[i]])) <= 1e-10
         single = evolve._s_frames([spec], rho[i], t[i], [1.0], DEFAULT)[:, 0]
         assert rel_err(F[:, i], single) <= 1e-11
-    Fp, Fm = evolve.kksh_frames_t0(specs, t)
-    Fp_single, Fm_single = evolve.kksh_frames_t0(specs[2:], t[2])
-    assert Fp.shape == Fm.shape == (3, 2, 2)
-    assert rel_err(np.stack([Fp[2:], Fm[2:]]), np.stack([Fp_single, Fm_single])) <= 1e-11
-    assert [F.shape for F in evolve.kksh_frames_t0([])] == [(0, 2, 2)] * 2
+    M = evolve.kksh_frames_t0(specs, t)
+    assert M.shape == (2, 3, 2, 2)
+    assert rel_err(M[:, 2:], evolve.kksh_frames_t0(specs[2:], t[2])) <= 1e-11
+    assert evolve.kksh_frames_t0([]).shape == (2, 0, 2, 2)
 
 
 def test_lien_evolve_matches_dop853_on_the_check_bending():
@@ -151,7 +150,7 @@ def test_lien_evolve_matches_dop853_on_the_check_bending():
     A = dop853(t_rhs(spec), 0.0, t_grid)
     for j, t in enumerate(t_grid):
         ref = dop853(s_rhs(spec, t), 0.0, s_grid, F0=A[:, j])
-        assert rel_err(np.stack([ev.paths[j].Fplus, ev.paths[j].Fminus]), ref) <= 1e-10
+        assert rel_err(ev.paths[j].F, ref) <= 1e-10
 
 
 def _ladders(monkeypatch):
@@ -190,7 +189,7 @@ def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
     t-slices each) at most one."""
     ladders = _ladders(monkeypatch)
     spec = kksh()
-    lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period(), 257), KKSH_T)
+    lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period, 257), KKSH_T)
     assert len(ladders) == 3 and _predictions(ladders[0]) == 1
     for ladder in ladders[1:]:
         _predictions(ladder)
@@ -282,8 +281,7 @@ def test_lien_evolve_t_slices_match_separate_transports(monkeypatch, slices):
     for j, t in enumerate(t_grid):
         Phi = evolve._s_frames([spec], 1.0, t, s_grid, DEFAULT)[:, 0]
         single = A[:, j, None] @ Phi
-        batched = np.stack([ev.paths[j].Fplus, ev.paths[j].Fminus])
-        assert rel_err(batched, single) <= 1e-12
+        assert rel_err(ev.paths[j].F, single) <= 1e-12
         assert ev.t_grid[j] == t
         assert (ev.paths[j].kappa == spec.kappa_jet(s_grid, float(t), order=0)[0]).all()
 
@@ -300,7 +298,7 @@ def test_one_transport_per_stationary_curve(monkeypatch):
     monkeypatch.undo()
     x_grid = spec.sigma * grid
     S = np.diag([1.0 / math.sqrt(spec.sigma), math.sqrt(spec.sigma)])
-    for F, h in ((path.Fplus, spec.h_plus), (path.Fminus, spec.h_minus)):
+    for F, h in zip(path.F, (spec.h_plus, spec.h_minus)):
         assert rel_err(F, lame.fundamental_ode(spec.mu, h, x_grid) @ S) <= 1e-12
 
 
@@ -388,16 +386,16 @@ def test_confirmation_gate_rejects_a_wrong_kernel(monkeypatch):
     monkeypatch.setattr(evolve, "transport", off_by_1e6)
     spec = kksh()
     with pytest.raises(NumericFailure, match="DOP853"):
-        lien_evolve(spec, np.linspace(0.0, spec.s_period(), 9), [0.0, 0.1])
+        lien_evolve(spec, np.linspace(0.0, spec.s_period, 9), [0.0, 0.1])
 
 
 def test_monodromy_drift_at_the_largest_kksh_time():
     """At t = 1.611855 |A+| is about 2.4e9 and its float det is 0, so an LU
     inverse of the frame raises; the raw drift must still be a number."""
     spec = kksh()
-    rho = spec.s_period()
+    rho = spec.s_period
     ev = lien_evolve(spec, np.linspace(0.0, rho, 9), KKSH_T)
-    assert np.abs(ev.paths[-1].Fplus[0]).max() > 1e9
+    assert np.abs(ev.paths[-1].F[0, 0]).max() > 1e9
     assert math.isfinite(ev.monodromy_drift(rho))
 
 
