@@ -332,7 +332,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     print(f"KdV gate residual {fnum(ev.gate_residual, 3)} (tolerance {KDV_GATE:.0e})")
     # the trace drift is conjugation-invariant and stable; the raw matrix
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
-    dp, dm = monodromy_trace_drift(spec, t_list, config)
+    dp, dm = monodromy_trace_drift(ev, rho)
     meta["monodromy_trace_drift"] = [dp, dm]
     cls = classify_orbit(ev.paths[0], rho)
     meta["orbit_type"] = cls.type_pair
@@ -362,8 +362,8 @@ def cmd_check(args, config: RunConfig) -> int:
     add("zero_curvature_n<=2", zc, 0.5)
     K, E = complete_elliptic(0.5)
     add("K_half", abs(K - 1.8540746773013719), 1e-10)
-    Kc, Ec = complete_elliptic(0.5)
-    add("legendre", abs(E * Kc + Ec * K - K * Kc - math.pi / 2), 1e-10)
+    # m = 1/2 is its own complement, so K' = K and E' = E in E K' + E' K - K K'
+    add("legendre", abs(E * K + E * K - K * K - math.pi / 2), 1e-10)
     spec = StationaryBending(0.9, 0.9300299176777007, 2.225980871712621)
     grid = np.linspace(0.0, 2 * spec.s_period, 1601)
     path = stationary_curve(spec.mu, spec.h_plus, spec.h_minus, grid, config=config)

@@ -131,24 +131,17 @@ class StationaryBending:
         return 2.0 * K / self.sigma
 
     def kappa_jet(self, s, t: float = 0.0, order: int = 3):
-        """[kappa, kappa', ..., kappa^(order)] at s + 2 ell t."""
+        """[kappa, kappa', ..., kappa^(order)] at s + 2 ell t, any order:
+        kappa^(k) = 4 mu sigma^k / delta sum_j C(k, j) sn^(j) sn^(k-j), the
+        sn-jets taken at sigma (s + 2 ell t)."""
         x = s + 2.0 * self.ell * t
         jet = sn_jet(self.sigma * x, self.mu, order=order)
         mu, d, sg = self.mu, self.delta, self.sigma
         sn = jet[0]
-        out = [(4.0 * mu * sn * sn - self.h_minus - self.h_plus) / d]
-        if order >= 1:
-            out.append(8.0 * mu * sg * sn * jet[1] / d)
-        if order >= 2:
-            out.append(8.0 * mu * sg ** 2 * (jet[1] ** 2 + sn * jet[2]) / d)
-        if order >= 3:
-            out.append(8.0 * mu * sg ** 3 * (3.0 * jet[1] * jet[2] + sn * jet[3]) / d)
-        if order >= 4:
-            out.append(8.0 * mu * sg ** 4
-                       * (3.0 * jet[2] ** 2 + 4.0 * jet[1] * jet[3] + sn * jet[4]) / d)
-        if order >= 5:
-            raise ValueError("stationary kappa_jet implemented up to order 4")
-        return out
+        return [(4.0 * mu * sn * sn - self.h_minus - self.h_plus) / d] + [
+            4.0 * mu * sg ** k / d * sum(math.comb(k, j) * jet[j] * jet[k - j]
+                                         for j in range(k + 1))
+            for k in range(1, order + 1)]
 
     def kappa(self, s, t: float = 0.0):
         return self.kappa_jet(s, t, order=0)[0]

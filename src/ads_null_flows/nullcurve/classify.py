@@ -92,7 +92,7 @@ def classify_orbit(path: SpinorFramePath, rho: float) -> OrbitClassification:
     if abs(path.kappa[i1] - path.kappa[0]) > 1e-6 * max(1.0, abs(path.kappa[0])):
         raise ValueError(
             f"kappa(s0 + rho) - kappa(s0) = {path.kappa[i1] - path.kappa[0]:.3e}")
-    return classify_monodromies(*(path.F[:, i1] @ np.linalg.inv(path.F[:, 0])), rho)
+    return classify_monodromies(*path.monodromy(rho), rho)
 
 
 def classify_monodromies(Mp: np.ndarray, Mm: np.ndarray,

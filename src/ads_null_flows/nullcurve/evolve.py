@@ -15,8 +15,8 @@ probes, one array call of each.  The construction transports the t-systems
 along s = 0 first (A+-(t), from Id), then the s-systems for each requested
 t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id, all by the
 Taylor panels of ads_null_flows.transport.  The s-systems of all the
-t-slices go through _s_frames, the one s-transport of the module (the KKSH
-monodromies use it too): BATCH systems per transport, each a pair of
+t-slices go through _s_frames, the one s-transport of the module (the t = 0
+KKSH monodromies use it too): BATCH systems per transport, each a pair of
 factors.  kappa_jet runs on a Series (of order 2 in dt at s = 0 for the
 t-system, of order 0 in ds for the s-systems) and yields the Taylor
 coefficients of P_lam or K_lam about the panel centres, one call per block
@@ -31,9 +31,10 @@ from Id at s = 0 to the far end of the s-grid must match them within
 tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when that is
 looser (DOP853's own global error).  A bending that fails the KdV gate, a
 transport past its panel cap and a missed confirmation each raise
-NumericFailure.  Because the bending is s-periodic the monodromies
-F+-(s0 + rho, t) F+-(s0, t)^{-1} are conserved in t; the drift over the
-returned family is the standard integration diagnostic.
+NumericFailure.  The bending is s-periodic, so the monodromies
+(SpinorFramePath.monodromy) of F+- are conserved in t, and those of the
+s-frames Phi+-, which LienEvolution keeps too, are conjugate to them: the
+trace drift reads them off Phi+- with no second transport.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from scipy.integrate import solve_ivp
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..specfun.series import Series
 from ..transport import EPS, transport
-from .frames import LAMBDA, SpinorFramePath, _frames_rhs, _sl2_inverse
+from .frames import LAMBDA, SpinorFramePath, _frames_rhs
 
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
@@ -96,14 +97,14 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
 @dataclass
 class LienEvolution:
     t_grid: np.ndarray
-    paths: List[SpinorFramePath]
+    paths: List[SpinorFramePath]      # F+-(s, t_j)
+    s_paths: List[SpinorFramePath]    # Phi+-(s, t_j), from Id at s = 0
     gate_residual: float
 
     def monodromy_drift(self, rho: float) -> float:
         """max_t ||M(t) - M(0)||_max over both factors, with
         M(t) = F(s0 + rho, t) F(s0, t)^{-1}."""
-        M = np.stack([path.F[:, path.period_index(rho)] @ _sl2_inverse(path.F[:, 0])
-                      for path in self.paths])
+        M = np.stack([path.monodromy(rho) for path in self.paths])
         return float(np.abs(M - M[0]).max())
 
 
@@ -131,10 +132,11 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
     Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, s_grid, config)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
-    paths = [SpinorFramePath(s_grid, A[:, j, None] @ Phi[:, j], kappa[j])
-             for j in range(len(t_grid))]
-    _confirm(sampler, paths[0], config)
-    return LienEvolution(t_grid, paths, gate)
+    s_paths = [SpinorFramePath(s_grid, Phi[:, j], kappa[j]) for j in range(len(t_grid))]
+    _confirm(sampler, s_paths[0], config)
+    paths = [SpinorFramePath(s_grid, A[:, j, None] @ p.F, p.kappa)
+             for j, p in enumerate(s_paths)]
+    return LienEvolution(t_grid, paths, s_paths, gate)
 
 
 def _t_generator(sampler: BendingSampler):
@@ -178,7 +180,7 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
 def _confirm(sampler: BendingSampler, path: SpinorFramePath,
              config: RunConfig) -> None:
     """One DOP853 integration of the t = 0 s-system from Id at s = 0 to the
-    far end of the s-grid; its frames there must match the kernel's within
+    far end of the s-grid; its frames there must match path's, Phi+-, within
     max(tol_metric, CONFIRM_SLACK integrator_rel_tol) (relative, max-norm)."""
     s_grid = path.s_grid
     end = 0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1
@@ -202,25 +204,19 @@ def _confirm(sampler: BendingSampler, path: SpinorFramePath,
                 f"at s = {s_grid[end]!r}")
 
 
-def kksh_frames_t0(specs, t=0.0, config: RunConfig = DEFAULT):
-    """The stack (2, len(specs), 2, 2) of F+(rho, t) and F-(rho, t), each
-    spec's frames at its s-period rho, integrated from the identity at s = 0;
-    t is one value or one per spec.
-
-    With identity initial frames these are the s-monodromies up to
-    conjugation, so their traces are the conjugation-invariant monodromy
-    data at any t; unlike the two-step route this stays well-conditioned
-    however large the t-system solution grows.  System i is rescaled by
-    s = rho_i sigma onto sigma in [0, 1] (_s_frames), BATCH per transport.
-    """
-    F = _s_frames(specs, [spec.s_period for spec in specs], t, [1.0], config)
-    return F[:, :, 0]
+def kksh_frames_t0(specs, config: RunConfig = DEFAULT):
+    """The t = 0 s-monodromies: the stack (2, len(specs), 2, 2) of F+-(rho)
+    from Id at s = 0, rho each spec's s-period, system i rescaled by
+    s = rho_i sigma onto sigma in [0, 1] (_s_frames), BATCH per transport."""
+    return _s_frames(specs, [spec.s_period for spec in specs], 0.0, [1.0], config)[:, :, 0]
 
 
-def monodromy_trace_drift(spec, t_list, config: RunConfig = DEFAULT):
-    """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over t_list,
-    from identity-normalized s-monodromies, the t-list as one batch."""
-    tr = np.trace(kksh_frames_t0([spec] * len(t_list), t_list, config), axis1=-2, axis2=-1)
+def monodromy_trace_drift(ev: LienEvolution, rho: float):
+    """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over ev's
+    t-grid, with no transport: M from ev's s-frames Phi+-, whose traces are
+    those of F+- and stay well-conditioned however large A+-(t) grows."""
+    M = np.stack([path.monodromy(rho) for path in ev.s_paths], axis=1)
+    tr = np.trace(M, axis1=-2, axis2=-1)
     drift_p, drift_m = np.abs(tr - tr[:, :1]).max(axis=1)
     return float(drift_p), float(drift_m)
 

@@ -78,6 +78,11 @@ class SpinorFramePath:
             raise ValueError(f"s_grid does not sample s0 + rho = {s[0] + rho!r}")
         return i
 
+    def monodromy(self, rho: float) -> np.ndarray:
+        """The stack (2, 2, 2) of M+- = F+-(s0 + rho) F+-(s0)^{-1}, F+- at s0
+        inverted by its adjugate."""
+        return self.F[:, self.period_index(rho)] @ _sl2_inverse(self.F[:, 0])
+
 
 def _frames_rhs(k, y):
     """d/ds of both frames, each flattened row-major and F+ first, at the

@@ -237,7 +237,8 @@ def test_criterion_09_monodromy_preservation():
         ev = lien_evolve(spec, np.array([0.0, rho]), t_grid, cfg)
         assert ev.monodromy_drift(rho) <= 1e-4
         # conjugation-invariant monodromy data over the full snapshot span
-        dp, dm = monodromy_trace_drift(spec, [0.0, t1, 2 * t1, 3 * t1])
+        dp, dm = monodromy_trace_drift(
+            lien_evolve(spec, np.array([0.0, rho]), [0.0, t1, 2 * t1, 3 * t1]), rho)
         assert dp <= 1e-6 and dm <= 1e-6
         # conserved integrals of the first three densities, relative 1e-4
         s = np.linspace(0.0, rho, 256, endpoint=False)

@@ -10,6 +10,7 @@ from ads_null_flows.config import UsageError
 from ads_null_flows.kdvsol import (
     KkshSpec, StationaryBending, g_inverse, g_of, tau_mn)
 from ads_null_flows.specfun import complete_elliptic, jacobi_sncndn, sn_jet
+from ads_null_flows.specfun.series import Series
 
 MU_STAR = 0.6150396634356605   # converged zero of the rotation condition
 
@@ -118,6 +119,26 @@ def test_stationary_ode_residual():
     k0, k1, _, k3 = spec.kappa_jet(s, order=3)
     res = k3 + 2.0 * spec.ell * k1 - 6.0 * k0 * k1
     assert np.abs(res).max() <= 1e-8
+
+
+@pytest.mark.parametrize("on_series", [False, True])
+def test_stationary_high_orders_solve_the_differentiated_ode(on_series):
+    """Orders 4 to 6, at points and as Series coefficients, against
+    kappa''' = 6 kappa kappa' - 2 ell kappa' differentiated once, twice and
+    three times."""
+    spec = make_spec()
+    s = np.linspace(0.0, spec.s_period, 97)
+    k = spec.kappa_jet(Series.variable(s, 6) if on_series else s, order=6)
+    ell = spec.ell
+    residuals = [
+        k[4] - 6.0 * (k[1] * k[1] + k[0] * k[2]) + 2.0 * ell * k[2],
+        k[5] - 6.0 * (3.0 * k[1] * k[2] + k[0] * k[3]) + 2.0 * ell * k[3],
+        k[6] - 6.0 * (3.0 * k[2] * k[2] + 4.0 * k[1] * k[3] + k[0] * k[4])
+        + 2.0 * ell * k[4],
+    ]
+    for order, res in zip((4, 5, 6), residuals):
+        scale = np.abs(k[order].c if on_series else k[order]).max()
+        assert np.abs(res.c if on_series else res).max() <= 1e-12 * scale, order
 
 
 def test_stationary_traveling_kdv_residual():

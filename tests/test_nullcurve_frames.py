@@ -9,7 +9,7 @@ import pytest
 from geometry_ref import CARTAN_GRAM, cartan_frame, future_directed
 
 from ads_null_flows.config import UsageError
-from ads_null_flows.kdvsol import StationaryBending
+from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
     ads_inner,
     bending_oracle,
@@ -274,8 +274,9 @@ def test_frame_stack_layout(producer):
 
 
 def test_monodromies_need_a_sample_at_s0_plus_rho():
-    """classify_orbit and LienEvolution.monodromy_drift find s0 + rho by one
-    lookup, SpinorFramePath.period_index, and both raise without it."""
+    """SpinorFramePath.monodromy, classify_orbit and
+    LienEvolution.monodromy_drift find s0 + rho by one lookup,
+    SpinorFramePath.period_index, and all raise without it."""
     rho = CHECK_BENDING.s_period
     grid = np.linspace(0.0, rho, 9)
     assert stationary_curve(CHECK_BENDING.mu, CHECK_BENDING.h_plus,
@@ -284,7 +285,37 @@ def test_monodromies_need_a_sample_at_s0_plus_rho():
     path = stationary_curve(CHECK_BENDING.mu, CHECK_BENDING.h_plus,
                             CHECK_BENDING.h_minus, short)
     with pytest.raises(ValueError, match="does not sample s0 \\+ rho"):
+        path.monodromy(rho)
+    with pytest.raises(ValueError, match="does not sample s0 \\+ rho"):
         classify_orbit(path, rho)
     ev = lien_evolve(CHECK_BENDING, short, [0.0, 0.1])
     with pytest.raises(ValueError, match="does not sample s0 \\+ rho"):
         ev.monodromy_drift(rho)
+
+
+def _wings_paths():
+    """The frames of `kksh --mn 1,6 --h 2 --mu 0.6 --wings --t 0,0.3`, whose
+    grid starts at s0 = -rho/2, where F is not the identity."""
+    spec = KkshSpec.with_quantum_numbers(0.6, 1, 6, 2.0)
+    rho = spec.s_period
+    ev = lien_evolve(spec, np.linspace(-rho / 2, 1.5 * rho, 257), [0.0, 0.3])
+    return rho, ev.paths + ev.s_paths
+
+
+def _stationary_paths():
+    rho = CHECK_BENDING.s_period
+    return rho, [stationary_curve(CHECK_BENDING.mu, CHECK_BENDING.h_plus,
+                                  CHECK_BENDING.h_minus, np.linspace(0.5, 0.5 + 2 * rho, 33))]
+
+
+@pytest.mark.parametrize("paths", [_stationary_paths, _wings_paths])
+def test_monodromy_matches_the_lu_product(paths):
+    """M+- = F+-(s0 + rho) adj F+-(s0) against F+-(s0 + rho) F+-(s0)^{-1}
+    by LU, within 1e-12 relative."""
+    rho, frame_paths = paths()
+    for path in frame_paths:
+        assert np.abs(path.F[:, 0] - np.eye(2)).max() > 0.1   # F(s0) is not Id
+        M = path.monodromy(rho)
+        lu = path.F[:, path.period_index(rho)] @ np.linalg.inv(path.F[:, 0])
+        assert M.shape == (2, 2, 2)
+        assert np.abs(M - lu).max() <= 1e-12 * np.abs(lu).max()

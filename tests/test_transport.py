@@ -135,9 +135,6 @@ def test_batched_monodromies_match_dop853():
         assert rel_err(F[:, i], dop853(s_rhs(spec, t[i]), 0.0, [rho[i]])) <= 1e-10
         single = evolve._s_frames([spec], rho[i], t[i], [1.0], DEFAULT)[:, 0]
         assert rel_err(F[:, i], single) <= 1e-11
-    M = evolve.kksh_frames_t0(specs, t)
-    assert M.shape == (2, 3, 2, 2)
-    assert rel_err(M[:, 2:], evolve.kksh_frames_t0(specs[2:], t[2])) <= 1e-11
     assert evolve.kksh_frames_t0([]).shape == (2, 0, 2, 2)
 
 
@@ -377,6 +374,22 @@ def test_kksh_runs_over_the_tolerance_range(tmp_path, rel_tol):
     assert main(["--set", f"integrator_rel_tol={rel_tol}", "kksh", "--mn", "1,6",
                  "--h", "2", "--mu", "0.6", "--t", "0,0.05", "--invariant-grid", "2",
                  "-o", str(tmp_path / "k")]) == 0
+
+
+def test_kksh_transports_each_s_system_once(monkeypatch, tmp_path):
+    """`kksh` with two snapshots and no invariant grid: one transport of the
+    t-system and one of the two s-systems (BATCH = 2); the trace drift
+    reads lien_evolve's s-frames and transports nothing."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(evolve, "transport", counted)
+    assert main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.3",
+                 "--invariant-grid", "0", "-o", str(tmp_path / "k")]) == 0
+    assert len(calls) == 2
 
 
 def test_confirmation_gate_rejects_a_wrong_kernel(monkeypatch):
