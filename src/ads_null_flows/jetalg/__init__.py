@@ -3,10 +3,7 @@ from .hierarchy import lenard_p, kdv_rhs, hamiltonian_density, lien_coefficients
 from .matrices import (
     frenet_K,
     lien_matrix_polys,
-    lax_pair_2x2,
-    lax_zero_curvature_2x2,
     zero_curvature_check,
-    g_membership_defect,
     mat_is_zero,
     FRAME_GRAM,
 )
@@ -14,6 +11,6 @@ from .matrices import (
 __all__ = [
     "JetPoly", "U", "U1",
     "lenard_p", "kdv_rhs", "hamiltonian_density", "lien_coefficients",
-    "frenet_K", "lien_matrix_polys", "lax_pair_2x2", "lax_zero_curvature_2x2",
-    "zero_curvature_check", "g_membership_defect", "mat_is_zero", "FRAME_GRAM",
+    "frenet_K", "lien_matrix_polys", "zero_curvature_check", "mat_is_zero",
+    "FRAME_GRAM",
 ]

@@ -1,5 +1,4 @@
-"""Matrix differential polynomials: the 4x4 Lax data of the LIEN hierarchy
-and the 2x2 spectral-parameter Lax pair of the KdV equation.
+"""Matrix differential polynomials: the 4x4 Lax data of the LIEN hierarchy.
 
 In the paper's frame (gamma, T, N, B), with T = gamma'/sqrt(2), sqrt(2)
 occurs in 6 entries of K and 8 of P_n.  Here both are written in the
@@ -14,7 +13,7 @@ and every entry is rational.  The matrices take values in the Lie algebra
         g^ = D g D = [[-1,0,0,0],[0,0,0,2],[0,0,1,0],[0,2,0,0]],
 
 where g = [[-1,0,0,0],[0,0,0,1],[0,0,1,0],[0,1,0,0]] is the Cartan Gram
-matrix of the paper's frame.
+matrix of the paper's frame (the tests check that membership).
 
 zero_curvature_check(n) verifies  d_t K^ - D_s P^_n - [K^, P^_n] = 0
 exactly, with d_t u substituted by the induced bending flow; it must vanish
@@ -39,10 +38,6 @@ ZERO_CURVATURE_N_MAX = 3    # the flows the commands and tests check
 
 def _zeros(r: int, c: int) -> Matrix:
     return [[JetPoly.zero() for _ in range(c)] for _ in range(r)]
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
@@ -81,20 +76,6 @@ FRAME_GRAM: Tuple[Tuple[int, ...], ...] = (
     (0, 0, 1, 0),
     (0, 2, 0, 0),
 )
-
-
-def g_membership_defect(A: Matrix) -> Matrix:
-    """X^t g^ + g^ X as a JetPoly matrix (zero iff A is g-valued)."""
-    n = len(A)
-    g = FRAME_GRAM
-    out = _zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            s = JetPoly.zero()
-            for k in range(n):
-                s = s + g[i][k] * A[k][j] + A[k][i] * g[k][j]
-            out[i][j] = s
-    return out
 
 
 def frenet_K() -> Matrix:
@@ -139,28 +120,6 @@ def lien_matrix_polys(n: int) -> Tuple[Matrix, Matrix]:
     P[2][0], P[2][1], P[2][3] = x31, x32, -x23
     P[3][0], P[3][2], P[3][3] = half * x41, -(half * x32), -x22
     return frenet_K(), P
-
-
-def lax_pair_2x2(lam) -> Tuple[Matrix, Matrix]:
-    """K_lam = [[0, u+lam],[1,0]], P_lam = [[-u1, -u2+2u^2-2 lam u-4 lam^2],
-    [2u-4 lam, u1]] with an exact spectral parameter."""
-    lam = Fraction(lam)
-    u2 = JetPoly.var(2)
-    K = [[JetPoly.zero(), U + JetPoly.const(lam)],
-         [JetPoly.const(1), JetPoly.zero()]]
-    P = [[-U1, -u2 + 2 * U * U - 2 * lam * U - JetPoly.const(4 * lam * lam)],
-         [2 * U - JetPoly.const(4 * lam), U1]]
-    return K, P
-
-
-def lax_zero_curvature_2x2(lam) -> Tuple[Matrix, Matrix]:
-    """The 2x2 zero-curvature defect D_s P + [K, P] - d_t K, split as
-    (coefficient of u_t, remainder); the defect is their u_t-weighted sum."""
-    K, P = lax_pair_2x2(lam)
-    ut_coeff = [[JetPoly.zero(), JetPoly.const(-1)],
-                [JetPoly.zero(), JetPoly.zero()]]
-    rest = mat_add(mat_total_derivative(P), mat_commutator(K, P))
-    return ut_coeff, rest
 
 
 def induced_bending_flow(n: int) -> JetPoly:

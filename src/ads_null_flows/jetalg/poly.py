@@ -22,14 +22,14 @@ E is evaluated by Horner's scheme, E(p) = q_0 - D(q_1 - D(q_2 - ...)) with
 q_i = dp/du_i, so it applies D order(p) times (P. J. Olver, Applications of
 Lie Groups to Differential Equations, 4.1 and 5.4).
 
-All arithmetic is exact; floating point enters only through evaluate().
+All arithmetic is exact: no floating point enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -199,20 +199,7 @@ class JetPoly:
             out[mm] = c / (sum(m) + 1)
         return JetPoly(out)
 
-    # -- numerics and rendering ----------------------------------------------
-
-    def evaluate(self, jet: Iterable[float]) -> float:
-        jet = list(jet)
-        if self.order() >= len(jet):
-            raise ValueError(
-                f"need jet values up to index {self.order()}, got {len(jet)}")
-        total = 0.0
-        for m, c in self.terms.items():
-            v = float(c)
-            for i, e in enumerate(m):
-                v *= jet[i] ** e
-            total += v
-        return total
+    # -- rendering --------------------------------------------------------
 
     def _sorted_terms(self):
         """(pairs, coefficient) per term, with the monomial as its sparse

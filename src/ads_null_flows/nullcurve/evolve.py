@@ -25,16 +25,26 @@ two factors never part: A, Phi, every path's F (frames.SpinorFramePath)
 and the KKSH monodromies are stacks with the factor axis first, F+ (lam =
 +1) then F- (lam = -1), the order of frames.LAMBDA.  Every
 panel factor has det 1, so the frames are unimodular to rounding and are
-never renormalized, and the panel counts follow integrator_rel_tol.  The
-s-frames are confirmed once per lien_evolve by DOP853: the t = 0 s-system
-from Id at s = 0 to the far end of the s-grid must match them within
-tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when that is
-looser (DOP853's own global error).  A bending that fails the KdV gate, a
-transport past its panel cap and a missed confirmation each raise
-NumericFailure.  The bending is s-periodic, so the monodromies
-(SpinorFramePath.monodromy) of F+- are conserved in t, and those of the
-s-frames Phi+-, which LienEvolution keeps too, are conjugate to them: the
-trace drift reads them off Phi+- with no second transport.
+never renormalized, and the panel counts follow integrator_rel_tol.
+
+A bending with an s_period rho (every KKSH family and stationary bending)
+makes the s-frames obey Floquet's rule Phi(r + k rho) = M^k Phi(r), M =
+Phi(rho), since Phi(0) = Id.  When the s-grid spans more than one period
+and the bending is rho-periodic within integrator_rel_tol on the gate's
+probes (period_gap; a quantized family meets its constraint only to a gap),
+_s_frames transports one period, to the grid's remainders r in [0, rho)
+and to rho, and every other sample is M^k Phi(r), a negative k through the
+adjugate.  Otherwise the whole grid is transported.  The s-frames are
+confirmed once per lien_evolve by DOP853: the t = 0 s-system from Id at s =
+0 to rho (M) on the one-period path, else to the far end of the s-grid,
+must match them within tol_metric, or within CONFIRM_SLACK times
+integrator_rel_tol when that is looser (DOP853's own global error).  A
+bending that fails the KdV gate, a transport past its panel cap and a
+missed confirmation each raise NumericFailure.  The bending is
+s-periodic, so the monodromies (SpinorFramePath.monodromy) of F+- are
+conserved in t, and those of the s-frames Phi+-, which LienEvolution keeps
+too, are conjugate to them: the trace drift reads them off Phi+- with no
+second transport.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from scipy.integrate import solve_ivp
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..specfun.series import Series
 from ..transport import EPS, transport
-from .frames import LAMBDA, SpinorFramePath, _frames_rhs
+from .frames import LAMBDA, SpinorFramePath, _frames_rhs, _sl2_inverse
 
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
@@ -71,7 +81,8 @@ MU_STAR_XTOL = 1e-8
 class BendingSampler(Protocol):
     """Bending with analytic s-jets and a t-derivative (for the input gate).
     Both take scalar s and t or, elementwise, arrays of them; kappa_jet also
-    takes a Series s or t (the transport's panels)."""
+    takes a Series s or t (the transport's panels).  A sampler with an
+    s_period may have its s-frames extended from one period."""
 
     def kappa_jet(self, s, t=0.0, order: int = 3) -> list: ...
 
@@ -92,6 +103,17 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
         raise NumericFailure(
             f"bending violates the KdV residual gate: {worst:.3e} > {tol:.1e}")
     return worst
+
+
+def period_gap(sampler: BendingSampler, s_probes, t_probes, rho: float) -> float:
+    """max |kappa(s + rho, t) - kappa(s, t)| / max |kappa| over the probe
+    grid, from one array call of kappa_jet: how far the bending is from
+    rho-periodic in s (the quantization of a KKSH family meets its
+    constraint only to a gap)."""
+    s, t = np.meshgrid(np.asarray(s_probes, dtype=float),
+                       np.asarray(t_probes, dtype=float))
+    k = np.asarray(sampler.kappa_jet(np.stack([s, s + rho]), t, order=0)[0], dtype=float)
+    return float(np.abs(k[1] - k[0]).max() / np.abs(k).max())
 
 
 @dataclass
@@ -130,10 +152,32 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     A = transport(_t_generator(sampler), 0.0, t_grid, config.integrator_rel_tol)
 
     # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
-    Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, s_grid, config)
+    samplers = [sampler] * len(t_grid)
+    rho = getattr(sampler, "s_period", None)
+    if rho is not None and s_grid.max() - s_grid.min() > rho and \
+            period_gap(sampler, s_probe, t_probe, rho) <= config.integrator_rel_tol:
+        # one period, then Phi(r + k rho) = M^k Phi(r) with M = Phi(rho)
+        k, r = np.divmod(s_grid, rho)
+        x, at = np.unique(r, return_inverse=True)
+        Phi = _s_frames(samplers, 1.0, t_grid, np.append(x, rho), config)
+        M = Phi[:, :, -1]
+        Phi = Phi[:, :, at]
+        # a hyperbolic M overflows over many periods, as the transport would
+        with np.errstate(over="ignore", invalid="ignore"):
+            for power in np.unique(k[k != 0]).astype(int):
+                sel = k == power
+                Mk = np.linalg.matrix_power(M if power > 0 else _sl2_inverse(M), abs(power))
+                Phi[:, :, sel] = Mk[:, :, None] @ Phi[:, :, sel]
+        if not np.isfinite(Phi).all():
+            raise NumericFailure(f"s-frames overflow over {int(np.abs(k).max())} periods")
+        s_end, Phi_end = rho, M[:, 0]
+    else:
+        Phi = _s_frames(samplers, 1.0, t_grid, s_grid, config)
+        end = 0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1
+        s_end, Phi_end = s_grid[end], Phi[:, 0, end]
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
     s_paths = [SpinorFramePath(s_grid, Phi[:, j], kappa[j]) for j in range(len(t_grid))]
-    _confirm(sampler, s_paths[0], config)
+    _confirm(sampler, s_end, Phi_end, config)
     paths = [SpinorFramePath(s_grid, A[:, j, None] @ p.F, p.kappa)
              for j, p in enumerate(s_paths)]
     return LienEvolution(t_grid, paths, s_paths, gate)
@@ -177,31 +221,32 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
     return F
 
 
-def _confirm(sampler: BendingSampler, path: SpinorFramePath,
+def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
              config: RunConfig) -> None:
-    """One DOP853 integration of the t = 0 s-system from Id at s = 0 to the
-    far end of the s-grid; its frames there must match path's, Phi+-, within
-    max(tol_metric, CONFIRM_SLACK integrator_rel_tol) (relative, max-norm)."""
-    s_grid = path.s_grid
-    end = 0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1
-    if s_grid[end] == 0.0:
+    """One DOP853 integration of the t = 0 s-system from Id at s = 0 to
+    s_end: rho when lien_evolve extends one period by its monodromy, so
+    every other sample is exact algebra from confirmed frames, else the far
+    end of the s-grid.  Its frames there must match Phi, the stack (2, 2, 2)
+    of Phi+-(s_end), within max(tol_metric, CONFIRM_SLACK integrator_rel_tol)
+    (relative, max-norm)."""
+    if s_end == 0.0:
         return
 
     def rhs(s, y):
         return _frames_rhs(sampler.kappa_jet(float(s), 0.0, order=0)[0], y.tolist())
 
-    sol = solve_ivp(rhs, (0.0, float(s_grid[end])), [1.0, 0.0, 0.0, 1.0] * 2,
+    sol = solve_ivp(rhs, (0.0, float(s_end)), [1.0, 0.0, 0.0, 1.0] * 2,
                     method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
         raise NumericFailure(f"s-system confirmation failed: {sol.message}")
     bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
-    for F, y in zip(path.F[:, end], sol.y[:, -1].reshape(2, 4)):
+    for F, y in zip(Phi, sol.y[:, -1].reshape(2, 4)):
         miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
         if miss > bound:
             raise NumericFailure(
                 f"Taylor and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
-                f"at s = {s_grid[end]!r}")
+                f"at s = {s_end!r}")
 
 
 def kksh_frames_t0(specs, config: RunConfig = DEFAULT):

@@ -340,12 +340,13 @@ def test_stationary_bad_indices_exit_code(tmp_path, indices):
 
 
 def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
-    """A transport that needs more panels than the frame kernel's cap: exit 1."""
+    """A transport that needs more panels than the frame kernel's cap: exit 1.
+    One s-period fits in 64 panels; the t-system up to t = 0.1 does not."""
     import ads_null_flows.transport as kernel
 
     monkeypatch.setattr(kernel, "MAX_PANELS", 64)
     out = tmp_path / "kcap"
-    code = main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6",
+    code = main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.1",
                  "--invariant-grid", "2", "-o", str(out)])
     assert code == 1
 

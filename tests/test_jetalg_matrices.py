@@ -8,12 +8,11 @@ paper reads X_ij d_j / d_i here; the comments give the paper's value."""
 import itertools
 from fractions import Fraction
 
+from jetalg_ref import g_membership_defect, lax_pair_2x2, lax_zero_curvature_2x2
+
 from ads_null_flows.jetalg import (
     JetPoly,
     frenet_K,
-    g_membership_defect,
-    lax_pair_2x2,
-    lax_zero_curvature_2x2,
     lien_matrix_polys,
     mat_is_zero,
     zero_curvature_check,

@@ -16,10 +16,6 @@ ROOT = Path(__file__).parents[1]
 UNREFERENCED_ALLOWED = {
     # the DOP853 frame reference; bench/tracer.py binds solve_ivp in its module
     "integrate_spinor_frames",
-    # exact checks of the paper's identities over Q
-    "g_membership_defect",
-    "lax_zero_curvature_2x2",
-    "JetPoly.evaluate",
 }
 
 

@@ -3,7 +3,9 @@ the KKSH t-system and s-monodromies, single and batched, and the two-step
 evolution of a stationary bending; batched t-slices and h+- pairs against
 separate transports, dense output, the panel ladders and transport counts,
 the block products, unimodularity, the panel cap, the DOP853 confirmation
-gate of lien_evolve and the accepted range of integrator_rel_tol."""
+gate of lien_evolve, its one-period extension by the s-monodromy and the
+fallbacks to the full transport, and the accepted range of
+integrator_rel_tol."""
 
 import json
 import math
@@ -400,6 +402,93 @@ def test_confirmation_gate_rejects_a_wrong_kernel(monkeypatch):
     spec = kksh()
     with pytest.raises(NumericFailure, match="DOP853"):
         lien_evolve(spec, np.linspace(0.0, spec.s_period, 9), [0.0, 0.1])
+
+
+def _confirm_spans(monkeypatch):
+    """Record the span of every DOP853 confirmation of lien_evolve."""
+    spans = []
+
+    def spy(rhs, span, *args, **kwargs):
+        spans.append(span)
+        return solve_ivp(rhs, span, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "solve_ivp", spy)
+    return spans
+
+
+def _full_transport(monkeypatch, spec, s_grid, t_grid):
+    """lien_evolve with the one-period extension switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "period_gap", lambda *args: math.inf)
+        return lien_evolve(spec, s_grid, t_grid)
+
+
+@pytest.mark.parametrize("mu, start, t_grid", [
+    (MU_STAR, 0.0, KKSH_T),       # the README grid [0, 2 rho]
+    (0.6, -0.5, [0.0, 0.3]),      # the --wings grid [-rho/2, 3 rho/2]
+])
+def test_one_period_extension_matches_the_full_transport(monkeypatch, mu, start, t_grid):
+    """Phi+- and F+- from one transported period and powers of its
+    monodromy (the adjugate for the wings' negative powers) against the
+    transport of the whole grid; DOP853 confirms the one period only."""
+    spec = kksh(mu)
+    rho = spec.s_period
+    s_grid = np.linspace(start * rho, (start + 2.0) * rho, 257)
+    spans = _confirm_spans(monkeypatch)
+    ev = lien_evolve(spec, s_grid, t_grid)
+    assert spans == [(0.0, rho)]
+    full = _full_transport(monkeypatch, spec, s_grid, t_grid)
+    assert spans[1] == (0.0, float(s_grid[-1]))
+    for fast, ref in zip(ev.s_paths + ev.paths, full.s_paths + full.paths):
+        assert rel_err(fast.F, ref.F) <= 1e-10
+        assert (fast.kappa == ref.kappa).all()
+
+
+@pytest.mark.parametrize("spec", [
+    KkshSpec.with_quantum_numbers(0.92, 5, 1, 2.0),   # periodic only to 1.6e-6
+    KkshSpec(0.6, 0.01, 2.0),                         # no (m, n) constraint
+], ids=["5,1-at-0.92", "unquantized"])
+def test_aperiodic_bendings_keep_the_full_transport(monkeypatch, spec):
+    """A period gap above integrator_rel_tol on the gate's probes: the whole
+    grid is transported and confirmed at its far end, exactly as with the
+    extension switched off."""
+    rho = spec.s_period
+    s_grid = np.linspace(0.0, 2.0 * rho, 65)
+    s_probe = np.linspace(0.0, 2.0 * rho, evolve.GATE_PROBES)
+    t_probe = np.linspace(0.0, KKSH_T[-1], 6)
+    assert evolve.period_gap(spec, s_probe, t_probe, rho) > DEFAULT.integrator_rel_tol
+    spans = _confirm_spans(monkeypatch)
+    ev = lien_evolve(spec, s_grid, KKSH_T)
+    full = _full_transport(monkeypatch, spec, s_grid, KKSH_T)
+    assert spans == [(0.0, 2.0 * rho)] * 2
+    for path, ref in zip(ev.s_paths + ev.paths, full.s_paths + full.paths):
+        assert np.array_equal(path.F, ref.F)
+
+
+def test_extension_over_many_periods_raises_on_overflow():
+    """M+ is hyperbolic (trace 64 at mu*), so its powers over 200 periods
+    are past the float range: NumericFailure, as the transport of the whole
+    grid gives, not inf or NaN frames."""
+    spec = kksh()
+    with pytest.raises(NumericFailure, match="s-frames overflow"):
+        lien_evolve(spec, np.linspace(0.0, 200.0 * spec.s_period, 2001), [0.0])
+
+
+def test_confirmation_gate_rejects_a_wrong_monodromy(monkeypatch):
+    """The extension's M = Phi(rho) off by 1e-6: every extended sample
+    inherits it, and the one-period confirmation must catch it."""
+    s_frames = evolve._s_frames
+
+    def off_at_rho(*args):
+        F = s_frames(*args)
+        F[:, :, -1] *= 1.0 + 1e-6
+        return F
+
+    monkeypatch.setattr(evolve, "_s_frames", off_at_rho)
+    spec = kksh()
+    rho = spec.s_period
+    with pytest.raises(NumericFailure, match="DOP853"):
+        lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 257), [0.0, 0.1])
 
 
 def test_monodromy_drift_at_the_largest_kksh_time():
