@@ -210,12 +210,10 @@ class KkshSpec:
         if self.m is not None:
             if math.gcd(self.m, self.n) != 1:
                 raise UsageError("quantum numbers must be coprime")
-            Kmu, _ = complete_elliptic(self.mu)
-            Ktau, _ = complete_elliptic(self.tau)
-            gap = abs(self.mu ** 0.25 * self.m * Kmu - self.tau ** 0.25 * self.n * Ktau)
+            g_tau = g_of(self.tau)
+            gap = abs(self.m * g_of(self.mu) - self.n * g_tau)
             # tau is known to its rounding: near tau = 1 one ulp of tau moves
             # n g(tau) by more than 1e-8 (by 9e-7 at 1 - tau = 6e-11)
-            g_tau = self.tau ** 0.25 * Ktau
             ulp_step = self.n * abs(g_of(math.nextafter(self.tau, 0.0)) - g_tau)
             if gap > max(1e-8, 4.0 * ulp_step):
                 raise UsageError(f"(m, n) periodicity constraint violated by {gap:.2e}")
@@ -249,7 +247,8 @@ class KkshSpec:
 
     @cached_property
     def s_period(self) -> float:
-        """Least s-period of kappa: 4 m K(mu) / h."""
+        """Least s-period 4 m K(mu) / h of kappa; without (m, n), the plus
+        wave's 4 K(mu) / h, not kappa's (KkshSpec(0.6, 0.01, 2.0): gap 1.99)."""
         m = self.m if self.m is not None else 1
         K, _ = complete_elliptic(self.mu)
         return 4.0 * m * K / self.h

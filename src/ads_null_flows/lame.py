@@ -10,12 +10,12 @@ The fundamental matrix, arranged as
 transports by left multiplication over the potential period:
 delta(s + 2K) = M delta(s) with monodromy M = delta(2K).  The potential is
 even, so delta(-s) = S delta(s) S with S = diag(1, -1), and the half period
-fixes M = Q S Q^{-1} S with Q = delta(K) (the parity of Hill's equation
-with an even potential; Eastham, The Spectral Theory of Periodic
-Differential Equations, 1973).  An eigenvalue h is in the Floquet spectrum
-when M has finite order; its characteristic exponent q in [0,1] is the
-eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).  For a
-reduced q = p/d the order follows from q alone: M has eigenvalues
+fixes M = Q S Q^{-1} S with Q = delta(K) (parity_monodromy; the parity of
+Hill's equation with an even potential; Eastham, The Spectral Theory of
+Periodic Differential Equations, 1973).  An eigenvalue h is in the Floquet
+spectrum when M has finite order; its characteristic exponent q in [0,1]
+is the eigenvalue phase over pi, i.e. tau(h) := tr M / 2 = cos(q pi).  For
+a reduced q = p/d the order follows from q alone: M has eigenvalues
 exp(+-i pi q), so M^n = Id first at n = d for even p and n = 2d for odd p
 (1 and 2 at the coexistence points q = 0, 1, where M = +-Id).
 
@@ -52,17 +52,18 @@ through the two local Heun functions
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
 
 which equal (cl, sl) on the closed base cell [-K, K] and extend to the line
-by delta(s) = M^p delta~(s - 2pK), with M = Q+ Q-^{-1} from the matrices
-Q+- = delta~(+-K).  These are exact: near z = sn^2 = 1 each Hl is the
+by Floquet's rule delta(s) = M^p delta~(s - 2pK) (transport.floquet_extend),
+with M from Q+ = delta~(K) by the same parity rule as the ODE route
+(parity_monodromy).  Q+ is exact: near z = sn^2 = 1 each Hl is the
 Frobenius pair at z = 1, Hl = A u0(cn^2) + B cn u1(cn^2) (specfun.heun), so
 Hl = A and d Hl/ds = -B dn at s = K, where dn = sqrt(1 - mu):
 
     cl~(K) = A1 sqrt(1 - mu),  cl~'(K) = -B1 (1 - mu),
-    sl~(K) = A2 sqrt(1 - mu),  sl~'(K) = -B2 (1 - mu),
+    sl~(K) = A2 sqrt(1 - mu),  sl~'(K) = -B2 (1 - mu).
 
-and Q- = S Q+ S, S = diag(1, -1), by parity.  A path is one array
-evaluation: the Taylor panels for sn^2 <= z_match, the pair at z = 1 with
-cn itself beyond (so no derivative divides by cn), then M^p per period.
+A path is one array evaluation: the Taylor panels for sn^2 <= z_match, the
+pair at z = 1 with cn itself beyond (so no derivative divides by cn), then
+M^p per period.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .config import DEFAULT, NumericFailure, RunConfig, UsageError
 from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
-from .transport import EPS, transport
+from .transport import EPS, floquet_extend, transport
 
 
 @dataclass
@@ -137,14 +138,20 @@ def _check_h(h: float) -> float:
     return h
 
 
-def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:
-    """delta(2K(mu)), the ODE oracle of floquet_search's gate, from the
-    half-period frame Q = delta(K) = [[a, b], [c, d]] by DOP853 on [0, K].
+def parity_monodromy(Q: np.ndarray) -> np.ndarray:
+    """M = delta(2K) = delta(K) delta(-K)^{-1} = Q S Q^{-1} S from Q =
+    delta(K) = [[a, b], [c, d]], by delta(-s) = S delta(s) S (S = diag(1, -1),
+    the potential is even); with the adjugate for Q^{-1}, [[ad + bc, 2ab],
+    [2cd, ad + bc]], of determinant (ad - bc)^2."""
+    (a, b), (c, d) = Q
+    tau = a * d + b * c
+    return np.array([[tau, 2.0 * a * b], [2.0 * c * d, tau]])
 
-    The potential is even, so delta(-s) = S delta(s) S with S = diag(1, -1),
-    and M = delta(K) delta(-K)^{-1} = Q S Q^{-1} S.  With the adjugate for
-    Q^{-1} this is [[ad + bc, 2ab], [2cd, ad + bc]], whose determinant
-    (ad - bc)^2 keeps the integration's drift for the check below."""
+
+def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:
+    """delta(2K(mu)), the ODE oracle of floquet_search's gate, by parity
+    from Q = delta(K), integrated by DOP853 on [0, K]; det M = (det Q)^2
+    keeps the integration's drift for the check below."""
     mu = _check_mu(mu)
     h = _check_h(h)
     K, _ = complete_elliptic(mu)
@@ -154,9 +161,7 @@ def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarr
                     atol=config.integrator_abs_tol)
     if not sol.success:
         raise NumericFailure(f"Lame integration failed: {sol.message}")
-    a, b, c, d = sol.y[:4, -1].tolist()
-    tau = a * d + b * c
-    M = np.array([[tau, 2.0 * a * b], [2.0 * c * d, tau]])
+    M = parity_monodromy(sol.y[:4, -1].reshape(2, 2))
     det = float(np.linalg.det(M))
     if abs(det - 1.0) > 1e-10:
         raise NumericFailure(f"monodromy determinant drift {det - 1.0:.2e}")
@@ -268,14 +273,7 @@ class HeunLameEvaluator:
         # at s = K: Hl = A, d Hl/ds = -B dn, and dn = sqrt(1 - mu), dn' = 0
         m1 = 1.0 - mu
         self.Q_plus = np.array([[hl.A * math.sqrt(m1), -hl.B * m1] for hl in self._hl])
-        self.Q_minus = self._reflect(self.Q_plus)
-        self.monodromy = self.Q_plus @ np.linalg.inv(self.Q_minus)
-
-    @staticmethod
-    def _reflect(Q: np.ndarray) -> np.ndarray:
-        """Parity: cl~ even, sl~ odd gives Q- = S Q+ S with S = diag(1,-1)."""
-        S = np.diag([1.0, -1.0])
-        return S @ Q @ S
+        self.monodromy = parity_monodromy(self.Q_plus)
 
     def _heun(self, hl: HeunEvaluator, sn, cn, dn):
         """(Hl(sn^2), d Hl/ds) on the closed base cell.  Past z_match the
@@ -302,8 +300,4 @@ class HeunLameEvaluator:
         out[:, 0, 1] = f1s * dn + f1 * dnp
         out[:, 1, 0] = f2 * dn * sn
         out[:, 1, 1] = (f2s * sn + f2 * cn * dn) * dn + f2 * dnp * sn
-        ps, cell = np.unique(p, return_inverse=True)
-        M_inv = np.linalg.inv(self.monodromy)
-        Mp = np.array([np.linalg.matrix_power(self.monodromy if k >= 0 else M_inv, abs(int(k)))
-                       for k in ps])
-        return (Mp[cell] @ out).reshape(shape + (2, 2))
+        return floquet_extend(self.monodromy, out, p).reshape(shape + (2, 2))

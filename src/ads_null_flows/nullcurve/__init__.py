@@ -7,6 +7,7 @@ from .frames import (
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
+    expm_offdiag,
     integrate_spinor_frames,
     proper_time_checks,
 )
@@ -18,7 +19,6 @@ from .classify import (
 )
 from .stationary import (
     evolve_stationary_path,
-    expm_offdiag,
     stationary_curve,
     stationary_momenta,
 )

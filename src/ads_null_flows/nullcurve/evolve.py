@@ -30,21 +30,21 @@ never renormalized, and the panel counts follow integrator_rel_tol.
 A bending with an s_period rho (every KKSH family and stationary bending)
 makes the s-frames obey Floquet's rule Phi(r + k rho) = M^k Phi(r), M =
 Phi(rho), since Phi(0) = Id.  When the s-grid spans more than one period
-and the bending is rho-periodic within integrator_rel_tol on the gate's
-probes (period_gap; a quantized family meets its constraint only to a gap),
-_s_frames transports one period, to the grid's remainders r in [0, rho)
-and to rho, and every other sample is M^k Phi(r), a negative k through the
-adjugate.  Otherwise the whole grid is transported.  The s-frames are
-confirmed once per lien_evolve by DOP853: the t = 0 s-system from Id at s =
-0 to rho (M) on the one-period path, else to the far end of the s-grid,
-must match them within tol_metric, or within CONFIRM_SLACK times
-integrator_rel_tol when that is looser (DOP853's own global error).  A
-bending that fails the KdV gate, a transport past its panel cap and a
-missed confirmation each raise NumericFailure.  The bending is
-s-periodic, so the monodromies (SpinorFramePath.monodromy) of F+- are
-conserved in t, and those of the s-frames Phi+-, which LienEvolution keeps
-too, are conjugate to them: the trace drift reads them off Phi+- with no
-second transport.
+and the bending is rho-periodic on the gate's probes (period_gap; a
+quantized family meets its constraint only to a gap) within
+integrator_rel_tol or, when larger, the rounding of kappa (_periodic),
+_s_frames transports one period, to the grid's remainders r in [0, rho) and
+to rho, and every other sample is M^k Phi(r) (floquet_extend).  Otherwise
+the whole grid is transported.  The s-frames are confirmed once per
+lien_evolve by DOP853: the t = 0 s-system from Id at s = 0 to rho (M) on
+the one-period path, else to the far end of the s-grid, must match them
+within tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when
+that is looser (DOP853's own global error).  A bending that fails the KdV
+gate, a transport past its panel cap and a missed confirmation each raise
+NumericFailure.  The bending is s-periodic, so the monodromies
+(SpinorFramePath.monodromy) of F+- are conserved in t, and those of the
+s-frames Phi+-, which LienEvolution keeps too, are conjugate to them: the
+trace drift reads them off Phi+- with no second transport.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..specfun.series import Series
-from ..transport import EPS, transport
-from .frames import LAMBDA, SpinorFramePath, _frames_rhs, _sl2_inverse
+from ..transport import EPS, floquet_extend, transport
+from .frames import LAMBDA, SpinorFramePath, _frames_rhs
 
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
@@ -116,6 +116,19 @@ def period_gap(sampler: BendingSampler, s_probes, t_probes, rho: float) -> float
     return float(np.abs(k[1] - k[0]).max() / np.abs(k).max())
 
 
+def _periodic(sampler: BendingSampler, s_probes, t_probes, rho: float, rel_tol: float):
+    """Whether period_gap is within rel_tol or, when larger, within the
+    rounding of kappa at s and at s + rho: twice EPS (max |t kappa_t| +
+    max |(|s| + rho) kappa_s|) / max |kappa| over the probe grid."""
+    gap = period_gap(sampler, s_probes, t_probes, rho)
+    if gap <= rel_tol:
+        return True
+    s, t = np.meshgrid(s_probes, t_probes)
+    k0, k1 = sampler.kappa_jet(s, t, order=1)
+    reach = np.abs(t * sampler.kappa_t(s, t)).max() + np.abs((np.abs(s) + rho) * k1).max()
+    return gap <= 2.0 * EPS * float(reach / np.abs(k0).max())
+
+
 @dataclass
 class LienEvolution:
     t_grid: np.ndarray
@@ -155,21 +168,13 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     samplers = [sampler] * len(t_grid)
     rho = getattr(sampler, "s_period", None)
     if rho is not None and s_grid.max() - s_grid.min() > rho and \
-            period_gap(sampler, s_probe, t_probe, rho) <= config.integrator_rel_tol:
+            _periodic(sampler, s_probe, t_probe, rho, config.integrator_rel_tol):
         # one period, then Phi(r + k rho) = M^k Phi(r) with M = Phi(rho)
         k, r = np.divmod(s_grid, rho)
         x, at = np.unique(r, return_inverse=True)
         Phi = _s_frames(samplers, 1.0, t_grid, np.append(x, rho), config)
         M = Phi[:, :, -1]
-        Phi = Phi[:, :, at]
-        # a hyperbolic M overflows over many periods, as the transport would
-        with np.errstate(over="ignore", invalid="ignore"):
-            for power in np.unique(k[k != 0]).astype(int):
-                sel = k == power
-                Mk = np.linalg.matrix_power(M if power > 0 else _sl2_inverse(M), abs(power))
-                Phi[:, :, sel] = Mk[:, :, None] @ Phi[:, :, sel]
-        if not np.isfinite(Phi).all():
-            raise NumericFailure(f"s-frames overflow over {int(np.abs(k).max())} periods")
+        Phi = floquet_extend(M, Phi[:, :, at], k)
         s_end, Phi_end = rho, M[:, 0]
     else:
         Phi = _s_frames(samplers, 1.0, t_grid, s_grid, config)

@@ -22,6 +22,9 @@ kappa = -<gamma''', gamma'''>/16 (the oracle below, used for validation).
 Every frame path holds both factors as one stack F of shape (2, n, 2, 2):
 F[0] = F+ and F[1] = F-, the factors at the spectral parameters LAMBDA =
 (+1, -1) in that order, the order of the transport kernel's factor axis.
+F-^{-1} is the adjugate (transport.sl2_inverse).  A constant generator
+[[0, b], [c, 0]] integrates in closed form, expm_offdiag: the frames of
+constant bending, and the rigid motions of the stationary curves.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
-from ..transport import EPS
+from ..transport import EPS, sl2_inverse
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as the factor axis
 
@@ -48,15 +51,6 @@ def ads_inner(X: np.ndarray, Y: np.ndarray):
                   - X[..., 0, 0] * Y[..., 1, 1] - X[..., 1, 1] * Y[..., 0, 0])
 
 
-def _sl2_inverse(F: np.ndarray) -> np.ndarray:
-    """The inverse of unimodular frames (..., 2, 2), their adjugate: defined
-    however large F grows, where an LU inverse loses det F = 1 to
-    cancellation (at |F| ~ 1e10 the float det is 0 and np.linalg.inv
-    raises)."""
-    return np.stack([np.stack([F[..., 1, 1], -F[..., 0, 1]], -1),
-                     np.stack([-F[..., 1, 0], F[..., 0, 0]], -1)], -2)
-
-
 @dataclass
 class SpinorFramePath:
     s_grid: np.ndarray
@@ -67,7 +61,7 @@ class SpinorFramePath:
         """F+ F-^{-1} at every sample.  Entries beyond the float range come
         out inf or nan, without a warning; a caller that exports checks."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.F[0] @ _sl2_inverse(self.F[1])
+            return self.F[0] @ sl2_inverse(self.F[1])
 
     def period_index(self, rho: float) -> int:
         """The index of the sample at s0 + rho, s0 = s_grid[0]; ValueError
@@ -81,7 +75,7 @@ class SpinorFramePath:
     def monodromy(self, rho: float) -> np.ndarray:
         """The stack (2, 2, 2) of M+- = F+-(s0 + rho) F+-(s0)^{-1}, F+- at s0
         inverted by its adjugate."""
-        return self.F[:, self.period_index(rho)] @ _sl2_inverse(self.F[:, 0])
+        return self.F[:, self.period_index(rho)] @ sl2_inverse(self.F[:, 0])
 
 
 def _frames_rhs(k, y):
@@ -150,39 +144,37 @@ def proper_time_checks(gamma: np.ndarray, ds: float):
 
 # ----------------------------------------------------------- constant case
 
-def constant_frame_factor(k: float, s):
-    """exp(s [[0, k], [1, 0]]): trigonometric for k < 0, unipotent for k = 0,
-    hyperbolic for k > 0.  s may be an array."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty(s.shape + (2, 2))
-    if k < 0.0:
-        w = math.sqrt(-k)
-        c, sn = np.cos(w * s), np.sin(w * s)
-        out[..., 0, 0] = c
-        out[..., 0, 1] = -w * sn
-        out[..., 1, 0] = sn / w
-        out[..., 1, 1] = c
-    elif k == 0.0:
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = 0.0
-        out[..., 1, 0] = s
-        out[..., 1, 1] = 1.0
+def expm_offdiag(X: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(t X) of X = [[0, b], [c, 0]], elementwise over an array t (shape
+    t.shape + (2, 2)): X^2 = bc Id, so exp(t X) = C Id + S X with (C, S) =
+    (cos w t, sin(w t) / w) for bc = -w^2 < 0, (1, t) for bc = 0 and
+    (cosh w t, sinh(w t) / w) for bc = w^2 > 0.  Beyond w t ~ 710 the last
+    is inf; a curve's export rejects it."""
+    b, c = float(X[0, 1]), float(X[1, 0])
+    p = b * c
+    t = np.asarray(t, dtype=float)
+    if p < 0.0:
+        w = math.sqrt(-p)
+        C, S = np.cos(w * t), np.sin(w * t) / w
+    elif p == 0.0:
+        C, S = np.ones_like(t), t
     else:
-        # beyond w s ~ 710 the factor is inf; the curve's export rejects it
-        w = math.sqrt(k)
+        w = math.sqrt(p)
         with np.errstate(over="ignore"):
-            c, sh = np.cosh(w * s), np.sinh(w * s)
-        out[..., 0, 0] = c
-        out[..., 0, 1] = w * sh
-        out[..., 1, 0] = sh / w
-        out[..., 1, 1] = c
+            C, S = np.cosh(w * t), np.sinh(w * t) / w
+    out = np.empty(t.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = C
+    out[..., 0, 1] = S * b
+    out[..., 1, 0] = S * c
     return out
 
 
 def constant_bending_frames(kappa0: float, s):
-    """The stack (F+, F-) of closed forms for constant bending; case
-    boundaries at kappa0 = -1 (F+ unipotent) and kappa0 = +1 (F- unipotent)."""
-    return np.stack([constant_frame_factor(kappa0 + lam, s) for lam in LAMBDA[:, 0]])
+    """The stack (F+, F-) of closed forms exp(s [[0, kappa0 +- 1], [1, 0]])
+    for constant bending; case boundaries at kappa0 = -1 (F+ unipotent) and
+    kappa0 = +1 (F- unipotent)."""
+    return np.stack([expm_offdiag(np.array([[0.0, kappa0 + lam], [1.0, 0.0]]), s)
+                     for lam in LAMBDA[:, 0]])
 
 
 def constant_bending_path(kappa0: float, s_grid) -> SpinorFramePath:

@@ -31,7 +31,7 @@ import numpy as np
 from ..config import DEFAULT, RunConfig
 from ..kdvsol import StationaryBending
 from ..lame import HeunLameEvaluator, fundamental_ode
-from .frames import SpinorFramePath
+from .frames import SpinorFramePath, expm_offdiag
 
 
 def stationary_momenta(spec: StationaryBending) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -47,20 +47,6 @@ def stationary_momenta(spec: StationaryBending) -> Tuple[np.ndarray, np.ndarray,
         ])
 
     return mk(spec.h_plus), mk(spec.h_minus), spec.ell
-
-
-def expm_offdiag(X: np.ndarray) -> np.ndarray:
-    """exp of [[0, b], [c, 0]]: X^2 = bc Id, so the exponential closes in
-    cosh/cos of sqrt(|bc|)."""
-    b, c = float(X[0, 1]), float(X[1, 0])
-    p = b * c
-    if p > 0.0:
-        w = math.sqrt(p)
-        return math.cosh(w) * np.eye(2) + (math.sinh(w) / w) * X
-    if p < 0.0:
-        w = math.sqrt(-p)
-        return math.cos(w) * np.eye(2) + (math.sin(w) / w) * X
-    return np.eye(2) + X
 
 
 def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,

@@ -3,11 +3,11 @@
 Series(c) stands for sum_k c[k] dx^k over k < len(c), where c[k] are arrays
 of one shape: one series per element, so a whole set of expansion points
 is one object.  The arithmetic is what the closed-form jets of kdvsol use
-on floats and arrays: + - * /, integer powers, the reciprocal and d/dx,
-with a float or an ndarray broadcast against the coefficient shape as a
-constant series.  So a formula written for floats runs unchanged on a
-Series and yields the Taylor coefficients of its value; jacobi_sncndn
-accepts a linear Series argument x0 + w dx.
+on floats and arrays: + - *, division by a constant and of a constant, the
+reciprocal and d/dx, with a float or an ndarray broadcast against the
+coefficient shape as a constant series.  So a formula written for floats
+runs unchanged on a Series and yields the Taylor coefficients of its value;
+jacobi_sncndn accepts a linear Series argument x0 + w dx.
 
 A product is the Cauchy product truncated at len(c) terms, one einsum over
 a Toeplitz view of one factor; the reciprocal takes one coefficient at a
@@ -127,17 +127,7 @@ class Series:
         return Series(r)
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.reciprocal()
         return self * (1.0 / np.asarray(other, dtype=float))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("a Series takes positive integer powers only")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out

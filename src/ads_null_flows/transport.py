@@ -44,6 +44,9 @@ PANEL_MARGIN (at least a doubling), and every later miss doubles.  A level
 whose panels outrun the radius overflows without a warning and counts as
 a miss.  A level of more than MAX_PANELS panels raises NumericFailure
 before it is swept, and so does a non-finite generator coefficient.
+
+Frames of a rho-periodic generator extend by Floquet's rule, F(r + k rho)
+= M^k F(r) (floquet_extend; lame and nullcurve both use it).
 """
 
 from __future__ import annotations
@@ -70,6 +73,34 @@ def _mul(x, y):
     p0, q0, r0, s0 = x
     p1, q1, r1, s1 = y
     return (p0 * p1 + q0 * r1, p0 * q1 + q0 * s1, r0 * p1 + s0 * r1, r0 * q1 + s0 * s1)
+
+
+def sl2_inverse(F: np.ndarray) -> np.ndarray:
+    """The inverse of unimodular frames (..., 2, 2), their adjugate: defined
+    however large F grows, where an LU inverse loses det F = 1 to
+    cancellation (at |F| ~ 1e10 the float det is 0 and an LU inverse
+    raises)."""
+    return np.stack([np.stack([F[..., 1, 1], -F[..., 0, 1]], -1),
+                     np.stack([-F[..., 1, 0], F[..., 0, 0]], -1)], -2)
+
+
+def floquet_extend(M: np.ndarray, F: np.ndarray, k) -> np.ndarray:
+    """M^k F per sample, Floquet's rule F(r + k rho) = M^k F(r): F
+    (..., n, 2, 2) the frames at the remainders, M (..., 2, 2) the
+    monodromy, k (n,) the integer period counts, a negative power through
+    the adjugate.  A hyperbolic M overflows over many periods, as a
+    transport of the whole grid would: NumericFailure, not inf or NaN
+    frames."""
+    k = np.asarray(k).astype(np.int64)
+    out = np.array(F, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for power in np.unique(k[k != 0]):
+            sel = k == power
+            Mk = np.linalg.matrix_power(M if power > 0 else sl2_inverse(M), abs(int(power)))
+            out[..., sel, :, :] = Mk[..., None, :, :] @ out[..., sel, :, :]
+    if not np.isfinite(out).all():
+        raise NumericFailure(f"s-frames overflow over {int(np.abs(k).max())} periods")
+    return out
 
 
 def _prefix(E):

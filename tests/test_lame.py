@@ -67,6 +67,18 @@ def test_half_period_monodromy_matches_full_period(mu):
         assert M[0, 0] == M[1, 1]
 
 
+def test_parity_monodromy_is_q_s_q_inverse_s():
+    """[[ad + bc, 2ab], [2cd, ad + bc]] is Q S Q^{-1} S, S = diag(1, -1), for
+    a unimodular Q, and its determinant is (det Q)^2 for any Q."""
+    S = np.diag([1.0, -1.0])
+    Q = np.array([[1.5, -0.3], [2.0, 0.26]])          # det 0.99
+    M = lame.parity_monodromy(Q)
+    assert abs(np.linalg.det(M) - np.linalg.det(Q) ** 2) <= 1e-14
+    Q = Q / math.sqrt(np.linalg.det(Q))
+    ref = Q @ S @ np.linalg.inv(Q) @ S
+    assert np.abs(lame.parity_monodromy(Q) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
 def test_non_finite_h_is_a_usage_error(h):
     """A non-finite h fails fast as invalid input, before DOP853 (which would

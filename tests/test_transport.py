@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from ads_null_flows import lame
 from ads_null_flows import transport as kernel
 from ads_null_flows.cli import main
-from ads_null_flows.config import DEFAULT, NumericFailure
+from ads_null_flows.config import DEFAULT, NumericFailure, RunConfig
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
     evolve,
@@ -472,6 +472,55 @@ def test_extension_over_many_periods_raises_on_overflow():
     spec = kksh()
     with pytest.raises(NumericFailure, match="s-frames overflow"):
         lien_evolve(spec, np.linspace(0.0, 200.0 * spec.s_period, 2001), [0.0])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-14])
+def test_tight_tolerances_keep_the_one_period_route(monkeypatch, rel_tol):
+    """Below the README grid's period gap (about 1.8e-13, the rounding of
+    kappa at its arguments) the one-period route stays: its floor, twice
+    that rounding, is about 8e-13, and DOP853 confirms (0, rho) once."""
+    spec = kksh()
+    rho = spec.s_period
+    s_probe = np.linspace(0.0, 2.0 * rho, evolve.GATE_PROBES)
+    t_probe = np.linspace(0.0, KKSH_T[-1], 6)
+    assert evolve.period_gap(spec, s_probe, t_probe, rho) > rel_tol
+    spans = _confirm_spans(monkeypatch)
+    lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 257), KKSH_T,
+                RunConfig(integrator_rel_tol=rel_tol))
+    assert spans == [(0.0, rho)]
+
+
+@pytest.mark.parametrize("spec", [
+    KkshSpec.with_quantum_numbers(0.92, 5, 1, 2.0),
+    KkshSpec(0.6, 0.01, 2.0),
+], ids=["5,1-at-0.92", "unquantized"])
+def test_the_rounding_floor_admits_no_aperiodic_bending(monkeypatch, spec):
+    """At integrator_rel_tol 1e-14 the gaps 1.6e-6 and 1.99 stay far above
+    the rounding floor: the whole grid is transported and confirmed."""
+    rho = spec.s_period
+    spans = _confirm_spans(monkeypatch)
+    lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 65), [0.0, 0.3],
+                RunConfig(integrator_rel_tol=1e-14))
+    assert spans == [(0.0, 2.0 * rho)]
+
+
+def test_floquet_extension():
+    """floquet_extend on a hyperbolic, an elliptic and a parabolic
+    monodromy: k = 0 leaves a frame as it is, a negative k agrees with the
+    powers of the LU inverse, and powers past the float range raise."""
+    M = np.array([[[2.0, 1.0], [1.0, 1.0]], [[0.5, -1.0], [0.75, 0.5]],
+                  [[1.0, 1.0], [0.0, 1.0]]])          # det 1 each
+    F = np.random.default_rng(5).normal(size=(3, 7, 2, 2))
+    k = np.array([0, 1, -1, 3, -4, 0, 2])
+    out = kernel.floquet_extend(M, F, k)
+    assert np.array_equal(out[:, k == 0], F[:, k == 0])
+    for i in range(3):
+        for j, power in enumerate(k):
+            base = M[i] if power >= 0 else np.linalg.inv(M[i])
+            want = np.linalg.matrix_power(base, abs(power)) @ F[i, j]
+            assert np.abs(out[i, j] - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(NumericFailure, match="s-frames overflow over 2000 periods"):
+        kernel.floquet_extend(M[0], F[0, :2], [0, -2000])
 
 
 def test_confirmation_gate_rejects_a_wrong_monodromy(monkeypatch):
