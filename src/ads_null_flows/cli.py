@@ -35,6 +35,7 @@ from .lame import floquet_search
 from .nullcurve import (
     SpinorFramePath,
     bending_oracle,
+    classify_monodromies,
     classify_orbit,
     closed_constant,
     constant_bending_path,
@@ -332,9 +333,9 @@ def cmd_kksh(args, config: RunConfig) -> int:
     print(f"KdV gate residual {fnum(ev.gate_residual, 3)} (tolerance {KDV_GATE:.0e})")
     # the trace drift is conjugation-invariant and stable; the raw matrix
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
-    dp, dm = monodromy_trace_drift(ev, rho)
+    dp, dm = monodromy_trace_drift(ev)
     meta["monodromy_trace_drift"] = [dp, dm]
-    cls = classify_orbit(ev.paths[0], rho)
+    cls = classify_monodromies(*ev.monodromies[:, 0], rho)
     meta["orbit_type"] = cls.type_pair
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
     for path, t, tag in zip(ev.paths, t_list, tags):

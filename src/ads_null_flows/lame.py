@@ -252,9 +252,9 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
 
 def fundamental_ode(mu: float, h, s_grid, config: RunConfig = DEFAULT) -> np.ndarray:
     """The (n, 2, 2) stack of delta(s) on the grid, by Taylor-panel transport
-    from delta(0) = Id along 0 -> s_grid[0] -> s_grid[1] -> ...; for a
-    sequence of h, the stacks (len(h), n, 2, 2) of one transport with the h
-    on its factor axis."""
+    from delta(0) = Id to each grid point (any order, either side of 0); for
+    a sequence of h, the stacks (len(h), n, 2, 2) of one transport with the
+    h on its factor axis."""
     mu = _check_mu(mu)
     hs = np.array([_check_h(x) for x in np.atleast_1d(h)])[:, None]
     F = transport(_lame_generator(mu, hs), 0.0, s_grid, config.integrator_rel_tol)

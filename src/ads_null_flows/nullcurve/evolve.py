@@ -27,24 +27,20 @@ and the KKSH monodromies are stacks with the factor axis first, F+ (lam =
 panel factor has det 1, so the frames are unimodular to rounding and are
 never renormalized, and the panel counts follow integrator_rel_tol.
 
-A bending with an s_period rho (every KKSH family and stationary bending)
-makes the s-frames obey Floquet's rule Phi(r + k rho) = M^k Phi(r), M =
-Phi(rho), since Phi(0) = Id.  When the s-grid spans more than one period
-and the bending is rho-periodic on the gate's probes (period_gap; a
-quantized family meets its constraint only to a gap) within
-integrator_rel_tol or, when larger, the rounding of kappa (_periodic),
-_s_frames transports one period, to the grid's remainders r in [0, rho) and
-to rho, and every other sample is M^k Phi(r) (floquet_extend).  Otherwise
-the whole grid is transported.  The s-frames are confirmed once per
-lien_evolve by DOP853: the t = 0 s-system from Id at s = 0 to rho (M) on
-the one-period path, else to the far end of the s-grid, must match them
-within tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when
-that is looser (DOP853's own global error).  A bending that fails the KdV
-gate, a transport past its panel cap and a missed confirmation each raise
-NumericFailure.  The bending is s-periodic, so the monodromies
-(SpinorFramePath.monodromy) of F+- are conserved in t, and those of the
-s-frames Phi+-, which LienEvolution keeps too, are conjugate to them: the
-trace drift reads them off Phi+- with no second transport.
+The bending has an s-period rho (every KKSH family and stationary
+bending), and Phi from Id at s = 0 is unique, so every s-frame is computed
+at its point, and Floquet's rule Phi(r + k rho) = M^k Phi(r) holds with M =
+Phi(rho).  lien_evolve's s-route is the triple (k, r, s_end) of _s_route:
+one _s_frames call transports the s-systems to r, rho and s_end, and one
+floquet_extend call gives every sample.  DOP853 confirms the t = 0
+s-system from Id at s = 0 to s_end within tol_metric, or within
+CONFIRM_SLACK times integrator_rel_tol when that is looser (DOP853's own
+global error); at s_end = rho the confirmed frame is M itself.  A bending
+that fails the KdV gate, a transport past its panel cap and a missed
+confirmation each raise NumericFailure.  The monodromies of F+-
+(SpinorFramePath.monodromy) are conserved in t, and LienEvolution keeps
+the s-monodromies Phi+-(rho, t), which are conjugate to them: the trace
+drift and the `kksh` classification read them with no second transport.
 """
 
 from __future__ import annotations
@@ -79,61 +75,61 @@ MU_STAR_XTOL = 1e-8
 
 
 class BendingSampler(Protocol):
-    """Bending with analytic s-jets and a t-derivative (for the input gate).
-    Both take scalar s and t or, elementwise, arrays of them; kappa_jet also
-    takes a Series s or t (the transport's panels).  A sampler with an
-    s_period may have its s-frames extended from one period."""
+    """Bending with analytic s-jets and a t-derivative (for the input gate),
+    periodic in s with period s_period.  Both take scalar s and t or,
+    elementwise, arrays of them; kappa_jet also takes a Series s or t (the
+    transport's panels)."""
+
+    s_period: float
 
     def kappa_jet(self, s, t=0.0, order: int = 3) -> list: ...
 
     def kappa_t(self, s, t=0.0): ...
 
 
-def kdv_gate(sampler: BendingSampler, s_probes, t_probes,
-             tol: float) -> float:
+def kdv_gate(sampler: BendingSampler, s_probes, t_probes, tol: float):
     """Max |kappa_t - 6 kappa kappa_s + kappa_sss| over the probe grid, from
     one array call of each; a NaN residual fails the gate, so a bending
-    whose jets overflow float64 fails it without warnings."""
+    whose jets overflow float64 fails it without warnings.  Returns the
+    residual and the probe mesh (s, t) with kappa, kappa_s and kappa_t on
+    it, which the period test of _s_route reuses."""
     s, t = np.meshgrid(np.asarray(s_probes, dtype=float),
                        np.asarray(t_probes, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         k0, k1, _, k3 = sampler.kappa_jet(s, t, order=3)
-        worst = float(np.abs(sampler.kappa_t(s, t) - 6.0 * k0 * k1 + k3).max())
+        kt = sampler.kappa_t(s, t)
+        worst = float(np.abs(kt - 6.0 * k0 * k1 + k3).max())
     if not worst <= tol:
         raise NumericFailure(
             f"bending violates the KdV residual gate: {worst:.3e} > {tol:.1e}")
-    return worst
+    return worst, (s, t, k0, k1, kt)
 
 
-def period_gap(sampler: BendingSampler, s_probes, t_probes, rho: float) -> float:
-    """max |kappa(s + rho, t) - kappa(s, t)| / max |kappa| over the probe
-    grid, from one array call of kappa_jet: how far the bending is from
-    rho-periodic in s (the quantization of a KKSH family meets its
-    constraint only to a gap)."""
-    s, t = np.meshgrid(np.asarray(s_probes, dtype=float),
-                       np.asarray(t_probes, dtype=float))
-    k = np.asarray(sampler.kappa_jet(np.stack([s, s + rho]), t, order=0)[0], dtype=float)
-    return float(np.abs(k[1] - k[0]).max() / np.abs(k).max())
-
-
-def _periodic(sampler: BendingSampler, s_probes, t_probes, rho: float, rel_tol: float):
-    """Whether period_gap is within rel_tol or, when larger, within the
-    rounding of kappa at s and at s + rho: twice EPS (max |t kappa_t| +
-    max |(|s| + rho) kappa_s|) / max |kappa| over the probe grid."""
-    gap = period_gap(sampler, s_probes, t_probes, rho)
-    if gap <= rel_tol:
-        return True
-    s, t = np.meshgrid(s_probes, t_probes)
-    k0, k1 = sampler.kappa_jet(s, t, order=1)
-    reach = np.abs(t * sampler.kappa_t(s, t)).max() + np.abs((np.abs(s) + rho) * k1).max()
-    return gap <= 2.0 * EPS * float(reach / np.abs(k0).max())
+def _s_route(sampler: BendingSampler, s_grid: np.ndarray, mesh, rel_tol: float):
+    """lien_evolve's s-route (k, r, s_end), s_grid = k rho + r.  If the grid
+    spans more than a period rho and max |kappa(s + rho, t) - kappa(s, t)| /
+    max |kappa| on the gate's mesh (a quantized family meets its constraint
+    only to a gap) is within rel_tol or within kappa's rounding at s and s
+    + rho, 2 EPS (max |t kappa_t| + max |(|s| + rho) kappa_s|) / max |kappa|,
+    then k, r = divmod(s_grid, rho) and s_end = rho.  Otherwise k = 0, r =
+    s_grid and s_end is its far end."""
+    rho = sampler.s_period
+    if s_grid.max() - s_grid.min() > rho:
+        s, t, k0, k1, kt = mesh
+        k = np.asarray(sampler.kappa_jet(np.stack([s, s + rho]), t, order=0)[0], dtype=float)
+        gap = np.abs(k[1] - k[0]).max() / np.abs(k).max()
+        reach = np.abs(t * kt).max() + np.abs((np.abs(s) + rho) * k1).max()
+        if gap <= max(rel_tol, 2.0 * EPS * reach / np.abs(k0).max()):
+            k, r = np.divmod(s_grid, rho)
+            return k, r, rho
+    return 0, s_grid, s_grid[0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1]
 
 
 @dataclass
 class LienEvolution:
     t_grid: np.ndarray
     paths: List[SpinorFramePath]      # F+-(s, t_j)
-    s_paths: List[SpinorFramePath]    # Phi+-(s, t_j), from Id at s = 0
+    monodromies: np.ndarray           # (2, nt, 2, 2): Phi+-(rho, t_j), from Id at s = 0
     gate_residual: float
 
     def monodromy_drift(self, rho: float) -> float:
@@ -148,8 +144,7 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     """Two-step integration of the extended frames over the (s, t) grid.
 
     t_grid must start at 0 (the normalization point F+-(0, 0) = Id) and be
-    increasing; s_grid is any grid, reached from s = 0 along
-    0 -> s_grid[0] -> s_grid[1] -> ...
+    increasing; s_grid is any grid, each of its points reached from s = 0.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -159,33 +154,23 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
 
     s_probe = np.linspace(s_grid[0], s_grid[-1], GATE_PROBES)
     t_probe = np.linspace(t_grid[0], t_grid[-1], min(GATE_PROBES, 6))
-    gate = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
+    gate, mesh = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
     # step 1: A+-(t) along s = 0
     A = transport(_t_generator(sampler), 0.0, t_grid, config.integrator_rel_tol)
 
-    # step 2: the s-systems of all t-slices, F+-(s, t) = A+-(t) Phi+-(s, t)
-    samplers = [sampler] * len(t_grid)
-    rho = getattr(sampler, "s_period", None)
-    if rho is not None and s_grid.max() - s_grid.min() > rho and \
-            _periodic(sampler, s_probe, t_probe, rho, config.integrator_rel_tol):
-        # one period, then Phi(r + k rho) = M^k Phi(r) with M = Phi(rho)
-        k, r = np.divmod(s_grid, rho)
-        x, at = np.unique(r, return_inverse=True)
-        Phi = _s_frames(samplers, 1.0, t_grid, np.append(x, rho), config)
-        M = Phi[:, :, -1]
-        Phi = floquet_extend(M, Phi[:, :, at], k)
-        s_end, Phi_end = rho, M[:, 0]
-    else:
-        Phi = _s_frames(samplers, 1.0, t_grid, s_grid, config)
-        end = 0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1
-        s_end, Phi_end = s_grid[end], Phi[:, 0, end]
+    # step 2: the s-systems of all t-slices at r, rho and s_end, then
+    # F+-(s, t) = A+-(t) M+-(t)^k Phi+-(r, t)
+    rho = sampler.s_period
+    k, r, s_end = _s_route(sampler, s_grid, mesh, config.integrator_rel_tol)
+    Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, np.append(r, [rho, s_end]), config)
+    # whenever s_end is rho, the confirmed entry is the one that serves as M
+    M = Phi[:, :, -1 if s_end == rho else -2]
+    _confirm(sampler, s_end, Phi[:, 0, -1], config)
+    F = A[:, :, None] @ floquet_extend(M, Phi[:, :, :len(r)], k)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
-    s_paths = [SpinorFramePath(s_grid, Phi[:, j], kappa[j]) for j in range(len(t_grid))]
-    _confirm(sampler, s_end, Phi_end, config)
-    paths = [SpinorFramePath(s_grid, A[:, j, None] @ p.F, p.kappa)
-             for j, p in enumerate(s_paths)]
-    return LienEvolution(t_grid, paths, s_paths, gate)
+    paths = [SpinorFramePath(s_grid, F[:, j], kappa[j]) for j in range(len(t_grid))]
+    return LienEvolution(t_grid, paths, M, gate)
 
 
 def _t_generator(sampler: BendingSampler):
@@ -202,8 +187,8 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
     """Frames (2, len(samplers), len(grid), 2, 2), the plus factor first:
     system i is the s-system K_lam = [[0, kappa + lam], [1, 0]] of
     samplers[i] at time t[i], rescaled by s = scale[i] x (generator
-    scale[i] K_lam(scale[i] x)) and transported from Id at x = 0 through
-    the grid.  scale and t are one value or one per system.  BATCH systems
+    scale[i] K_lam(scale[i] x)) and transported from Id at x = 0 to each
+    grid point.  scale and t are one value or one per system.  BATCH systems
     share a transport, each a pair of factors, and kappa_jet runs once per
     block and system."""
     n = len(samplers)
@@ -229,11 +214,9 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
 def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
              config: RunConfig) -> None:
     """One DOP853 integration of the t = 0 s-system from Id at s = 0 to
-    s_end: rho when lien_evolve extends one period by its monodromy, so
-    every other sample is exact algebra from confirmed frames, else the far
-    end of the s-grid.  Its frames there must match Phi, the stack (2, 2, 2)
-    of Phi+-(s_end), within max(tol_metric, CONFIRM_SLACK integrator_rel_tol)
-    (relative, max-norm)."""
+    s_end (see _s_route).  Its frames there must match Phi, the stack
+    (2, 2, 2) of Phi+-(s_end), within max(tol_metric, CONFIRM_SLACK
+    integrator_rel_tol) (relative, max-norm)."""
     if s_end == 0.0:
         return
 
@@ -261,12 +244,12 @@ def kksh_frames_t0(specs, config: RunConfig = DEFAULT):
     return _s_frames(specs, [spec.s_period for spec in specs], 0.0, [1.0], config)[:, :, 0]
 
 
-def monodromy_trace_drift(ev: LienEvolution, rho: float):
+def monodromy_trace_drift(ev: LienEvolution):
     """(max |tr M+(t) - tr M+(0)|, same for the minus factor) over ev's
-    t-grid, with no transport: M from ev's s-frames Phi+-, whose traces are
-    those of F+- and stay well-conditioned however large A+-(t) grows."""
-    M = np.stack([path.monodromy(rho) for path in ev.s_paths], axis=1)
-    tr = np.trace(M, axis1=-2, axis2=-1)
+    t-grid, with no transport: the traces of ev's s-monodromies Phi+-(rho,
+    t), which are those of the monodromies of F+- and stay well-conditioned
+    however large A+-(t) grows."""
+    tr = np.trace(ev.monodromies, axis1=-2, axis2=-1)
     drift_p, drift_m = np.abs(tr - tr[:, :1]).max(axis=1)
     return float(drift_p), float(drift_m)
 

@@ -4,18 +4,20 @@ solved by its Taylor series (Jorba & Zou, Exp. Math. 14 (2005) 99).
 transport returns the frames at the grid points from F(x0) = Id to a
 relative accuracy.
 
-The path x0 -> grid[0] -> grid[1] -> ... may run in any order.  Each of its
-monotone runs is split into equal panels, wherever the grid points fall.
-The generator is called once per block of PANEL_BLOCK panels, on a
-specfun.series.Series x = c + dx over the panel centres c, and returns the
-entries (a, b, c) of A = [[a, b], [c, -a]] as Series (or constants): the
-first TERMS - 1 Taylor coefficients A_k of A(c + dx), each broadcastable
-to (factors, panels).  Several frame systems integrated over one grid
-ride along as a leading factor axis: the two spectral parameters +-1, the
-s-systems of several t-slices or KKSH specs, the Lame systems of h+ and
-h-.  They share one panel ladder, and an entry that is constant along an
-axis keeps that axis of length 1.  From Phi_0 = Id the frame series about
-c follows by
+The frame at a point does not depend on the path to it, so the grid may
+come in any order and repeat points.  The points left of x0 are one side,
+the others (with those at x0, unless no point lies right of x0) the second;
+each side is one monotone run from x0 to its farthest point, split into
+equal panels wherever the points fall.  The generator is called once per
+block of PANEL_BLOCK panels, on a specfun.series.Series x = c + dx over the
+panel centres c, and returns the entries (a, b, c) of A = [[a, b], [c, -a]]
+as Series (or constants): the first TERMS - 1 Taylor coefficients A_k of
+A(c + dx), each broadcastable to (factors, panels).  Several frame systems
+integrated over one grid ride along as a leading factor axis: the two
+spectral parameters +-1, the s-systems of several t-slices or KKSH specs,
+the Lame systems of h+ and h-.  They share the panels of each side, and an
+entry that is constant along an axis keeps that axis of length 1.  From
+Phi_0 = Id the frame series about c follows by
 
     (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i}.
 
@@ -36,14 +38,15 @@ max-norm per sample).  A level is accepted once that estimate is within
 rel_tol or within the rounding floor sqrt(panels) times the rounding unit:
 a tolerance below the rounding is met at the rounding.  The radius of a
 panel comes from a root test, 1 / max |Phi_k|^(1/k) over the last
-ROOT_TERMS coefficients.  The first level has FIRST_PANELS panels, shared
-among the runs in proportion to their lengths; if it misses, each run
-takes the panel count at which (w / rho)^TERMS meets the target (rel_tol
-or the floor) for the smallest radius rho of its panels, times
-PANEL_MARGIN (at least a doubling), and every later miss doubles.  A level
-whose panels outrun the radius overflows without a warning and counts as
-a miss.  A level of more than MAX_PANELS panels raises NumericFailure
-before it is swept, and so does a non-finite generator coefficient.
+ROOT_TERMS coefficients.  Each side climbs its own ladder of levels.  Its
+first level takes its share of FIRST_PANELS panels, in proportion to its
+length; if it misses, the side takes the panel count at which
+(w / rho)^TERMS meets the target (rel_tol or the floor) for the smallest
+radius rho of its panels, times PANEL_MARGIN (at least a doubling), and
+every later miss doubles.  A level whose panels outrun the radius
+overflows without a warning and counts as a miss.  A level of more than
+MAX_PANELS panels on a side raises NumericFailure before it is swept, and
+so does a non-finite generator coefficient or a NaN radius.
 
 Frames of a rho-periodic generator extend by Floquet's rule, F(r + k rho)
 = M^k F(r) (floquet_extend; lame and nullcurve both use it).
@@ -87,10 +90,10 @@ def sl2_inverse(F: np.ndarray) -> np.ndarray:
 def floquet_extend(M: np.ndarray, F: np.ndarray, k) -> np.ndarray:
     """M^k F per sample, Floquet's rule F(r + k rho) = M^k F(r): F
     (..., n, 2, 2) the frames at the remainders, M (..., 2, 2) the
-    monodromy, k (n,) the integer period counts, a negative power through
-    the adjugate.  A hyperbolic M overflows over many periods, as a
-    transport of the whole grid would: NumericFailure, not inf or NaN
-    frames."""
+    monodromy, k (n,) the integer period counts (or 0, a copy of F), a
+    negative power through the adjugate.  A hyperbolic M overflows over
+    many periods, as a transport of the whole grid would: NumericFailure,
+    not inf or NaN frames."""
     k = np.asarray(k).astype(np.int64)
     out = np.array(F, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,30 +179,20 @@ def _panels(generator, centre: np.ndarray, half: np.ndarray, radii: list):
     return Phi, minus, _unimodular(minus, even + odd)
 
 
-def _sweep(generator, knots: np.ndarray, bounds: np.ndarray, counts: np.ndarray,
-           radii: list) -> np.ndarray:
-    """Frames (2 x factors, len(knots) - 1, 2, 2) at knots[1:], from Id at
-    knots[0], with counts[r] equal panels on the run from knots[bounds[r]]
-    to knots[bounds[r + 1]]: the first half of the factor axis from all
-    TERMS terms, the second without the last one (see _panels)."""
-    ends = np.cumsum(counts)
-    first = ends - counts                  # the first panel of each run
-    total = int(ends[-1])
-    start = knots[bounds[:-1]]
-    width = (knots[bounds[1:]] - start) / counts
-    # the run and the panel of each grid point; the panels follow the path
-    # in order, so each block's grid points are one slice
-    x = knots[1:]
-    run = np.searchsorted(bounds, np.arange(1, len(knots))) - 1
-    local = np.divide(x - start[run], width[run], out=np.zeros_like(x),
-                      where=width[run] != 0.0)
-    panel = first[run] + np.clip(np.floor(local), 0, counts[run] - 1).astype(np.int64)
+def _sweep(generator, x0: float, x: np.ndarray, count: int, radii: list) -> np.ndarray:
+    """Frames (2 x factors, len(x), 2, 2) at the points x of one side, from
+    Id at x0, with count equal panels from x0 to x[-1]: the first half of
+    the factor axis from all TERMS terms, the second without the last one
+    (see _panels).  x is ordered by distance from x0, so each block's points
+    are one slice."""
+    width = (x[-1] - x0) / count
+    local = np.divide(x - x0, width, out=np.zeros_like(x), where=width != 0.0)
+    panel = np.clip(np.floor(local), 0, count - 1).astype(np.int64)
     out = frame = None
-    for k0 in range(0, total, PANEL_BLOCK):
-        k = np.arange(k0, min(k0 + PANEL_BLOCK, total))
-        r = np.searchsorted(ends, k, side="right")
-        half = 0.5 * width[r]
-        centre = start[r] + (k - first[r]) * width[r] + half
+    for k0 in range(0, count, PANEL_BLOCK):
+        k = np.arange(k0, min(k0 + PANEL_BLOCK, count))
+        half = np.full(len(k), 0.5 * width)
+        centre = x0 + k * width + half
         Phi, minus, P = _panels(generator, centre, half, radii)
         if out is None:
             out = np.empty((len(P[0]), len(x), 2, 2))
@@ -231,49 +224,57 @@ def _rel_diff(coarse: np.ndarray, fine: np.ndarray) -> float:
     return float((num / np.abs(fine).max(axis=(-2, -1))).max())
 
 
-def _runs(x0: float, grid):
-    """x0 and the grid as one array of knots, and the knot indices that
-    bound the monotone runs of the path through them (a step of length 0
-    stays in the run it falls in)."""
-    knots = np.concatenate([[float(x0)], np.asarray(grid, dtype=float)])
-    if len(knots) < 2 or not np.all(np.isfinite(knots)):
-        raise ValueError("transport grid must be non-empty and finite")
-    sign = np.sign(np.diff(knots))
-    moving = np.nonzero(sign)[0]
-    turns = moving[1:][sign[moving[1:]] != sign[moving[:-1]]]
-    return knots, np.concatenate([[0], turns, [len(knots) - 1]])
+def _ladder(generator, x0: float, x: np.ndarray, need: int, rel_tol: float) -> np.ndarray:
+    """The frames at the points x of one side (see _sweep), up its ladder of
+    levels from a first level of need panels (see the module docstring)."""
+    span = abs(x[-1] - x0)
+    predicted = False
+    while True:
+        if not need <= MAX_PANELS:
+            raise NumericFailure(
+                f"Taylor transport needs more than {MAX_PANELS} panels for "
+                f"relative tolerance {rel_tol:.1e}")
+        count = int(need)
+        radii = []
+        both = _sweep(generator, x0, x, count, radii)
+        frames = both[:len(both) // 2]
+        radii = np.concatenate(radii)
+        q = float((span / (2 * count) / radii).max())
+        err = (_rel_diff(both[len(both) // 2:], frames) * q / (1.0 - q)
+               if q < 1.0 else math.inf)
+        floor = EPS * math.sqrt(count)
+        if err <= max(rel_tol, floor):
+            return frames
+        need = 2.0 * count
+        if not predicted:
+            reach = max(rel_tol, floor) ** (1.0 / TERMS)
+            # np.maximum keeps a NaN radius, which fails the cap test above
+            need = np.maximum(need, np.ceil(PANEL_MARGIN * span / (2.0 * reach * radii.min())))
+            predicted = True
 
 
 def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
     """Frames (factors, len(grid), 2, 2) of F' = F A(x) at the grid points,
-    with F(x0) = Id, to the relative accuracy rel_tol (see the module
-    docstring).  generator(x) is called on a Series x, the panel centres
-    + dx, and returns (a, b, c) of A as Series (or constants)."""
-    knots, bounds = _runs(x0, grid)
-    span = np.abs(np.diff(knots[bounds]))
-    need = np.ceil(FIRST_PANELS * span / span.sum()) if span.sum() > 0.0 else np.ones(1)
-    predicted = False
+    in any order, with F(x0) = Id, to the relative accuracy rel_tol (see the
+    module docstring).  generator(x) is called on a Series x, the panel
+    centres + dx, and returns (a, b, c) of A as Series (or constants)."""
+    x = np.asarray(grid, dtype=float)
+    if not len(x) or not (np.isfinite(x).all() and math.isfinite(x0)):
+        raise ValueError("transport grid must be non-empty and finite")
+    d = x - x0
+    # a point at x0 rides with the right side, if there is one
+    left = d < 0.0 if (d > 0.0).any() else d <= 0.0
+    # each side's points by distance from x0, the farthest last
+    sides = [i[np.argsort(np.abs(d[i]), kind="stable")]
+             for i in (np.flatnonzero(left), np.flatnonzero(~left)) if len(i)]
+    spans = [abs(d[i[-1]]) for i in sides]
+    out = None
     # a level whose panels outrun the radius overflows; it is a miss
     with np.errstate(all="ignore"):
-        while True:
-            if not need.sum() <= MAX_PANELS:
-                raise NumericFailure(
-                    f"Taylor transport needs more than {MAX_PANELS} panels for "
-                    f"relative tolerance {rel_tol:.1e}")
-            counts = need.astype(np.int64)
-            radii = []
-            both = _sweep(generator, knots, bounds, counts, radii)
-            frames = both[:len(both) // 2]
-            radii = np.concatenate(radii)
-            q = float((np.repeat(span / (2 * counts), counts) / radii).max())
-            err = (_rel_diff(both[len(both) // 2:], frames) * q / (1.0 - q)
-                   if q < 1.0 else math.inf)
-            floor = EPS * math.sqrt(counts.sum())
-            if err <= max(rel_tol, floor):
-                return frames
-            need = 2.0 * counts
-            if not predicted:
-                rho = np.minimum.reduceat(radii, np.cumsum(counts) - counts)
-                reach = max(rel_tol, floor) ** (1.0 / TERMS)
-                need = np.maximum(need, np.ceil(PANEL_MARGIN * span / (2.0 * reach * rho)))
-                predicted = True
+        for i, span in zip(sides, spans):
+            need = math.ceil(FIRST_PANELS * span / sum(spans)) if span > 0.0 else 1
+            frames = _ladder(generator, x0, x[i], need, rel_tol)
+            if out is None:
+                out = np.empty((len(frames), len(x), 2, 2))
+            out[:, i] = frames
+    return out

@@ -4,7 +4,7 @@ evolution, monodromy preservation, and the three-parameter family pipeline."""
 import numpy as np
 import pytest
 
-from ads_null_flows.config import NumericFailure
+from ads_null_flows.config import NumericFailure, RunConfig
 from ads_null_flows.kdvsol import KkshSpec, StationaryBending
 from ads_null_flows.nullcurve import (
     bending_oracle,
@@ -23,6 +23,8 @@ MU_STAR = 0.6150396634356605
 class BrokenSampler:
     """Deliberately violates the KdV equation."""
 
+    s_period = 2.0 * np.pi
+
     def kappa_jet(self, s, t=0.0, order=3):
         return [np.sin(s + t)] + [0.0] * order
 
@@ -39,7 +41,7 @@ class ScaledKappaT:
     """A bending whose kappa_t is off by the factor 1 + rel."""
 
     def __init__(self, sampler, rel):
-        self.sampler, self.rel = sampler, rel
+        self.sampler, self.rel, self.s_period = sampler, rel, sampler.s_period
 
     def kappa_jet(self, s, t=0.0, order=3):
         return self.sampler.kappa_jet(s, t, order=order)
@@ -57,11 +59,40 @@ def test_gate_on_probe_arrays(recipe):
                                "kksh": (kksh(), 2, 1.611855)}[recipe]
     s_probe = np.linspace(0.0, periods * sampler.s_period, 12)
     t_probe = np.linspace(0.0, t_end, 6)
-    assert kdv_gate(sampler, s_probe, t_probe, 1e-3) <= 1e-9
+    assert kdv_gate(sampler, s_probe, t_probe, 1e-3)[0] <= 1e-9
     with pytest.raises(NumericFailure, match="violates the KdV residual gate"):
         kdv_gate(ScaledKappaT(sampler, 1e-3), s_probe, t_probe, 1e-3)
     with pytest.raises(NumericFailure, match="gate: nan > 1.0e-03"):
         kdv_gate(ScaledKappaT(sampler, np.nan), s_probe, t_probe, 1e-3)
+
+
+class ProbeCounter:
+    """A bending that records its array calls of kappa_jet of order >= 1 and
+    its calls of kappa_t."""
+
+    def __init__(self, sampler):
+        self.sampler, self.s_period, self.calls = sampler, sampler.s_period, []
+
+    def kappa_jet(self, s, t=0.0, order=3):
+        if order >= 1 and isinstance(s, np.ndarray):
+            self.calls.append(f"kappa_jet order {order}")
+        return self.sampler.kappa_jet(s, t, order=order)
+
+    def kappa_t(self, s, t=0.0):
+        self.calls.append("kappa_t")
+        return self.sampler.kappa_t(s, t)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+def test_one_probe_pass_per_lien_evolve(rel_tol):
+    """The period test reuses the jets of the KdV gate: one kappa_t call and
+    one kappa_jet call of order >= 1 on the probes per lien_evolve, at the
+    default tolerance and below the README grid's period gap (1.8e-13),
+    where the rounding floor decides the route."""
+    sampler = ProbeCounter(kksh())
+    lien_evolve(sampler, np.linspace(0.0, 2.0 * sampler.s_period, 257),
+                [0.0, 0.537285, 1.07457, 1.611855], RunConfig(integrator_rel_tol=rel_tol))
+    assert sampler.calls == ["kappa_jet order 3", "kappa_t"]
 
 
 def test_cross_validation_with_rigid_evolution():

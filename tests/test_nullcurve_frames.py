@@ -301,7 +301,7 @@ def _wings_paths():
     spec = KkshSpec.with_quantum_numbers(0.6, 1, 6, 2.0)
     rho = spec.s_period
     ev = lien_evolve(spec, np.linspace(-rho / 2, 1.5 * rho, 257), [0.0, 0.3])
-    return rho, ev.paths + ev.s_paths
+    return rho, ev.paths
 
 
 def _stationary_paths():

@@ -1,9 +1,10 @@
 """The frame-transport kernel (Taylor panels) against DOP853 at rtol 1e-13:
 the KKSH t-system and s-monodromies, single and batched, and the two-step
 evolution of a stationary bending; batched t-slices and h+- pairs against
-separate transports, dense output, the panel ladders and transport counts,
-the block products, unimodularity, the panel cap, the DOP853 confirmation
-gate of lien_evolve, its one-period extension by the s-monodromy and the
+separate transports, dense output, the two sides of a grid in any order,
+the panel ladders and transport counts, the block products,
+unimodularity, the panel cap, the DOP853 confirmation gate of
+lien_evolve, its one-period extension by the s-monodromy and the
 fallbacks to the full transport, and the accepted range of
 integrator_rel_tol."""
 
@@ -158,9 +159,9 @@ def _ladders(monkeypatch):
     ladders = []
     sweep, transport_ = kernel._sweep, kernel.transport
 
-    def counting(generator, knots, bounds, counts, radii):
-        ladders[-1].append(int(counts.sum()))
-        return sweep(generator, knots, bounds, counts, radii)
+    def counting(generator, x0, x, count, radii):
+        ladders[-1].append(count)
+        return sweep(generator, x0, x, count, radii)
 
     def calling(*args):
         ladders.append([])
@@ -358,6 +359,79 @@ def test_non_finite_frames_raise():
         transport(blow_up, 0.0, [1.0], 1e-12)
 
 
+def test_nan_radius_raises_at_the_first_miss(monkeypatch):
+    """A NaN root-test radius makes the first level miss and its predicted
+    level NaN: NumericFailure before a second level is swept."""
+    panels = kernel._panels
+
+    def nan_radii(generator, centre, half, radii):
+        out = panels(generator, centre, half, radii)
+        radii[-1] = radii[-1] * np.nan
+        return out
+
+    ladders = _ladders(monkeypatch)
+    monkeypatch.setattr(kernel, "_panels", nan_radii)
+    with pytest.raises(NumericFailure, match="panels"):
+        kernel.transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
+    assert ladders == [[kernel.FIRST_PANELS]]
+
+
+def test_a_permuted_grid_gives_the_permuted_frames():
+    """Each point is reached from x0 on its own side, whatever the order of
+    the grid: a permutation of a two-sided grid permutes the frames, bit
+    for bit."""
+    grid = np.linspace(-0.8, 1.6, 25)
+    order = np.random.default_rng(3).permutation(len(grid))
+    generator = evolve._t_generator(kksh())
+    F = transport(generator, 0.0, grid, 1e-12)
+    assert np.array_equal(transport(generator, 0.0, grid[order], 1e-12), F[:, order])
+
+
+def test_a_two_sided_grid_is_its_two_sides(monkeypatch):
+    """The sides of a two-sided grid are transported apart.  Under a
+    constant generator the root-test radius does not depend on the panel
+    centres, so each side reaches the level it reaches alone (its first
+    level, a share of FIRST_PANELS, misses) and its frames are those of its
+    one-sided transport, bit for bit.  The KKSH t-system's sides agree with
+    their one-sided transports to the tolerance."""
+    def constant(x):
+        return 0.5, -6400.0, 1.0
+
+    grid = np.array([-8.0, -3.0, 0.0, 2.5, 8.0])
+    ladders = _ladders(monkeypatch)
+    F = kernel.transport(constant, 0.0, grid, 1e-12)
+    left = kernel.transport(constant, 0.0, grid[:2], 1e-12)
+    right = kernel.transport(constant, 0.0, grid[2:], 1e-12)
+    assert np.array_equal(F[:, :2], left) and np.array_equal(F[:, 2:], right)
+    pair, left_alone, right_alone = ladders
+    # the sides of equal length share the first level; each then reaches the
+    # level it reaches alone
+    assert pair[0] + pair[2] == left_alone[0] == right_alone[0] == kernel.FIRST_PANELS
+    assert pair[1::2] == left_alone[1:] + right_alone[1:], ladders
+    generator = evolve._t_generator(kksh())
+    t = np.array([-1.0, -0.5, 0.5, 1.6])
+    F = transport(generator, 0.0, t, 1e-12)
+    assert rel_err(F[:, :2], transport(generator, 0.0, t[:2], 1e-12)) <= 1e-11
+    assert rel_err(F[:, 2:], transport(generator, 0.0, t[2:], 1e-12)) <= 1e-11
+
+
+def test_points_at_x0_and_repeated_points():
+    """A point at x0 reads the identity off its panel's series (to
+    rounding), a grid of x0 alone is the identity exactly, a repeated point
+    repeats its frame bit for bit, and a point at x0 leaves its side as it
+    is."""
+    generator = evolve._t_generator(kksh())
+    F = transport(generator, 0.0, [0.8, 0.0, 0.8, -0.5, 0.0, -0.5], 1e-12)
+    assert np.array_equal(F[:, 0], F[:, 2]) and np.array_equal(F[:, 3], F[:, 5])
+    assert np.array_equal(F[:, 1], F[:, 4])
+    assert np.abs(F[:, 1] - np.eye(2)).max() <= 1e-15
+    assert np.array_equal(transport(generator, 0.0, [0.0, 0.0], 1e-12),
+                          np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
+    for x in (0.8, -0.5):
+        alone = transport(generator, 0.0, [x], 1e-12)
+        assert np.array_equal(transport(generator, 0.0, [0.0, x], 1e-12)[:, 1:], alone)
+
+
 def test_non_finite_grid_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         transport(evolve._t_generator(kksh()), 0.0, [0.5, math.nan], 1e-12)
@@ -417,10 +491,21 @@ def _confirm_spans(monkeypatch):
 
 
 def _full_transport(monkeypatch, spec, s_grid, t_grid):
-    """lien_evolve with the one-period extension switched off."""
+    """lien_evolve with the one-period extension switched off: the route of
+    an aperiodic bending, k = 0 and r = s_grid, confirmed at its far end
+    (the last point of these grids)."""
     with monkeypatch.context() as patch:
-        patch.setattr(evolve, "period_gap", lambda *args: math.inf)
+        patch.setattr(evolve, "_s_route", lambda sampler, s_grid, *args: (0, s_grid, s_grid[-1]))
         return lien_evolve(spec, s_grid, t_grid)
+
+
+def _period_gap(spec, rho):
+    """max |kappa(s + rho, t) - kappa(s, t)| / max |kappa| on the probes of
+    lien_evolve's KdV gate for the grid [0, 2 rho] and KKSH_T."""
+    s, t = np.meshgrid(np.linspace(0.0, 2.0 * rho, evolve.GATE_PROBES),
+                       np.linspace(0.0, KKSH_T[-1], 6))
+    k = spec.kappa_jet(np.stack([s, s + rho]), t, order=0)[0]
+    return float(np.abs(k[1] - k[0]).max() / np.abs(k).max())
 
 
 @pytest.mark.parametrize("mu, start, t_grid", [
@@ -439,7 +524,8 @@ def test_one_period_extension_matches_the_full_transport(monkeypatch, mu, start,
     assert spans == [(0.0, rho)]
     full = _full_transport(monkeypatch, spec, s_grid, t_grid)
     assert spans[1] == (0.0, float(s_grid[-1]))
-    for fast, ref in zip(ev.s_paths + ev.paths, full.s_paths + full.paths):
+    assert rel_err(ev.monodromies, full.monodromies) <= 1e-10
+    for fast, ref in zip(ev.paths, full.paths):
         assert rel_err(fast.F, ref.F) <= 1e-10
         assert (fast.kappa == ref.kappa).all()
 
@@ -454,15 +540,49 @@ def test_aperiodic_bendings_keep_the_full_transport(monkeypatch, spec):
     extension switched off."""
     rho = spec.s_period
     s_grid = np.linspace(0.0, 2.0 * rho, 65)
-    s_probe = np.linspace(0.0, 2.0 * rho, evolve.GATE_PROBES)
-    t_probe = np.linspace(0.0, KKSH_T[-1], 6)
-    assert evolve.period_gap(spec, s_probe, t_probe, rho) > DEFAULT.integrator_rel_tol
+    assert _period_gap(spec, rho) > DEFAULT.integrator_rel_tol
     spans = _confirm_spans(monkeypatch)
     ev = lien_evolve(spec, s_grid, KKSH_T)
     full = _full_transport(monkeypatch, spec, s_grid, KKSH_T)
     assert spans == [(0.0, 2.0 * rho)] * 2
-    for path, ref in zip(ev.s_paths + ev.paths, full.s_paths + full.paths):
+    assert np.array_equal(ev.monodromies, full.monodromies)
+    for path, ref in zip(ev.paths, full.paths):
         assert np.array_equal(path.F, ref.F)
+
+
+def test_a_two_sided_full_route_passes_its_confirmation(monkeypatch):
+    """(5, 1) at mu = 0.92 on the wings grid [-rho/2, 3 rho/2] takes the
+    full route (its period gap is 1.6e-6).  Each side is transported from
+    s = 0, so Phi(3 rho/2), about 6e54, is not reached by a round trip
+    through -rho/2, where |Phi| is about 3e18; along the path 0 -> -rho/2
+    -> 3 rho/2 DOP853 missed it by 4.7e22 relative.  The confirmation over
+    (0, 3 rho/2) passes, and the frame there agrees with the transport of
+    the one-sided grid [0, 3 rho/2]."""
+    spec = KkshSpec.with_quantum_numbers(0.92, 5, 1, 2.0)
+    rho = spec.s_period
+    s_grid = np.linspace(-0.5 * rho, 1.5 * rho, 257)
+    spans = _confirm_spans(monkeypatch)
+    ev = lien_evolve(spec, s_grid, [0.0, 0.3])
+    assert spans == [(0.0, float(s_grid[-1]))]
+    one_sided = lien_evolve(spec, s_grid[64:], [0.0, 0.3])
+    for path, ref in zip(ev.paths, one_sided.paths):
+        assert rel_err(path.F[:, -1], ref.F[:, -1]) <= 1e-11
+
+
+def test_wings_export_the_one_sided_monodromy_data(tmp_path):
+    """`kksh --mn 3,2 --h 2 --mu 0.5 --t 0,0.01` with and without --wings:
+    both read the trace drift and the invariants off Phi+-(rho, t) from Id
+    at s = 0 (traces about 6.8e8), so they agree.  Read off the wings'
+    F(-rho/2), the drift was 669 / 0.732."""
+    metas = []
+    for wings in ([], ["--wings"]):
+        out = tmp_path / f"k{len(wings)}"
+        assert main(["kksh", "--mn", "3,2", "--h", "2", "--mu", "0.5", *wings,
+                     "--t", "0,0.01", "--invariant-grid", "1", "-o", str(out)]) == 0
+        metas.append(json.loads((out / "kksh_t0.json").read_text())["meta"])
+    one_sided, wings = metas
+    assert max(wings["monodromy_trace_drift"]) <= 1e-4
+    assert np.allclose(wings["invariants"], one_sided["invariants"], rtol=1e-13, atol=0.0)
 
 
 def test_extension_over_many_periods_raises_on_overflow():
@@ -481,9 +601,7 @@ def test_tight_tolerances_keep_the_one_period_route(monkeypatch, rel_tol):
     that rounding, is about 8e-13, and DOP853 confirms (0, rho) once."""
     spec = kksh()
     rho = spec.s_period
-    s_probe = np.linspace(0.0, 2.0 * rho, evolve.GATE_PROBES)
-    t_probe = np.linspace(0.0, KKSH_T[-1], 6)
-    assert evolve.period_gap(spec, s_probe, t_probe, rho) > rel_tol
+    assert _period_gap(spec, rho) > rel_tol
     spans = _confirm_spans(monkeypatch)
     lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 257), KKSH_T,
                 RunConfig(integrator_rel_tol=rel_tol))
