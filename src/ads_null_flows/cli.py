@@ -335,6 +335,7 @@ def cmd_kksh(args, config: RunConfig) -> int:
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
     dp, dm = monodromy_trace_drift(ev)
     meta["monodromy_trace_drift"] = [dp, dm]
+    meta["period_gap"] = ev.period_gap
     cls = classify_monodromies(*ev.monodromies[:, 0], rho)
     meta["orbit_type"] = cls.type_pair
     meta["invariants"] = [cls.plus.invariant, cls.minus.invariant]
@@ -345,6 +346,10 @@ def cmd_kksh(args, config: RunConfig) -> int:
               for mu_i, trp, trm in zip(mu_grid, *tr.tolist())]
     write_csv(outdir / "kksh_invariants.csv", "kksh", config,
               ("mu", "I_plus", "I_minus"), itable)
+    if not ev.one_period:
+        print(f"period gap {fnum(ev.period_gap, 3)} refused the one-period route: the "
+              "orbit type and trace drift are those of Phi(rho) of a bending periodic "
+              "only to that gap")
     print(f"orbit type {cls.type_pair}; monodromy trace drift "
           f"{fnum(dp, 3)} / {fnum(dm, 3)}")
     return 0

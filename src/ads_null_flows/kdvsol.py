@@ -37,7 +37,8 @@ jacobi_sncndn on a Series too):
   phi = amp P M, r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2;
 * at order 0 on a Series s = s0 + rate dx (the s-systems), the same
   series of u about s0 gives kappa's coefficients in ds, and coefficient
-  k is scaled by rate^k: four products and one reciprocal;
+  k is scaled by rate^k: four products and one reciprocal, shared by a
+  batch of specs, each at its own s0, rate and t (kksh_kappa_series);
 * up to order 2 on a Series s or t (the t-system along s = 0), the s-jets
   of a wave are index shifts of its series in dx, scaled by (w/rate)^j,
   and the Leibniz and quotient rules run on Series.
@@ -90,6 +91,15 @@ def _kappa_of_u(u: np.ndarray) -> Series:
     shorter."""
     head = Series(u[:-1])
     return Series(u).derivative() + head * head
+
+
+def _u_and_r(fp: Series, fm: Series, amp, n: int, m: int):
+    """u = -2 phi_s r to n terms and r = 1/(1 - phi^2) to m terms, from the
+    series in ds of the two waves (m + 1 terms), phi = amp fp fm."""
+    phi = amp * fp * fm
+    head = Series(phi.c[:m])
+    r = (1.0 - head * head).reciprocal()
+    return -2.0 * Series(phi.derivative().c[:n]) * Series(r.c[:n]), r
 
 
 def _point(x):
@@ -297,25 +307,12 @@ class KkshSpec:
         m = n + 1 if time else n                     # terms of phi_t and r
         F = self._sn_series(s, t, w, m + 1)
         fp, fm = Series(F[:, 0]), Series(F[:, 1])
-        phi = amp * fp * fm
-        head = Series(phi.c[:m])
-        r = (1.0 - head * head).reciprocal()
-        u = -2.0 * Series(phi.derivative().c[:n]) * Series(r.c[:n])
+        u, r = _u_and_r(fp, fm, amp, n, m)
         if not time:
             return u.c, None
         phi_t = amp * ((vp / wp) * fp.derivative() * Series(fm.c[:m])
                        + (vm / wm) * Series(fp.c[:m]) * fm.derivative())
         return u.c, -2.0 * (phi_t * r).derivative().c
-
-    def _kappa_series(self, s: Series, t) -> Series:
-        """kappa at a series argument s = s0 + rate dx and a scalar t: its
-        Taylor coefficients in ds about s0 from the series of u, coefficient
-        k then scaled by rate^k."""
-        s0, rate = _linear(s)
-        n = len(s.c)
-        kappa = _kappa_of_u(self._u_series(s0, t, n + 1, time=False)[0])
-        k = np.arange(n).reshape((n,) + (1,) * (kappa.c.ndim - 1))
-        return Series(kappa.c * rate ** k)
 
     def _shifted_jets(self, s, t, n: int):
         """The s-jets (f, f', ..., f^(n)) of both waves as Series at a Series
@@ -344,15 +341,15 @@ class KkshSpec:
         psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  The sn
         jets are closed form at points (_sn_derivatives) and index shifts
         of each wave's series on a Series (_shifted_jets).  Order 0 on a
-        Series s, and the orders from 3 on at points, take the series of u
-        instead (_kappa_series, _kappa_of_u)."""
+        Series s is kksh_kappa_series on a batch of one, and the orders from
+        3 on at points take the series of u instead (_kappa_of_u)."""
         if order > 2:
             kappa = _kappa_of_u(self._u_series(s, t, order + 2, time=False)[0])
             return [c * math.factorial(k) for k, c in enumerate(kappa.c)]
         wp, wm, _, _, amp, _, _, _, _ = self._jet_data
         if isinstance(s, Series) or isinstance(t, Series):
             if order == 0 and not isinstance(t, Series):
-                return [self._kappa_series(s, t)]
+                return [Series(kksh_kappa_series([self], Series(s.c[:, None]), [t]).c[:, 0])]
             P, M = self._shifted_jets(s, t, order + 2)
         else:
             trip_p, trip_m = self._triples(s, t)
@@ -386,3 +383,31 @@ class KkshSpec:
         """kappa_t = (u_t)_s + 2 u u_t."""
         u, u_t = self._u_series(s, t, 2)
         return u_t[1] + 2.0 * u[0] * u_t[0]
+
+
+def kksh_kappa_series(specs, s: Series, t) -> Series:
+    """kappa of a batch of KKSH specs at a series argument: specs[i] at s[i]
+    = s0 + rate dx (the first point axis of s's coefficients) and time t[i],
+    as one Series in dx (coefficients (terms, len(specs), ...)).
+
+    One jacobi_sncndn call per spec and wave gives the phases' (sn, cn, dn);
+    one call of the fused recurrence takes every spec's two waves on its
+    leading axes; then one pass of phi = amp P M, r = 1/(1 - phi^2), u = -2
+    phi_s r (_u_and_r) and kappa = u_s + u^2 (_kappa_of_u) in ds, coefficient
+    k scaled by rate^k: four products and one reciprocal for the batch."""
+    s0, rate = _linear(s)
+    n = len(s.c)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(specs),))
+    # (3, wave, spec, ...) from (spec, wave, 3, ...)
+    trip = np.array([spec._triples(s0[i], t[i]) for i, spec in enumerate(specs)], dtype=float)
+    trip = np.moveaxis(trip, (0, 2), (2, 0))
+    lift = (1,) * (s0.ndim - 1)
+    w = np.array([[spec.w_plus for spec in specs], [spec.w_minus for spec in specs]])
+    w = w.reshape(w.shape + lift)
+    mus = np.array([[spec.mu for spec in specs], [spec.tau for spec in specs]]).reshape(w.shape)
+    amp = np.array([spec.amp for spec in specs]).reshape((len(specs),) + lift)
+    S, _, _ = _sncndn_series(trip, w, mus, n + 2)
+    u, _ = _u_and_r(Series(S[:, 0]), Series(S[:, 1]), amp, n + 1, n + 1)
+    kappa = _kappa_of_u(u.c)
+    k = np.arange(n).reshape((n,) + (1,) * (kappa.c.ndim - 1))
+    return Series(kappa.c * rate ** k)

@@ -81,7 +81,7 @@ from .config import DEFAULT, NumericFailure, RunConfig, UsageError
 from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
-from .transport import EPS, floquet_extend, transport
+from .transport import EPS, floquet_extend, parity_monodromy, transport
 
 
 @dataclass
@@ -136,16 +136,6 @@ def _check_h(h: float) -> float:
     if not math.isfinite(h):
         raise UsageError(f"h must be finite, got {h}")
     return h
-
-
-def parity_monodromy(Q: np.ndarray) -> np.ndarray:
-    """M = delta(2K) = delta(K) delta(-K)^{-1} = Q S Q^{-1} S from Q =
-    delta(K) = [[a, b], [c, d]], by delta(-s) = S delta(s) S (S = diag(1, -1),
-    the potential is even); with the adjugate for Q^{-1}, [[ad + bc, 2ab],
-    [2cd, ad + bc]], of determinant (ad - bc)^2."""
-    (a, b), (c, d) = Q
-    tau = a * d + b * c
-    return np.array([[tau, 2.0 * a * b], [2.0 * c * d, tau]])
 
 
 def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:

@@ -18,54 +18,66 @@ Taylor panels of ads_null_flows.transport.  The s-systems of all the
 t-slices go through _s_frames, the one s-transport of the module (the t = 0
 KKSH monodromies use it too): BATCH systems per transport, each a pair of
 factors.  kappa_jet runs on a Series (of order 2 in dt at s = 0 for the
-t-system, of order 0 in ds for the s-systems) and yields the Taylor
-coefficients of P_lam or K_lam about the panel centres, one call per block
-and system for both factors; kappa of the paths is one array call.  The
-two factors never part: A, Phi, every path's F (frames.SpinorFramePath)
-and the KKSH monodromies are stacks with the factor axis first, F+ (lam =
-+1) then F- (lam = -1), the order of frames.LAMBDA.  Every
-panel factor has det 1, so the frames are unimodular to rounding and are
-never renormalized, and the panel counts follow integrator_rel_tol.
+t-system) and yields the Taylor coefficients of P_lam about the panel
+centres, one call per block for both factors; the s-systems of a batch of
+KKSH specs take kappa in ds from one kdvsol.kksh_kappa_series call per
+block, any other bending one order-0 kappa_jet call per block and system;
+kappa of the paths is one array call.  The two factors never part: A,
+Phi, every path's F (frames.SpinorFramePath) and the KKSH monodromies are
+stacks with the factor axis first, F+ (lam = +1) then F- (lam = -1), the
+order of frames.LAMBDA.  Every panel factor has det 1, so the frames are
+unimodular to rounding and are never renormalized, and the panel counts
+follow integrator_rel_tol.
 
 The bending has an s-period rho (every KKSH family and stationary
 bending), and Phi from Id at s = 0 is unique, so every s-frame is computed
 at its point, and Floquet's rule Phi(r + k rho) = M^k Phi(r) holds with M =
-Phi(rho).  lien_evolve's s-route is the triple (k, r, s_end) of _s_route:
-one _s_frames call transports the s-systems to r, rho and s_end, and one
-floquet_extend call gives every sample.  DOP853 confirms the t = 0
-s-system from Id at s = 0 to s_end within tol_metric, or within
-CONFIRM_SLACK times integrator_rel_tol when that is looser (DOP853's own
-global error); at s_end = rho the confirmed frame is M itself.  A bending
-that fails the KdV gate, a transport past its panel cap and a missed
-confirmation each raise NumericFailure.  The monodromies of F+-
-(SpinorFramePath.monodromy) are conserved in t, and LienEvolution keeps
-the s-monodromies Phi+-(rho, t), which are conjugate to them: the trace
-drift and the `kksh` classification read them with no second transport.
+Phi(rho).  lien_evolve's s-route is (k, r, s_end) of _s_route: one
+_s_frames call transports the s-systems to r, rho and s_end, and one
+floquet_extend call gives every sample; s_end is rho on the periodic
+route, and on the k = 0 route the grid's far end, or rho when that is
+nearer.  DOP853 confirms the t = 0 s-system from Id at s = 0 to s_end
+within tol_metric, or within CONFIRM_SLACK times integrator_rel_tol when
+that is looser (DOP853's own global error); at s_end = rho the confirmed
+frame is M itself.  At t = 0 both KKSH families and the stationary
+bendings are even in s, which gives Phi(-s) = S Phi(s) S (S = diag(1, -1))
+and M = Q S Q^{-1} S from Q = Phi(rho/2) (Hill's equation with an even
+potential; transport.parity_monodromy).  _s_route measures that evenness
+on the gate's probes, and on the periodic route an even bending is
+confirmed over half the period.  A bending that fails the KdV gate, a
+transport past its panel cap and a missed confirmation each raise
+NumericFailure.  The monodromies of F+- (SpinorFramePath.monodromy) are
+conserved in t, and LienEvolution keeps the s-monodromies Phi+-(rho, t),
+which are conjugate to them: the trace drift and the `kksh`
+classification read them with no second transport.  It keeps the period
+gap that _s_route measured too, and whether the one-period route was
+taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
+from ..kdvsol import KkshSpec, kksh_kappa_series
 from ..specfun.series import Series
-from ..transport import EPS, floquet_extend, transport
+from ..transport import EPS, floquet_extend, parity_monodromy, transport
 from .frames import LAMBDA, SpinorFramePath, _frames_rhs
 
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
 GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
-# s-systems per transport in _s_frames: two (four factors of PANEL_BLOCK
-# panels) keep a block's arrays within twice the t-system's (two factors);
-# more would share one panel count, the hardest system's, and grow the
-# block memory
-BATCH = 2
+# s-systems per transport in _s_frames, which share one panel count (the
+# hardest system's) and one kappa series per block: four leave the peak
+# resident set of the `kksh` recipe level, all twelve scan points in one
+# transport grew it by 1.6 MB
+BATCH = 4
 # kksh_mu_star: the target cos(2 pi 2/3) of half the minus trace, the mu
 # bracket scanned at MU_STAR_SCAN points, and brentq's tolerance
 MU_STAR_TARGET = math.cos(2.0 * math.pi * 2 / 3)
@@ -78,7 +90,8 @@ class BendingSampler(Protocol):
     """Bending with analytic s-jets and a t-derivative (for the input gate),
     periodic in s with period s_period.  Both take scalar s and t or,
     elementwise, arrays of them; kappa_jet also takes a Series s or t (the
-    transport's panels)."""
+    transport's panels).  Evenness in s at t = 0 is not declared: _s_route
+    measures it, and the half-period confirmation is used when it holds."""
 
     s_period: float
 
@@ -106,23 +119,35 @@ def kdv_gate(sampler: BendingSampler, s_probes, t_probes, tol: float):
 
 
 def _s_route(sampler: BendingSampler, s_grid: np.ndarray, mesh, rel_tol: float):
-    """lien_evolve's s-route (k, r, s_end), s_grid = k rho + r.  If the grid
-    spans more than a period rho and max |kappa(s + rho, t) - kappa(s, t)| /
-    max |kappa| on the gate's mesh (a quantized family meets its constraint
-    only to a gap) is within rel_tol or within kappa's rounding at s and s
-    + rho, 2 EPS (max |t kappa_t| + max |(|s| + rho) kappa_s|) / max |kappa|,
-    then k, r = divmod(s_grid, rho) and s_end = rho.  Otherwise k = 0, r =
-    s_grid and s_end is its far end."""
+    """lien_evolve's s-route (k, r, s_end, gap, even), s_grid = k rho + r.
+    If the grid spans more than a period rho, one order-0 call on the gate's
+    mesh measures the period gap max |kappa(s + rho, t) - kappa(s, t)| /
+    max |kappa| (a quantized family meets its constraint only to a gap) and
+    the parity gap of kappa(-s, 0) against kappa(s, 0), relative alike.  If
+    the period gap is within rel_tol or within kappa's rounding at s and s +
+    rho, 2 EPS (max |t kappa_t| + max |(|s| + rho) kappa_s|) / max |kappa|,
+    then k, r = divmod(s_grid, rho), s_end = rho, and even says whether the
+    parity gap is within that bound too.  Otherwise k = 0, r = s_grid, even
+    is False and s_end is the grid's far end, or rho when that is nearer (so
+    the confirmed frame is M).  gap is None when the grid spans at most
+    rho."""
     rho = sampler.s_period
-    if s_grid.max() - s_grid.min() > rho:
-        s, t, k0, k1, kt = mesh
-        k = np.asarray(sampler.kappa_jet(np.stack([s, s + rho]), t, order=0)[0], dtype=float)
-        gap = np.abs(k[1] - k[0]).max() / np.abs(k).max()
-        reach = np.abs(t * kt).max() + np.abs((np.abs(s) + rho) * k1).max()
-        if gap <= max(rel_tol, 2.0 * EPS * reach / np.abs(k0).max()):
-            k, r = np.divmod(s_grid, rho)
-            return k, r, rho
-    return 0, s_grid, s_grid[0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1]
+    far = float(s_grid[0 if abs(s_grid[0]) > abs(s_grid[-1]) else -1])
+    full = (0, s_grid, far if abs(far) >= rho else rho)
+    if s_grid.max() - s_grid.min() <= rho:
+        return full + (None, False)
+    s, t, k0, k1, kt = mesh
+    k = np.asarray(sampler.kappa_jet(np.stack([s, s + rho, -s]), t, order=0)[0], dtype=float)
+    scale = np.abs(k[:2]).max()
+    gap = float(np.abs(k[1] - k[0]).max() / scale)
+    reach = np.abs(t * kt).max() + np.abs((np.abs(s) + rho) * k1).max()
+    bound = max(rel_tol, 2.0 * EPS * reach / np.abs(k0).max())
+    if not gap <= bound:
+        return full + (gap, False)
+    # the mesh's first row is t = 0
+    even = np.abs(k[2, 0] - k[0, 0]).max() / scale <= bound
+    k, r = np.divmod(s_grid, rho)
+    return k, r, rho, gap, bool(even)
 
 
 @dataclass
@@ -131,6 +156,8 @@ class LienEvolution:
     paths: List[SpinorFramePath]      # F+-(s, t_j)
     monodromies: np.ndarray           # (2, nt, 2, 2): Phi+-(rho, t_j), from Id at s = 0
     gate_residual: float
+    period_gap: Optional[float]       # _s_route's, None when the grid spans at most rho
+    one_period: bool                  # the s-frames extend one transported period
 
     def monodromy_drift(self, rho: float) -> float:
         """max_t ||M(t) - M(0)||_max over both factors, with
@@ -162,15 +189,15 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     # step 2: the s-systems of all t-slices at r, rho and s_end, then
     # F+-(s, t) = A+-(t) M+-(t)^k Phi+-(r, t)
     rho = sampler.s_period
-    k, r, s_end = _s_route(sampler, s_grid, mesh, config.integrator_rel_tol)
+    k, r, s_end, gap, even = _s_route(sampler, s_grid, mesh, config.integrator_rel_tol)
     Phi = _s_frames([sampler] * len(t_grid), 1.0, t_grid, np.append(r, [rho, s_end]), config)
     # whenever s_end is rho, the confirmed entry is the one that serves as M
     M = Phi[:, :, -1 if s_end == rho else -2]
-    _confirm(sampler, s_end, Phi[:, 0, -1], config)
+    _confirm(sampler, s_end, Phi[:, 0, -1], config, even)
     F = A[:, :, None] @ floquet_extend(M, Phi[:, :, :len(r)], k)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
     paths = [SpinorFramePath(s_grid, F[:, j], kappa[j]) for j in range(len(t_grid))]
-    return LienEvolution(t_grid, paths, M, gate)
+    return LienEvolution(t_grid, paths, M, gate, gap, isinstance(k, np.ndarray))
 
 
 def _t_generator(sampler: BendingSampler):
@@ -189,48 +216,57 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
     samplers[i] at time t[i], rescaled by s = scale[i] x (generator
     scale[i] K_lam(scale[i] x)) and transported from Id at x = 0 to each
     grid point.  scale and t are one value or one per system.  BATCH systems
-    share a transport, each a pair of factors, and kappa_jet runs once per
-    block and system."""
+    share a transport, each a pair of factors.  Per block, the kappa of a
+    batch of KKSH specs is one kksh_kappa_series call; any other bending
+    takes one kappa_jet call per system."""
     n = len(samplers)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (n,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
     F = np.empty((2, n, len(grid), 2, 2))
     for j in range(0, n, BATCH):
         part = slice(j, j + BATCH)
-        systems = list(zip(samplers[part], scale[part], t[part]))
-        r = np.concatenate([scale[part], scale[part]])[:, None]
-        lam_r = np.repeat(LAMBDA, len(systems), axis=0) * r
+        specs, c, tj = samplers[part], scale[part, None], t[part]
+        r = np.concatenate([c, c])
+        lam_r = np.repeat(LAMBDA, len(specs), axis=0) * r
 
-        def generator(x, systems=systems, r=r, lam_r=lam_r):
-            rk = np.stack([(ri * sampler.kappa_jet(ri * x, ti, order=0)[0]).c
-                           for sampler, ri, ti in systems], axis=1)
+        def generator(x, specs=specs, c=c, tj=tj, r=r, lam_r=lam_r,
+                      batched=all(isinstance(sampler, KkshSpec) for sampler in specs)):
+            if batched:
+                rk = (c * kksh_kappa_series(specs, c * x, tj)).c
+            else:
+                rk = np.stack([(ci * sampler.kappa_jet(ci * x, ti, order=0)[0]).c
+                               for sampler, ci, ti in zip(specs, c[:, 0], tj)], axis=1)
             return 0.0, Series(np.concatenate([rk, rk], axis=1)) + lam_r, r
 
         Fj = transport(generator, 0.0, grid, config.integrator_rel_tol)
-        F[0, part], F[1, part] = Fj[:len(systems)], Fj[len(systems):]
+        F[0, part], F[1, part] = Fj[:len(specs)], Fj[len(specs):]
     return F
 
 
 def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
-             config: RunConfig) -> None:
+             config: RunConfig, even: bool) -> None:
     """One DOP853 integration of the t = 0 s-system from Id at s = 0 to
-    s_end (see _s_route).  Its frames there must match Phi, the stack
-    (2, 2, 2) of Phi+-(s_end), within max(tol_metric, CONFIRM_SLACK
-    integrator_rel_tol) (relative, max-norm)."""
-    if s_end == 0.0:
-        return
-
+    s_end (see _s_route), or, when even (kappa(., 0) even and s_end = rho,
+    its period), to rho/2 only: then the frame at rho is M = Q S Q^{-1} S
+    from Q = Phi(rho/2) (transport.parity_monodromy).  Its frames at s_end
+    must match Phi, the stack (2, 2, 2) of Phi+-(s_end), within
+    max(tol_metric, CONFIRM_SLACK integrator_rel_tol) (relative,
+    max-norm)."""
     def rhs(s, y):
         return _frames_rhs(sampler.kappa_jet(float(s), 0.0, order=0)[0], y.tolist())
 
-    sol = solve_ivp(rhs, (0.0, float(s_end)), [1.0, 0.0, 0.0, 1.0] * 2,
-                    method="DOP853", rtol=max(config.integrator_rel_tol, 100.0 * EPS),
+    sol = solve_ivp(rhs, (0.0, float(0.5 * s_end if even else s_end)),
+                    [1.0, 0.0, 0.0, 1.0] * 2, method="DOP853",
+                    rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
         raise NumericFailure(f"s-system confirmation failed: {sol.message}")
+    ref = sol.y[:, -1].reshape(2, 2, 2)
+    if even:
+        ref = parity_monodromy(ref)
     bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
-    for F, y in zip(Phi, sol.y[:, -1].reshape(2, 4)):
-        miss = float(np.abs(F.ravel() - y).max() / np.abs(y).max())
+    for F, y in zip(Phi, ref):
+        miss = float(np.abs(F - y).max() / np.abs(y).max())
         if miss > bound:
             raise NumericFailure(
                 f"Taylor and DOP853 s-frames differ by {miss:.1e} > {bound:.0e} "
@@ -266,8 +302,6 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
     NumericFailure when the bracket misses the root.
     """
     from scipy.optimize import brentq
-
-    from ..kdvsol import KkshSpec
 
     def rotation(Fm) -> float:
         tr = float(np.trace(Fm))

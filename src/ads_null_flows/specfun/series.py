@@ -14,7 +14,7 @@ a Toeplitz view of one factor; the reciprocal takes one coefficient at a
 time (cauchy).  The hot path of the KKSH transport keeps the products few:
 the waves' series come from the fused sn/cn/dn recurrence of
 specfun.elliptic, their derivatives by index shifts, and kappa at order 0
-costs four products and one reciprocal.  numpy defers every mixed
+costs four products and one reciprocal per batch of specs.  numpy defers every mixed
 operation to the reflected method here (__array_ufunc__ = None).
 """
 

@@ -49,7 +49,9 @@ MAX_PANELS panels on a side raises NumericFailure before it is swept, and
 so does a non-finite generator coefficient or a NaN radius.
 
 Frames of a rho-periodic generator extend by Floquet's rule, F(r + k rho)
-= M^k F(r) (floquet_extend; lame and nullcurve both use it).
+= M^k F(r) (floquet_extend), and when the generator is also even, M follows
+from the half-period frame by parity (parity_monodromy); lame and nullcurve
+both use each.
 """
 
 from __future__ import annotations
@@ -104,6 +106,21 @@ def floquet_extend(M: np.ndarray, F: np.ndarray, k) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericFailure(f"s-frames overflow over {int(np.abs(k).max())} periods")
     return out
+
+
+def parity_monodromy(Q: np.ndarray) -> np.ndarray:
+    """The monodromy M = F(2p) = Q S Q^{-1} S of frames (..., 2, 2) from
+    their half-period frames Q = F(p) = [[a, b], [c, d]], F(0) = Id, for a
+    2p-periodic generator [[0, f(x)], [g(x), 0]] with even f and g: then
+    F(-x) = S F(x) S (S = diag(1, -1)) and M = F(p) F(-p)^{-1}; with the
+    adjugate for Q^{-1}, [[ad + bc, 2ab], [2cd, ad + bc]], of determinant
+    (ad - bc)^2 (Magnus & Winkler, Hill's Equation, 1966, section 1.4)."""
+    a, b, c, d = Q[..., 0, 0], Q[..., 0, 1], Q[..., 1, 0], Q[..., 1, 1]
+    M = np.empty(Q.shape)
+    M[..., 0, 0] = M[..., 1, 1] = a * d + b * c
+    M[..., 0, 1] = 2.0 * a * b
+    M[..., 1, 0] = 2.0 * c * d
+    return M
 
 
 def _prefix(E):

@@ -302,6 +302,26 @@ def test_kksh_invariant_grid_near_tau_one(tmp_path):
     assert rows[0] == "mu,I_plus,I_minus" and len(rows) == 3
 
 
+def test_kksh_says_when_the_bending_fails_the_period_test(tmp_path, capsys):
+    """(5, 1) at mu = 0.92 is periodic only to 7.9e-7 on the gate's probes
+    over t in [0, 0.3] (1.6e-6 up to t = 1.61), so lien_evolve refuses the
+    one-period route: the meta carries that gap
+    and stdout says that the orbit type and the trace drift are those of
+    Phi(rho).  The (1, 6) family passes at about 1e-13 and says nothing."""
+    for mn, mu, refused in (("5,1", "0.92", True), ("1,6", "0.6", False)):
+        out = tmp_path / mn
+        assert main(["kksh", "--mn", mn, "--h", "2", "--mu", mu, "--t", "0,0.3",
+                     "--invariant-grid", "0", "-o", str(out)]) == 0
+        gap = json.loads((out / "kksh_t0.3.json").read_text())["meta"]["period_gap"]
+        text = capsys.readouterr().out
+        assert ("refused the one-period route" in text) == refused
+        if refused:
+            assert 5e-7 <= gap <= 2e-6
+            assert f"period gap {gap:.3g} refused" in text
+        else:
+            assert gap <= 1e-12
+
+
 def test_kksh_invariant_grid_usage_error_writes_nothing(tmp_path, capsys):
     """mu = 0.5 has a (6, 1) partner tau, but mu = 0.92 of the invariant grid
     does not: the usage error comes before any transport or file."""

@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as P
 from test_kdvsol import MU_STAR, _dual_kappa_jet
 
 from ads_null_flows import transport as kernel
-from ads_null_flows.kdvsol import KkshSpec, StationaryBending
+from ads_null_flows.kdvsol import KkshSpec, StationaryBending, kksh_kappa_series
 from ads_null_flows.nullcurve import evolve
 from ads_null_flows.specfun import jacobi_sncndn, sn_jet
 from ads_null_flows.specfun.elliptic import _sncndn_series
@@ -129,6 +129,26 @@ def test_kksh_series_coefficients_match_the_dual_reference(mu):
             assert abs(jet.c[0, j] - ref[k]) <= 1e-12 * np.abs(ref[k]).max()
 
 
+def test_a_batch_of_kksh_specs_is_each_spec_alone():
+    """kksh_kappa_series on three specs, each with its own scale r and time
+    t (the batch of an s-transport), equals each spec's order-0 jet on the
+    Series r x alone (its batch of one) bit for bit, and its sum at small
+    offsets equals the array jet at the shifted points."""
+    specs = [kksh_at(mu) for mu in KKSH_MUS]
+    r = np.array([spec.s_period for spec in specs])[:, None]
+    t = np.array([0.0, 0.41, 1.3])
+    x = Series.variable(np.linspace(-0.3, 1.7, 9), TERMS)
+    batch = kksh_kappa_series(specs, r * x, t)
+    assert batch.c.shape == (TERMS, 3, 9)
+    for i, spec in enumerate(specs):
+        (alone,) = spec.kappa_jet(r[i, 0] * x, t[i], order=0)
+        assert np.array_equal(batch.c[:, i], alone.c)
+        for d in (4e-3, -3e-3):
+            want = spec.kappa_jet(r[i, 0] * (x.c[0] + d), t[i], order=0)[0]
+            assert np.abs(value(Series(batch.c[:, i]), d) - want).max() \
+                <= 1e-12 * np.abs(want).max()
+
+
 def test_stacked_waves_match_single_wave_calls():
     """The fused recurrence on a wave axis, each wave with its own rate
     and parameter, equals one call per wave, for (sn, cn, dn)."""
@@ -175,8 +195,8 @@ def test_generator_work_budget(monkeypatch):
     """np.einsum calls of one generator block of each KKSH transport: the
     Series products of kappa stay off the hot path (they were 172 per
     s-block and 206 per t-block).  The one s-generator of _s_frames costs
-    51 per system, for a t-slice of lien_evolve (scale 1) as for a
-    rescaled monodromy."""
+    51 per batch of KKSH systems, however many it holds: two t-slices of
+    lien_evolve (scale 1) as three rescaled monodromies."""
     spec = kksh_at(MU_STAR)
     x = Series.variable(np.linspace(0.0, 1.0, 64), kernel.TERMS - 1)
     captured = []
@@ -187,8 +207,10 @@ def test_generator_work_budget(monkeypatch):
         return np.zeros((factors, len(grid), 2, 2))
 
     monkeypatch.setattr(evolve, "transport", capture)
+    monkeypatch.setattr(evolve, "_confirm", lambda *args: None)
     evolve.lien_evolve(spec, [0.0], [0.0, 0.3])
     evolve.kksh_frames_t0([spec, kksh_at(0.5), kksh_at(0.4)])
     monkeypatch.undo()
+    assert evolve.BATCH >= 3
     budgets = [_einsums_per_call(monkeypatch, g, x) for g in captured]
-    assert budgets == [84, 2 * 51, 2 * 51, 51]
+    assert budgets == [84, 51, 51]

@@ -4,7 +4,8 @@ evolution of a stationary bending; batched t-slices and h+- pairs against
 separate transports, dense output, the two sides of a grid in any order,
 the panel ladders and transport counts, the block products,
 unimodularity, the panel cap, the DOP853 confirmation gate of
-lien_evolve, its one-period extension by the s-monodromy and the
+lien_evolve (over half a period by parity for an even bending, and at rho
+on short grids), its one-period extension by the s-monodromy and the
 fallbacks to the full transport, and the accepted range of
 integrator_rel_tol."""
 
@@ -185,12 +186,13 @@ def _predictions(ladder):
 
 def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
     """lien_evolve on the README grids: the t-system takes one predicted
-    level, and each of the two transports of the four s-systems (BATCH = 2
-    t-slices each) at most one."""
+    level, and each transport of the four s-systems (BATCH t-slices each)
+    at most one."""
     ladders = _ladders(monkeypatch)
     spec = kksh()
     lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period, 257), KKSH_T)
-    assert len(ladders) == 3 and _predictions(ladders[0]) == 1
+    assert len(ladders) == 1 + math.ceil(len(KKSH_T) / evolve.BATCH)
+    assert _predictions(ladders[0]) == 1
     for ladder in ladders[1:]:
         _predictions(ladder)
 
@@ -216,11 +218,11 @@ def test_s_monodromy_accepts_the_predicted_level(monkeypatch, mu):
 
 def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
     """The t-system (accepted at its first level on this short grid) and the
-    three transports of the five s-systems of the `check` evolution."""
+    transports of the five s-systems of the `check` evolution, BATCH each."""
     ladders = _ladders(monkeypatch)
     spec = CHECK_SPEC
     lien_evolve(spec, np.linspace(0.0, spec.s_period, 17), np.linspace(0.0, 0.2, 5))
-    assert len(ladders) == 4 and len(ladders[0]) == 1
+    assert len(ladders) == 1 + math.ceil(5 / evolve.BATCH) and len(ladders[0]) == 1
     for ladder in ladders[1:]:
         _predictions(ladder)
 
@@ -454,7 +456,7 @@ def test_kksh_runs_over_the_tolerance_range(tmp_path, rel_tol):
 
 def test_kksh_transports_each_s_system_once(monkeypatch, tmp_path):
     """`kksh` with two snapshots and no invariant grid: one transport of the
-    t-system and one of the two s-systems (BATCH = 2); the trace drift
+    t-system and one of the two s-systems (BATCH >= 2); the trace drift
     reads lien_evolve's s-frames and transports nothing."""
     calls = []
 
@@ -495,7 +497,8 @@ def _full_transport(monkeypatch, spec, s_grid, t_grid):
     an aperiodic bending, k = 0 and r = s_grid, confirmed at its far end
     (the last point of these grids)."""
     with monkeypatch.context() as patch:
-        patch.setattr(evolve, "_s_route", lambda sampler, s_grid, *args: (0, s_grid, s_grid[-1]))
+        patch.setattr(evolve, "_s_route",
+                      lambda sampler, s_grid, *args: (0, s_grid, s_grid[-1], None, False))
         return lien_evolve(spec, s_grid, t_grid)
 
 
@@ -515,13 +518,14 @@ def _period_gap(spec, rho):
 def test_one_period_extension_matches_the_full_transport(monkeypatch, mu, start, t_grid):
     """Phi+- and F+- from one transported period and powers of its
     monodromy (the adjugate for the wings' negative powers) against the
-    transport of the whole grid; DOP853 confirms the one period only."""
+    transport of the whole grid; DOP853 confirms half the one period, the
+    bending being even at t = 0."""
     spec = kksh(mu)
     rho = spec.s_period
     s_grid = np.linspace(start * rho, (start + 2.0) * rho, 257)
     spans = _confirm_spans(monkeypatch)
     ev = lien_evolve(spec, s_grid, t_grid)
-    assert spans == [(0.0, rho)]
+    assert spans == [(0.0, rho / 2)]
     full = _full_transport(monkeypatch, spec, s_grid, t_grid)
     assert spans[1] == (0.0, float(s_grid[-1]))
     assert rel_err(ev.monodromies, full.monodromies) <= 1e-10
@@ -598,14 +602,15 @@ def test_extension_over_many_periods_raises_on_overflow():
 def test_tight_tolerances_keep_the_one_period_route(monkeypatch, rel_tol):
     """Below the README grid's period gap (about 1.8e-13, the rounding of
     kappa at its arguments) the one-period route stays: its floor, twice
-    that rounding, is about 8e-13, and DOP853 confirms (0, rho) once."""
+    that rounding, is about 8e-13, and DOP853 confirms (0, rho/2) once, by
+    parity."""
     spec = kksh()
     rho = spec.s_period
     assert _period_gap(spec, rho) > rel_tol
     spans = _confirm_spans(monkeypatch)
     lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 257), KKSH_T,
                 RunConfig(integrator_rel_tol=rel_tol))
-    assert spans == [(0.0, rho)]
+    assert spans == [(0.0, rho / 2)]
 
 
 @pytest.mark.parametrize("spec", [
@@ -656,6 +661,93 @@ def test_confirmation_gate_rejects_a_wrong_monodromy(monkeypatch):
     rho = spec.s_period
     with pytest.raises(NumericFailure, match="DOP853"):
         lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 257), [0.0, 0.1])
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["origin", "half-period"])
+def test_short_grids_confirm_the_monodromy(monkeypatch, half):
+    """The grids [0] and [0, rho/2] end nearer than rho, yet lien_evolve
+    returns Phi+-(rho): the k = 0 route then confirms at rho, by the full
+    (0, rho) integration (periodicity is untested there, so no parity), and
+    the confirmed frame is M itself, so an M off by 1e-6 raises.  Neither
+    grid spans a period, so no period gap is measured."""
+    spec = kksh()
+    rho = spec.s_period
+    s_grid = np.linspace(0.0, rho / 2, 9) if half else [0.0]
+    spans = _confirm_spans(monkeypatch)
+    ev = lien_evolve(spec, s_grid, [0.0, 0.1])
+    assert spans == [(0.0, rho)]
+    assert ev.period_gap is None and not ev.one_period
+    s_frames = evolve._s_frames
+
+    def off_at_rho(*args):
+        F = s_frames(*args)
+        F[:, :, -1] *= 1.0 + 1e-6
+        return F
+
+    monkeypatch.setattr(evolve, "_s_frames", off_at_rho)
+    with pytest.raises(NumericFailure, match="DOP853"):
+        lien_evolve(spec, s_grid, [0.0, 0.1])
+
+
+class Translated:
+    """kappa(s + s0, t) of a KKSH spec: rho-periodic and a KdV solution, but
+    not even in s at t = 0 (unless s0 is a multiple of rho/2)."""
+
+    def __init__(self, spec, s0):
+        self.spec, self.s0, self.s_period = spec, s0, spec.s_period
+
+    def kappa_jet(self, s, t=0.0, order=3):
+        return self.spec.kappa_jet(s + self.s0, t, order=order)
+
+    def kappa_t(self, s, t=0.0):
+        return self.spec.kappa_t(s + self.s0, t)
+
+
+@pytest.mark.parametrize("bending", ["kksh", "check"])
+def test_even_bendings_give_mirrored_s_frames(bending):
+    """kappa(., 0) even gives Phi(-s, 0) = S Phi(s, 0) S (S = diag(1, -1)),
+    the rule behind the half-period confirmation; on a symmetric grid the
+    two sides are transported separately from s = 0 (measured equal bit for
+    bit)."""
+    spec = kksh() if bending == "kksh" else CHECK_SPEC
+    half = np.linspace(0.0, spec.s_period, 17)
+    F = evolve._s_frames([spec], 1.0, 0.0, np.concatenate([-half[:0:-1], half]), DEFAULT)[:, 0]
+    S = np.diag([1.0, -1.0])
+    assert rel_err(F[:, 15::-1], S @ F[:, 17:] @ S) <= 1e-12
+
+
+def test_parity_monodromy_on_stacks():
+    """parity_monodromy on a (3, 4, 2, 2) stack equals the formula per
+    matrix, [[ad + bc, 2ab], [2cd, ad + bc]], and Q S Q^{-1} S for
+    unimodular Q."""
+    Q = np.random.default_rng(3).normal(size=(3, 4, 2, 2))
+    Q /= np.sqrt(np.abs(np.linalg.det(Q)))[..., None, None]
+    Q[..., 0, :] *= np.sign(np.linalg.det(Q))[..., None]        # det Q = 1
+    M = kernel.parity_monodromy(Q)
+    S = np.diag([1.0, -1.0])
+    for i, j in np.ndindex(3, 4):
+        (a, b), (c, d) = Q[i, j]
+        assert np.array_equal(M[i, j], [[a * d + b * c, 2.0 * a * b],
+                                        [2.0 * c * d, a * d + b * c]])
+        ref = Q[i, j] @ S @ np.linalg.inv(Q[i, j]) @ S
+        assert np.abs(M[i, j] - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert lame.parity_monodromy is kernel.parity_monodromy
+
+
+def test_a_translated_bending_keeps_the_full_period_confirmation(monkeypatch):
+    """kappa(s + rho/7, t) passes the period test (gap about 5e-14) but is
+    not even at t = 0, where parity would miss M by a factor of 5: DOP853
+    confirms (0, rho), and passes.  Translated by rho/2 it is even again and
+    takes the half period."""
+    spec = kksh()
+    rho = spec.s_period
+    spans = _confirm_spans(monkeypatch)
+    evs = [lien_evolve(Translated(spec, shift), np.linspace(0.0, 2.0 * rho, 129), [0.0, 0.3])
+           for shift in (rho / 7, rho / 2)]
+    assert spans == [(0.0, rho), (0.0, rho / 2)]
+    assert all(ev.one_period and ev.period_gap <= DEFAULT.integrator_rel_tol for ev in evs)
+    Q = evolve._s_frames([Translated(spec, rho / 7)], 1.0, 0.0, [rho / 2], DEFAULT)[:, 0, 0]
+    assert rel_err(kernel.parity_monodromy(Q), evs[0].monodromies[:, 0]) > 1.0
 
 
 def test_monodromy_drift_at_the_largest_kksh_time():
