@@ -31,10 +31,11 @@ theta increases strictly with h on each band, so the eigenvalues with
 exponent q are the roots of theta(h) = 2 pi j -+ (1 - q) pi, taken in
 increasing order below the search ceiling (q in {0, 1}: the upper-band
 coexistence points theta = (2j + 1 + q) pi, where M = +-Id).  Each root is
-bracketed by its band and found by brentq; only then is the half-period
-frame Q integrated by DOP853 over [0, K], once per eigenvalue, and M follows
-from Q by parity; this ODE route stays the oracle for tau, and so for the
-order (at q in {0, 1} the gate also checks that M is diagonal).
+bracketed by its band and found by brentq; only once all are found are the
+half-period frames Q integrated over [0, K], by one DOP853 run that carries
+the frame of every eigenvalue beside one Jacobi triple, and each M follows
+from its Q by parity; this ODE route stays the oracle for tau, and so for
+the order (at q in {0, 1} the gate also checks that M is diagonal).
 lame_monodromy is the module's only DOP853 integration.  A root find
 that does not converge, a monodromy that misses the gate or drifts from
 det 1, and fewer than the requested eigenvalues below the search ceiling
@@ -107,17 +108,25 @@ class FloquetRecord:
         return 0.5 * float(np.trace(self.monodromy))
 
 
-def _lame_rhs_factory(mu: float, h: float):
-    """Frame + Jacobi triple as one autonomous-in-arithmetic system.
+def _lame_rhs_factory(mu: float, hs):
+    """Frames for each h in hs + one shared Jacobi triple as one
+    autonomous-in-arithmetic system: the states (a, b, c, d) of each frame
+    in turn, then (sn, cn, dn).
 
     Carrying (sn, cn, dn) as extra states removes all special-function calls
     from the right-hand side; their own ODEs (sn' = cn dn, cn' = -sn dn,
     dn' = -mu sn cn) are integrated at the same tolerance.
     """
     def rhs(_, y):
-        a, b, c, d, sn, cn, dn = y.tolist()
-        w = 2.0 * mu * sn * sn - h
-        return (b, w * a, d, w * c, cn * dn, -sn * dn, -mu * sn * cn)
+        *frames, sn, cn, dn = y.tolist()
+        w0 = 2.0 * mu * sn * sn
+        out = []
+        for i, h in enumerate(hs):
+            a, b, c, d = frames[4 * i:4 * i + 4]
+            w = w0 - h
+            out += (b, w * a, d, w * c)
+        out += (cn * dn, -sn * dn, -mu * sn * cn)
+        return out
     return rhs
 
 
@@ -138,24 +147,32 @@ def _check_h(h: float) -> float:
     return h
 
 
-def lame_monodromy(mu: float, h: float, config: RunConfig = DEFAULT) -> np.ndarray:
+def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     """delta(2K(mu)), the ODE oracle of floquet_search's gate, by parity
-    from Q = delta(K), integrated by DOP853 on [0, K]; det M = (det Q)^2
-    keeps the integration's drift for the check below."""
+    from Q = delta(K), integrated by DOP853 on [0, K]; for a sequence of h,
+    the (len(h), 2, 2) stack of one integration that carries a frame per h
+    beside one Jacobi triple.  det M = (det Q)^2 keeps the integration's
+    drift for the check below, one per h.
+
+    DOP853 bounds the root mean square of the scaled step error over its
+    n = 4 len(h) + 3 states, so the tolerances shrink by sqrt(7 / n): the
+    error of any one frame with the triple is then held as tightly as in a
+    run of its own, and a single h is integrated exactly as alone."""
     mu = _check_mu(mu)
-    h = _check_h(h)
+    hs = [_check_h(x) for x in np.atleast_1d(h)]
     K, _ = complete_elliptic(mu)
-    y0 = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0]     # Id, then (sn, cn, dn)(0)
-    sol = solve_ivp(_lame_rhs_factory(mu, h), (0.0, K), y0, method="DOP853",
-                    rtol=max(config.integrator_rel_tol, 100.0 * EPS),
-                    atol=config.integrator_abs_tol)
+    y0 = [1.0, 0.0, 0.0, 1.0] * len(hs) + [0.0, 1.0, 1.0]   # Id per h, (sn, cn, dn)(0)
+    scale = math.sqrt(7.0 / len(y0))
+    sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method="DOP853",
+                    rtol=scale * max(config.integrator_rel_tol, 100.0 * EPS),
+                    atol=scale * config.integrator_abs_tol)
     if not sol.success:
         raise NumericFailure(f"Lame integration failed: {sol.message}")
-    M = parity_monodromy(sol.y[:4, -1].reshape(2, 2))
-    det = float(np.linalg.det(M))
-    if abs(det - 1.0) > 1e-10:
-        raise NumericFailure(f"monodromy determinant drift {det - 1.0:.2e}")
-    return M
+    M = parity_monodromy(sol.y[:-3, -1].reshape(-1, 2, 2))
+    for x, det in zip(hs, np.linalg.det(M)):
+        if abs(det - 1.0) > 1e-10:
+            raise NumericFailure(f"monodromy determinant drift {det - 1.0:.2e} at h = {x!r}")
+    return M if np.ndim(h) else M[0]
 
 
 def hermite_phase(mu: float, h: float) -> float:
@@ -210,21 +227,29 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
     if 1.0 < top < 1.0 + mu:
         top = 1.0
     theta_max = hermite_phase(mu, top) if top >= mu else -math.inf
-    records: List[FloquetRecord] = []
+    hs: List[float] = []
     for target in _phase_targets(q):
-        if target > theta_max or len(records) >= count:
+        if target > theta_max or len(hs) >= count:
             break
         lo, hi = (mu, 1.0) if target < 0.0 else (1.0 + mu, top)
-        # xtol at its floor: the root to the rounding of h (brentq's least rtol)
-        h, root = brentq(lambda x: hermite_phase(mu, x) - target, lo, hi,
-                         xtol=math.ulp(0.0), rtol=8.9e-16, full_output=True, disp=False)
+        # xtol at its floor: the root to the rounding of h (brentq's least
+        # rtol), in four times the bisections that take the bracket there,
+        # since theta plateaus at its rounding level high up the upper band
+        budget = 4 * math.ceil(math.log2((hi - lo) / (8.9e-16 * lo)))
+        h, root = brentq(lambda x: hermite_phase(mu, x) - target, lo, hi, xtol=math.ulp(0.0),
+                         rtol=8.9e-16, maxiter=budget, full_output=True, disp=False)
         if not root.converged:
             raise NumericFailure(f"the root of theta(h) = {target!r} on [{lo!r}, {hi!r}] "
                                  f"did not converge: {root.flag}")
-        h = float(h)
-        # the ODE monodromy must confirm the closed-form root, and so the
-        # record's order; at q in {0, 1} it must be the double point M = +-Id
-        M = lame_monodromy(mu, h, config)
+        hs.append(float(h))
+    if len(hs) < count:
+        raise NumericFailure(
+            f"found {len(hs)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
+    # the ODE monodromies, of one integration, must confirm the closed-form
+    # roots, and so the records' order; at q in {0, 1} each must be the
+    # double point M = +-Id
+    records: List[FloquetRecord] = []
+    for h, M in zip(hs, lame_monodromy(mu, hs, config)):
         miss = abs(0.5 * float(np.trace(M)) - math.cos(q * math.pi))
         if miss > config.tol_floquet or (
                 q_num in (0, q_den)
@@ -232,9 +257,6 @@ def floquet_search(mu: float, q_num: int, q_den: int, count: int,
             raise NumericFailure(f"monodromy at h = {h!r} fails the Floquet gate: "
                                  f"|tau - cos(q pi)| = {miss:.1e}, M = {M.tolist()}")
         records.append(FloquetRecord(mu, q_num, q_den, len(records), h, M))
-    if len(records) < count:
-        raise NumericFailure(
-            f"found {len(records)} < {count} eigenvalues below h = {config.scan_h_ceiling}")
     return records
 
 

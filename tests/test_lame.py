@@ -46,7 +46,7 @@ def _full_period_monodromy(mu, h):
     system (frame plus the Jacobi triple) and tolerances as lame_monodromy,
     without the parity step."""
     K, _ = complete_elliptic(mu)
-    sol = solve_ivp(lame._lame_rhs_factory(mu, h), (0.0, 2.0 * K),
+    sol = solve_ivp(lame._lame_rhs_factory(mu, [h]), (0.0, 2.0 * K),
                     [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
                     method="DOP853", rtol=DEFAULT.integrator_rel_tol,
                     atol=DEFAULT.integrator_abs_tol)
@@ -150,25 +150,108 @@ def test_interlacing_even_before_odd():
     assert b_odd == pytest.approx(6.519135, abs=1e-4)
 
 
-def test_search_exhausted():
+def test_search_exhausted(monkeypatch):
+    """Too few roots below the ceiling fail before any DOP853 runs."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("DOP853 ran for an exhausted search")
+
+    monkeypatch.setattr(lame, "solve_ivp", no_integration)
     cfg = replace(DEFAULT, scan_h_ceiling=2.0)
     with pytest.raises(NumericFailure, match="found 0 < 2 eigenvalues below h = 2.0"):
         floquet_search(0.6, 0, 1, 2, cfg)
 
 
 def test_search_integrates_one_monodromy_per_eigenvalue(monkeypatch):
-    """The closed-form search integrates only the eigenvalues it returns."""
+    """The closed-form search integrates only the eigenvalues it returns,
+    all of them in one lame_monodromy call, whose h are the records' h."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lame_monodromy(*args, **kwargs)
+    def counted(mu, h, config=DEFAULT):
+        calls.append(list(h))
+        return lame_monodromy(mu, h, config)
 
     monkeypatch.setattr(lame, "lame_monodromy", counted)
-    for args in ((0.6, 0, 1, 5), (0.9, 2, 5, 2)):
+    for args in ((0.6, 0, 1, 5), (0.9, 2, 5, 2), (0.4, 3, 5, 1)):
         calls.clear()
         recs = floquet_search(*args)
-        assert len(calls) == len(recs) == args[3]
+        assert len(recs) == args[3]
+        assert calls == [[r.h for r in recs]]
+
+
+# (mu, q_num, q_den, count): the spectra table of bench/workloads.py
+SPECTRA_SEARCHES = [(0.4, 3, 5, 1), (0.4, 2, 5, 1), (0.9, 2, 5, 2), (0.6, 0, 1, 5),
+                    (0.9, 1, 1, 3), (0.7, 1, 3, 3), (0.25, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("mu, q_num, q_den, count", SPECTRA_SEARCHES)
+def test_batched_monodromies_match_solo_integrations(mu, q_num, q_den, count):
+    """Each monodromy of a search's one integration has the solo call's tau
+    at its h to 1e-12 and is no farther than the solo M, plus 1e-11
+    (relative), from a reference at the tolerance floor; a single h is the
+    solo call bit for bit.  (The batched and solo M themselves differ by up
+    to 1.3e-11 relative at h = 42.2 for mu = 0.6, q = 0, since the solo M is
+    1.6e-11 from the reference there and the batched one 2.4e-12.)"""
+    tight = replace(DEFAULT, integrator_rel_tol=1e-14, integrator_abs_tol=1e-16)
+    for rec in floquet_search(mu, q_num, q_den, count):
+        solo, ref = lame_monodromy(mu, rec.h), lame_monodromy(mu, rec.h, tight)
+        assert solo.shape == (2, 2)
+        assert abs(rec.tau - 0.5 * np.trace(solo)) <= 1e-12
+        scale = np.abs(ref).max()
+        assert np.abs(rec.monodromy - ref).max() <= np.abs(solo - ref).max() + 1e-11 * scale
+        if count == 1:
+            assert (rec.monodromy == solo).all()
+
+
+def test_batched_tolerances_scale_with_the_states(monkeypatch):
+    """DOP853's error norm is a root mean square over the states, so k
+    frames plus the triple run at sqrt(7 / (4k + 3)) of the solo rtol and
+    atol, and one h at exactly the solo ones."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((len(args[2]), kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(lame, "solve_ivp", spy)
+    lame_monodromy(0.6, 3.0)
+    M = lame_monodromy(0.6, [3.0, 11.0, 24.0])
+    assert M.shape == (3, 2, 2)
+    (n1, rtol1, atol1), (n3, rtol3, atol3) = seen
+    assert (n1, n3) == (7, 15)
+    assert (rtol1, atol1) == (DEFAULT.integrator_rel_tol, DEFAULT.integrator_abs_tol)
+    assert rtol3 == pytest.approx(rtol1 * math.sqrt(7 / 15), rel=1e-15)
+    assert atol3 == pytest.approx(atol1 * math.sqrt(7 / 15), rel=1e-15)
+
+
+def test_a_root_find_that_does_not_converge_is_a_numeric_failure(monkeypatch):
+    """brentq cut to 5 iterations stops short of every root; the search
+    fails before any DOP853 runs."""
+    import scipy.optimize
+
+    brentq = scipy.optimize.brentq
+    monkeypatch.setattr(scipy.optimize, "brentq",
+                        lambda *args, **kwargs: brentq(*args, **{**kwargs, "maxiter": 5}))
+    monkeypatch.setattr(lame, "solve_ivp", None)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        floquet_search(0.6, 0, 1, 1)
+
+
+def test_root_find_converges_high_up_the_upper_band(monkeypatch):
+    """Near h ~ 5e3, theta(h) plateaus at its rounding level and brentq needs
+    more than its default 100 iterations (mu = 0.6, q = 0: the root of
+    theta = 87 pi); the bracket's iteration budget converges on every root
+    up to the 60th.  The DOP853 gate is stubbed by M = Id, which is not
+    under test here."""
+    monkeypatch.setattr(lame, "lame_monodromy",
+                        lambda mu, h, config=DEFAULT: np.broadcast_to(np.eye(2), (len(h), 2, 2)))
+    cfg = replace(DEFAULT, scan_h_ceiling=1e7)
+    recs = floquet_search(0.6, 0, 1, 60, cfg)
+    hs = np.array([r.h for r in recs])
+    assert (np.diff(hs) > 0).all()
+    assert hs[43] == pytest.approx(5027.9, abs=0.1)
+    for j, h in enumerate(hs):
+        target = (2 * j + 1) * math.pi
+        assert abs(hermite_phase(0.6, h) - target) <= 1e-9 * target
 
 
 @pytest.mark.parametrize("mu", [0.25, 0.6, 0.9])
@@ -202,7 +285,7 @@ def test_search_gate_rejects_a_parabolic_coexistence_monodromy(monkeypatch):
     """At q = 0 the record's order 1 claims M = Id: a monodromy with the right
     trace but M[1, 0] != 0 (a Jordan block) fails the gate."""
     monkeypatch.setattr(lame, "lame_monodromy",
-                        lambda mu, h, config=DEFAULT: np.array([[1.0, 0.0], [1e-3, 1.0]]))
+                        lambda mu, h, config=DEFAULT: np.array([[[1.0, 0.0], [1e-3, 1.0]]]))
     with pytest.raises(NumericFailure, match="Floquet gate"):
         floquet_search(0.6, 0, 1, 1)
 
