@@ -51,7 +51,7 @@ from .nullcurve import (
     torical_embed,
     winding_numbers,
 )
-from .nullcurve.evolve import KDV_GATE
+from .nullcurve.evolve import KDV_GATE, agreement_bound
 from .specfun import complete_elliptic
 
 
@@ -331,6 +331,13 @@ def cmd_kksh(args, config: RunConfig) -> int:
                        257)
     ev = lien_evolve(spec, grid, np.array(t_list), config)
     print(f"KdV gate residual {fnum(ev.gate_residual, 3)} (tolerance {KDV_GATE:.0e})")
+    if ev.commutator is None:
+        print("period lattice: no t reduced to a cell, the t-system transported directly")
+    else:
+        n1, n2 = ev.cells[-1]
+        print(f"period lattice: (n1, n2) = ({n1}, {n2}) cells at the last t; holonomy "
+              f"commutator {fnum(ev.commutator, 3)} (tolerance "
+              f"{agreement_bound(config):.0e})")
     # the trace drift is conjugation-invariant and stable; the raw matrix
     # drift ||M(t) - M(0)|| of entries up to 4e12 would export rounding noise
     dp, dm = monodromy_trace_drift(ev)

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import UsageError
+from .config import NumericFailure, UsageError
 from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
 from .specfun.elliptic import _check_mu, _linear, _sncndn_series
 from .specfun.series import Series, derivative_shift
@@ -194,6 +194,13 @@ def tau_mn(mu: float, m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class KkshSpec:
+    """The three-parameter family (mu, tau, h), with the quantum numbers
+    (m, n) when tau = tau_mn(mu, m, n) makes kappa s-periodic.  kappa
+    depends on (s, t) only through the phases theta+- = w+- s + v+- t, so a
+    quantized spec also has a period lattice in (s, t) (lattice, cells):
+    l1 = (rho, ~0) up to sign and l2 with the least t > 0, the pull-back of
+    the phase shifts (2K(mu) a, 2K(tau) b) with a = b (mod 2)."""
+
     mu: float
     tau: float
     h: float
@@ -262,6 +269,76 @@ class KkshSpec:
         m = self.m if self.m is not None else 1
         K, _ = complete_elliptic(self.mu)
         return 4.0 * m * K / self.h
+
+    @cached_property
+    def _phase_lattice(self):
+        """(shifts, K, W, basis): the half-period counts (a_i, b_i) of the
+        lattice basis as rows, the quarter periods (K(mu), K(tau)), the phase
+        matrix W = [[w+, v+], [w-, v-]] (theta = W (s, t)) and the basis
+        W^{-1} (2K(mu) a_i, 2K(tau) b_i) as rows; None without (m, n).  l1
+        is (a, b) = +-(2m, 2n), the s-period rho, signed so that
+        its t is not negative (a negative t would add a side to the
+        t-transport); l2 solves b m - a n = d > 0 least with a = b (mod 2),
+        so d = 1, or 2 when m and n are odd; its sign makes t > 0 and a
+        multiple of (2m, 2n) puts its s in [0, rho)."""
+        if self.m is None:
+            return None
+        m, n = self.m, self.n
+        b = pow(m, -1, n)                   # b m - a n = 1
+        a = (b * m - 1) // n
+        if (a - b) % 2:
+            a, b = (a + m, b + n) if (m + n) % 2 else (2 * a, 2 * b)
+        K = np.array([complete_elliptic(self.mu)[0], complete_elliptic(self.tau)[0]])
+        W = np.array([[self.w_plus, self.v_plus], [self.w_minus, self.v_minus]])
+        shifts = np.array([[2 * m, 2 * n], [a, b]])
+
+        def basis():
+            return np.linalg.solve(W, 2.0 * K[:, None] * shifts.T).T
+
+        l1, l2 = basis()
+        shifts[1] *= 1 if l2[1] > 0 else -1
+        shifts[1] -= math.floor(math.copysign(1.0, l2[1]) * l2[0] / l1[0]) * shifts[0]
+        shifts[0] *= 1 if l1[1] >= 0 else -1
+        return shifts, K, W, basis()
+
+    @property
+    def lattice(self) -> Optional[np.ndarray]:
+        """The period lattice of kappa in (s, t), as the rows l1 and l2 of a
+        reduced basis, or None without (m, n).
+
+        kappa depends on (s, t) only through the phases theta+- = w+- s +
+        v+- t, and a shift of 2K flips the sign of sn, so kappa is invariant
+        under the phase shifts (2K(mu) a, 2K(tau) b) with a = b (mod 2),
+        which keep phi (kappa = u_s + u^2 is not even in phi).  The lattice
+        is their pull-back W^{-1} (2K(mu) a, 2K(tau) b), each vector computed
+        from its integers (not from rho): l1 = +-(rho, ~0), the s-period
+        (its t is the rounding of the (m, n) constraint, and l1's sign makes
+        it >= 0), and l2 = (s2, t2) with the least t2 > 0 and s2 in
+        [0, rho).  t2 is 0.0019138 for the README recipe, 1.415 for (3, 2)
+        at mu = 0.5 and 402 for (5, 1) at mu = 0.92."""
+        lat = self._phase_lattice
+        return None if lat is None else lat[3]
+
+    def cells(self, t):
+        """(n, x): the reduction (0, t) = n1 l1 + n2 l2 + x of each t, with n
+        (len(t), 2) the integer cell counts (n2 = floor(t / t2), then n1
+        puts x's s between 0 and l1's) and x (len(t), 2) the remainder in
+        one cell.  x is W^{-1} of the phases at (0, t) less n's integer phase
+        shifts, so it carries only the rounding of those phases; a t with
+        n = 0 keeps x = (0, t) exactly.  NumericFailure when a count is past
+        float64's integers."""
+        shifts, K, W, ((s1, _), (s2, t2)) = self._phase_lattice
+        t = np.asarray(t, dtype=float)
+        n2 = np.floor(t / t2)
+        n = np.stack([np.floor(-n2 * s2 / s1), n2], axis=-1)
+        if not np.abs(n).max(initial=0.0) < 2.0 ** 52:
+            raise NumericFailure(f"t = {float(t.max())!r} lies past the float range "
+                                 "of lattice cell counts")
+        phases = np.stack([self.v_plus * t, self.v_minus * t]) - 2.0 * K[:, None] * (n @ shifts).T
+        x = np.linalg.solve(W, phases).T
+        near = ~n.any(axis=-1)
+        x[near] = np.stack([np.zeros(near.sum()), t[near]], axis=-1)
+        return n.astype(np.int64), x
 
     # -- closed-form jets -----------------------------------------------------
 

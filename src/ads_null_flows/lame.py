@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.special import ellipeinc, ellipkinc
 
 from .config import DEFAULT, NumericFailure, RunConfig, UsageError
@@ -83,6 +83,25 @@ from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_snc
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
 from .transport import EPS, floquet_extend, parity_monodromy, transport
+
+
+# right-hand sides per run of a DOP853 oracle (lame_monodromy, the
+# confirmation of nullcurve.evolve): a Lame monodromy at h = 1e6 takes
+# 123,000 (at 1e7, 390,000, and its det check fails), the kksh recipe's
+# confirmation 1,946
+MAX_RHS_CALLS = 1 << 20
+
+
+class BudgetedDOP853(DOP853):
+    """DOP853 with a work budget, the method of both DOP853 oracles: a step
+    begun past MAX_RHS_CALLS right-hand sides raises NumericFailure, so no
+    setting can make an oracle run unbounded.  It checks nfev once per
+    step, so the steps, nfev and result are DOP853's."""
+
+    def step(self):
+        if self.nfev > MAX_RHS_CALLS:
+            raise NumericFailure(f"DOP853 needs more than {MAX_RHS_CALLS} right-hand sides")
+        return super().step()
 
 
 @dataclass
@@ -157,13 +176,14 @@ def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     DOP853 bounds the root mean square of the scaled step error over its
     n = 4 len(h) + 3 states, so the tolerances shrink by sqrt(7 / n): the
     error of any one frame with the triple is then held as tightly as in a
-    run of its own, and a single h is integrated exactly as alone."""
+    run of its own, and a single h is integrated exactly as alone.  Its
+    right-hand sides are budgeted (BudgetedDOP853)."""
     mu = _check_mu(mu)
     hs = [_check_h(x) for x in np.atleast_1d(h)]
     K, _ = complete_elliptic(mu)
     y0 = [1.0, 0.0, 0.0, 1.0] * len(hs) + [0.0, 1.0, 1.0]   # Id per h, (sn, cn, dn)(0)
     scale = math.sqrt(7.0 / len(y0))
-    sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method="DOP853",
+    sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method=BudgetedDOP853,
                     rtol=scale * max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=scale * config.integrator_abs_tol)
     if not sol.success:

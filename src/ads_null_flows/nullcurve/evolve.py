@@ -11,10 +11,10 @@ extended frames at spectral parameters +-1 satisfy
 and gamma = F+ F-^{-1} evolves by the lowest flow with bending kappa.  The
 bending is a BendingSampler, whose kappa_jet and kappa_t take scalar or
 array (s, t); lien_evolve first gates it on the KdV residual over a grid of
-probes, one array call of each.  The construction transports the t-systems
-along s = 0 first (A+-(t), from Id), then the s-systems for each requested
-t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id, all by the
-Taylor panels of ads_null_flows.transport.  The s-systems of all the
+probes, one array call of each.  The construction finds the t-frames
+A+-(t) = F+-(0, t) first (from Id), then transports the s-systems for each
+requested t, F+-(s, t) = A+-(t) Phi+-(s, t) with Phi+-(0, t) = Id, all by
+the Taylor panels of ads_null_flows.transport.  The s-systems of all the
 t-slices go through _s_frames, the one s-transport of the module (the t = 0
 KKSH monodromies use it too): BATCH systems per transport, each a pair of
 factors.  kappa_jet runs on a Series (of order 2 in dt at s = 0 for the
@@ -28,6 +28,27 @@ stacks with the factor axis first, F+ (lam = +1) then F- (lam = -1), the
 order of frames.LAMBDA.  Every panel factor has det 1, so the frames are
 unimodular to rounding and are never renormalized, and the panel counts
 follow integrator_rel_tol.
+
+The t-frames come from the period lattice when the sampler has one (a
+KkshSpec with (m, n): kappa depends on (s, t) only through two phases, so
+it is periodic on a lattice L of (s, t), KkshSpec.lattice).  The
+connection is flat and L-periodic, so F(x + l) = F(l) F(x) for l in L and
+the holonomies C_l = F(l) commute: Floquet's rule in two variables, as for
+the commuting monodromies of finite-gap KdV (S. P. Novikov, Funct. Anal.
+Appl. 8 (1974) 236; Belokolos, Bobenko, Enol'skii, Its & Matveev,
+Algebro-Geometric Approach to Nonlinear Integrable Equations, 1994).  Each
+(0, t_j) reduces to n1 l1 + n2 l2 + x_r with x_r in one cell, and A(t_j) =
+C1^n1 C2^n2 F(x_r) (_t_frames): one t-transport over one cell and one
+_s_frames call give F at the remainders and at l1, l2, and
+transport.lattice_power writes the product as sigma (alpha I + beta P) from
+the shared traceless part P, with cosh/sinh (cos/sin, or the parabolic
+limit) of x = n1 a1 + n2 a2, so no power is formed and nothing overflows
+before the frames do.  A t_j with n = 0, a sampler without a lattice (the
+stationary bendings), and a t_j whose lattice frames would amplify the
+transport's error past LATTICE_SLACK take the direct t-transport along
+s = 0.  The commutator of C1 and C2 is a gate (agreement_bound).  For the
+README recipe (t up to 1.61, 842 cells of height 0.0019) the t-system
+shrinks from 2,040 panels over [0, 1.61] to 64 over one cell.
 
 The bending has an s-period rho (every KKSH family and stationary
 bending), and Phi from Id at s = 0 is unique, so every s-frame is computed
@@ -45,13 +66,14 @@ and M = Q S Q^{-1} S from Q = Phi(rho/2) (Hill's equation with an even
 potential; transport.parity_monodromy).  _s_route measures that evenness
 on the gate's probes, and on the periodic route an even bending is
 confirmed over half the period.  A bending that fails the KdV gate, a
-transport past its panel cap and a missed confirmation each raise
+transport past its panel cap, a confirmation past its right-hand-side
+budget (lame.BudgetedDOP853) and a missed confirmation each raise
 NumericFailure.  The monodromies of F+- (SpinorFramePath.monodromy) are
 conserved in t, and LienEvolution keeps the s-monodromies Phi+-(rho, t),
 which are conjugate to them: the trace drift and the `kksh`
 classification read them with no second transport.  It keeps the period
-gap that _s_route measured too, and whether the one-period route was
-taken.
+gap that _s_route measured too, whether the one-period route was taken,
+the lattice cells of each t and the holonomy commutator.
 """
 
 from __future__ import annotations
@@ -65,13 +87,19 @@ from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..kdvsol import KkshSpec, kksh_kappa_series
+from ..lame import BudgetedDOP853
 from ..specfun.series import Series
-from ..transport import EPS, floquet_extend, parity_monodromy, transport
+from ..transport import EPS, floquet_extend, lattice_power, parity_monodromy, transport
 from .frames import LAMBDA, SpinorFramePath, _frames_rhs
 
 # DOP853's global error over the s-span runs to several times its rtol
 CONFIRM_SLACK = 100.0
 KDV_GATE = 1e-3      # lien_evolve's input gate on the KdV residual
+# the most the lattice route may amplify the transport's error at a t_j
+# (_t_frames); past it the t_j is transported directly.  The README recipe
+# reads at most 21 and (3, 2) at mu = 0.5, t <= 10, 11; (4, 3) at
+# mu = 0.5, h = 1 reads 1e14 on both of its remainders
+LATTICE_SLACK = 100.0
 GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
 # s-systems per transport in _s_frames, which share one panel count (the
 # hardest system's) and one kappa series per block: four leave the peak
@@ -158,6 +186,8 @@ class LienEvolution:
     gate_residual: float
     period_gap: Optional[float]       # _s_route's, None when the grid spans at most rho
     one_period: bool                  # the s-frames extend one transported period
+    cells: Optional[np.ndarray]       # (nt, 2): (n1, n2) of each t_j, None without a lattice
+    commutator: Optional[float]       # of the holonomies, None unless a t took the lattice route
 
     def monodromy_drift(self, rho: float) -> float:
         """max_t ||M(t) - M(0)||_max over both factors, with
@@ -183,8 +213,9 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     t_probe = np.linspace(t_grid[0], t_grid[-1], min(GATE_PROBES, 6))
     gate, mesh = kdv_gate(sampler, s_probe, t_probe, KDV_GATE)
 
-    # step 1: A+-(t) along s = 0
-    A = transport(_t_generator(sampler), 0.0, t_grid, config.integrator_rel_tol)
+    # step 1: A+-(t) = F+-(0, t), from one lattice cell when kappa has a
+    # period lattice
+    A, cells, commutator = _t_frames(sampler, t_grid, config)
 
     # step 2: the s-systems of all t-slices at r, rho and s_end, then
     # F+-(s, t) = A+-(t) M+-(t)^k Phi+-(r, t)
@@ -197,7 +228,84 @@ def lien_evolve(sampler: BendingSampler, s_grid: Sequence[float],
     F = A[:, :, None] @ floquet_extend(M, Phi[:, :, :len(r)], k)
     kappa = np.asarray(sampler.kappa_jet(s_grid, t_grid[:, None], order=0)[0], dtype=float)
     paths = [SpinorFramePath(s_grid, F[:, j], kappa[j]) for j in range(len(t_grid))]
-    return LienEvolution(t_grid, paths, M, gate, gap, isinstance(k, np.ndarray))
+    return LienEvolution(t_grid, paths, M, gate, gap, isinstance(k, np.ndarray),
+                         cells, commutator)
+
+
+def agreement_bound(config: RunConfig) -> float:
+    """The relative bound on two computations of one frame: max(tol_metric,
+    CONFIRM_SLACK integrator_rel_tol), the looser when DOP853's own error
+    is (see _confirm); the holonomy commutator is held to it too."""
+    return max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
+
+
+def _t_frames(sampler: BendingSampler, t_grid: np.ndarray, config: RunConfig):
+    """(A, cells, commutator): A+-(t_j) = F+-(0, t_j), the stack (2, nt, 2,
+    2); the lattice cells (n1, n2) of each t_j (sampler.cells; None for a
+    sampler without a lattice); and the holonomy commutator, None unless a
+    t_j took the lattice route.
+
+    Without a lattice, or with every t_j in the first cell (n = 0), A is one
+    transport of the t-system over t_grid.  Otherwise (0, t_j) = n1 l1 + n2
+    l2 + x_r, and F(0, t_j) = C1^n1 C2^n2 F(x_r) with the holonomies C_i =
+    F(l_i) (transport.lattice_power), every frame F(s, t) = A(t) Phi(s, t)
+    inside one cell: one t-transport to the t of each x_r and l_i (the t_j
+    themselves where n = 0), then one _s_frames call for the s of each,
+    system i rescaled by s onto [0, 1].  Each t_j has two remainders, x_r
+    and x_r - l1, whose s-legs run to either side of s = 0; each factor
+    takes the one whose error is amplified least, |C^n| |A(t_r)|
+    |Phi(s_r, t_r)| / |A(t_j)| (max-norms): the other can cancel by the
+    size of the s-monodromy or its square (measured: 1.8 relative, against
+    5e-12, for (3, 2) at mu = 0.5 and t = 5).  A t_j whose amplification
+    exceeds LATTICE_SLACK in either factor is transported directly, and its
+    cells read 0; so is every far t_j when a holonomy's own path amplifies
+    past it.  The holonomies commute in each factor; max |C1 C2 - C2 C1| /
+    (|C1| |C2|) (max-norm) past agreement_bound, and frames past the float
+    range, raise NumericFailure."""
+    generator, rel_tol = _t_generator(sampler), config.integrator_rel_tol
+    lattice = getattr(sampler, "lattice", None)
+    n, x = sampler.cells(t_grid) if lattice is not None else (None, None)
+    if n is None or not n.any():
+        return transport(generator, 0.0, t_grid, rel_tol), n, None
+    far = n.any(axis=1)
+    ends = np.concatenate([x[far], x[far] - lattice[0], lattice])
+    A = transport(generator, 0.0, np.append(x[:, 1], ends[:, 1]), rel_tol)
+    Phi = _s_frames([sampler] * len(ends), ends[:, 0], ends[:, 1], [1.0], config)[:, :, 0]
+    Ar = A[:, len(t_grid):]
+    F = Ar @ Phi
+    C1, C2 = F[:, -2], F[:, -1]
+    bound = agreement_bound(config)
+    # a zero holonomy gives NaN, which fails the gate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        commutator = float((_size(C1 @ C2 - C2 @ C1) / (_size(C1) * _size(C2))).max())
+    if not commutator <= bound:
+        raise NumericFailure(f"lattice holonomies commute only to {commutator:.1e} > "
+                             f"{bound:.0e}")
+    Pi = lattice_power(F[:, -2:], np.concatenate([n[far], n[far] + [1, 0]]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = Pi @ F[:, :-2]
+        amp = np.nan_to_num(_size(Pi) * _size(Ar[:, :-2]) * _size(Phi[:, :-2]) / _size(out),
+                            nan=np.inf)
+        # holonomies reached through cancellation spoil every cell
+        held = (_size(Ar[:, -2:]) * _size(Phi[:, -2:]) / _size(F[:, -2:])).max(axis=1)
+    k = int(far.sum())
+    second = amp[:, k:] < amp[:, :k]
+    A = A[:, :len(t_grid)]
+    A[:, far] = np.where(second[..., None, None], out[:, k:], out[:, :k])
+    worst = np.maximum(np.where(second, amp[:, k:], amp[:, :k]), held[:, None])
+    direct = np.zeros(len(t_grid), dtype=bool)
+    direct[far] = ~(worst <= LATTICE_SLACK).all(axis=0)
+    if direct.any():
+        A[:, direct] = transport(generator, 0.0, t_grid[direct], rel_tol)
+        n[direct] = 0
+    if not np.isfinite(A).all():
+        raise NumericFailure(f"t-frames overflow over {int(np.abs(n).max())} lattice cells")
+    return A, n, commutator if n.any() else None
+
+
+def _size(F: np.ndarray) -> np.ndarray:
+    """max |F| of each frame (..., 2, 2)."""
+    return np.abs(F).max(axis=(-2, -1))
 
 
 def _t_generator(sampler: BendingSampler):
@@ -250,13 +358,13 @@ def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
     its period), to rho/2 only: then the frame at rho is M = Q S Q^{-1} S
     from Q = Phi(rho/2) (transport.parity_monodromy).  Its frames at s_end
     must match Phi, the stack (2, 2, 2) of Phi+-(s_end), within
-    max(tol_metric, CONFIRM_SLACK integrator_rel_tol) (relative,
-    max-norm)."""
+    agreement_bound(config) (relative, max-norm).  Its right-hand sides are
+    budgeted (lame.BudgetedDOP853)."""
     def rhs(s, y):
         return _frames_rhs(sampler.kappa_jet(float(s), 0.0, order=0)[0], y.tolist())
 
     sol = solve_ivp(rhs, (0.0, float(0.5 * s_end if even else s_end)),
-                    [1.0, 0.0, 0.0, 1.0] * 2, method="DOP853",
+                    [1.0, 0.0, 0.0, 1.0] * 2, method=BudgetedDOP853,
                     rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:
@@ -264,7 +372,7 @@ def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
     ref = sol.y[:, -1].reshape(2, 2, 2)
     if even:
         ref = parity_monodromy(ref)
-    bound = max(config.tol_metric, CONFIRM_SLACK * config.integrator_rel_tol)
+    bound = agreement_bound(config)
     for F, y in zip(Phi, ref):
         miss = float(np.abs(F - y).max() / np.abs(y).max())
         if miss > bound:

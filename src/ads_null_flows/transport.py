@@ -108,6 +108,52 @@ def floquet_extend(M: np.ndarray, F: np.ndarray, k) -> np.ndarray:
     return out
 
 
+def lattice_power(C: np.ndarray, n) -> np.ndarray:
+    """C1^n1 C2^n2 per sample, the holonomy of n1 l1 + n2 l2 on a period
+    lattice, F(x + n1 l1 + n2 l2) = C1^n1 C2^n2 F(x): C (..., 2, 2, 2) the
+    two commuting unimodular holonomies C_i = F(l_i) on axis -3, n (m, 2)
+    the integer cell counts; returns (..., m, 2, 2).
+
+    Commuting, C_i = c_i I + r_i P share the traceless part P (the larger of
+    theirs), with P^2 = D I.  Write C_i = sigma_i (cosh a_i I + sinh a_i N),
+    N = P / sqrt(D) and sigma_i the sign of c_i, for a hyperbolic factor (D
+    > 0; a_i = asinh(sigma_i r_i sqrt(D))), or with cos and sin, a_i =
+    atan2(sigma_i r_i sqrt(-D), |c_i|), for an elliptic one (D < 0).  Then
+    C1^n1 C2^n2 = sigma (alpha I + beta P) with sigma = sigma1^n1 sigma2^n2,
+    x = n1 a1 + n2 a2, alpha = cosh x and beta = sinh x / sqrt(D) (cos and
+    sin / sqrt(-D)), and at a parabolic factor (D = 0) the limit alpha = 1,
+    beta = n1 sigma1 r1 + n2 sigma2 r2.  No power is formed and x stays
+    moderate: it is about 21 where |C1^n1 C2^n2| is 2.4e9 with n1 = 305.
+    Past the float range the product is inf, without a warning."""
+    n1, n2 = np.asarray(n, dtype=float).T
+
+    def combine(v):                   # v1 n1 + v2 n2 per sample, v (..., 2)
+        return v[..., 0, None] * n1 + v[..., 1, None] * n2
+
+    c = 0.5 * np.trace(C, axis1=-2, axis2=-1)                     # (..., 2)
+    P = C - c[..., None, None] * np.eye(2)
+    size = (P * P).sum(axis=(-2, -1))
+    base = np.where((size[..., :1] >= size[..., 1:])[..., None], P[..., 0, :, :],
+                    P[..., 1, :, :])
+    norm = (base * base).sum(axis=(-2, -1))[..., None]
+    r = np.divide((P * base[..., None, :, :]).sum(axis=(-2, -1)), norm,
+                  out=np.zeros_like(c), where=norm > 0.0)
+    D = base[..., 0, 0] ** 2 + base[..., 0, 1] * base[..., 1, 0]
+    sign = np.where(c < 0.0, -1.0, 1.0)
+    g = sign * r
+    root = np.sqrt(np.abs(D))[..., None]
+    angle = np.where(D[..., None] > 0.0, np.arcsinh(g * root), np.arctan2(g * root, np.abs(c)))
+    x = combine(angle)                                               # (..., m)
+    D = D[..., None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha = np.where(D > 0.0, np.cosh(x), np.where(D < 0.0, np.cos(x), 1.0))
+        beta = np.where(D > 0.0, np.sinh(x) / root,
+                        np.where(D < 0.0, np.sin(x) / root, combine(g)))
+        sigma = 1.0 - 2.0 * np.mod(combine(sign < 0.0), 2.0)
+        return sigma[..., None, None] * (alpha[..., None, None] * np.eye(2)
+                                         + beta[..., None, None] * base[..., None, :, :])
+
+
 def parity_monodromy(Q: np.ndarray) -> np.ndarray:
     """The monodromy M = F(2p) = Q S Q^{-1} S of frames (..., 2, 2) from
     their half-period frames Q = F(p) = [[a, b], [c, d]], F(0) = Id, for a

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -361,16 +362,54 @@ def test_stationary_bad_indices_exit_code(tmp_path, indices):
     assert not out.exists()
 
 
-def test_transport_step_cap_exit_code(tmp_path, monkeypatch):
+def test_transport_step_cap_exit_code(tmp_path, monkeypatch, capsys):
     """A transport that needs more panels than the frame kernel's cap: exit 1.
-    One s-period fits in 64 panels; the t-system up to t = 0.1 does not."""
+    One Lame period fits in 64 panels; the stationary path over 12 periods
+    (which passes at the default cap) does not."""
     import ads_null_flows.transport as kernel
 
     monkeypatch.setattr(kernel, "MAX_PANELS", 64)
-    out = tmp_path / "kcap"
-    code = main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.1",
-                 "--invariant-grid", "2", "-o", str(out)])
+    out = tmp_path / "scap"
+    code = main(["stationary", "--mu", "0.9", "--q", "2/5", "--periods", "12",
+                 "-o", str(out)])
     assert code == 1
+    assert "needs more than 64 panels" in stderr(capsys)
+
+
+def test_dop853_budget_exit_code(tmp_path, monkeypatch, capsys):
+    """A DOP853 oracle past its right-hand-side budget (lowered to 100):
+    the Floquet gate's monodromy and kksh's s-frame confirmation each exit
+    1 with one line naming the budget."""
+    from ads_null_flows import lame
+
+    monkeypatch.setattr(lame, "MAX_RHS_CALLS", 100)
+    for argv in (["floquet", "--mu", "0.9", "--q", "2/5", "--count", "2"],
+                 ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--invariant-grid", "0"]):
+        assert main([*argv, "-o", str(tmp_path / argv[0])]) == 1
+        assert stderr(capsys) == ("numeric failure: DOP853 needs more than 100 "
+                                  "right-hand sides\n")
+
+
+KKSH_META = {"config_digest", "h", "invariants", "m", "monodromy_trace_drift", "mu", "n",
+             "orbit_type", "period_gap", "recipe", "rho", "t", "tau"}
+
+
+@pytest.mark.parametrize("mn, mu, line", [
+    ("1,6", "0.6", r"period lattice: \(n1, n2\) = \(\d+, 161\) cells at the last t; "
+                   r"holonomy commutator (\S+) \(tolerance 1e-08\)"),
+    ("5,1", "0.92", r"period lattice: no t reduced to a cell, the t-system transported "
+                    r"directly()"),
+])
+def test_kksh_reports_the_lattice_route(tmp_path, capsys, mn, mu, line):
+    """stdout says how far the last t lies in lattice cells (t = 0.3 is 161
+    cells out at mu = 0.6; t2 = 402 at (5, 1), mu = 0.92) and the holonomy
+    commutator with its tolerance; the exports' meta gains nothing."""
+    out = tmp_path / "k"
+    assert main(["kksh", "--mn", mn, "--h", "2", "--mu", mu, "--t", "0,0.3",
+                 "--invariant-grid", "0", "-o", str(out)]) == 0
+    found = re.search(line, capsys.readouterr().out)
+    assert found and (not found[1] or float(found[1]) <= 1e-12)
+    assert set(json.loads((out / "kksh_t0.3.json").read_text())["meta"]) == KKSH_META
 
 
 @pytest.mark.parametrize("argv", [

@@ -195,8 +195,10 @@ def test_generator_work_budget(monkeypatch):
     """np.einsum calls of one generator block of each KKSH transport: the
     Series products of kappa stay off the hot path (they were 172 per
     s-block and 206 per t-block).  The one s-generator of _s_frames costs
-    51 per batch of KKSH systems, however many it holds: two t-slices of
-    lien_evolve (scale 1) as three rescaled monodromies."""
+    51 per batch of KKSH systems, however many it holds: the remainder and
+    the two holonomies of lien_evolve's lattice route (t = 0.3 is 156
+    cells out) and its two t-slices (scale 1) as three rescaled
+    monodromies.  The stub transport returns identity frames, which commute."""
     spec = kksh_at(MU_STAR)
     x = Series.variable(np.linspace(0.0, 1.0, 64), kernel.TERMS - 1)
     captured = []
@@ -204,7 +206,7 @@ def test_generator_work_budget(monkeypatch):
     def capture(generator, x0, grid, rel_tol):
         captured.append(generator)
         factors = generator(x)[1].c.shape[1]
-        return np.zeros((factors, len(grid), 2, 2))
+        return np.broadcast_to(np.eye(2), (factors, len(grid), 2, 2)).copy()
 
     monkeypatch.setattr(evolve, "transport", capture)
     monkeypatch.setattr(evolve, "_confirm", lambda *args: None)
@@ -213,4 +215,4 @@ def test_generator_work_budget(monkeypatch):
     monkeypatch.undo()
     assert evolve.BATCH >= 3
     budgets = [_einsums_per_call(monkeypatch, g, x) for g in captured]
-    assert budgets == [84, 51, 51]
+    assert budgets == [84, 51, 51, 51]

@@ -6,11 +6,15 @@ the panel ladders and transport counts, the block products,
 unimodularity, the panel cap, the DOP853 confirmation gate of
 lien_evolve (over half a period by parity for an even bending, and at rho
 on short grids), its one-period extension by the s-monodromy and the
-fallbacks to the full transport, and the accepted range of
-integrator_rel_tol."""
+fallbacks to the full transport, the accepted range of
+integrator_rel_tol; the KKSH period lattice (invariance of kappa, the
+t-frames from one cell against the direct transport, the closed-form
+holonomy powers against exact ones, the commutator gate and the fallback)
+and the work budget of the two DOP853 oracles."""
 
 import json
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -185,14 +189,17 @@ def _predictions(ladder):
 
 
 def test_kksh_t_system_accepts_the_predicted_level(monkeypatch):
-    """lien_evolve on the README grids: the t-system takes one predicted
-    level, and each transport of the four s-systems (BATCH t-slices each)
-    at most one."""
+    """lien_evolve on the README grids: the t-system over one lattice cell
+    (one side, t in [0, t2]) accepts its first level, and each transport of
+    the s-systems (the three remainders and two holonomies, then the four
+    t-slices, BATCH each) its first level or the one it predicts.  The
+    direct t-system over [0, 1.61] took one predicted level of 2,040
+    panels (test_kksh_t_system_accepts_the_predicted_panels)."""
     ladders = _ladders(monkeypatch)
     spec = kksh()
     lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period, 257), KKSH_T)
-    assert len(ladders) == 1 + math.ceil(len(KKSH_T) / evolve.BATCH)
-    assert _predictions(ladders[0]) == 1
+    assert len(ladders) == 1 + math.ceil(5 / evolve.BATCH) + math.ceil(len(KKSH_T) / evolve.BATCH)
+    assert ladders[0] == [kernel.FIRST_PANELS]
     for ladder in ladders[1:]:
         _predictions(ladder)
 
@@ -456,8 +463,10 @@ def test_kksh_runs_over_the_tolerance_range(tmp_path, rel_tol):
 
 def test_kksh_transports_each_s_system_once(monkeypatch, tmp_path):
     """`kksh` with two snapshots and no invariant grid: one transport of the
-    t-system and one of the two s-systems (BATCH >= 2); the trace drift
-    reads lien_evolve's s-frames and transports nothing."""
+    t-system over one lattice cell, one of the s-systems of its remainder
+    and two holonomies (t = 0.3 is 161 cells out) and one of the two
+    t-slices (BATCH >= 3); the trace drift reads lien_evolve's s-frames and
+    transports nothing."""
     calls = []
 
     def counted(*args):
@@ -467,7 +476,7 @@ def test_kksh_transports_each_s_system_once(monkeypatch, tmp_path):
     monkeypatch.setattr(evolve, "transport", counted)
     assert main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,0.3",
                  "--invariant-grid", "0", "-o", str(tmp_path / "k")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_confirmation_gate_rejects_a_wrong_kernel(monkeypatch):
@@ -774,3 +783,204 @@ def test_kksh_snapshots_are_finite(tmp_path):
                  "kksh_t1.07457_cousin_minus.csv"):
         text = (out / name).read_text().lower()
         assert "nan" not in text and "inf" not in text
+
+
+# ------------------------------------------------- the KKSH period lattice
+
+LATTICE_SPECS = {
+    "readme": kksh(),
+    "3,2": KkshSpec.with_quantum_numbers(0.5, 3, 2, 2.0),
+    "1,3": KkshSpec.with_quantum_numbers(0.5, 1, 3, 1.0),     # m, n odd: d = 2
+}
+
+
+def _jets(spec, s, t):
+    """(kappa, kappa_s, kappa_t) on a mesh."""
+    k0, k1 = spec.kappa_jet(s, t, order=1)
+    return np.stack([k0, k1, spec.kappa_t(s, t)])
+
+
+@pytest.mark.parametrize("name", list(LATTICE_SPECS))
+def test_lattice_vectors_leave_kappa_invariant(name):
+    """On a probe mesh over [0, 2 rho] x [0, 1.61], l1 = +-(rho, ~0) and l2
+    (least t > 0, s in [0, rho)) leave kappa, kappa_s and kappa_t invariant
+    to rounding; the half-period shifts (a, b) = (1, 0) and (0, 1), of the
+    other parity class, flip phi and move kappa by its own size."""
+    spec = LATTICE_SPECS[name]
+    rho = spec.s_period
+    (s1, t1), (s2, t2) = spec.lattice
+    assert abs(abs(s1) - rho) <= 1e-12 * rho and 0.0 <= t1 <= 1e-12 * t2
+    assert t2 > 0.0 and 0.0 <= s2 < rho
+    s, t = np.meshgrid(np.linspace(0.0, 2.0 * rho, 12), np.linspace(0.0, KKSH_T[-1], 6))
+    ref = _jets(spec, s, t)
+    scale = np.abs(ref).max(axis=(1, 2))
+    for ds, dt in spec.lattice:
+        assert (np.abs(_jets(spec, s + ds, t + dt) - ref).max(axis=(1, 2)) <= 1e-11 * scale).all()
+    W = np.array([[spec.w_plus, spec.v_plus], [spec.w_minus, spec.v_minus]])
+    K = np.array([complete_elliptic(spec.mu)[0], complete_elliptic(spec.tau)[0]])
+    for ab in ([1, 0], [0, 1]):
+        ds, dt = np.linalg.solve(W, 2.0 * K * ab)
+        assert np.abs(_jets(spec, s + ds, t + dt)[0] - ref[0]).max() > 0.1 * scale[0]
+
+
+def _direct(spec, t_grid):
+    return transport(evolve._t_generator(spec), 0.0, t_grid, DEFAULT.integrator_rel_tol)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 842])
+def test_lattice_route_matches_the_direct_transport(cells):
+    """A+-(t) = C1^n1 C2^n2 F(x_r) on the README bending at 1, 100 and 842
+    cells (the README t-grid) against the transport along s = 0 (the two
+    read 1.0e-11 apart at 842 cells, each about 1e-11 from DOP853); the
+    holonomies commute to rounding."""
+    spec = kksh()
+    t2 = spec.lattice[1, 1]
+    t_grid = KKSH_T if cells == 842 else [0.0, (cells + 0.5) * t2]
+    ev = lien_evolve(spec, [0.0], t_grid)
+    A = np.stack([p.F[:, 0] for p in ev.paths], axis=1)
+    assert ev.cells[-1, 1] == cells and ev.commutator <= 1e-12
+    assert rel_err(A, _direct(spec, t_grid)) <= 1e-10
+
+
+def test_lattice_route_over_fat_cells():
+    """(3, 2) at mu = 0.5, t in [0, 10]: cells 1.415 high, |A| up to 5e204.
+    Each factor picks the remainder whose error is amplified least (the
+    other missed by 1.8 at t = 5); the route reads within 1e-10 of the
+    transport along s = 0."""
+    spec = LATTICE_SPECS["3,2"]
+    t_grid = np.linspace(0.0, 10.0, 21)
+    ev = lien_evolve(spec, [0.0], t_grid)
+    A = np.stack([p.F[:, 0] for p in ev.paths], axis=1)
+    direct = _direct(spec, t_grid)
+    assert np.abs(direct[:, -1]).max() > 1e200
+    assert ev.cells[-1].tolist() == [1, 7] and ev.commutator <= 1e-12
+    assert rel_err(A, direct) <= 1e-10
+
+
+def test_the_first_cell_is_the_direct_transport():
+    """(5, 1) at mu = 0.92 has t2 = 402: every t of the README grid has n = 0,
+    so A is the transport along s = 0, byte for byte."""
+    spec = KkshSpec.with_quantum_numbers(0.92, 5, 1, 2.0)
+    assert spec.lattice[1, 1] > 400.0
+    A, cells, commutator = evolve._t_frames(spec, np.array(KKSH_T), DEFAULT)
+    assert not cells.any() and commutator is None
+    assert np.array_equal(A, _direct(spec, KKSH_T))
+
+
+def test_a_cancelling_holonomy_takes_the_direct_transport():
+    """(4, 3) at mu = 0.3, h = 1: the path to l2 amplifies the transport's
+    error by 4e5 in the plus factor (the lattice route missed DOP853 by up to
+    1.2e-9, against 3e-12 along s = 0), so every t is transported directly."""
+    spec = KkshSpec.with_quantum_numbers(0.3, 4, 3, 1.0)
+    t_grid = np.array([0.0, 1.5, 2.5, 3.5, 4.5]) * spec.lattice[1, 1]
+    A, cells, commutator = evolve._t_frames(spec, t_grid, DEFAULT)
+    assert not cells.any() and commutator is None
+    assert np.array_equal(A[:, 1:], _direct(spec, t_grid[1:]))
+
+
+def _commuting_pair(D, sigma, r, number=float):
+    """C1 = sigma1 sqrt(1 + D) I + P and C2 = sigma2 sqrt(1 + r^2 D) I + r P,
+    unimodular and commuting, with P^2 = D I, as nested lists of number
+    (float, or Decimal for an exact reference)."""
+    p, q, D, r = number("0.3"), number("0.7"), number(repr(D)), number(repr(r))
+    P = [[p, q], [(D - p * p) / q, -p]]
+    c = [sigma[0] * (1 + D).sqrt() if number is Decimal else sigma[0] * math.sqrt(1 + D),
+         sigma[1] * (1 + r * r * D).sqrt() if number is Decimal
+         else sigma[1] * math.sqrt(1 + r * r * D)]
+    return [[[c[i] * (a == b) + f * P[a][b] for b in range(2)] for a in range(2)]
+            for i, f in enumerate((1, r))]
+
+
+def _exact_power(C, k):
+    """C^k of a unimodular 2x2 list-matrix, the adjugate for k < 0."""
+    (a, b), (c, d) = C
+    base = C if k >= 0 else [[d, -b], [-c, a]]
+    out = [[1, 0], [0, 1]]
+    for _ in range(abs(k)):
+        out = [[sum(out[i][m] * base[m][j] for m in range(2)) for j in range(2)]
+               for i in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("D", [4.0, 1e-10, 0.0, -1e-10, -0.5])
+@pytest.mark.parametrize("sigma", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_lattice_power_against_exact_powers(D, sigma):
+    """C1^n1 C2^n2 from the closed form against products of exact powers
+    (40 digits; the adjugate for negative powers): hyperbolic,
+    near-parabolic on either side, parabolic and elliptic pairs, each
+    holonomy of either sign.  Float powers are no reference: at D = 4 and
+    n = (12, 9) they cancel by 1e8."""
+    getcontext().prec = 40
+    C = np.array(_commuting_pair(D, sigma, -0.6))
+    exact = _commuting_pair(D, sigma, -0.6, Decimal)
+    n = np.array([[0, 0], [1, 0], [0, 1], [3, -2], [-5, 7], [12, 9], [-11, -4]])
+    Pi = kernel.lattice_power(C, n)
+    assert Pi.shape == (len(n), 2, 2)
+    for (n1, n2), got in zip(n, Pi):
+        A, B = _exact_power(exact[0], int(n1)), _exact_power(exact[1], int(n2))
+        want = np.array([[float(sum(A[i][m] * B[m][j] for m in range(2))) for j in range(2)]
+                         for i in range(2)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lattice_power_on_factor_stacks():
+    """A leading factor axis, (factors, 2, 2, 2), gives (factors, m, 2, 2)."""
+    C = np.array([_commuting_pair(4.0, (1, -1), 0.5), _commuting_pair(-0.5, (-1, 1), 1.2)])
+    n = np.array([[2, -3], [-1, 4]])
+    Pi = kernel.lattice_power(C, n)
+    assert Pi.shape == (2, 2, 2, 2)
+    for f in range(2):
+        assert np.array_equal(Pi[f], kernel.lattice_power(C[f], n))
+
+
+def test_holonomies_from_different_factors_fail_the_commutator_gate(monkeypatch):
+    """The minus factor's l2-holonomy built on the plus factor's s-frame:
+    C1 and C2 no longer commute, and NumericFailure names the gate."""
+    s_frames = evolve._s_frames
+
+    def crossed(samplers, scale, t, grid, config):
+        F = s_frames(samplers, scale, t, grid, config)
+        if list(grid) == [1.0]:
+            F[1, -1] = F[0, -1]
+        return F
+
+    monkeypatch.setattr(evolve, "_s_frames", crossed)
+    with pytest.raises(NumericFailure, match="holonomies commute only to"):
+        lien_evolve(kksh(), [0.0], [0.0, 0.3])
+
+
+def test_dop853_oracles_have_a_work_budget(monkeypatch):
+    """lame_monodromy and the s-frame confirmation run BudgetedDOP853: past
+    MAX_RHS_CALLS right-hand sides each raises NumericFailure."""
+    monkeypatch.setattr(lame, "MAX_RHS_CALLS", 100)
+    with pytest.raises(NumericFailure, match="DOP853 needs more than 100 right-hand sides"):
+        lame.lame_monodromy(0.9, [2.2, 5.0])
+    spec = kksh()
+    with pytest.raises(NumericFailure, match="DOP853 needs more than 100 right-hand sides"):
+        lien_evolve(spec, np.linspace(0.0, 2.0 * spec.s_period, 9), [0.0])
+
+
+def test_the_budget_changes_no_run(monkeypatch):
+    """With the budget and with scipy's own DOP853, the two oracle runs make
+    the same right-hand-side calls and return the same bytes."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        runs.append((kwargs["method"], sol.nfev, sol.y[:, -1]))
+        return sol
+
+    spec = kksh()
+    s_grid = np.linspace(0.0, 2.0 * spec.s_period, 9)
+    monkeypatch.setattr(lame, "solve_ivp", spy)
+    monkeypatch.setattr(evolve, "solve_ivp", spy)
+    budgeted = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
+    method = lame.BudgetedDOP853
+    monkeypatch.setattr(lame, "BudgetedDOP853", "DOP853")
+    monkeypatch.setattr(evolve, "BudgetedDOP853", "DOP853")
+    free = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
+    assert [run[0] for run in runs] == [method] * 2 + ["DOP853"] * 2
+    for (_, nfev, y), (_, nfev_free, y_free) in zip(runs[:2], runs[2:]):
+        assert nfev == nfev_free and np.array_equal(y, y_free)
+    for a, b in zip(budgeted, free):
+        assert np.array_equal(a, b)
