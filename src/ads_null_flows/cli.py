@@ -60,6 +60,12 @@ from .specfun import complete_elliptic
 # needs at least 7 samples
 POINTS_PER_PERIOD = 256
 MIN_POINTS_PER_PERIOD = 8
+# the bending oracle's truncation error falls as ds^4 and grows with the
+# frames' phase 2 K(mu) sqrt(h-) over a Lame period, so a stationary grid
+# doubles POINTS_PER_PERIOD until it is SAMPLES_PER_PHASE times that phase:
+# 256 serves the (0, 1) pairs (4.5-15.5); (8, 9) at mu = 0.9, q = 2/5
+# (30.7) takes 512, residual 1.5e-4 against 2.3e-3 at 256
+SAMPLES_PER_PHASE = 16
 # the most samples a stationary grid, or kksh's invariant grid, may ask
 # for: each sample costs memory, and each invariant-grid point a transport
 MAX_SAMPLES = 1 << 16
@@ -214,7 +220,6 @@ def cmd_floquet(args, config: RunConfig) -> int:
 def cmd_stationary(args, config: RunConfig) -> int:
     tags = _snapshot_tags("stationary_t", args.t)
     _check_samples("--periods", POINTS_PER_PERIOD * args.periods + 1)
-    intervals = int(POINTS_PER_PERIOD * args.periods)
     indices = args.indices
     count = max(indices) + 1
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
@@ -226,10 +231,16 @@ def cmd_stationary(args, config: RunConfig) -> int:
     spec = StationaryBending(args.mu, h_plus, h_minus)
     outdir = Path(args.outdir)
     rho = spec.s_period
+    phase = 2.0 * complete_elliptic(args.mu)[0] * math.sqrt(h_minus)
+    per = POINTS_PER_PERIOD
+    while per < SAMPLES_PER_PHASE * phase:
+        per *= 2
+    _check_samples("--periods", per * args.periods + 1)
+    intervals = int(per * args.periods)
     if intervals >= MIN_POINTS_PER_PERIOD:
-        # spacing rho / POINTS_PER_PERIOD (exact), so every whole period is
-        # a sample; the grid ends at the last sample within the periods
-        grid = np.linspace(0.0, intervals * (rho / POINTS_PER_PERIOD), intervals + 1)
+        # spacing rho / per (exact), so every whole period is a sample; the
+        # grid ends at the last sample within the periods
+        grid = np.linspace(0.0, intervals * (rho / per), intervals + 1)
     else:
         grid = np.linspace(0.0, args.periods * rho, MIN_POINTS_PER_PERIOD + 1)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)

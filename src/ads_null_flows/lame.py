@@ -53,9 +53,9 @@ through the two local Heun functions
     sl~(s) = Hl2(mu,h; sn^2) sqrt(1 - mu sn^2) sn
 
 which equal (cl, sl) on the closed base cell [-K, K] and extend to the line
-by Floquet's rule delta(s) = M^p delta~(s - 2pK) (transport.floquet_extend),
-with M from Q+ = delta~(K) by the same parity rule as the ODE route
-(parity_monodromy).  Q+ is exact: near z = sn^2 = 1 each Hl is the
+by Floquet's rule delta(s) = M^p delta~(s - 2pK) (transport.floquet_extend,
+M^p in transport.lattice_power's closed form), with M from Q+ = delta~(K)
+by the same parity rule as the ODE route (parity_monodromy).  Q+ is exact: near z = sn^2 = 1 each Hl is the
 Frobenius pair at z = 1, Hl = A u0(cn^2) + B cn u1(cn^2) (specfun.heun), so
 Hl = A and d Hl/ds = -B dn at s = K, where dn = sqrt(1 - mu):
 
@@ -64,7 +64,7 @@ Hl = A and d Hl/ds = -B dn at s = K, where dn = sqrt(1 - mu):
 
 A path is one array evaluation: the Taylor panels for sn^2 <= z_match, the
 pair at z = 1 with cn itself beyond (so no derivative divides by cn), then
-M^p per period.
+M^p per period in closed form.
 """
 
 from __future__ import annotations

@@ -260,8 +260,9 @@ def _t_frames(sampler: BendingSampler, t_grid: np.ndarray, config: RunConfig):
     exceeds LATTICE_SLACK in either factor is transported directly, and its
     cells read 0; so is every far t_j when a holonomy's own path amplifies
     past it.  The holonomies commute in each factor; max |C1 C2 - C2 C1| /
-    (|C1| |C2|) (max-norm) past agreement_bound, and frames past the float
-    range, raise NumericFailure."""
+    (|C1| |C2|) (max-norm) past agreement_bound, and lattice frames past the
+    float range (before any direct transport, which would only meet its
+    panel cap), raise NumericFailure."""
     generator, rel_tol = _t_generator(sampler), config.integrator_rel_tol
     lattice = getattr(sampler, "lattice", None)
     n, x = sampler.cells(t_grid) if lattice is not None else (None, None)
@@ -292,14 +293,14 @@ def _t_frames(sampler: BendingSampler, t_grid: np.ndarray, config: RunConfig):
     second = amp[:, k:] < amp[:, :k]
     A = A[:, :len(t_grid)]
     A[:, far] = np.where(second[..., None, None], out[:, k:], out[:, :k])
+    if not np.isfinite(A).all():
+        raise NumericFailure(f"t-frames overflow over {int(np.abs(n).max())} lattice cells")
     worst = np.maximum(np.where(second, amp[:, k:], amp[:, :k]), held[:, None])
     direct = np.zeros(len(t_grid), dtype=bool)
     direct[far] = ~(worst <= LATTICE_SLACK).all(axis=0)
     if direct.any():
         A[:, direct] = transport(generator, 0.0, t_grid[direct], rel_tol)
         n[direct] = 0
-    if not np.isfinite(A).all():
-        raise NumericFailure(f"t-frames overflow over {int(np.abs(n).max())} lattice cells")
     return A, n, commutator if n.any() else None
 
 

@@ -2,7 +2,7 @@
 analytic, by Taylor panels: a linear ODE with analytic coefficients is
 solved by its Taylor series (Jorba & Zou, Exp. Math. 14 (2005) 99).
 transport returns the frames at the grid points from F(x0) = Id to a
-relative accuracy.
+relative accuracy, and Id itself at a grid point x0.
 
 The frame at a point does not depend on the path to it, so the grid may
 come in any order and repeat points.  The points left of x0 are one side,
@@ -49,9 +49,9 @@ MAX_PANELS panels on a side raises NumericFailure before it is swept, and
 so does a non-finite generator coefficient or a NaN radius.
 
 Frames of a rho-periodic generator extend by Floquet's rule, F(r + k rho)
-= M^k F(r) (floquet_extend), and when the generator is also even, M follows
-from the half-period frame by parity (parity_monodromy); lame and nullcurve
-both use each.
+= M^k F(r) (floquet_extend, the one-holonomy case of lattice_power's closed
+form), and when the generator is also even, M follows from the half-period
+frame by parity (parity_monodromy); lame and nullcurve both use each.
 """
 
 from __future__ import annotations
@@ -92,49 +92,45 @@ def sl2_inverse(F: np.ndarray) -> np.ndarray:
 def floquet_extend(M: np.ndarray, F: np.ndarray, k) -> np.ndarray:
     """M^k F per sample, Floquet's rule F(r + k rho) = M^k F(r): F
     (..., n, 2, 2) the frames at the remainders, M (..., 2, 2) the
-    monodromy, k (n,) the integer period counts (or 0, a copy of F), a
-    negative power through the adjugate.  A hyperbolic M overflows over
-    many periods, as a transport of the whole grid would: NumericFailure,
-    not inf or NaN frames."""
-    k = np.asarray(k).astype(np.int64)
-    out = np.array(F, dtype=float)
+    monodromy, k (n,) the integer period counts (or 0), the one-holonomy
+    case of lattice_power.  A hyperbolic M overflows over many periods, as a
+    transport of the whole grid would: NumericFailure, not inf or NaN
+    frames."""
+    k = np.broadcast_to(k, F.shape[-3:-2])
     with np.errstate(over="ignore", invalid="ignore"):
-        for power in np.unique(k[k != 0]):
-            sel = k == power
-            Mk = np.linalg.matrix_power(M if power > 0 else sl2_inverse(M), abs(int(power)))
-            out[..., sel, :, :] = Mk[..., None, :, :] @ out[..., sel, :, :]
+        out = lattice_power(M[..., None, :, :], k[:, None]) @ F
     if not np.isfinite(out).all():
         raise NumericFailure(f"s-frames overflow over {int(np.abs(k).max())} periods")
     return out
 
 
 def lattice_power(C: np.ndarray, n) -> np.ndarray:
-    """C1^n1 C2^n2 per sample, the holonomy of n1 l1 + n2 l2 on a period
-    lattice, F(x + n1 l1 + n2 l2) = C1^n1 C2^n2 F(x): C (..., 2, 2, 2) the
-    two commuting unimodular holonomies C_i = F(l_i) on axis -3, n (m, 2)
-    the integer cell counts; returns (..., m, 2, 2).
+    """C1^n1 ... Cg^ng per sample, the holonomy of n1 l1 + ... + ng lg on a
+    period lattice, F(x + sum n_i l_i) = prod C_i^n_i F(x): C (..., g, 2, 2)
+    the g commuting unimodular holonomies C_i = F(l_i) on axis -3 (g = 1 is
+    a monodromy and Floquet's rule), n (m, g) the integer cell counts;
+    returns (..., m, 2, 2).
 
-    Commuting, C_i = c_i I + r_i P share the traceless part P (the larger of
+    Commuting, C_i = c_i I + r_i P share the traceless part P (the largest of
     theirs), with P^2 = D I.  Write C_i = sigma_i (cosh a_i I + sinh a_i N),
     N = P / sqrt(D) and sigma_i the sign of c_i, for a hyperbolic factor (D
     > 0; a_i = asinh(sigma_i r_i sqrt(D))), or with cos and sin, a_i =
     atan2(sigma_i r_i sqrt(-D), |c_i|), for an elliptic one (D < 0).  Then
-    C1^n1 C2^n2 = sigma (alpha I + beta P) with sigma = sigma1^n1 sigma2^n2,
-    x = n1 a1 + n2 a2, alpha = cosh x and beta = sinh x / sqrt(D) (cos and
+    prod C_i^n_i = sigma (alpha I + beta P) with sigma = prod sigma_i^n_i,
+    x = sum n_i a_i, alpha = cosh x and beta = sinh x / sqrt(D) (cos and
     sin / sqrt(-D)), and at a parabolic factor (D = 0) the limit alpha = 1,
-    beta = n1 sigma1 r1 + n2 sigma2 r2.  No power is formed and x stays
-    moderate: it is about 21 where |C1^n1 C2^n2| is 2.4e9 with n1 = 305.
-    Past the float range the product is inf, without a warning."""
-    n1, n2 = np.asarray(n, dtype=float).T
+    beta = sum n_i sigma_i r_i.  No power is formed and x stays moderate: it
+    is about 21 where |C1^n1 C2^n2| is 2.4e9 with n1 = 305; n = 0 gives I
+    exactly.  Past the float range the product is inf, without a warning."""
+    n = np.asarray(n, dtype=float)
 
-    def combine(v):                   # v1 n1 + v2 n2 per sample, v (..., 2)
-        return v[..., 0, None] * n1 + v[..., 1, None] * n2
+    def combine(v):                   # sum_i v_i n_i per sample, v (..., g)
+        return (v[..., None, :] * n).sum(axis=-1)
 
-    c = 0.5 * np.trace(C, axis1=-2, axis2=-1)                     # (..., 2)
+    c = 0.5 * np.trace(C, axis1=-2, axis2=-1)                     # (..., g)
     P = C - c[..., None, None] * np.eye(2)
-    size = (P * P).sum(axis=(-2, -1))
-    base = np.where((size[..., :1] >= size[..., 1:])[..., None], P[..., 0, :, :],
-                    P[..., 1, :, :])
+    largest = (P * P).sum(axis=(-2, -1)).argmax(axis=-1)
+    base = np.take_along_axis(P, largest[..., None, None, None], axis=-3)[..., 0, :, :]
     norm = (base * base).sum(axis=(-2, -1))[..., None]
     r = np.divide((P * base[..., None, :, :]).sum(axis=(-2, -1)), norm,
                   out=np.zeros_like(c), where=norm > 0.0)
@@ -318,9 +314,10 @@ def _ladder(generator, x0: float, x: np.ndarray, need: int, rel_tol: float) -> n
 
 def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
     """Frames (factors, len(grid), 2, 2) of F' = F A(x) at the grid points,
-    in any order, with F(x0) = Id, to the relative accuracy rel_tol (see the
-    module docstring).  generator(x) is called on a Series x, the panel
-    centres + dx, and returns (a, b, c) of A as Series (or constants)."""
+    in any order, with F(x0) = Id (exactly, at a grid point x0), to the
+    relative accuracy rel_tol (see the module docstring).  generator(x) is
+    called on a Series x, the panel centres + dx, and returns (a, b, c) of A
+    as Series (or constants)."""
     x = np.asarray(grid, dtype=float)
     if not len(x) or not (np.isfinite(x).all() and math.isfinite(x0)):
         raise ValueError("transport grid must be non-empty and finite")
@@ -340,4 +337,6 @@ def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
             if out is None:
                 out = np.empty((len(frames), len(x), 2, 2))
             out[:, i] = frames
+    # a point at x0 reads adj(Phi(-w)) Phi(-w) off its panel, Id to rounding
+    out[:, d == 0.0] = np.eye(2)
     return out

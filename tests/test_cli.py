@@ -412,6 +412,16 @@ def test_kksh_reports_the_lattice_route(tmp_path, capsys, mn, mu, line):
     assert set(json.loads((out / "kksh_t0.3.json").read_text())["meta"]) == KKSH_META
 
 
+def test_kksh_far_t_reports_a_lattice_overflow(tmp_path, capsys):
+    """t = 1e6 lies 5.4e8 lattice cells out, where the closed-form product is
+    past the float range: exit 1 naming the overflow, not a panel cap of a
+    direct transport."""
+    assert main(["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,1e6",
+                 "--invariant-grid", "0", "-o", str(tmp_path / "k")]) == 1
+    assert stderr(capsys) == ("numeric failure: t-frames overflow over 536952549 "
+                              "lattice cells\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "abc"],
     ["kksh", "--mn", "1,6", "--h", "2", "--mu", "0.6", "--t", "0,nan"],
@@ -551,6 +561,35 @@ def test_stationary_periods_off_the_sample_spacing(tmp_path):
         assert doc["meta"]["orbit_type"] == "(E,E)"
         assert doc["meta"]["windings"][1] is None
     assert np.array_equal(s, np.linspace(0.0, 2.0 * rho, 513))
+
+
+def test_stationary_grid_resolves_a_high_pair(tmp_path):
+    """The pair (8, 9) at mu = 0.9, q = 2/5 has 2 K(mu) sqrt(h-) = 30.7: its
+    grid doubles to 512 samples a period, and the bending oracle, 2.3e-3
+    off at 256, passes the unchanged 1e-3 gate.  The (0, 1) pair keeps 256."""
+    for indices, count in (("8,9", 513), ("0,1", 257)):
+        out = tmp_path / indices
+        assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", indices,
+                     "-o", str(out)]) == 0
+        doc = json.loads((out / "stationary_base.json").read_text())
+        s = np.array([x["s"] for x in doc["samples"]])
+        assert np.array_equal(s, np.linspace(0.0, doc["meta"]["rho"], count))
+        assert doc["meta"]["diagnostics"]["bending_residual"] <= 1e-3
+
+
+def test_stationary_resolved_grid_is_held_to_max_samples(tmp_path, monkeypatch, capsys):
+    """MAX_SAMPLES bounds the final count: 200 periods fit at 256 samples a
+    period, but not at the 512 that (8, 9) takes."""
+    import ads_null_flows.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 256 * 200 + 1)
+    out = tmp_path / "big"
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", "8,9",
+              "--periods", "200", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--periods asks for 1.02e+05 samples, more than 51201" in stderr(capsys)
+    assert not out.exists()
 
 
 def test_stationary_shorter_than_a_period(tmp_path):

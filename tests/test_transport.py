@@ -425,17 +425,17 @@ def test_a_two_sided_grid_is_its_two_sides(monkeypatch):
 
 
 def test_points_at_x0_and_repeated_points():
-    """A point at x0 reads the identity off its panel's series (to
-    rounding), a grid of x0 alone is the identity exactly, a repeated point
-    repeats its frame bit for bit, and a point at x0 leaves its side as it
-    is."""
+    """A point at x0 is the identity exactly, on a two-sided grid, on
+    either one-sided grid and alone (its panel's series gives Id only to
+    rounding), a repeated point repeats its frame bit for bit, and a point
+    at x0 leaves its side as it is."""
     generator = evolve._t_generator(kksh())
     F = transport(generator, 0.0, [0.8, 0.0, 0.8, -0.5, 0.0, -0.5], 1e-12)
     assert np.array_equal(F[:, 0], F[:, 2]) and np.array_equal(F[:, 3], F[:, 5])
-    assert np.array_equal(F[:, 1], F[:, 4])
-    assert np.abs(F[:, 1] - np.eye(2)).max() <= 1e-15
-    assert np.array_equal(transport(generator, 0.0, [0.0, 0.0], 1e-12),
-                          np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
+    identity = np.broadcast_to(np.eye(2), (2, 2, 2, 2))
+    assert np.array_equal(F[:, [1, 4]], identity)
+    for grid in ([0.0, 0.0], [0.8, 0.0, 0.0], [-0.5, 0.0, 0.0]):
+        assert np.array_equal(transport(generator, 0.0, grid, 1e-12)[:, -2:], identity)
     for x in (0.8, -0.5):
         alone = transport(generator, 0.0, [x], 1e-12)
         assert np.array_equal(transport(generator, 0.0, [0.0, x], 1e-12)[:, 1:], alone)
@@ -634,6 +634,29 @@ def test_the_rounding_floor_admits_no_aperiodic_bending(monkeypatch, spec):
     lien_evolve(spec, np.linspace(0.0, 2.0 * rho, 65), [0.0, 0.3],
                 RunConfig(integrator_rel_tol=1e-14))
     assert spans == [(0.0, 2.0 * rho)]
+
+
+def test_t0_snapshot_is_the_s_frames(monkeypatch):
+    """F+-(0, 0) = Id is the normalization: A(0) is the identity exactly,
+    so lien_evolve's t = 0 snapshot is its extended s-frames Phi(s, 0) bit
+    for bit, on a two-sided grid over two periods."""
+    extended, t_frames = [], []
+
+    def spy(record, function):
+        def wrapped(*args):
+            out = function(*args)
+            record.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(evolve, "floquet_extend", spy(extended, evolve.floquet_extend))
+    monkeypatch.setattr(evolve, "_t_frames", spy(t_frames, evolve._t_frames))
+    spec = kksh()
+    rho = spec.s_period
+    ev = lien_evolve(spec, np.linspace(-0.5 * rho, 1.5 * rho, 65), [0.0, 0.3])
+    assert ev.one_period
+    assert np.array_equal(t_frames[0][0][:, 0], np.broadcast_to(np.eye(2), (2, 2, 2)))
+    assert np.array_equal(ev.paths[0].F, extended[0][:, 0])
 
 
 def test_floquet_extension():
@@ -908,8 +931,9 @@ def test_lattice_power_against_exact_powers(D, sigma):
     """C1^n1 C2^n2 from the closed form against products of exact powers
     (40 digits; the adjugate for negative powers): hyperbolic,
     near-parabolic on either side, parabolic and elliptic pairs, each
-    holonomy of either sign.  Float powers are no reference: at D = 4 and
-    n = (12, 9) they cancel by 1e8."""
+    holonomy of either sign; and C_i^k of each alone (one holonomy, as
+    floquet_extend takes it), I exactly at k = 0.  Float powers are no
+    reference: at D = 4 and n = (12, 9) they cancel by 1e8."""
     getcontext().prec = 40
     C = np.array(_commuting_pair(D, sigma, -0.6))
     exact = _commuting_pair(D, sigma, -0.6, Decimal)
@@ -921,6 +945,31 @@ def test_lattice_power_against_exact_powers(D, sigma):
         want = np.array([[float(sum(A[i][m] * B[m][j] for m in range(2))) for j in range(2)]
                          for i in range(2)])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    k = np.array([0, 1, -1, 4, -7, 12, -11])
+    for i in range(2):
+        Pi = kernel.lattice_power(C[i:i + 1], k[:, None])
+        assert Pi.shape == (len(k), 2, 2)
+        assert np.array_equal(Pi[0], np.eye(2))
+        for power, got in zip(k, Pi):
+            want = np.array(_exact_power(exact[i], int(power)), dtype=float)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lattice_power_of_central_holonomies():
+    """C = +-I, one holonomy or two: (+-1)^n I exactly, at any n; beside a
+    hyperbolic holonomy, whose traceless part is then the base, -I only
+    signs its powers."""
+    C = np.array([np.eye(2), -np.eye(2)])
+    n = np.array([[0, 0], [1, 0], [-2, 3], [2000, -2001], [-7, 0]])
+    sign = np.where(n[:, 1] % 2, -1.0, 1.0)[:, None, None]
+    assert np.array_equal(kernel.lattice_power(C, n), sign * np.eye(2))
+    assert np.array_equal(kernel.lattice_power(C[:1], n[:, :1]),
+                          np.broadcast_to(np.eye(2), (len(n), 2, 2)))
+    assert np.array_equal(kernel.lattice_power(C[1:], n[:, 1:]), sign * np.eye(2))
+    C[0] = _commuting_pair(4.0, (1, 1), 0.5)[0]
+    n[3] = [20, -2001]
+    assert np.array_equal(kernel.lattice_power(C, n),
+                          sign * kernel.lattice_power(C[:1], n[:, :1]))
 
 
 def test_lattice_power_on_factor_stacks():
