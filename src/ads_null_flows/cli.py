@@ -455,8 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kksh", help="three-parameter family evolution")
     k.add_argument("--mn", type=_int_pair, required=True)
     k.add_argument("--h", type=_finite_float, required=True)
-    k.add_argument("--mu", type=_finite_float)
-    k.add_argument("--find-mu-star", action="store_true")
+    # both at once is argparse's usage error, neither is cmd_kksh's
+    g = k.add_mutually_exclusive_group()
+    g.add_argument("--mu", type=_finite_float)
+    g.add_argument("--find-mu-star", action="store_true")
     k.add_argument("--t", type=_float_list, default=[],
                    help="comma list of snapshot times")
     k.add_argument("--wings", action="store_true",

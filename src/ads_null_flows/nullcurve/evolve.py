@@ -107,11 +107,15 @@ GATE_PROBES = 12     # s-probes of the gate (and up to 6 t-probes)
 # transport grew it by 1.6 MB
 BATCH = 4
 # kksh_mu_star: the target cos(2 pi 2/3) of half the minus trace, the mu
-# bracket scanned at MU_STAR_SCAN points, and brentq's tolerance
+# bracket scanned at MU_STAR_SCAN points (BATCH per transport), the bracket
+# width that certifies the root, and the most refinement rounds (a round
+# that does not halve the bracket is followed by one that divides it by
+# BATCH + 1, so 20 rounds close any scan step of the bracket to 1e-8)
 MU_STAR_TARGET = math.cos(2.0 * math.pi * 2 / 3)
 MU_STAR_BRACKET = (0.3, 0.85)
 MU_STAR_SCAN = 12
 MU_STAR_XTOL = 1e-8
+MU_STAR_ROUNDS = 30
 
 
 class BendingSampler(Protocol):
@@ -399,37 +403,95 @@ def monodromy_trace_drift(ev: LienEvolution):
     return float(drift_p), float(drift_m)
 
 
+def _inverse_root(points) -> float:
+    """Where the polynomial mu(p) through the (mu, p) points reads p = 0:
+    inverse interpolation in Lagrange form, nan when two p agree."""
+    root = 0.0
+    for k, (mu_k, p_k) in enumerate(points):
+        w = mu_k
+        for j, (_, p_j) in enumerate(points):
+            if j != k:
+                if p_j == p_k:
+                    return math.nan
+                w *= p_j / (p_j - p_k)
+        root += w
+    return root
+
+
 def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float:
     """The elliptic parameter at which the minus-factor monodromy becomes the
     rotation by 2 pi 2/3.
 
     Root of p(mu) = Re(tr F-(rho) + sqrt((tr F-)^2 - 4))/2 - cos(4 pi/3):
     for an elliptic factor the square root is imaginary and p reduces to
-    half the trace minus the target cosine.  The MU_STAR_SCAN points of
-    MU_STAR_BRACKET are one batch of kksh_frames_t0; brentq refines the
-    first sign change to MU_STAR_XTOL, one transport per evaluation.  Raises
-    NumericFailure when the bracket misses the root.
+    half the trace minus the target cosine.  Every evaluation of p is one
+    kksh_frames_t0 call of at most BATCH points, one transport.
+
+    The scan takes the MU_STAR_SCAN points of MU_STAR_BRACKET BATCH at a
+    time from the low end and stops at the first batch that shows the first
+    sign change (or an exact zero, which is returned), the one the full scan
+    would find.  Each refinement round then evaluates BATCH points strictly
+    inside the bracket, about the inverse-cubic root c of the four evaluated
+    points nearest the bracket (Alefeld, Potra & Shi, ACM TOMS 21 (1995)
+    327), spread evenly over c +- d: d is the gap between c and the
+    inverse-quadratic root of the nearest three, at least MU_STAR_XTOL/4
+    and at most a quarter of the bracket, and c is moved inward until the
+    points fit.  The bracket shrinks to the first adjacent pair of evaluated
+    points whose p change sign; a round that does not halve it makes the
+    next round's points evenly spaced.  Once the bracket is at most
+    MU_STAR_XTOL wide it certifies the root: the inverse-cubic root is
+    returned when it lies inside, else the secant root of the pair.  Raises
+    NumericFailure when the scan finds no sign change, or when MU_STAR_ROUNDS
+    rounds leave the bracket wider than MU_STAR_XTOL.
     """
-    from scipy.optimize import brentq
-
-    def rotation(Fm) -> float:
-        tr = float(np.trace(Fm))
-        disc = tr * tr - 4.0
-        root_real = math.sqrt(disc) if disc > 0.0 else 0.0
-        return 0.5 * (tr + root_real) - MU_STAR_TARGET
-
-    def p(mu: float) -> float:
-        return rotation(kksh_frames_t0([KkshSpec.with_quantum_numbers(mu, m, n, h)],
-                                       config=config)[1][0])
+    def rotation(mus) -> np.ndarray:
+        _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(mu), m, n, h)
+                                for mu in mus], config=config)
+        tr = np.trace(Fm, axis1=-2, axis2=-1)
+        return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0, 0.0))) - MU_STAR_TARGET
 
     grid = np.linspace(*MU_STAR_BRACKET, MU_STAR_SCAN)
-    _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(g), m, n, h)
-                            for g in grid], config=config)
-    vals = [rotation(F) for F in Fm]
+    vals = np.empty(0)
     for i in range(MU_STAR_SCAN - 1):
+        if len(vals) < i + 2:
+            vals = np.append(vals, rotation(grid[len(vals):len(vals) + BATCH]))
         if vals[i] == 0.0:
             return float(grid[i])
         if vals[i] * vals[i + 1] < 0:
-            return float(brentq(p, grid[i], grid[i + 1], xtol=MU_STAR_XTOL))
-    raise NumericFailure(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
+            break
+    else:
+        raise NumericFailure(f"no sign change of the rotation condition on {MU_STAR_BRACKET}")
 
+    points = list(zip(grid[:len(vals)].tolist(), vals.tolist()))
+    (a, fa), (b, fb) = points[i], points[i + 1]
+
+    def estimates():
+        """The inverse-cubic and inverse-quadratic roots of the evaluated
+        points nearest [a, b] (a and b first)."""
+        near = sorted(points, key=lambda q: max(a - q[0], q[0] - b, 0.0))[:4]
+        return _inverse_root(near), _inverse_root(near[:3])
+
+    even = False
+    for _ in range(MU_STAR_ROUNDS):
+        width = b - a
+        c, q = estimates()
+        if even or not math.isfinite(c - q):
+            batch = a + width * np.arange(1, BATCH + 1) / (BATCH + 1)
+        else:
+            d = min(max(abs(c - q), MU_STAR_XTOL / 4), width / 4)
+            batch = min(max(c, a + 2 * d), b - 2 * d) + d * np.linspace(-1.0, 1.0, BATCH)
+        vals = rotation(batch)
+        points += zip(batch.tolist(), vals.tolist())
+        x, f = [a, *batch.tolist(), b], [fa, *vals.tolist(), fb]
+        for j in range(BATCH + 1):
+            if f[j + 1] == 0.0:
+                return x[j + 1]
+            if f[j] * f[j + 1] < 0:
+                (a, fa), (b, fb) = (x[j], f[j]), (x[j + 1], f[j + 1])
+                break
+        if b - a <= MU_STAR_XTOL:
+            c, _ = estimates()
+            return c if a <= c <= b else a - fa * (b - a) / (fb - fa)
+        even = b - a > width / 2
+    raise NumericFailure(f"mu* not bracketed to {MU_STAR_XTOL:.0e} in {MU_STAR_ROUNDS} rounds "
+                         f"(last bracket [{a!r}, {b!r}])")

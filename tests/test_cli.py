@@ -720,6 +720,40 @@ def test_console_entry_point_help():
     assert "hierarchy" in proc.stdout and "kksh" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mu", "0.6", "--find-mu-star"], "argument --find-mu-star: not allowed with argument --mu"),
+    ([], "pass --mu or --find-mu-star"),
+])
+def test_kksh_takes_one_of_mu_and_find_mu_star(tmp_path, capsys, argv, message):
+    """--mu and --find-mu-star exclude each other, and one is needed: both
+    or neither is a usage error, before any search or file."""
+    out = tmp_path / "k"
+    with pytest.raises(SystemExit) as exc:
+        main(["kksh", "--mn", "1,6", "--h", "2", *argv, "-o", str(out)])
+    assert exc.value.code == 2
+    assert message in stderr(capsys)
+    assert not out.exists()
+
+
+def test_kksh_mu_star_round_cap_exits_1(tmp_path, monkeypatch, capsys):
+    """A rotation condition that is nan off the scan points never shrinks
+    the bracket of its sign change: MU_STAR_ROUNDS refinement rounds, then
+    exit 1 naming the last bracket, and no file."""
+    from test_transport import _stub_rotation
+
+    from ads_null_flows.nullcurve import evolve
+
+    grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
+    batches = _stub_rotation(monkeypatch, lambda mu: np.where(np.isin(mu, grid), mu - 0.5123, np.nan),
+                             most=2 + evolve.MU_STAR_ROUNDS)
+    out = tmp_path / "k"
+    assert main(["kksh", "--mn", "1,6", "--h", "2", "--find-mu-star", "-o", str(out)]) == 1
+    assert len(batches) == 2 + evolve.MU_STAR_ROUNDS
+    assert stderr(capsys) == (f"numeric failure: mu* not bracketed to 1e-08 in "
+                              f"{evolve.MU_STAR_ROUNDS} rounds (last bracket [0.5, 0.55])\n")
+    assert not out.exists()
+
+
 def test_kksh_find_mu_star(tmp_path, capsys):
     out = tmp_path / "k"
     code = main(["kksh", "--mn", "1,6", "--h", "2", "--find-mu-star",

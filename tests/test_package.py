@@ -25,7 +25,7 @@ UNREFERENCED_ALLOWED = {
 SCIPY_IMPORTS = {
     "ads_null_flows.kdvsol": {"scipy.optimize"},
     "ads_null_flows.lame": {"scipy.integrate", "scipy.optimize", "scipy.special"},
-    "ads_null_flows.nullcurve.evolve": {"scipy.integrate", "scipy.optimize"},
+    "ads_null_flows.nullcurve.evolve": {"scipy.integrate"},
     "ads_null_flows.nullcurve.frames": {"scipy.integrate"},
 }
 

@@ -9,8 +9,9 @@ on short grids), its one-period extension by the s-monodromy and the
 fallbacks to the full transport, the accepted range of
 integrator_rel_tol; the KKSH period lattice (invariance of kappa, the
 t-frames from one cell against the direct transport, the closed-form
-holonomy powers against exact ones, the commutator gate and the fallback)
-and the work budget of the two DOP853 oracles."""
+holonomy powers against exact ones, the commutator gate and the fallback),
+the work budget of the two DOP853 oracles, and the mu* search (its early
+scan, its bracketed rounds and their safeguard, and its residual)."""
 
 import json
 import math
@@ -235,14 +236,119 @@ def test_check_bending_ladders_end_at_most_one_prediction(monkeypatch):
 
 
 def test_mu_star_ladders_end_at_most_one_prediction(monkeypatch):
-    """Every transport of the mu* search (the batched scan pairs and each
-    brentq refinement) accepts its first level or the one level predicted
-    from it: none misses its prediction and refines again."""
+    """Every transport of the README mu* search (two scan batches, whose
+    second shows the sign change, then two refinement rounds of BATCH
+    points) accepts its first level or the one level predicted from it:
+    none misses its prediction and refines again."""
     ladders = _ladders(monkeypatch)
     evolve.kksh_mu_star(1, 6, 2.0)
-    assert len(ladders) > 12 // evolve.BATCH       # the scan, then brentq
+    assert len(ladders) == 4
     for ladder in ladders:
         _predictions(ladder)
+
+
+def _rotation(mu, m, n, h):
+    """The rotation condition p(mu) of kksh_mu_star, from one transport."""
+    tr = float(np.trace(evolve.kksh_frames_t0([KkshSpec.with_quantum_numbers(mu, m, n, h)])[1, 0]))
+    return 0.5 * (tr + math.sqrt(max(tr * tr - 4.0, 0.0))) - evolve.MU_STAR_TARGET
+
+
+def test_mu_star_matches_the_converged_root():
+    """The README mu* stays within 1e-12 of 0.6150396634404971, where
+    |p| = 9e-13."""
+    assert abs(evolve.kksh_mu_star(1, 6, 2.0) - 0.6150396634404971) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n, h", [(1, 6, 2.0), (1, 6, 1.0), (1, 4, 1.0), (1, 3, 1.0),
+                                     (2, 7, 2.0), (1, 8, 2.0), (3, 10, 2.0)])
+def test_mu_star_zeroes_the_rotation_condition(m, n, h):
+    """The certified bracket and the inverse cubic inside it leave |p(mu*)|
+    at rounding level; a 1e-8 bracket alone allows |p| near 1e-8."""
+    assert abs(_rotation(evolve.kksh_mu_star(m, n, h), m, n, h)) <= 1e-12
+
+
+def _stub_rotation(monkeypatch, g, most=64):
+    """kksh_frames_t0 replaced by elliptic frames whose rotation condition
+    reads g(mu) (|g| <= 0.5): records each batch of mu, and stops a search
+    that asks for more than `most` batches."""
+    batches = []
+
+    def frames(specs, config=DEFAULT):
+        mu = np.array([spec.mu for spec in specs])
+        batches.append(mu)
+        assert len(batches) <= most, "the mu* search does not stop"
+        F = np.zeros((2, len(specs), 2, 2))
+        F[..., 0, 0] = F[..., 1, 1] = g(mu) + evolve.MU_STAR_TARGET
+        return F
+
+    monkeypatch.setattr(evolve, "kksh_frames_t0", frames)
+    return batches
+
+
+@pytest.mark.parametrize("k, scanned", [(3, 2), (5, 2), (10, 3)])
+def test_mu_star_on_a_scan_point_is_that_point(monkeypatch, k, scanned):
+    """p = 0 exactly at scan point k returns that point once the scan holds
+    it and its right neighbour (the full scan's order of tests), with no
+    refinement round."""
+    grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
+    batches = _stub_rotation(monkeypatch, lambda mu: mu - grid[k])
+    assert evolve.kksh_mu_star(1, 6, 2.0) == grid[k]
+    assert len(batches) == scanned
+
+
+@pytest.mark.parametrize("m, n, h, i", [(2, 7, 2.0, 3), (3, 10, 2.0, 5), (1, 2, 1.0, 0),
+                                        (2, 9, 1.0, 0), (3, 10, 1.0, 9)])
+def test_mu_star_refines_inside_the_scan_bracket(monkeypatch, m, n, h, i):
+    """The scan stops at the batch that holds its first sign change, between
+    points i and i + 1, and every refinement point lies strictly inside
+    that pair, though p is not monotone over the scan points around it
+    (unclipped, the points of (3, 10, 1) left (0, 1)).  (3, 10, 1) has
+    three roots in its pair; the search returns the lowest."""
+    batches = []
+    frames = evolve.kksh_frames_t0
+
+    def recording(specs, config=DEFAULT):
+        batches.append([spec.mu for spec in specs])
+        return frames(specs, config)
+
+    monkeypatch.setattr(evolve, "kksh_frames_t0", recording)
+    mu = evolve.kksh_mu_star(m, n, h)
+    grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
+    scanned = -(-(i + 2) // evolve.BATCH)
+    assert np.array_equal(np.concatenate(batches[:scanned]), grid[:scanned * evolve.BATCH])
+    refined = np.concatenate(batches[scanned:])
+    assert refined.size and (grid[i] < refined).all() and (refined < grid[i + 1]).all()
+    assert grid[i] < mu < grid[i + 1] and abs(_rotation(mu, m, n, h)) <= 1e-12
+
+
+def test_mu_star_safeguard_spaces_evenly_after_a_stalled_round(monkeypatch):
+    """A rotation with a kink at its root, flat below it: the inverse cubic
+    of the scan points leaves the bracket (0.45, 0.5), so the first round's
+    points are moved inside it; a later round fails to halve the bracket,
+    and the round after it divides the bracket evenly.  The root is still
+    bracketed to MU_STAR_XTOL, and no point leaves the scan bracket."""
+    root = 0.454
+
+    def g(mu):
+        return 0.4 * np.tanh(np.where(mu < root, 0.01, 1.0) * (mu - root) / 0.01)
+
+    batches = _stub_rotation(monkeypatch, g)
+    cubic = evolve._inverse_root([(x, float(g(x))) for x in (0.45, 0.5, 0.4, 0.55)])
+    assert not 0.45 < cubic < 0.5
+    mu = evolve.kksh_mu_star(1, 6, 2.0)
+    assert abs(mu - root) <= evolve.MU_STAR_XTOL
+    refined = np.concatenate(batches[2:])
+    assert (0.45 < refined).all() and (refined < 0.5).all()
+
+    def even(k):
+        """batch k is a + (b - a) j / (BATCH + 1) between two earlier points."""
+        step = batches[k][1] - batches[k][0]
+        ends = batches[k][0] - step, batches[k][-1] + step
+        earlier = np.concatenate(batches[:k])
+        return (np.allclose(np.diff(batches[k]), step, rtol=1e-9, atol=0.0)
+                and all(np.isclose(earlier, end, rtol=0.0, atol=1e-15).any() for end in ends))
+
+    assert any(even(k) for k in range(3, len(batches)))
 
 
 def test_dense_output_panels_do_not_follow_the_grid(monkeypatch):
