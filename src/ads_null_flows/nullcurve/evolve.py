@@ -443,6 +443,11 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
     returned when it lies inside, else the secant root of the pair.  Raises
     NumericFailure when the scan finds no sign change, or when MU_STAR_ROUNDS
     rounds leave the bracket wider than MU_STAR_XTOL.
+
+    The scan step (0.05) cannot see a step that holds an even number of
+    roots: p has the same sign at its ends.  A step with an odd number above
+    one gives one of them: (3, 10, 1) has three in (0.75, 0.8) and returns
+    the lowest, 0.75373.
     """
     def rotation(mus) -> np.ndarray:
         _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(mu), m, n, h)

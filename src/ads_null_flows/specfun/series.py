@@ -122,8 +122,9 @@ class Series:
         b = self.c
         r = np.empty_like(b)
         r[0] = 1.0 / b[0]
+        minus = -r[0]
         for k in range(1, len(b)):
-            r[k] = -r[0] * cauchy(b[1:], r, k - 1)
+            r[k] = minus * cauchy(b[1:], r, k - 1)
         return Series(r)
 
     def __truediv__(self, other):

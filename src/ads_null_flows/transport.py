@@ -21,11 +21,19 @@ Phi_0 = Id the frame series about c follows by
 
     (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i}.
 
+When a is the constant 0 and c a constant (the s-systems of nullcurve and
+the Lame systems), only b varies, and the columns (X, Y) of Phi follow by
+(k + 1) X_{k+1} = c Y_k and (k + 1) Y_{k+1} = sum_{i <= k} X_i b_{k-i}:
+the same sums without their zero terms, in the same order, so the same
+floats with one einsum an order over b alone.  Any other generator (the
+KKSH t-system) takes the einsum over all four entries.
+
 The propagator of a panel of half-width w is adj(Phi(-w)) Phi(w), and a
 grid point x inside it reads adj(Phi(-w)) Phi(x - c) off the same series
 (dense output); each is divided by the square root of its determinant (1
 up to the truncation), so every factor has det 1.  The propagators of a
-block are multiplied in order by one prefix scan, whose entries are the
+block are multiplied in order by one prefix scan, one einsum a round on
+their entries stacked as (2, 2, ...) matrices, whose entries are the
 frames at the panel starts that dense output reads and whose last entry
 is the block's product; that product is folded into the running frame
 before the next block, so memory stays flat in the panel count.
@@ -72,12 +80,6 @@ PANEL_BLOCK = 256
 FIRST_PANELS = 64     # panels of the first level, whose root test predicts
 MAX_PANELS = 1 << 16  # refinement cap
 PANEL_MARGIN = 1.25   # on the predicted panel count
-
-
-def _mul(x, y):
-    p0, q0, r0, s0 = x
-    p1, q1, r1, s1 = y
-    return (p0 * p1 + q0 * r1, p0 * q1 + q0 * s1, r0 * p1 + s0 * r1, r0 * q1 + s0 * s1)
 
 
 def sl2_inverse(F: np.ndarray) -> np.ndarray:
@@ -165,22 +167,23 @@ def parity_monodromy(Q: np.ndarray) -> np.ndarray:
     return M
 
 
-def _prefix(E):
-    """Inclusive prefix products E_0, E_0 E_1, ... along the last axis."""
-    n = E[0].shape[-1]
+def _prefix(E: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products E_0, E_0 E_1, ... along the last axis of
+    matrices E (2, 2, ..., n), which it may overwrite: one einsum a round,
+    whose sums come in the order p0 p1 + q0 r1 of the entrywise product."""
+    out = np.empty_like(E)
     k = 1
-    while k < n:
-        head = tuple(e[..., :k] for e in E)
-        tail = _mul(tuple(e[..., :-k] for e in E), tuple(e[..., k:] for e in E))
-        E = tuple(np.concatenate([h, t], axis=-1) for h, t in zip(head, tail))
+    while k < E.shape[-1]:
+        out[..., :k] = E[..., :k]
+        np.einsum("ab...,bc...->ac...", E[..., :-k], E[..., k:], out=out[..., k:])
+        E, out = out, E
         k *= 2
     return E
 
 
-def _as_matrices(E):
-    """The entries (p, q, r, s) as 2x2 matrices on two new last axes."""
-    p, q, r, s = E
-    return np.stack([np.stack([p, q], -1), np.stack([r, s], -1)], -2)
+def _as_matrices(E: np.ndarray) -> np.ndarray:
+    """Matrices (2, 2, ...) with the 2x2 axes moved last, contiguous."""
+    return np.ascontiguousarray(np.moveaxis(E, (0, 1), (-2, -1)))
 
 
 def _coefficients(v, n: int) -> np.ndarray:
@@ -192,14 +195,28 @@ def _coefficients(v, n: int) -> np.ndarray:
     return np.broadcast_to(c, c.shape[:2] + (n,))
 
 
-def _frame_series(a, b, c) -> np.ndarray:
+def _frame_series(a, b, c, n: int) -> np.ndarray:
     """Taylor coefficients Phi_k (TERMS, 2, 2, factors, n) of the frame about
-    a panel centre, Phi_0 = Id: (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i}."""
-    shape = (max(len(a[0]), len(b[0]), len(c[0])), a.shape[-1])
-    A = np.empty((TERMS - 1, 2, 2) + shape)
-    A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, b, c, -a
+    n panel centres, Phi_0 = Id, from the generator's entries (a, b, c)
+    (Series or constants): (k + 1) Phi_{k+1} = sum_{i <= k} Phi_i A_{k-i},
+    over b alone when a is the constant 0 and c a constant (see the module
+    docstring)."""
+    only_b = not (isinstance(a, Series) or isinstance(c, Series) or np.any(a))
+    a, b, c = (_coefficients(v, n) for v in (a, b, c))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise NumericFailure("Taylor transport met a non-finite coefficient")
+    shape = (max(len(a[0]), len(b[0]), len(c[0])), n)
     Phi = np.zeros((TERMS, 2, 2) + shape)
     Phi[0, 0, 0] = Phi[0, 1, 1] = 1.0
+    if only_b:
+        X, Y = Phi[:, :, 0], Phi[:, :, 1]
+        for k in range(TERMS - 1):
+            np.multiply(Y[k], c[0], out=X[k + 1])
+            np.einsum("irfn,ifn->rfn", X[:k + 1], b[k::-1], out=Y[k + 1])
+            Phi[k + 1] /= k + 1
+        return Phi
+    A = np.empty((TERMS - 1, 2, 2) + shape)
+    A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = a, b, c, -a
     for k in range(TERMS - 1):
         np.einsum("iabfn,ibcfn->acfn", Phi[:k + 1], A[k::-1], out=Phi[k + 1])
         Phi[k + 1] /= k + 1
@@ -207,13 +224,14 @@ def _frame_series(a, b, c) -> np.ndarray:
 
 
 def _unimodular(m, v):
-    """adj(m) v, scaled to det 1, as the entries (p, q, r, s); m and v are
+    """adj(m) v, scaled to det 1, as a (2, 2, ...) array; m and v are
     (2, 2, ...) arrays."""
     (p2, q2), (r2, s2) = m
     (p1, q1), (r1, s1) = v
-    P = (s2 * p1 - q2 * r1, s2 * q1 - q2 * s1, p2 * r1 - r2 * p1, p2 * s1 - r2 * q1)
-    scale = 1.0 / np.sqrt(P[0] * P[3] - P[1] * P[2])
-    return tuple(e * scale for e in P)
+    P = np.array([[s2 * p1 - q2 * r1, s2 * q1 - q2 * s1],
+                  [p2 * r1 - r2 * p1, p2 * s1 - r2 * q1]])
+    P *= 1.0 / np.sqrt(P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0])
+    return P
 
 
 def _panels(generator, centre: np.ndarray, half: np.ndarray, radii: list):
@@ -221,11 +239,7 @@ def _panels(generator, centre: np.ndarray, half: np.ndarray, radii: list):
     (Phi_k half^k), Phi(u = -1) and the panel propagators, the last two
     twice along the factor axis: from all TERMS terms, then without the
     last one.  Appends each panel's root-test radius (in x) to radii."""
-    a, b, c = (_coefficients(v, len(centre))
-               for v in generator(Series.variable(centre, TERMS - 1)))
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise NumericFailure("Taylor transport met a non-finite coefficient")
-    Phi = _frame_series(a, b, c)
+    Phi = _frame_series(*generator(Series.variable(centre, TERMS - 1)), len(centre))
     size = np.abs(Phi[-ROOT_TERMS:]).max(axis=(1, 2, 3))
     k = np.arange(TERMS - ROOT_TERMS, TERMS)[:, None]
     radii.append(1.0 / (size ** (1.0 / k)).max(axis=0))
@@ -254,8 +268,8 @@ def _sweep(generator, x0: float, x: np.ndarray, count: int, radii: list) -> np.n
         centre = x0 + k * width + half
         Phi, minus, P = _panels(generator, centre, half, radii)
         if out is None:
-            out = np.empty((len(P[0]), len(x), 2, 2))
-            frame = np.broadcast_to(np.eye(2), (len(P[0]), 2, 2))
+            out = np.empty((P.shape[2], len(x), 2, 2))
+            frame = np.broadcast_to(np.eye(2), (P.shape[2], 2, 2))
         lo, hi = np.searchsorted(panel, [k0, k0 + len(k)])
         j = panel[lo:hi] - k0
         u = np.divide(x[lo:hi] - centre[j], half[j], out=np.zeros(hi - lo),
@@ -267,10 +281,8 @@ def _sweep(generator, x0: float, x: np.ndarray, count: int, radii: list) -> np.n
         last = np.take(Phi[-1], j, axis=-1) * u ** (TERMS - 1)
         value = np.concatenate([value, value - last], axis=2)
         # the frame at each panel's start: the exclusive prefix products
-        one, zero = np.ones((len(P[0]), 1)), np.zeros((len(P[0]), 1))
-        pre = _prefix(tuple(np.concatenate([i, e], axis=-1)
-                            for i, e in zip((one, zero, zero, one), P)))
-        pre = _as_matrices(pre)
+        start = np.broadcast_to(np.eye(2)[:, :, None, None], P.shape[:3] + (1,))
+        pre = _as_matrices(_prefix(np.concatenate([start, P], axis=-1)))
         out[:, lo:hi] = (frame[:, None] @ np.take(pre, j, axis=1)
                          @ _as_matrices(_unimodular(np.take(minus, j, axis=-1), value)))
         frame = frame @ pre[:, -1]

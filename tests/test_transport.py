@@ -2,8 +2,9 @@
 the KKSH t-system and s-monodromies, single and batched, and the two-step
 evolution of a stationary bending; batched t-slices and h+- pairs against
 separate transports, dense output, the two sides of a grid in any order,
-the panel ladders and transport counts, the block products,
-unimodularity, the panel cap, the DOP853 confirmation gate of
+the panel ladders and transport counts, the block products (bit for
+bit the entrywise scan), the varying-entry frame recursion against the
+general one, unimodularity, the panel cap, the DOP853 confirmation gate of
 lien_evolve (over half a period by parity for an even bending, and at rho
 on short grids), its one-period extension by the s-monodromy and the
 fallbacks to the full transport, the accepted range of
@@ -33,6 +34,7 @@ from ads_null_flows.nullcurve import (
     stationary_curve,
 )
 from ads_null_flows.specfun import complete_elliptic
+from ads_null_flows.specfun.series import Series
 from ads_null_flows.transport import transport
 
 MU_STAR = 0.6150396634356605
@@ -115,10 +117,10 @@ def test_taylor_panel_propagators_are_unimodular():
     half = np.full_like(centre, 4e-4)
     radii = []
     _, _, P = kernel._panels(evolve._t_generator(kksh()), centre, half, radii)
-    assert P[0].shape == (4, 300)
-    det = P[0] * P[3] - P[1] * P[2]
+    assert P.shape == (2, 2, 4, 300)
+    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
     assert np.abs(det - 1.0).max() <= 1e-13
-    assert np.abs(P[0][:2] - P[0][2:]).max() > 0.0      # the two truncations differ
+    assert np.abs(P[0, 0, :2] - P[0, 0, 2:]).max() > 0.0      # the two truncations differ
     assert radii[0].shape == (300,) and np.all(half < radii[0])
 
 
@@ -259,6 +261,12 @@ def test_mu_star_matches_the_converged_root():
     assert abs(evolve.kksh_mu_star(1, 6, 2.0) - 0.6150396634404971) <= 1e-12
 
 
+def test_mu_star_of_a_scan_step_with_three_roots():
+    """(3, 10, 1) has three roots in the scan step (0.75, 0.8), 0.75373,
+    0.7712 and 0.79853; the search returns the lowest."""
+    assert abs(evolve.kksh_mu_star(3, 10, 1.0) - 0.7537333240559515) <= 1e-12
+
+
 @pytest.mark.parametrize("m, n, h", [(1, 6, 2.0), (1, 6, 1.0), (1, 4, 1.0), (1, 3, 1.0),
                                      (2, 7, 2.0), (1, 8, 2.0), (3, 10, 2.0)])
 def test_mu_star_zeroes_the_rotation_condition(m, n, h):
@@ -362,22 +370,118 @@ def test_dense_output_panels_do_not_follow_the_grid(monkeypatch):
     assert rel_err(coarse, fine[::16]) <= 1e-12
 
 
+def _entrywise_prefix(E):
+    """The prefix scan on the four entries (p, q, r, s) as separate arrays,
+    one product of entries a round: the reference that kernel._prefix keeps
+    bit for bit."""
+    def mul(x, y):
+        p0, q0, r0, s0 = x
+        p1, q1, r1, s1 = y
+        return (p0 * p1 + q0 * r1, p0 * q1 + q0 * s1, r0 * p1 + s0 * r1, r0 * q1 + s0 * s1)
+
+    n = E[0].shape[-1]
+    k = 1
+    while k < n:
+        head = tuple(e[..., :k] for e in E)
+        tail = mul(tuple(e[..., :-k] for e in E), tuple(e[..., k:] for e in E))
+        E = tuple(np.concatenate([h, t], axis=-1) for h, t in zip(head, tail))
+        k *= 2
+    return E
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 257])
 def test_prefix_scan_ends_at_the_sequential_product(n):
     """The last prefix entry, the product that each block folds into the
     running frame, is E_0 E_1 ... E_{n-1}, odd lengths and one past a
-    power of two included; the factors are random with det 1."""
+    power of two included; the factors are random with det 1.  Every entry
+    equals the entrywise scan's bit for bit."""
     rng = np.random.default_rng(n)
     p = rng.uniform(0.5, 2.0, size=(2, n))
     q, r = rng.normal(scale=0.5, size=(2, 2, n))
-    E = (p, q, r, (1.0 + q * r) / p)
-    prefix = kernel._as_matrices(kernel._prefix(E))
+    E = np.array([[p, q], [r, (1.0 + q * r) / p]])
+    prefix = kernel._prefix(E.copy())
+    assert np.array_equal(prefix, np.array(_entrywise_prefix(tuple(E.reshape(4, 2, n))))
+                          .reshape(2, 2, 2, n))
+    prefix = kernel._as_matrices(prefix)
     assert prefix.shape == (2, n, 2, 2)
     matrices = kernel._as_matrices(E)
     product = np.broadcast_to(np.eye(2), (2, 2, 2))
     for i in range(n):
         product = product @ matrices[:, i]
     assert rel_err(prefix[:, -1], product) <= 1e-12
+
+
+GENERAL, ONLY_B = "iabfn,ibcfn->acfn", "irfn,ifn->rfn"
+
+
+def _block_entries(generator, n=64):
+    """The entries (a, b, c) of a generator on one block of n panel centres."""
+    return generator(Series.variable(np.linspace(0.0, 1.0, n), kernel.TERMS - 1))
+
+
+def _s_block_generator(monkeypatch, specs):
+    """The generator of _s_frames' first transport on specs."""
+    seen = []
+
+    def recording(generator, *args):
+        seen.append(generator)
+        return kernel.transport(generator, *args)
+
+    monkeypatch.setattr(evolve, "transport", recording)
+    evolve._s_frames(specs, [spec.s_period for spec in specs], 0.0, [1.0], DEFAULT)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _recursion(monkeypatch, a, b, c, n=64):
+    """The frame series of (a, b, c) on n panels, and the set of einsum
+    subscripts it used."""
+    seen, einsum = set(), np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        seen.add(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    Phi = kernel._frame_series(a, b, c, n)
+    monkeypatch.undo()
+    return Phi, seen
+
+
+@pytest.mark.parametrize("block, factors", [("kksh4", 8), ("lame2", 2), ("constant", 1)])
+def test_the_varying_entry_recursion_is_the_general_one(monkeypatch, block, factors):
+    """With a the constant 0 and c a constant, only b is convolved, and the
+    frame series equals the general recursion's (forced by a zero Series a)
+    bit for bit: a 4-spec KKSH s-block (c one value per factor), a Lame
+    block of two h (b per factor, c = 1) and a constant generator."""
+    if block == "kksh4":
+        generator = _s_block_generator(monkeypatch, [kksh(mu) for mu in (0.3, 0.45, 0.6, 0.75)])
+    elif block == "lame2":
+        generator = lame._lame_generator(0.9, np.array([[0.93], [2.23]]))
+    else:
+        def generator(x):
+            return 0.0, -6400.0, 1.0
+    a, b, c = _block_entries(generator)
+    assert a == 0.0 and not isinstance(c, Series)
+    fast, used = _recursion(monkeypatch, a, b, c)
+    zero = Series(np.zeros((kernel.TERMS - 1, 1, 64)))
+    general, used_general = _recursion(monkeypatch, zero, b, c)
+    assert used == {ONLY_B} and used_general == {GENERAL}
+    assert fast.shape == (kernel.TERMS, 2, 2, factors, 64)
+    assert np.array_equal(fast, general)
+    assert np.abs(fast[-1]).max() > 0.0
+
+
+def test_the_t_system_and_a_constant_diagonal_take_the_general_recursion(monkeypatch):
+    """The KKSH t-system (a, b and c all Series) and a generator whose
+    constant a is not 0 keep the general einsum over all four entries."""
+    a, b, c = _block_entries(evolve._t_generator(kksh()))
+    assert all(isinstance(v, Series) for v in (a, b, c))
+    assert _recursion(monkeypatch, a, b, c)[1] == {GENERAL}
+    a, b, c = _block_entries(lambda x: (0.5, 2.0 * x * x - 1.0, 1.0))
+    Phi, used = _recursion(monkeypatch, a, b, c)
+    assert used == {GENERAL}
+    assert (Phi[1, 0, 0] == 0.5).all() and (Phi[1, 1, 1] == -0.5).all()
 
 
 @pytest.mark.parametrize("slices", [1, 2, 3, 5])
