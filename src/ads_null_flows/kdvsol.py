@@ -55,9 +55,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import NumericFailure, UsageError
+from .scipy_deferred import brentq
 from .specfun import JacobiScalar, complete_elliptic, jacobi_sncndn, sn_jet
 from .specfun.elliptic import _check_mu, _linear, _sncndn_series
 from .specfun.series import Series, derivative_shift

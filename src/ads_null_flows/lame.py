@@ -36,10 +36,13 @@ half-period frames Q integrated over [0, K], by one DOP853 run that carries
 the frame of every eigenvalue beside one Jacobi triple, and each M follows
 from its Q by parity; this ODE route stays the oracle for tau, and so for
 the order (at q in {0, 1} the gate also checks that M is diagonal).
-lame_monodromy is the module's only DOP853 integration.  A root find
-that does not converge, a monodromy that misses the gate or drifts from
-det 1, and fewer than the requested eigenvalues below the search ceiling
-are each a NumericFailure; mu, h or q outside its domain is a UsageError.
+lame_monodromy is the module's only DOP853 integration.  Its method,
+BudgetedDOP853 (a DOP853 with a right-hand-side budget), is built on first
+use, since scipy is imported only when a function first needs it
+(scipy_deferred).  A root find that does not converge, a monodromy that
+misses the gate or drifts from det 1, and fewer than the requested
+eigenvalues below the search ceiling are each a NumericFailure; mu, h or q
+outside its domain is a UsageError.
 
 The fundamental matrix on a grid, an (n, 2, 2) stack of delta(s), is
 produced two independent ways: the Taylor-panel kernel of
@@ -69,16 +72,16 @@ M^p per period in closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.special import ellipeinc, ellipkinc
 
 from .config import DEFAULT, NumericFailure, RunConfig, UsageError
+from .scipy_deferred import ellipeinc, ellipkinc, solve_ivp
 from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
                       lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
@@ -92,16 +95,31 @@ from .transport import EPS, floquet_extend, parity_monodromy, transport
 MAX_RHS_CALLS = 1 << 20
 
 
-class BudgetedDOP853(DOP853):
-    """DOP853 with a work budget, the method of both DOP853 oracles: a step
-    begun past MAX_RHS_CALLS right-hand sides raises NumericFailure, so no
-    setting can make an oracle run unbounded.  It checks nfev once per
-    step, so the steps, nfev and result are DOP853's."""
+@functools.cache
+def budgeted_dop853():
+    """BudgetedDOP853, the method of both DOP853 oracles, built on first use
+    (its base class needs scipy.integrate)."""
+    from scipy.integrate import DOP853
 
-    def step(self):
-        if self.nfev > MAX_RHS_CALLS:
-            raise NumericFailure(f"DOP853 needs more than {MAX_RHS_CALLS} right-hand sides")
-        return super().step()
+    class BudgetedDOP853(DOP853):
+        """DOP853 with a work budget: a step begun past MAX_RHS_CALLS
+        right-hand sides raises NumericFailure, so no setting can make an
+        oracle run unbounded.  It checks nfev once per step, so the steps,
+        nfev and result are DOP853's."""
+
+        def step(self):
+            if self.nfev > MAX_RHS_CALLS:
+                raise NumericFailure(f"DOP853 needs more than {MAX_RHS_CALLS} right-hand sides")
+            return super().step()
+
+    return BudgetedDOP853
+
+
+def __getattr__(name):
+    """lame.BudgetedDOP853 is budgeted_dop853()'s class (PEP 562)."""
+    if name == "BudgetedDOP853":
+        return budgeted_dop853()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -177,13 +195,13 @@ def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     n = 4 len(h) + 3 states, so the tolerances shrink by sqrt(7 / n): the
     error of any one frame with the triple is then held as tightly as in a
     run of its own, and a single h is integrated exactly as alone.  Its
-    right-hand sides are budgeted (BudgetedDOP853)."""
+    right-hand sides are budgeted (budgeted_dop853)."""
     mu = _check_mu(mu)
     hs = [_check_h(x) for x in np.atleast_1d(h)]
     K, _ = complete_elliptic(mu)
     y0 = [1.0, 0.0, 0.0, 1.0] * len(hs) + [0.0, 1.0, 1.0]   # Id per h, (sn, cn, dn)(0)
     scale = math.sqrt(7.0 / len(y0))
-    sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method=BudgetedDOP853,
+    sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method=budgeted_dop853(),
                     rtol=scale * max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=scale * config.integrator_abs_tol)
     if not sol.success:

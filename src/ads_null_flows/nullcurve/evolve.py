@@ -67,7 +67,8 @@ potential; transport.parity_monodromy).  _s_route measures that evenness
 on the gate's probes, and on the periodic route an even bending is
 confirmed over half the period.  A bending that fails the KdV gate, a
 transport past its panel cap, a confirmation past its right-hand-side
-budget (lame.BudgetedDOP853) and a missed confirmation each raise
+budget (lame.BudgetedDOP853, built on first use, as it needs
+scipy.integrate) and a missed confirmation each raise
 NumericFailure.  The monodromies of F+- (SpinorFramePath.monodromy) are
 conserved in t, and LienEvolution keeps the s-monodromies Phi+-(rho, t),
 which are conjugate to them: the trace drift and the `kksh`
@@ -83,11 +84,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
 from ..kdvsol import KkshSpec, kksh_kappa_series
-from ..lame import BudgetedDOP853
+from ..lame import budgeted_dop853
+from ..scipy_deferred import solve_ivp
 from ..specfun.series import Series
 from ..transport import EPS, floquet_extend, lattice_power, parity_monodromy, transport
 from .frames import LAMBDA, SpinorFramePath, _frames_rhs
@@ -364,12 +365,12 @@ def _confirm(sampler: BendingSampler, s_end: float, Phi: np.ndarray,
     from Q = Phi(rho/2) (transport.parity_monodromy).  Its frames at s_end
     must match Phi, the stack (2, 2, 2) of Phi+-(s_end), within
     agreement_bound(config) (relative, max-norm).  Its right-hand sides are
-    budgeted (lame.BudgetedDOP853)."""
+    budgeted (lame.budgeted_dop853)."""
     def rhs(s, y):
         return _frames_rhs(sampler.kappa_jet(float(s), 0.0, order=0)[0], y.tolist())
 
     sol = solve_ivp(rhs, (0.0, float(0.5 * s_end if even else s_end)),
-                    [1.0, 0.0, 0.0, 1.0] * 2, method=BudgetedDOP853,
+                    [1.0, 0.0, 0.0, 1.0] * 2, method=budgeted_dop853(),
                     rtol=max(config.integrator_rel_tol, 100.0 * EPS),
                     atol=config.integrator_abs_tol)
     if not sol.success:

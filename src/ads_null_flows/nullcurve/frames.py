@@ -35,9 +35,9 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..config import DEFAULT, NumericFailure, RunConfig, UsageError
+from ..scipy_deferred import solve_ivp
 from ..transport import EPS, sl2_inverse
 
 LAMBDA = np.array([[1.0], [-1.0]])   # the spectral parameters, as the factor axis

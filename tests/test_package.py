@@ -5,10 +5,20 @@ and one failure policy decides every exit code."""
 import ast
 import builtins
 import importlib
+import json
+import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+import scipy.optimize
+import scipy.special
+
 import ads_null_flows
+from ads_null_flows import lame, scipy_deferred
 
 ROOT = Path(__file__).parents[1]
 
@@ -16,17 +26,18 @@ ROOT = Path(__file__).parents[1]
 UNREFERENCED_ALLOWED = {
     # the DOP853 frame reference; bench/tracer.py binds solve_ivp in its module
     "integrate_spinor_frames",
+    # lame's module __getattr__ (PEP 562), called by attribute access
+    "__getattr__",
 }
 
 
-# the src/ modules that import scipy, and what each imports (at module level
-# or inside a function): the start-up path should lose these, never gain one;
-# the frame kernel, transport, imports none
+# the src/ modules that import scipy, and what each imports, always inside a
+# function body, so that importing the package loads no scipy: the stand-ins
+# of scipy_deferred, lame's BudgetedDOP853 and floquet_search's brentq (which
+# bench/tracer.py routes by its caller); the list should shrink, never grow
 SCIPY_IMPORTS = {
-    "ads_null_flows.kdvsol": {"scipy.optimize"},
-    "ads_null_flows.lame": {"scipy.integrate", "scipy.optimize", "scipy.special"},
-    "ads_null_flows.nullcurve.evolve": {"scipy.integrate"},
-    "ads_null_flows.nullcurve.frames": {"scipy.integrate"},
+    "ads_null_flows.lame": {"scipy.integrate", "scipy.optimize"},
+    "ads_null_flows.scipy_deferred": {"scipy.integrate", "scipy.optimize", "scipy.special"},
 }
 
 
@@ -35,7 +46,8 @@ SCIPY_IMPORTS = {
 # error or argparse's own usage error
 EXCEPTION_CLASSES = {"config.py": ["UsageError", "NumericFailure"]}
 RAISABLE = {"UsageError", "NumericFailure", "ValueError", "TypeError",
-            "argparse.ArgumentTypeError"}
+            "argparse.ArgumentTypeError",
+            "AttributeError"}    # what a module __getattr__ (PEP 562) raises
 
 
 def _src_trees():
@@ -101,23 +113,88 @@ def test_src_defines_nothing_unreferenced():
     assert unreferenced == UNREFERENCED_ALLOWED
 
 
+def _imports(node: ast.AST, in_function: bool = False):
+    """(module imported, whether inside a function body) of every absolute
+    import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, in_function) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module, in_function
+        yield from _imports(child, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
 def test_scipy_imports_are_pinned():
-    """Every scipy import of src/ is in SCIPY_IMPORTS, and every entry there
-    is still imported."""
-    found = {}
+    """Every scipy import of src/ is in SCIPY_IMPORTS and sits in a function
+    body, and every entry there is still imported."""
+    found, at_module_level = {}, []
     for path in sorted((ROOT / "src").rglob("*.py")):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                if name.split(".")[0] == "scipy":
-                    found.setdefault(module, set()).add(name)
+        for name, in_function in _imports(ast.parse(path.read_text())):
+            if name.split(".")[0] == "scipy":
+                found.setdefault(module, set()).add(name)
+                if not in_function:
+                    at_module_level.append(f"{module}: {name}")
     assert found == SCIPY_IMPORTS
+    assert at_module_level == []
+
+
+def _scipy_after(code: str, cwd: Path) -> list:
+    """The scipy modules loaded once code has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert _scipy_after("import ads_null_flows.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["hierarchy", "--n-max", "3"], False),
+    (["constant", "--mn", "7,3"], False),
+    # the deferral is per use: the Floquet search calls scipy
+    (["floquet", "--mu", "0.9", "--q", "2/5", "--count", "2"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_scipy_is_loaded_only_by_the_commands_that_call_it(tmp_path, argv, loads_scipy):
+    code = ("import ads_null_flows.cli as cli\n"
+            f"assert cli.main({[*argv, '-o', 'out']!r}) == 0")
+    assert bool(_scipy_after(code, tmp_path)) == loads_scipy
+
+
+# the mu = 0.6 Floquet eigenvalues of the paper: S_{0.6, 0} and S_{0.6, 1}
+PAPER_EIGENVALUES_06 = [3.287222, 11.059393, 24.040319, 42.216401, 65.586374, 6.519135]
+
+
+def test_the_deferred_functions_are_scipy_bit_for_bit(monkeypatch):
+    """scipy_deferred's stand-ins return scipy's values bit for bit, and
+    after their first call none runs an import statement."""
+    for phi, m in ((0.3, 0.4), (1.2, 0.1), (math.pi / 2, 0.999)):
+        assert scipy_deferred.ellipkinc(phi, m) == scipy.special.ellipkinc(phi, m)
+        assert scipy_deferred.ellipeinc(phi, m) == scipy.special.ellipeinc(phi, m)
+    for f, lo, hi in ((math.cos, 0.0, 2.0), (lambda x: x ** 3 - 2.0, 0.0, 2.0)):
+        assert scipy_deferred.brentq(f, lo, hi, xtol=1e-15) == scipy.optimize.brentq(
+            f, lo, hi, xtol=1e-15)
+    deferred = [lame.hermite_phase(0.6, h) for h in PAPER_EIGENVALUES_06]
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        imports.append(args[0])
+        return real_import(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    scipy_deferred.brentq(math.cos, 0.0, 2.0)
+    assert [lame.hermite_phase(0.6, h) for h in PAPER_EIGENVALUES_06] == deferred
+    assert imports == []
+    monkeypatch.setattr(lame, "ellipkinc", scipy.special.ellipkinc)
+    monkeypatch.setattr(lame, "ellipeinc", scipy.special.ellipeinc)
+    assert [lame.hermite_phase(0.6, h) for h in PAPER_EIGENVALUES_06] == deferred
 
 
 def test_two_exception_classes_decide_every_exit_code():

@@ -1235,8 +1235,8 @@ def test_the_budget_changes_no_run(monkeypatch):
     monkeypatch.setattr(evolve, "solve_ivp", spy)
     budgeted = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
     method = lame.BudgetedDOP853
-    monkeypatch.setattr(lame, "BudgetedDOP853", "DOP853")
-    monkeypatch.setattr(evolve, "BudgetedDOP853", "DOP853")
+    monkeypatch.setattr(lame, "budgeted_dop853", lambda: "DOP853")
+    monkeypatch.setattr(evolve, "budgeted_dop853", lambda: "DOP853")
     free = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
     assert [run[0] for run in runs] == [method] * 2 + ["DOP853"] * 2
     for (_, nfev, y), (_, nfev_free, y_free) in zip(runs[:2], runs[2:]):
