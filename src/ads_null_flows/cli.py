@@ -14,11 +14,19 @@ exception is a programming error and keeps its traceback.  Outputs are JSON
 (curve samples with the torical embedding and the frame matrix), OBJ
 polylines, and CSV tables; every file embeds the recipe name and the config
 digest.
+
+The argparse parser is built on the first main call, not at import, and
+reused by every later call in the process; main runs this module's current
+cmd_*, so one replaced after the first call (a wrapper or a test's
+stand-in) is the one that runs.  Only a process that calls main repeatedly
+saves time by this; a shell run of the console script builds the parser
+once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,6 +417,7 @@ def cmd_check(args, config: RunConfig) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ads-null-flows",
@@ -475,8 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # the parser keeps the cmd_* it was built with: run the module's current one
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args, load_config(args.config, args.set))
+        return command(args, load_config(args.config, args.set))
     except UsageError as exc:
         ap.error(str(exc))
     except NumericFailure as exc:

@@ -420,13 +420,13 @@ def _inverse_root(points) -> float:
 
 
 def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float:
-    """The elliptic parameter at which the minus-factor monodromy becomes the
-    rotation by 2 pi 2/3.
+    """The lowest mu of MU_STAR_BRACKET at which the minus-factor monodromy
+    F-(rho) is the rotation by 2 pi 2/3.
 
-    Root of p(mu) = Re(tr F-(rho) + sqrt((tr F-)^2 - 4))/2 - cos(4 pi/3):
-    for an elliptic factor the square root is imaginary and p reduces to
-    half the trace minus the target cosine.  Every evaluation of p is one
-    kksh_frames_t0 call of at most BATCH points, one transport.
+    Root of the trace condition g(mu) = tr F-(rho)/2 - cos(4 pi/3), which is
+    analytic in mu; its roots are exactly the rotations, since |tr F-| = 1 < 2
+    makes the factor elliptic.  Every evaluation of g is one kksh_frames_t0
+    call of at most BATCH points, one transport.
 
     The scan takes the MU_STAR_SCAN points of MU_STAR_BRACKET BATCH at a
     time from the low end and stops at the first batch that shows the first
@@ -438,23 +438,25 @@ def kksh_mu_star(m: int, n: int, h: float, config: RunConfig = DEFAULT) -> float
     inverse-quadratic root of the nearest three, at least MU_STAR_XTOL/4
     and at most a quarter of the bracket, and c is moved inward until the
     points fit.  The bracket shrinks to the first adjacent pair of evaluated
-    points whose p change sign; a round that does not halve it makes the
+    points whose g change sign; a round that does not halve it makes the
     next round's points evenly spaced.  Once the bracket is at most
     MU_STAR_XTOL wide it certifies the root: the inverse-cubic root is
     returned when it lies inside, else the secant root of the pair.  Raises
-    NumericFailure when the scan finds no sign change, or when MU_STAR_ROUNDS
-    rounds leave the bracket wider than MU_STAR_XTOL.
+    NumericFailure naming the bracket when the scan finds no sign change
+    ((1, 2, 1) has no rotation in it), or when MU_STAR_ROUNDS rounds leave
+    the bracket wider than MU_STAR_XTOL.
 
     The scan step (0.05) cannot see a step that holds an even number of
-    roots: p has the same sign at its ends.  A step with an odd number above
-    one gives one of them: (3, 10, 1) has three in (0.75, 0.8) and returns
-    the lowest, 0.75373.
+    roots, since g has the same sign at its ends: (3, 7, 2) has two in
+    (0.8, 0.85) and raises.  A step with three or more roots gives one of
+    them; (3, 10, 1) has one in (0.7, 0.75), 0.72547, and three in
+    (0.75, 0.8).
     """
     def rotation(mus) -> np.ndarray:
         _, Fm = kksh_frames_t0([KkshSpec.with_quantum_numbers(float(mu), m, n, h)
                                 for mu in mus], config=config)
         tr = np.trace(Fm, axis1=-2, axis2=-1)
-        return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0, 0.0))) - MU_STAR_TARGET
+        return 0.5 * tr - MU_STAR_TARGET
 
     grid = np.linspace(*MU_STAR_BRACKET, MU_STAR_SCAN)
     vals = np.empty(0)

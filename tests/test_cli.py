@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -766,3 +767,104 @@ def test_kksh_find_mu_star(tmp_path, capsys):
     assert doc["meta"]["mu_star"] == pytest.approx(0.61503966, abs=1e-6)
     assert doc["meta"]["orbit_type"] == "(H,E)"
     assert doc["meta"]["rho"] == pytest.approx(3.93231, abs=1e-3)
+
+
+def test_kksh_find_mu_star_without_a_rotation_exits_1(tmp_path, capsys):
+    """(1, 2) at h = 1 has no rotation in the mu* bracket: exit 1 naming
+    the bracket, before any file (the square-root form of the condition
+    returned a hyperbolic 0.31099 and exited 0 with orbit type (H,H))."""
+    out = tmp_path / "k12"
+    assert main(["kksh", "--mn", "1,2", "--h", "1", "--find-mu-star", "--t", "0",
+                 "--invariant-grid", "0", "-o", str(out)]) == 1
+    assert stderr(capsys) == ("numeric failure: no sign change of the rotation "
+                              "condition on (0.3, 0.85)\n")
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ the reused parser
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    import ads_null_flows.cli as cli
+
+    cli.build_parser.cache_clear()
+    for n_max in ("0", "1"):
+        assert main(["hierarchy", "--n-max", n_max, "-o", str(tmp_path / n_max)]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _recording(monkeypatch, name):
+    """cli.<name> replaced by a stand-in that records (args, config) and
+    returns 0."""
+    import ads_null_flows.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, name, lambda args, config: calls.append((args, config)) or 0)
+    return calls
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    """The cached parser holds the cmd_* of its build, but main runs the
+    module's current one: a wrapper installed, or a stand-in patched, after
+    the parser was built still sees every call."""
+    assert main(["hierarchy", "--n-max", "0", "-o", str(tmp_path / "h")]) == 0
+    calls = _recording(monkeypatch, "cmd_floquet")
+    assert main(["floquet", "--mu", "0.9", "--q", "2/5", "-o", str(tmp_path / "f")]) == 0
+    assert len(calls) == 1 and calls[0][0].q == Fraction(2, 5)
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("stationary", ["--mu", "0.9", "--q", "2/5"]),
+    ("kksh", ["--mn", "1,6", "--h", "2", "--mu", "0.6"]),
+])
+def test_list_options_leak_nothing_into_the_next_call(monkeypatch, command, extra):
+    """--t and --set given to one call leave the next call's defaults
+    empty: the shared parser's default lists are never filled."""
+    from ads_null_flows.config import DEFAULT
+
+    calls = _recording(monkeypatch, f"cmd_{command}")
+    assert main(["--set", "integrator_rel_tol=1e-10", command, *extra, "--t", "0,0.1"]) == 0
+    assert main([command, *extra]) == 0
+    (first, first_config), (second, second_config) = calls
+    assert first.t == [0.0, 0.1] and first.set == ["integrator_rel_tol=1e-10"]
+    assert first_config.integrator_rel_tol == 1e-10
+    assert second.t == [] and second.set == [] and second_config == DEFAULT
+
+
+@pytest.mark.parametrize("bad", [
+    ["floquet", "--mu", "x", "--q", "2/5"],        # argparse rejects it
+    ["hierarchy", "--n-max", "9"],                 # cmd_hierarchy's UsageError
+])
+def test_a_usage_error_leaves_the_next_call_as_it_was(tmp_path, capsys, bad):
+    import ads_null_flows.cli as cli
+
+    def valid(out):
+        assert main(["hierarchy", "--n-max", "2", "--verify", "-o", str(out)]) == 0
+        return capsys.readouterr().out.replace(str(out), "OUT"), (out / "hierarchy.json").read_bytes()
+
+    cli.build_parser.cache_clear()
+    fresh = valid(tmp_path / "fresh")
+    with pytest.raises(SystemExit) as exc:
+        main([*bad, "-o", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert valid(tmp_path / "after") == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on the first main call: importing the module
+    (the bench's set-up, and any library import) creates no ArgumentParser."""
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import ads_null_flows.cli as cli\n"
+            "print(len(built), cli.build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"

@@ -16,6 +16,7 @@ scan, its bracketed rounds and their safeguard, and its residual)."""
 
 import json
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -249,30 +250,41 @@ def test_mu_star_ladders_end_at_most_one_prediction(monkeypatch):
         _predictions(ladder)
 
 
+def _half_trace(mu, m, n, h):
+    """tr F-(rho)/2 at mu, from one transport."""
+    return 0.5 * float(np.trace(
+        evolve.kksh_frames_t0([KkshSpec.with_quantum_numbers(mu, m, n, h)])[1, 0]))
+
+
 def _rotation(mu, m, n, h):
-    """The rotation condition p(mu) of kksh_mu_star, from one transport."""
-    tr = float(np.trace(evolve.kksh_frames_t0([KkshSpec.with_quantum_numbers(mu, m, n, h)])[1, 0]))
-    return 0.5 * (tr + math.sqrt(max(tr * tr - 4.0, 0.0))) - evolve.MU_STAR_TARGET
+    """The trace condition g(mu) = tr F-(rho)/2 - cos(4 pi/3) of kksh_mu_star."""
+    return _half_trace(mu, m, n, h) - evolve.MU_STAR_TARGET
 
 
 def test_mu_star_matches_the_converged_root():
     """The README mu* stays within 1e-12 of 0.6150396634404971, where
-    |p| = 9e-13."""
+    |g| = 9e-13."""
     assert abs(evolve.kksh_mu_star(1, 6, 2.0) - 0.6150396634404971) <= 1e-12
 
 
 def test_mu_star_of_a_scan_step_with_three_roots():
     """(3, 10, 1) has three roots in the scan step (0.75, 0.8), 0.75373,
-    0.7712 and 0.79853; the search returns the lowest."""
-    assert abs(evolve.kksh_mu_star(3, 10, 1.0) - 0.7537333240559515) <= 1e-12
+    0.7712 and 0.79853, and the lowest root of the bracket, 0.72547, one
+    step below them: the search returns that one.  The square-root form
+    p = Re(tr + sqrt(tr^2 - 4))/2 - cos(4 pi/3) of the condition also
+    vanished at a hyperbolic 0.723 in the same lower step, so p kept its
+    sign over it and the search returned 0.75373."""
+    assert abs(evolve.kksh_mu_star(3, 10, 1.0) - 0.7254711111208041) <= 1e-12
 
 
 @pytest.mark.parametrize("m, n, h", [(1, 6, 2.0), (1, 6, 1.0), (1, 4, 1.0), (1, 3, 1.0),
-                                     (2, 7, 2.0), (1, 8, 2.0), (3, 10, 2.0)])
+                                     (2, 7, 2.0), (1, 8, 2.0), (3, 10, 2.0), (2, 9, 1.0),
+                                     (3, 10, 1.0)])
 def test_mu_star_zeroes_the_rotation_condition(m, n, h):
-    """The certified bracket and the inverse cubic inside it leave |p(mu*)|
-    at rounding level; a 1e-8 bracket alone allows |p| near 1e-8."""
-    assert abs(_rotation(evolve.kksh_mu_star(m, n, h), m, n, h)) <= 1e-12
+    """tr F-(mu*)/2 = -1/2 to 1e-12 on every family whose mu* is tested
+    here: the certified bracket and the inverse cubic inside it leave
+    |g(mu*)| at rounding level; a 1e-8 bracket alone allows |g| near 1e-8."""
+    assert abs(_half_trace(evolve.kksh_mu_star(m, n, h), m, n, h) + 0.5) <= 1e-12
 
 
 def _stub_rotation(monkeypatch, g, most=64):
@@ -295,7 +307,7 @@ def _stub_rotation(monkeypatch, g, most=64):
 
 @pytest.mark.parametrize("k, scanned", [(3, 2), (5, 2), (10, 3)])
 def test_mu_star_on_a_scan_point_is_that_point(monkeypatch, k, scanned):
-    """p = 0 exactly at scan point k returns that point once the scan holds
+    """g = 0 exactly at scan point k returns that point once the scan holds
     it and its right neighbour (the full scan's order of tests), with no
     refinement round."""
     grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
@@ -304,14 +316,8 @@ def test_mu_star_on_a_scan_point_is_that_point(monkeypatch, k, scanned):
     assert len(batches) == scanned
 
 
-@pytest.mark.parametrize("m, n, h, i", [(2, 7, 2.0, 3), (3, 10, 2.0, 5), (1, 2, 1.0, 0),
-                                        (2, 9, 1.0, 0), (3, 10, 1.0, 9)])
-def test_mu_star_refines_inside_the_scan_bracket(monkeypatch, m, n, h, i):
-    """The scan stops at the batch that holds its first sign change, between
-    points i and i + 1, and every refinement point lies strictly inside
-    that pair, though p is not monotone over the scan points around it
-    (unclipped, the points of (3, 10, 1) left (0, 1)).  (3, 10, 1) has
-    three roots in its pair; the search returns the lowest."""
+def _recorded_batches(monkeypatch):
+    """kksh_frames_t0 unchanged, but recording each batch of mu it is given."""
     batches = []
     frames = evolve.kksh_frames_t0
 
@@ -320,6 +326,17 @@ def test_mu_star_refines_inside_the_scan_bracket(monkeypatch, m, n, h, i):
         return frames(specs, config)
 
     monkeypatch.setattr(evolve, "kksh_frames_t0", recording)
+    return batches
+
+
+@pytest.mark.parametrize("m, n, h, i", [(2, 7, 2.0, 3), (3, 10, 2.0, 5), (2, 9, 1.0, 0),
+                                        (3, 10, 1.0, 8)])
+def test_mu_star_refines_inside_the_scan_bracket(monkeypatch, m, n, h, i):
+    """The scan stops at the batch that holds its first sign change, between
+    points i and i + 1, and every refinement point lies strictly inside
+    that pair, though g is not monotone over the scan points around it
+    (its scan values of (3, 10, 1) fall to -162, then rise to 0.4)."""
+    batches = _recorded_batches(monkeypatch)
     mu = evolve.kksh_mu_star(m, n, h)
     grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
     scanned = -(-(i + 2) // evolve.BATCH)
@@ -327,6 +344,20 @@ def test_mu_star_refines_inside_the_scan_bracket(monkeypatch, m, n, h, i):
     refined = np.concatenate(batches[scanned:])
     assert refined.size and (grid[i] < refined).all() and (refined < grid[i + 1]).all()
     assert grid[i] < mu < grid[i + 1] and abs(_rotation(mu, m, n, h)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n, h", [(1, 2, 1.0), (3, 7, 2.0)])
+def test_mu_star_without_a_sign_change_on_the_scan_raises(monkeypatch, m, n, h):
+    """(1, 2, 1) has no rotation in the bracket: g keeps its sign over all
+    of it, though the square-root form p vanished at a hyperbolic 0.31099
+    (tr F- = -5/2) and the search returned that.  (3, 7, 2) has two roots
+    in one scan step, (0.8, 0.85), which the scan cannot see.  Both scan
+    every point, then raise naming the bracket."""
+    batches = _recorded_batches(monkeypatch)
+    with pytest.raises(NumericFailure, match=re.escape(f"on {evolve.MU_STAR_BRACKET}")):
+        evolve.kksh_mu_star(m, n, h)
+    grid = np.linspace(*evolve.MU_STAR_BRACKET, evolve.MU_STAR_SCAN)
+    assert np.array_equal(np.concatenate(batches), grid)
 
 
 def test_mu_star_safeguard_spaces_evenly_after_a_stalled_round(monkeypatch):
