@@ -67,7 +67,10 @@ Hl = A and d Hl/ds = -B dn at s = K, where dn = sqrt(1 - mu):
 
 A path is one array evaluation: the Taylor panels for sn^2 <= z_match, the
 pair at z = 1 with cn itself beyond (so no derivative divides by cn), then
-M^p per period in closed form.
+M^p per period in closed form.  Every Hl has a = 1/mu, so all share one
+panel chain, and HeunLameEvaluator, given a sequence of h (such as the pair
+of a stationary curve), evaluates the 2 len(h) of them in one Horner pass
+(specfun.HeunStack) at one reduction and one Jacobi triple per point.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ import numpy as np
 
 from .config import DEFAULT, NumericFailure, RunConfig, UsageError
 from .scipy_deferred import ellipeinc, ellipkinc, solve_ivp
-from .specfun import (HeunEvaluator, JacobiScalar, complete_elliptic, jacobi_sncndn,
-                      lame_heun_params)
+from .specfun import (HeunEvaluator, HeunStack, JacobiScalar, complete_elliptic,
+                      jacobi_sncndn, lame_heun_params)
 from .specfun.elliptic import _check_mu, period_remainder
 from .transport import EPS, floquet_extend, parity_monodromy, transport
 
@@ -312,42 +315,49 @@ def fundamental_ode(mu: float, h, s_grid, config: RunConfig = DEFAULT) -> np.nda
 
 
 class HeunLameEvaluator:
-    """delta(s) from the Heun closed form with monodromy extension."""
+    """delta(s) from the Heun closed form with monodromy extension; for a
+    sequence of h, the stack over h, from one pass over the shared panels."""
 
-    def __init__(self, mu: float, h: float):
+    def __init__(self, mu: float, h):
         self.mu = _check_mu(mu)
-        self.h = h = _check_h(h)
+        hs = [_check_h(x) for x in np.atleast_1d(h)]
+        self.h = hs if np.ndim(h) else hs[0]
         self.K, _ = complete_elliptic(mu)
         self._jacobi = JacobiScalar(mu)
-        self._hl = [HeunEvaluator(p) for p in lame_heun_params(mu, h)]
+        # (Hl1, Hl2) per h: every one has a = 1/mu, so they share the panels
+        hl = [HeunEvaluator(p) for x in hs for p in lame_heun_params(mu, x)]
+        self._heun = HeunStack(hl)
         # at s = K: Hl = A, d Hl/ds = -B dn, and dn = sqrt(1 - mu), dn' = 0
         m1 = 1.0 - mu
-        self.Q_plus = np.array([[hl.A * math.sqrt(m1), -hl.B * m1] for hl in self._hl])
-        self.monodromy = parity_monodromy(self.Q_plus)
-
-    def _heun(self, hl: HeunEvaluator, sn, cn, dn):
-        """(Hl(sn^2), d Hl/ds) on the closed base cell.  Past z_match the
-        pair at z = 1 takes sqrt(1 - sn^2) = cn, with d cn/ds = -sn dn."""
-        f, fs = np.empty_like(sn), np.empty_like(sn)
-        near = sn * sn > hl.z_match
-        f[~near], fz = hl.value_and_derivative(sn[~near] ** 2)
-        fs[~near] = fz * 2.0 * (sn * cn * dn)[~near]
-        f[near], fr = hl.near_one(cn[near])
-        fs[near] = -fr * (sn * dn)[near]
-        return f, fs
+        Q = np.array([[ev.A * math.sqrt(m1), -ev.B * m1] for ev in hl]).reshape(-1, 2, 2)
+        M = parity_monodromy(Q)
+        self.Q_plus, self.monodromy = (Q, M) if np.ndim(h) else (Q[0], M[0])
 
     def __call__(self, s):
-        """delta(s): a 2x2 matrix at a scalar s, a stack of them at an array."""
+        """delta(s): a 2x2 matrix at a scalar s, a stack of them at an array;
+        for a sequence of h, those of each h stacked on a leading axis."""
         shape = np.shape(s)
         s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
         mu = self.mu
         x, p = period_remainder(s, self._jacobi, half=True)   # x in [-K, K]
         sn, cn, dn = jacobi_sncndn(x, mu)
-        (f1, f1s), (f2, f2s) = (self._heun(hl, sn, cn, dn) for hl in self._hl)
+        # (Hl(sn^2), d Hl/ds) of every Hl on the closed base cell.  Past
+        # z_match the pair at z = 1 takes sqrt(1 - sn^2) = cn, with
+        # d cn/ds = -sn dn
+        z = sn * sn
+        near = z > self._heun.z_match
+        far = ~near
+        (f_far, fz), (f_near, fr) = self._heun(z[far], cn[near])
+        f, fs = np.empty((2, len(f_far), len(s)))
+        f[:, far], f[:, near] = f_far, f_near
+        fs[:, far] = fz * 2.0 * (sn * cn * dn)[far]
+        fs[:, near] = -fr * (sn * dn)[near]
+        f1, f2, f1s, f2s = f[0::2], f[1::2], fs[0::2], fs[1::2]
         dnp = -mu * sn * cn
-        out = np.empty(s.shape + (2, 2))
-        out[:, 0, 0] = f1 * dn
-        out[:, 0, 1] = f1s * dn + f1 * dnp
-        out[:, 1, 0] = f2 * dn * sn
-        out[:, 1, 1] = (f2s * sn + f2 * cn * dn) * dn + f2 * dnp * sn
-        return floquet_extend(self.monodromy, out, p).reshape(shape + (2, 2))
+        out = np.empty(f1.shape + (2, 2))
+        out[..., 0, 0] = f1 * dn
+        out[..., 0, 1] = f1s * dn + f1 * dnp
+        out[..., 1, 0] = f2 * dn * sn
+        out[..., 1, 1] = (f2s * sn + f2 * cn * dn) * dn + f2 * dnp * sn
+        out = floquet_extend(self.monodromy.reshape(-1, 2, 2), out, p)
+        return out.reshape(np.shape(self.h) + shape + (2, 2))

@@ -8,8 +8,10 @@ the first-order Lame equation, the frames
 satisfy the spinorial Frenet systems for the stationary bending (the
 diagonal factor converts central-affine to proper-time normalization, and
 cancels in gamma = F+ F-^{-1}).  Both delta paths come from one transport,
-h+ and h- on the kernel's factor axis (lame.fundamental_ode), or from the
-Heun closed form one h at a time.  The evolution is rigid:
+h+ and h- on the kernel's factor axis (lame.fundamental_ode), or from one
+Heun closed-form evaluator of the pair, whose four local Heun functions
+share one pass over their panels (lame.HeunLameEvaluator).  The evolution
+is rigid:
 
     gamma(s, t) = Exp(t m+) gamma(s + 2 ell t) Exp(-t m-),
 
@@ -28,7 +30,7 @@ from typing import Literal, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT, RunConfig
+from ..config import DEFAULT, RunConfig, UsageError
 from ..kdvsol import StationaryBending
 from ..lame import HeunLameEvaluator, fundamental_ode
 from .frames import SpinorFramePath, expm_offdiag
@@ -52,14 +54,17 @@ def stationary_momenta(spec: StationaryBending) -> Tuple[np.ndarray, np.ndarray,
 def stationary_curve(mu: float, h_plus: float, h_minus: float, s_grid,
                      method: Literal["ode", "heun"] = "ode",
                      config: RunConfig = DEFAULT) -> SpinorFramePath:
-    """Frame path of the stationary curve over the grid."""
+    """Frame path of the stationary curve over the grid, by the Taylor-panel
+    transport (method "ode") or the Heun closed form ("heun")."""
+    if method not in ("ode", "heun"):
+        raise UsageError(f"method must be 'ode' or 'heun', got {method!r}")
     spec = StationaryBending(mu, h_plus, h_minus)
     s_grid = np.asarray(s_grid, dtype=float)
     sigma = spec.sigma
     S = np.diag([1.0 / math.sqrt(sigma), math.sqrt(sigma)])
     x_grid = sigma * s_grid
     if method == "heun":
-        delta = np.stack([HeunLameEvaluator(mu, h)(x_grid) for h in (h_plus, h_minus)])
+        delta = HeunLameEvaluator(mu, [h_plus, h_minus])(x_grid)
     else:
         delta = fundamental_ode(mu, [h_plus, h_minus], x_grid, config)
     return SpinorFramePath(s_grid, delta @ S, spec.kappa(s_grid))

@@ -7,10 +7,11 @@ from .elliptic import (
 from .heun import (
     HeunEvaluator,
     HeunParams,
+    HeunStack,
     lame_heun_params,
 )
 
 __all__ = [
     "JacobiScalar", "complete_elliptic", "jacobi_sncndn", "sn_jet",
-    "HeunEvaluator", "HeunParams", "lame_heun_params",
+    "HeunEvaluator", "HeunParams", "HeunStack", "lame_heun_params",
 ]

@@ -25,6 +25,12 @@ solutions at z = 1 (exponents {0, 1 - delta}; DLMF 31.3), in w = 1 - z,
 
 both by the same recurrence, with (A, B) matched to the panel chain's value
 and slope at z_m.  So f(1) = A, with no limit to take.
+
+A HeunEvaluator builds its panels on floats: the recurrences and the
+Horner sums at the panel ends run on Python floats, each series is one
+array.  The panels and z_m depend on a alone, so the functions of one a
+(the Lame pair's Hl1 and Hl2 for any h) are evaluated together by
+HeunStack, one gather and one multiply-add per series order.
 """
 
 from __future__ import annotations
@@ -84,16 +90,14 @@ _RAD_FACTOR = 0.4
 def _frobenius_coeffs(a, q, al, be, ga, de, scale: float) -> np.ndarray:
     """c_n scale^n for the Frobenius series of Hl(a, q; al, be, ga, de; x) at
     x = 0.  Raw parameters, not HeunParams: the expansions at z = 1 have
-    their singular point at 1 - a < 0."""
+    their singular point at 1 - a < 0.  The recurrence runs on floats."""
     ep = al + be - ga - de + 1.0
-    c = np.zeros(_MAX_TERMS)
-    c[0] = 1.0
-    c[1] = q * scale / (a * ga)
+    c = [1.0, q * scale / (a * ga)]
     for n in range(1, _MAX_TERMS - 1):
         Q = n * ((n - 1 + ga) * (1 + a) + a * de + ep) + q
         P = (n - 1 + al) * (n - 1 + be)
-        c[n + 1] = (Q * c[n] - P * scale * c[n - 1]) * scale / (a * (n + 1) * (n + ga))
-    return c
+        c.append((Q * c[n] - P * scale * c[n - 1]) * scale / (a * (n + 1) * (n + ga)))
+    return np.array(c)
 
 
 def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
@@ -108,8 +112,8 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
         A = z (z-1) (z-a)              (cubic)
         B = gamma (z-1)(z-a) + delta z (z-a) + eps z (z-1)   (quadratic)
         C = alpha beta z - q           (linear)
-    shifted to w = z - z0; the recurrence below carries A_j scale^j,
-    B_j scale^{j+1}, C_j scale^{j+2}.
+    shifted to w = z - z0; the recurrence below, on floats, carries A_j
+    scale^j, B_j scale^{j+1}, C_j scale^{j+2}.
     """
     a = p.a
     ga, de, ep = p.gamma, p.delta, p.epsilon
@@ -129,9 +133,8 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
     Bs = [B[j] * scale ** (j + 1) for j in range(3)]
     Cs = [C[j] * scale ** (j + 2) for j in range(2)]
 
-    d = np.zeros(_MAX_TERMS)
-    d[0], d[1] = f0, f1 * scale
-    for n in range(_MAX_TERMS - 2):
+    d = [f0, f1 * scale]
+    for n in range(3):          # the rows where some k falls below the series
         s = 0.0
         for j in (1, 2, 3):
             k = n + 2 - j
@@ -145,18 +148,40 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
             k = n - j
             if k >= 0:
                 s += Cs[j] * d[k]
-        d[n + 2] = -s / (As[0] * (n + 2) * (n + 1))
-    return d
+        d.append(-s / (As[0] * (n + 2) * (n + 1)))
+    (A0, A1, A2, A3), (B0, B1, B2), (C0, C1) = As, Bs, Cs
+    for n in range(3, _MAX_TERMS - 2):     # every term, summed in the same order
+        d2, d1, d0 = d[n + 1], d[n], d[n - 1]
+        s = (0.0 + A1 * (n + 1) * n * d2 + A2 * n * (n - 1) * d1 + A3 * (n - 1) * (n - 2) * d0
+             + B0 * (n + 1) * d2 + B1 * n * d1 + B2 * (n - 1) * d0 + C0 * d1 + C1 * d0)
+        d.append(-s / (A0 * (n + 2) * (n + 1)))
+    return np.array(d)
 
 
 def _eval_series(coeffs: np.ndarray, x):
     """(value, derivative) of sum c_k x^k by Horner, the terms on the last
-    axis of coeffs, elementwise over x."""
+    axis of coeffs, elementwise over x; at a scalar x and one series, on
+    floats (the panel chain's matching)."""
+    if np.ndim(x) == 0 and coeffs.ndim == 1:
+        c, x = coeffs.tolist(), float(x)
+        v = dv = 0.0
+        for k in range(len(c) - 1, 0, -1):
+            v = v * x + c[k]
+            dv = dv * x + k * c[k]
+        return v * x + c[0], dv
     v = dv = np.zeros(np.shape(x))
     for k in range(coeffs.shape[-1] - 1, 0, -1):
         v = v * x + coeffs[..., k]
         dv = dv * x + k * coeffs[..., k]
     return v * x + coeffs[..., 0], dv
+
+
+def _pair(u0, du0, u1, du1, r, delta: float, rho: float):
+    """The Frobenius pair u0(w), w^(1-delta) u1(w) at w = r^2, each with its
+    r-derivative, from the series' values and derivatives in w / rho."""
+    e2 = 2.0 * (1.0 - delta)
+    dw = 2.0 * r / rho
+    return (u0, dw * du0), (r ** e2 * u1, r ** e2 * dw * du1 + e2 * r ** (e2 - 1.0) * u1)
 
 
 def _nearest_singularity(p: HeunParams, z: float) -> float:
@@ -208,13 +233,9 @@ class HeunEvaluator:
         return v, dv / self._scales[i]
 
     def _pair(self, r):
-        """The Frobenius pair u0(w), w^(1-delta) u1(w) at w = r^2, each with
-        its r-derivative."""
-        e2 = 2.0 * (1.0 - self.params.delta)
         u0, du0 = _eval_series(self._u0, r * r / self._rho)
         u1, du1 = _eval_series(self._u1, r * r / self._rho)
-        dw = 2.0 * r / self._rho
-        return (u0, dw * du0), (r ** e2 * u1, r ** e2 * dw * du1 + e2 * r ** (e2 - 1.0) * u1)
+        return _pair(u0, du0, u1, du1, r, self.params.delta, self._rho)
 
     def near_one(self, r):
         """(f, df/dr) at z = 1 - r^2 >= z_match, elementwise over r.  Taking
@@ -242,3 +263,53 @@ class HeunEvaluator:
 
     def __call__(self, z):
         return self.value_and_derivative(z)[0]
+
+
+class HeunStack:
+    """Local Heun functions of one singular point a and one delta, so of one
+    panel chain, z_match and pair at z = 1, evaluated in one Horner pass.
+
+    Every coefficient c_k and k c_k sits in a (terms, 2, rows) table: a row
+    per (function, panel) and two per function for its pair (u0, u1).  Each
+    order gathers every function's coefficient at every point from it and
+    makes one multiply-add, so no (functions, points, terms) copy is made.
+    Every float is the one HeunEvaluator.value_and_derivative (z <= z_match)
+    or near_one (z > z_match) gives.
+    """
+
+    def __init__(self, evaluators):
+        first = evaluators[0]
+        if any((ev.params.a, ev.params.delta) != (first.params.a, first.params.delta)
+               for ev in evaluators):
+            raise ValueError("stacked local Heun functions must share a and delta")
+        self.z_match, self._rho = first.z_match, first._rho
+        self._centers, self._scales = first._centers, first._scales
+        self._delta = first.params.delta
+        self._A = np.array([ev.A for ev in evaluators])[:, None]
+        self._B = np.array([ev.B for ev in evaluators])[:, None]
+        rows = np.concatenate([ev._coeffs for ev in evaluators]
+                              + [np.array([ev._u0, ev._u1]) for ev in evaluators]).T
+        self._table = np.ascontiguousarray(
+            np.stack([rows, np.arange(_MAX_TERMS)[:, None] * rows], axis=1))
+
+    def __call__(self, z, r):
+        """((f, df/dz) at z <= z_match, (f, df/dr) at z = 1 - r^2 > z_match):
+        arrays (functions, len(z)) and (functions, len(r))."""
+        size, panels = len(self._A), len(self._centers)
+        i = np.searchsorted(self._centers, z, side="right") - 1
+        scale = self._scales[i]
+        row = np.concatenate([(np.arange(size)[:, None] * panels + i).ravel(),
+                              np.repeat(size * panels + np.arange(2 * size), len(r))])
+        x = np.concatenate([np.tile((z - self._centers[i]) / scale, size),
+                            np.tile(r * r / self._rho, 2 * size)])
+        vdv = np.zeros((2, len(x)))
+        for k in range(_MAX_TERMS - 1, 0, -1):
+            vdv *= x
+            vdv += self._table[k].take(row, axis=1)
+        v, dv = vdv[0] * x + self._table[0, 0].take(row), vdv[1]
+        n = size * len(z)
+        u0, u1 = v[n:].reshape(size, 2, -1).transpose(1, 0, 2)
+        du0, du1 = dv[n:].reshape(size, 2, -1).transpose(1, 0, 2)
+        (u, du), (y, dy) = _pair(u0, du0, u1, du1, r, self._delta, self._rho)
+        return ((v[:n].reshape(size, -1), dv[:n].reshape(size, -1) / scale),
+                (self._A * u + self._B * y, self._A * du + self._B * dy))

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.special import ellipj
+from scipy.special import ellipj, ellipkinc
 
 from ads_null_flows import lame
 from ads_null_flows.config import DEFAULT, NumericFailure, UsageError
@@ -476,6 +476,46 @@ def test_monodromy_order_matches_phase():
         powers = [np.linalg.matrix_power(rec.monodromy, n) for n in range(1, expect + 1)]
         assert np.abs(powers[-1] - np.eye(2)).max() <= 1e-6
         assert all(np.abs(P - np.eye(2)).max() > 0.1 for P in powers[:-1])
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.4, 0.9, 0.99])
+def test_heun_sequence_of_h_is_the_stack_of_single_h(mu):
+    """One evaluator of several h equals the stack of the single-h
+    evaluators bit for bit: its paths on a grid over negative s and several
+    periods, with points either side of K and of the sn^2 = z_match
+    crossings where the panels hand over to the pair at z = 1, its value at a
+    scalar s, Q_plus and the monodromy."""
+    K, _ = complete_elliptic(mu)
+    hs = [0.5 * (1.0 + mu), 2.0 + mu, 300.0]
+    ev = HeunLameEvaluator(mu, hs)
+    # s with sn^2(s) = z_match: F(asin(sqrt(z_match)) | mu)
+    cross = ellipkinc(math.asin(math.sqrt(ev._heun.z_match)), mu)
+    marks = [c + e for c in (cross, -cross, 2.0 * K - cross, K) for e in (-1e-12, 0.0, 1e-12)]
+    grid = np.concatenate([np.linspace(-3.0 * K, 9.0 * K, 1537), marks, [-25.0, 0.0]])
+    singles = [HeunLameEvaluator(mu, h) for h in hs]
+    assert np.array_equal(ev(grid), np.stack([one(grid) for one in singles]))
+    assert np.array_equal(ev(1.7), np.stack([one(1.7) for one in singles]))
+    assert np.array_equal(ev.Q_plus, np.stack([one.Q_plus for one in singles]))
+    assert np.array_equal(ev.monodromy, np.stack([one.monodromy for one in singles]))
+
+
+def test_heun_shapes_for_scalar_and_sequence_h():
+    """A scalar h gives a 2x2 matrix at a scalar s and an (n, 2, 2) stack at
+    an array s, with 2x2 Q_plus and monodromy; a sequence of h puts its own
+    axis first."""
+    one, two = HeunLameEvaluator(0.4, H_STAR), HeunLameEvaluator(0.4, [H_STAR, 2.0])
+    assert one(0.3).shape == one.Q_plus.shape == one.monodromy.shape == (2, 2)
+    assert one(np.linspace(0.0, 1.0, 5)).shape == (5, 2, 2)
+    assert one.h == H_STAR
+    assert two(0.3).shape == two.Q_plus.shape == two.monodromy.shape == (2, 2, 2)
+    assert two(np.linspace(0.0, 1.0, 5)).shape == (2, 5, 2, 2)
+    assert two.h == [H_STAR, 2.0]
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_non_finite_h_in_a_sequence_is_a_usage_error(h):
+    with pytest.raises(UsageError, match="finite"):
+        HeunLameEvaluator(0.6, [1.0, h])
 
 
 def test_heun_route_wronskian():

@@ -11,6 +11,7 @@ from ads_null_flows.specfun import (
     HeunParams,
     lame_heun_params,
 )
+from ads_null_flows.specfun import heun
 
 
 def ode_oracle(p: HeunParams, z_targets, z0=1e-9):
@@ -129,3 +130,111 @@ def test_accuracy_deep_in_the_continuation_zone():
         ev = HeunEvaluator(p)
         z = 1.0 - 1e-6
         assert abs(ev(z) - ode_oracle(p, [z], z0=1e-10)[0]) <= 1e-9
+
+
+# The numpy-scalar recurrences and Horner sums that built the panels before
+# they ran on floats: the references that _frobenius_coeffs, _taylor_step
+# and the scalar _eval_series keep bit for bit.
+
+def _numpy_frobenius_coeffs(a, q, al, be, ga, de, scale):
+    ep = al + be - ga - de + 1.0
+    c = np.zeros(heun._MAX_TERMS)
+    c[0] = 1.0
+    c[1] = q * scale / (a * ga)
+    for n in range(1, heun._MAX_TERMS - 1):
+        Q = n * ((n - 1 + ga) * (1 + a) + a * de + ep) + q
+        P = (n - 1 + al) * (n - 1 + be)
+        c[n + 1] = (Q * c[n] - P * scale * c[n - 1]) * scale / (a * (n + 1) * (n + ga))
+    return c
+
+
+def _numpy_taylor_step(p, z0, scale, f0, f1):
+    a = p.a
+    ga, de, ep = p.gamma, p.delta, p.epsilon
+    albe = p.alpha * p.beta
+    A = [z0 ** 3 - (1 + a) * z0 ** 2 + a * z0, 3 * z0 ** 2 - 2 * (1 + a) * z0 + a,
+         3 * z0 - (1 + a), 1.0]
+    b2 = ga + de + ep
+    b1 = -(ga * (1 + a) + de * a + ep)
+    B = [b2 * z0 ** 2 + b1 * z0 + ga * a, 2 * b2 * z0 + b1, b2]
+    C = [albe * z0 - p.q, albe]
+    As = [A[j] * scale ** j for j in range(4)]
+    Bs = [B[j] * scale ** (j + 1) for j in range(3)]
+    Cs = [C[j] * scale ** (j + 2) for j in range(2)]
+    d = np.zeros(heun._MAX_TERMS)
+    d[0], d[1] = f0, f1 * scale
+    for n in range(heun._MAX_TERMS - 2):
+        s = 0.0
+        for j in (1, 2, 3):
+            k = n + 2 - j
+            if k >= 2:
+                s += As[j] * k * (k - 1) * d[k]
+        for j in (0, 1, 2):
+            k = n + 1 - j
+            if k >= 1:
+                s += Bs[j] * k * d[k]
+        for j in (0, 1):
+            k = n - j
+            if k >= 0:
+                s += Cs[j] * d[k]
+        d[n + 2] = -s / (As[0] * (n + 2) * (n + 1))
+    return d
+
+
+def _numpy_eval_series(coeffs, x):
+    v = dv = np.zeros(np.shape(x))
+    for k in range(coeffs.shape[-1] - 1, 0, -1):
+        v = v * x + coeffs[..., k]
+        dv = dv * x + k * coeffs[..., k]
+    return v * x + coeffs[..., 0], dv
+
+
+HEUN_CASES = [(mu, h) for mu in (0.05, 0.4, 0.9, 0.99) for h in (0.5 * (1.0 + mu), 2.5, 300.0)]
+
+
+@pytest.mark.parametrize("mu, h", HEUN_CASES)
+def test_float_panel_chain_is_the_numpy_scalar_one(mu, h):
+    """Every series of an evaluator's panel chain and pair at z = 1, and the
+    Horner sums that carry the chain from panel to panel and match it to the
+    pair, equal the numpy-scalar reference bit for bit."""
+    for p in lame_heun_params(mu, h):
+        ev = HeunEvaluator(p)
+        al, be, ga, de, ep = p.alpha, p.beta, p.gamma, p.delta, p.epsilon
+        assert np.array_equal(ev._coeffs[0], _numpy_frobenius_coeffs(
+            p.a, p.q, al, be, ga, de, ev._scales[0]))
+        for i in range(1, len(ev._centers)):
+            f0, f1 = _numpy_eval_series(ev._coeffs[i - 1], heun._RAD_FACTOR)
+            assert heun._eval_series(ev._coeffs[i - 1], heun._RAD_FACTOR) == (f0, f1)
+            assert np.array_equal(ev._coeffs[i], _numpy_taylor_step(
+                p, ev._centers[i], ev._scales[i], f0, f1 / ev._scales[i - 1]))
+        a1, pq = 1.0 - p.a, al * be - p.q
+        assert np.array_equal(ev._u0, _numpy_frobenius_coeffs(a1, pq, al, be, de, ga, ev._rho))
+        assert np.array_equal(ev._u1, _numpy_frobenius_coeffs(
+            a1, (a1 * ga + ep) * (1.0 - de) + pq, al + 1.0 - de, be + 1.0 - de, 2.0 - de, ga,
+            ev._rho))
+        for c in (ev._u0, ev._u1, ev._coeffs[-1]):
+            for x in (0.0, 0.37, heun._RAD_FACTOR, np.float64(0.9)):
+                assert heun._eval_series(c, x) == _numpy_eval_series(c, x)
+
+
+@pytest.mark.parametrize("mu, h", HEUN_CASES)
+def test_stack_is_each_evaluator_bit_for_bit(mu, h):
+    """HeunStack over the pairs of two h gives every function's (f, df/dz)
+    below z_match and (f, df/dr) above it, as value_and_derivative and
+    near_one give them, bit for bit."""
+    evs = [HeunEvaluator(p) for x in (h, 1.0 + mu + 0.3) for p in lame_heun_params(mu, x)]
+    stack = heun.HeunStack(evs)
+    z = np.concatenate([np.linspace(0.0, stack.z_match, 301), [stack.z_match]])
+    r = np.concatenate([np.linspace(0.0, np.sqrt(1.0 - stack.z_match), 101)[:-1], [1e-9]])
+    (f, fz), (g, gr) = stack(z, r)
+    for i, ev in enumerate(evs):
+        assert np.array_equal(np.array([f[i], fz[i]]), ev.value_and_derivative(z))
+        assert np.array_equal(np.array([g[i], gr[i]]), ev.near_one(r))
+    (f, fz), (g, gr) = stack(z[:0], r[:0])
+    assert f.shape == fz.shape == g.shape == gr.shape == (4, 0)
+
+
+def test_stack_needs_one_singular_point():
+    evs = [HeunEvaluator(p) for mu in (0.4, 0.6) for p in lame_heun_params(mu, 2.0)]
+    with pytest.raises(ValueError, match="share a and delta"):
+        heun.HeunStack(evs)

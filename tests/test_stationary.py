@@ -7,6 +7,7 @@ import pytest
 from geometry_ref import CARTAN_GRAM, cartan_frame
 
 from ads_null_flows.kdvsol import StationaryBending
+from ads_null_flows.lame import HeunLameEvaluator
 from ads_null_flows.nullcurve import (
     ads_inner,
     bending_oracle,
@@ -92,6 +93,26 @@ def test_heun_method_agrees_with_ode_method():
     a = stationary_curve(MU, H_PLUS, H_MINUS, grid, method="ode")
     b = stationary_curve(MU, H_PLUS, H_MINUS, grid, method="heun")
     assert np.abs(a.F - b.F).max() <= 1e-5
+
+
+def test_heun_route_is_the_stack_of_single_h_paths():
+    """The Heun route's one evaluator of (h+, h-) gives the frames of one
+    evaluator per h, stacked, bit for bit, on a grid over negative s and
+    several periods."""
+    sp = spec()
+    grid = np.linspace(-sp.s_period, 3.0 * sp.s_period, 1201)
+    path = stationary_curve(MU, H_PLUS, H_MINUS, grid, method="heun")
+    S = np.diag([1.0 / math.sqrt(sp.sigma), math.sqrt(sp.sigma)])
+    per_h = np.stack([HeunLameEvaluator(MU, h)(sp.sigma * grid) for h in (H_PLUS, H_MINUS)])
+    assert np.array_equal(path.F, per_h @ S)
+
+
+@pytest.mark.parametrize("method", ["Heun", "taylor", ""])
+def test_unknown_method_is_rejected(method):
+    """Only "ode" and "heun" name a route; any other method fails rather
+    than taking the ODE route."""
+    with pytest.raises(ValueError, match="'ode' or 'heun'"):
+        stationary_curve(MU, H_PLUS, H_MINUS, [0.0, 1.0], method=method)
 
 
 def test_momenta_conservation_along_s():
