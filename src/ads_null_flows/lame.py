@@ -187,6 +187,14 @@ def _check_h(h: float) -> float:
     return h
 
 
+def _check_hs(h) -> List[float]:
+    """The h of a number or of a non-empty sequence, each finite."""
+    hs = [_check_h(x) for x in np.atleast_1d(h)]
+    if not hs:
+        raise UsageError("h must be a number or a non-empty sequence")
+    return hs
+
+
 def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     """delta(2K(mu)), the ODE oracle of floquet_search's gate, by parity
     from Q = delta(K), integrated by DOP853 on [0, K]; for a sequence of h,
@@ -200,7 +208,7 @@ def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     run of its own, and a single h is integrated exactly as alone.  Its
     right-hand sides are budgeted (budgeted_dop853)."""
     mu = _check_mu(mu)
-    hs = [_check_h(x) for x in np.atleast_1d(h)]
+    hs = _check_hs(h)
     K, _ = complete_elliptic(mu)
     y0 = [1.0, 0.0, 0.0, 1.0] * len(hs) + [0.0, 1.0, 1.0]   # Id per h, (sn, cn, dn)(0)
     scale = math.sqrt(7.0 / len(y0))
@@ -309,7 +317,7 @@ def fundamental_ode(mu: float, h, s_grid, config: RunConfig = DEFAULT) -> np.nda
     a sequence of h, the stacks (len(h), n, 2, 2) of one transport with the
     h on its factor axis."""
     mu = _check_mu(mu)
-    hs = np.array([_check_h(x) for x in np.atleast_1d(h)])[:, None]
+    hs = np.array(_check_hs(h))[:, None]
     F = transport(_lame_generator(mu, hs), 0.0, s_grid, config.integrator_rel_tol)
     return F if np.ndim(h) else F[0]
 
@@ -320,7 +328,7 @@ class HeunLameEvaluator:
 
     def __init__(self, mu: float, h):
         self.mu = _check_mu(mu)
-        hs = [_check_h(x) for x in np.atleast_1d(h)]
+        hs = _check_hs(h)
         self.h = hs if np.ndim(h) else hs[0]
         self.K, _ = complete_elliptic(mu)
         self._jacobi = JacobiScalar(mu)

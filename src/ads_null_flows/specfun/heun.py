@@ -28,9 +28,10 @@ and slope at z_m.  So f(1) = A, with no limit to take.
 
 A HeunEvaluator builds its panels on floats: the recurrences and the
 Horner sums at the panel ends run on Python floats, each series is one
-array.  The panels and z_m depend on a alone, so the functions of one a
-(the Lame pair's Hl1 and Hl2 for any h) are evaluated together by
-HeunStack, one gather and one multiply-add per series order.
+array.  Points are evaluated by HeunStack, one gather and one
+multiply-add per series order.  The panels and z_m depend on a alone, so
+one stack takes every function of one a (the Lame pair's Hl1 and Hl2 for
+any h); a HeunEvaluator's own calls use a stack of one.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
     Cs = [C[j] * scale ** (j + 2) for j in range(2)]
 
     d = [f0, f1 * scale]
-    for n in range(3):          # the rows where some k falls below the series
+    for n in range(_MAX_TERMS - 2):
         s = 0.0
         for j in (1, 2, 3):
             k = n + 2 - j
@@ -149,31 +150,19 @@ def _taylor_step(p: HeunParams, z0: float, scale: float, f0: float,
             if k >= 0:
                 s += Cs[j] * d[k]
         d.append(-s / (As[0] * (n + 2) * (n + 1)))
-    (A0, A1, A2, A3), (B0, B1, B2), (C0, C1) = As, Bs, Cs
-    for n in range(3, _MAX_TERMS - 2):     # every term, summed in the same order
-        d2, d1, d0 = d[n + 1], d[n], d[n - 1]
-        s = (0.0 + A1 * (n + 1) * n * d2 + A2 * n * (n - 1) * d1 + A3 * (n - 1) * (n - 2) * d0
-             + B0 * (n + 1) * d2 + B1 * n * d1 + B2 * (n - 1) * d0 + C0 * d1 + C1 * d0)
-        d.append(-s / (A0 * (n + 2) * (n + 1)))
     return np.array(d)
 
 
-def _eval_series(coeffs: np.ndarray, x):
-    """(value, derivative) of sum c_k x^k by Horner, the terms on the last
-    axis of coeffs, elementwise over x; at a scalar x and one series, on
-    floats (the panel chain's matching)."""
-    if np.ndim(x) == 0 and coeffs.ndim == 1:
-        c, x = coeffs.tolist(), float(x)
-        v = dv = 0.0
-        for k in range(len(c) - 1, 0, -1):
-            v = v * x + c[k]
-            dv = dv * x + k * c[k]
-        return v * x + c[0], dv
-    v = dv = np.zeros(np.shape(x))
-    for k in range(coeffs.shape[-1] - 1, 0, -1):
-        v = v * x + coeffs[..., k]
-        dv = dv * x + k * coeffs[..., k]
-    return v * x + coeffs[..., 0], dv
+def _eval_series(coeffs: np.ndarray, x: float):
+    """(value, derivative) of sum c_k x^k at a scalar x by Horner on floats:
+    the panel chain's carries and its match to the pair at z = 1.  Arrays
+    of points go through HeunStack."""
+    c, x = coeffs.tolist(), float(x)
+    v = dv = 0.0
+    for k in range(len(c) - 1, 0, -1):
+        v = v * x + c[k]
+        dv = dv * x + k * c[k]
+    return v * x + c[0], dv
 
 
 def _pair(u0, du0, u1, du1, r, delta: float, rho: float):
@@ -221,28 +210,17 @@ class HeunEvaluator:
         self._u0 = _frobenius_coeffs(a1, pq, al, be, de, ga, self._rho)
         self._u1 = _frobenius_coeffs(a1, (a1 * ga + ep) * (1.0 - de) + pq,
                                      al + 1.0 - de, be + 1.0 - de, 2.0 - de, ga, self._rho)
-        # match f and df/dr = -2 r df/dz at r = sqrt(1 - z_match)
+        # match f and df/dr = -2 r df/dz at r = sqrt(1 - z_match), which
+        # lies on the last panel
+        z0, scale, c = panels[-1]
+        f, fz = _eval_series(c, (self.z_match - z0) / scale)
+        fz /= scale
         r = math.sqrt(1.0 - self.z_match)
-        f, fz = self._panel_values(self.z_match)
-        (u, du), (v, dv) = self._pair(r)
+        x = r * r / self._rho
+        (u, du), (v, dv) = _pair(*_eval_series(self._u0, x), *_eval_series(self._u1, x),
+                                 r, de, self._rho)
         self.A, self.B = np.linalg.solve([[u, v], [du, dv]], [f, -2.0 * r * fz])
-
-    def _panel_values(self, z):
-        i = np.searchsorted(self._centers, z, side="right") - 1
-        v, dv = _eval_series(self._coeffs[i], (z - self._centers[i]) / self._scales[i])
-        return v, dv / self._scales[i]
-
-    def _pair(self, r):
-        u0, du0 = _eval_series(self._u0, r * r / self._rho)
-        u1, du1 = _eval_series(self._u1, r * r / self._rho)
-        return _pair(u0, du0, u1, du1, r, self.params.delta, self._rho)
-
-    def near_one(self, r):
-        """(f, df/dr) at z = 1 - r^2 >= z_match, elementwise over r.  Taking
-        r itself (cn, for z = sn^2) avoids the cancellation in 1 - z; for
-        delta = 1/2, df/dr is analytic at r = 0 and has no division by r."""
-        (u, du), (v, dv) = self._pair(np.asarray(r, dtype=float))
-        return self.A * u + self.B * v, self.A * du + self.B * dv
+        self._stack = HeunStack([self])
 
     def value_and_derivative(self, z):
         """(f, df/dz) at z in [0, 1], scalar or array; df/dz is infinite at
@@ -253,12 +231,12 @@ class HeunEvaluator:
             raise ValueError(f"evaluation restricted to 0 <= z <= 1, got {z.min()}"
                              f" .. {z.max()}")
         near = z > self.z_match
-        v, dv = np.empty_like(z), np.empty_like(z)
-        v[~near], dv[~near] = self._panel_values(z[~near])
         r = np.sqrt(1.0 - z[near])
-        v[near], dr = self.near_one(r)
+        (f, fz), (g, gr) = self._stack(z[~near], r)
+        v, dv = np.empty_like(z), np.empty_like(z)
+        v[~near], dv[~near], v[near] = f[0], fz[0], g[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dv[near] = -dr / (2.0 * r)
+            dv[near] = -gr[0] / (2.0 * r)
         return v.reshape(shape)[()], dv.reshape(shape)[()]
 
     def __call__(self, z):
@@ -273,8 +251,8 @@ class HeunStack:
     per (function, panel) and two per function for its pair (u0, u1).  Each
     order gathers every function's coefficient at every point from it and
     makes one multiply-add, so no (functions, points, terms) copy is made.
-    Every float is the one HeunEvaluator.value_and_derivative (z <= z_match)
-    or near_one (z > z_match) gives.
+    It is the module's one array Horner: a HeunEvaluator answers its own
+    array calls from a stack of itself.
     """
 
     def __init__(self, evaluators):
@@ -294,7 +272,9 @@ class HeunStack:
 
     def __call__(self, z, r):
         """((f, df/dz) at z <= z_match, (f, df/dr) at z = 1 - r^2 > z_match):
-        arrays (functions, len(z)) and (functions, len(r))."""
+        arrays (functions, len(z)) and (functions, len(r)).  Taking r itself
+        (cn, for z = sn^2) avoids the cancellation in 1 - z; for delta = 1/2,
+        df/dr is analytic at r = 0 and has no division by r."""
         size, panels = len(self._A), len(self._centers)
         i = np.searchsorted(self._centers, z, side="right") - 1
         scale = self._scales[i]

@@ -518,6 +518,16 @@ def test_non_finite_h_in_a_sequence_is_a_usage_error(h):
         HeunLameEvaluator(0.6, [1.0, h])
 
 
+def test_empty_h_sequence_is_a_usage_error():
+    """The three routes that take a sequence of h refuse an empty one alike."""
+    with pytest.raises(UsageError, match="non-empty sequence"):
+        lame_monodromy(0.6, [])
+    with pytest.raises(UsageError, match="non-empty sequence"):
+        HeunLameEvaluator(0.6, [])
+    with pytest.raises(UsageError, match="non-empty sequence"):
+        fundamental_ode(0.6, [], [0.5, 1.0])
+
+
 def test_heun_route_wronskian():
     mu, h = 0.4, H_STAR
     K, _ = complete_elliptic(mu)

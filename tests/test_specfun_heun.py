@@ -217,19 +217,46 @@ def test_float_panel_chain_is_the_numpy_scalar_one(mu, h):
                 assert heun._eval_series(c, x) == _numpy_eval_series(c, x)
 
 
+def _numpy_near_one(ev, r):
+    """(f, df/dr) at z = 1 - r^2 by the numpy Horner sums of the pair."""
+    u0, du0 = _numpy_eval_series(ev._u0, r * r / ev._rho)
+    u1, du1 = _numpy_eval_series(ev._u1, r * r / ev._rho)
+    e2 = 2.0 * (1.0 - ev.params.delta)
+    dw = 2.0 * r / ev._rho
+    u, du = u0, dw * du0
+    v, dv = r ** e2 * u1, r ** e2 * dw * du1 + e2 * r ** (e2 - 1.0) * u1
+    return ev.A * u + ev.B * v, ev.A * du + ev.B * dv
+
+
+def _numpy_panel_values(ev, z):
+    """(f, df/dz) at z <= z_match by a numpy Horner sum per point on its
+    panel's series."""
+    i = np.searchsorted(ev._centers, z, side="right") - 1
+    v, dv = _numpy_eval_series(ev._coeffs[i], (z - ev._centers[i]) / ev._scales[i])
+    return v, dv / ev._scales[i]
+
+
 @pytest.mark.parametrize("mu, h", HEUN_CASES)
-def test_stack_is_each_evaluator_bit_for_bit(mu, h):
+def test_stack_is_the_numpy_horner_bit_for_bit(mu, h):
     """HeunStack over the pairs of two h gives every function's (f, df/dz)
-    below z_match and (f, df/dr) above it, as value_and_derivative and
-    near_one give them, bit for bit."""
+    below z_match and (f, df/dr) above it as the numpy Horner sums do, bit
+    for bit, and so does each evaluator's own value_and_derivative."""
     evs = [HeunEvaluator(p) for x in (h, 1.0 + mu + 0.3) for p in lame_heun_params(mu, x)]
     stack = heun.HeunStack(evs)
     z = np.concatenate([np.linspace(0.0, stack.z_match, 301), [stack.z_match]])
     r = np.concatenate([np.linspace(0.0, np.sqrt(1.0 - stack.z_match), 101)[:-1], [1e-9]])
     (f, fz), (g, gr) = stack(z, r)
     for i, ev in enumerate(evs):
-        assert np.array_equal(np.array([f[i], fz[i]]), ev.value_and_derivative(z))
-        assert np.array_equal(np.array([g[i], gr[i]]), ev.near_one(r))
+        ref_far, ref_near = _numpy_panel_values(ev, z), _numpy_near_one(ev, r)
+        assert np.array_equal(np.array([f[i], fz[i]]), ref_far)
+        assert np.array_equal(np.array([g[i], gr[i]]), ref_near)
+        w = np.sqrt(1.0 - (1.0 - r * r))      # the r value_and_derivative takes
+        g_w, gr_w = _numpy_near_one(ev, w)
+        with np.errstate(divide="ignore"):
+            ref = np.concatenate([ref_far, [g_w, -gr_w / (2.0 * w)]], axis=1)
+        assert np.array_equal(np.array(ev.value_and_derivative(
+            np.concatenate([z, 1.0 - r * r]))), ref)
+        assert ev.value_and_derivative(z[7]) == (f[i, 7], fz[i, 7])
     (f, fz), (g, gr) = stack(z[:0], r[:0])
     assert f.shape == fz.shape == g.shape == gr.shape == (4, 0)
 
