@@ -19,8 +19,7 @@ The argparse parser is built on the first main call, not at import, and
 reused by every later call in the process; main runs this module's current
 cmd_*, so one replaced after the first call (a wrapper or a test's
 stand-in) is the one that runs.  Only a process that calls main repeatedly
-saves time by this; a shell run of the console script builds the parser
-once, as before.
+saves time by this.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .nullcurve import (
     SpinorFramePath,
     bending_oracle,
     classify_monodromies,
-    classify_orbit,
     closed_constant,
     constant_bending_path,
     constant_case_tag,
@@ -74,9 +72,12 @@ MIN_POINTS_PER_PERIOD = 8
 # 256 serves the (0, 1) pairs (4.5-15.5); (8, 9) at mu = 0.9, q = 2/5
 # (30.7) takes 512, residual 1.5e-4 against 2.3e-3 at 256
 SAMPLES_PER_PHASE = 16
-# the most samples a stationary grid, or kksh's invariant grid, may ask
-# for: each sample costs memory, and each invariant-grid point a transport
+# the most samples a stationary grid, its windings path, or kksh's invariant
+# grid may ask for: each sample costs memory, and each invariant-grid point
+# a transport
 MAX_SAMPLES = 1 << 16
+# samples per period of the closed stationary path that windings are read off
+WINDING_SAMPLES = 64
 
 
 def _int_pair(text: str):
@@ -228,10 +229,12 @@ def cmd_floquet(args, config: RunConfig) -> int:
 def cmd_stationary(args, config: RunConfig) -> int:
     tags = _snapshot_tags("stationary_t", args.t)
     _check_samples("--periods", POINTS_PER_PERIOD * args.periods + 1)
+    q = args.q
+    # the curve closes after q's denominator of periods (see below)
+    _check_samples("--q", WINDING_SAMPLES * q.denominator + 1)
     indices = args.indices
     count = max(indices) + 1
-    records = floquet_search(args.mu, args.q.numerator, args.q.denominator, count,
-                             config)
+    records = floquet_search(args.mu, q.numerator, q.denominator, count, config)
     h_plus = records[indices[0]].h
     h_minus = records[indices[1]].h
     if h_minus < h_plus:
@@ -253,22 +256,19 @@ def cmd_stationary(args, config: RunConfig) -> int:
         grid = np.linspace(0.0, args.periods * rho, MIN_POINTS_PER_PERIOD + 1)
     base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
     diag = _diagnostics(base)
-    cls = classify_orbit(base, rho) if args.periods >= 1 else None
+    # both eigenvalues have the exponent q = p/d, so each factor's monodromy
+    # over rho is the rotation by q pi (+-Id at q = 0, 1): both reach +-Id
+    # first after d periods, with the sign (-1)^p of the spin
+    least_period = q.denominator * rho
+    full = np.linspace(0.0, least_period, int(WINDING_SAMPLES * least_period / rho) + 1)
+    closed_path = stationary_curve(args.mu, h_plus, h_minus, full, config=config)
     extra = {
         "mu": args.mu, "h_plus": h_plus, "h_minus": h_minus, "ell": spec.ell,
         "rho": rho, "diagnostics": diag,
+        "orbit_type": "(E,E)" if 0 < q < 1 else "(C,C)", "closed": True,
+        "least_period": least_period, "spin": "1/2" if q.numerator % 2 else "1",
+        "windings": list(winding_numbers(closed_path.gamma())),
     }
-    if cls is not None:
-        extra["orbit_type"] = cls.type_pair
-        extra["closed"] = cls.closed
-        if cls.closed:
-            full = np.linspace(0.0, float(cls.least_period),
-                               int(64 * cls.least_period / rho) + 1)
-            closed_path = stationary_curve(args.mu, h_plus, h_minus, full,
-                                           config=config)
-            extra["least_period"] = float(cls.least_period)
-            extra["spin"] = str(cls.spin)
-            extra["windings"] = list(winding_numbers(closed_path.gamma()))
     _export_path(outdir, base, "stationary", config, "stationary_base", extra)
     for t, tag in zip(args.t, tags):
         snap = evolve_stationary_path(spec, grid, t, config=config)

@@ -23,25 +23,27 @@ u_t - 6 u^2 u_s + u_sss = 0, and kappa = u_s + u^2 solves the KdV.
 
 Derivatives are exact and closed form, from one (sn, cn, dn) triple per
 wave, at scalar (s, t), elementwise over arrays of them, or as Taylor
-series about the panel centres of the frame transport.  At points, up to
-order 2 (the callbacks of an ODE solver, the frames sampled on a grid),
-kappa_jet differentiates: each wave's derivatives follow from
-sn'' = -(1+mu) sn + 2 mu sn^3, the Leibniz rule gives phi, ...,
-phi'''' of their product, the quotient rule gives psi = artanh(phi) from
+series about the panel centres of the frame transport.  kappa itself at
+points (kappa_jet at order 0: the callback of an ODE solver, the paths
+sampled on a grid) is differentiated: each wave's derivatives follow
+from sn'' = -(1+mu) sn + 2 mu sn^3, the Leibniz rule gives phi, phi',
+phi'' of their product, the quotient rule gives psi = artanh(phi) from
 psi' (1 - phi^2) = phi', and kappa = -2 psi'' + 4 psi'^2.  Every other jet
 starts from the Taylor series of both waves, from one call of the fused
 sn/cn/dn recurrence of specfun.elliptic (the engine of sn_jet and of
 jacobi_sncndn on a Series too):
 
-* from order 3 on, and for kappa_t, series arithmetic in ds gives
-  phi = amp P M, r = 1/(1 - phi^2), u = -2 phi_s r and kappa = u_s + u^2;
-* at order 0 on a Series s = s0 + rate dx (the s-systems), the same
-  series of u about s0 gives kappa's coefficients in ds, and coefficient
-  k is scaled by rate^k: four products and one reciprocal, shared by a
-  batch of specs, each at its own s0, rate and t (kksh_kappa_series);
-* up to order 2 on a Series s or t (the t-system along s = 0), the s-jets
-  of a wave are index shifts of its series in dx, scaled by (w/rate)^j,
-  and the Leibniz and quotient rules run on Series.
+* at points from order 1 on, and for kappa_t, series arithmetic in ds
+  gives phi = amp P M, r = 1/(1 - phi^2), u = -2 phi_s r and
+  kappa = u_s + u^2;
+* for a batch of specs on a Series s = s0 + rate dx (the s-systems,
+  kksh_kappa_series), the same series of u about s0 gives kappa's
+  coefficients in ds, and coefficient k is scaled by rate^k: four
+  products and one reciprocal for the batch, each spec at its own s0,
+  rate and t;
+* up to order 2 on a Series s or t (kappa_jet; the t-system along s = 0),
+  the s-jets of a wave are index shifts of its series in dx, scaled by
+  (w/rate)^j, and the Leibniz and quotient rules run on Series.
 
 The phases are linear in (s, t), so the same series carries the
 t-derivatives: d/dt of a wave with phase rates (w, v) is v/w times d/ds.
@@ -65,25 +67,16 @@ from .specfun.series import Series, derivative_shift
 
 # ------------------------------------------------------------- jet helpers
 #
-# At points the low orders of kappa_jet stay closed form: the series of u
-# costs 1.5 to 2.5 times as much on an array of 257 points, and 20 to 30
-# times as much on a scalar.
+# At points kappa itself stays closed form: the series of u costs 1.5 to
+# 2.5 times as much on an array of 257 points, and 20 to 30 times as much
+# on a scalar.
 
-def _sn_derivatives(trip, mu: float, w: float, n: int) -> tuple:
-    """(f, f', ..., f^(n)) for n in (2, 3, 4), of f = sn(theta + w ds | mu)
-    in ds at ds = 0, from trip = (sn, cn, dn) at theta and f'' = g f with
-    g = w^2 (2 mu f^2 - 1 - mu)."""
+def _sn_derivatives(trip, mu: float, w: float) -> tuple:
+    """(f, f', f'') of f = sn(theta + w ds | mu) in ds at ds = 0, from trip
+    = (sn, cn, dn) at theta and f'' = g f with g = w^2 (2 mu f^2 - 1 - mu)."""
     sn, cn, dn = trip
-    w2 = w * w
-    f1 = w * cn * dn
-    g = w2 * (2.0 * mu * sn * sn - (1.0 + mu))
-    if n == 2:
-        return sn, f1, g * sn
-    g3 = g + 4.0 * w2 * mu * sn * sn           # f''' = g' f + g f' = g3 f'
-    if n == 3:
-        return sn, f1, g * sn, g3 * f1
-    f2 = g * sn
-    return sn, f1, f2, g3 * f1, 12.0 * w2 * mu * sn * f1 * f1 + g3 * f2
+    g = w * w * (2.0 * mu * sn * sn - (1.0 + mu))
+    return sn, w * cn * dn, g * sn
 
 
 def _kappa_of_u(u: np.ndarray) -> Series:
@@ -411,27 +404,27 @@ class KkshSpec:
         elementwise), or up to order 2 one of them a Series (Series of the
         Taylor coefficients returned).
 
-        Up to order 2 the jet is differentiated directly: the Leibniz rule
-        gives phi, ..., phi^(order+2) of phi = a P M from the two sn jets;
+        One route per kind of argument.  On a Series, and at points for
+        order 0, the jet is differentiated directly: the Leibniz rule gives
+        phi, ..., phi^(order+2) of phi = a P M from the two sn jets;
         psi = artanh(phi) has psi' D = phi' with D = 1 - phi^2, so by the
         quotient rule psi^(n+1) = (phi^(n+1) - sum_{j>=1} C(n, j)
         psi^(n+1-j) D^(j)) / D; then kappa = -2 psi'' + 4 psi'^2.  The sn
-        jets are closed form at points (_sn_derivatives) and index shifts
-        of each wave's series on a Series (_shifted_jets).  Order 0 on a
-        Series s is kksh_kappa_series on a batch of one, and the orders from
-        3 on at points take the series of u instead (_kappa_of_u)."""
-        if order > 2:
-            kappa = _kappa_of_u(self._u_series(s, t, order + 2, time=False)[0])
-            return [c * math.factorial(k) for k, c in enumerate(kappa.c)]
+        jets are index shifts of each wave's series on a Series
+        (_shifted_jets) and closed form at points (_sn_derivatives).  From
+        order 1 on, points take the series of u instead (_kappa_of_u)."""
         wp, wm, _, _, amp, _, _, _, _ = self._jet_data
         if isinstance(s, Series) or isinstance(t, Series):
-            if order == 0 and not isinstance(t, Series):
-                return [Series(kksh_kappa_series([self], Series(s.c[:, None]), [t]).c[:, 0])]
+            if order > 2:
+                raise ValueError(f"kappa_jet on a Series takes order <= 2, got {order}")
             P, M = self._shifted_jets(s, t, order + 2)
+        elif order:
+            kappa = _kappa_of_u(self._u_series(s, t, order + 2, time=False)[0])
+            return [c * math.factorial(k) for k, c in enumerate(kappa.c)]
         else:
             trip_p, trip_m = self._triples(s, t)
-            P = _sn_derivatives(trip_p, self.mu, wp, order + 2)
-            M = _sn_derivatives(trip_m, self.tau, wm, order + 2)
+            P = _sn_derivatives(trip_p, self.mu, wp)
+            M = _sn_derivatives(trip_m, self.tau, wm)
         p0 = amp * P[0] * M[0]
         p1 = amp * (P[1] * M[0] + P[0] * M[1])
         p2 = amp * (P[2] * M[0] + 2.0 * P[1] * M[1] + P[0] * M[2])

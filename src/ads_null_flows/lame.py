@@ -37,8 +37,8 @@ the frame of every eigenvalue beside one Jacobi triple, and each M follows
 from its Q by parity; this ODE route stays the oracle for tau, and so for
 the order (at q in {0, 1} the gate also checks that M is diagonal).
 lame_monodromy is the module's only DOP853 integration.  Its method,
-BudgetedDOP853 (a DOP853 with a right-hand-side budget), is built on first
-use, since scipy is imported only when a function first needs it
+budgeted_dop853() (a DOP853 with a right-hand-side budget), is built on
+first use, since scipy is imported only when a function first needs it
 (scipy_deferred).  A root find that does not converge, a monodromy that
 misses the gate or drifts from det 1, and fewer than the requested
 eigenvalues below the search ceiling are each a NumericFailure; mu, h or q
@@ -116,13 +116,6 @@ def budgeted_dop853():
             return super().step()
 
     return BudgetedDOP853
-
-
-def __getattr__(name):
-    """lame.BudgetedDOP853 is budgeted_dop853()'s class (PEP 562)."""
-    if name == "BudgetedDOP853":
-        return budgeted_dop853()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -318,7 +311,7 @@ def fundamental_ode(mu: float, h, s_grid, config: RunConfig = DEFAULT) -> np.nda
     h on its factor axis."""
     mu = _check_mu(mu)
     hs = np.array(_check_hs(h))[:, None]
-    F = transport(_lame_generator(mu, hs), 0.0, s_grid, config.integrator_rel_tol)
+    F = transport(_lame_generator(mu, hs), s_grid, config.integrator_rel_tol)
     return F if np.ndim(h) else F[0]
 
 

@@ -67,7 +67,7 @@ potential; transport.parity_monodromy).  _s_route measures that evenness
 on the gate's probes, and on the periodic route an even bending is
 confirmed over half the period.  A bending that fails the KdV gate, a
 transport past its panel cap, a confirmation past its right-hand-side
-budget (lame.BudgetedDOP853, built on first use, as it needs
+budget (lame.budgeted_dop853(), built on first use, as it needs
 scipy.integrate) and a missed confirmation each raise
 NumericFailure.  The monodromies of F+- (SpinorFramePath.monodromy) are
 conserved in t, and LienEvolution keeps the s-monodromies Phi+-(rho, t),
@@ -272,10 +272,10 @@ def _t_frames(sampler: BendingSampler, t_grid: np.ndarray, config: RunConfig):
     lattice = getattr(sampler, "lattice", None)
     n, x = sampler.cells(t_grid) if lattice is not None else (None, None)
     if n is None or not n.any():
-        return transport(generator, 0.0, t_grid, rel_tol), n, None
+        return transport(generator, t_grid, rel_tol), n, None
     far = n.any(axis=1)
     ends = np.concatenate([x[far], x[far] - lattice[0], lattice])
-    A = transport(generator, 0.0, np.append(x[:, 1], ends[:, 1]), rel_tol)
+    A = transport(generator, np.append(x[:, 1], ends[:, 1]), rel_tol)
     Phi = _s_frames([sampler] * len(ends), ends[:, 0], ends[:, 1], [1.0], config)[:, :, 0]
     Ar = A[:, len(t_grid):]
     F = Ar @ Phi
@@ -304,7 +304,7 @@ def _t_frames(sampler: BendingSampler, t_grid: np.ndarray, config: RunConfig):
     direct = np.zeros(len(t_grid), dtype=bool)
     direct[far] = ~(worst <= LATTICE_SLACK).all(axis=0)
     if direct.any():
-        A[:, direct] = transport(generator, 0.0, t_grid[direct], rel_tol)
+        A[:, direct] = transport(generator, t_grid[direct], rel_tol)
         n[direct] = 0
     return A, n, commutator if n.any() else None
 
@@ -352,7 +352,7 @@ def _s_frames(samplers, scale, t, grid, config: RunConfig) -> np.ndarray:
                                for sampler, ci, ti in zip(specs, c[:, 0], tj)], axis=1)
             return 0.0, Series(np.concatenate([rk, rk], axis=1)) + lam_r, r
 
-        Fj = transport(generator, 0.0, grid, config.integrator_rel_tol)
+        Fj = transport(generator, grid, config.integrator_rel_tol)
         F[0, part], F[1, part] = Fj[:len(specs)], Fj[len(specs):]
     return F
 

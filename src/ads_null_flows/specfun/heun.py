@@ -31,7 +31,7 @@ Horner sums at the panel ends run on Python floats, each series is one
 array.  Points are evaluated by HeunStack, one gather and one
 multiply-add per series order.  The panels and z_m depend on a alone, so
 one stack takes every function of one a (the Lame pair's Hl1 and Hl2 for
-any h); a HeunEvaluator's own calls use a stack of one.
+any h); HeunEvaluator.value_and_derivative builds a stack of one per call.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ class HeunEvaluator:
         (u, du), (v, dv) = _pair(*_eval_series(self._u0, x), *_eval_series(self._u1, x),
                                  r, de, self._rho)
         self.A, self.B = np.linalg.solve([[u, v], [du, dv]], [f, -2.0 * r * fz])
-        self._stack = HeunStack([self])
 
     def value_and_derivative(self, z):
         """(f, df/dz) at z in [0, 1], scalar or array; df/dz is infinite at
@@ -232,15 +231,12 @@ class HeunEvaluator:
                              f" .. {z.max()}")
         near = z > self.z_match
         r = np.sqrt(1.0 - z[near])
-        (f, fz), (g, gr) = self._stack(z[~near], r)
+        (f, fz), (g, gr) = HeunStack([self])(z[~near], r)
         v, dv = np.empty_like(z), np.empty_like(z)
         v[~near], dv[~near], v[near] = f[0], fz[0], g[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             dv[near] = -gr[0] / (2.0 * r)
         return v.reshape(shape)[()], dv.reshape(shape)[()]
-
-    def __call__(self, z):
-        return self.value_and_derivative(z)[0]
 
 
 class HeunStack:
@@ -251,8 +247,8 @@ class HeunStack:
     per (function, panel) and two per function for its pair (u0, u1).  Each
     order gathers every function's coefficient at every point from it and
     makes one multiply-add, so no (functions, points, terms) copy is made.
-    It is the module's one array Horner: a HeunEvaluator answers its own
-    array calls from a stack of itself.
+    It is the module's one array Horner: HeunEvaluator.value_and_derivative
+    evaluates through a stack of one, built per call.
     """
 
     def __init__(self, evaluators):

@@ -1,13 +1,13 @@
 """Transport of unimodular 2x2 frames, F' = F A(x) with A(x) in sl2 and
 analytic, by Taylor panels: a linear ODE with analytic coefficients is
 solved by its Taylor series (Jorba & Zou, Exp. Math. 14 (2005) 99).
-transport returns the frames at the grid points from F(x0) = Id to a
-relative accuracy, and Id itself at a grid point x0.
+transport returns the frames at the grid points from F(0) = Id to a
+relative accuracy, and Id itself at a grid point 0.
 
 The frame at a point does not depend on the path to it, so the grid may
-come in any order and repeat points.  The points left of x0 are one side,
-the others (with those at x0, unless no point lies right of x0) the second;
-each side is one monotone run from x0 to its farthest point, split into
+come in any order and repeat points.  The points left of 0 are one side,
+the others (with those at 0, unless no point lies right of 0) the second;
+each side is one monotone run from 0 to its farthest point, split into
 equal panels wherever the points fall.  The generator is called once per
 block of PANEL_BLOCK panels, on a specfun.series.Series x = c + dx over the
 panel centres c, and returns the entries (a, b, c) of A = [[a, b], [c, -a]]
@@ -252,20 +252,20 @@ def _panels(generator, centre: np.ndarray, half: np.ndarray, radii: list):
     return Phi, minus, _unimodular(minus, even + odd)
 
 
-def _sweep(generator, x0: float, x: np.ndarray, count: int, radii: list) -> np.ndarray:
+def _sweep(generator, x: np.ndarray, count: int, radii: list) -> np.ndarray:
     """Frames (2 x factors, len(x), 2, 2) at the points x of one side, from
-    Id at x0, with count equal panels from x0 to x[-1]: the first half of
-    the factor axis from all TERMS terms, the second without the last one
-    (see _panels).  x is ordered by distance from x0, so each block's points
-    are one slice."""
-    width = (x[-1] - x0) / count
-    local = np.divide(x - x0, width, out=np.zeros_like(x), where=width != 0.0)
+    Id at 0, with count equal panels from 0 to x[-1]: the first half of the
+    factor axis from all TERMS terms, the second without the last one (see
+    _panels).  x is ordered by distance from 0, so each block's points are
+    one slice."""
+    width = x[-1] / count
+    local = np.divide(x, width, out=np.zeros_like(x), where=width != 0.0)
     panel = np.clip(np.floor(local), 0, count - 1).astype(np.int64)
     out = frame = None
     for k0 in range(0, count, PANEL_BLOCK):
         k = np.arange(k0, min(k0 + PANEL_BLOCK, count))
         half = np.full(len(k), 0.5 * width)
-        centre = x0 + k * width + half
+        centre = k * width + half
         Phi, minus, P = _panels(generator, centre, half, radii)
         if out is None:
             out = np.empty((P.shape[2], len(x), 2, 2))
@@ -295,10 +295,10 @@ def _rel_diff(coarse: np.ndarray, fine: np.ndarray) -> float:
     return float((num / np.abs(fine).max(axis=(-2, -1))).max())
 
 
-def _ladder(generator, x0: float, x: np.ndarray, need: int, rel_tol: float) -> np.ndarray:
+def _ladder(generator, x: np.ndarray, need: int, rel_tol: float) -> np.ndarray:
     """The frames at the points x of one side (see _sweep), up its ladder of
     levels from a first level of need panels (see the module docstring)."""
-    span = abs(x[-1] - x0)
+    span = abs(x[-1])
     predicted = False
     while True:
         if not need <= MAX_PANELS:
@@ -307,7 +307,7 @@ def _ladder(generator, x0: float, x: np.ndarray, need: int, rel_tol: float) -> n
                 f"relative tolerance {rel_tol:.1e}")
         count = int(need)
         radii = []
-        both = _sweep(generator, x0, x, count, radii)
+        both = _sweep(generator, x, count, radii)
         frames = both[:len(both) // 2]
         radii = np.concatenate(radii)
         q = float((span / (2 * count) / radii).max())
@@ -324,31 +324,30 @@ def _ladder(generator, x0: float, x: np.ndarray, need: int, rel_tol: float) -> n
             predicted = True
 
 
-def transport(generator, x0: float, grid, rel_tol: float) -> np.ndarray:
+def transport(generator, grid, rel_tol: float) -> np.ndarray:
     """Frames (factors, len(grid), 2, 2) of F' = F A(x) at the grid points,
-    in any order, with F(x0) = Id (exactly, at a grid point x0), to the
+    in any order, with F(0) = Id (exactly, at a grid point 0), to the
     relative accuracy rel_tol (see the module docstring).  generator(x) is
     called on a Series x, the panel centres + dx, and returns (a, b, c) of A
     as Series (or constants)."""
     x = np.asarray(grid, dtype=float)
-    if not len(x) or not (np.isfinite(x).all() and math.isfinite(x0)):
+    if not len(x) or not np.isfinite(x).all():
         raise ValueError("transport grid must be non-empty and finite")
-    d = x - x0
-    # a point at x0 rides with the right side, if there is one
-    left = d < 0.0 if (d > 0.0).any() else d <= 0.0
-    # each side's points by distance from x0, the farthest last
-    sides = [i[np.argsort(np.abs(d[i]), kind="stable")]
+    # a point at 0 rides with the right side, if there is one
+    left = x < 0.0 if (x > 0.0).any() else x <= 0.0
+    # each side's points by distance from 0, the farthest last
+    sides = [i[np.argsort(np.abs(x[i]), kind="stable")]
              for i in (np.flatnonzero(left), np.flatnonzero(~left)) if len(i)]
-    spans = [abs(d[i[-1]]) for i in sides]
+    spans = [abs(x[i[-1]]) for i in sides]
     out = None
     # a level whose panels outrun the radius overflows; it is a miss
     with np.errstate(all="ignore"):
         for i, span in zip(sides, spans):
             need = math.ceil(FIRST_PANELS * span / sum(spans)) if span > 0.0 else 1
-            frames = _ladder(generator, x0, x[i], need, rel_tol)
+            frames = _ladder(generator, x[i], need, rel_tol)
             if out is None:
                 out = np.empty((len(frames), len(x), 2, 2))
             out[:, i] = frames
-    # a point at x0 reads adj(Phi(-w)) Phi(-w) off its panel, Id to rounding
-    out[:, d == 0.0] = np.eye(2)
+    # a point at 0 reads adj(Phi(-w)) Phi(-w) off its panel, Id to rounding
+    out[:, x == 0.0] = np.eye(2)
     return out

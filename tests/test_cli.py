@@ -516,6 +516,47 @@ def test_stationary_central_monodromies(tmp_path, q, spin):
     assert meta["least_period"] == meta["rho"]
 
 
+@pytest.mark.parametrize("q, orbit_type, periods, spin, windings", [
+    ("0", "(C,C)", 1, "1", [1, None]),
+    ("1", "(C,C)", 1, "1/2", [1, None]),
+    ("2/5", "(E,E)", 5, "1", [3, None]),
+    ("3/5", "(E,E)", 5, "1/2", [2, None]),
+    ("1/67", "(E,E)", 67, "1/2", [66, None]),
+])
+def test_stationary_closure_comes_from_q(tmp_path, q, orbit_type, periods, spin, windings):
+    """Both factors are the rotation by q pi = p pi / d per period, so the
+    curve closes after d periods with spin 1 for an even p and 1/2 for an
+    odd one.  q = 1/67 closes too, though a denominator past 64 escapes
+    classify_orbit's rationalising of the monodromy trace."""
+    out = tmp_path / "s"
+    assert main(["stationary", "--mu", "0.5", "--q", q, "-o", str(out)]) == 0
+    meta = json.loads((out / "stationary_base.json").read_text())["meta"]
+    assert list(meta) == ["recipe", "config_digest", "mu", "h_plus", "h_minus", "ell", "rho",
+                          "diagnostics", "orbit_type", "closed", "least_period", "spin",
+                          "windings"]
+    assert (meta["orbit_type"], meta["closed"], meta["spin"], meta["windings"]) == \
+        (orbit_type, True, spin, windings)
+    assert meta["least_period"] == periods * meta["rho"]
+
+
+def test_stationary_q_past_the_windings_cap_exit_code(tmp_path, monkeypatch, capsys):
+    """The windings path of a closed curve takes 64 samples a period over d
+    periods: d = 1024 asks for more than MAX_SAMPLES, a usage error naming
+    --q before the eigenvalue search."""
+    import ads_null_flows.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "floquet_search", never)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--mu", "0.5", "--q", "1/1024", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--q asks for 6.55e+04 samples, more than 65536" in stderr(capsys)
+    assert not out.exists()
+
+
 def test_stationary_indices_in_either_order(tmp_path):
     """--indices 1,0 swaps h+ and h- back: the files are those of 0,1."""
     a, b = tmp_path / "01", tmp_path / "10"
@@ -548,9 +589,9 @@ def test_kksh_wings(tmp_path):
 
 def test_stationary_periods_off_the_sample_spacing(tmp_path):
     """The grid spacing is rho / POINTS_PER_PERIOD whatever --periods is: at
-    1.001 periods (256 p not an integer) rho is a sample and the curve is
-    classified, the grid ending at the last sample within the periods; at
-    2 periods the grid is linspace(0, 2 rho, 513) bit for bit."""
+    1.001 periods (256 p not an integer) rho is a sample, the grid ending
+    at the last sample within the periods; at 2 periods the grid is
+    linspace(0, 2 rho, 513) bit for bit."""
     for periods, count in (("1.001", 257), ("2", 513)):
         out = tmp_path / periods
         assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--periods", periods,

@@ -352,11 +352,12 @@ def _phi_derivatives(spec, s, t):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS,
                          ids=["mustar", "mu03_h05", "mu03_h2", "mu085_h05", "mu085_h2"])
 def test_kksh_closed_form_matches_the_series(spec):
-    """kappa_jet up to order 2 (the quotient rule of psi = artanh phi)
-    agrees with the first entries of the order-3 jet (the series of u)
-    within 1e-13 relative to each order's largest value, for array and
-    scalar s; at order 0 it also matches kappa = 4 phi_s^2 r^2 (1 - phi)
-    - 2 phi_ss r, r = 1/(1 - phi^2)."""
+    """kappa_jet up to order 2 (at order 0 the quotient rule of psi =
+    artanh phi, from order 1 on the series of u) agrees with the first
+    entries of the order-3 jet (the series of u) within 1e-13 relative to
+    each order's largest value, for array and scalar s; at order 0 it also
+    matches kappa = 4 phi_s^2 r^2 (1 - phi) - 2 phi_ss r, r = 1/(1 -
+    phi^2)."""
     rng = np.random.default_rng(41)
     s = rng.uniform(-2 * spec.s_period, 2 * spec.s_period, 300)
     t = rng.uniform(-1.0, 1.0, 300)

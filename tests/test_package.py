@@ -26,14 +26,12 @@ ROOT = Path(__file__).parents[1]
 UNREFERENCED_ALLOWED = {
     # the DOP853 frame reference; bench/tracer.py binds solve_ivp in its module
     "integrate_spinor_frames",
-    # lame's module __getattr__ (PEP 562), called by attribute access
-    "__getattr__",
 }
 
 
 # the src/ modules that import scipy, and what each imports, always inside a
 # function body, so that importing the package loads no scipy: the stand-ins
-# of scipy_deferred, lame's BudgetedDOP853 and floquet_search's brentq (which
+# of scipy_deferred, lame's budgeted_dop853 and floquet_search's brentq (which
 # bench/tracer.py routes by its caller); the list should shrink, never grow
 SCIPY_IMPORTS = {
     "ads_null_flows.lame": {"scipy.integrate", "scipy.optimize"},
@@ -46,8 +44,7 @@ SCIPY_IMPORTS = {
 # error or argparse's own usage error
 EXCEPTION_CLASSES = {"config.py": ["UsageError", "NumericFailure"]}
 RAISABLE = {"UsageError", "NumericFailure", "ValueError", "TypeError",
-            "argparse.ArgumentTypeError",
-            "AttributeError"}    # what a module __getattr__ (PEP 562) raises
+            "argparse.ArgumentTypeError"}
 
 
 def _src_trees():

@@ -86,10 +86,10 @@ def kksh_at(mu):
 
 @pytest.mark.parametrize("mu", KKSH_MUS, ids=["mu03", "mustar", "mu085"])
 def test_kksh_kappa_on_a_series_in_s(mu):
-    """Order 0 on a Series, as the s-systems of lien_evolve call it
-    (s0 + ds, rate 1) and as the KKSH monodromies do (s = rho sigma, rate
-    rho), summed at small offsets, equals the array jet at the shifted
-    points."""
+    """Order 0 on a Series s (the shifted jets), at the arguments of the
+    s-systems of lien_evolve (s0 + ds, rate 1) and of the KKSH monodromies
+    (s = rho sigma, rate rho), summed at small offsets, equals the array
+    jet at the shifted points."""
     spec = kksh_at(mu)
     rho = spec.s_period
     s0 = np.linspace(-0.3 * rho, 1.7 * rho, 9)
@@ -131,9 +131,9 @@ def test_kksh_series_coefficients_match_the_dual_reference(mu):
 
 def test_a_batch_of_kksh_specs_is_each_spec_alone():
     """kksh_kappa_series on three specs, each with its own scale r and time
-    t (the batch of an s-transport), equals each spec's order-0 jet on the
-    Series r x alone (its batch of one) bit for bit, and its sum at small
-    offsets equals the array jet at the shifted points."""
+    t (the batch of an s-transport), equals each spec's batch of one on the
+    Series r x bit for bit, and its sum at small offsets equals the array
+    jet at the shifted points."""
     specs = [kksh_at(mu) for mu in KKSH_MUS]
     r = np.array([spec.s_period for spec in specs])[:, None]
     t = np.array([0.0, 0.41, 1.3])
@@ -141,8 +141,8 @@ def test_a_batch_of_kksh_specs_is_each_spec_alone():
     batch = kksh_kappa_series(specs, r * x, t)
     assert batch.c.shape == (TERMS, 3, 9)
     for i, spec in enumerate(specs):
-        (alone,) = spec.kappa_jet(r[i, 0] * x, t[i], order=0)
-        assert np.array_equal(batch.c[:, i], alone.c)
+        alone = kksh_kappa_series([spec], Series((r[i, 0] * x).c[:, None]), [t[i]])
+        assert np.array_equal(batch.c[:, i], alone.c[:, 0])
         for d in (4e-3, -3e-3):
             want = spec.kappa_jet(r[i, 0] * (x.c[0] + d), t[i], order=0)[0]
             assert np.abs(value(Series(batch.c[:, i]), d) - want).max() \
@@ -203,7 +203,7 @@ def test_generator_work_budget(monkeypatch):
     x = Series.variable(np.linspace(0.0, 1.0, 64), kernel.TERMS - 1)
     captured = []
 
-    def capture(generator, x0, grid, rel_tol):
+    def capture(generator, grid, rel_tol):
         captured.append(generator)
         factors = generator(x)[1].c.shape[1]
         return np.broadcast_to(np.eye(2), (factors, len(grid), 2, 2)).copy()
@@ -216,3 +216,9 @@ def test_generator_work_budget(monkeypatch):
     assert evolve.BATCH >= 3
     budgets = [_einsums_per_call(monkeypatch, g, x) for g in captured]
     assert budgets == [84, 51, 51, 51]
+
+
+def test_kappa_jet_on_a_series_stops_at_order_2():
+    """The shifted jets of a Series argument serve orders up to 2."""
+    with pytest.raises(ValueError, match="order <= 2"):
+        kksh_at(MU_STAR).kappa_jet(Series.variable(np.array([0.0, 0.3]), TERMS), order=3)

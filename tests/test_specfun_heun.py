@@ -40,18 +40,18 @@ def ode_oracle(p: HeunParams, z_targets, z0=1e-9):
 def test_normalization_at_zero():
     for p in (HeunParams(2.5, 0.3, 0.0, 1.5, 0.5, 0.5),
               HeunParams(1.0 / 0.4, -0.2, 0.5, 2.0, 1.5, 0.5)):
-        assert HeunEvaluator(p)(0.0) == 1.0
+        assert HeunEvaluator(p).value_and_derivative(0.0)[0] == 1.0
 
 
 def test_alpha_zero_q_zero_is_constant():
     p = HeunParams(3.0, 0.0, 0.0, 1.5, 0.5, 0.5)
     for z in (0.0, 0.2, 0.5, 0.9, 0.999):
-        assert HeunEvaluator(p)(z) == pytest.approx(1.0, abs=1e-15)
+        assert HeunEvaluator(p).value_and_derivative(z)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hl1_at_half_vs_ode():
     p1, _ = lame_heun_params(0.4, 0.67)
-    val = HeunEvaluator(p1)(0.5)
+    val = HeunEvaluator(p1).value_and_derivative(0.5)[0]
     oracle = ode_oracle(p1, [0.5])[0]
     assert val == pytest.approx(oracle, abs=1e-8)
 
@@ -62,17 +62,17 @@ def test_pair_on_grid_vs_ode():
     zs = np.linspace(0.05, 0.99, 20)
     for p in (p1, p2):
         ev = HeunEvaluator(p)
-        vals = np.array([ev(z) for z in zs])
+        vals = np.array([ev.value_and_derivative(z)[0] for z in zs])
         oracle = ode_oracle(p, zs)
         assert np.abs(vals - oracle).max() <= 1e-8
 
 
 def test_pair_normalization_and_reality():
     pair = [HeunEvaluator(p) for p in lame_heun_params(0.4, 0.67)]
-    assert [ev(0.0) for ev in pair] == [1.0, 1.0]
+    assert [ev.value_and_derivative(0.0)[0] for ev in pair] == [1.0, 1.0]
     pair = [HeunEvaluator(p) for p in lame_heun_params(0.73, 1.1)]
     for z in (0.3, 0.7, 0.95):
-        assert all(math.isfinite(ev(z)) for ev in pair)
+        assert all(math.isfinite(ev.value_and_derivative(z)[0]) for ev in pair)
 
 
 def test_ode_residual_of_values():
@@ -84,7 +84,7 @@ def test_ode_residual_of_values():
     ep = p.epsilon
     worst = 0.0
     for z in np.linspace(0.01, 0.95, 24):
-        fm2, fm1, f0, fp1, fp2 = (ev(z + k * e) for k in range(-2, 3))
+        fm2, fm1, f0, fp1, fp2 = (ev.value_and_derivative(z + k * e)[0] for k in range(-2, 3))
         d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * e)
         d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * e ** 2)
         resid = d2 + (p.gamma / z + p.delta / (z - 1) + ep / (z - p.a)) * d1 \
@@ -99,7 +99,7 @@ def test_derivative_consistency():
     for z in (0.2, 0.6, 0.9):
         _, d = ev.value_and_derivative(z)
         e = 1e-6
-        fd = (ev(z + e) - ev(z - e)) / (2 * e)
+        fd = (ev.value_and_derivative(z + e)[0] - ev.value_and_derivative(z - e)[0]) / (2 * e)
         assert d == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -108,7 +108,7 @@ def test_value_at_one_is_one_sided_limit():
     for p in (p1, p2):
         ev = HeunEvaluator(p)
         lim = float(ev.A)          # f(1) = A, the u0 coefficient at z = 1
-        near = ev(1.0 - 1e-10)
+        near = ev.value_and_derivative(1.0 - 1e-10)[0]
         assert lim == pytest.approx(near, abs=1e-4)
         assert math.isfinite(lim)
 
@@ -116,7 +116,7 @@ def test_value_at_one_is_one_sided_limit():
 def test_domain_guards():
     p = HeunParams(2.0, 0.1, 0.0, 1.5, 0.5, 0.5)
     with pytest.raises(ValueError, match="evaluation restricted to 0 <= z <= 1"):
-        HeunEvaluator(p)(1.2)
+        HeunEvaluator(p).value_and_derivative(1.2)[0]
     with pytest.raises(ValueError, match="singularity parameter a must exceed 1"):
         HeunParams(0.9, 0.1, 0.0, 1.5, 0.5, 0.5)
     with pytest.raises(ValueError, match="gamma = 0.0 is a non-positive integer"):
@@ -129,7 +129,7 @@ def test_accuracy_deep_in_the_continuation_zone():
     for p in (p1, p2):
         ev = HeunEvaluator(p)
         z = 1.0 - 1e-6
-        assert abs(ev(z) - ode_oracle(p, [z], z0=1e-10)[0]) <= 1e-9
+        assert abs(ev.value_and_derivative(z)[0] - ode_oracle(p, [z], z0=1e-10)[0]) <= 1e-9
 
 
 # The numpy-scalar recurrences and Horner sums that built the panels before

@@ -34,7 +34,7 @@ from ads_null_flows.nullcurve import (
     lien_evolve,
     stationary_curve,
 )
-from ads_null_flows.specfun import complete_elliptic
+from ads_null_flows.specfun import JacobiScalar, complete_elliptic
 from ads_null_flows.specfun.series import Series
 from ads_null_flows.transport import transport
 
@@ -58,9 +58,46 @@ def s_rhs(sampler, t):
     return rhs
 
 
+def kksh_t_jet(spec):
+    """(kappa, kappa_s, kappa_ss) of a KKSH spec at (0, t), for a float t, in
+    plain floats: kappa_jet at a point takes the series of u from order 1
+    on, some 35 times the cost, and the README t-grid takes some 3e5 calls.
+    The sn jets of both waves follow from sn'' = g sn, g = w^2 (2 mu sn^2 -
+    1 - mu), the Leibniz rule gives phi = amp P M to phi'''', the quotient
+    rule psi = artanh(phi) from psi' (1 - phi^2) = phi', and kappa = -2
+    psi'' + 4 psi'^2."""
+    waves = [(JacobiScalar(m), w, v, m) for w, v, m in
+             ((spec.w_plus, spec.v_plus, spec.mu), (spec.w_minus, spec.v_minus, spec.tau))]
+
+    def jet(t):
+        P, M = [], []
+        for out, (sncndn, w, v, m) in zip((P, M), waves):
+            sn, cn, dn = sncndn(v * t)
+            f1, g = w * cn * dn, w * w * (2.0 * m * sn * sn - 1.0 - m)
+            g3 = g + 4.0 * w * w * m * sn * sn
+            out += [sn, f1, g * sn, g3 * f1, 12.0 * w * w * m * sn * f1 * f1 + g3 * g * sn]
+        a = spec.amp
+        p0, p1 = a * P[0] * M[0], a * (P[1] * M[0] + P[0] * M[1])
+        p2 = a * (P[2] * M[0] + 2.0 * P[1] * M[1] + P[0] * M[2])
+        p3 = a * (P[3] * M[0] + 3.0 * (P[2] * M[1] + P[1] * M[2]) + P[0] * M[3])
+        p4 = a * (P[4] * M[0] + 4.0 * (P[3] * M[1] + P[1] * M[3]) + 6.0 * P[2] * M[2]
+                  + P[0] * M[4])
+        r = 1.0 / (1.0 - p0 * p0)
+        d1, d2, d3 = -2.0 * p0 * p1, -2.0 * (p1 * p1 + p0 * p2), -2.0 * (3.0 * p1 * p2 + p0 * p3)
+        s1 = p1 * r
+        s2 = (p2 - s1 * d1) * r
+        s3 = (p3 - 2.0 * s2 * d1 - s1 * d2) * r
+        s4 = (p4 - 3.0 * (s3 * d1 + s2 * d2) - s1 * d3) * r
+        return 4.0 * s1 * s1 - 2.0 * s2, 8.0 * s1 * s2 - 2.0 * s3, 8.0 * (s2 * s2 + s1 * s3) - 2.0 * s4
+    return jet
+
+
 def t_rhs(sampler):
+    jet = kksh_t_jet(sampler) if isinstance(sampler, KkshSpec) else \
+        (lambda t: sampler.kappa_jet(0.0, t, order=2))
+
     def rhs(t, y):
-        k0, k1, k2 = sampler.kappa_jet(0.0, float(t), order=2)
+        k0, k1, k2 = jet(float(t))
         q = 2.0 * k0 * k0 - k2
         out = []
         for lam, (a, b, c, d) in ((1.0, y[:4]), (-1.0, y[4:])):
@@ -107,7 +144,7 @@ def test_t_system_on_the_kksh_grid(kksh_t_reference):
 @pytest.mark.parametrize("rel_tol", [1e-12, 1e-30])
 def test_taylor_t_system_matches_dop853(kksh_t_reference, rel_tol):
     """A tolerance below the rounding is met at the rounding floor."""
-    A = transport(evolve._t_generator(kksh()), 0.0, KKSH_T, rel_tol)
+    A = transport(evolve._t_generator(kksh()), KKSH_T, rel_tol)
     assert rel_err(A, kksh_t_reference) <= 1e-10
 
 
@@ -168,9 +205,9 @@ def _ladders(monkeypatch):
     ladders = []
     sweep, transport_ = kernel._sweep, kernel.transport
 
-    def counting(generator, x0, x, count, radii):
+    def counting(generator, x, count, radii):
         ladders[-1].append(count)
-        return sweep(generator, x0, x, count, radii)
+        return sweep(generator, x, count, radii)
 
     def calling(*args):
         ladders.append([])
@@ -213,7 +250,7 @@ def test_kksh_t_system_accepts_the_predicted_panels(monkeypatch, mu):
     """The t-system's ladder: the first level, then the level its root test
     predicts, accepted without a doubling."""
     ladders = _ladders(monkeypatch)
-    kernel.transport(evolve._t_generator(kksh(mu)), 0.0, KKSH_T,
+    kernel.transport(evolve._t_generator(kksh(mu)), KKSH_T,
                      DEFAULT.integrator_rel_tol)
     assert len(ladders) == 1 and len(ladders[0]) == 2, ladders
     assert ladders[0][1] > 2 * ladders[0][0]
@@ -527,7 +564,7 @@ def test_lien_evolve_t_slices_match_separate_transports(monkeypatch, slices):
     ev = lien_evolve(spec, s_grid, t_grid)
     assert len(ladders) == 1 + -(-slices // evolve.BATCH)
     monkeypatch.undo()
-    A = transport(evolve._t_generator(spec), 0.0, t_grid, DEFAULT.integrator_rel_tol)
+    A = transport(evolve._t_generator(spec), t_grid, DEFAULT.integrator_rel_tol)
     for j, t in enumerate(t_grid):
         Phi = evolve._s_frames([spec], 1.0, t, s_grid, DEFAULT)[:, 0]
         single = A[:, j, None] @ Phi
@@ -574,7 +611,7 @@ def test_taylor_panel_cap_raises(monkeypatch):
     ladders = _ladders(monkeypatch)
     monkeypatch.setattr(kernel, "MAX_PANELS", 1000)
     with pytest.raises(NumericFailure, match="panels"):
-        kernel.transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
+        kernel.transport(evolve._t_generator(kksh()), KKSH_T, 1e-12)
     assert len(ladders) == 1 and len(ladders[0]) == 1     # the first level only
 
 
@@ -582,7 +619,7 @@ def test_taylor_huge_span_raises_without_warnings():
     """t up to 1e300: the first level's panels are 1e297 wide, overflow
     (a miss, silently) and predict far more panels than the cap."""
     with pytest.raises(NumericFailure, match="panels"):
-        transport(evolve._t_generator(kksh()), 0.0, [1e300], 1e-12)
+        transport(evolve._t_generator(kksh()), [1e300], 1e-12)
 
 
 def test_kksh_at_a_huge_time_exits_1(tmp_path, capsys):
@@ -596,7 +633,7 @@ def test_taylor_non_finite_coefficient_raises():
         return 0.0, x * np.nan, 1.0
 
     with pytest.raises(NumericFailure, match="non-finite"):
-        transport(blow_up, 0.0, [1.0], 1e-12)
+        transport(blow_up, [1.0], 1e-12)
 
 
 def test_non_finite_frames_raise():
@@ -606,7 +643,7 @@ def test_non_finite_frames_raise():
         return 0.0, 1e300 + 0.0 * x, 1.0
 
     with pytest.raises(NumericFailure, match="panels"):
-        transport(blow_up, 0.0, [1.0], 1e-12)
+        transport(blow_up, [1.0], 1e-12)
 
 
 def test_nan_radius_raises_at_the_first_miss(monkeypatch):
@@ -622,19 +659,19 @@ def test_nan_radius_raises_at_the_first_miss(monkeypatch):
     ladders = _ladders(monkeypatch)
     monkeypatch.setattr(kernel, "_panels", nan_radii)
     with pytest.raises(NumericFailure, match="panels"):
-        kernel.transport(evolve._t_generator(kksh()), 0.0, KKSH_T, 1e-12)
+        kernel.transport(evolve._t_generator(kksh()), KKSH_T, 1e-12)
     assert ladders == [[kernel.FIRST_PANELS]]
 
 
 def test_a_permuted_grid_gives_the_permuted_frames():
-    """Each point is reached from x0 on its own side, whatever the order of
+    """Each point is reached from 0 on its own side, whatever the order of
     the grid: a permutation of a two-sided grid permutes the frames, bit
     for bit."""
     grid = np.linspace(-0.8, 1.6, 25)
     order = np.random.default_rng(3).permutation(len(grid))
     generator = evolve._t_generator(kksh())
-    F = transport(generator, 0.0, grid, 1e-12)
-    assert np.array_equal(transport(generator, 0.0, grid[order], 1e-12), F[:, order])
+    F = transport(generator, grid, 1e-12)
+    assert np.array_equal(transport(generator, grid[order], 1e-12), F[:, order])
 
 
 def test_a_two_sided_grid_is_its_two_sides(monkeypatch):
@@ -649,9 +686,9 @@ def test_a_two_sided_grid_is_its_two_sides(monkeypatch):
 
     grid = np.array([-8.0, -3.0, 0.0, 2.5, 8.0])
     ladders = _ladders(monkeypatch)
-    F = kernel.transport(constant, 0.0, grid, 1e-12)
-    left = kernel.transport(constant, 0.0, grid[:2], 1e-12)
-    right = kernel.transport(constant, 0.0, grid[2:], 1e-12)
+    F = kernel.transport(constant, grid, 1e-12)
+    left = kernel.transport(constant, grid[:2], 1e-12)
+    right = kernel.transport(constant, grid[2:], 1e-12)
     assert np.array_equal(F[:, :2], left) and np.array_equal(F[:, 2:], right)
     pair, left_alone, right_alone = ladders
     # the sides of equal length share the first level; each then reaches the
@@ -660,36 +697,36 @@ def test_a_two_sided_grid_is_its_two_sides(monkeypatch):
     assert pair[1::2] == left_alone[1:] + right_alone[1:], ladders
     generator = evolve._t_generator(kksh())
     t = np.array([-1.0, -0.5, 0.5, 1.6])
-    F = transport(generator, 0.0, t, 1e-12)
-    assert rel_err(F[:, :2], transport(generator, 0.0, t[:2], 1e-12)) <= 1e-11
-    assert rel_err(F[:, 2:], transport(generator, 0.0, t[2:], 1e-12)) <= 1e-11
+    F = transport(generator, t, 1e-12)
+    assert rel_err(F[:, :2], transport(generator, t[:2], 1e-12)) <= 1e-11
+    assert rel_err(F[:, 2:], transport(generator, t[2:], 1e-12)) <= 1e-11
 
 
 def test_points_at_x0_and_repeated_points():
-    """A point at x0 is the identity exactly, on a two-sided grid, on
+    """A point at 0 is the identity exactly, on a two-sided grid, on
     either one-sided grid and alone (its panel's series gives Id only to
     rounding), a repeated point repeats its frame bit for bit, and a point
-    at x0 leaves its side as it is."""
+    at 0 leaves its side as it is."""
     generator = evolve._t_generator(kksh())
-    F = transport(generator, 0.0, [0.8, 0.0, 0.8, -0.5, 0.0, -0.5], 1e-12)
+    F = transport(generator, [0.8, 0.0, 0.8, -0.5, 0.0, -0.5], 1e-12)
     assert np.array_equal(F[:, 0], F[:, 2]) and np.array_equal(F[:, 3], F[:, 5])
     identity = np.broadcast_to(np.eye(2), (2, 2, 2, 2))
     assert np.array_equal(F[:, [1, 4]], identity)
     for grid in ([0.0, 0.0], [0.8, 0.0, 0.0], [-0.5, 0.0, 0.0]):
-        assert np.array_equal(transport(generator, 0.0, grid, 1e-12)[:, -2:], identity)
+        assert np.array_equal(transport(generator, grid, 1e-12)[:, -2:], identity)
     for x in (0.8, -0.5):
-        alone = transport(generator, 0.0, [x], 1e-12)
-        assert np.array_equal(transport(generator, 0.0, [0.0, x], 1e-12)[:, 1:], alone)
+        alone = transport(generator, [x], 1e-12)
+        assert np.array_equal(transport(generator, [0.0, x], 1e-12)[:, 1:], alone)
 
 
 def test_non_finite_grid_is_rejected():
     with pytest.raises(ValueError, match="finite"):
-        transport(evolve._t_generator(kksh()), 0.0, [0.5, math.nan], 1e-12)
+        transport(evolve._t_generator(kksh()), [0.5, math.nan], 1e-12)
 
 
 def test_empty_grid_is_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        transport(evolve._t_generator(kksh()), 0.0, [], 1e-12)
+        transport(evolve._t_generator(kksh()), [], 1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1088,7 +1125,7 @@ def test_lattice_vectors_leave_kappa_invariant(name):
 
 
 def _direct(spec, t_grid):
-    return transport(evolve._t_generator(spec), 0.0, t_grid, DEFAULT.integrator_rel_tol)
+    return transport(evolve._t_generator(spec), t_grid, DEFAULT.integrator_rel_tol)
 
 
 @pytest.mark.parametrize("cells", [1, 100, 842])
@@ -1240,7 +1277,7 @@ def test_holonomies_from_different_factors_fail_the_commutator_gate(monkeypatch)
 
 
 def test_dop853_oracles_have_a_work_budget(monkeypatch):
-    """lame_monodromy and the s-frame confirmation run BudgetedDOP853: past
+    """lame_monodromy and the s-frame confirmation run budgeted_dop853(): past
     MAX_RHS_CALLS right-hand sides each raises NumericFailure."""
     monkeypatch.setattr(lame, "MAX_RHS_CALLS", 100)
     with pytest.raises(NumericFailure, match="DOP853 needs more than 100 right-hand sides"):
@@ -1265,7 +1302,7 @@ def test_the_budget_changes_no_run(monkeypatch):
     monkeypatch.setattr(lame, "solve_ivp", spy)
     monkeypatch.setattr(evolve, "solve_ivp", spy)
     budgeted = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
-    method = lame.BudgetedDOP853
+    method = lame.budgeted_dop853()
     monkeypatch.setattr(lame, "budgeted_dop853", lambda: "DOP853")
     monkeypatch.setattr(evolve, "budgeted_dop853", lambda: "DOP853")
     free = [lame.lame_monodromy(0.9, [2.2, 5.0]), lien_evolve(spec, s_grid, [0.0]).paths[0].F]
