@@ -36,7 +36,8 @@ import numpy as np
 
 from . import jetalg
 from .config import NumericFailure, RunConfig, UsageError, load_config
-from .io_formats import fnum, meta_block, write_csv, write_curve_json, write_obj_polyline
+from .io_formats import (fnum, write_csv, write_curve_json, write_hierarchy_json,
+                         write_obj_polyline)
 from .kdvsol import KkshSpec, StationaryBending
 from .lame import floquet_search
 from .nullcurve import (
@@ -124,9 +125,15 @@ def _float_list(text: str):
     return [_finite_float(x) for x in text.split(",")] if text else []
 
 
+def _grid_samples(intervals: float) -> float:
+    """The samples of a grid of int(intervals) intervals, or inf where the
+    interval count is past the float range."""
+    return int(intervals) + 1 if math.isfinite(intervals) else math.inf
+
+
 def _check_samples(option: str, samples: float) -> None:
     if samples > MAX_SAMPLES:
-        raise UsageError(f"{option} asks for {samples:.3g} samples, "
+        raise UsageError(f"{option} asks for {samples} samples, "
                          f"more than {MAX_SAMPLES}")
 
 
@@ -177,26 +184,24 @@ def cmd_hierarchy(args, config: RunConfig) -> int:
         raise UsageError("n-max capped at 8 (coefficient growth)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = {"meta": meta_block("hierarchy", config, {"n_max": args.n_max}),
-           "polynomials": []}
-    text_lines = []
+    entries, text_lines = [], []
     for n in range(args.n_max + 1):
-        p = jetalg.lenard_p(n)
-        entry = {"n": n, "p": p.to_json(), "p_text": p.text()}
-        text_lines.append(f"p_{n} = {p.text()}")
+        polys = [("p", jetalg.lenard_p(n))]
         if n >= 1:
-            hn = jetalg.hamiltonian_density(n)
-            entry["h"] = hn.to_json()
-            entry["h_text"] = hn.text()
-            text_lines.append(f"h_{n} = {hn.text()}")
+            polys.append(("h", jetalg.hamiltonian_density(n)))
         if args.lien:
-            _, _, a, b = jetalg.lien_coefficients(n)
-            entry["a"] = a.to_json()
-            entry["b"] = b.to_json()
-            text_lines.append(f"a_{n} = {a.text()}")
-            text_lines.append(f"b_{n} = {b.text()}")
-        doc["polynomials"].append(entry)
-    (outdir / "hierarchy.json").write_text(json.dumps(doc, indent=1) + "\n")
+            polys += zip("ab", jetalg.lien_coefficients(n)[2:])
+        # the JSON carries the text of p and h only; the text file all four
+        entry = {"n": n}
+        for name, poly in polys:
+            terms = poly.sorted_terms()
+            text = jetalg.terms_text(terms)
+            entry[name] = terms
+            if name in ("p", "h"):
+                entry[f"{name}_text"] = text
+            text_lines.append(f"{name}_{n} = {text}")
+        entries.append(entry)
+    write_hierarchy_json(outdir / "hierarchy.json", config, args.n_max, entries)
     (outdir / "hierarchy.txt").write_text("\n".join(text_lines) + "\n")
     if args.verify:
         for n in range(1, args.n_max + 1):
@@ -228,7 +233,7 @@ def cmd_floquet(args, config: RunConfig) -> int:
 
 def cmd_stationary(args, config: RunConfig) -> int:
     tags = _snapshot_tags("stationary_t", args.t)
-    _check_samples("--periods", POINTS_PER_PERIOD * args.periods + 1)
+    _check_samples("--periods", _grid_samples(POINTS_PER_PERIOD * args.periods))
     q = args.q
     # the curve closes after q's denominator of periods (see below)
     _check_samples("--q", WINDING_SAMPLES * q.denominator + 1)
@@ -246,7 +251,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
     per = POINTS_PER_PERIOD
     while per < SAMPLES_PER_PHASE * phase:
         per *= 2
-    _check_samples("--periods", per * args.periods + 1)
+    _check_samples("--periods", _grid_samples(per * args.periods))
     intervals = int(per * args.periods)
     if intervals >= MIN_POINTS_PER_PERIOD:
         # spacing rho / per (exact), so every whole period is a sample; the
@@ -260,7 +265,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
     # over rho is the rotation by q pi (+-Id at q = 0, 1): both reach +-Id
     # first after d periods, with the sign (-1)^p of the spin
     least_period = q.denominator * rho
-    full = np.linspace(0.0, least_period, int(WINDING_SAMPLES * least_period / rho) + 1)
+    full = np.linspace(0.0, least_period, WINDING_SAMPLES * q.denominator + 1)
     closed_path = stationary_curve(args.mu, h_plus, h_minus, full, config=config)
     extra = {
         "mu": args.mu, "h_plus": h_plus, "h_minus": h_minus, "ell": spec.ell,

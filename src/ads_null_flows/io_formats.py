@@ -1,15 +1,17 @@
-"""File exporters: curve JSON, OBJ polylines, CSV tables.
+"""File exporters: curve JSON, OBJ polylines, CSV tables, the hierarchy JSON.
 
 Every file carries a meta block (or comment header) with the recipe name and
 the config digest.  Doubles round-trip: json writes each float as its
 shortest repr, and the OBJ and CSV writers use 17 significant digits.
 
 Each file is formatted in one bulk pass: its floats are spelt by one C-level
-call and poured into a per-row template by one `%` operation.  The bytes are
-those of a per-sample writer: a curve JSON reads exactly as
-`json.dumps(doc, indent=1)` of its {"meta", "samples"} document, and each
-OBJ or CSV float exactly as `fnum` spells it (tests/test_io_formats.py keeps
-such writers as the reference).
+call and poured into a per-row template by one `%` operation, and the
+hierarchy's terms into one row template per term.  The bytes are those of a
+per-sample writer: a curve JSON reads exactly as `json.dumps(doc, indent=1)`
+of its {"meta", "samples"} document, the hierarchy JSON as that of its
+{"meta", "polynomials"} document, and each OBJ or CSV float exactly as
+`fnum` spells it (tests/test_io_formats.py keeps such writers as the
+reference).
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ _FLOAT_TYPES = (float, np.floating)
 # at depth 2: s, x, y, z, then the matrix entries a, b, c, d
 _SAMPLE = ('  {\n   "s": %s,\n   "x": %s,\n   "y": %s,\n   "z": %s,\n'
            '   "matrix": [\n    %s,\n    %s,\n    %s,\n    %s\n   ]\n  }')
+
+
+# one term of a polynomial's terms list as json.dumps(..., indent=1) lays it
+# out at depth 5 of the hierarchy document: its coefficient, whose str (an
+# int or a fraction p/q) needs no escape, and its monomial object
+_TERM = '     {\n      "coeff": "%s",\n      "monomial": %s\n     }'
 
 
 def fnum(x: float, digits: int = 17) -> str:
@@ -98,3 +106,44 @@ def write_csv(path: Path, recipe: str, config: RunConfig,
         cells = tuple(chain.from_iterable(zip(*cols)))
         lines.append("\n".join([",".join(specs)] * len(rows)) % cells)
     _write(path, "\n".join(lines) + "\n")
+
+
+def _monomial_json(pairs) -> str:
+    """{"index": exponent, ...} at depth 6 of the hierarchy document."""
+    if not pairs:
+        return "{}"
+    rows = ",\n".join([f'       "{i}": {e}' for i, e in pairs])
+    return f"{{\n{rows}\n      }}"
+
+
+def _terms_json(terms) -> str:
+    """{"terms": [...]} at depth 3 of the hierarchy document, from a
+    polynomial's sorted (pairs, coefficient) terms."""
+    if not terms:
+        return '{\n    "terms": []\n   }'
+    rows = ",\n".join([_TERM] * len(terms)) % tuple(
+        chain.from_iterable((c, _monomial_json(pairs)) for pairs, c in terms))
+    return f'{{\n    "terms": [\n{rows}\n    ]\n   }}'
+
+
+def write_hierarchy_json(path: Path, config: RunConfig, n_max: int,
+                         entries: Sequence[dict]) -> None:
+    """{"meta": ..., "polynomials": [entry, ...]} with indent=1.  Each entry
+    value is an int (the "n"), a string (a polynomial's text) or a
+    polynomial's sorted terms, written {"terms": [{"coeff", "monomial"}]}."""
+    meta = json.dumps(meta_block("hierarchy", config, {"n_max": n_max}), indent=1)
+    blocks = []
+    for entry in entries:
+        fields = []
+        for key, value in entry.items():
+            if isinstance(value, int):
+                value = str(value)
+            elif isinstance(value, str):
+                value = json.dumps(value)
+            else:
+                value = _terms_json(value)
+            fields.append(f'   "{key}": {value}')
+        blocks.append("  {\n" + ",\n".join(fields) + "\n  }")
+    polys = "[\n" + ",\n".join(blocks) + "\n ]" if blocks else "[]"
+    meta = meta.replace("\n", "\n ")
+    _write(path, f'{{\n "meta": {meta},\n "polynomials": {polys}\n}}\n')

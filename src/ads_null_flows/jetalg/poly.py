@@ -2,12 +2,17 @@
 
 A JetPoly is a finite sum of monomials in the jet variables u, u1, u2, ...
 (u = u0 is the dependent variable, uk its k-th virtual s-derivative) with
-exact rational coefficients (Fractions).  Rationals suffice for the whole
-layer: the Lenard polynomials, densities and LIEN coefficients are rational,
-and the 4x4 Lax matrices are written in the frame (gamma, gamma', N,
-sqrt(2) B), the paper's frame rescaled by diag(1, sqrt(2), 1, sqrt(2)), in
-which their entries are rational too (see matrices).  The module implements
-the operators used by the KdV machinery:
+exact rational coefficients in one normal form: an int where the value is
+integral, a Fraction with denominator > 1 otherwise (JetPoly normalises
+every coefficient to it).  Rationals suffice for the whole layer: the
+Lenard polynomials, densities and LIEN coefficients are rational, and the
+4x4 Lax matrices are written in the frame (gamma, gamma', N, sqrt(2) B), the
+paper's frame rescaled by diag(1, sqrt(2), 1, sqrt(2)), in which their
+entries are rational too (see matrices).  The p_n, a_n and b_n are integral,
+so their arithmetic runs on Python ints; Fractions come only from the
+divisions of D^-1 and of the eps-integral (the h_n) and from the halves in
+the Lax matrices.  The module implements the operators used by the KdV
+machinery:
 
     D   total derivative          D(p)  = sum_i dp/du_i * u_{i+1}
     E   variational derivative    E(p)  = sum_i (-D)^i (dp/du_i)
@@ -22,16 +27,28 @@ E is evaluated by Horner's scheme, E(p) = q_0 - D(q_1 - D(q_2 - ...)) with
 q_i = dp/du_i, so it applies D order(p) times (P. J. Olver, Applications of
 Lie Groups to Differential Equations, 4.1 and 5.4).
 
-All arithmetic is exact: no floating point enters.
+All arithmetic is exact: no floating point enters (JetPoly refuses a float
+coefficient, and the divisions are Fractions).  A coefficient equals,
+hashes and prints alike in either type (3 == Fraction(3), and both print
+as 3), so the normal form changes no value and no text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple, Union
 
 Monomial = Tuple[int, ...]
+Coeff = Union[int, Fraction]
+
+
+def _normal(c) -> Coeff:
+    """A Fraction c as an int where integral.  Any other non-int is refused,
+    so no float enters."""
+    if not isinstance(c, Fraction):
+        raise TypeError(f"a JetPoly coefficient is an int or a Fraction, not {type(c)!r}")
+    return c.numerator if c.denominator == 1 else c
 
 
 class JetPoly:
@@ -39,9 +56,9 @@ class JetPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: Dict[Monomial, Fraction] = {
-            m: c if type(c) is Fraction else Fraction(c)
+    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
+        self.terms: Dict[Monomial, Coeff] = {
+            m: c if type(c) is int else _normal(c)
             for m, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
@@ -82,7 +99,7 @@ class JetPoly:
 
     def __mul__(self, other) -> "JetPoly":
         other = _coerce(other)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip_longest(m1, m2, fillvalue=0))
@@ -112,7 +129,7 @@ class JetPoly:
 
     def partial(self, i: int) -> "JetPoly":
         """Partial derivative with respect to the single jet variable u_i."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             e = m[i] if i < len(m) else 0
             if e == 0:
@@ -127,7 +144,7 @@ class JetPoly:
 
     def total_derivative(self) -> "JetPoly":
         """The total derivative D, by the monomial rule."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             padded = m + (0,)
             for i, e in enumerate(m):
@@ -183,30 +200,31 @@ class JetPoly:
         return acc
 
     def _antiderivative_in(self, i: int) -> "JetPoly":
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             m = m + (0,) * (i + 1 - len(m))
             e = m[i]
-            out[m[:i] + (e + 1,) + m[i + 1:]] = c / (e + 1)
+            out[m[:i] + (e + 1,) + m[i + 1:]] = Fraction(c, e + 1)
         return JetPoly(out)
 
     def eps_integral_times_u(self) -> "JetPoly":
         """int_0^1 p|_{eps u} u d(eps): each monomial of jet degree d maps to
         monomial*u/(d+1)."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             mm = (m[0] + 1,) + m[1:] if m else (1,)
-            out[mm] = c / (sum(m) + 1)
+            out[mm] = Fraction(c, sum(m) + 1)
         return JetPoly(out)
 
     # -- rendering --------------------------------------------------------
 
-    def _sorted_terms(self):
+    def sorted_terms(self) -> List[Tuple[List[Tuple[int, int]], Coeff]]:
         """(pairs, coefficient) per term, with the monomial as its sparse
         (index, exponent) pairs, sorted by top index descending, then by
         degree, then by the pairs.  The pairs, not the exponent vectors,
         keep the printed order: u^2*u2 is ((0, 2), (2, 1)) and comes before
-        u1^2*u2, ((1, 2), (2, 1)), though (2, 0, 1) > (0, 2, 1)."""
+        u1^2*u2, ((1, 2), (2, 1)), though (2, 0, 1) > (0, 2, 1).  Both the
+        text and the hierarchy JSON are written from this one sort."""
         rows = sorted((-len(m), sum(m), [(i, e) for i, e in enumerate(m) if e], c)
                       for m, c in self.terms.items())
         return [(pairs, c) for _, _, pairs, c in rows]
@@ -215,32 +233,33 @@ class JetPoly:
         return f"JetPoly({self.text()})"
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for pairs, c in self._sorted_terms():
-            factors = []
-            for i, e in pairs:
-                name = "u" if i == 0 else f"u{i}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                term = str(c)
-            elif c == 1:
-                term = body
-            elif c == -1:
-                term = f"-{body}"
-            else:
-                term = f"{c}*{body}"
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return terms_text(self.sorted_terms())
 
-    def to_json(self) -> dict:
-        return {"terms": [{"coeff": str(c), "monomial": {str(i): e for i, e in pairs}}
-                          for pairs, c in self._sorted_terms()]}
+
+def terms_text(terms) -> str:
+    """The text of a polynomial from its sorted_terms, e.g. u2 - 3*u^2."""
+    if not terms:
+        return "0"
+    parts = []
+    for pairs, c in terms:
+        factors = []
+        for i, e in pairs:
+            name = "u" if i == 0 else f"u{i}"
+            factors.append(name if e == 1 else f"{name}^{e}")
+        body = "*".join(factors)
+        if not body:
+            term = str(c)
+        elif c == 1:
+            term = body
+        elif c == -1:
+            term = f"-{body}"
+        else:
+            term = f"{c}*{body}"
+        parts.append(term)
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
 
 
 def _coerce(x) -> JetPoly:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ads_null_flows.cli import MIN_POINTS_PER_PERIOD, main
+from ads_null_flows.config import NumericFailure
 
 
 def run(args, tmp_path):
@@ -539,6 +540,23 @@ def test_stationary_closure_comes_from_q(tmp_path, q, orbit_type, periods, spin,
     assert meta["least_period"] == periods * meta["rho"]
 
 
+def test_stationary_windings_path_takes_64_samples_a_period(tmp_path, monkeypatch):
+    """The windings path over d = 5 periods has 64 * 5 + 1 samples, also at
+    mu = 0.903, where 64 * (5 rho) / rho rounds below 320 in floats."""
+    import ads_null_flows.cli as cli
+
+    grids = []
+
+    def spy(mu, h_plus, h_minus, grid, **kwargs):
+        grids.append(len(grid))
+        return stationary_curve(mu, h_plus, h_minus, grid, **kwargs)
+
+    stationary_curve = cli.stationary_curve
+    monkeypatch.setattr(cli, "stationary_curve", spy)
+    assert main(["stationary", "--mu", "0.903", "--q", "3/5", "-o", str(tmp_path / "s")]) == 0
+    assert grids[-1] == 64 * 5 + 1
+
+
 def test_stationary_q_past_the_windings_cap_exit_code(tmp_path, monkeypatch, capsys):
     """The windings path of a closed curve takes 64 samples a period over d
     periods: d = 1024 asks for more than MAX_SAMPLES, a usage error naming
@@ -553,8 +571,25 @@ def test_stationary_q_past_the_windings_cap_exit_code(tmp_path, monkeypatch, cap
     with pytest.raises(SystemExit) as exc:
         main(["stationary", "--mu", "0.5", "--q", "1/1024", "-o", str(out)])
     assert exc.value.code == 2
-    assert "--q asks for 6.55e+04 samples, more than 65536" in stderr(capsys)
+    assert "--q asks for 65537 samples, more than 65536" in stderr(capsys)
     assert not out.exists()
+
+
+def test_stationary_q_at_the_windings_cap_passes(tmp_path, monkeypatch):
+    """d = 1023 asks for 64 * 1023 + 1 = 65473 samples, within MAX_SAMPLES:
+    the command gets past the cap to the eigenvalue search."""
+    import ads_null_flows.cli as cli
+
+    searched = []
+
+    def stand_in(mu, p, d, *args, **kwargs):
+        searched.append((p, d))
+        raise NumericFailure("the search ran")
+
+    monkeypatch.setattr(cli, "floquet_search", stand_in)
+    assert main(["stationary", "--mu", "0.5", "--q", "1/1023",
+                 "-o", str(tmp_path / "s")]) == 1
+    assert searched == [(1, 1023)]
 
 
 def test_stationary_indices_in_either_order(tmp_path):
@@ -630,7 +665,7 @@ def test_stationary_resolved_grid_is_held_to_max_samples(tmp_path, monkeypatch, 
         main(["stationary", "--mu", "0.9", "--q", "2/5", "--indices", "8,9",
               "--periods", "200", "-o", str(out)])
     assert exc.value.code == 2
-    assert "--periods asks for 1.02e+05 samples, more than 51201" in stderr(capsys)
+    assert "--periods asks for 102401 samples, more than 51201" in stderr(capsys)
     assert not out.exists()
 
 

@@ -1,15 +1,19 @@
 """The bulk exporters against the per-sample writers they replace, byte for
-byte: json.dumps(doc, indent=1) for a curve JSON, fnum per cell for the OBJ
-and CSV files."""
+byte: json.dumps(doc, indent=1) for a curve JSON and for the hierarchy
+JSON, fnum per cell for the OBJ and CSV files."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ads_null_flows.cli import main
 from ads_null_flows.config import DEFAULT
 from ads_null_flows.io_formats import (
-    fnum, meta_block, write_csv, write_curve_json, write_obj_polyline)
+    fnum, meta_block, write_csv, write_curve_json, write_hierarchy_json,
+    write_obj_polyline)
+from ads_null_flows.jetalg import hamiltonian_density, lenard_p, lien_coefficients
 
 # ------------------------------------------------ reference (per-sample) writers
 
@@ -44,6 +48,31 @@ def ref_csv(recipe, config, header, rows):
                  for v in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def ref_terms_json(terms):
+    """{"terms": [...]} of a polynomial's sorted (pairs, coefficient) terms."""
+    return {"terms": [{"coeff": str(c), "monomial": {str(i): e for i, e in pairs}}
+                      for pairs, c in terms]}
+
+
+def ref_hierarchy_doc(config, n_max, lien):
+    """The {"meta", "polynomials"} document of hierarchy.json, built whole."""
+    doc = {"meta": meta_block("hierarchy", config, {"n_max": n_max}),
+           "polynomials": []}
+    for n in range(n_max + 1):
+        p = lenard_p(n)
+        entry = {"n": n, "p": ref_terms_json(p.sorted_terms()), "p_text": p.text()}
+        if n >= 1:
+            hn = hamiltonian_density(n)
+            entry["h"] = ref_terms_json(hn.sorted_terms())
+            entry["h_text"] = hn.text()
+        if lien:
+            _, _, a, b = lien_coefficients(n)
+            entry["a"] = ref_terms_json(a.sorted_terms())
+            entry["b"] = ref_terms_json(b.sorted_terms())
+        doc["polynomials"].append(entry)
+    return doc
 
 
 # ------------------------------------------------------------------ data
@@ -134,3 +163,44 @@ def test_csv_bytes_empty_and_int_array(tmp_path):
     table = np.arange(12).reshape(4, 3)
     write_csv(out, "kksh", DEFAULT, ("a", "b", "c"), table)
     assert out.read_text() == ref_csv("kksh", DEFAULT, ("a", "b", "c"), table)
+
+
+# ------------------------------------------------------------ hierarchy JSON
+
+@pytest.mark.parametrize("lien", [False, True], ids=["plain", "lien"])
+@pytest.mark.parametrize("n_max", range(9))
+def test_hierarchy_json_bytes(tmp_path, n_max, lien):
+    out = tmp_path / "h"
+    assert main(["hierarchy", "--n-max", str(n_max), *(["--lien"] if lien else []),
+                 "-o", str(out)]) == 0
+    want = json.dumps(ref_hierarchy_doc(DEFAULT, n_max, lien), indent=1) + "\n"
+    assert (out / "hierarchy.json").read_text() == want
+
+
+def test_hierarchy_json_edge_entries(tmp_path):
+    """No entry, a zero polynomial, a constant, fractions, many factors, and
+    texts that json must escape."""
+    out = tmp_path / "e.json"
+    write_hierarchy_json(out, DEFAULT, 0, [])
+    doc = {"meta": meta_block("hierarchy", DEFAULT, {"n_max": 0}), "polynomials": []}
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+    terms = [([(0, 3), (1, 1), (4, 2), (12, 5)], Fraction(-7, 12)),
+             ([(2, 1)], 10 ** 30), ([], Fraction(1, 3)), ([], -1)]
+    entries = [{"n": 0, "p": [], "p_text": "0"},
+               {"n": 11, "p": terms, "p_text": 'μ "x" \\ \n', "a": [([], 4)], "b": []}]
+    write_hierarchy_json(out, DEFAULT, 11, entries)
+    doc = {"meta": meta_block("hierarchy", DEFAULT, {"n_max": 11}), "polynomials": [
+        {key: ref_terms_json(v) if isinstance(v, list) else v for key, v in e.items()}
+        for e in entries]}
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+def test_hierarchy_json_terms(tmp_path):
+    """p_2 and h_1 as their coefficient strings and monomial objects."""
+    out = tmp_path / "h"
+    assert main(["hierarchy", "--n-max", "2", "-o", str(out)]) == 0
+    polys = json.loads((out / "hierarchy.json").read_text())["polynomials"]
+    assert polys[2]["p"]["terms"] == [{"coeff": "1", "monomial": {"2": 1}},
+                                      {"coeff": "-3", "monomial": {"0": 2}}]
+    assert polys[1]["h"]["terms"] == [{"coeff": "1/2", "monomial": {"0": 2}}]
+    assert polys[0]["p"]["terms"] == [{"coeff": "1", "monomial": {}}]

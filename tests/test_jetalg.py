@@ -195,18 +195,19 @@ def _described_value(terms, jet):
 
 
 def _exact_value(p, jet):
+    """p at the jet from its sorted terms, each coefficient read back from
+    its printed spelling, as the exports spell it."""
     total = Fraction(0)
-    for term in p.to_json()["terms"]:
-        v = Fraction(term["coeff"])
-        for i, e in term["monomial"].items():
-            v *= jet[int(i)] ** e
+    for pairs, c in p.sorted_terms():
+        v = Fraction(str(c))
+        for i, e in pairs:
+            v *= jet[i] ** e
         total += v
     return total
 
 
 def _exact_order(p):
-    return max((int(i) for term in p.to_json()["terms"] for i in term["monomial"]),
-               default=-1)
+    return max((i for pairs, _ in p.sorted_terms() for i, _ in pairs), default=-1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,6 +224,70 @@ def test_ring_operations_match_exact_evaluation(pd, qd, jet):
     # the ring has no zero divisors, so the top variable of a factor survives
     assert (p * q).order() == (max(p.order(), q.order()) if p and q else -1)
     assert (p + q).order() <= max(p.order(), q.order())
+
+
+# The coefficient normal form: an int where the value is integral, a
+# Fraction with denominator > 1 elsewhere, whatever the operation.
+
+def _in_normal_form(p):
+    return all(c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+               for c in p.terms.values())
+
+
+def _eps_value(terms, jet):
+    """int_0^1 p|_{eps u} u d eps at the jet, from p's drawn terms: each
+    term of degree d gives its value times u / (d + 1)."""
+    return sum((c * math.prod(jet[i] ** e for i, e in monomial.items())
+                * jet[0] / (sum(monomial.values()) + 1)
+                for c, monomial in terms), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(described_jet_polys(), described_jet_polys(),
+       st.lists(_rational_coeff, min_size=9, max_size=9))
+def test_operations_keep_the_normal_form(pd, qd, jet):
+    """Ring operations, D, E, D^-1 and the eps-integral leave every
+    coefficient in the normal form, at the values of the exact references
+    (E of a term in u4 reaches u8, so the jet runs to index 8)."""
+    (p, p_terms), (q, q_terms) = pd, qd
+    vp, vq = _described_value(p_terms, jet), _described_value(q_terms, jet)
+    d = p.total_derivative()
+    results = {
+        "p": (p, vp), "p + q": (p + q, vp + vq), "p - q": (p - q, vp - vq),
+        "p * q": (p * q, vp * vq), "-p": (-p, -vp), "2 * p": (2 * p, 2 * vp),
+        "D p": (d, _exact_value(_chain_rule_D(p), jet)),
+        "E p": (p.euler(), _exact_value(_definition_E(p), jet)),
+        # D^-1 D p is p less its constant term
+        "D^-1 D p": (d.primitive(), vp - p.terms.get((), 0)),
+        "eps p": (p.eps_integral_times_u(), _eps_value(p_terms, jet)),
+    }
+    for name, (r, want) in results.items():
+        assert _in_normal_form(r), (name, r.terms)
+        assert _exact_value(r, jet) == want, name
+
+
+def test_normal_form_at_construction():
+    """Integral Fractions become ints, either type gives the same
+    polynomial, hash and text, and a float coefficient is refused."""
+    p = JetPoly({(1,): Fraction(6, 3), (0, 2): Fraction(-1, 2), (): Fraction(0)})
+    assert p.terms == {(1,): 2, (0, 2): Fraction(-1, 2)}
+    assert type(p.terms[(1,)]) is int
+    q = JetPoly({(1,): 2, (0, 2): Fraction(-1, 2)})
+    assert p == q and hash(p) == hash(q) and p.text() == q.text() == "-1/2*u1^2 + 2*u"
+    assert type((Fraction(1, 2) * 2 * U).terms[(1,)]) is int
+    # D^-1 divides an int coefficient exactly: D(u^3 / 3) = u^2 u1 and back
+    d = JetPoly({(3,): Fraction(1, 3)}).total_derivative()
+    assert d.terms == {(2, 1): 1} and type(d.terms[(2, 1)]) is int
+    assert d.primitive().terms == {(3,): Fraction(1, 3)}
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        JetPoly({(1,): 0.5})
+    # the hierarchy: p_n, a_n, b_n on ints alone, h_n with its fractions
+    for n in range(1, 9):
+        assert all(type(c) is int for c in lenard_p(n).terms.values())
+        assert all(type(c) is int for r in lien_coefficients(n) for c in r.terms.values())
+        assert _in_normal_form(hamiltonian_density(n))
+    fractions = [c for c in hamiltonian_density(8).terms.values() if type(c) is Fraction]
+    assert (len(fractions), len(hamiltonian_density(8).terms)) == (18, 55)
 
 
 # ------------------------------------------------------------ the hierarchy
@@ -278,9 +343,7 @@ def test_evaluate():
         evaluate(p, [1.0, 0.0])
 
 
-def test_text_and_json():
+def test_text_and_sorted_terms():
     p = lenard_p(2)
     assert p.text() == "u2 - 3*u^2"
-    js = p.to_json()
-    assert {"coeff": "1", "monomial": {"2": 1}} in js["terms"]
-    assert {"coeff": "-3", "monomial": {"0": 2}} in js["terms"]
+    assert p.sorted_terms() == [([(2, 1)], 1), ([(0, 2)], -3)]
