@@ -48,13 +48,13 @@ from .nullcurve import (
     constant_bending_path,
     constant_case_tag,
     constant_curve_period,
-    evolve_stationary_path,
     kksh_frames_t0,
     kksh_mu_star,
     lien_evolve,
     monodromy_trace_drift,
     proper_time_checks,
     stationary_curve,
+    stationary_paths,
     torical_embed,
     winding_numbers,
 )
@@ -74,8 +74,9 @@ MIN_POINTS_PER_PERIOD = 8
 # (30.7) takes 512, residual 1.5e-4 against 2.3e-3 at 256
 SAMPLES_PER_PHASE = 16
 # the most samples a stationary grid, its windings path, or kksh's invariant
-# grid may ask for: each sample costs memory, and each invariant-grid point
-# a transport
+# grid may ask for, and the most windings and snapshot points one stationary
+# transport carries beside its grid: each sample costs memory, and each
+# invariant-grid point a transport
 MAX_SAMPLES = 1 << 16
 # samples per period of the closed stationary path that windings are read off
 WINDING_SAMPLES = 64
@@ -259,14 +260,15 @@ def cmd_stationary(args, config: RunConfig) -> int:
         grid = np.linspace(0.0, intervals * (rho / per), intervals + 1)
     else:
         grid = np.linspace(0.0, args.periods * rho, MIN_POINTS_PER_PERIOD + 1)
-    base = stationary_curve(args.mu, h_plus, h_minus, grid, config=config)
-    diag = _diagnostics(base)
     # both eigenvalues have the exponent q = p/d, so each factor's monodromy
     # over rho is the rotation by q pi (+-Id at q = 0, 1): both reach +-Id
     # first after d periods, with the sign (-1)^p of the spin
     least_period = q.denominator * rho
     full = np.linspace(0.0, least_period, WINDING_SAMPLES * q.denominator + 1)
-    closed_path = stationary_curve(args.mu, h_plus, h_minus, full, config=config)
+    # the base, the windings path and every snapshot from one transport
+    base, (closed_path, *snaps) = stationary_paths(
+        spec, grid, [(full, 0.0)] + [(grid, t) for t in args.t], MAX_SAMPLES, config)
+    diag = _diagnostics(base)
     extra = {
         "mu": args.mu, "h_plus": h_plus, "h_minus": h_minus, "ell": spec.ell,
         "rho": rho, "diagnostics": diag,
@@ -275,8 +277,7 @@ def cmd_stationary(args, config: RunConfig) -> int:
         "windings": list(winding_numbers(closed_path.gamma())),
     }
     _export_path(outdir, base, "stationary", config, "stationary_base", extra)
-    for t, tag in zip(args.t, tags):
-        snap = evolve_stationary_path(spec, grid, t, config=config)
+    for snap, t, tag in zip(snaps, args.t, tags):
         _export_path(outdir, snap, "stationary", config, tag, {"t": t})
     if diag["metric_residual"] > config.tol_metric or \
             diag["bending_residual"] > 1e-3:
@@ -454,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--indices", type=_index_pair, default=(0, 1))
     st.add_argument("--periods", type=_positive_float, default=1.0)
     st.add_argument("--t", type=_float_list, default=[],
-                    help="comma list of snapshot times")
+                    help="comma list of snapshot times; one that starts "
+                         "with a negative time is written --t=-0.4,0.7")
     st.add_argument("-o", "--outdir", default="out")
     st.set_defaults(func=cmd_stationary)
 
@@ -474,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mu", type=_finite_float)
     g.add_argument("--find-mu-star", action="store_true")
     k.add_argument("--t", type=_float_list, default=[],
-                   help="comma list of snapshot times")
+                   help="comma list of snapshot times; one that starts "
+                        "with a negative time is written --t=-0.4,0.7")
     k.add_argument("--wings", action="store_true",
                    help="sample [-rho/2, 3 rho/2] instead of [0, 2 rho]")
     k.add_argument("--invariant-grid", type=_nonneg_int, default=10)

@@ -4,8 +4,9 @@ Every file carries a meta block (or comment header) with the recipe name and
 the config digest.  Doubles round-trip: json writes each float as its
 shortest repr, and the OBJ and CSV writers use 17 significant digits.
 
-Each file is formatted in one bulk pass: its floats are spelt by one C-level
-call and poured into a per-row template by one `%` operation, and the
+Each file is formatted in one bulk pass: its floats go from one tolist
+straight into a per-row template by one `%` operation (`%s`, which is repr,
+for a curve JSON; `%.17g` for the OBJ and a float64 CSV array), and the
 hierarchy's terms into one row template per term.  The bytes are those of a
 per-sample writer: a curve JSON reads exactly as `json.dumps(doc, indent=1)`
 of its {"meta", "samples"} document, the hierarchy JSON as that of its
@@ -59,14 +60,18 @@ def write_curve_json(path: Path, recipe: str, config: RunConfig,
                      s_grid: np.ndarray, matrices: np.ndarray,
                      points: np.ndarray, extra_meta: dict | None = None) -> None:
     """{"meta": ..., "samples": [{"s", "x", "y", "z", "matrix": [a, b, c, d]}]}
-    with indent=1.  The C encoder spells all 8 n floats in one call, exactly
-    as the indenting encoder would (repr, or NaN/Infinity/-Infinity)."""
+    with indent=1.  The 8 n floats fill the sample template by `%s`, their
+    repr, as json spells a finite float; a non-finite entry is first swapped
+    for json's spelling (NaN, Infinity, -Infinity)."""
     n = len(s_grid)
     text = json.dumps({"meta": meta_block(recipe, config, extra_meta),
                        "samples": []}, indent=1)
     if n:
         table = np.column_stack((s_grid, points, np.reshape(matrices, (n, 4))))
-        floats = json.dumps(table.astype(float).ravel().tolist())[1:-1].split(", ")
+        flat = np.asarray(table, dtype=float).ravel()
+        floats = flat.tolist()
+        for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+            floats[i] = json.dumps(floats[i])
         samples = ",\n".join([_SAMPLE] * n) % tuple(floats)
         # the document ends '"samples": []\n}': fill the list after its "["
         text = f"{text[:-3]}\n{samples}\n ]\n}}"
@@ -86,16 +91,20 @@ def write_obj_polyline(path: Path, recipe: str, config: RunConfig,
 
 def write_csv(path: Path, recipe: str, config: RunConfig,
               header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """rows: an iterable of equal-length rows, or an (n, k) array.  A column
-    of floats only (float or numpy floating) is spelt by a %.17g template, as
-    fnum spells it; any other column cell by cell, fnum for a float and str
-    for anything else."""
+    """rows: an iterable of equal-length rows, or an (n, k) array.  A float64
+    array is spelt by one %.17g template over its tolist, as fnum spells
+    each float.  Otherwise a column of floats only (float or numpy floating)
+    takes %.17g, and any other column is spelt cell by cell, fnum for a
+    float and str for anything else."""
     lines = [f"# recipe: {recipe}", f"# config: {config.digest()}",
              ",".join(header)]
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-    if rows:
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        count, specs = len(rows), ["%.17g"] * rows.shape[1]
+        cells = tuple(rows.ravel().tolist())
+    else:
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
         cols = list(zip(*rows))
-        specs = []
+        count, specs = len(rows), []
         for j, col in enumerate(cols):
             if all(issubclass(t, _FLOAT_TYPES) for t in set(map(type, col))):
                 specs.append("%.17g")
@@ -104,7 +113,8 @@ def write_csv(path: Path, recipe: str, config: RunConfig,
                 cols[j] = [fnum(v) if isinstance(v, _FLOAT_TYPES) else str(v)
                            for v in col]
         cells = tuple(chain.from_iterable(zip(*cols)))
-        lines.append("\n".join([",".join(specs)] * len(rows)) % cells)
+    if count:
+        lines.append("\n".join([",".join(specs)] * count) % cells)
     _write(path, "\n".join(lines) + "\n")
 
 

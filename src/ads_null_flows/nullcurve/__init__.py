@@ -21,6 +21,7 @@ from .stationary import (
     evolve_stationary_path,
     stationary_curve,
     stationary_momenta,
+    stationary_paths,
 )
 from .evolve import (
     LienEvolution,
@@ -38,7 +39,7 @@ __all__ = [
     "constant_curve_period", "integrate_spinor_frames", "proper_time_checks",
     "OrbitClassification", "classify_monodromies", "classify_orbit", "rationalize",
     "evolve_stationary_path", "expm_offdiag", "stationary_curve",
-    "stationary_momenta",
+    "stationary_momenta", "stationary_paths",
     "LienEvolution", "kdv_gate", "kksh_frames_t0", "kksh_mu_star", "lien_evolve",
     "monodromy_trace_drift",
     "split_coordinates", "torical_embed", "winding_numbers",

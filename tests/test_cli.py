@@ -191,12 +191,12 @@ def test_floquet_tiny_mu_exits_1(tmp_path, capsys, mu, message):
 
 
 def test_stationary_at_a_huge_time_exits_1(tmp_path, capsys):
-    """At t = 1e14 the shifted grid s + 2 ell t repeats samples in float64;
-    the transport takes the path in any order and stops at its panel cap."""
+    """At t = 1e14 the shifted grid s + 2 ell t repeats samples in float64,
+    so no snapshot of the grid exists there: a numeric failure naming it."""
     assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--t", "1e14",
                  "-o", str(tmp_path / "s")]) == 1
-    assert stderr(capsys) == ("numeric failure: Taylor transport needs more than 65536 "
-                              "panels for relative tolerance 1.0e-12\n")
+    assert stderr(capsys) == ("numeric failure: s + 2 ell t repeats samples in float64 "
+                              "at t = 1e+14\n")
 
 
 def test_stationary_zero_denominator_exit_code(tmp_path):
@@ -542,19 +542,100 @@ def test_stationary_closure_comes_from_q(tmp_path, q, orbit_type, periods, spin,
 
 def test_stationary_windings_path_takes_64_samples_a_period(tmp_path, monkeypatch):
     """The windings path over d = 5 periods has 64 * 5 + 1 samples, also at
-    mu = 0.903, where 64 * (5 rho) / rho rounds below 320 in floats."""
+    mu = 0.903, where 64 * (5 rho) / rho rounds below 320 in floats: the
+    curve winding_numbers reads has that many."""
     import ads_null_flows.cli as cli
 
+    samples = []
+
+    def spy(gamma):
+        samples.append(len(gamma))
+        return winding_numbers(gamma)
+
+    winding_numbers = cli.winding_numbers
+    monkeypatch.setattr(cli, "winding_numbers", spy)
+    assert main(["stationary", "--mu", "0.903", "--q", "3/5", "-o", str(tmp_path / "s")]) == 0
+    assert samples == [64 * 5 + 1]
+
+
+@pytest.mark.parametrize("q", ["0", "1", "1/2", "2/5", "3/5", "1/67"])
+def test_stationary_windings_equal_the_direct_path(tmp_path, q):
+    """The windings path rides the base's transport, its points past the
+    base reduced by Floquet's rule: its windings are those of the path of
+    one transport over the d periods."""
+    from ads_null_flows.nullcurve import stationary_curve, winding_numbers
+
+    out = tmp_path / "s"
+    assert main(["stationary", "--mu", "0.5", "--q", q, "-o", str(out)]) == 0
+    meta = json.loads((out / "stationary_base.json").read_text())["meta"]
+    d = Fraction(q).denominator
+    full = np.linspace(0.0, meta["least_period"], 64 * d + 1)
+    direct = stationary_curve(0.5, meta["h_plus"], meta["h_minus"], full)
+    assert meta["windings"] == list(winding_numbers(direct.gamma()))
+
+
+def test_stationary_base_is_the_same_with_any_snapshots(tmp_path, capsys):
+    """The snapshot points ride the base's transport without moving its
+    panels: the base exports and the stdout are byte for byte the same with
+    no --t, with --t 0 and with negative, small and large times."""
+    runs = {}
+    for name, times in (("none", []), ("zero", ["--t", "0"]),
+                        ("mixed", ["--t=-0.4,0.1,5"])):
+        out = tmp_path / name
+        assert main(["stationary", "--mu", "0.9", "--q", "2/5", *times,
+                     "-o", str(out)]) == 0
+        runs[name] = (capsys.readouterr().out,
+                      {p.name: p.read_bytes() for p in out.glob("stationary_base*")})
+    assert len(runs["none"][1]) == 4
+    assert runs["zero"] == runs["none"] and runs["mixed"] == runs["none"]
+    assert len(list((tmp_path / "mixed").iterdir())) == 16
+
+
+def test_stationary_long_t_list_keeps_each_transport_bounded(tmp_path, monkeypatch):
+    """At most MAX_SAMPLES points ride one transport beside the base grid
+    (257 samples, and rho), and every further transport keeps the base's far
+    end, so its panels and every export are those of one transport."""
+    import ads_null_flows.cli as cli
+    import ads_null_flows.nullcurve.stationary as stationary
+
+    times = "--t=" + ",".join(str(0.1 * k - 0.3) for k in range(8))
+    out = tmp_path / "whole"
+    assert main(["stationary", "--mu", "0.9", "--q", "2/5", times, "-o", str(out)]) == 0
     grids = []
 
     def spy(mu, h_plus, h_minus, grid, **kwargs):
-        grids.append(len(grid))
+        grids.append(np.asarray(grid))
         return stationary_curve(mu, h_plus, h_minus, grid, **kwargs)
 
-    stationary_curve = cli.stationary_curve
-    monkeypatch.setattr(cli, "stationary_curve", spy)
-    assert main(["stationary", "--mu", "0.903", "--q", "3/5", "-o", str(tmp_path / "s")]) == 0
-    assert grids[-1] == 64 * 5 + 1
+    stationary_curve = stationary.stationary_curve
+    monkeypatch.setattr(stationary, "stationary_curve", spy)
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 400)
+    parts = tmp_path / "parts"
+    assert main(["stationary", "--mu", "0.9", "--q", "2/5", times, "-o", str(parts)]) == 0
+    # the windings path (321) and 8 snapshots of 257 in chunks of 400
+    assert [len(g) for g in grids] == [258 + 400] + [1 + 400] * 4 + [1 + 377]
+    assert all(g.max() == grids[0][256] for g in grids)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in parts.iterdir()) and len(names) == 36
+    for name in names:
+        assert (out / name).read_bytes() == (parts / name).read_bytes(), name
+
+
+def test_stationary_at_a_large_time_is_a_rigid_motion(tmp_path):
+    """At t = 1e7 the snapshot is the base moved rigidly over 7e6 periods:
+    by Floquet's rule it costs about what t = 0 does, and its exports are
+    finite."""
+    out = tmp_path / "s"
+    assert main(["stationary", "--mu", "0.9", "--q", "2/5", "--t", "1e7",
+                 "-o", str(out)]) == 0
+    doc = json.loads((out / "stationary_t1e+07.json").read_text())
+    assert doc["meta"]["t"] == 1e7 and len(doc["samples"]) == 257
+    values = [v for x in doc["samples"] for v in (x["s"], x["x"], x["y"], x["z"], *x["matrix"])]
+    assert np.isfinite(values).all()
+    for sign in ("plus", "minus"):
+        table = np.loadtxt(out / f"stationary_t1e+07_cousin_{sign}.csv", delimiter=",",
+                           skiprows=3)
+        assert table.shape == (257, 3) and np.isfinite(table).all()
 
 
 def test_stationary_q_past_the_windings_cap_exit_code(tmp_path, monkeypatch, capsys):

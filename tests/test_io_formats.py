@@ -165,6 +165,41 @@ def test_csv_bytes_empty_and_int_array(tmp_path):
     assert out.read_text() == ref_csv("kksh", DEFAULT, ("a", "b", "c"), table)
 
 
+EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e16, 1e22]
+
+
+def test_float64_array_edges_csv_and_curve_json(tmp_path):
+    """A float64 array of every edge value in every column, through
+    write_csv's one-template array path and through write_curve_json's
+    swap of the non-finite entries, against the per-cell writers."""
+    table = np.resize(np.array(EDGE * 8), (len(EDGE) + 3, 8))
+    table[-3:] = np.random.default_rng(11).standard_normal((3, 8))
+    out = tmp_path / "edge.csv"
+    write_csv(out, "kksh", DEFAULT, [f"c{j}" for j in range(8)], table)
+    assert out.read_text() == ref_csv("kksh", DEFAULT, [f"c{j}" for j in range(8)], table)
+    assert "nan,inf,-inf,-0,4.9406564584124654e-324" in out.read_text()
+    s, M, p = table[:, 0], table[:, 4:].reshape(-1, 2, 2), table[:, 1:4]
+    out = tmp_path / "edge.json"
+    write_curve_json(out, "kksh", DEFAULT, s, M, p)
+    text = out.read_text()
+    assert text == ref_curve_json("kksh", DEFAULT, s, M, p)
+    for spelt in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+16", "1e+22"):
+        assert f" {spelt},\n" in text or f" {spelt}\n" in text
+
+
+def test_csv_float32_and_int_arrays_are_spelt_cell_by_cell(tmp_path):
+    """Only a float64 array takes the one-template path: a float32 array is
+    spelt from its floats, and an int array by str, so 2**60 + 1 keeps its
+    digits where %.17g would round it."""
+    header = ("a", "b", "c")
+    out = tmp_path / "c.csv"
+    for table in (np.array([[0.1, -2.5, np.nan], [1e-30, 3.0, -0.0]], dtype=np.float32),
+                  np.array([[2 ** 60 + 1, -7, 0], [1, 2, 3]])):
+        write_csv(out, "kksh", DEFAULT, header, table)
+        assert out.read_text() == ref_csv("kksh", DEFAULT, header, table)
+    assert out.read_text().splitlines()[3] == "1152921504606846977,-7,0"
+
+
 # ------------------------------------------------------------ hierarchy JSON
 
 @pytest.mark.parametrize("lien", [False, True], ids=["plain", "lien"])

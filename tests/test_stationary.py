@@ -17,11 +17,13 @@ from ads_null_flows.nullcurve import (
     proper_time_checks,
     stationary_curve,
     stationary_momenta,
+    stationary_paths,
 )
 
 MU = 0.9
 H_PLUS = 0.9300299176777007     # S_{0.9, 2/5} elements
 H_MINUS = 2.225980871712621
+PAIR_89 = (27.34068354345833, 35.35836156978031)   # its elements 8 and 9
 
 
 def spec():
@@ -189,3 +191,65 @@ def test_non_eigenvalue_pair_is_not_closed():
     cls = classify_orbit(path, rho)
     assert not cls.closed
     assert cls.least_period is None and cls.spin is None
+
+
+def rel_gap(F, ref):
+    """max over samples of |F - ref|_max / |ref|_max."""
+    return float((np.abs(F - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max())
+
+
+@pytest.mark.parametrize("pair, per, periods, times", [
+    ((H_PLUS, H_MINUS), 256, 1, [-0.4, 0.1, 0.37, 5.0, 50.0]),
+    ((H_PLUS, H_MINUS), 256, 1.5, [-0.4, 5.0]),
+    (PAIR_89, 512, 1, [-0.4, 0.1, 0.37, 5.0]),
+], ids=["0,1", "0,1 over 1.5 periods", "8,9"])
+def test_one_transport_matches_the_direct_route(pair, per, periods, times):
+    """stationary_paths: the base is stationary_curve's bit for bit, and
+    each snapshot, whose points s + 2 ell t leave the grid and come back by
+    Floquet's rule, is evolve_stationary_path's (one transport of the
+    shifted grid) to 1e-12 relative.  The direct route's own error over the
+    35 periods of t = 50 is 4e-12 for (8, 9), so it stops at 5."""
+    sp = StationaryBending(MU, *pair)
+    grid = np.linspace(0.0, periods * sp.s_period, int(periods * per) + 1)
+    base, snaps = stationary_paths(sp, grid, [(grid, t) for t in times], 1 << 16)
+    direct = stationary_curve(MU, *pair, grid)
+    assert np.array_equal(base.F, direct.F) and np.array_equal(base.kappa, direct.kappa)
+    for t, snap in zip(times, snaps):
+        ref = evolve_stationary_path(sp, grid, t)
+        assert rel_gap(snap.F, ref.F) <= 1e-12, t
+        assert np.array_equal(snap.kappa, ref.kappa)
+
+
+def test_one_transport_short_of_a_period():
+    """A grid short of rho does not give M: the remainders past its end ride
+    a transport of far end rho, which does.  The base keeps
+    stationary_curve's frames, the t = 0 snapshot is the base, and the
+    windings path over 5 periods and the snapshots agree with the direct
+    route."""
+    sp = spec()
+    rho = sp.s_period
+    grid = np.linspace(0.0, 0.3 * rho, 9)
+    full = np.linspace(0.0, 5.0 * rho, 321)
+    times = [-0.4, 0.0, 5.0]
+    base, (closed, *snaps) = stationary_paths(
+        sp, grid, [(full, 0.0)] + [(grid, t) for t in times], 1 << 16)
+    assert np.array_equal(base.F, stationary_curve(MU, H_PLUS, H_MINUS, grid).F)
+    assert np.array_equal(snaps[1].F, base.F)
+    assert rel_gap(closed.F, stationary_curve(MU, H_PLUS, H_MINUS, full).F) <= 1e-12
+    for t, snap in zip(times, snaps):
+        assert rel_gap(snap.F, evolve_stationary_path(sp, grid, t).F) <= 1e-12, t
+
+
+def test_one_transport_at_a_huge_time():
+    """At t = 1e7 (7e6 periods) the direct route would need more than the
+    panel cap; the Floquet reduction gives finite frames that agree with the
+    Heun route, whose monodromy and reduction are its own, to 1e-6 relative
+    (1e-7 measured: the error grows as k eps)."""
+    sp = spec()
+    grid = np.linspace(0.0, sp.s_period, 257)
+    t = 1e7
+    _, (snap,) = stationary_paths(sp, grid, [(grid, t)], 1 << 16)
+    heun = stationary_curve(MU, H_PLUS, H_MINUS, grid + 2.0 * sp.ell * t, method="heun")
+    motion = np.stack([expm_offdiag(t * m) for m in stationary_momenta(sp)[:2]])
+    assert np.isfinite(snap.F).all()
+    assert rel_gap(snap.F, motion[:, None] @ heun.F) <= 1e-6
