@@ -75,7 +75,9 @@ MIN_POINTS_PER_PERIOD = 8
 SAMPLES_PER_PHASE = 16
 # the most samples a stationary grid, its windings path, or kksh's invariant
 # grid may ask for, and the most windings and snapshot points one stationary
-# transport carries beside its grid: each sample costs memory, and each
+# transport carries beside its grid: each sample costs memory (about 0.5 kB
+# of a stationary run's peak, for its frames, curve and diagnostics; the
+# exports and the kernel's dense output take bounded chunks), and each
 # invariant-grid point a transport
 MAX_SAMPLES = 1 << 16
 # samples per period of the closed stationary path that windings are read off
@@ -223,7 +225,8 @@ def cmd_floquet(args, config: RunConfig) -> int:
     records = floquet_search(args.mu, args.q.numerator, args.q.denominator,
                              args.count, config)
     outdir = Path(args.outdir)
-    rows = [(r.index, r.h, r.tau, r.order) for r in records]
+    rows = np.array([(r.index, r.h, r.tau, r.order) for r in records],
+                    dtype=float).reshape(-1, 4)
     write_csv(outdir / "floquet.csv", "floquet", config,
               ("index", "h", "tau", "order"), rows)
     for r in records:
@@ -374,10 +377,8 @@ def cmd_kksh(args, config: RunConfig) -> int:
     for path, t, tag in zip(ev.paths, t_list, tags):
         _export_path(outdir, path, "kksh", config, tag, {**meta, "t": t})
     tr = np.trace(kksh_frames_t0(grid_specs, config=config), axis1=-2, axis2=-1)
-    itable = [(float(mu_i), trp * trp - 4.0, trm * trm - 4.0)
-              for mu_i, trp, trm in zip(mu_grid, *tr.tolist())]
     write_csv(outdir / "kksh_invariants.csv", "kksh", config,
-              ("mu", "I_plus", "I_minus"), itable)
+              ("mu", "I_plus", "I_minus"), np.column_stack((mu_grid, (tr * tr - 4.0).T)))
     if not ev.one_period:
         print(f"period gap {fnum(ev.period_gap, 3)} refused the one-period route: the "
               "orbit type and trace drift are those of Phi(rho) of a bending periodic "

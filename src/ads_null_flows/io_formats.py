@@ -4,15 +4,16 @@ Every file carries a meta block (or comment header) with the recipe name and
 the config digest.  Doubles round-trip: json writes each float as its
 shortest repr, and the OBJ and CSV writers use 17 significant digits.
 
-Each file is formatted in one bulk pass: its floats go from one tolist
-straight into a per-row template by one `%` operation (`%s`, which is repr,
-for a curve JSON; `%.17g` for the OBJ and a float64 CSV array), and the
-hierarchy's terms into one row template per term.  The bytes are those of a
-per-sample writer: a curve JSON reads exactly as `json.dumps(doc, indent=1)`
-of its {"meta", "samples"} document, the hierarchy JSON as that of its
-{"meta", "polynomials"} document, and each OBJ or CSV float exactly as
-`fnum` spells it (tests/test_io_formats.py keeps such writers as the
-reference).
+Each curve export is written chunk by chunk, byte for byte: CHUNK samples
+at a time, their floats go from one tolist straight into a per-row template
+by one `%` operation (`%s`, which is repr, for a curve JSON; `%.17g` for the
+OBJ and CSV arrays), so no table or string grows with the samples of a
+file.  The hierarchy's terms go into one row template per term.  The bytes
+are those of a per-sample writer: a curve JSON reads exactly as
+`json.dumps(doc, indent=1)` of its {"meta", "samples"} document, the
+hierarchy JSON as that of its {"meta", "polynomials"} document, and each OBJ
+or CSV float exactly as `fnum` spells it (tests/test_io_formats.py keeps
+such writers as the reference).
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import RunConfig
 
-_FLOAT_TYPES = (float, np.floating)
+# samples (or rows) per write of a curve export, so the memory of a write is
+# flat in the file's samples; at 1024 the writes cost no measurable time
+# over formatting the whole file at once
+CHUNK = 1024
 
 # one sample of the samples list as json.dumps(..., indent=1) lays it out
 # at depth 2: s, x, y, z, then the matrix entries a, b, c, d
@@ -51,71 +55,74 @@ def meta_block(recipe: str, config: RunConfig, extra: dict | None = None) -> dic
     return meta
 
 
-def _write(path: Path, text: str) -> None:
+def _open(path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    return open(path, "w")
+
+
+def _chunks(n: int):
+    """The slices of CHUNK samples that cover n, in order."""
+    return (slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK))
 
 
 def write_curve_json(path: Path, recipe: str, config: RunConfig,
                      s_grid: np.ndarray, matrices: np.ndarray,
                      points: np.ndarray, extra_meta: dict | None = None) -> None:
     """{"meta": ..., "samples": [{"s", "x", "y", "z", "matrix": [a, b, c, d]}]}
-    with indent=1.  The 8 n floats fill the sample template by `%s`, their
-    repr, as json spells a finite float; a non-finite entry is first swapped
-    for json's spelling (NaN, Infinity, -Infinity)."""
+    with indent=1, a chunk of samples at a time.  A chunk's 8 m floats fill
+    the sample template by `%s`, their repr, as json spells a finite float;
+    a non-finite entry is first swapped for json's spelling (NaN, Infinity,
+    -Infinity)."""
     n = len(s_grid)
-    text = json.dumps({"meta": meta_block(recipe, config, extra_meta),
+    head = json.dumps({"meta": meta_block(recipe, config, extra_meta),
                        "samples": []}, indent=1)
-    if n:
-        table = np.column_stack((s_grid, points, np.reshape(matrices, (n, 4))))
-        flat = np.asarray(table, dtype=float).ravel()
-        floats = flat.tolist()
-        for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-            floats[i] = json.dumps(floats[i])
-        samples = ",\n".join([_SAMPLE] * n) % tuple(floats)
+    with _open(path) as f:
+        if not n:
+            f.write(head + "\n")
+            return
         # the document ends '"samples": []\n}': fill the list after its "["
-        text = f"{text[:-3]}\n{samples}\n ]\n}}"
-    _write(path, text + "\n")
+        f.write(head[:-3])
+        for part in _chunks(n):
+            m = part.stop - part.start
+            table = np.column_stack((s_grid[part], points[part],
+                                     np.reshape(matrices[part], (m, 4))))
+            flat = np.asarray(table, dtype=float).ravel()
+            floats = flat.tolist()
+            for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+                floats[i] = json.dumps(floats[i])
+            f.write((",\n" if part.start else "\n")
+                    + ",\n".join([_SAMPLE] * m) % tuple(floats))
+        f.write("\n ]\n}\n")
 
 
 def write_obj_polyline(path: Path, recipe: str, config: RunConfig,
                        points: np.ndarray) -> None:
+    """The vertices, then the polyline "l 1 2 ... n", a chunk at a time."""
     n = len(points)
-    lines = [f"# recipe: {recipe}", f"# config: {config.digest()}", "o curve"]
-    if n:
-        lines.append("\n".join(["v %.17g %.17g %.17g"] * n)
-                     % tuple(np.ravel(points).tolist()))
-    lines.append("l " + " ".join(map(str, range(1, n + 1))))
-    _write(path, "\n".join(lines) + "\n")
+    with _open(path) as f:
+        f.write(f"# recipe: {recipe}\n# config: {config.digest()}\no curve\n")
+        for part in _chunks(n):
+            f.write("v %.17g %.17g %.17g\n" * (part.stop - part.start)
+                    % tuple(np.ravel(points[part]).tolist()))
+        f.write("l ")
+        for part in _chunks(n):
+            f.write((" " if part.start else "")
+                    + " ".join(map(str, range(part.start + 1, part.stop + 1))))
+        f.write("\n")
 
 
 def write_csv(path: Path, recipe: str, config: RunConfig,
-              header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """rows: an iterable of equal-length rows, or an (n, k) array.  A float64
-    array is spelt by one %.17g template over its tolist, as fnum spells
-    each float.  Otherwise a column of floats only (float or numpy floating)
-    takes %.17g, and any other column is spelt cell by cell, fnum for a
-    float and str for anything else."""
-    lines = [f"# recipe: {recipe}", f"# config: {config.digest()}",
-             ",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
-        count, specs = len(rows), ["%.17g"] * rows.shape[1]
-        cells = tuple(rows.ravel().tolist())
-    else:
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-        cols = list(zip(*rows))
-        count, specs = len(rows), []
-        for j, col in enumerate(cols):
-            if all(issubclass(t, _FLOAT_TYPES) for t in set(map(type, col))):
-                specs.append("%.17g")
-            else:
-                specs.append("%s")
-                cols[j] = [fnum(v) if isinstance(v, _FLOAT_TYPES) else str(v)
-                           for v in col]
-        cells = tuple(chain.from_iterable(zip(*cols)))
-    if count:
-        lines.append("\n".join([",".join(specs)] * count) % cells)
-    _write(path, "\n".join(lines) + "\n")
+              header: Sequence[str], rows: np.ndarray) -> None:
+    """rows: an (n, k) float64 array, spelt a chunk of rows at a time by one
+    %.17g template over its tolist, as fnum spells each float (an integer
+    column, such as floquet's index, spells as str does)."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2):
+        raise TypeError("write_csv takes a 2-D float64 array")
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with _open(path) as f:
+        f.write(f"# recipe: {recipe}\n# config: {config.digest()}\n{','.join(header)}\n")
+        for part in _chunks(len(rows)):
+            f.write(row * (part.stop - part.start) % tuple(rows[part].ravel().tolist()))
 
 
 def _monomial_json(pairs) -> str:
@@ -156,4 +163,5 @@ def write_hierarchy_json(path: Path, config: RunConfig, n_max: int,
         blocks.append("  {\n" + ",\n".join(fields) + "\n  }")
     polys = "[\n" + ",\n".join(blocks) + "\n ]" if blocks else "[]"
     meta = meta.replace("\n", "\n ")
-    _write(path, f'{{\n "meta": {meta},\n "polynomials": {polys}\n}}\n')
+    with _open(path) as f:
+        f.write(f'{{\n "meta": {meta},\n "polynomials": {polys}\n}}\n')

@@ -198,15 +198,17 @@ def lame_monodromy(mu: float, h, config: RunConfig = DEFAULT) -> np.ndarray:
     DOP853 bounds the root mean square of the scaled step error over its
     n = 4 len(h) + 3 states, so the tolerances shrink by sqrt(7 / n): the
     error of any one frame with the triple is then held as tightly as in a
-    run of its own, and a single h is integrated exactly as alone.  Its
-    right-hand sides are budgeted (budgeted_dop853)."""
+    run of its own, and a single h is integrated exactly as alone.  The
+    relative tolerance stops at scipy's floor of 100 times the rounding
+    unit: there a frame's error is no longer held as tightly as in a run of
+    its own.  Its right-hand sides are budgeted (budgeted_dop853)."""
     mu = _check_mu(mu)
     hs = _check_hs(h)
     K, _ = complete_elliptic(mu)
     y0 = [1.0, 0.0, 0.0, 1.0] * len(hs) + [0.0, 1.0, 1.0]   # Id per h, (sn, cn, dn)(0)
     scale = math.sqrt(7.0 / len(y0))
     sol = solve_ivp(_lame_rhs_factory(mu, hs), (0.0, K), y0, method=budgeted_dop853(),
-                    rtol=scale * max(config.integrator_rel_tol, 100.0 * EPS),
+                    rtol=max(scale * config.integrator_rel_tol, 100.0 * EPS),
                     atol=scale * config.integrator_abs_tol)
     if not sol.success:
         raise NumericFailure(f"Lame integration failed: {sol.message}")

@@ -36,7 +36,9 @@ block are multiplied in order by one prefix scan, one einsum a round on
 their entries stacked as (2, 2, ...) matrices, whose entries are the
 frames at the panel starts that dense output reads and whose last entry
 is the block's product; that product is folded into the running frame
-before the next block, so memory stays flat in the panel count.
+before the next block.  Dense output then reads a block's grid points
+DENSE_CHUNK at a time, each point by the same arithmetic, so memory stays
+flat in the panel count and in the grid points.
 
 Accuracy.  Each level is swept twice, from all TERMS terms and without the
 last one, along the factor axis of one sweep; the effect of the last term
@@ -75,8 +77,10 @@ EPS = float(np.finfo(float).eps)
 TERMS = 24            # Taylor terms per panel (even: the last term is odd)
 ROOT_TERMS = 4        # last frame coefficients read by the root test
 # panels per generator call: its arrays hold 23 x 256 coefficients per
-# factor, so the memory of a sweep does not grow with the panel count
+# factor, and dense output reads DENSE_CHUNK grid points at a time, so the
+# memory of a sweep grows neither with the panel count nor with the points
 PANEL_BLOCK = 256
+DENSE_CHUNK = 1024    # grid points per dense-output pass of a block
 FIRST_PANELS = 64     # panels of the first level, whose root test predicts
 MAX_PANELS = 1 << 16  # refinement cap
 PANEL_MARGIN = 1.25   # on the predicted panel count
@@ -270,21 +274,23 @@ def _sweep(generator, x: np.ndarray, count: int, radii: list) -> np.ndarray:
         if out is None:
             out = np.empty((P.shape[2], len(x), 2, 2))
             frame = np.broadcast_to(np.eye(2), (P.shape[2], 2, 2))
-        lo, hi = np.searchsorted(panel, [k0, k0 + len(k)])
-        j = panel[lo:hi] - k0
-        u = np.divide(x[lo:hi] - centre[j], half[j], out=np.zeros(hi - lo),
-                      where=half[j] != 0.0)
-        value = np.take(Phi[-1], j, axis=-1)
-        for c in Phi[-2::-1]:
-            value *= u
-            value += np.take(c, j, axis=-1)
-        last = np.take(Phi[-1], j, axis=-1) * u ** (TERMS - 1)
-        value = np.concatenate([value, value - last], axis=2)
         # the frame at each panel's start: the exclusive prefix products
         start = np.broadcast_to(np.eye(2)[:, :, None, None], P.shape[:3] + (1,))
         pre = _as_matrices(_prefix(np.concatenate([start, P], axis=-1)))
-        out[:, lo:hi] = (frame[:, None] @ np.take(pre, j, axis=1)
-                         @ _as_matrices(_unimodular(np.take(minus, j, axis=-1), value)))
+        lo, hi = np.searchsorted(panel, [k0, k0 + len(k)])
+        for a in range(lo, hi, DENSE_CHUNK):
+            b = min(a + DENSE_CHUNK, hi)
+            j = panel[a:b] - k0
+            u = np.divide(x[a:b] - centre[j], half[j], out=np.zeros(b - a),
+                          where=half[j] != 0.0)
+            value = np.take(Phi[-1], j, axis=-1)
+            for c in Phi[-2::-1]:
+                value *= u
+                value += np.take(c, j, axis=-1)
+            last = np.take(Phi[-1], j, axis=-1) * u ** (TERMS - 1)
+            value = np.concatenate([value, value - last], axis=2)
+            out[:, a:b] = (frame[:, None] @ np.take(pre, j, axis=1)
+                           @ _as_matrices(_unimodular(np.take(minus, j, axis=-1), value)))
         frame = frame @ pre[:, -1]
     return out
 

@@ -1,8 +1,10 @@
-"""The bulk exporters against the per-sample writers they replace, byte for
-byte: json.dumps(doc, indent=1) for a curve JSON and for the hierarchy
-JSON, fnum per cell for the OBJ and CSV files."""
+"""The chunked exporters against the per-sample writers they replace, byte
+for byte: json.dumps(doc, indent=1) for a curve JSON and for the hierarchy
+JSON, fnum per cell for the OBJ and CSV files; at and around the chunk
+boundaries, and in memory flat in the samples of a file."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from ads_null_flows.cli import main
 from ads_null_flows.config import DEFAULT
 from ads_null_flows.io_formats import (
-    fnum, meta_block, write_csv, write_curve_json, write_hierarchy_json,
+    CHUNK, fnum, meta_block, write_csv, write_curve_json, write_hierarchy_json,
     write_obj_polyline)
 from ads_null_flows.jetalg import hamiltonian_density, lenard_p, lien_coefficients
 
@@ -136,33 +138,28 @@ def test_obj_polyline_bytes(tmp_path, n):
 def test_csv_bytes_float_columns(tmp_path):
     s, _, p = curve_data(200, seed=3)
     out = tmp_path / "f.csv"
-    for rows in (np.column_stack((s, p[:, :2])), zip(s, p[:, 0], p[:, 1])):
-        write_csv(out, "stationary", DEFAULT, ("s", "x", "y"), rows)
-        assert out.read_text() == ref_csv("stationary", DEFAULT, ("s", "x", "y"),
-                                          zip(s, p[:, 0], p[:, 1]))
-
-
-def test_csv_bytes_mixed_cells(tmp_path):
-    """float, np.float64, np.float32, int, bool and str cells, in pure and
-    mixed columns (the floquet table mixes int and float columns)."""
-    rows = [
-        (0, 1.5, np.float64(0.1), -1, "a", 0.1, np.float32(0.1), True),
-        (1, float("nan"), np.float64(-0.0), 10 ** 20, "b,c", 7, 2.0, 1e300),
-        (2, 5e-324, np.float64(np.inf), 3, "μ", "x", np.float32(-2.5), False),
-    ]
-    header = [f"c{j}" for j in range(8)]
-    out = tmp_path / "m.csv"
-    write_csv(out, "floquet", DEFAULT, header, iter(rows))
-    assert out.read_text() == ref_csv("floquet", DEFAULT, header, rows)
+    write_csv(out, "stationary", DEFAULT, ("s", "x", "y"), np.column_stack((s, p[:, :2])))
+    assert out.read_text() == ref_csv("stationary", DEFAULT, ("s", "x", "y"),
+                                      zip(s, p[:, 0], p[:, 1]))
 
 
 def test_csv_bytes_empty_and_int_array(tmp_path):
+    """No row, and integer cells as floats: %.17g spells them as str spells
+    the ints (floquet.csv's index and order columns)."""
     out = tmp_path / "e.csv"
-    write_csv(out, "kksh", DEFAULT, ("mu", "I_plus", "I_minus"), [])
+    write_csv(out, "kksh", DEFAULT, ("mu", "I_plus", "I_minus"), np.zeros((0, 3)))
     assert out.read_text() == ref_csv("kksh", DEFAULT, ("mu", "I_plus", "I_minus"), [])
-    table = np.arange(12).reshape(4, 3)
-    write_csv(out, "kksh", DEFAULT, ("a", "b", "c"), table)
-    assert out.read_text() == ref_csv("kksh", DEFAULT, ("a", "b", "c"), table)
+    table = np.array([[0, 5, 10], [-7, 2 ** 40, 123456789]])
+    write_csv(out, "kksh", DEFAULT, ("a", "b", "c"), table.astype(float))
+    assert out.read_text() == ref_csv("kksh", DEFAULT, ("a", "b", "c"), table.tolist())
+
+
+@pytest.mark.parametrize("rows", [[(0.1, 0.2)], np.ones((2, 2), dtype=np.float32),
+                                  np.ones((2, 2), dtype=int), np.ones(4)],
+                         ids=["list", "float32", "int", "1-d"])
+def test_csv_takes_a_2d_float64_array_only(tmp_path, rows):
+    with pytest.raises(TypeError, match="2-D float64"):
+        write_csv(tmp_path / "t.csv", "floquet", DEFAULT, ("a", "b"), rows)
 
 
 EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e16, 1e22]
@@ -170,7 +167,7 @@ EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e16, 1e22]
 
 def test_float64_array_edges_csv_and_curve_json(tmp_path):
     """A float64 array of every edge value in every column, through
-    write_csv's one-template array path and through write_curve_json's
+    write_csv's %.17g row template and through write_curve_json's
     swap of the non-finite entries, against the per-cell writers."""
     table = np.resize(np.array(EDGE * 8), (len(EDGE) + 3, 8))
     table[-3:] = np.random.default_rng(11).standard_normal((3, 8))
@@ -187,17 +184,52 @@ def test_float64_array_edges_csv_and_curve_json(tmp_path):
         assert f" {spelt},\n" in text or f" {spelt}\n" in text
 
 
-def test_csv_float32_and_int_arrays_are_spelt_cell_by_cell(tmp_path):
-    """Only a float64 array takes the one-template path: a float32 array is
-    spelt from its floats, and an int array by str, so 2**60 + 1 keeps its
-    digits where %.17g would round it."""
-    header = ("a", "b", "c")
+def chunk_table(n):
+    """n rows of 8 random doubles, the EDGE values (reversed in the row
+    before) in the last rows: the last chunk."""
+    table = np.random.default_rng(n).standard_normal((n, 8)) * 1e3
+    last = np.array([EDGE[::-1], EDGE])[-min(n, 2):] if n else np.zeros((0, 8))
+    table[len(table) - len(last):] = last
+    return table
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_exports_bytes(tmp_path, n):
+    """Each curve export at and around its chunk boundaries against the
+    per-sample writers."""
+    table = chunk_table(n)
+    s, M, p = table[:, 0], table[:, 4:].reshape(n, 2, 2), table[:, 1:4]
+    out = tmp_path / "c.json"
+    write_curve_json(out, "stationary", DEFAULT, s, M, p, META)
+    assert out.read_text() == ref_curve_json("stationary", DEFAULT, s, M, p, META)
+    out = tmp_path / "c.obj"
+    write_obj_polyline(out, "stationary", DEFAULT, p)
+    assert out.read_text() == ref_obj_polyline("stationary", DEFAULT, p)
     out = tmp_path / "c.csv"
-    for table in (np.array([[0.1, -2.5, np.nan], [1e-30, 3.0, -0.0]], dtype=np.float32),
-                  np.array([[2 ** 60 + 1, -7, 0], [1, 2, 3]])):
-        write_csv(out, "kksh", DEFAULT, header, table)
-        assert out.read_text() == ref_csv("kksh", DEFAULT, header, table)
-    assert out.read_text().splitlines()[3] == "1152921504606846977,-7,0"
+    header = [f"c{j}" for j in range(8)]
+    write_csv(out, "stationary", DEFAULT, header, table)
+    assert out.read_text() == ref_csv("stationary", DEFAULT, header, table)
+
+
+def test_curve_exports_write_in_memory_flat_in_the_samples(tmp_path):
+    """A 50,000-sample curve JSON, its OBJ and a cousin CSV are written
+    with a traced peak below a tenth of the JSON file's size: no table or
+    string of the whole file."""
+    n = 50_000
+    table = np.random.default_rng(5).standard_normal((n, 8))
+    s, M, p = table[:, 0], table[:, 4:].reshape(n, 2, 2), table[:, 1:4]
+    cousin = np.ascontiguousarray(table[:, :3])
+    tracemalloc.start()
+    try:
+        write_curve_json(tmp_path / "c.json", "stationary", DEFAULT, s, M, p)
+        write_obj_polyline(tmp_path / "c.obj", "stationary", DEFAULT, p)
+        write_csv(tmp_path / "c.csv", "stationary", DEFAULT, ("s", "x", "y"), cousin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "c.json").stat().st_size
+    assert size > 10_000_000
+    assert peak < size / 10, (peak, size)
 
 
 # ------------------------------------------------------------ hierarchy JSON

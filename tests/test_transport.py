@@ -438,6 +438,21 @@ def test_dense_output_panels_do_not_follow_the_grid(monkeypatch):
     assert rel_err(coarse, fine[::16]) <= 1e-12
 
 
+def test_dense_output_chunks_keep_every_frame(monkeypatch):
+    """The frames of an h+- pair on 3,000 points that lie in one block, with
+    dense output read 1, 7 and DENSE_CHUNK points at a time: bit for bit."""
+    ladders = _ladders(monkeypatch)
+    K, _ = complete_elliptic(0.9)
+    grid = np.linspace(0.0, 4.0 * K, 3000)
+    frames = {}
+    for chunk in (1, 7, kernel.DENSE_CHUNK):
+        monkeypatch.setattr(kernel, "DENSE_CHUNK", chunk)
+        frames[chunk] = lame.fundamental_ode(0.9, [0.93, 2.23], grid)
+    assert kernel.DENSE_CHUNK < len(grid)
+    assert all(max(ladder) <= kernel.PANEL_BLOCK for ladder in ladders), ladders
+    assert frames[1].tobytes() == frames[7].tobytes() == frames[kernel.DENSE_CHUNK].tobytes()
+
+
 def _entrywise_prefix(E):
     """The prefix scan on the four entries (p, q, r, s) as separate arrays,
     one product of entries a round: the reference that kernel._prefix keeps
@@ -737,6 +752,14 @@ def test_kksh_runs_over_the_tolerance_range(tmp_path, rel_tol):
     assert main(["--set", f"integrator_rel_tol={rel_tol}", "kksh", "--mn", "1,6",
                  "--h", "2", "--mu", "0.6", "--t", "0,0.05", "--invariant-grid", "2",
                  "-o", str(tmp_path / "k")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_floquet_gate_stops_at_scipys_rtol_floor(tmp_path):
+    """Two h at rel_tol 1e-14: the gate's scaled rtol stops at 100 EPS,
+    where scipy would clamp it with a warning."""
+    assert main(["--set", "integrator_rel_tol=1e-14", "floquet", "--mu", "0.9",
+                 "--q", "2/5", "--count", "2", "-o", str(tmp_path / "f")]) == 0
 
 
 def test_kksh_transports_each_s_system_once(monkeypatch, tmp_path):
